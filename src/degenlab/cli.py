@@ -93,7 +93,7 @@ _DEFAULTS = {
     "p": 2.0, "p_grid": None,
     "kind": "constant", "eps": 0.0, "eps_grid": None,
     "seed": 0, "rho0": 1.0,
-    "theta": 1.0, "linear_tol": 1e-10, "max_krylov_iters": 4000,
+    "theta": 1.0, "linear_tol": 1e-10,
     "with_F": True, "with_f": True,
     "mms_meshes": [16, 24, 32], "mms_mode": "f_only",
     "cyl_time": None, "cyl_radius": 0.5,
@@ -103,8 +103,8 @@ _DEFAULTS = {
 }
 
 _INT_KEYS = {"schema_version", "dim", "mesh_M", "xprime_count",
-             "time_count", "seed", "max_krylov_iters", "n_solutions",
-             "duality_seeds", "n_fields"}
+             "time_count", "seed", "n_solutions", "duality_seeds",
+             "n_fields"}
 _FLOAT_KEYS = {"L_d", "grading", "xprime_length", "time_step", "nu",
                "lambda", "p", "eps", "rho0", "theta", "linear_tol",
                "cyl_radius", "r_inner", "r_outer"}
@@ -203,9 +203,7 @@ def _sources(cfg, mesh):
 
 
 def _stepper(cfg):
-    return TimeStepperConfig(theta=cfg["theta"],
-                             linear_tol=cfg["linear_tol"],
-                             max_krylov_iters=cfg["max_krylov_iters"])
+    return TimeStepperConfig(theta=cfg["theta"], linear_tol=cfg["linear_tol"])
 
 
 def _problem(cfg):

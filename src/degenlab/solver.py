@@ -3,15 +3,15 @@
     M du/dt + K(t) u = b(t),   u(0) = u0,
 
 with the theta-scheme (implicit Euler by default), plus the backward adjoint
-march used by the duality identity.  Linear systems go to a banded direct
-solver in one space dimension and to restarted GMRES with Jacobi
-preconditioning in two; every solve is followed by a backward-error check.
+march used by the duality identity.  Every linear system goes to one sparse
+direct solver (SuperLU through scipy's ``splu``), factored once per march
+when the matrix does not change; every solve, including one that reuses the
+factors, is followed by a backward-error check.
 """
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import gmres, LinearOperator
+from scipy.sparse.linalg import splu
 
 from .assembly import (LoadAssembler, SparseOperator, assemble_stiffness,
                        assemble_weighted_mass)
@@ -24,39 +24,23 @@ class SolverError(RuntimeError):
 
 
 class TimeStepperConfig:
-    def __init__(self, theta=1.0, time_step=None, linear_tol=1e-10,
-                 max_krylov_iters=4000):
+    def __init__(self, theta=1.0, time_step=None, linear_tol=1e-10):
         if not 0.5 <= theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1], got %r" % (theta,))
         if time_step is not None and not time_step > 0:
             raise ValueError("time_step must be positive")
         if not linear_tol > 0:
             raise ValueError("linear_tol must be positive")
-        if int(max_krylov_iters) < 1:
-            raise ValueError("max_krylov_iters must be >= 1")
         self.theta = float(theta)
         self.time_step = None if time_step is None else float(time_step)
         self.linear_tol = float(linear_tol)
-        self.max_krylov_iters = int(max_krylov_iters)
 
     def summary(self):
         return {"theta": self.theta, "time_step": self.time_step,
-                "linear_tol": self.linear_tol,
-                "max_krylov_iters": self.max_krylov_iters}
+                "linear_tol": self.linear_tol}
 
 
 # -- linear solves ------------------------------------------------------------
-
-def _to_banded(A, bw):
-    n = A.shape[0]
-    ab = np.zeros((2 * bw + 1, n))
-    dia = A.todia()
-    for off, data in zip(dia.offsets, dia.data):
-        if abs(off) > bw:
-            raise SolverError("matrix wider than declared bandwidth")
-        ab[bw - off, :] = data
-    return ab
-
 
 def _backward_error(A, x, b, norm_A):
     r = b - A @ x
@@ -66,46 +50,40 @@ def _backward_error(A, x, b, norm_A):
     return np.linalg.norm(r) / denom
 
 
-def linear_solve(A, b, mesh=None, tol=1e-10, max_krylov_iters=4000, x0=None):
-    """Solve A x = b.  dim-1 meshes (and narrow-band matrices) use a banded
-    LU; everything else uses GMRES(30) with Jacobi preconditioning.  Raises
-    SolverError when the verified backward error exceeds 10*tol."""
+def _factorize(A, tol):
+    """LU-factor the square matrix A once; returns solve(b) -> x.  Each
+    solve is checked: a backward error above 10*tol, or a singular A, raises
+    SolverError."""
     if isinstance(A, SparseOperator):
         A = A.matrix
-    A = sp.csr_matrix(A)
-    b = np.asarray(getattr(b, "values", b), float)
+    A = sp.csc_matrix(A)
     n = A.shape[0]
-    if A.shape[0] != A.shape[1] or b.shape != (n,):
-        raise ValueError("shape mismatch in linear_solve")
-    coo = A.tocoo()
-    bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-    use_banded = (mesh is not None and mesh.dim == 1) or \
-                 (mesh is None and bw <= 10)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("linear_solve needs a square matrix")
+    try:
+        lu = splu(A)
+    except RuntimeError as exc:        # "Factor is exactly singular"
+        raise SolverError("LU factorization failed: %s" % exc)
     norm_A = np.max(np.abs(A).sum(axis=1)) if A.nnz else 0.0
-    if use_banded:
-        try:
-            x = scipy.linalg.solve_banded((bw, bw), _to_banded(A, bw), b)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverError("banded solve failed: %s" % exc)
-    else:
-        diag = A.diagonal()
-        if np.any(diag == 0):
-            raise SolverError("zero diagonal entry; Jacobi preconditioner "
-                              "unavailable")
-        prec = LinearOperator((n, n), matvec=lambda v: v / diag)
-        cycles = max(1, int(np.ceil(max_krylov_iters / 30)))
-        kw = dict(restart=30, maxiter=cycles, M=prec, x0=x0)
-        try:
-            x, info = gmres(A, b, rtol=tol, atol=0.0, **kw)
-        except TypeError:      # older scipy spells the tolerance 'tol'
-            x, info = gmres(A, b, tol=tol, atol=0.0, **kw)
-        if info != 0:
-            raise SolverError("GMRES did not converge (info=%d)" % info)
-    be = _backward_error(A, x, b, norm_A)
-    if not np.isfinite(be) or be > 10 * tol:
-        raise SolverError("linear solve backward error %.3e exceeds %.3e"
-                          % (be, 10 * tol))
-    return x
+
+    def solve(b):
+        b = np.asarray(getattr(b, "values", b), float)
+        if b.shape != (n,):
+            raise ValueError("shape mismatch in linear_solve")
+        x = lu.solve(b)
+        be = _backward_error(A, x, b, norm_A)
+        if not np.isfinite(be) or be > 10 * tol:
+            raise SolverError("linear solve backward error %.3e exceeds %.3e"
+                              % (be, 10 * tol))
+        return x
+
+    return solve
+
+
+def linear_solve(A, b, tol=1e-10):
+    """Solve A x = b by sparse LU.  Raises SolverError when A is singular or
+    the verified backward error exceeds 10*tol."""
+    return _factorize(A, tol)(b)
 
 
 # -- solution container --------------------------------------------------------
@@ -207,11 +185,12 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
     def load_at(t):
         if loads is None:
             return np.zeros(n_int)
-        return np.asarray(getattr(loads(t), "values", loads(t)), float)
+        b = loads(t)
+        return np.asarray(getattr(b, "values", b), float)
 
     b_prev = load_at(times[0])
     Kp = K_of_t(times[0])
-    A_fixed = (Mmat + theta * dt * Kp).tocsr() if autonomous else None
+    solve = None
     for n in range(N):
         Knext = Kp if autonomous else K_of_t(times[n + 1])
         b_next = load_at(times[n + 1])
@@ -219,12 +198,11 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
                                          + (1 - theta) * b_prev)
         if theta < 1.0:
             rhs -= (1 - theta) * dt * (Kp @ interior[n])
-        A = A_fixed if autonomous else \
-            (Mmat + theta * dt * Knext).tocsr()
         try:
-            interior[n + 1] = linear_solve(
-                A, rhs, mesh=mesh, tol=config.linear_tol,
-                max_krylov_iters=config.max_krylov_iters, x0=interior[n])
+            if solve is None or not autonomous:
+                solve = _factorize(Mmat + theta * dt * Knext,
+                                   config.linear_tol)
+            interior[n + 1] = solve(rhs)
         except SolverError as exc:
             raise SolverError("time level %d: %s" % (n + 1, exc))
         b_prev = b_next
@@ -303,14 +281,11 @@ def adjoint_march_system(mass, stiffness_T, dual_loads, mesh, config=None):
     if dual_loads.shape != (N + 1, mesh.n_interior):
         raise ValueError("dual_loads must have shape (N+1, n_interior)")
     Mmat = _as_matrix(mass)
-    A = (Mmat + dt * _as_matrix(stiffness_T)).tocsr()
+    solve = _factorize(Mmat + dt * _as_matrix(stiffness_T), config.linear_tol)
     v = np.zeros_like(dual_loads)
     v_next = np.zeros(mesh.n_interior)
     for n in range(N, 0, -1):
-        rhs = Mmat @ v_next + dt * dual_loads[n]
-        v[n] = linear_solve(A, rhs, mesh=mesh, tol=config.linear_tol,
-                            max_krylov_iters=config.max_krylov_iters,
-                            x0=v_next)
+        v[n] = solve(Mmat @ v_next + dt * dual_loads[n])
         v_next = v[n]
     return v
 
@@ -332,6 +307,5 @@ def steady_solve(mesh, coeffs, lam, F=None, f=None, t=0.0, config=None):
     config = config or TimeStepperConfig()
     K = assemble_stiffness(mesh, coeffs, lam, t=t, _self_check=False).matrix
     b = LoadAssembler(mesh).assemble(F, f, lam, t=t).values
-    x = linear_solve(K, b, mesh=mesh, tol=config.linear_tol,
-                     max_krylov_iters=config.max_krylov_iters)
+    x = linear_solve(K, b, tol=config.linear_tol)
     return DiscreteField.from_interior(mesh, x)

@@ -43,9 +43,10 @@ def test_parse_config_fills_defaults_and_roundtrips():
 
 
 def test_parse_config_rejects_unknown_key_by_name():
-    with pytest.raises(ConfigError) as err:
-        parse_config({"command": "solve", "lamda": 3.0})
-    assert "lamda" in str(err.value)
+    for key, value in [("lamda", 3.0), ("max_krylov_iters", 4000)]:
+        with pytest.raises(ConfigError) as err:
+            parse_config({"command": "solve", key: value})
+        assert key in str(err.value)
 
 
 def test_parse_config_type_checks():
@@ -104,7 +105,7 @@ def test_lab_jobs_environment_fallback(tmp_path, monkeypatch, capsys):
 def test_solver_failure_exits_three(tmp_path, capsys):
     path = _write_cfg(tmp_path, command="solve", dim=2, mesh_M=24,
                       xprime_count=12, time_step=0.05, time_count=2,
-                      max_krylov_iters=1, linear_tol=1e-15)
+                      linear_tol=1e-30)
     assert main(["run", path]) == 3
     assert "solver error" in capsys.readouterr().err
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
+import degenlab.solver
 from degenlab import (DiscreteField, SolverError, SpaceTimeSolution,
                       TimeStepperConfig, adjoint_march_system,
                       assemble_stiffness, assemble_weighted_mass, build_mesh,
@@ -30,8 +32,7 @@ def test_linear_solve_small_nonsymmetric():
     assert np.max(np.abs(x - 1.0)) < 1e-14
 
 
-def test_linear_solve_gmres_path_matches_dense():
-    # bandwidth above the direct-solver cutoff forces the Krylov branch
+def test_linear_solve_wide_band_matches_dense():
     rng = np.random.default_rng(7)
     n = 60
     A = np.zeros((n, n))
@@ -107,6 +108,75 @@ def test_march_scalar_recursion_crank_nicolson():
         assert abs(sol.interior(n + 1)[0] - u) < 1e-13
     assert sol.time_count == 8
     assert abs(sol.dt - dt) < 1e-15
+
+
+def test_march_evaluates_each_load_once():
+    m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=6)
+    K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
+    calls = []
+
+    def loads(t):
+        calls.append(t)
+        return np.ones(m.n_interior)
+
+    march_system(assemble_weighted_mass(m), K, loads, m)
+    assert len(calls) == 6 + 1
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(degenlab.solver, "splu", counting_splu)
+    return calls
+
+
+@pytest.mark.parametrize("kind, expected", [("constant", 1), ("xd_only", 1),
+                                            ("oscillatory", 5)])
+def test_march_factors_once_unless_time_dependent(monkeypatch, kind,
+                                                  expected):
+    m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
+    coeffs = generate_family(4, kind, 0.5, 0.2, dim=1)
+    calls = _count_factorizations(monkeypatch)
+    march(m, coeffs, 1.0, f=lambda t, xp, xd: xd * np.exp(-xd))
+    assert len(calls) == expected
+
+
+def test_adjoint_march_factors_once(monkeypatch):
+    m = build_mesh(1, 2.0, 6, 1.5, time_step=0.2, time_count=5)
+    K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
+    calls = _count_factorizations(monkeypatch)
+    v = adjoint_march_system(assemble_weighted_mass(m), K,
+                             np.ones((6, m.n_interior)), m)
+    assert len(calls) == 1
+    assert np.all(v[1:] > 0)
+
+
+def test_march_checks_solves_that_reuse_the_factors(monkeypatch):
+    m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
+    Mw = assemble_weighted_mass(m)
+    K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
+    loads = lambda t: np.ones(m.n_interior)
+    with pytest.raises(SolverError, match="time level 1:"):
+        march_system(Mw, K, loads, m,
+                     config=TimeStepperConfig(linear_tol=1e-30))
+
+    class WrongFromThirdSolve:
+        def __init__(self, A):
+            self.lu = splu(A)
+            self.solves = 0
+
+        def solve(self, b):
+            self.solves += 1
+            x = self.lu.solve(b)
+            return x if self.solves < 3 else 2 * x
+
+    monkeypatch.setattr(degenlab.solver, "splu", WrongFromThirdSolve)
+    with pytest.raises(SolverError, match="time level 3:"):
+        march_system(Mw, K, loads, m)
 
 
 def test_march_wrapper_matches_march_system():
