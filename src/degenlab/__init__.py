@@ -27,9 +27,8 @@ from .mms import (ClosureError, ManufacturedCase, StudyTable,
                   convergence_study, default_case, nodal_residual)
 from .norms import (NormSpec, RatioReport, SlopeReport, analytic_norm,
                     cell_center_gradients, error_norm, hardy_check,
-                    levels_norm, nodal_max_error, norm_csv_row,
-                    second_difference_fields, second_difference_magnitude,
-                    second_order_weighted_norm, slice_norms,
+                    levels_norm, second_difference_fields,
+                    second_difference_magnitude, slice_norms,
                     trace_decay_check, weighted_norm)
 from .solver import (SolverError, SpaceTimeSolution, TimeStepperConfig,
                      adjoint_march, adjoint_march_system, linear_solve,

@@ -10,7 +10,6 @@ nodes and then integrated exactly, so load assembly is two sparse matvecs.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .coefficients import sample_on_mesh
 from .fields import sample_nodes
@@ -115,15 +114,6 @@ class SparseOperator:
 
     def diagonal(self):
         return self.matrix.diagonal()
-
-    def bandwidth(self):
-        coo = self.matrix.tocoo()
-        if coo.nnz == 0:
-            return 0
-        return int(np.max(np.abs(coo.row - coo.col)))
-
-    def export_matrix_market(self, path):
-        mmwrite(str(path), self.matrix)
 
     def __repr__(self):
         return "SparseOperator(%dx%d, %s, %s)" % (

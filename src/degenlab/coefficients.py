@@ -248,11 +248,6 @@ def check_structure_condition(coeffs, mesh, tol=1e-12):
 
 # -- generated families ------------------------------------------------------
 
-# Worst-case factor C_kind with measured oscillation <= eps * C_kind:
-# each |a_ij - [a_ij]| <= 2 eps pointwise, so max_ij term + c0 term <= 4 eps.
-OSCILLATION_BOUND_FACTOR = {"constant": 0.0, "xd_only": 0.0, "oscillatory": 4.0}
-
-
 def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
     """Deterministic smooth coefficient family.
 

@@ -1,16 +1,20 @@
 """Weighted norms of discrete fields and the standalone inequality checks
 (Hardy ratio, near-boundary trace decay, weighted second differences).
 
-Space integrals run 8-point Gauss-Legendre per cell in each direction with
-the x_d^alpha factor kept inside the integrand; the time integral is the
-level-wise rectangle rule (right endpoint).  Derivative order 1 uses the
-exact elementwise gradients of the bilinear field; order 2 uses nodal second
-differences (the three-point formulas are exact on quadratics).
+One cell kernel, ``_level_power``, evaluates every space integral: 8-point
+Gauss-Legendre per cell in each direction with the x_d^alpha factor kept
+inside the integrand.  Its integrand is |e|^p, where e is the bilinear field
+(order 0) or its exact elementwise gradient (order 1) minus the same of
+analytic callables, which are zero unless given.  So error norms and norms
+of analytic callables are the same integral: the latter is the error of the
+zero field.  Order 2 uses nodal second differences (the three-point
+formulas are exact on quadratics).  The time integral is the level-wise
+rectangle rule (right endpoint), summed by ``_rectangle_norm``.
 """
 
 import numpy as np
 
-from .fields import DiscreteField, sample_nodes
+from .fields import DiscreteField
 from .mesh import cells_in_cylinder, Cylinder
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(8)
@@ -68,14 +72,29 @@ def _corner_values(values, j, m, npc):
     return (values[j, m], values[j + 1, m], values[j, m1], values[j + 1, m1])
 
 
-def _level_power(mesh, values, spec, space_cells=None):
-    """integral over the selected space cells of |derivative expr|^p x_d^alpha
-    for one nodal array (M+1, npc); returns the p-th power (not the norm)."""
+def _zero(t, xp, x):
+    return 0.0
+
+
+# subtracting 0.0 leaves every value bitwise unchanged
+_ZERO_EXACT = {"u": _zero, "du": (_zero, _zero)}
+
+
+def _level_power(mesh, values, spec, space_cells=None, exact=None, t=0.0):
+    """integral over the selected space cells of |e|^p x_d^alpha for one
+    nodal array (M+1, npc), where e is the field (order 0) or its gradient
+    (order 1) minus the same of ``exact`` at time t: a dict of callables
+    (t, x', x_d) 'u' and 'du' (tuple ordered (x', x_d) in dim 2), zero when
+    None.  Returns the p-th power (not the norm)."""
     order = spec.derivative_order
     if order == "2_full":
+        if exact is not None:
+            raise ValueError("error norms support derivative orders up to 1")
         mag = second_difference_magnitude(mesh, values)
         inner = NormSpec(spec.p, spec.weight_exponent, "0")
         return _level_power(mesh, mag, inner, space_cells)
+    if exact is None:
+        exact = _ZERO_EXACT
 
     p, alpha = spec.p, spec.weight_exponent
     j, m = _space_cell_split(mesh, space_cells)
@@ -98,21 +117,30 @@ def _level_power(mesh, values, spec, space_cells=None):
     S = s[None, :, None]
     Q = q[None, None, :]
     x = xl[:, None, None] + h[:, None, None] * S
+    if mesh.dim == 2:
+        xp = mesh.xprime_nodes[m][:, None, None] + delta * Q
+    else:
+        xp = np.zeros_like(x)
     if order == "0":
         g = (u00[:, None, None] * (1 - S) * (1 - Q)
              + u10[:, None, None] * S * (1 - Q)
              + u01[:, None, None] * (1 - S) * Q
              + u11[:, None, None] * S * Q)
-        core = np.abs(g) ** p
+        core = np.abs(g - exact["u"](t, xp, x)) ** p
     else:
-        dd = ((u10 - u00)[:, None, None] * (1 - Q)
-              + (u11 - u01)[:, None, None] * Q) / h[:, None, None]
+        du = exact["du"]
+        ed = ((u10 - u00)[:, None, None] * (1 - Q)
+              + (u11 - u01)[:, None, None] * Q) / h[:, None, None] \
+            - du[-1](t, xp, x)
         if order == "1_xd":
-            core = np.abs(dd) ** p
+            core = np.abs(ed) ** p
         else:
-            dp = ((u01 - u00)[:, None, None] * (1 - S)
-                  + (u11 - u10)[:, None, None] * S) / delta
-            core = (dd * dd + dp * dp) ** (p / 2)
+            ep = 0.0
+            if mesh.dim == 2:       # in dim 1, du[0] is the x_d derivative
+                ep = ((u01 - u00)[:, None, None] * (1 - S)
+                      + (u11 - u10)[:, None, None] * S) / delta \
+                    - du[0](t, xp, x)
+            core = (ed * ed + ep * ep) ** (p / 2)
     w2 = ws[None, :, None] * wq[None, None, :]
     cellsize = (h * delta)[:, None, None]
     return float(np.sum(core * x ** alpha * w2 * cellsize))
@@ -167,11 +195,34 @@ def _check_boundary_integrability(values, spec):
                 % spec.weight_exponent)
 
 
-def _region_cells(mesh, spec):
+def _region_cells(mesh, spec, skip_initial=0, time_count=0):
+    """(ends, space_cells): the level closing each retained time cell (those
+    of spec.region, else cells skip_initial..time_count-1) and the region's
+    space cells (None: all)."""
     if spec.region is None:
-        return None, None
+        return np.arange(skip_initial, time_count) + 1, None
     cs = cells_in_cylinder(mesh, spec.region)
-    return cs.time_cells, cs.space_cells
+    return cs.time_cells + 1, cs.space_cells
+
+
+def _retained(field, spec, skip_initial, t=0.0):
+    """(levels, times, dt, space_cells) for _rectangle_norm: a DiscreteField
+    is one level of unit weight at time t."""
+    if isinstance(field, DiscreteField):
+        _, space_cells = _region_cells(field.mesh, spec)
+        return field.values[None], (t,), 1.0, space_cells
+    ends, space_cells = _region_cells(field.mesh, spec, skip_initial,
+                                      field.time_count)
+    return field.levels[ends], field.times[ends], field.dt, space_cells
+
+
+def _rectangle_norm(mesh, levels, times, dt, spec, space_cells, exact=None):
+    """Right-endpoint rectangle rule in time: the p-th root of the sum over
+    the nodal arrays ``levels`` at ``times`` of dt * _level_power."""
+    total = 0.0
+    for values, t in zip(levels, times):
+        total += dt * _level_power(mesh, values, spec, space_cells, exact, t)
+    return total ** (1.0 / spec.p)
 
 
 def weighted_norm(field, spec, skip_initial=0):
@@ -179,31 +230,42 @@ def weighted_norm(field, spec, skip_initial=0):
     SpaceTimeSolution (space-time, rectangle rule over levels)."""
     if isinstance(field, DiscreteField):
         _check_boundary_integrability(field.values, spec)
-        _, space_cells = _region_cells(field.mesh, spec)
-        return _level_power(field.mesh, field.values, spec,
-                            space_cells) ** (1.0 / spec.p)
-    mesh = field.mesh
-    levels = field.levels
-    if not np.all(np.isfinite(levels)):
+    elif not np.all(np.isfinite(field.levels)):
         raise ValueError("non-finite values in solution")
-    _check_boundary_integrability(levels, spec)
-    time_cells, space_cells = _region_cells(mesh, spec)
-    if time_cells is None:
-        time_cells = np.arange(skip_initial, field.time_count)
-    dt = field.dt
-    total = 0.0
-    for k in time_cells:
-        total += dt * _level_power(mesh, levels[k + 1], spec, space_cells)
-    return total ** (1.0 / spec.p)
+    else:
+        _check_boundary_integrability(field.levels, spec)
+    levels, times, dt, space_cells = _retained(field, spec, skip_initial)
+    return _rectangle_norm(field.mesh, levels, times, dt, spec, space_cells)
 
 
 def levels_norm(mesh, level_values, dt, spec, space_cells=None):
     """Rectangle-rule space-time norm of a raw stack of nodal arrays
     (n_levels, M+1, npc); every entry contributes dt."""
-    total = 0.0
-    for vals in np.asarray(level_values, float):
-        total += dt * _level_power(mesh, vals, spec, space_cells)
-    return total ** (1.0 / spec.p)
+    level_values = np.asarray(level_values, float)
+    return _rectangle_norm(mesh, level_values, np.zeros(len(level_values)),
+                           dt, spec, space_cells)
+
+
+def error_norm(solution_or_field, exact, spec, t=0.0, skip_initial=0):
+    """Weighted L_p distance between the discrete field and analytic
+    callables; solutions integrate in time by the rectangle rule."""
+    levels, times, dt, space_cells = _retained(solution_or_field, spec,
+                                               skip_initial, t)
+    return _rectangle_norm(solution_or_field.mesh, levels, times, dt, spec,
+                           space_cells, exact)
+
+
+def analytic_norm(mesh, func, spec, skip_initial=0):
+    """Weighted space-time L_p norm of an analytic scalar callable
+    (t, xp, xd) -> values over the mesh window (order 0 only); time uses the
+    right-endpoint rectangle rule on the mesh's own grid."""
+    if spec.derivative_order != "0":
+        raise ValueError("analytic_norm supports derivative_order '0' only")
+    ends, space_cells = _region_cells(mesh, spec, skip_initial,
+                                      mesh.time_count)
+    zeros = np.broadcast_to(0.0, (ends.size, mesh.M + 1, mesh.xprime_count))
+    return _rectangle_norm(mesh, zeros, mesh.time_levels[ends],
+                           mesh.time_step, spec, space_cells, {"u": func})
 
 
 # -- inequality checks --------------------------------------------------------------
@@ -302,128 +364,6 @@ def trace_decay_check(field, p, skip_initial=0):
     pos = np.arange(1, mesh.M + 1)
     constant = float(np.max(s[pos] / xd[pos] ** expo))
     return SlopeReport(p, slope, constant, expo - 0.05, usable.size)
-
-
-def second_order_weighted_norm(field, p):
-    """|| D2 u ||_{L_p, weight x_d^{p/2}} by nodal second differences."""
-    mesh = field.mesh
-    if mesh.M + 1 < 4:
-        raise ValueError("second differences need at least 4 x_d nodes")
-    spec = NormSpec(p, weight_exponent=p / 2.0, derivative_order="2_full")
-    return weighted_norm(field, spec)
-
-
-# -- error norms against analytic callables ------------------------------------------
-
-def _level_error_power(mesh, values, exact, spec, t, space_cells=None):
-    """Like _level_power but the integrand is |u_h - u| (order 0) or
-    |grad u_h - grad u| (order 1_full / 1_xd); exact is a dict with callables
-    'u' and 'du' (tuple ordered (x', x_d) in dim 2)."""
-    p, alpha = spec.p, spec.weight_exponent
-    order = spec.derivative_order
-    j, m = _space_cell_split(mesh, space_cells)
-    if j.size == 0:
-        return 0.0
-    npc = mesh.xprime_count
-    xl = mesh.xd_nodes[j]
-    h = mesh.xd_widths[j]
-    delta = mesh.xprime_spacing if mesh.dim == 2 else 1.0
-    s = 0.5 * (_GLX + 1.0)
-    ws = 0.5 * _GLW
-    if mesh.dim == 2:
-        q, wq = s, ws
-        xp0 = mesh.xprime_nodes[m]
-    else:
-        q, wq = np.array([0.5]), np.array([1.0])
-        xp0 = np.zeros(j.size)
-    S = s[None, :, None]
-    Q = q[None, None, :]
-    x = xl[:, None, None] + h[:, None, None] * S
-    xp = xp0[:, None, None] + delta * Q if mesh.dim == 2 \
-        else np.zeros_like(x)
-    u00, u10, u01, u11 = _corner_values(values, j, m, npc)
-    if order == "0":
-        g = (u00[:, None, None] * (1 - S) * (1 - Q)
-             + u10[:, None, None] * S * (1 - Q)
-             + u01[:, None, None] * (1 - S) * Q
-             + u11[:, None, None] * S * Q)
-        core = np.abs(g - exact["u"](t, xp, x)) ** p
-    else:
-        dd = ((u10 - u00)[:, None, None] * (1 - Q)
-              + (u11 - u01)[:, None, None] * Q) / h[:, None, None]
-        du = exact["du"]
-        if order == "1_xd":
-            core = np.abs(dd - du[-1](t, xp, x)) ** p
-        else:
-            ed = dd - du[-1](t, xp, x)
-            if mesh.dim == 2:
-                dp = ((u01 - u00)[:, None, None] * (1 - S)
-                      + (u11 - u10)[:, None, None] * S) / delta
-                ep = dp - du[0](t, xp, x)
-            else:
-                ep = np.zeros_like(ed)
-            core = (ed * ed + ep * ep) ** (p / 2)
-    w2 = ws[None, :, None] * wq[None, None, :]
-    cellsize = (h * delta)[:, None, None]
-    return float(np.sum(core * x ** alpha * w2 * cellsize))
-
-
-def error_norm(solution_or_field, exact, spec, t=0.0, skip_initial=0):
-    """Weighted L_p distance between the discrete field and analytic
-    callables; solutions integrate in time by the rectangle rule."""
-    if isinstance(solution_or_field, DiscreteField):
-        mesh = solution_or_field.mesh
-        _, space_cells = _region_cells(mesh, spec)
-        return _level_error_power(mesh, solution_or_field.values, exact,
-                                  spec, t, space_cells) ** (1.0 / spec.p)
-    sol = solution_or_field
-    mesh = sol.mesh
-    time_cells, space_cells = _region_cells(mesh, spec)
-    if time_cells is None:
-        time_cells = np.arange(skip_initial, sol.time_count)
-    total = 0.0
-    for k in time_cells:
-        total += sol.dt * _level_error_power(
-            mesh, sol.levels[k + 1], exact, spec, sol.times[k + 1],
-            space_cells)
-    return total ** (1.0 / spec.p)
-
-
-def analytic_norm(mesh, func, spec, skip_initial=0):
-    """Weighted space-time L_p norm of an analytic scalar callable
-    (t, xp, xd) -> values over the mesh window (order 0 only); time uses the
-    right-endpoint rectangle rule on the mesh's own grid."""
-    if spec.derivative_order != "0":
-        raise ValueError("analytic_norm supports derivative_order '0' only")
-    time_cells, space_cells = _region_cells(mesh, spec)
-    if time_cells is None:
-        time_cells = range(skip_initial, mesh.time_count)
-    zeros = np.zeros((mesh.M + 1, mesh.xprime_count))
-    exact = {"u": lambda t, xp, x: -np.asarray(func(t, xp, x), float)}
-    total = 0.0
-    for k in time_cells:
-        t = mesh.time_levels[k + 1]
-        total += mesh.time_step * _level_error_power(mesh, zeros, exact,
-                                                     spec, t, space_cells)
-    return total ** (1.0 / spec.p)
-
-
-def nodal_max_error(solution, exact_u, skip_initial=0):
-    """sup over retained levels and nodes of |u_h - u|."""
-    worst = 0.0
-    for n in range(skip_initial + 1, solution.levels.shape[0]):
-        ex = sample_nodes(solution.mesh, exact_u, solution.times[n])
-        worst = max(worst, float(np.max(np.abs(solution.levels[n] - ex))))
-    return worst
-
-
-def norm_csv_row(field_id, spec, value):
-    region = "whole" if spec.region is None else \
-        "cyl(%g,%g,%g,r=%g)" % (spec.region.center_time,
-                                spec.region.center_xprime,
-                                spec.region.center_xd, spec.region.radius)
-    return "%s,%g,%g,%s,%s,%.12g" % (field_id, spec.p, spec.weight_exponent,
-                                     spec.derivative_order, region, value)
 
 
 def cell_center_gradients(mesh, values):

@@ -259,7 +259,7 @@ def test_matrix_market_roundtrip(tmp_path):
     m = build_mesh(1, 4.0, 8, 2.0)
     K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
     path = tmp_path / "K.mtx"
-    K.export_matrix_market(str(path))
+    mmwrite(str(path), K.matrix)
     back = mmread(str(path)).tocsr()
     assert np.allclose(back.toarray(), K.matrix.toarray(), rtol=0,
                        atol=1e-15)

@@ -5,9 +5,8 @@ from scipy.integrate import quad
 from degenlab import (Cylinder, DiscreteField, NormSpec, SpaceTimeSolution,
                       analytic_norm, assemble_weighted_mass, build_mesh,
                       cell_center_gradients, error_norm, hardy_check,
-                      levels_norm, model_stiffness, nodal_max_error,
-                      norm_csv_row, second_difference_fields,
-                      second_order_weighted_norm, slice_norms,
+                      levels_norm, model_stiffness,
+                      second_difference_fields, slice_norms,
                       trace_decay_check, weighted_norm)
 
 
@@ -154,11 +153,11 @@ def test_second_differences_mixed_dim2():
     assert np.max(np.abs(dpp[3] - m.xd_nodes[3] * dqq)) < 1e-10
 
 
-def test_second_order_weighted_norm_frozen():
+def test_second_order_norm_frozen():
     # u = x^2 on (0,1): second difference 2, weight x; integral 4/2 = 2
     m = build_mesh(1, 1.0, 8, 1.0)
     u = DiscreteField(m, (m.xd_nodes ** 2)[:, None])
-    got = second_order_weighted_norm(u, 2.0)
+    got = weighted_norm(u, NormSpec(2.0, 1.0, "2_full"))
     print("second order norm", got)
     assert abs(got - np.sqrt(2.0)) < 1e-12
 
@@ -222,13 +221,57 @@ def test_error_norm_zero_for_reproduced_linears():
     assert e1 < 1e-13
 
 
-def test_nodal_max_error_on_constructed_solution():
-    m = build_mesh(1, 1.0, 4, 1.0, time_step=0.5, time_count=2)
-    vals = np.zeros((3, 5, 1))
-    vals[:, 1:-1, 0] = 1.0
-    sol = SpaceTimeSolution(m, vals, m.time_levels)
-    err = nodal_max_error(sol, lambda t, xp, xd: np.ones_like(xd))
-    assert abs(err - 1.0) < 1e-15   # exact hits boundary nodes, field is 0
+def _random_solution(dim, seed):
+    if dim == 1:
+        m = build_mesh(1, 2.0, 10, 1.5, time_step=0.2, time_count=5)
+    else:
+        m = build_mesh(2, 2.0, 6, 1.5, xprime_count=5,
+                       xprime_length=2 * np.pi, time_step=0.2, time_count=5)
+    vals = np.random.default_rng(seed).standard_normal(
+        (m.time_count + 1, m.M + 1, m.xprime_count))
+    vals[:, 0, :] = 0.0
+    vals[:, -1, :] = 0.0
+    return SpaceTimeSolution(m, vals, m.time_levels)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_error_against_zero_is_the_plain_norm(dim):
+    # one kernel: the error of u_h against zero callables is ||u_h|| exactly
+    sol = _random_solution(dim, dim)
+    zero = lambda t, xp, x: np.zeros_like(x)
+    zero_exact = {"u": zero, "du": (zero,) * dim}
+    cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
+    for order, alpha in (("0", -1.0), ("1_xd", 0.5), ("1_full", 0.0)):
+        for region in (None, cyl):
+            spec = NormSpec(2.0, alpha, order, region)
+            fld = sol.field_at(3)
+            assert error_norm(fld, zero_exact, spec) == \
+                weighted_norm(fld, spec)
+            assert error_norm(sol, zero_exact, spec, skip_initial=1) == \
+                weighted_norm(sol, spec, skip_initial=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_analytic_norm_is_the_error_of_the_zero_solution(dim):
+    m = _random_solution(dim, 0).mesh
+    zero_solution = SpaceTimeSolution(
+        m, np.zeros((m.time_count + 1, m.M + 1, m.xprime_count)),
+        m.time_levels)
+    func = lambda t, xp, xd: (1 + t) * np.sin(xp + xd) * xd
+    cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
+    for region in (None, cyl):
+        spec = NormSpec(3.0, -1.5, "0", region)
+        for k in (0, 2):
+            assert analytic_norm(m, func, spec, skip_initial=k) == \
+                error_norm(zero_solution, {"u": func}, spec, skip_initial=k)
+
+
+def test_error_norm_rejects_second_order():
+    sol = _random_solution(1, 0)
+    zero = lambda t, xp, x: np.zeros_like(x)
+    with pytest.raises(ValueError, match="orders up to 1"):
+        error_norm(sol, {"u": zero, "du": (zero,)},
+                   NormSpec(2.0, 1.0, "2_full"))
 
 
 def test_slice_norms_circle_oracle():
@@ -239,15 +282,6 @@ def test_slice_norms_circle_oracle():
     xd, s = slice_norms(u, 2.0)
     assert xd.shape == s.shape == (5,)
     assert np.max(np.abs(s - np.sqrt(np.pi))) < 0.01 * np.sqrt(np.pi)
-
-
-def test_norm_csv_row_format():
-    spec = NormSpec(2.0, weight_exponent=-1.0)
-    row = norm_csv_row("field7", spec, 1.25)
-    assert row == "field7,2,-1,0,whole,1.25"
-    spec2 = NormSpec(2.0, region=Cylinder(1.0, 0.5, 0.25))
-    row2 = norm_csv_row("f", spec2, 2.0)
-    assert "cyl(" in row2 and row2.endswith(",2")
 
 
 def test_cell_center_gradients_oracles():
