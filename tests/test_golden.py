@@ -1,0 +1,192 @@
+"""Golden-numbers lock: one small config per CLI command plus a battery of
+weighted norms, compared against values stored in ``tests/golden/values.json``
+as ``float.hex``.
+
+Report rows must match in check id and pass flag exactly; every number may
+move by at most 1e-12 relative (the drift a reordered summation may cause).
+Each test prints how many values are bitwise equal.  Regenerate with
+``python tests/golden/regen.py`` only when a value is meant to move, and
+record each moved value and why.
+"""
+
+import json
+import math
+import os
+
+import numpy as np
+
+from degenlab import (Cylinder, NormSpec, build_mesh, generate_family, march,
+                      smooth_random_closure, weighted_norm)
+from degenlab.cli import COMMANDS, parse_config, run
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                      "values.json")
+RTOL = 1e-12
+
+# explicit keys for every setting that shapes the numbers, so a change of a
+# default does not move a golden value
+CONFIGS = {
+    "solve": dict(command="solve", dim=2, mesh_M=6, xprime_count=4,
+                  time_step=0.1, time_count=4, kind="oscillatory", eps=0.2,
+                  seed=2, theta=0.5, with_F=True, with_f=True),
+    "mms": dict(command="mms", dim=1, mms_meshes=[4, 8, 16],
+                mms_mode="mixed", time_step=0.25, time_count=4, p=3.0),
+    "sweep": dict(command="sweep", dim=1, mesh_M=8, time_step=0.125,
+                  time_count=8, kind="oscillatory", eps_grid=[0.0, 0.2],
+                  p_grid=[3.0], lambda_grid=[1.0, 10.0], seed=1,
+                  with_F=True, with_f=True),
+    "caccioppoli": dict(command="caccioppoli", dim=1, mesh_M=24,
+                        time_step=0.1, time_count=10, kind="xd_only",
+                        eps=0.2, with_F=False, with_f=False, n_solutions=2,
+                        lambda_grid=[1.0, 10.0]),
+    "wlemma": dict(command="wlemma", dim=1, mesh_M=24, time_step=0.1,
+                   time_count=10, kind="constant", with_F=False,
+                   with_f=False, n_solutions=2),
+    "lipschitz": dict(command="lipschitz", dim=1, mesh_M=24, time_step=0.1,
+                      time_count=10, kind="xd_only", eps=0.2, with_F=False,
+                      with_f=False, n_solutions=2),
+    "duality": dict(command="duality", dim=2, mesh_M=6, xprime_count=4,
+                    time_step=0.1, time_count=5, kind="constant", eps=0.2,
+                    duality_seeds=2, **{"lambda": 3.0}),
+    "corollary2": dict(command="corollary2", dim=1, mesh_M=16,
+                       time_step=0.05, time_count=10, p_grid=[2.0, 3.0]),
+    "trace": dict(command="trace", dim=1, mesh_M=16, time_step=0.1,
+                  time_count=5, n_fields=4, p_grid=[2.0, 4.0]),
+    "hardy": dict(command="hardy", dim=2, mesh_M=8, xprime_count=4,
+                  n_fields=4, p_grid=[1.5, 3.0]),
+    "oscillation": dict(command="oscillation", dim=1, mesh_M=8,
+                        time_step=0.1, time_count=4, kind="oscillatory",
+                        eps=0.3, rho_grid=[0.25, 0.5]),
+}
+
+_ORDERS = ("0", "1_xd", "1_full", "2_full")
+_WEIGHTS = (-0.5, 0.0, 1.0)
+_PS = (1.5, 3.0)
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+def _csv_numbers(text):
+    """Every cell below the header row, as float.hex."""
+    return [_hex(cell) for line in text.strip().split("\n")[1:]
+            for cell in line.split(",")]
+
+
+def run_config(name, out_dir):
+    """{"reports": [[check_id, lhs, rhs, ratio, pass]], "<name>.csv": [...]}
+    for one config; numbers as float.hex."""
+    raw = dict(CONFIGS[name], out_dir=str(out_dir), emit_plots=False)
+    _, reports = run(parse_config(raw))
+    got = {"reports": [[r.check_id, _hex(r.lhs), _hex(r.rhs), _hex(r.ratio),
+                        r.passed] for r in reports]}
+    for fname in sorted(os.listdir(out_dir)):
+        if fname.endswith(".csv") and fname != "reports.csv":
+            with open(os.path.join(out_dir, fname)) as fh:
+                got[fname] = _csv_numbers(fh.read())
+    return got
+
+
+def _battery_solutions():
+    """A time-dependent d = 1 march and a d = 2 march, both with F and f."""
+    m1 = build_mesh(1, 4.0, 12, 2.0, time_step=0.1, time_count=6)
+    m2 = build_mesh(2, 4.0, 6, 1.5, xprime_count=4, xprime_length=2 * np.pi,
+                    time_step=0.1, time_count=4)
+    sols = {}
+    for mesh, kind in ((m1, "oscillatory"), (m2, "xd_only")):
+        d, xl = mesh.dim, mesh.xprime_length
+        coeffs = generate_family(3, kind, 0.5, 0.2, dim=d, xp_length=xl)
+        F = tuple(smooth_random_closure(40 + i, d, xp_length=xl)
+                  for i in range(d))
+        f = smooth_random_closure(50, d, xp_length=xl)
+        sols[d] = march(mesh, coeffs, 2.0, F=F, f=f)
+    return sols
+
+
+def norm_battery():
+    """weighted_norm of each battery solution for every derivative order,
+    weight exponent and p, over the whole window and over a cylinder."""
+    out = {}
+    for d, sol in _battery_solutions().items():
+        regions = {"all": None, "cyl": Cylinder(0.4, 0.0, 1.5, 1.0)}
+        for order in _ORDERS:
+            for alpha in _WEIGHTS:
+                for p in _PS:
+                    for rname, region in regions.items():
+                        key = "d%d/%s/%g/%g/%s" % (d, order, alpha, p, rname)
+                        spec = NormSpec(p, alpha, order, region=region)
+                        out[key] = _hex(weighted_norm(sol, spec))
+    return out
+
+
+def collect(tmp_dir):
+    """Everything the goldens store, computed by the code under test."""
+    cli = {}
+    for name in CONFIGS:
+        out_dir = os.path.join(str(tmp_dir), name)
+        cli[name] = run_config(name, out_dir)
+    return {"cli": cli, "norms": norm_battery()}
+
+
+def _load():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def _close(want, got):
+    """(bitwise, within RTOL) for two float.hex strings."""
+    a, b = float.fromhex(want), float.fromhex(got)
+    if want == got or (math.isnan(a) and math.isnan(b)):
+        return True, True
+    return False, abs(a - b) <= RTOL * max(abs(a), abs(b))
+
+
+def _compare(label, want, got, tally, bad):
+    if len(want) != len(got):
+        bad.append("%s: %d values, golden has %d" % (label, len(got),
+                                                     len(want)))
+        return
+    for k, (w, g) in enumerate(zip(want, got)):
+        bitwise, close = _close(w, g)
+        tally[0] += bitwise
+        tally[1] += 1
+        if not close:
+            bad.append("%s[%d]: %r, golden %r" % (label, k,
+                                                  float.fromhex(g),
+                                                  float.fromhex(w)))
+
+
+def test_golden_covers_every_command():
+    assert sorted(CONFIGS) == sorted(COMMANDS)
+    assert sorted(_load()["cli"]) == sorted(COMMANDS)
+
+
+def test_cli_outputs_match_goldens(tmp_path):
+    golden = _load()["cli"]
+    tally, bad = [0, 0], []
+    for name in CONFIGS:
+        want = golden[name]
+        got = run_config(name, tmp_path / name)
+        assert sorted(got) == sorted(want), name
+        w_rows, g_rows = want["reports"], got["reports"]
+        assert [(r[0], r[4]) for r in g_rows] == \
+            [(r[0], r[4]) for r in w_rows], name
+        _compare(name + "/reports", [v for r in w_rows for v in r[1:4]],
+                 [v for r in g_rows for v in r[1:4]], tally, bad)
+        for fname in sorted(k for k in want if k != "reports"):
+            _compare(name + "/" + fname, want[fname], got[fname], tally,
+                     bad)
+    print("cli goldens: %d of %d values bitwise equal" % tuple(tally))
+    assert not bad, "\n".join(bad[:20])
+
+
+def test_norm_battery_matches_goldens():
+    want = _load()["norms"]
+    got = norm_battery()
+    assert sorted(got) == sorted(want)
+    tally, bad = [0, 0], []
+    for key in sorted(want):
+        _compare(key, [want[key]], [got[key]], tally, bad)
+    print("norm goldens: %d of %d values bitwise equal" % tuple(tally))
+    assert not bad, "\n".join(bad[:20])
