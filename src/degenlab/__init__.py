@@ -4,10 +4,10 @@ assembly, theta-scheme marching, weighted norms, manufactured-solution
 studies, and ratio checkers for the a-priori estimates.
 """
 
-from .assembly import (AssemblyError, LoadAssembler, LoadVector,
-                       SparseOperator, assemble_load, assemble_stiffness,
-                       assemble_weighted_mass, data_grams, model_stiffness,
-                       weighted_pair_integrals, xd_weighted_pairs)
+from .assembly import (AssemblyError, LoadAssembler, SparseOperator,
+                       assemble_stiffness, assemble_weighted_mass, data_grams,
+                       model_stiffness, weighted_pair_integrals,
+                       xd_weighted_pairs)
 from .coefficients import (CoefficientField, OscillationReport,
                            check_structure_condition, generate_family,
                            identity_coefficients, oscillation,
@@ -20,7 +20,7 @@ from .harness import (CHECK_IDS, CSV_HEADER, DegenerateLocalSolution,
                       caccioppoli_ratio, corollary2_check, duality_check,
                       energy_ratio, hardy_report, interior_pointwise,
                       locally_homogeneous_solution, main_estimate_sweep,
-                      run_parallel, trace_report, w_estimate_ratio)
+                      trace_report, w_estimate_ratio)
 from .mesh import (CellSet, Cylinder, TensorMesh, build_mesh,
                    cells_in_cylinder, prime_cells_in_cylinder)
 from .mms import (ClosureError, ManufacturedCase, StudyTable,

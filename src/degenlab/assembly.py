@@ -120,15 +120,6 @@ class SparseOperator:
             self.shape[0], self.shape[1], self.symmetry, self.kind)
 
 
-class LoadVector:
-    def __init__(self, values, provenance="combined", mesh=None):
-        self.values = np.asarray(values, float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite load entries")
-        self.provenance = provenance
-        self.mesh = mesh
-
-
 # -- index maps ----------------------------------------------------------------
 
 def _interior_index(mesh, jnode, mnode):
@@ -333,32 +324,35 @@ class LoadAssembler:
             self.G.append(_canonical_csr(r, c, v, (n, ncols)))
 
     def assemble(self, F, f, lam, t=0.0):
-        """Nodal-interpolated loads at time t.  F is None, a callable (dim=1)
-        or a tuple of dim callables; f is None or a callable."""
+        """Nodal-interpolated loads at time t, one interior vector; for a
+        1-D array t, one row per time, shape (len(t), n_interior).  F is
+        None, a callable (dim=1) or a tuple of dim callables; f is None or a
+        callable.  Each source is sampled once for all times, so it must
+        broadcast an array t against the node grid."""
         mesh = self.mesh
-        b = np.zeros(mesh.n_interior)
-        provenance = []
+        times = np.atleast_1d(np.asarray(t, float))
+        if times.ndim != 1:
+            raise ValueError("t must be a scalar or a 1-D array of times")
+
+        def samples(func):
+            return sample_nodes(mesh, func, times[:, None, None]).reshape(
+                times.size, mesh.n_nodes).T
+
+        b = np.zeros((times.size, mesh.n_interior))
         if F is not None:
             comps = F if isinstance(F, (tuple, list)) else (F,)
             if len(comps) != mesh.dim:
                 raise ValueError("F needs %d components" % mesh.dim)
             for i, Fi in enumerate(comps):
-                if Fi is None:
-                    continue
-                b += self.G[i] @ sample_nodes(mesh, Fi, t).ravel()
-            provenance.append("divergence_F")
+                if Fi is not None:
+                    b += (self.G[i] @ samples(Fi)).T
         if f is not None:
             if lam < 0:
                 raise ValueError("lambda must be >= 0")
-            b += np.sqrt(lam) * (self.W @ sample_nodes(mesh, f, t).ravel())
-            provenance.append("weighted_f")
-        tag = "combined" if len(provenance) != 1 else provenance[0]
-        return LoadVector(b, provenance=tag, mesh=mesh)
-
-
-def assemble_load(mesh, F, f, lam, t=0.0):
-    """One-shot convenience wrapper over LoadAssembler."""
-    return LoadAssembler(mesh).assemble(F, f, lam, t=t)
+            b += np.sqrt(lam) * (self.W @ samples(f)).T
+        if not np.all(np.isfinite(b)):
+            raise ValueError("non-finite load entries")
+        return b[0] if np.ndim(t) == 0 else b
 
 
 # -- Gram matrices for data norms ---------------------------------------------

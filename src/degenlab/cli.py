@@ -1,5 +1,5 @@
-"""Config-driven front end: ``lab run config.json [--out DIR] [--jobs N]
-[--seed S]``.
+"""Config-driven front end: ``lab run config.json [--out DIR] [--seed S]``
+(``--jobs N`` and ``LAB_JOBS`` are still validated but have no effect).
 
 Configs are flat JSON with a schema version field and strict key checking.
 Artifacts (reports CSV, JSON bundle with the config echo, plot scripts,
@@ -95,7 +95,7 @@ _DEFAULTS = {
     "seed": 0, "rho0": 1.0,
     "theta": 1.0, "linear_tol": 1e-10,
     "with_F": True, "with_f": True,
-    "mms_meshes": [16, 24, 32], "mms_mode": "f_only",
+    "mms_meshes": [16, 32, 64], "mms_mode": "f_only",
     "cyl_time": None, "cyl_radius": 0.5,
     "r_inner": 0.25, "r_outer": 0.5, "n_solutions": 3,
     "duality_seeds": 5, "n_fields": 50, "rho_grid": [0.25, 0.5],
@@ -291,44 +291,45 @@ def _cmd_mms(cfg):
     return [], artifacts, plots
 
 
-def _cmd_sweep(cfg, jobs):
+def _cmd_sweep(cfg):
     problem = _problem(cfg)
     eps_grid = cfg["eps_grid"] if cfg["eps_grid"] else [cfg["eps"]]
     reports = []
     for p in _ps(cfg):
         reports.extend(main_estimate_sweep(problem, p, _lambdas(cfg),
-                                           eps_grid=eps_grid, jobs=jobs))
+                                           eps_grid=eps_grid))
     plots = [("plot_ratio.gp", "ratio_lambda", "reports.csv")]
     return reports, [], plots
 
 
-def _cmd_caccioppoli(cfg):
-    problem = _problem(cfg)
+def _local_reports(cfg, check):
+    """Reports of check(sol) on the locally homogeneous solutions of every
+    lambda.  These solutions synthesize their own sources above the boundary
+    cylinder; the global with_F/with_f sources reach the cylinder, so they
+    are not used."""
+    mesh = _build_mesh(cfg)
+    problem = ProblemSpec(mesh, _coeffs(cfg, mesh), config=_stepper(cfg),
+                          seed=cfg["seed"], rho0=cfg["rho0"])
     reports = []
     for lam in _lambdas(cfg):
         for sol in _local_solutions(cfg, problem, lam):
-            reports.extend(caccioppoli_ratio(sol, cfg["r_inner"],
-                                             cfg["r_outer"]))
+            reports.extend(check(sol))
     return reports, [], []
+
+
+def _cmd_caccioppoli(cfg):
+    return _local_reports(cfg, lambda sol: caccioppoli_ratio(
+        sol, cfg["r_inner"], cfg["r_outer"]))
 
 
 def _cmd_wlemma(cfg):
-    problem = _problem(cfg)
-    reports = []
-    for lam in _lambdas(cfg):
-        for sol in _local_solutions(cfg, problem, lam):
-            reports.append(w_estimate_ratio(sol, cfg["r_inner"],
-                                            cfg["r_outer"]))
-    return reports, [], []
+    return _local_reports(cfg, lambda sol: [w_estimate_ratio(
+        sol, cfg["r_inner"], cfg["r_outer"])])
 
 
 def _cmd_lipschitz(cfg):
-    problem = _problem(cfg)
-    reports = []
-    for lam in _lambdas(cfg):
-        for sol in _local_solutions(cfg, problem, lam):
-            reports.append(boundary_lipschitz(sol, cfg["r_inner"]))
-    return reports, [], []
+    return _local_reports(cfg, lambda sol: [boundary_lipschitz(
+        sol, cfg["r_inner"])])
 
 
 def _cmd_duality(cfg):
@@ -479,17 +480,14 @@ def write_artifacts(out_dir, artifacts):
                   json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def run(cfg, jobs=1):
+def run(cfg):
     """Execute one parsed config; returns (exit_code, reports)."""
-    handlers = {"solve": _cmd_solve, "mms": _cmd_mms,
+    handlers = {"solve": _cmd_solve, "mms": _cmd_mms, "sweep": _cmd_sweep,
                 "caccioppoli": _cmd_caccioppoli, "wlemma": _cmd_wlemma,
                 "lipschitz": _cmd_lipschitz, "duality": _cmd_duality,
                 "corollary2": _cmd_corollary2, "trace": _cmd_trace,
                 "hardy": _cmd_hardy, "oscillation": _cmd_oscillation}
-    if cfg["command"] == "sweep":
-        reports, artifacts, plots = _cmd_sweep(cfg, jobs)
-    else:
-        reports, artifacts, plots = handlers[cfg["command"]](cfg)
+    reports, artifacts, plots = handlers[cfg["command"]](cfg)
 
     named = []
     csv_text = None
@@ -522,20 +520,20 @@ def run(cfg, jobs=1):
     return (1 if failing else 0), reports
 
 
-def _resolve_jobs(arg_jobs):
-    if arg_jobs is not None:
-        jobs = arg_jobs
-    else:
+def _check_jobs(arg_jobs):
+    """Validate --jobs, else LAB_JOBS.  Both are deprecated: runs are
+    serial, so the value is checked and otherwise ignored."""
+    jobs = arg_jobs
+    if jobs is None:
         env = os.environ.get("LAB_JOBS")
         if env is None:
-            return 1
+            return
         try:
             jobs = int(env)
         except ValueError:
             raise ConfigError("LAB_JOBS must be an integer, got %r" % env)
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    return jobs
 
 
 def main(argv=None):
@@ -548,7 +546,8 @@ def main(argv=None):
     runp.add_argument("--out", default=None,
                       help="output directory (overrides out_dir)")
     runp.add_argument("--jobs", type=int, default=None,
-                      help="worker threads (fallback: LAB_JOBS, then 1)")
+                      help="deprecated, no effect (validated as >= 1; "
+                      "fallback: LAB_JOBS)")
     runp.add_argument("--seed", type=int, default=None,
                       help="base seed (overrides the config)")
     args = parser.parse_args(argv)
@@ -561,12 +560,12 @@ def main(argv=None):
             cfg["out_dir"] = args.out
         if args.seed is not None:
             cfg["seed"] = int(args.seed)
-        jobs = _resolve_jobs(args.jobs)
+        _check_jobs(args.jobs)
     except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     try:
-        code, _ = run(cfg, jobs=jobs)
+        code, _ = run(cfg)
         return code
     except (ConfigError,) as exc:
         print("config error: %s" % exc, file=sys.stderr)

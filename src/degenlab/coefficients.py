@@ -22,7 +22,7 @@ class CoefficientField:
     """Diffusion table a[i][j], damping c0(t,x',x_d), time weight a0(x_d)."""
 
     def __init__(self, dim, nu, a, c0, a0, kind="user", div_a=None,
-                 seed=None, eps=0.0, structure_compliant=False):
+                 seed=None, eps=0.0):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         if not 0 < nu < 1:
@@ -38,7 +38,6 @@ class CoefficientField:
         self.div_a = div_a          # optional: (t,xp,xd) -> tuple of dim arrays
         self.seed = seed
         self.eps = float(eps)
-        self.structure_compliant = structure_compliant
 
     def a_matrix(self, t, xp, xd):
         """Evaluate the full a table at broadcastable points: shape (..., dim, dim)."""
@@ -54,8 +53,7 @@ class CoefficientField:
         at = tuple(tuple(self.a[j][i] for j in range(self.dim))
                    for i in range(self.dim))
         return CoefficientField(self.dim, self.nu, at, self.c0, self.a0,
-                                kind="user", seed=self.seed, eps=self.eps,
-                                structure_compliant=self.structure_compliant)
+                                kind="user", seed=self.seed, eps=self.eps)
 
 
 class CoefficientSample:
@@ -284,7 +282,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
             return tuple(z for _ in range(dim))
 
         return CoefficientField(dim, nu, a, c0, a0, kind=kind, div_a=div_a,
-                                seed=seed, eps=eps, structure_compliant=True)
+                                seed=seed, eps=eps)
 
     if kind == "xd_only":
         w = rng.uniform(0.5, 1.5, size=6)
@@ -327,7 +325,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
                 return (d0, 0.0 * xd)
 
         return CoefficientField(dim, nu, a, c0, a0, kind=kind, div_a=div_a,
-                                seed=seed, eps=eps, structure_compliant=True)
+                                seed=seed, eps=eps)
 
     # oscillatory: full (t, x', x_d) dependence
     A = rng.uniform(-1.0, 1.0, size=(dim, dim)) / dim
@@ -396,8 +394,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
         return 1.0 + eps * cc * np.sin(om_c[2] * np.asarray(xd, float))
 
     return CoefficientField(dim, nu, a, c0, a0, kind="oscillatory",
-                            div_a=div_a, seed=seed, eps=eps,
-                            structure_compliant=(eps == 0.0))
+                            div_a=div_a, seed=seed, eps=eps)
 
 
 def identity_coefficients(dim, nu=0.5):

@@ -56,10 +56,19 @@ def node_grid(mesh):
 
 
 def sample_nodes(mesh, func, t):
-    """Evaluate func(t, xprime, xd) on the full node grid."""
+    """Evaluate func(t, xprime, xd) on the full node grid, shape
+    (M+1, xprime_count).  t may be an array such as times[:, None, None]:
+    func must broadcast it against the grid, and the result takes the
+    broadcast shape, one grid per time."""
     xp, xd = node_grid(mesh)
+    shape = np.broadcast_shapes(np.shape(t), xd.shape)
     out = np.asarray(func(t, xp, xd), dtype=float)
-    out = np.broadcast_to(out, xd.shape).copy()
+    try:
+        out = np.broadcast_to(out, shape).copy()
+    except ValueError:
+        raise ValueError("sampler returned shape %s for t of shape %s; it "
+                         "must broadcast t against the node grid %s"
+                         % (out.shape, np.shape(t), xd.shape))
     if not np.all(np.isfinite(out)):
         raise ValueError("sampler returned non-finite values")
     return out

@@ -9,8 +9,6 @@ Empirical constants are recorded, never asserted against specific values;
 pass criteria are boundedness, refinement stability, and lambda-uniformity.
 """
 
-import concurrent.futures
-
 import numpy as np
 
 from .assembly import (LoadAssembler, assemble_weighted_mass, data_grams,
@@ -133,17 +131,6 @@ class ProblemSpec:
         return self.config or TimeStepperConfig()
 
 
-def run_parallel(tasks, jobs=1):
-    """Evaluate a list of zero-argument callables, optionally on a thread
-    pool; results come back in input order regardless of worker count."""
-    tasks = list(tasks)
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 def _f_components(F):
     if F is None:
         return ()
@@ -186,23 +173,26 @@ def energy_ratio(problem, lam):
     Mw = assemble_weighted_mass(mesh).matrix
     gram_all, gram_w = data_grams(mesh)
     Ga, Gw = gram_all.matrix, gram_w.matrix
-    comps = _f_components(problem.F)
+    # data samples at the levels the sums read, t_1 .. t_N
+    t = sol.times[1:, None, None]
+    F_samples = [sample_nodes(mesh, Fi, t) for Fi in _f_components(problem.F)]
+    f_samples = None
+    if problem.f is not None:
+        f_samples = sample_nodes(mesh, problem.f, t)
+        if np.max(np.abs(f_samples[:, 0])) != 0.0:
+            raise ValueError("f must vanish at x_d = 0 for the weighted "
+                             "data norm to be finite")
     dt = sol.dt
     X2 = W2 = A2 = B2 = 0.0
     for n in range(1, sol.levels.shape[0]):
         ui = sol.interior(n)
         X2 += dt * (ui @ (K0 @ ui))
         W2 += dt * (ui @ (Mw @ ui))
-        t = sol.times[n]
-        for Fi in comps:
-            va = sample_nodes(mesh, Fi, t).ravel()
+        for S in F_samples:
+            va = S[n - 1].ravel()
             A2 += dt * (va @ (Ga @ va))
-        if problem.f is not None:
-            vf = sample_nodes(mesh, problem.f, t)
-            if np.max(np.abs(vf[0])) != 0.0:
-                raise ValueError("f must vanish at x_d = 0 for the weighted "
-                                 "data norm to be finite")
-            w = vf[1:].ravel()
+        if f_samples is not None:
+            w = f_samples[n - 1, 1:].ravel()
             B2 += dt * (w @ (Gw @ w))
     lhs = np.sqrt(X2) + np.sqrt(lam) * np.sqrt(W2)
     rhs = np.sqrt(A2) + np.sqrt(B2)
@@ -233,7 +223,7 @@ def _wp_ratio(mesh, coeffs, lam, F, f, p, config):
     return lhs, rhs
 
 
-def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,), jobs=1,
+def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,),
                         rho_fractions=(0.25, 0.5, 1.0)):
     """Solve across a lambda grid for each coefficient-oscillation amplitude
     and report the ratio of solution to data W^1_p norms.  Each coefficient
@@ -260,26 +250,14 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,), jobs=1,
         gamma, _ = oscillation_scan(coeffs, mesh, rhos)
         families.append((float(eps), coeffs, gamma))
 
-    def make_task(coeffs, lam):
-        def task():
+    reports = []
+    for eps, coeffs, gamma in families:
+        cell = []
+        for lam in lambdas:
             lc, rc = _wp_ratio(mesh, coeffs, lam, problem.F, problem.f, p,
                                config)
             lf, rf = _wp_ratio(fine, coeffs, lam, problem.F, problem.f, p,
                                config)
-            return lc, rc, lf, rf
-        return task
-
-    tasks = [make_task(coeffs, lam)
-             for eps, coeffs, gamma in families for lam in lambdas]
-    results = run_parallel(tasks, jobs=jobs)
-
-    reports = []
-    idx = 0
-    for eps, coeffs, gamma in families:
-        cell = []
-        for lam in lambdas:
-            lc, rc, lf, rf = results[idx]
-            idx += 1
             ratio_c = lc / rc if rc > 0 else 0.0
             ratio_f = lf / rf if rf > 0 else 0.0
             drift = abs(ratio_f - ratio_c) / ratio_c if ratio_c > 0 else 0.0
@@ -360,14 +338,11 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, config=None,
 
     # certify discrete homogeneity: every interior row whose nodal support
     # lies below the cushion must receive an exactly zero load at all times
-    assembler = LoadAssembler(mesh)
     rows = np.arange(mesh.n_interior)
     row_j = rows // mesh.xprime_count + 1
     covered = rows[mesh.xd_nodes[row_j + 1] <= x_lo]
-    for n in range(1, sol.levels.shape[0]):
-        b = assembler.assemble(F, f, lam, t=sol.times[n]).values
-        if covered.size and np.max(np.abs(b[covered])) != 0.0:
-            raise ValueError("sources leak into the homogeneous region")
+    if covered.size and np.max(np.abs(sol.loads[1:, covered])) != 0.0:
+        raise ValueError("sources leak into the homogeneous region")
 
     if cells_in_cylinder(mesh, cylinder).n_cells == 0:
         raise ValueError("cylinder contains no mesh cells")
@@ -592,13 +567,9 @@ def duality_check(problem, p=2.0, seeds=(0, 1, 2, 3, 4), lam=1.0,
         f = closure(5)
         B = tuple(closure(101 + i) for i in range(mesh.dim))
         bfun = closure(107)
-        assembler = LoadAssembler(mesh)
-        times = mesh.time_levels
-        b_rows = np.array([assembler.assemble(F, f, lam, t=t).values
-                           for t in times])
-        c_rows = np.array([assembler.assemble(B, bfun, lam, t=t).values
-                           for t in times])
         u = march(mesh, coeffs, lam, F=F, f=f, config=config)
+        b_rows = u.loads
+        c_rows = LoadAssembler(mesh).assemble(B, bfun, lam, u.times)
         v = adjoint_march(mesh, coeffs, lam, c_rows, config=config)
         dt = u.dt
         P1 = dt * float(np.sum(c_rows[1:] * u.interior_levels()[1:]))

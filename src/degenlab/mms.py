@@ -385,25 +385,18 @@ def nodal_residual(case, mesh, theta=1.0):
     mass = assemble_weighted_mass(mesh, case.coeffs.a0)
     K = assemble_stiffness(mesh, case.coeffs, case.lam, t=0.0,
                            _self_check=False).matrix
-    loads = LoadAssembler(mesh)
     times = dt * np.arange(N + 1)
-
-    def interior_samples(t):
-        return sample_nodes(mesh, case.u, t)[1:-1, :].ravel()
-
+    u = sample_nodes(mesh, case.u, times[:, None, None])[:, 1:-1, :].reshape(
+        N + 1, -1)
+    b = LoadAssembler(mesh).assemble(F, f, case.lam, times)
     worst = 0.0
     bscale = 0.0
-    uprev = interior_samples(0.0)
-    bprev = loads.assemble(F, f, case.lam, t=0.0).values
     for n in range(N):
-        unext = interior_samples(times[n + 1])
-        bnext = loads.assemble(F, f, case.lam, t=times[n + 1]).values
-        btheta = theta * bnext + (1 - theta) * bprev
-        res = mass.matrix @ (unext - uprev) \
-            + dt * theta * (K @ unext) \
-            + dt * (1 - theta) * (K @ uprev) \
+        btheta = theta * b[n + 1] + (1 - theta) * b[n]
+        res = mass.matrix @ (u[n + 1] - u[n]) \
+            + dt * theta * (K @ u[n + 1]) \
+            + dt * (1 - theta) * (K @ u[n]) \
             - dt * btheta
         worst = max(worst, np.linalg.norm(res))
         bscale = max(bscale, np.linalg.norm(btheta))
-        uprev, bprev = unext, bnext
     return worst / (dt * max(bscale, 1e-300))

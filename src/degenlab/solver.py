@@ -67,7 +67,7 @@ def _factorize(A, tol):
     norm_A = np.max(np.abs(A).sum(axis=1)) if A.nnz else 0.0
 
     def solve(b):
-        b = np.asarray(getattr(b, "values", b), float)
+        b = np.asarray(b, float)
         if b.shape != (n,):
             raise ValueError("shape mismatch in linear_solve")
         x = lu.solve(b)
@@ -106,6 +106,7 @@ class SpaceTimeSolution:
         self.times = times
         self.lam = lam
         self.config = config
+        self.loads = None
 
     @classmethod
     def from_interior_levels(cls, mesh, interior, times, lam=None,
@@ -163,39 +164,38 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
     """Core theta-scheme on assembled operators.
 
     mass: SparseOperator (SPD); stiffness: SparseOperator, or a callable
-    t -> SparseOperator for time-dependent coefficients; loads: None or a
-    callable t -> interior load vector; u0: interior vector or None.
-    Each step solves (M + theta dt K) u^{n+1} =
-    (M - (1-theta) dt K) u^n + dt b^theta.
+    t -> SparseOperator for time-dependent coefficients; loads: None or an
+    array (N+1, n_interior) whose row n is the load b^n at t = n dt;
+    u0: interior vector or None.  Each step solves (M + theta dt K) u^{n+1}
+    = (M - (1-theta) dt K) u^n + dt b^theta.  The returned solution keeps
+    the load rows as ``loads``.
     """
     config = config or TimeStepperConfig()
     dt, N = _resolve_time_grid(mesh, config)
     theta = config.theta
     times = dt * np.arange(N + 1)
+    n_int = mesh.n_interior
+    if loads is not None:
+        loads = np.asarray(loads, float)
+        if loads.shape != (N + 1, n_int):
+            raise ValueError("loads must have shape (N+1, n_interior) = %s, "
+                             "got %s" % ((N + 1, n_int), loads.shape))
+    b = np.zeros((N + 1, n_int)) if loads is None else loads
     Mmat = _as_matrix(mass)
     autonomous = not callable(stiffness)
     K_of_t = (lambda t: _as_matrix(stiffness)) if autonomous \
         else (lambda t: _as_matrix(stiffness(t)))
 
-    n_int = mesh.n_interior
     interior = np.zeros((N + 1, n_int))
     if u0 is not None:
         interior[0] = np.asarray(u0, float)
 
-    def load_at(t):
-        if loads is None:
-            return np.zeros(n_int)
-        b = loads(t)
-        return np.asarray(getattr(b, "values", b), float)
-
-    b_prev = load_at(times[0])
     Kp = K_of_t(times[0])
     solve = None
     for n in range(N):
         Knext = Kp if autonomous else K_of_t(times[n + 1])
-        b_next = load_at(times[n + 1])
-        rhs = Mmat @ interior[n] + dt * (theta * b_next
-                                         + (1 - theta) * b_prev)
+        rhs = Mmat @ interior[n] + dt * (theta * b[n + 1]
+                                         + (1 - theta) * b[n])
         if theta < 1.0:
             rhs -= (1 - theta) * dt * (Kp @ interior[n])
         try:
@@ -205,7 +205,6 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
             interior[n + 1] = solve(rhs)
         except SolverError as exc:
             raise SolverError("time level %d: %s" % (n + 1, exc))
-        b_prev = b_next
         Kp = Knext
 
     if loads is None:
@@ -218,8 +217,10 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
                                   "at level %d" % n)
             prev = cur
 
-    return SpaceTimeSolution.from_interior_levels(mesh, interior, times,
-                                                  config=config)
+    sol = SpaceTimeSolution.from_interior_levels(mesh, interior, times,
+                                                 config=config)
+    sol.loads = loads
+    return sol
 
 
 def _coeffs_autonomous(coeffs, mesh):
@@ -248,13 +249,10 @@ def march(mesh, coeffs, lam, F=None, f=None, config=None, u0=None):
         def stiffness(t):
             return assemble_stiffness(mesh, coeffs, lam, t=t,
                                       _self_check=False)
-    if F is None and f is None:
-        loads = None
-    else:
-        assembler = LoadAssembler(mesh)
-
-        def loads(t):
-            return assembler.assemble(F, f, lam, t=t).values
+    loads = None
+    if F is not None or f is not None:
+        dt, N = _resolve_time_grid(mesh, config)
+        loads = LoadAssembler(mesh).assemble(F, f, lam, dt * np.arange(N + 1))
 
     u0vec = None
     if u0 is not None:
@@ -306,6 +304,6 @@ def steady_solve(mesh, coeffs, lam, F=None, f=None, t=0.0, config=None):
     DiscreteField."""
     config = config or TimeStepperConfig()
     K = assemble_stiffness(mesh, coeffs, lam, t=t, _self_check=False).matrix
-    b = LoadAssembler(mesh).assemble(F, f, lam, t=t).values
+    b = LoadAssembler(mesh).assemble(F, f, lam, t=t)
     x = linear_solve(K, b, tol=config.linear_tol)
     return DiscreteField.from_interior(mesh, x)

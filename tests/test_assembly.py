@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.io import mmread, mmwrite
 
-from degenlab import (LoadAssembler, assemble_load, assemble_stiffness,
+from degenlab import (LoadAssembler, assemble_stiffness,
                       assemble_weighted_mass, build_mesh, data_grams,
                       generate_family, identity_coefficients,
                       model_stiffness, sample_on_mesh,
@@ -213,9 +213,9 @@ def test_load_frozen_value_linear_f():
     # f = x_d interpolates exactly; weighted row integral gives
     # b_1 = integral of the hat = h = 1/2 on the uniform 2-cell mesh
     m = build_mesh(1, 1.0, 2, 1.0)
-    b = assemble_load(m, None, lambda t, xp, xd: xd, lam=1.0)
-    assert b.values.shape == (1,)
-    assert abs(b.values[0] - 0.5) < 1e-15
+    b = LoadAssembler(m).assemble(None, lambda t, xp, xd: xd, lam=1.0)
+    assert b.shape == (1,)
+    assert abs(b[0] - 0.5) < 1e-15
 
 
 def test_load_constant_divergence_field_telescopes_to_zero():
@@ -225,9 +225,9 @@ def test_load_constant_divergence_field_telescopes_to_zero():
                        xprime_length=2 * np.pi if dim == 2 else None)
         ones = lambda t, xp, xd: 1.0 + 0.0 * np.asarray(xd, float)
         F = tuple(ones if i == dim - 1 else None for i in range(dim))
-        b = assemble_load(m, F, None, lam=0.0)
+        b = LoadAssembler(m).assemble(F, None, lam=0.0)
         # interior rows telescope; only roundoff survives
-        assert np.max(np.abs(b.values)) < 1e-14
+        assert np.max(np.abs(b)) < 1e-14
 
 
 def test_load_linearity():
@@ -236,12 +236,33 @@ def test_load_linearity():
     f1 = lambda t, xp, xd: np.sin(xd) * np.cos(xp) * xd
     f2 = lambda t, xp, xd: xd * np.exp(-xd)
     F1 = (lambda t, xp, xd: np.cos(xd + xp), f1)
-    b1 = la.assemble(F1, f1, lam=3.0).values
-    b2 = la.assemble(None, f2, lam=3.0).values
+    b1 = la.assemble(F1, f1, lam=3.0)
+    b2 = la.assemble(None, f2, lam=3.0)
     both = la.assemble(F1, lambda t, xp, xd: f1(t, xp, xd) + f2(t, xp, xd),
-                       lam=3.0).values
+                       lam=3.0)
     assert np.max(np.abs(both - (b1 + b2))) < 1e-13 * max(
         1.0, np.max(np.abs(both)))
+
+
+def test_load_rows_equal_per_time_loads():
+    # one call for a time grid gives, row by row, bitwise the loads of one
+    # call per time
+    m = build_mesh(2, 4.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
+    la = LoadAssembler(m)
+    F = (lambda t, xp, xd: np.cos(xd + xp - t), lambda t, xp, xd: t * xd)
+    f = lambda t, xp, xd: np.sin(3 * t + xp) * xd
+    times = np.array([0.0, 0.3, 0.7, 1.1])
+    rows = la.assemble(F, f, 2.0, times)
+    assert rows.shape == (4, m.n_interior)
+    for t, row in zip(times, rows):
+        assert np.array_equal(row, la.assemble(F, f, 2.0, t=t))
+
+
+def test_load_rejects_source_that_cannot_broadcast_time():
+    m = build_mesh(1, 4.0, 6, 2.0)
+    flat = lambda t, xp, xd: np.sin(np.ravel(t))[:, None] * xd.ravel()
+    with pytest.raises(ValueError, match="must broadcast t"):
+        LoadAssembler(m).assemble(None, flat, 1.0, np.array([0.0, 0.5]))
 
 
 def test_data_gram_frozen_values():

@@ -102,6 +102,14 @@ def test_lab_jobs_environment_fallback(tmp_path, monkeypatch, capsys):
     assert main(["run", path]) == 0
 
 
+@pytest.mark.parametrize("command", degenlab.cli.COMMANDS)
+def test_every_command_runs_on_its_defaults(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)         # the default out_dir is relative
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "command": command}))
+    assert main(["run", str(path)]) == 0
+
+
 def test_solver_failure_exits_three(tmp_path, capsys):
     path = _write_cfg(tmp_path, command="solve", dim=2, mesh_M=24,
                       xprime_count=12, time_step=0.05, time_count=2,

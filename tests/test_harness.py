@@ -9,8 +9,7 @@ from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
                       energy_ratio, generate_family, hardy_report,
                       identity_coefficients, interior_pointwise,
                       locally_homogeneous_solution, main_estimate_sweep,
-                      run_parallel, smooth_random_closure, trace_report,
-                      w_estimate_ratio)
+                      smooth_random_closure, trace_report, w_estimate_ratio)
 
 
 def _problem_d1(M=24, time_count=20, seed=0, kind="xd_only", nu=0.5,
@@ -113,18 +112,10 @@ def test_problem_spec_validation():
         ProblemSpec(mesh, coeffs1, rho0=0.0)
 
 
-def test_run_parallel_preserves_order():
-    tasks = [lambda k=k: k * k for k in range(12)]
-    serial = run_parallel(tasks, jobs=1)
-    threaded = run_parallel(tasks, jobs=4)
-    assert serial == [k * k for k in range(12)]
-    assert threaded == serial
-
-
 def test_main_estimate_sweep_reports():
     f = smooth_random_closure(5, 1)
     prob = _problem_d1(M=12, time_count=10, f=f, seed=2)
-    reports = main_estimate_sweep(prob, 2.0, (1.0, 4.0), jobs=2)
+    reports = main_estimate_sweep(prob, 2.0, (1.0, 4.0))
     assert len(reports) == 2
     for rep in reports:
         assert rep.check_id == "main_Wp"
@@ -162,13 +153,25 @@ def test_locally_homogeneous_solution_properties():
     assert sol.source_bound >= 0.9
     assert sol.homogeneous_cylinder.boundary_centered
     assert sol.max_abs() > 0
-    # independent leak check: loads vanish on rows below the cushion
-    from degenlab import LoadAssembler
+    # independent leak check: the march's loads vanish on every row whose
+    # support lies below the cushion, and not on the rows above it
     mesh = sol.mesh
+    top = mesh.xd_nodes[np.arange(mesh.n_interior) + 2]
+    below = top <= sol.source_bound
+    assert below.any() and not below.all()
+    assert np.all(sol.loads[:, below] == 0.0)
+    assert np.any(sol.loads[1:, ~below] != 0.0)
     prob = _problem_d1(M=32, time_count=20, seed=1)
     cyl = Cylinder(1.0, 0.0, 0.5)
     sol2 = locally_homogeneous_solution(prob, cyl, lam=1.0, seed=1)
     assert np.array_equal(sol.levels, sol2.levels)   # deterministic
+
+
+def test_locally_homogeneous_rejects_leaking_sources():
+    # a global source that reaches the cylinder fails the certificate
+    prob = _problem_d1(M=16, time_count=8, f=smooth_random_closure(2, 1))
+    with pytest.raises(ValueError, match="sources leak into the homogeneous"):
+        locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5), lam=1.0)
 
 
 def test_locally_homogeneous_rejects_zero_sources():

@@ -3,12 +3,14 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+import degenlab.assembly
 import degenlab.solver
 from degenlab import (DiscreteField, SolverError, SpaceTimeSolution,
                       TimeStepperConfig, adjoint_march_system,
                       assemble_stiffness, assemble_weighted_mass, build_mesh,
                       generate_family, identity_coefficients, linear_solve,
-                      march, march_system, model_stiffness, steady_solve)
+                      march, march_system, model_stiffness, sample_nodes,
+                      steady_solve)
 
 LOG2 = np.log(2.0)
 
@@ -83,7 +85,7 @@ def test_march_scalar_recursion_backward_euler():
     mval = Mw.matrix[0, 0]
     kval = K.matrix[0, 0]
     assert abs(mval - (4 * LOG2 - 2)) < 1e-14
-    sol = march_system(Mw, K, lambda t: np.array([1.0]), m)
+    sol = march_system(Mw, K, np.ones((6, 1)), m)
     u = 0.0
     for n in range(5):
         u = (mval * u + 0.1 * 1.0) / (mval + 0.1 * kval)
@@ -98,7 +100,8 @@ def test_march_scalar_recursion_crank_nicolson():
     K = assemble_stiffness(m, identity_coefficients(1), lam=2.0)
     mval, kval = Mw.matrix[0, 0], K.matrix[0, 0]
     cfg = TimeStepperConfig(theta=0.5)
-    sol = march_system(Mw, K, lambda t: np.array([np.cos(t)]), m, config=cfg)
+    loads = np.cos(0.05 * np.arange(9))[:, None]
+    sol = march_system(Mw, K, loads, m, config=cfg)
     u = 0.0
     dt = 0.05
     for n in range(8):
@@ -110,17 +113,22 @@ def test_march_scalar_recursion_crank_nicolson():
     assert abs(sol.dt - dt) < 1e-15
 
 
-def test_march_evaluates_each_load_once():
+def test_march_evaluates_each_load_once(monkeypatch):
     m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=6)
-    K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
+    coeffs = identity_coefficients(1)
     calls = []
 
-    def loads(t):
-        calls.append(t)
-        return np.ones(m.n_interior)
+    def counting_sample_nodes(mesh, func, t):
+        calls.append(np.shape(t))
+        return sample_nodes(mesh, func, t)
 
-    march_system(assemble_weighted_mass(m), K, loads, m)
-    assert len(calls) == 6 + 1
+    monkeypatch.setattr(degenlab.assembly, "sample_nodes",
+                        counting_sample_nodes)
+    f = lambda t, xp, xd: xd * np.exp(-xd)
+    F = lambda t, xp, xd: np.sin(t) * xd
+    sol = march(m, coeffs, 1.0, F=F, f=f)
+    assert calls == [(7, 1, 1), (7, 1, 1)]      # one per source component
+    assert sol.loads.shape == (7, m.n_interior)
 
 
 def _count_factorizations(monkeypatch):
@@ -159,7 +167,7 @@ def test_march_checks_solves_that_reuse_the_factors(monkeypatch):
     m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
     Mw = assemble_weighted_mass(m)
     K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
-    loads = lambda t: np.ones(m.n_interior)
+    loads = np.ones((6, m.n_interior))
     with pytest.raises(SolverError, match="time level 1:"):
         march_system(Mw, K, loads, m,
                      config=TimeStepperConfig(linear_tol=1e-30))
@@ -189,9 +197,10 @@ def test_march_wrapper_matches_march_system():
     K = assemble_stiffness(m, coeffs, lam, t=0.0)
     from degenlab import LoadAssembler
     la = LoadAssembler(m)
-    sol2 = march_system(Mw, K, lambda t: la.assemble(None, f, lam,
-                                                     t=t).values, m)
+    rows = np.array([la.assemble(None, f, lam, t=t) for t in m.time_levels])
+    sol2 = march_system(Mw, K, rows, m)
     assert np.array_equal(sol.levels, sol2.levels)
+    assert np.array_equal(sol.loads, rows)
     assert sol.lam == lam
 
 
@@ -247,7 +256,7 @@ def test_adjoint_pairing_identity_dense():
     K = sp.csr_matrix(Kd)
     b_rows = rng.standard_normal((N + 1, n))
     c_rows = rng.standard_normal((N + 1, n))
-    sol = march_system(Mw, K, lambda t: b_rows[int(round(t / 0.2))], m)
+    sol = march_system(Mw, K, b_rows, m)
     v = adjoint_march_system(Mw, sp.csr_matrix(Kd.T), c_rows, m)
     dt = 0.2
     lhs = dt * sum(c_rows[k] @ sol.interior(k) for k in range(1, N + 1))
@@ -276,6 +285,8 @@ def test_time_grid_mismatch_rejected():
     cfg = TimeStepperConfig(time_step=0.3)
     with pytest.raises(ValueError):
         march_system(Mw, K, None, m, config=cfg)
+    with pytest.raises(ValueError, match="loads must have shape"):
+        march_system(Mw, K, np.zeros((10, m.n_interior)), m)
 
 
 def test_solution_container_invariants():
