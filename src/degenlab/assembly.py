@@ -1,12 +1,27 @@
 """Discrete weak form on tensor P1 elements: the x_d^{-1}-weighted mass
 matrix, the (possibly nonsymmetric) diffusion stiffness, the lambda*c0
-weighted zeroth-order block, and load vectors for divergence data F and
-weighted data f.
+weighted zeroth-order block, the load maps for divergence data F and
+weighted data f, and the data Gram matrices.
+
+Every operator is a sum over the mesh cells of a cell value times an x_d
+pair table times an x' pair table (one 1-D factor per direction of the
+tensor element), scattered into a pair of named DoF spaces: ``interior``
+(node rows j = 1..M-1), ``nodes`` (j = 0..M) and ``nodes_no0`` (j = 1..M).
+That scatter depends on the mesh alone, so it is built once per (mesh, row
+space, column space) as a ``_ScatterPlan`` and kept, with the certified
+x_d^{-1} pair table and the load maps, in a cache that holds meshes weakly.
+Each assembly is then one fold through the plan: the contributions to every
+entry are summed in ascending value order, so the result does not depend on
+the order of the terms, and assembling the transposed coefficients gives
+bitwise the transpose.
 
 The singular factor 1/x_d is integrated exactly per element against P1
 products (antiderivatives with logarithms); sources are interpolated to the
 nodes and then integrated exactly, so load assembly is two sparse matvecs.
 """
+
+import itertools
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +40,21 @@ class AssemblyError(RuntimeError):
 _DM = np.array([[-0.5, -0.5], [0.5, 0.5]])
 _MM = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
 _GG = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _pair(h, trial_deriv, test_deriv):
+    """1-D pair table t[a, b] = int (phi_a or phi_a') (phi_b or phi_b') over
+    a cell of width h, a = trial hat, b = test hat; h is a scalar or one
+    width per cell, giving shape h.shape + (2, 2)."""
+    h = np.asarray(h, float)[..., None, None]
+    if trial_deriv and test_deriv:
+        table = _GG / h
+    elif trial_deriv or test_deriv:
+        table = _DM if trial_deriv else _DM.T
+    else:
+        table = _MM * h
+    return np.broadcast_to(table, h.shape[:-2] + (2, 2))
+
 
 _SERIES_N = 24
 
@@ -82,7 +112,27 @@ def weighted_pair_integrals(xl, xr):
 
 
 def xd_weighted_pairs(mesh):
-    return weighted_pair_integrals(mesh.xd_nodes[:-1], mesh.xd_nodes[1:])
+    """The mesh's weighted pair table, built once per mesh and certified
+    positive definite: every cell j >= 1 has I_LL > 0, I_RR > 0 and
+    I_LL I_RR > I_LR^2, and the first cell (whose L hat sits on the
+    Dirichlet row) has I_RR > 0.  With a0 > 0 this makes the weighted mass
+    SPD.  The table is read-only."""
+    return _cached(mesh, "xd_weighted_pairs", lambda: _certified_pairs(mesh))
+
+
+def _certified_pairs(mesh):
+    nodes = mesh.xd_nodes
+    table = weighted_pair_integrals(nodes[:-1], nodes[1:])
+    LL, LR, RR = table[:, 0, 0], table[:, 0, 1], table[:, 1, 1]
+    ok = (LL > 0) & (RR > 0) & (LL * RR - LR * LR > 0)
+    ok[0] = RR[0] > 0
+    if not ok.all():
+        j = int(np.argmin(ok))
+        raise AssemblyError("x_d^-1-weighted pair table is not positive "
+                            "definite on cell %d, x_d in [%g, %g]: broken "
+                            "quadrature" % (j, nodes[j], nodes[j + 1]))
+    table.setflags(write=False)
+    return table
 
 
 # -- sparse operator wrapper --------------------------------------------------
@@ -100,190 +150,148 @@ class SparseOperator:
     def shape(self):
         return self.matrix.shape
 
-    def matvec(self, v):
-        return self.matrix @ np.asarray(v, float)
-
-    def form(self, u, v=None):
-        """Quadratic/bilinear form u^T A v (v defaults to u)."""
-        v = u if v is None else v
-        return float(np.asarray(u, float) @ (self.matrix @ np.asarray(v, float)))
-
-    def transpose(self):
-        return SparseOperator(self.matrix.T.tocsr(), symmetry=self.symmetry,
-                              mesh=self.mesh, kind=self.kind + "_T")
-
-    def diagonal(self):
-        return self.matrix.diagonal()
-
     def __repr__(self):
         return "SparseOperator(%dx%d, %s, %s)" % (
             self.shape[0], self.shape[1], self.symmetry, self.kind)
 
 
-# -- index maps ----------------------------------------------------------------
+# -- per-mesh scatter plan ----------------------------------------------------
 
-def _interior_index(mesh, jnode, mnode):
-    """Interior DoF index for node (j, m); -1 for Dirichlet rows j=0, j=M."""
-    idx = (jnode - 1) * mesh.xprime_count + mnode
-    return np.where((jnode >= 1) & (jnode <= mesh.M - 1), idx, -1)
+# named DoF spaces by node row j: (first row, rows cut at x_d = L_d); DoF
+# (j, m) of a space has index (j - first row) * xprime_count + m
+_SPACES = {"interior": (1, 1), "nodes": (0, 0), "nodes_no0": (1, 0)}
 
-
-def _node_index(mesh, jnode, mnode):
-    return jnode * mesh.xprime_count + mnode
-
-
-def _cell_corner_nodes(mesh):
-    """For each cell (j,m): node indices of the 4 corners (2 in dim=1 wrap to
-    the same phantom x' node).  Returns j-grid, m-grid arrays of shape (Mc,np)."""
-    j = np.repeat(np.arange(mesh.M), mesh.xprime_count)
-    m = np.tile(np.arange(mesh.xprime_count), mesh.M)
-    return j, m
+# mesh -> {key: table}; a table derives from the key and the read-only
+# xd_nodes and xprime_count alone, so it cannot go stale
+_CACHE = weakref.WeakKeyDictionary()
 
 
-def _canonical_csr(rows, cols, vals, shape):
-    """Deterministic duplicate summation: contributions to each entry are
-    sorted by value before the fold, so assembly is order-independent and
-    transposed-coefficient assembly is bitwise the transpose."""
-    order = np.lexsort((vals, cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    keys = rows.astype(np.int64) * shape[1] + cols
-    starts = np.nonzero(np.r_[True, np.diff(keys) != 0])[0]
-    sums = np.add.reduceat(vals, starts)
-    return sp.csr_matrix((sums, (rows[starts], cols[starts])), shape=shape)
+def _cached(mesh, key, build):
+    tables = _CACHE.setdefault(mesh, {})
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
 
 
-# -- assembly cores -------------------------------------------------------------
+class _ScatterPlan:
+    """Where the 16 (trial corner, test corner) pairs of every cell land in
+    an operator from a column space to a row space: per kept contribution
+    its cell, x_d corners (a, b), x' corners (a', b') and entry key
+    row * ncols + col; the start of each key group in key order; and the
+    CSR structure of the entries."""
 
-def _xp_factor(mesh):
-    d = mesh.xprime_spacing if mesh.dim == 2 else 1.0
-    mmp = _MM * d
-    ggp = _GG / d
-    return mmp, ggp, _DM
+    def __init__(self, mesh, rows, cols):
+        npc = mesh.xprime_count
+        j = np.repeat(np.arange(mesh.M), npc)
+        m = np.tile(np.arange(npc), mesh.M)
+        (r0, r1), (c0, c1) = [(_SPACES[s][0], mesh.M - _SPACES[s][1])
+                              for s in (rows, cols)]
+        nrows, ncols = (r1 - r0 + 1) * npc, (c1 - c0 + 1) * npc
+        cells, corners, keys = [], [], []
+        for axd, bxd, aq, bq in itertools.product((0, 1), repeat=4):
+            k = np.nonzero((r0 <= j + bxd) & (j + bxd <= r1)
+                           & (c0 <= j + axd) & (j + axd <= c1))[0]
+            row = (j[k] + bxd - r0) * npc + (m[k] + bq) % npc
+            col = (j[k] + axd - c0) * npc + (m[k] + aq) % npc
+            cells.append(k)
+            corners.append(np.repeat([[axd], [bxd], [aq], [bq]], k.size, 1))
+            keys.append(row * ncols + col)
+        self.cell = np.concatenate(cells)
+        axd, bxd, aq, bq = np.concatenate(corners, axis=1)
+        self.xd_at = (j[self.cell], axd, bxd)
+        self.xp_at = (aq, bq)
+        self.keys = np.concatenate(keys)
+        ordered = np.sort(self.keys)
+        self.starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        entries = ordered[self.starts]
+        self.indices = entries % ncols
+        self.indptr = np.searchsorted(entries, ncols * np.arange(nrows + 1))
+        self.shape = (nrows, ncols)
+
+    def fold(self, terms):
+        """CSR matrix of the sum of terms (cellvals, x_d pair table, x' pair
+        table): contribution cellvals[cell] * xd[j, a, b] * xp[a', b'],
+        summed per entry in ascending value order."""
+        vals = np.concatenate([cellvals[self.cell] * xd[self.xd_at]
+                               * xp[self.xp_at] for cellvals, xd, xp in terms])
+        order = np.lexsort((vals, np.tile(self.keys, len(terms))))
+        # n terms repeat each key n times: group g starts at n * starts[g]
+        sums = np.add.reduceat(vals[order], len(terms) * self.starts)
+        return sp.csr_matrix((sums, self.indices.copy(), self.indptr.copy()),
+                             shape=self.shape)
 
 
-def _assemble_pairs(mesh, cellvals, xd_fac, xp_fac, row_map, col_map):
-    """Scatter cellvals (Mc*np,) x xd_fac[cell,axd,bxd] x xp_fac[aq,bq] into a
-    sparse matrix; a = trial local corner, b = test local corner."""
-    jc, mc = _cell_corner_nodes(mesh)
-    npc = mesh.xprime_count
-    rows, cols, vals = [], [], []
-    for axd in (0, 1):
-        for bxd in (0, 1):
-            for aq in (0, 1):
-                for bq in (0, 1):
-                    v = cellvals * xd_fac[jc, axd, bxd] * xp_fac[aq, bq]
-                    ja, jb = jc + axd, jc + bxd
-                    ma = (mc + aq) % npc
-                    mb = (mc + bq) % npc
-                    r = row_map(jb, mb)
-                    c = col_map(ja, ma)
-                    keep = (r >= 0) & (c >= 0)
-                    rows.append(r[keep])
-                    cols.append(c[keep])
-                    vals.append(v[keep])
-    return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+def _plan(mesh, rows, cols):
+    return _cached(mesh, (rows, cols), lambda: _ScatterPlan(mesh, rows, cols))
 
 
-def _weighted_block(mesh, cell_coeff, row_map, col_map, nrows, ncols):
-    """sum_cells coeff * (x_d^{-1}-weighted pair) * (x' mass pair)."""
-    wpairs = xd_weighted_pairs(mesh)
-    mmp, _, _ = _xp_factor(mesh)
-    r, c, v = _assemble_pairs(mesh, cell_coeff, wpairs, mmp, row_map, col_map)
-    return _canonical_csr(r, c, v, (nrows, ncols))
+def _xprime_width(mesh):
+    return mesh.xprime_spacing if mesh.dim == 2 else 1.0
 
 
-def assemble_weighted_mass(mesh, a0=None, _validate=True):
-    """M_kl = int a0(x_d) phi_k phi_l x_d^{-1} dx over interior DoFs; SPD."""
+def _term(mesh, cellvals, trial, test):
+    """Fold term of int (D_trial phi_a)(D_test phi_b) weighted by cellvals;
+    trial and test are derivative axes (dim - 1 is x_d), None for none."""
+    xd = mesh.dim - 1
+    return (cellvals, _pair(mesh.xd_widths, trial == xd, test == xd),
+            _pair(_xprime_width(mesh), trial not in (None, xd),
+                  test not in (None, xd)))
+
+
+def _weighted_term(mesh, cellvals):
+    """Fold term of int phi_a phi_b x_d^{-1} weighted by cellvals."""
+    return (cellvals, xd_weighted_pairs(mesh),
+            _pair(_xprime_width(mesh), False, False))
+
+
+# -- operators ----------------------------------------------------------------
+
+def assemble_weighted_mass(mesh, a0=None):
+    """M_kl = int a0(x_d) phi_k phi_l x_d^{-1} dx over interior DoFs.  SPD:
+    a0 must be finite and positive on every cell, and the pair table is
+    certified per cell (see xd_weighted_pairs)."""
     if a0 is None:
         a0_cells = np.ones(mesh.M)
     else:
         a0_cells = np.broadcast_to(np.asarray(a0(mesh.xd_centers), float),
                                    (mesh.M,))
+        bad = ~(np.isfinite(a0_cells) & (a0_cells > 0))
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError("a0 must be finite and positive: a0 = %g at "
+                             "x_d=%.6g" % (a0_cells[j], mesh.xd_centers[j]))
     cellvals = np.repeat(a0_cells, mesh.xprime_count)
-    n = mesh.n_interior
-    imap = lambda j, m: _interior_index(mesh, j, m)
-    mat = _weighted_block(mesh, cellvals, imap, imap, n, n)
-    op = SparseOperator(mat, symmetry="symmetric", mesh=mesh, kind="weighted_mass")
-    if _validate:
-        d = op.diagonal()
-        if d.size and d.min() <= 0:
-            raise AssemblyError("weighted mass has non-positive diagonal "
-                                "(min %g): broken quadrature" % d.min())
-        rng = np.random.default_rng(12345)
-        for _ in range(50):
-            v = rng.standard_normal(n)
-            if op.form(v) <= 0:
-                raise AssemblyError("weighted mass failed a Rayleigh-quotient "
-                                    "positivity check")
-    return op
+    mat = _plan(mesh, "interior", "interior").fold(
+        [_weighted_term(mesh, cellvals)])
+    d = mat.diagonal()
+    if d.size and d.min() <= 0:
+        raise AssemblyError("weighted mass has non-positive diagonal "
+                            "(min %g): broken quadrature" % d.min())
+    return SparseOperator(mat, symmetry="symmetric", mesh=mesh,
+                          kind="weighted_mass")
 
 
 def _diffusion_matrix(mesh, a_cells):
     """Diffusion block sum_ij a_ij(cell) int D_j(trial) D_i(test); a_cells has
     shape (Mc, npc, dim, dim) with index order (x', x_d) in dim=2."""
-    dim = mesh.dim
-    d_axis = dim - 1
-    mmp, ggp, dmp = _xp_factor(mesh)
-    wide = mesh.xd_widths
-    gg = _GG[None, :, :] / wide[:, None, None]
-    mm = _MM[None, :, :] * wide[:, None, None]
-    dm = np.broadcast_to(_DM, (mesh.M, 2, 2))
-    n = mesh.n_interior
-    imap = lambda j, m: _interior_index(mesh, j, m)
-    rows, cols, vals = [], [], []
-    for i in range(dim):
-        for j in range(dim):
-            coef = a_cells[:, :, i, j].ravel()
-            if i == d_axis and j == d_axis:
-                fx, fp = gg, mmp
-            elif j == d_axis:                      # trial in xd, test in x'
-                fx = np.broadcast_to(_DM, (mesh.M, 2, 2))
-                fp = dmp.T                         # fp[aq,bq] = int psi_a psi'_b
-            elif i == d_axis:                      # test in xd, trial in x'
-                fx = np.broadcast_to(_DM.T, (mesh.M, 2, 2))
-                fp = dmp
-            else:
-                fx, fp = mm, ggp
-            r, c, v = _assemble_pairs(mesh, coef, fx, fp, imap, imap)
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-    return _canonical_csr(np.concatenate(rows), np.concatenate(cols),
-                          np.concatenate(vals), (n, n))
+    terms = [_term(mesh, a_cells[:, :, i, j].ravel(), j, i)
+             for i in range(mesh.dim) for j in range(mesh.dim)]
+    return _plan(mesh, "interior", "interior").fold(terms)
 
 
-def assemble_stiffness(mesh, coeffs, lam, t=0.0, _self_check=True):
+def assemble_stiffness(mesh, coeffs, lam, t=0.0):
     """K = diffusion(a_ij frozen at cell midpoints, time t) + lambda * c0-block
-    with the x_d^{-1} weight.  Coercivity against the model stiffness is
-    spot-checked with 20 random interior vectors."""
+    with the x_d^{-1} weight.  sample_on_mesh certifies nu|xi|^2 <= a xi.xi
+    and c0 >= nu on every cell, so v'Kv >= nu v'K0v for every v."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     sample = sample_on_mesh(coeffs, mesh, t=t)
-    a_cells = sample.a[0]
-    K = _diffusion_matrix(mesh, a_cells)
+    K = _diffusion_matrix(mesh, sample.a[0])
     if lam > 0:
-        c_cells = sample.c0[0].ravel()
-        n = mesh.n_interior
-        imap = lambda j, m: _interior_index(mesh, j, m)
-        K = K + lam * _weighted_block(mesh, c_cells, imap, imap, n, n)
-    scale = np.abs(K).max()
-    asym = np.abs(K - K.T).max() if K.nnz else 0.0
-    tag = "symmetric" if asym <= 1e-14 * max(scale, 1.0) else "general"
-    op = SparseOperator(K, symmetry=tag, mesh=mesh, kind="stiffness")
-    if _self_check:
-        eye = np.broadcast_to(np.eye(mesh.dim),
-                              (mesh.M, mesh.xprime_count, mesh.dim, mesh.dim))
-        K0 = _diffusion_matrix(mesh, eye)
-        rng = np.random.default_rng(777)
-        for _ in range(20):
-            v = rng.standard_normal(mesh.n_interior)
-            lhs = v @ (K @ v)
-            rhs = coeffs.nu * (v @ (K0 @ v))
-            if lhs < rhs - 1e-10 * max(abs(lhs), abs(rhs), 1.0):
-                raise AssemblyError(
-                    "coercivity self-check failed: v'Kv=%g < nu*v'K0v=%g"
-                    % (lhs, rhs))
-    return op
+        C = _plan(mesh, "interior", "interior").fold(
+            [_weighted_term(mesh, sample.c0[0].ravel())])
+        K = K + lam * C
+    return SparseOperator(K, mesh=mesh, kind="stiffness")
 
 
 def model_stiffness(mesh):
@@ -295,33 +303,18 @@ def model_stiffness(mesh):
                           mesh=mesh, kind="model_stiffness")
 
 
-# -- loads ------------------------------------------------------------------------
+# -- loads --------------------------------------------------------------------
 
 class LoadAssembler:
-    """Precomputes the sparse maps from nodal source samples to load vectors:
+    """The sparse maps from nodal source samples to load vectors:
     b = sum_i G_i F_i + sqrt(lambda) W f  with
-    G_i[k,n] = int Phi_n D_i Phi_k dx,  W[k,n] = int Phi_n Phi_k x_d^{-1} dx."""
+    G_i[k,n] = int Phi_n D_i Phi_k dx,  W[k,n] = int Phi_n Phi_k x_d^{-1} dx.
+    The maps are assembled once per mesh and shared, read-only."""
 
     def __init__(self, mesh):
         self.mesh = mesh
-        n, ncols = mesh.n_interior, mesh.n_nodes
-        imap = lambda j, m: _interior_index(mesh, j, m)
-        nmap = lambda j, m: _node_index(mesh, j, m)
-        ones = np.ones(mesh.n_space_cells)
-        self.W = _weighted_block(mesh, ones, imap, nmap, n, ncols)
-        mmp, ggp, dmp = _xp_factor(mesh)
-        wide = mesh.xd_widths
-        mm = _MM[None, :, :] * wide[:, None, None]
-        self.G = []
-        for i in range(mesh.dim):
-            if i == mesh.dim - 1:      # derivative on the test hat, xd part
-                fx = np.broadcast_to(_DM.T, (mesh.M, 2, 2))
-                fp = mmp
-            else:                      # x' derivative on the test hat
-                fx = mm
-                fp = dmp.T
-            r, c, v = _assemble_pairs(self.mesh, ones, fx, fp, imap, nmap)
-            self.G.append(_canonical_csr(r, c, v, (n, ncols)))
+        self.W, self.G = _cached(mesh, ("loads", _xprime_width(mesh)),
+                                 lambda: _load_maps(mesh))
 
     def assemble(self, F, f, lam, t=0.0):
         """Nodal-interpolated loads at time t, one interior vector; for a
@@ -355,26 +348,27 @@ class LoadAssembler:
         return b[0] if np.ndim(t) == 0 else b
 
 
+def _load_maps(mesh):
+    plan = _plan(mesh, "interior", "nodes")
+    ones = np.ones(mesh.n_space_cells)
+    maps = [plan.fold([_weighted_term(mesh, ones)])]
+    maps += [plan.fold([_term(mesh, ones, None, i)]) for i in range(mesh.dim)]
+    for mat in maps:
+        for part in (mat.data, mat.indices, mat.indptr):
+            part.setflags(write=False)
+    return maps[0], tuple(maps[1:])
+
+
 # -- Gram matrices for data norms ---------------------------------------------
 
 def data_grams(mesh):
     """(unweighted Gram over all nodes, x_d^{-1}-weighted Gram over nodes with
     j >= 1).  The weighted form requires the x_d = 0 samples to vanish; the
     j = 0 row/column is excluded, which is exact in that case."""
-    nmap = lambda j, m: _node_index(mesh, j, m)
-    nn = mesh.n_nodes
-    mmp, _, _ = _xp_factor(mesh)
-    wide = mesh.xd_widths
-    mm = _MM[None, :, :] * wide[:, None, None]
     ones = np.ones(mesh.n_space_cells)
-    r, c, v = _assemble_pairs(mesh, ones, mm, mmp, nmap, nmap)
-    gram_all = _canonical_csr(r, c, v, (nn, nn))
-
-    def no0_map(j, m):
-        idx = (j - 1) * mesh.xprime_count + m
-        return np.where(j >= 1, idx, -1)
-
-    nw = mesh.M * mesh.xprime_count
-    gram_w = _weighted_block(mesh, ones, no0_map, no0_map, nw, nw)
+    gram_all = _plan(mesh, "nodes", "nodes").fold(
+        [_term(mesh, ones, None, None)])
+    gram_w = _plan(mesh, "nodes_no0", "nodes_no0").fold(
+        [_weighted_term(mesh, ones)])
     return (SparseOperator(gram_all, "symmetric", mesh, "gram_nodes"),
             SparseOperator(gram_w, "symmetric", mesh, "gram_weighted_no0"))

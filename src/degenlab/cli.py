@@ -261,8 +261,7 @@ def _cmd_solve(cfg):
                     sol.levels[n, j, m]))
     artifacts = [("solution.csv", "\n".join(lines) + "\n")]
     if cfg["export_matrix"]:
-        K = assemble_stiffness(mesh, coeffs, cfg["lambda"],
-                               _self_check=False)
+        K = assemble_stiffness(mesh, coeffs, cfg["lambda"])
         buf = io.BytesIO()
         mmwrite(buf, K.matrix)
         artifacts.append(("stiffness.mtx", buf.getvalue()))

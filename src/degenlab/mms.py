@@ -383,8 +383,7 @@ def nodal_residual(case, mesh, theta=1.0):
     dt = mesh.total_time / mesh.time_count
     N = mesh.time_count
     mass = assemble_weighted_mass(mesh, case.coeffs.a0)
-    K = assemble_stiffness(mesh, case.coeffs, case.lam, t=0.0,
-                           _self_check=False).matrix
+    K = assemble_stiffness(mesh, case.coeffs, case.lam, t=0.0).matrix
     times = dt * np.arange(N + 1)
     u = sample_nodes(mesh, case.u, times[:, None, None])[:, 1:-1, :].reshape(
         N + 1, -1)

@@ -243,12 +243,10 @@ def march(mesh, coeffs, lam, F=None, f=None, config=None, u0=None):
     config = config or TimeStepperConfig()
     mass = assemble_weighted_mass(mesh, coeffs.a0)
     if _coeffs_autonomous(coeffs, mesh):
-        stiffness = assemble_stiffness(mesh, coeffs, lam, t=0.0,
-                                       _self_check=False)
+        stiffness = assemble_stiffness(mesh, coeffs, lam, t=0.0)
     else:
         def stiffness(t):
-            return assemble_stiffness(mesh, coeffs, lam, t=t,
-                                      _self_check=False)
+            return assemble_stiffness(mesh, coeffs, lam, t=t)
     loads = None
     if F is not None or f is not None:
         dt, N = _resolve_time_grid(mesh, config)
@@ -294,8 +292,7 @@ def adjoint_march(mesh, coeffs, lam, dual_loads, config=None):
     if not _coeffs_autonomous(coeffs, mesh):
         raise ValueError("adjoint march requires autonomous coefficients")
     mass = assemble_weighted_mass(mesh, coeffs.a0)
-    Kt = assemble_stiffness(mesh, coeffs.transposed(), lam, t=0.0,
-                            _self_check=False)
+    Kt = assemble_stiffness(mesh, coeffs.transposed(), lam, t=0.0)
     return adjoint_march_system(mass, Kt, dual_loads, mesh, config=config)
 
 
@@ -303,7 +300,7 @@ def steady_solve(mesh, coeffs, lam, F=None, f=None, t=0.0, config=None):
     """Solve the stationary problem K u = b at a frozen time; returns a
     DiscreteField."""
     config = config or TimeStepperConfig()
-    K = assemble_stiffness(mesh, coeffs, lam, t=t, _self_check=False).matrix
+    K = assemble_stiffness(mesh, coeffs, lam, t=t).matrix
     b = LoadAssembler(mesh).assemble(F, f, lam, t=t)
     x = linear_solve(K, b, tol=config.linear_tol)
     return DiscreteField.from_interior(mesh, x)

@@ -1,11 +1,15 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.io import mmread, mmwrite
+from scipy.linalg import eigh
 
-from degenlab import (LoadAssembler, assemble_stiffness,
+from degenlab import assembly
+from degenlab import (AssemblyError, LoadAssembler, assemble_stiffness,
                       assemble_weighted_mass, build_mesh, data_grams,
                       generate_family, identity_coefficients,
                       model_stiffness, sample_on_mesh,
@@ -289,14 +293,90 @@ def test_matrix_market_roundtrip(tmp_path):
     assert b"coordinate" in buf.getvalue()
 
 
-def test_stiffness_coercivity_tagged_and_positive():
-    m = build_mesh(1, 4.0, 16, 2.0)
-    coeffs = generate_family(1, "xd_only", 0.5, 0.2, dim=1)
-    K = assemble_stiffness(m, coeffs, lam=5.0)
-    K0 = model_stiffness(m).matrix
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        v = rng.standard_normal(m.n_interior)
-        quad_form = v @ (K.matrix @ v)
-        floor = 0.5 * (v @ (K0 @ v))
-        assert quad_form >= floor - 1e-10 * abs(quad_form)
+def test_stiffness_coercive_against_model_stiffness():
+    # ellipticity per cell and c0 >= nu give v'Kv >= nu v'K0v for every v:
+    # the smallest generalized eigenvalue of (sym K, K0) is at least nu
+    for dim in (1, 2):
+        m = build_mesh(dim, 4.0, 12 if dim == 1 else 6, 2.0,
+                       xprime_count=1 if dim == 1 else 5,
+                       xprime_length=None if dim == 1 else 2 * np.pi)
+        K0 = model_stiffness(m).matrix.toarray()
+        for kind in ("constant", "xd_only", "oscillatory"):
+            coeffs = generate_family(1, kind, 0.5, 0.2, dim=dim,
+                                     xp_length=2 * np.pi)
+            for lam in (0.0, 5.0):
+                K = assemble_stiffness(m, coeffs, lam, t=0.3).matrix.toarray()
+                low = eigh(0.5 * (K + K.T), K0, eigvals_only=True)[0]
+                assert low >= coeffs.nu * (1 - 1e-10), (dim, kind, lam, low)
+
+
+def test_indefinite_pair_table_is_rejected(monkeypatch):
+    def indefinite(xl, xr):
+        table = weighted_pair_integrals(xl, xr)
+        table[2, 0, 1] = table[2, 1, 0] = 2 * table[2, 1, 1]
+        return table
+
+    monkeypatch.setattr(assembly, "weighted_pair_integrals", indefinite)
+    m = build_mesh(1, 4.0, 8, 2.0)
+    with pytest.raises(AssemblyError, match="not positive definite on cell 2"):
+        assemble_weighted_mass(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_weighted_mass_rejects_bad_a0(bad):
+    m = build_mesh(1, 4.0, 8, 2.0)
+    xd = m.xd_centers[3]
+
+    def a0(x):
+        return np.where(x == xd, bad, 1.0)
+
+    with pytest.raises(ValueError, match="a0 = %g at x_d=%.6g" % (bad, xd)):
+        assemble_weighted_mass(m, a0)
+
+
+def _all_operators(m, coeffs):
+    la = LoadAssembler(m)
+    mats = [assemble_weighted_mass(m, coeffs.a0).matrix, la.W, *la.G,
+            assemble_stiffness(m, coeffs, 3.0, t=0.2).matrix,
+            *(g.matrix for g in data_grams(m))]
+    return [(x.data.copy(), x.indices.copy(), x.indptr.copy()) for x in mats]
+
+
+def test_plan_is_per_mesh_and_built_once(monkeypatch):
+    built = []
+
+    def counting(mesh, rows, cols):
+        built.append((id(mesh), rows, cols))
+        return plan_class(mesh, rows, cols)
+
+    plan_class = assembly._ScatterPlan
+    monkeypatch.setattr(assembly, "_ScatterPlan", counting)
+    a = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
+    b = build_mesh(2, 2.0, 4, 1.5, xprime_count=3, xprime_length=1.0)
+    coeffs = generate_family(2, "oscillatory", 0.5, 0.2, dim=2,
+                             xp_length=2 * np.pi)
+    first = _all_operators(a, coeffs)
+    _all_operators(b, coeffs)
+    again = _all_operators(a, coeffs)
+    for x, y in zip(first, again):
+        for part_x, part_y in zip(x, y):
+            assert part_x.dtype == part_y.dtype
+            assert np.array_equal(part_x, part_y)
+    # interior x interior, interior x nodes and the two Gram layouts, per mesh
+    assert len(built) == len(set(built)) == 8
+    assert LoadAssembler(a).W is LoadAssembler(a).W
+    assert not LoadAssembler(a).W.data.flags.writeable
+
+
+def test_plan_cache_lets_meshes_go():
+    m = build_mesh(1, 4.0, 8, 2.0)
+    assemble_weighted_mass(m)
+    LoadAssembler(m)
+    ref = weakref.ref(m)
+    assert ref() in assembly._CACHE
+    gc.collect()
+    held = len(assembly._CACHE)
+    del m
+    gc.collect()
+    assert ref() is None
+    assert len(assembly._CACHE) == held - 1
