@@ -6,7 +6,8 @@ studies, and ratio checkers for the a-priori estimates.
 
 from .assembly import (AssemblyError, LoadAssembler, SparseOperator,
                        assemble_stiffness, assemble_weighted_mass, data_grams,
-                       model_stiffness, weighted_pair_integrals,
+                       interior_pattern, model_stiffness, stiffness_levels,
+                       stiffness_operator, weighted_pair_integrals,
                        xd_weighted_pairs)
 from .coefficients import (CoefficientField, OscillationReport,
                            check_structure_condition, generate_family,
@@ -30,9 +31,9 @@ from .norms import (NormSpec, RatioReport, SlopeReport, analytic_norm,
                     levels_norm, second_difference_fields,
                     second_difference_magnitude, slice_norms,
                     trace_decay_check, weighted_norm)
-from .solver import (SolverError, SpaceTimeSolution, TimeStepperConfig,
-                     adjoint_march, adjoint_march_system, linear_solve,
-                     march, march_system, steady_solve)
+from .solver import (Marcher, SolverError, SpaceTimeSolution,
+                     TimeStepperConfig, adjoint_march, adjoint_march_system,
+                     linear_solve, march, march_system, steady_solve)
 
 __version__ = "0.1.0"
 

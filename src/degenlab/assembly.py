@@ -13,7 +13,11 @@ x_d^{-1} pair table and the load maps, in a cache that holds meshes weakly.
 Each assembly is then one fold through the plan: the contributions to every
 entry are summed in ascending value order, so the result does not depend on
 the order of the terms, and assembling the transposed coefficients gives
-bitwise the transpose.
+bitwise the transpose.  A fold takes cell values with a leading level axis,
+so the stiffness of every time level of a march is one fold
+(``stiffness_levels``), each level bitwise equal to its fold alone.  The
+mesh-only operators (the a0-free mass, the model stiffness, the Grams and
+the load maps) are built once per mesh and shared read-only.
 
 The singular factor 1/x_d is integrated exactly per element against P1
 products (antiderivatives with logarithms); sources are interpolated to the
@@ -206,18 +210,29 @@ class _ScatterPlan:
         entries = ordered[self.starts]
         self.indices = entries % ncols
         self.indptr = np.searchsorted(entries, ncols * np.arange(nrows + 1))
+        self.indices.setflags(write=False)
+        self.indptr.setflags(write=False)
         self.shape = (nrows, ncols)
 
     def fold(self, terms):
-        """CSR matrix of the sum of terms (cellvals, x_d pair table, x' pair
-        table): contribution cellvals[cell] * xd[j, a, b] * xp[a', b'],
-        summed per entry in ascending value order."""
-        vals = np.concatenate([cellvals[self.cell] * xd[self.xd_at]
-                               * xp[self.xp_at] for cellvals, xd, xp in terms])
-        order = np.lexsort((vals, np.tile(self.keys, len(terms))))
+        """Entry data of the sum of terms (cellvals, x_d pair table, x' pair
+        table), one row per level: cellvals has shape (levels, cells), and
+        contribution cellvals[l, cell] * xd[j, a, b] * xp[a', b'] goes to
+        row l of the (levels, nnz) result.  Each entry of each level is
+        summed in ascending value order, so a row is bitwise the fold of its
+        level alone."""
+        vals = np.concatenate([cellvals[:, self.cell] * xd[self.xd_at]
+                               * xp[self.xp_at] for cellvals, xd, xp in terms],
+                              axis=1)
+        keys = np.broadcast_to(np.tile(self.keys, len(terms)), vals.shape)
+        order = np.lexsort((vals, keys), axis=1)
         # n terms repeat each key n times: group g starts at n * starts[g]
-        sums = np.add.reduceat(vals[order], len(terms) * self.starts)
-        return sp.csr_matrix((sums, self.indices.copy(), self.indptr.copy()),
+        return np.add.reduceat(np.take_along_axis(vals, order, axis=1),
+                               len(terms) * self.starts, axis=1)
+
+    def csr(self, data):
+        """CSR matrix with this plan's entries and one level of fold data."""
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
                              shape=self.shape)
 
 
@@ -230,8 +245,9 @@ def _xprime_width(mesh):
 
 
 def _term(mesh, cellvals, trial, test):
-    """Fold term of int (D_trial phi_a)(D_test phi_b) weighted by cellvals;
-    trial and test are derivative axes (dim - 1 is x_d), None for none."""
+    """Fold term of int (D_trial phi_a)(D_test phi_b) weighted by cellvals
+    (levels, cells); trial and test are derivative axes (dim - 1 is x_d),
+    None for none."""
     xd = mesh.dim - 1
     return (cellvals, _pair(mesh.xd_widths, trial == xd, test == xd),
             _pair(_xprime_width(mesh), trial not in (None, xd),
@@ -239,9 +255,28 @@ def _term(mesh, cellvals, trial, test):
 
 
 def _weighted_term(mesh, cellvals):
-    """Fold term of int phi_a phi_b x_d^{-1} weighted by cellvals."""
+    """Fold term of int phi_a phi_b x_d^{-1} weighted by cellvals
+    (levels, cells)."""
     return (cellvals, xd_weighted_pairs(mesh),
             _pair(_xprime_width(mesh), False, False))
+
+
+def _one_level(plan, terms):
+    return plan.csr(plan.fold(terms)[0])
+
+
+def _read_only(mat):
+    for part in (mat.data, mat.indices, mat.indptr):
+        part.setflags(write=False)
+    return mat
+
+
+def interior_pattern(mesh):
+    """(indices, indptr, shape) of the CSR pattern that every operator on
+    the interior DoFs is folded onto: the weighted mass, and the rows of
+    stiffness_levels.  The index arrays are read-only."""
+    plan = _plan(mesh, "interior", "interior")
+    return plan.indices, plan.indptr, plan.shape
 
 
 # -- operators ----------------------------------------------------------------
@@ -249,9 +284,11 @@ def _weighted_term(mesh, cellvals):
 def assemble_weighted_mass(mesh, a0=None):
     """M_kl = int a0(x_d) phi_k phi_l x_d^{-1} dx over interior DoFs.  SPD:
     a0 must be finite and positive on every cell, and the pair table is
-    certified per cell (see xd_weighted_pairs)."""
+    certified per cell (see xd_weighted_pairs).  The a0-free mass depends
+    on the mesh alone; it is built once per mesh and shared, read-only."""
     if a0 is None:
-        a0_cells = np.ones(mesh.M)
+        mat = _cached(mesh, "mass", lambda: _read_only(
+            _weighted_mass(mesh, np.ones(mesh.M))))
     else:
         a0_cells = np.broadcast_to(np.asarray(a0(mesh.xd_centers), float),
                                    (mesh.M,))
@@ -260,47 +297,78 @@ def assemble_weighted_mass(mesh, a0=None):
             j = int(np.argmax(bad))
             raise ValueError("a0 must be finite and positive: a0 = %g at "
                              "x_d=%.6g" % (a0_cells[j], mesh.xd_centers[j]))
-    cellvals = np.repeat(a0_cells, mesh.xprime_count)
-    mat = _plan(mesh, "interior", "interior").fold(
-        [_weighted_term(mesh, cellvals)])
-    d = mat.diagonal()
-    if d.size and d.min() <= 0:
-        raise AssemblyError("weighted mass has non-positive diagonal "
-                            "(min %g): broken quadrature" % d.min())
+        mat = _weighted_mass(mesh, a0_cells)
     return SparseOperator(mat, symmetry="symmetric", mesh=mesh,
                           kind="weighted_mass")
 
 
-def _diffusion_matrix(mesh, a_cells):
-    """Diffusion block sum_ij a_ij(cell) int D_j(trial) D_i(test); a_cells has
-    shape (Mc, npc, dim, dim) with index order (x', x_d) in dim=2."""
-    terms = [_term(mesh, a_cells[:, :, i, j].ravel(), j, i)
+def _weighted_mass(mesh, a0_cells):
+    cellvals = np.repeat(a0_cells, mesh.xprime_count)[None]
+    mat = _one_level(_plan(mesh, "interior", "interior"),
+                     [_weighted_term(mesh, cellvals)])
+    d = mat.diagonal()
+    if d.size and d.min() <= 0:
+        raise AssemblyError("weighted mass has non-positive diagonal "
+                            "(min %g): broken quadrature" % d.min())
+    return mat
+
+
+def _diffusion(mesh, a):
+    """Fold data of the diffusion block sum_ij a_ij(cell) int D_j(trial)
+    D_i(test); a has shape (levels, Mc, npc, dim, dim) with index order
+    (x', x_d) in dim=2."""
+    cells = a.reshape(a.shape[0], -1, mesh.dim, mesh.dim)
+    terms = [_term(mesh, cells[:, :, i, j], j, i)
              for i in range(mesh.dim) for j in range(mesh.dim)]
     return _plan(mesh, "interior", "interior").fold(terms)
+
+
+def stiffness_levels(mesh, coeffs, times):
+    """The lambda-free parts of K(lam, t) = D(t) + lam * C(t) at each time:
+    D is the diffusion block (a_ij frozen at cell midpoints) and C the
+    x_d^{-1}-weighted c0 block, each an array (len(times), nnz) of entry
+    data on interior_pattern(mesh).  The coefficients are sampled once for
+    all times and each block is one fold over all levels, so row n is
+    bitwise the data of its time alone."""
+    sample = sample_on_mesh(coeffs, mesh, t=times)
+    levels = sample.times.size
+    D = _diffusion(mesh, sample.a)
+    C = _plan(mesh, "interior", "interior").fold(
+        [_weighted_term(mesh, sample.c0.reshape(levels, -1))])
+    return D, C
+
+
+def stiffness_operator(mesh, D, C, lam):
+    """K = D + lam * C from one level of stiffness_levels, summed as sparse
+    matrices; D alone when lam = 0."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    plan = _plan(mesh, "interior", "interior")
+    K = plan.csr(D)
+    if lam > 0:
+        K = K + lam * plan.csr(C)
+    return SparseOperator(K, mesh=mesh, kind="stiffness")
 
 
 def assemble_stiffness(mesh, coeffs, lam, t=0.0):
     """K = diffusion(a_ij frozen at cell midpoints, time t) + lambda * c0-block
     with the x_d^{-1} weight.  sample_on_mesh certifies nu|xi|^2 <= a xi.xi
     and c0 >= nu on every cell, so v'Kv >= nu v'K0v for every v."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    sample = sample_on_mesh(coeffs, mesh, t=t)
-    K = _diffusion_matrix(mesh, sample.a[0])
-    if lam > 0:
-        C = _plan(mesh, "interior", "interior").fold(
-            [_weighted_term(mesh, sample.c0[0].ravel())])
-        K = K + lam * C
-    return SparseOperator(K, mesh=mesh, kind="stiffness")
+    D, C = stiffness_levels(mesh, coeffs, [t])
+    return stiffness_operator(mesh, D[0], C[0], lam)
 
 
 def model_stiffness(mesh):
     """K0: a = I, lambda = 0.  u^T K0 u is exactly the squared L2 gradient
-    norm of the interior P1 field u."""
-    eye = np.broadcast_to(np.eye(mesh.dim),
-                          (mesh.M, mesh.xprime_count, mesh.dim, mesh.dim))
-    return SparseOperator(_diffusion_matrix(mesh, eye), symmetry="symmetric",
-                          mesh=mesh, kind="model_stiffness")
+    norm of the interior P1 field u.  Built once per mesh, read-only."""
+    def build():
+        eye = np.broadcast_to(np.eye(mesh.dim), (1, mesh.M, mesh.xprime_count,
+                                                 mesh.dim, mesh.dim))
+        return _read_only(_plan(mesh, "interior", "interior").csr(
+            _diffusion(mesh, eye)[0]))
+    return SparseOperator(_cached(mesh, "model_stiffness", build),
+                          symmetry="symmetric", mesh=mesh,
+                          kind="model_stiffness")
 
 
 # -- loads --------------------------------------------------------------------
@@ -350,12 +418,11 @@ class LoadAssembler:
 
 def _load_maps(mesh):
     plan = _plan(mesh, "interior", "nodes")
-    ones = np.ones(mesh.n_space_cells)
-    maps = [plan.fold([_weighted_term(mesh, ones)])]
-    maps += [plan.fold([_term(mesh, ones, None, i)]) for i in range(mesh.dim)]
-    for mat in maps:
-        for part in (mat.data, mat.indices, mat.indptr):
-            part.setflags(write=False)
+    ones = np.ones((1, mesh.n_space_cells))
+    maps = [_one_level(plan, [_weighted_term(mesh, ones)])]
+    maps += [_one_level(plan, [_term(mesh, ones, None, i)])
+             for i in range(mesh.dim)]
+    maps = [_read_only(mat) for mat in maps]
     return maps[0], tuple(maps[1:])
 
 
@@ -364,11 +431,17 @@ def _load_maps(mesh):
 def data_grams(mesh):
     """(unweighted Gram over all nodes, x_d^{-1}-weighted Gram over nodes with
     j >= 1).  The weighted form requires the x_d = 0 samples to vanish; the
-    j = 0 row/column is excluded, which is exact in that case."""
-    ones = np.ones(mesh.n_space_cells)
-    gram_all = _plan(mesh, "nodes", "nodes").fold(
-        [_term(mesh, ones, None, None)])
-    gram_w = _plan(mesh, "nodes_no0", "nodes_no0").fold(
-        [_weighted_term(mesh, ones)])
+    j = 0 row/column is excluded, which is exact in that case.  Built once
+    per mesh, read-only."""
+    gram_all, gram_w = _cached(mesh, "grams", lambda: _grams(mesh))
     return (SparseOperator(gram_all, "symmetric", mesh, "gram_nodes"),
             SparseOperator(gram_w, "symmetric", mesh, "gram_weighted_no0"))
+
+
+def _grams(mesh):
+    ones = np.ones((1, mesh.n_space_cells))
+    gram_all = _one_level(_plan(mesh, "nodes", "nodes"),
+                          [_term(mesh, ones, None, None)])
+    gram_w = _one_level(_plan(mesh, "nodes_no0", "nodes_no0"),
+                        [_weighted_term(mesh, ones)])
+    return _read_only(gram_all), _read_only(gram_w)

@@ -101,8 +101,12 @@ def _validate_samples(mesh, nu, a, c0, a0, times):
 
 def sample_on_mesh(coeffs, mesh, t=None):
     """Midpoint samples of the coefficients on every spatial cell, at all time
-    cell centers (t=None) or at one time.  Validates the bounds on the samples."""
-    times = mesh.time_centers if t is None else np.atleast_1d(float(t))
+    cell centers (t=None), at one time, or at each time of a 1-D array.
+    Validates the bounds on the samples."""
+    times = mesh.time_centers if t is None \
+        else np.atleast_1d(np.asarray(t, float))
+    if times.ndim != 1:
+        raise ValueError("t must be None, a scalar or a 1-D array of times")
     xd = mesh.xd_centers[:, None]
     xp = np.broadcast_to(mesh.xprime_centers[None, :],
                          (mesh.M, mesh.xprime_count))

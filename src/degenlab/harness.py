@@ -20,7 +20,7 @@ from .mesh import Cylinder, cells_in_cylinder
 from .norms import (NormSpec, analytic_norm, cell_center_gradients,
                     hardy_check, levels_norm, trace_decay_check,
                     weighted_norm)
-from .solver import TimeStepperConfig, adjoint_march, march
+from .solver import Marcher, TimeStepperConfig, march
 
 CSV_HEADER = ("check_id,lambda,p,mesh_M,dt,seed,rho0,gamma_measured,"
               "lhs,rhs,ratio,pass")
@@ -206,12 +206,13 @@ def energy_ratio(problem, lam):
 
 # -- W^1_p ratio sweep ----------------------------------------------------------
 
-def _wp_ratio(mesh, coeffs, lam, F, f, p, config):
-    sol = march(mesh, coeffs, lam, F=F, f=f, config=config)
-    skip = sol.time_count // 10
-    lhs = weighted_norm(sol, NormSpec(p, 0.0, "1_full"), skip_initial=skip) \
+def _wp_solution_norm(sol, lam, p, skip):
+    return weighted_norm(sol, NormSpec(p, 0.0, "1_full"), skip_initial=skip) \
         + np.sqrt(lam) * weighted_norm(sol, NormSpec(p, -p / 2.0, "0"),
                                        skip_initial=skip)
+
+
+def _wp_data_norm(mesh, F, f, p, skip):
     rhs = 0.0
     mag = _f_magnitude(F)
     if mag is not None:
@@ -220,7 +221,7 @@ def _wp_ratio(mesh, coeffs, lam, F, f, p, config):
     if f is not None:
         rhs += analytic_norm(mesh, f, NormSpec(p, -p / 2.0, "0"),
                              skip_initial=skip)
-    return lhs, rhs
+    return rhs
 
 
 def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,),
@@ -250,14 +251,24 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,),
         gamma, _ = oscillation_scan(coeffs, mesh, rhos)
         families.append((float(eps), coeffs, gamma))
 
+    data_norms = {}
+
+    def wp_norms(m, coeffs):
+        """(lhs, rhs) per lambda on mesh m: one marcher per (mesh, field),
+        and the lambda-free data norm once per mesh."""
+        marcher = Marcher(m, coeffs, config)
+        skip = marcher.time_count // 10
+        if m not in data_norms:
+            data_norms[m] = _wp_data_norm(m, problem.F, problem.f, p, skip)
+        return [(_wp_solution_norm(marcher.march(lam, F=problem.F,
+                                                 f=problem.f), lam, p, skip),
+                 data_norms[m]) for lam in lambdas]
+
     reports = []
     for eps, coeffs, gamma in families:
         cell = []
-        for lam in lambdas:
-            lc, rc = _wp_ratio(mesh, coeffs, lam, problem.F, problem.f, p,
-                               config)
-            lf, rf = _wp_ratio(fine, coeffs, lam, problem.F, problem.f, p,
-                               config)
+        for lam, (lc, rc), (lf, rf) in zip(lambdas, wp_norms(mesh, coeffs),
+                                           wp_norms(fine, coeffs)):
             ratio_c = lc / rc if rc > 0 else 0.0
             ratio_f = lf / rf if rf > 0 else 0.0
             drift = abs(ratio_f - ratio_c) / ratio_c if ratio_c > 0 else 0.0
@@ -567,10 +578,11 @@ def duality_check(problem, p=2.0, seeds=(0, 1, 2, 3, 4), lam=1.0,
         f = closure(5)
         B = tuple(closure(101 + i) for i in range(mesh.dim))
         bfun = closure(107)
-        u = march(mesh, coeffs, lam, F=F, f=f, config=config)
+        marcher = Marcher(mesh, coeffs, config)
+        u = marcher.march(lam, F=F, f=f)
         b_rows = u.loads
         c_rows = LoadAssembler(mesh).assemble(B, bfun, lam, u.times)
-        v = adjoint_march(mesh, coeffs, lam, c_rows, config=config)
+        v = marcher.adjoint(lam, c_rows)
         dt = u.dt
         P1 = dt * float(np.sum(c_rows[1:] * u.interior_levels()[1:]))
         P2 = dt * float(np.sum(b_rows[1:] * v[1:]))

@@ -3,10 +3,15 @@
     M du/dt + K(t) u = b(t),   u(0) = u0,
 
 with the theta-scheme (implicit Euler by default), plus the backward adjoint
-march used by the duality identity.  Every linear system goes to one sparse
-direct solver (SuperLU through scipy's ``splu``), factored once per march
-when the matrix does not change; every solve, including one that reuses the
-factors, is followed by a backward-error check.
+march used by the duality identity.  The stiffness is one operator when the
+coefficients are autonomous, or an (N+1)-level stack of entry data on the
+mesh's interior pattern when they depend on t; a ``Marcher`` splits it as
+K(lam) = D + lam * C once per (mesh, coefficients, time grid), so a lambda
+grid assembles D and C once.  Every linear system goes to one sparse direct
+solver (SuperLU through scipy's ``splu``), factored once per march when the
+matrix does not change and once per step for a stack; every solve,
+including one that reuses the factors, is followed by a backward-error
+check.
 """
 
 import numpy as np
@@ -14,7 +19,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (LoadAssembler, SparseOperator, assemble_stiffness,
-                       assemble_weighted_mass)
+                       assemble_weighted_mass, interior_pattern,
+                       stiffness_levels, stiffness_operator)
 from .coefficients import sample_on_mesh
 from .fields import DiscreteField
 
@@ -56,7 +62,9 @@ def _factorize(A, tol):
     SolverError."""
     if isinstance(A, SparseOperator):
         A = A.matrix
-    A = sp.csc_matrix(A)
+    if not (sp.issparse(A) and A.format == "csc" and A.has_canonical_format):
+        A = sp.csc_matrix(A, copy=True)
+        A.sum_duplicates()
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("linear_solve needs a square matrix")
@@ -64,7 +72,9 @@ def _factorize(A, tol):
         lu = splu(A)
     except RuntimeError as exc:        # "Factor is exactly singular"
         raise SolverError("LU factorization failed: %s" % exc)
-    norm_A = np.max(np.abs(A).sum(axis=1)) if A.nnz else 0.0
+    # max absolute row sum, each row summed in column order
+    norm_A = np.bincount(A.indices, weights=np.abs(A.data),
+                         minlength=n).max() if A.nnz else 0.0
 
     def solve(b):
         b = np.asarray(b, float)
@@ -160,15 +170,47 @@ def _as_matrix(op):
     return op.matrix if isinstance(op, SparseOperator) else sp.csr_matrix(op)
 
 
+def _stacked_system(Mmat, K, s, mesh, N):
+    """Level functions n -> K^n (CSR) and n -> M + s K^n (CSC) of a stiffness
+    stack K (N+1, nnz) on the mesh's interior pattern.  All system data is
+    formed at once in CSC order; each level drops its exact zeros, as a
+    sparse sum would, so the factorization sees the same pattern."""
+    indices, indptr, shape = interior_pattern(mesh)
+    if K.shape != (N + 1, indices.size):
+        raise ValueError("stiffness stack must have shape (N+1, nnz) = %s, "
+                         "got %s" % ((N + 1, indices.size), K.shape))
+    if not (np.array_equal(Mmat.indptr, indptr)
+            and np.array_equal(Mmat.indices, indices)):
+        raise ValueError("a stiffness stack needs the mass on the interior "
+                         "pattern of the mesh")
+    order = np.argsort(indices, kind="stable")          # CSR -> CSC
+    rows = np.repeat(np.arange(shape[0]), np.diff(indptr))[order]
+    colptr = np.searchsorted(indices[order], np.arange(shape[1] + 1))
+    A = (Mmat.data + s * K)[:, order]
+
+    def stiffness(n):
+        return sp.csr_matrix((K[n], indices, indptr), shape=shape)
+
+    def system(n):
+        keep = A[n] != 0
+        ptr = np.concatenate(([0], np.cumsum(keep)))[colptr]
+        return sp.csc_matrix((A[n][keep], rows[keep], ptr), shape=shape)
+
+    return stiffness, system
+
+
 def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
     """Core theta-scheme on assembled operators.
 
-    mass: SparseOperator (SPD); stiffness: SparseOperator, or a callable
-    t -> SparseOperator for time-dependent coefficients; loads: None or an
-    array (N+1, n_interior) whose row n is the load b^n at t = n dt;
-    u0: interior vector or None.  Each step solves (M + theta dt K) u^{n+1}
-    = (M - (1-theta) dt K) u^n + dt b^theta.  The returned solution keeps
-    the load rows as ``loads``.
+    mass: SparseOperator (SPD).  stiffness: one operator K (SparseOperator
+    or sparse matrix) for autonomous coefficients, factored once; or an
+    array (N+1, nnz) whose row n is the data of K(t_n) on
+    ``interior_pattern(mesh)`` (see ``stiffness_levels``), refactored every
+    step, and then the mass must be on that pattern too.  loads: None or an
+    array (N+1, n_interior) whose row n is the load b^n at t = n dt; u0:
+    interior vector or None.  Each step solves (M + theta dt K^{n+1})
+    u^{n+1} = (M - (1-theta) dt K^n) u^n + dt b^theta, and every solve is
+    checked.  The returned solution keeps the load rows as ``loads``.
     """
     config = config or TimeStepperConfig()
     dt, N = _resolve_time_grid(mesh, config)
@@ -182,30 +224,30 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
                              "got %s" % ((N + 1, n_int), loads.shape))
     b = np.zeros((N + 1, n_int)) if loads is None else loads
     Mmat = _as_matrix(mass)
-    autonomous = not callable(stiffness)
-    K_of_t = (lambda t: _as_matrix(stiffness)) if autonomous \
-        else (lambda t: _as_matrix(stiffness(t)))
+    stacked = isinstance(stiffness, np.ndarray)
+    if stacked:
+        K_at, A_at = _stacked_system(Mmat, stiffness, theta * dt, mesh, N)
+    else:
+        K = _as_matrix(stiffness)
+        A = Mmat + theta * dt * K
+        K_at, A_at = (lambda n: K), (lambda n: A)
 
     interior = np.zeros((N + 1, n_int))
     if u0 is not None:
         interior[0] = np.asarray(u0, float)
 
-    Kp = K_of_t(times[0])
     solve = None
     for n in range(N):
-        Knext = Kp if autonomous else K_of_t(times[n + 1])
         rhs = Mmat @ interior[n] + dt * (theta * b[n + 1]
                                          + (1 - theta) * b[n])
         if theta < 1.0:
-            rhs -= (1 - theta) * dt * (Kp @ interior[n])
+            rhs -= (1 - theta) * dt * (K_at(n) @ interior[n])
         try:
-            if solve is None or not autonomous:
-                solve = _factorize(Mmat + theta * dt * Knext,
-                                   config.linear_tol)
+            if solve is None or stacked:
+                solve = _factorize(A_at(n + 1), config.linear_tol)
             interior[n + 1] = solve(rhs)
         except SolverError as exc:
             raise SolverError("time level %d: %s" % (n + 1, exc))
-        Kp = Knext
 
     if loads is None:
         # pure decay: the weighted mass norm must not grow
@@ -233,33 +275,79 @@ def _coeffs_autonomous(coeffs, mesh):
     return True
 
 
+class Marcher:
+    """The lambda-free parts of M du/dt + K(lam, t) u = b on one mesh with
+    one coefficient field and time grid: the weighted mass, whether the
+    coefficients are autonomous (probed once), and the stiffness split
+    K(lam) = D + lam * C of stiffness_levels, at t = 0 when autonomous and
+    at every time level otherwise, built on first use.  One marcher marches
+    any number of lambdas, forward and (autonomous only) adjoint, and
+    assembles each of these once."""
+
+    def __init__(self, mesh, coeffs, config=None):
+        self.mesh = mesh
+        self.coeffs = coeffs
+        self.config = config or TimeStepperConfig()
+        dt, N = _resolve_time_grid(mesh, self.config)
+        self.times = dt * np.arange(N + 1)
+        self.mass = assemble_weighted_mass(mesh, coeffs.a0)
+        self.autonomous = _coeffs_autonomous(coeffs, mesh)
+        self._split = None
+
+    @property
+    def time_count(self):
+        return self.times.size - 1
+
+    def stiffness(self, lam):
+        """K(lam) as march_system takes it: one operator when autonomous,
+        else the (N+1)-level stack D + lam * C (D alone when lam = 0)."""
+        if lam < 0:
+            raise ValueError("lambda must be >= 0")
+        if self._split is None:
+            times = self.times[:1] if self.autonomous else self.times
+            self._split = stiffness_levels(self.mesh, self.coeffs, times)
+        D, C = self._split
+        if self.autonomous:
+            return stiffness_operator(self.mesh, D[0], C[0], lam)
+        return D if lam == 0 else D + lam * C
+
+    def march(self, lam, F=None, f=None, u0=None):
+        """Forward march at this lambda; see ``march``."""
+        stiffness = self.stiffness(lam)
+        loads = None
+        if F is not None or f is not None:
+            loads = LoadAssembler(self.mesh).assemble(F, f, lam, self.times)
+        u0vec = None
+        if u0 is not None:
+            if not u0.has_zero_trace():
+                raise ValueError("initial field must vanish on both "
+                                 "boundaries")
+            u0vec = u0.interior_vector()
+        sol = march_system(self.mass, stiffness, loads, self.mesh,
+                           config=self.config, u0=u0vec)
+        sol.lam = lam
+        return sol
+
+    def adjoint(self, lam, dual_loads):
+        """Backward march with K^T assembled from the transposed
+        coefficients at t = 0; see ``adjoint_march``."""
+        if not self.autonomous:
+            raise ValueError("adjoint march requires autonomous coefficients")
+        Kt = assemble_stiffness(self.mesh, self.coeffs.transposed(), lam,
+                                t=0.0)
+        return adjoint_march_system(self.mass, Kt, dual_loads, self.mesh,
+                                    config=self.config)
+
+
 def march(mesh, coeffs, lam, F=None, f=None, config=None, u0=None):
     """Assemble-and-march convenience wrapper.
 
     F: None, a callable (dim=1) or tuple of per-direction callables
     (t, xp, xd) -> values; f likewise scalar-valued.  u0 is a DiscreteField
-    (zeros when omitted).  Returns a SpaceTimeSolution.
+    (zeros when omitted).  Returns a SpaceTimeSolution.  To march several
+    lambdas on one field, use one ``Marcher``.
     """
-    config = config or TimeStepperConfig()
-    mass = assemble_weighted_mass(mesh, coeffs.a0)
-    if _coeffs_autonomous(coeffs, mesh):
-        stiffness = assemble_stiffness(mesh, coeffs, lam, t=0.0)
-    else:
-        def stiffness(t):
-            return assemble_stiffness(mesh, coeffs, lam, t=t)
-    loads = None
-    if F is not None or f is not None:
-        dt, N = _resolve_time_grid(mesh, config)
-        loads = LoadAssembler(mesh).assemble(F, f, lam, dt * np.arange(N + 1))
-
-    u0vec = None
-    if u0 is not None:
-        if not u0.has_zero_trace():
-            raise ValueError("initial field must vanish on both boundaries")
-        u0vec = u0.interior_vector()
-    sol = march_system(mass, stiffness, loads, mesh, config=config, u0=u0vec)
-    sol.lam = lam
-    return sol
+    return Marcher(mesh, coeffs, config).march(lam, F=F, f=f, u0=u0)
 
 
 def adjoint_march_system(mass, stiffness_T, dual_loads, mesh, config=None):
@@ -289,11 +377,7 @@ def adjoint_march_system(mass, stiffness_T, dual_loads, mesh, config=None):
 def adjoint_march(mesh, coeffs, lam, dual_loads, config=None):
     """Wrapper assembling K^T from the transposed coefficients at t=0 (the
     duality identity is stated for autonomous coefficients)."""
-    if not _coeffs_autonomous(coeffs, mesh):
-        raise ValueError("adjoint march requires autonomous coefficients")
-    mass = assemble_weighted_mass(mesh, coeffs.a0)
-    Kt = assemble_stiffness(mesh, coeffs.transposed(), lam, t=0.0)
-    return adjoint_march_system(mass, Kt, dual_loads, mesh, config=config)
+    return Marcher(mesh, coeffs, config).adjoint(lam, dual_loads)
 
 
 def steady_solve(mesh, coeffs, lam, F=None, f=None, t=0.0, config=None):

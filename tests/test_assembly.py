@@ -12,7 +12,8 @@ from degenlab import assembly
 from degenlab import (AssemblyError, LoadAssembler, assemble_stiffness,
                       assemble_weighted_mass, build_mesh, data_grams,
                       generate_family, identity_coefficients,
-                      model_stiffness, sample_on_mesh,
+                      interior_pattern, model_stiffness, sample_on_mesh,
+                      stiffness_levels, stiffness_operator,
                       weighted_pair_integrals)
 
 LOG2 = np.log(2.0)
@@ -204,6 +205,53 @@ def test_transpose_consistency_is_bitwise():
         Kt = assemble_stiffness(m, coeffs.transposed(), lam=2.0, t=0.4)
         diff = (Kt.matrix - K.matrix.T).toarray()
         assert np.max(np.abs(diff)) == 0.0
+
+
+def _small_mesh(dim):
+    if dim == 1:
+        return build_mesh(1, 4.0, 12, 2.0, time_step=0.1, time_count=6)
+    return build_mesh(2, 3.0, 6, 2.0, xprime_count=5,
+                      xprime_length=2 * np.pi, time_step=0.125, time_count=4)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "xd_only", "oscillatory"])
+def test_stiffness_levels_rows_are_bitwise_per_level_folds(dim, kind):
+    m = _small_mesh(dim)
+    coeffs = generate_family(1, kind, 0.5, 0.2, dim=dim, xp_length=2 * np.pi)
+    times = m.time_step * np.arange(m.time_count + 1)
+    D, C = stiffness_levels(m, coeffs, times)
+    indices, indptr, shape = interior_pattern(m)
+    assert D.shape == C.shape == (times.size, indices.size)
+    plan = assembly._plan(m, "interior", "interior")
+    for n, t in enumerate(times):
+        sample = sample_on_mesh(coeffs, m, t=t)
+        d_n = assembly._diffusion(m, sample.a)
+        c_n = plan.fold([assembly._weighted_term(m, sample.c0.reshape(1, -1))])
+        assert D[n].tobytes() == d_n[0].tobytes()
+        assert C[n].tobytes() == c_n[0].tobytes()
+        for lam in (0.0, 3.0):
+            K = assemble_stiffness(m, coeffs, lam, t=t).matrix
+            Kn = stiffness_operator(m, D[n], C[n], lam).matrix
+            assert K.data.tobytes() == Kn.data.tobytes()
+            assert np.array_equal(K.indices, Kn.indices)
+            assert np.array_equal(K.indptr, Kn.indptr)
+        K0 = assemble_stiffness(m, coeffs, 0.0, t=t).matrix
+        assert np.array_equal(K0.indices, indices)
+        assert np.array_equal(K0.indptr, indptr) and K0.shape == shape
+    assert (kind == "oscillatory") == (D[0].tobytes() != D[-1].tobytes())
+
+
+def test_mesh_only_operators_are_shared_read_only():
+    m = _small_mesh(2)
+    for build in (model_stiffness, assemble_weighted_mass,
+                  lambda mesh: data_grams(mesh)[0],
+                  lambda mesh: data_grams(mesh)[1]):
+        first, again = build(m).matrix, build(m).matrix
+        assert np.shares_memory(first.data, again.data)
+        assert not first.data.flags.writeable
+    a0 = identity_coefficients(2).a0
+    assert assemble_weighted_mass(m, a0).matrix.data.flags.writeable
 
 
 def test_weighted_mass_is_exactly_symmetric():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import degenlab.assembly
+import degenlab.harness
+import degenlab.solver
 from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
                       DegenerateLocalSolution, DiscreteField, EstimateReport,
                       ProblemSpec, SpaceTimeSolution, TimeStepperConfig,
@@ -139,6 +142,50 @@ def test_sweep_ratio_invariant_under_data_scaling():
     r2 = main_estimate_sweep(p2, 2.0, (2.0,))[0]
     assert abs(r2.rhs - 3 * r1.rhs) < 1e-10 * r2.rhs
     assert abs(r2.ratio - r1.ratio) < 1e-8 * r1.ratio
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_sweep_work_does_not_grow_with_the_lambda_grid(monkeypatch):
+    F = smooth_random_closure(3, 1)
+    f = smooth_random_closure(4, 1)
+    prob = _problem_d1(M=8, time_count=8, F=F, f=f, seed=1)
+    counts = {}
+    for lambdas in ((1.0,), (1.0, 3.0, 9.0)):
+        stack = _count_calls(monkeypatch, degenlab.assembly, "sample_on_mesh")
+        probe = _count_calls(monkeypatch, degenlab.solver, "sample_on_mesh")
+        norms = _count_calls(monkeypatch, degenlab.harness, "analytic_norm")
+        reports = main_estimate_sweep(prob, 2.0, lambdas,
+                                      eps_grid=(0.0, 0.2))
+        assert len(reports) == 2 * len(lambdas)
+        counts[len(lambdas)] = (len(stack), len(probe), len(norms))
+        # one coefficient sampling per (mesh, field): 2 meshes x 2 fields
+        assert len(stack) == 4
+        # one data norm per (mesh, source): |F| and f on 2 meshes
+        assert len(norms) == 4
+        assert sum(args[1] is f for args in norms) == 2
+        monkeypatch.undo()
+    assert counts[1] == counts[3]
+
+
+def test_duality_seed_assembles_the_mass_once(monkeypatch):
+    m = build_mesh(1, 3.0, 8, 2.0, time_step=0.25, time_count=4)
+    prob = ProblemSpec(m, generate_family(0, "constant", 0.5, 0.2, dim=1))
+    calls = _count_calls(monkeypatch, degenlab.solver,
+                         "assemble_weighted_mass")
+    rep = duality_check(prob, seeds=(0, 1), lam=2.0)
+    assert rep.passed
+    assert len(calls) == 2
 
 
 def _local_solution(seed=0, kind="xd_only", M=32, time_count=20, lam=1.0,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,8 +10,9 @@ import degenlab.solver
 from degenlab import (DiscreteField, SolverError, SpaceTimeSolution,
                       TimeStepperConfig, adjoint_march_system,
                       assemble_stiffness, assemble_weighted_mass, build_mesh,
-                      generate_family, identity_coefficients, linear_solve,
-                      march, march_system, model_stiffness, sample_nodes,
+                      generate_family, identity_coefficients,
+                      interior_pattern, linear_solve, march, march_system,
+                      model_stiffness, sample_nodes, smooth_random_closure,
                       steady_solve)
 
 LOG2 = np.log(2.0)
@@ -202,6 +205,85 @@ def test_march_wrapper_matches_march_system():
     assert np.array_equal(sol.levels, sol2.levels)
     assert np.array_equal(sol.loads, rows)
     assert sol.lam == lam
+
+
+def _reference_march(m, coeffs, lam, loads, times, theta):
+    """The theta scheme step by step, with the stiffness assembled at each
+    time level and the system matrix summed and converted by scipy."""
+    dt = times[1] - times[0]
+    Mw = assemble_weighted_mass(m, coeffs.a0).matrix
+    K = [assemble_stiffness(m, coeffs, lam, t=t).matrix for t in times]
+    u = np.zeros_like(loads)
+    for n in range(times.size - 1):
+        rhs = Mw @ u[n] + dt * (theta * loads[n + 1]
+                                + (1 - theta) * loads[n])
+        if theta < 1.0:
+            rhs -= (1 - theta) * dt * (K[n] @ u[n])
+        u[n + 1] = splu(sp.csc_matrix(Mw + theta * dt * K[n + 1])).solve(rhs)
+    return u
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+def test_time_dependent_march_is_bitwise_the_per_step_scheme(dim, theta,
+                                                             lam):
+    if dim == 1:
+        m = build_mesh(1, 4.0, 12, 2.0, time_step=0.1, time_count=8)
+    else:
+        m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5,
+                       xprime_length=2 * np.pi, time_step=0.125,
+                       time_count=6)
+    coeffs = generate_family(2, "oscillatory", 0.5, 0.2, dim=dim,
+                             xp_length=2 * np.pi)
+    F = tuple(smooth_random_closure(11 + i, dim, xp_length=2 * np.pi)
+              for i in range(dim))
+    f = smooth_random_closure(5, dim, xp_length=2 * np.pi)
+    sol = march(m, coeffs, lam, F=F, f=f,
+                config=TimeStepperConfig(theta=theta))
+    ref = _reference_march(m, coeffs, lam, sol.loads, sol.times, theta)
+    assert sol.interior_levels().tobytes() == ref.tobytes()
+    assert np.abs(ref).max() > 0
+
+
+def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum(
+        monkeypatch):
+    m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
+    Mw = assemble_weighted_mass(m).matrix
+    indices, indptr, shape = interior_pattern(m)
+    K = np.tile(model_stiffness(m).matrix.data, (5, 1))
+    k = indptr[2]                # first entry of row 2, off the diagonal
+    assert indices[k] == 1
+    K[3, k] = -4.0 * Mw.data[k]  # M + dt K = M - M = 0 exactly (dt = 1/4)
+    loads = np.ones((5, m.n_interior))
+    factored = []
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(degenlab.solver, "splu", recording_splu)
+    sol = march_system(Mw, K, loads, m)
+    u = np.zeros_like(loads)
+    for n in range(4):
+        Kn = sp.csr_matrix((K[n + 1], indices, indptr), shape=shape)
+        A = sp.csc_matrix(Mw + 0.25 * Kn)
+        got = factored[n]
+        assert got.data.tobytes() == A.data.tobytes()
+        assert np.array_equal(got.indices, A.indices)
+        assert np.array_equal(got.indptr, A.indptr)
+        assert A.nnz == indices.size - (n + 1 == 3)
+        u[n + 1] = splu(A).solve(Mw @ u[n] + 0.25 * loads[n + 1])
+    assert sol.interior_levels().tobytes() == u.tobytes()
+
+
+def test_march_system_rejects_a_stack_of_the_wrong_shape():
+    m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
+    nnz = interior_pattern(m)[0].size
+    with pytest.raises(ValueError, match=re.escape(
+            "(N+1, nnz) = (5, %d), got (3, %d)" % (nnz, nnz))):
+        march_system(assemble_weighted_mass(m), np.zeros((3, nnz)),
+                     np.ones((5, m.n_interior)), m)
 
 
 def test_source_free_march_decays():
