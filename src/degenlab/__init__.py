@@ -19,7 +19,7 @@ from .fields import (DiscreteField, node_grid, random_w1p_field,
 from .harness import (CHECK_IDS, CSV_HEADER, DegenerateLocalSolution,
                       EstimateReport, ProblemSpec, boundary_lipschitz,
                       caccioppoli_ratio, corollary2_check, duality_check,
-                      energy_ratio, hardy_report, interior_pointwise,
+                      energy_ratio, hardy_report,
                       locally_homogeneous_solution, main_estimate_sweep,
                       trace_report, w_estimate_ratio)
 from .mesh import (CellSet, Cylinder, TensorMesh, build_mesh,

@@ -18,8 +18,16 @@ def _const(value):
     return closure
 
 
+# the kinds whose coefficients do not depend on t
+_AUTONOMOUS_KINDS = ("constant", "xd_only")
+
+
 class CoefficientField:
-    """Diffusion table a[i][j], damping c0(t,x',x_d), time weight a0(x_d)."""
+    """Diffusion table a[i][j], damping c0(t,x',x_d), time weight a0(x_d).
+
+    ``kind`` declares the time dependence: the ``constant`` and ``xd_only``
+    families are autonomous, and every other kind, ``"user"`` included, is
+    taken to depend on t (see ``autonomous``)."""
 
     def __init__(self, dim, nu, a, c0, a0, kind="user", div_a=None,
                  seed=None, eps=0.0):
@@ -39,6 +47,11 @@ class CoefficientField:
         self.seed = seed
         self.eps = float(eps)
 
+    @property
+    def autonomous(self):
+        """Whether the coefficients are declared independent of t."""
+        return self.kind in _AUTONOMOUS_KINDS
+
     def a_matrix(self, t, xp, xd):
         """Evaluate the full a table at broadcastable points: shape (..., dim, dim)."""
         base = np.zeros(np.broadcast(np.asarray(t), np.asarray(xp),
@@ -49,11 +62,12 @@ class CoefficientField:
         return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
     def transposed(self):
-        """Field with a_ij replaced by a_ji (adjoint coefficients)."""
+        """Field with a_ij replaced by a_ji (adjoint coefficients), of the
+        same kind."""
         at = tuple(tuple(self.a[j][i] for j in range(self.dim))
                    for i in range(self.dim))
         return CoefficientField(self.dim, self.nu, at, self.c0, self.a0,
-                                kind="user", seed=self.seed, eps=self.eps)
+                                kind=self.kind, seed=self.seed, eps=self.eps)
 
 
 class CoefficientSample:

@@ -2,7 +2,7 @@
 ratio reports: the L2 energy bound with its explicit constant, W^1_p
 ratio sweeps across lambda and coefficient-oscillation grids, local
 reverse-type (Caccioppoli) and quotient-field bounds on locally homogeneous
-solutions, pointwise boundary/interior bounds, the exact discrete duality
+solutions, the pointwise boundary bound, the exact discrete duality
 pairing, and the second-order weighted estimate for the model equation.
 
 Empirical constants are recorded, never asserted against specific values;
@@ -26,7 +26,7 @@ CSV_HEADER = ("check_id,lambda,p,mesh_M,dt,seed,rho0,gamma_measured,"
               "lhs,rhs,ratio,pass")
 
 CHECK_IDS = frozenset({"energy_L2", "main_Wp", "caccioppoli", "w_estimate",
-                       "lipschitz", "interior", "duality", "corollary2",
+                       "lipschitz", "duality", "corollary2",
                        "trace", "hardy"})
 
 _RHS_FLOOR = 1e-12
@@ -257,7 +257,7 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,),
         """(lhs, rhs) per lambda on mesh m: one marcher per (mesh, field),
         and the lambda-free data norm once per mesh."""
         marcher = Marcher(m, coeffs, config)
-        skip = marcher.time_count // 10
+        skip = m.time_count // 10
         if m not in data_norms:
             data_norms[m] = _wp_data_norm(m, problem.F, problem.f, p, skip)
         return [(_wp_solution_norm(marcher.march(lam, F=problem.F,
@@ -283,7 +283,7 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,),
         for (lam, lc, rc, ratio_c, ratio_f, drift), ok in zip(cell,
                                                               in_window):
             params = {"lambda": lam, "p": float(p), "mesh_M": mesh.M,
-                      "dt": config.time_step or mesh.time_step,
+                      "dt": mesh.time_step,
                       "seed": problem.seed, "rho0": problem.rho0,
                       "gamma_measured": gamma, "eps": eps,
                       "ratio_refined": ratio_f, "refine_drift": drift,
@@ -528,29 +528,6 @@ def boundary_lipschitz(u_local, r, lam=None):
                                                extra))
 
 
-def interior_pointwise(u_local, cylinder):
-    """Interior pointwise bound: sup of |u|/sqrt(x_d) over nodes of the
-    cylinder against the mean-square of the same quantity over the doubled
-    cylinder (which must stay inside x_d > 0).
-    """
-    mesh = u_local.mesh
-    Q2 = cylinder.scaled(2.0)
-    if Q2.center_xd - Q2.radius <= 0:
-        raise ValueError("doubled cylinder must stay inside x_d > 0")
-    cs = cells_in_cylinder(mesh, cylinder)
-    if cs.n_cells == 0:
-        raise ValueError("cylinder contains no mesh cells")
-    jj, mm = _region_nodes(mesh, cs)
-    vals = u_local.levels[cs.time_cells + 1][:, jj, mm]
-    lhs = float(np.max(np.abs(vals) / np.sqrt(mesh.xd_nodes[jj])[None, :]))
-    cs2 = cells_in_cylinder(mesh, Q2)
-    wm = weighted_norm(u_local, NormSpec(2.0, -1.0, "0", region=Q2))
-    rhs = float(np.sqrt(wm ** 2 / cs2.total_measure()))
-    params = _local_params(u_local, u_local.lam, cylinder.radius,
-                           Q2.radius)
-    return EstimateReport("interior", lhs, rhs, params=params)
-
-
 # -- duality ---------------------------------------------------------------------
 
 def duality_check(problem, p=2.0, seeds=(0, 1, 2, 3, 4), lam=1.0,
@@ -617,6 +594,9 @@ def corollary2_check(case, mesh, p, config=None):
     if abs(mesh.Ld - case.Ld) > 1e-12 or \
             abs(mesh.total_time - case.T) > 1e-12:
         raise ValueError("mesh window does not match the manufactured case")
+    if not case.coeffs.autonomous:
+        raise ValueError("the second-order estimate needs autonomous "
+                         "coefficients, got kind %r" % case.coeffs.kind)
     sample = sample_on_mesh(case.coeffs, mesh, t=0.37 * case.T)
     eye = np.zeros_like(sample.a)
     for i in range(mesh.dim):

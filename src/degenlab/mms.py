@@ -117,10 +117,14 @@ class ManufacturedCase:
 
     def residual_t(self, t, xp, xd):
         """Time derivative of the residual; needs the *_t closures and
-        time-independent coefficients."""
+        autonomous coefficients (the t-derivatives of a_ij and c0 are not
+        taken)."""
         if self.u_tt is None or self.du_t is None or self.d2u_t is None:
             raise ClosureError("f_t needs u_tt, du_t and d2u_t closures")
         c = self.coeffs
+        if not c.autonomous:
+            raise ClosureError("f_t needs autonomous coefficients, got kind "
+                               "%r" % c.kind)
         acc = self.u_tt(t, xp, xd) + self.lam * c.c0(t, xp, xd) \
             * self.u_t(t, xp, xd)
         dive = np.zeros(np.broadcast(np.asarray(t), np.asarray(xp),

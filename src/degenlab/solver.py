@@ -2,26 +2,28 @@
 
     M du/dt + K(t) u = b(t),   u(0) = u0,
 
-with the theta-scheme (implicit Euler by default), plus the backward adjoint
-march used by the duality identity.  The stiffness is one operator when the
-coefficients are autonomous, or an (N+1)-level stack of entry data on the
-mesh's interior pattern when they depend on t; a ``Marcher`` splits it as
-K(lam) = D + lam * C once per (mesh, coefficients, time grid), so a lambda
-grid assembles D and C once.  Every linear system goes to one sparse direct
-solver (SuperLU through scipy's ``splu``), factored once per march when the
-matrix does not change and once per step for a stack; every solve,
-including one that reuses the factors, is followed by a backward-error
-check.
+on the mesh's time grid with the theta-scheme (implicit Euler by default),
+plus the backward adjoint march used by the duality identity.  The
+stiffness has one form: an (L, nnz) stack of entry data on the mesh's
+interior pattern, one level (L = 1) when the coefficient field declares
+itself autonomous and one per time level (L = N+1) otherwise.  A
+``Marcher`` splits it as K(lam) = D + lam * C once per (mesh, coefficients),
+so a lambda grid assembles D and C once.  The adjoint march takes the same
+forward stack: M is bitwise symmetric, so its system M + dt K^T is the
+transpose of the forward system, and no transposed stiffness is assembled.
+Every linear system goes to one sparse direct solver (SuperLU through
+scipy's ``splu``), factored once per march for one level and once per step
+for N+1; every solve, including one that reuses the factors, is followed by
+a backward-error check.
 """
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (LoadAssembler, SparseOperator, assemble_stiffness,
+from .assembly import (LoadAssembler, assemble_stiffness,
                        assemble_weighted_mass, interior_pattern,
-                       stiffness_levels, stiffness_operator)
-from .coefficients import sample_on_mesh
+                       stiffness_levels)
 from .fields import DiscreteField
 
 
@@ -30,20 +32,16 @@ class SolverError(RuntimeError):
 
 
 class TimeStepperConfig:
-    def __init__(self, theta=1.0, time_step=None, linear_tol=1e-10):
+    """Theta of the scheme and the linear-solve tolerance; the time grid is
+    the mesh's."""
+
+    def __init__(self, theta=1.0, linear_tol=1e-10):
         if not 0.5 <= theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1], got %r" % (theta,))
-        if time_step is not None and not time_step > 0:
-            raise ValueError("time_step must be positive")
         if not linear_tol > 0:
             raise ValueError("linear_tol must be positive")
         self.theta = float(theta)
-        self.time_step = None if time_step is None else float(time_step)
         self.linear_tol = float(linear_tol)
-
-    def summary(self):
-        return {"theta": self.theta, "time_step": self.time_step,
-                "linear_tol": self.linear_tol}
 
 
 # -- linear solves ------------------------------------------------------------
@@ -60,8 +58,6 @@ def _factorize(A, tol):
     """LU-factor the square matrix A once; returns solve(b) -> x.  Each
     solve is checked: a backward error above 10*tol, or a singular A, raises
     SolverError."""
-    if isinstance(A, SparseOperator):
-        A = A.matrix
     if not (sp.issparse(A) and A.format == "csc" and A.has_canonical_format):
         A = sp.csc_matrix(A, copy=True)
         A.sum_duplicates()
@@ -154,68 +150,57 @@ class SpaceTimeSolution:
 
 # -- marching -------------------------------------------------------------------
 
-def _resolve_time_grid(mesh, config):
-    T = mesh.total_time
-    dt = config.time_step if config.time_step is not None \
-        else mesh.time_step
-    ratio = T / dt
-    N = int(round(ratio))
-    if N < 1 or abs(ratio - N) > 1e-9 * max(1.0, ratio):
-        raise ValueError("time_step %g does not divide the window %g" %
-                         (dt, T))
-    return dt, N
-
-
-def _as_matrix(op):
-    return op.matrix if isinstance(op, SparseOperator) else sp.csr_matrix(op)
-
-
-def _stacked_system(Mmat, K, s, mesh, N):
-    """Level functions n -> K^n (CSR) and n -> M + s K^n (CSC) of a stiffness
-    stack K (N+1, nnz) on the mesh's interior pattern.  All system data is
-    formed at once in CSC order; each level drops its exact zeros, as a
+def _system(Mmat, K, s, mesh, transpose=False):
+    """n -> M + s K^n as a CSC matrix, or its transpose M + s (K^n)^T, for a
+    stiffness stack K (L, nnz) on the mesh's interior pattern, L = 1
+    (autonomous; every n gives level 0) or N+1.  M is bitwise symmetric, so
+    the CSC arrays of the transpose are the CSR arrays of M + s K^n.  All
+    system data is formed at once; each level drops its exact zeros, as a
     sparse sum would, so the factorization sees the same pattern."""
     indices, indptr, shape = interior_pattern(mesh)
-    if K.shape != (N + 1, indices.size):
-        raise ValueError("stiffness stack must have shape (N+1, nnz) = %s, "
-                         "got %s" % ((N + 1, indices.size), K.shape))
+    N = mesh.time_count
+    if K.ndim != 2 or K.shape[0] not in (1, N + 1) \
+            or K.shape[1] != indices.size:
+        raise ValueError("stiffness stack must have shape (1, nnz) or "
+                         "(N+1, nnz) = %s, got %s"
+                         % ((N + 1, indices.size), K.shape))
     if not (np.array_equal(Mmat.indptr, indptr)
             and np.array_equal(Mmat.indices, indices)):
-        raise ValueError("a stiffness stack needs the mass on the interior "
-                         "pattern of the mesh")
-    order = np.argsort(indices, kind="stable")          # CSR -> CSC
-    rows = np.repeat(np.arange(shape[0]), np.diff(indptr))[order]
-    colptr = np.searchsorted(indices[order], np.arange(shape[1] + 1))
-    A = (Mmat.data + s * K)[:, order]
-
-    def stiffness(n):
-        return sp.csr_matrix((K[n], indices, indptr), shape=shape)
+        raise ValueError("the mass must be on the interior pattern of the "
+                         "mesh")
+    A = Mmat.data + s * K
+    rows, colptr = indices, indptr
+    if not transpose:
+        order = np.argsort(indices, kind="stable")          # CSR -> CSC
+        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))[order]
+        colptr = np.searchsorted(indices[order], np.arange(shape[1] + 1))
+        A = A[:, order]
 
     def system(n):
-        keep = A[n] != 0
+        data = A[n if A.shape[0] > 1 else 0]
+        keep = data != 0
         ptr = np.concatenate(([0], np.cumsum(keep)))[colptr]
-        return sp.csc_matrix((A[n][keep], rows[keep], ptr), shape=shape)
+        return sp.csc_matrix((data[keep], rows[keep], ptr), shape=shape)
 
-    return stiffness, system
+    return system
 
 
 def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
-    """Core theta-scheme on assembled operators.
+    """Core theta-scheme on the mesh's time grid t_n = n dt, n = 0..N.
 
-    mass: SparseOperator (SPD).  stiffness: one operator K (SparseOperator
-    or sparse matrix) for autonomous coefficients, factored once; or an
-    array (N+1, nnz) whose row n is the data of K(t_n) on
-    ``interior_pattern(mesh)`` (see ``stiffness_levels``), refactored every
-    step, and then the mass must be on that pattern too.  loads: None or an
-    array (N+1, n_interior) whose row n is the load b^n at t = n dt; u0:
-    interior vector or None.  Each step solves (M + theta dt K^{n+1})
-    u^{n+1} = (M - (1-theta) dt K^n) u^n + dt b^theta, and every solve is
-    checked.  The returned solution keeps the load rows as ``loads``.
+    mass: the weighted mass (SparseOperator, SPD) of assemble_weighted_mass.
+    stiffness: an array (L, nnz) whose row n is the data of K(t_n) on
+    ``interior_pattern(mesh)`` (see ``stiffness_levels``): L = 1 for
+    autonomous coefficients, factored once, or L = N+1, refactored every
+    step.  loads: None or an array (N+1, n_interior) whose row n is the load
+    b^n; u0: interior vector or None.  Each step solves (M + theta dt
+    K^{n+1}) u^{n+1} = (M - (1-theta) dt K^n) u^n + dt b^theta, and every
+    solve is checked.  The returned solution keeps the load rows as
+    ``loads``.
     """
     config = config or TimeStepperConfig()
-    dt, N = _resolve_time_grid(mesh, config)
+    dt, N = mesh.time_step, mesh.time_count
     theta = config.theta
-    times = dt * np.arange(N + 1)
     n_int = mesh.n_interior
     if loads is not None:
         loads = np.asarray(loads, float)
@@ -223,14 +208,11 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
             raise ValueError("loads must have shape (N+1, n_interior) = %s, "
                              "got %s" % ((N + 1, n_int), loads.shape))
     b = np.zeros((N + 1, n_int)) if loads is None else loads
-    Mmat = _as_matrix(mass)
-    stacked = isinstance(stiffness, np.ndarray)
-    if stacked:
-        K_at, A_at = _stacked_system(Mmat, stiffness, theta * dt, mesh, N)
-    else:
-        K = _as_matrix(stiffness)
-        A = Mmat + theta * dt * K
-        K_at, A_at = (lambda n: K), (lambda n: A)
+    K = np.asarray(stiffness, float)
+    Mmat = mass.matrix
+    system = _system(Mmat, K, theta * dt, mesh)
+    stacked = len(K) > 1
+    indices, indptr, shape = interior_pattern(mesh)
 
     interior = np.zeros((N + 1, n_int))
     if u0 is not None:
@@ -241,10 +223,12 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
         rhs = Mmat @ interior[n] + dt * (theta * b[n + 1]
                                          + (1 - theta) * b[n])
         if theta < 1.0:
-            rhs -= (1 - theta) * dt * (K_at(n) @ interior[n])
+            Kn = sp.csr_matrix((K[n if stacked else 0], indices, indptr),
+                               shape=shape)
+            rhs -= (1 - theta) * dt * (Kn @ interior[n])
         try:
             if solve is None or stacked:
-                solve = _factorize(A_at(n + 1), config.linear_tol)
+                solve = _factorize(system(n + 1), config.linear_tol)
             interior[n + 1] = solve(rhs)
         except SolverError as exc:
             raise SolverError("time level %d: %s" % (n + 1, exc))
@@ -259,56 +243,40 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
                                   "at level %d" % n)
             prev = cur
 
-    sol = SpaceTimeSolution.from_interior_levels(mesh, interior, times,
+    sol = SpaceTimeSolution.from_interior_levels(mesh, interior,
+                                                 mesh.time_levels,
                                                  config=config)
     sol.loads = loads
     return sol
 
 
-def _coeffs_autonomous(coeffs, mesh):
-    probes = [0.0, 0.371 * mesh.total_time, 0.789 * mesh.total_time]
-    ref = sample_on_mesh(coeffs, mesh, t=probes[0])
-    for t in probes[1:]:
-        s = sample_on_mesh(coeffs, mesh, t=t)
-        if not (np.array_equal(ref.a, s.a) and np.array_equal(ref.c0, s.c0)):
-            return False
-    return True
-
-
 class Marcher:
     """The lambda-free parts of M du/dt + K(lam, t) u = b on one mesh with
-    one coefficient field and time grid: the weighted mass, whether the
-    coefficients are autonomous (probed once), and the stiffness split
-    K(lam) = D + lam * C of stiffness_levels, at t = 0 when autonomous and
-    at every time level otherwise, built on first use.  One marcher marches
-    any number of lambdas, forward and (autonomous only) adjoint, and
+    one coefficient field: the weighted mass and the stiffness split
+    K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
+    declares itself autonomous (see ``CoefficientField.autonomous``) and at
+    every time level of the mesh otherwise, built on first use.  One
+    marcher marches any number of lambdas, forward and adjoint, and
     assembles each of these once."""
 
     def __init__(self, mesh, coeffs, config=None):
         self.mesh = mesh
         self.coeffs = coeffs
         self.config = config or TimeStepperConfig()
-        dt, N = _resolve_time_grid(mesh, self.config)
-        self.times = dt * np.arange(N + 1)
         self.mass = assemble_weighted_mass(mesh, coeffs.a0)
-        self.autonomous = _coeffs_autonomous(coeffs, mesh)
         self._split = None
 
-    @property
-    def time_count(self):
-        return self.times.size - 1
-
     def stiffness(self, lam):
-        """K(lam) as march_system takes it: one operator when autonomous,
-        else the (N+1)-level stack D + lam * C (D alone when lam = 0)."""
+        """K(lam) as march_system takes it: the stack D + lam * C (D alone
+        when lam = 0), one level when autonomous, else N+1."""
         if lam < 0:
             raise ValueError("lambda must be >= 0")
         if self._split is None:
-            times = self.times[:1] if self.autonomous else self.times
+            times = self.mesh.time_levels
+            if self.coeffs.autonomous:
+                times = times[:1]
             self._split = stiffness_levels(self.mesh, self.coeffs, times)
         D, C = self._split
-        if self.autonomous:
-            return stiffness_operator(self.mesh, D[0], C[0], lam)
         return D if lam == 0 else D + lam * C
 
     def march(self, lam, F=None, f=None, u0=None):
@@ -316,7 +284,8 @@ class Marcher:
         stiffness = self.stiffness(lam)
         loads = None
         if F is not None or f is not None:
-            loads = LoadAssembler(self.mesh).assemble(F, f, lam, self.times)
+            loads = LoadAssembler(self.mesh).assemble(F, f, lam,
+                                                      self.mesh.time_levels)
         u0vec = None
         if u0 is not None:
             if not u0.has_zero_trace():
@@ -329,14 +298,10 @@ class Marcher:
         return sol
 
     def adjoint(self, lam, dual_loads):
-        """Backward march with K^T assembled from the transposed
-        coefficients at t = 0; see ``adjoint_march``."""
-        if not self.autonomous:
-            raise ValueError("adjoint march requires autonomous coefficients")
-        Kt = assemble_stiffness(self.mesh, self.coeffs.transposed(), lam,
-                                t=0.0)
-        return adjoint_march_system(self.mass, Kt, dual_loads, self.mesh,
-                                    config=self.config)
+        """Backward march on the transpose of the forward system at this
+        lambda; see ``adjoint_march``."""
+        return adjoint_march_system(self.mass, self.stiffness(lam),
+                                    dual_loads, self.mesh, config=self.config)
 
 
 def march(mesh, coeffs, lam, F=None, f=None, config=None, u0=None):
@@ -350,33 +315,40 @@ def march(mesh, coeffs, lam, F=None, f=None, config=None, u0=None):
     return Marcher(mesh, coeffs, config).march(lam, F=F, f=f, u0=u0)
 
 
-def adjoint_march_system(mass, stiffness_T, dual_loads, mesh, config=None):
-    """Backward march (M + dt K^T) v^n = M v^{n+1} + dt c^n, v^{N+1} = 0,
+def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
+    """Backward march (M + dt K^n)^T v^n = M v^{n+1} + dt c^n, v^{N+1} = 0,
     for n = N..1 (implicit Euler only: the duality identity is exact there).
 
+    mass and stiffness are those of the forward march_system: the weighted
+    mass and the forward K stack (L, nnz), L = 1 or N+1, not K^T.  Since M
+    is bitwise symmetric, each system is the transpose of the forward one.
     dual_loads: array (N+1, n_interior); row n is c^n, row 0 is ignored.
     Returns an array of the same shape whose row n is v^n (row 0 is zero).
     """
     config = config or TimeStepperConfig()
     if config.theta != 1.0:
         raise ValueError("the adjoint march is defined for theta = 1")
-    dt, N = _resolve_time_grid(mesh, config)
+    dt, N = mesh.time_step, mesh.time_count
     dual_loads = np.asarray(dual_loads, float)
     if dual_loads.shape != (N + 1, mesh.n_interior):
         raise ValueError("dual_loads must have shape (N+1, n_interior)")
-    Mmat = _as_matrix(mass)
-    solve = _factorize(Mmat + dt * _as_matrix(stiffness_T), config.linear_tol)
+    K = np.asarray(stiffness, float)
+    Mmat = mass.matrix
+    system = _system(Mmat, K, dt, mesh, transpose=True)
     v = np.zeros_like(dual_loads)
     v_next = np.zeros(mesh.n_interior)
+    solve = None
     for n in range(N, 0, -1):
+        if solve is None or len(K) > 1:
+            solve = _factorize(system(n), config.linear_tol)
         v[n] = solve(Mmat @ v_next + dt * dual_loads[n])
         v_next = v[n]
     return v
 
 
 def adjoint_march(mesh, coeffs, lam, dual_loads, config=None):
-    """Wrapper assembling K^T from the transposed coefficients at t=0 (the
-    duality identity is stated for autonomous coefficients)."""
+    """Wrapper: the backward march on the transpose of the forward system
+    of ``march``, whose coefficients are those of coeffs.transposed()."""
     return Marcher(mesh, coeffs, config).adjoint(lam, dual_loads)
 
 

@@ -198,6 +198,18 @@ def test_transposed_swaps_entries():
     assert np.array_equal(st.c0, s.c0)
 
 
+def test_kind_declares_autonomy():
+    for kind, autonomous in (("constant", True), ("xd_only", True),
+                             ("oscillatory", False)):
+        coeffs = generate_family(1, kind, 0.5, 0.2, dim=2)
+        assert coeffs.autonomous is autonomous
+        assert coeffs.transposed().kind == kind
+        assert coeffs.transposed().autonomous is autonomous
+    one = _const(1.0)
+    user = CoefficientField(1, 0.5, ((one,),), one, lambda xd: 1.0 + 0 * xd)
+    assert user.kind == "user" and not user.autonomous
+
+
 def test_eps_too_large_rejected():
     with pytest.raises(ValueError):
         generate_family(0, "oscillatory", 0.5, 0.6, dim=1)

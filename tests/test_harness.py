@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import degenlab.assembly
+import degenlab.coefficients
 import degenlab.harness
 import degenlab.solver
 from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
@@ -10,8 +11,7 @@ from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
                       boundary_lipschitz, build_mesh, caccioppoli_ratio,
                       corollary2_check, default_case, duality_check,
                       energy_ratio, generate_family, hardy_report,
-                      identity_coefficients, interior_pointwise,
-                      locally_homogeneous_solution, main_estimate_sweep,
+                      identity_coefficients, locally_homogeneous_solution, main_estimate_sweep,
                       smooth_random_closure, trace_report, w_estimate_ratio)
 
 
@@ -163,14 +163,17 @@ def test_sweep_work_does_not_grow_with_the_lambda_grid(monkeypatch):
     counts = {}
     for lambdas in ((1.0,), (1.0, 3.0, 9.0)):
         stack = _count_calls(monkeypatch, degenlab.assembly, "sample_on_mesh")
-        probe = _count_calls(monkeypatch, degenlab.solver, "sample_on_mesh")
+        scans = _count_calls(monkeypatch, degenlab.coefficients,
+                             "sample_on_mesh")
         norms = _count_calls(monkeypatch, degenlab.harness, "analytic_norm")
         reports = main_estimate_sweep(prob, 2.0, lambdas,
                                       eps_grid=(0.0, 0.2))
         assert len(reports) == 2 * len(lambdas)
-        counts[len(lambdas)] = (len(stack), len(probe), len(norms))
+        counts[len(lambdas)] = (len(stack), len(scans), len(norms))
         # one coefficient sampling per (mesh, field): 2 meshes x 2 fields
         assert len(stack) == 4
+        # one oscillation scan per field, on the coarse mesh
+        assert len(scans) == 2
         # one data norm per (mesh, source): |F| and f on 2 meshes
         assert len(norms) == 4
         assert sum(args[1] is f for args in norms) == 2
@@ -183,9 +186,12 @@ def test_duality_seed_assembles_the_mass_once(monkeypatch):
     prob = ProblemSpec(m, generate_family(0, "constant", 0.5, 0.2, dim=1))
     calls = _count_calls(monkeypatch, degenlab.solver,
                          "assemble_weighted_mass")
+    # one coefficient sampling per seed: the adjoint reuses the forward K
+    samples = _count_calls(monkeypatch, degenlab.assembly, "sample_on_mesh")
     rep = duality_check(prob, seeds=(0, 1), lam=2.0)
     assert rep.passed
     assert len(calls) == 2
+    assert len(samples) == 2
 
 
 def _local_solution(seed=0, kind="xd_only", M=32, time_count=20, lam=1.0,
@@ -305,16 +311,6 @@ def test_boundary_lipschitz_report():
         boundary_lipschitz(sol, 0.25)
 
 
-def test_interior_pointwise_report():
-    sol = _local_solution(seed=7, M=48)
-    rep = interior_pointwise(sol, Cylinder(1.0, 2.0, 0.4))
-    assert rep.check_id == "interior"
-    assert np.isfinite(rep.ratio) and rep.lhs > 0 and rep.rhs > 0
-    print(rep.summary())
-    with pytest.raises(ValueError):
-        interior_pointwise(sol, Cylinder(1.0, 0.3, 0.4))  # doubled hits 0
-
-
 def test_duality_check_d1():
     prob = _problem_d1(M=12, time_count=8, seed=0)
     rep = duality_check(prob, seeds=(0, 1), lam=2.0, kind="xd_only",
@@ -355,6 +351,13 @@ def test_corollary2_validation_and_report():
         du_t=case.du_t, d2u_t=case.d2u_t)
     with pytest.raises(ValueError):
         corollary2_check(xcase, mesh, p=2.0)
+    ocase = ManufacturedCase(
+        "oscillatory", 1, generate_family(0, "oscillatory", 0.5, 0.2, dim=1),
+        1.0, case.u, case.u_t, case.du, case.d2u, u_tt=case.u_tt,
+        du_t=case.du_t, d2u_t=case.d2u_t)
+    with pytest.raises(ValueError, match="autonomous coefficients, got kind "
+                                         "'oscillatory'"):
+        corollary2_check(ocase, mesh, p=2.0)
     rep = corollary2_check(case, mesh, p=2.0)
     assert rep.check_id == "corollary2"
     assert np.isfinite(rep.ratio) and rep.lhs > 0 and rep.rhs > 0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from degenlab import (ClosureError, ManufacturedCase, StudyTable, build_mesh,
-                      convergence_study, default_case, identity_coefficients,
-                      nodal_residual)
+                      convergence_study, default_case, generate_family,
+                      identity_coefficients, nodal_residual)
 from degenlab.mms import StudyRow
 
 
@@ -149,6 +149,20 @@ def test_time_error_saturates_with_small_dt():
     assert errs[0] > errs[-1]
     assert all(e2 <= e1 * 1.02 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-2] / errs[-1] < 1.35      # saturation at the space floor
+
+
+def test_f_t_refuses_time_dependent_coefficients():
+    # f_t drops the t-derivatives of a and c0, so it is only the time
+    # derivative of f when the coefficients are autonomous
+    auto = default_case(1, lam=1.0)
+    assert np.isfinite(auto.synthesize_f_t()(0.5, 0.0, 1.0))
+    case = ManufacturedCase(
+        "oscillatory", 1, generate_family(0, "oscillatory", 0.5, 0.2, dim=1),
+        1.0, auto.u, auto.u_t, auto.du, auto.d2u, u_tt=auto.u_tt,
+        du_t=auto.du_t, d2u_t=auto.d2u_t)
+    f_t = case.synthesize_f_t()
+    with pytest.raises(ClosureError, match="kind 'oscillatory'"):
+        f_t(0.5, 0.0, 1.0)
 
 
 def test_study_table_bookkeeping():

@@ -7,15 +7,22 @@ from scipy.sparse.linalg import splu
 
 import degenlab.assembly
 import degenlab.solver
-from degenlab import (DiscreteField, SolverError, SpaceTimeSolution,
-                      TimeStepperConfig, adjoint_march_system,
+from degenlab import (CoefficientField, DiscreteField, LoadAssembler,
+                      Marcher, SolverError, SpaceTimeSolution,
+                      TimeStepperConfig, adjoint_march, adjoint_march_system,
                       assemble_stiffness, assemble_weighted_mass, build_mesh,
                       generate_family, identity_coefficients,
                       interior_pattern, linear_solve, march, march_system,
                       model_stiffness, sample_nodes, smooth_random_closure,
-                      steady_solve)
+                      steady_solve, stiffness_levels)
 
 LOG2 = np.log(2.0)
+
+
+def _stack(m, coeffs, lam, times=(0.0,)):
+    """K(lam) at the given times as march_system takes it."""
+    D, C = stiffness_levels(m, coeffs, times)
+    return D + lam * C
 
 
 def test_linear_solve_tridiagonal_poisson_nodal_exact():
@@ -72,11 +79,11 @@ def test_stepper_config_validation():
     with pytest.raises(ValueError):
         TimeStepperConfig(theta=1.2)
     with pytest.raises(ValueError):
-        TimeStepperConfig(time_step=-0.1)
-    with pytest.raises(ValueError):
         TimeStepperConfig(linear_tol=0.0)
-    cfg = TimeStepperConfig(theta=0.5, time_step=0.25)
-    assert cfg.summary()["theta"] == 0.5
+    with pytest.raises(TypeError):
+        TimeStepperConfig(time_step=0.25)     # the mesh owns the time grid
+    cfg = TimeStepperConfig(theta=0.5)
+    assert cfg.theta == 0.5 and cfg.linear_tol == 1e-10
 
 
 def test_march_scalar_recursion_backward_euler():
@@ -88,7 +95,8 @@ def test_march_scalar_recursion_backward_euler():
     mval = Mw.matrix[0, 0]
     kval = K.matrix[0, 0]
     assert abs(mval - (4 * LOG2 - 2)) < 1e-14
-    sol = march_system(Mw, K, np.ones((6, 1)), m)
+    sol = march_system(Mw, _stack(m, identity_coefficients(1), 1.0),
+                       np.ones((6, 1)), m)
     u = 0.0
     for n in range(5):
         u = (mval * u + 0.1 * 1.0) / (mval + 0.1 * kval)
@@ -104,7 +112,8 @@ def test_march_scalar_recursion_crank_nicolson():
     mval, kval = Mw.matrix[0, 0], K.matrix[0, 0]
     cfg = TimeStepperConfig(theta=0.5)
     loads = np.cos(0.05 * np.arange(9))[:, None]
-    sol = march_system(Mw, K, loads, m, config=cfg)
+    sol = march_system(Mw, _stack(m, identity_coefficients(1), 2.0), loads,
+                       m, config=cfg)
     u = 0.0
     dt = 0.05
     for n in range(8):
@@ -158,7 +167,7 @@ def test_march_factors_once_unless_time_dependent(monkeypatch, kind,
 
 def test_adjoint_march_factors_once(monkeypatch):
     m = build_mesh(1, 2.0, 6, 1.5, time_step=0.2, time_count=5)
-    K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
+    K = _stack(m, identity_coefficients(1), 1.0)
     calls = _count_factorizations(monkeypatch)
     v = adjoint_march_system(assemble_weighted_mass(m), K,
                              np.ones((6, m.n_interior)), m)
@@ -169,7 +178,7 @@ def test_adjoint_march_factors_once(monkeypatch):
 def test_march_checks_solves_that_reuse_the_factors(monkeypatch):
     m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
     Mw = assemble_weighted_mass(m)
-    K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
+    K = _stack(m, identity_coefficients(1), 1.0)
     loads = np.ones((6, m.n_interior))
     with pytest.raises(SolverError, match="time level 1:"):
         march_system(Mw, K, loads, m,
@@ -197,8 +206,7 @@ def test_march_wrapper_matches_march_system():
     f = lambda t, xp, xd: xd * np.exp(-xd)
     sol = march(m, coeffs, lam, f=f)
     Mw = assemble_weighted_mass(m, coeffs.a0)
-    K = assemble_stiffness(m, coeffs, lam, t=0.0)
-    from degenlab import LoadAssembler
+    K = _stack(m, coeffs, lam)
     la = LoadAssembler(m)
     rows = np.array([la.assemble(None, f, lam, t=t) for t in m.time_levels])
     sol2 = march_system(Mw, K, rows, m)
@@ -223,6 +231,22 @@ def _reference_march(m, coeffs, lam, loads, times, theta):
     return u
 
 
+def _late_switch(dim, T):
+    """A user field whose diffusion steps from I to 1.4 I only after
+    t = 0.9 T: equal at any few early probe times, yet time-dependent."""
+    def zero(t, xp, xd):
+        return 0.0 * np.asarray(xd, float)
+
+    def one(t, xp, xd):
+        return 1.0 + zero(t, xp, xd)
+
+    def diag(t, xp, xd):
+        return one(t, xp, xd) + 0.4 * (np.asarray(t, float) > 0.9 * T)
+
+    a = [[diag if i == j else zero for j in range(dim)] for i in range(dim)]
+    return CoefficientField(dim, 0.5, a, one, lambda xd: one(0, 0, xd))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("lam", [0.0, 3.0])
@@ -234,22 +258,25 @@ def test_time_dependent_march_is_bitwise_the_per_step_scheme(dim, theta,
         m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5,
                        xprime_length=2 * np.pi, time_step=0.125,
                        time_count=6)
-    coeffs = generate_family(2, "oscillatory", 0.5, 0.2, dim=dim,
-                             xp_length=2 * np.pi)
     F = tuple(smooth_random_closure(11 + i, dim, xp_length=2 * np.pi)
               for i in range(dim))
     f = smooth_random_closure(5, dim, xp_length=2 * np.pi)
-    sol = march(m, coeffs, lam, F=F, f=f,
-                config=TimeStepperConfig(theta=theta))
-    ref = _reference_march(m, coeffs, lam, sol.loads, sol.times, theta)
-    assert sol.interior_levels().tobytes() == ref.tobytes()
-    assert np.abs(ref).max() > 0
+    for coeffs in (generate_family(2, "oscillatory", 0.5, 0.2, dim=dim,
+                                   xp_length=2 * np.pi),
+                   _late_switch(dim, m.total_time)):
+        assert not coeffs.autonomous
+        sol = march(m, coeffs, lam, F=F, f=f,
+                    config=TimeStepperConfig(theta=theta))
+        ref = _reference_march(m, coeffs, lam, sol.loads, sol.times, theta)
+        assert sol.interior_levels().tobytes() == ref.tobytes()
+        assert np.abs(ref).max() > 0
 
 
 def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum(
         monkeypatch):
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
-    Mw = assemble_weighted_mass(m).matrix
+    mass = assemble_weighted_mass(m)
+    Mw = mass.matrix
     indices, indptr, shape = interior_pattern(m)
     K = np.tile(model_stiffness(m).matrix.data, (5, 1))
     k = indptr[2]                # first entry of row 2, off the diagonal
@@ -263,7 +290,7 @@ def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum(
         return splu(A, *args, **kwargs)
 
     monkeypatch.setattr(degenlab.solver, "splu", recording_splu)
-    sol = march_system(Mw, K, loads, m)
+    sol = march_system(mass, K, loads, m)
     u = np.zeros_like(loads)
     for n in range(4):
         Kn = sp.csr_matrix((K[n + 1], indices, indptr), shape=shape)
@@ -333,13 +360,16 @@ def test_adjoint_pairing_identity_dense():
     N = 5
     Mw = assemble_weighted_mass(m)
     rng = np.random.default_rng(11)
+    indices, indptr, shape = interior_pattern(m)
     Kd = np.diag(5.0 + rng.uniform(0, 1, n)) + 0.5 * rng.standard_normal(
         (n, n))
-    K = sp.csr_matrix(Kd)
+    K = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=shape)
+    K.data = Kd[K.nonzero()]        # Kd restricted to the interior pattern
+    assert np.abs(K - K.T).max() > 0.1
     b_rows = rng.standard_normal((N + 1, n))
     c_rows = rng.standard_normal((N + 1, n))
-    sol = march_system(Mw, K, b_rows, m)
-    v = adjoint_march_system(Mw, sp.csr_matrix(Kd.T), c_rows, m)
+    sol = march_system(Mw, K.data[None], b_rows, m)
+    v = adjoint_march_system(Mw, K.data[None], c_rows, m)
     dt = 0.2
     lhs = dt * sum(c_rows[k] @ sol.interior(k) for k in range(1, N + 1))
     rhs = dt * sum(b_rows[k] @ v[k] for k in range(1, N + 1))
@@ -348,10 +378,70 @@ def test_adjoint_pairing_identity_dense():
     assert np.all(v[0] == 0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("lam", [0.0, 3.0])
+@pytest.mark.parametrize("kind", ["constant", "xd_only"])
+def test_adjoint_factors_the_transpose_of_the_forward_system(monkeypatch,
+                                                             kind, dim, lam):
+    # the system splu receives is bitwise the one assembled from the
+    # transposed coefficients and converted by scipy; in d = 2 the xd_only
+    # family makes K nonsymmetric (a constant antisymmetric part of a
+    # cancels in the assembled form)
+    if dim == 1:
+        m = build_mesh(1, 3.0, 10, 2.0, time_step=0.25, time_count=4)
+    else:
+        m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5,
+                       xprime_length=2 * np.pi, time_step=0.25, time_count=4)
+    coeffs = generate_family(1, kind, 0.5, 0.2, dim=dim,
+                             xp_length=2 * np.pi)
+    Kt = assemble_stiffness(m, coeffs.transposed(), lam).matrix
+    assert (abs(Kt - Kt.T).max() > 1e-3) == (dim == 2 and kind == "xd_only")
+    factored = []
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(degenlab.solver, "splu", recording_splu)
+    adjoint_march(m, coeffs, lam, np.ones((5, m.n_interior)))
+    M = assemble_weighted_mass(m, coeffs.a0).matrix
+    expect = sp.csc_matrix(M + m.time_step * Kt)
+    assert len(factored) == 1
+    got = factored[0]
+    assert got.data.tobytes() == expect.data.tobytes()
+    assert np.array_equal(got.indices, expect.indices)
+    assert np.array_equal(got.indptr, expect.indptr)
+
+
+def test_adjoint_of_a_time_dependent_march_pairs_exactly(monkeypatch):
+    # with a stack of N+1 levels the backward march transposes the system
+    # of each step, so the discrete pairing holds to roundoff
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi,
+                   time_step=0.25, time_count=4)
+    coeffs = generate_family(3, "oscillatory", 0.5, 0.2, dim=2,
+                             xp_length=2 * np.pi)
+    marcher = Marcher(m, coeffs, TimeStepperConfig(linear_tol=1e-12))
+    indices, indptr, shape = interior_pattern(m)
+    K = sp.csr_matrix((marcher.stiffness(1.0)[2], indices, indptr),
+                      shape=shape)
+    assert abs(K - K.T).max() > 1e-3
+    f = smooth_random_closure(2, 2, xp_length=2 * np.pi)
+    u = marcher.march(1.0, f=f)
+    c_rows = LoadAssembler(m).assemble(
+        None, smooth_random_closure(3, 2, xp_length=2 * np.pi), 1.0,
+        m.time_levels)
+    calls = _count_factorizations(monkeypatch)
+    v = marcher.adjoint(1.0, c_rows)
+    assert len(calls) == 4
+    P1 = float(np.sum(c_rows[1:] * u.interior_levels()[1:]))
+    P2 = float(np.sum(u.loads[1:] * v[1:]))
+    assert abs(P1 - P2) <= 1e-10 * abs(P1)
+
+
 def test_adjoint_requires_backward_euler():
     m = build_mesh(1, 2.0, 4, 1.0, time_step=0.5, time_count=2)
     Mw = assemble_weighted_mass(m)
-    K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
+    K = _stack(m, identity_coefficients(1), 1.0)
     loads = np.zeros((3, m.n_interior))
     cfg = TimeStepperConfig(theta=0.5)
     with pytest.raises(ValueError):
@@ -363,10 +453,15 @@ def test_adjoint_requires_backward_euler():
 def test_time_grid_mismatch_rejected():
     m = build_mesh(1, 2.0, 4, 1.0, time_step=0.1, time_count=10)
     Mw = assemble_weighted_mass(m)
-    K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
-    cfg = TimeStepperConfig(time_step=0.3)
-    with pytest.raises(ValueError):
-        march_system(Mw, K, None, m, config=cfg)
+    coeffs = generate_family(0, "oscillatory", 0.5, 0.2, dim=1)
+    # a stack on another time grid of the same window
+    other = build_mesh(1, 2.0, 4, 1.0, time_step=0.25, time_count=4)
+    K = _stack(m, coeffs, 1.0, other.time_levels)
+    with pytest.raises(ValueError, match="stiffness stack must have shape"):
+        march_system(Mw, K, None, m)
+    with pytest.raises(ValueError, match="stiffness stack must have shape"):
+        adjoint_march_system(Mw, K, np.zeros((11, m.n_interior)), m)
+    K = _stack(m, coeffs, 1.0, m.time_levels)
     with pytest.raises(ValueError, match="loads must have shape"):
         march_system(Mw, K, np.zeros((10, m.n_interior)), m)
 
