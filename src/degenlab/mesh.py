@@ -177,11 +177,6 @@ class Cylinder:
     def boundary_centered(self):
         return self.center_xd == 0.0
 
-    def scaled(self, factor):
-        """Concentric cylinder with radius*factor."""
-        return Cylinder(self.center_time, self.center_xd,
-                        self.radius * factor, self.center_xprime)
-
     def summary(self):
         return {"center_time": self.center_time,
                 "center_xprime": self.center_xprime,
@@ -220,10 +215,6 @@ class CellSet:
         if self.mesh.dim == 2:
             w = w * self.mesh.xprime_spacing
         return w
-
-    def total_measure(self):
-        """Space-time measure of the selected cells."""
-        return self.time_cells.size * self.mesh.time_step * self.space_measures().sum()
 
 
 def _space_cells_in_ball(mesh, cyl):

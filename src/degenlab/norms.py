@@ -1,15 +1,16 @@
 """Weighted norms of discrete fields and the standalone inequality checks
 (Hardy ratio, near-boundary trace decay, weighted second differences).
 
-One cell kernel, ``_level_power``, evaluates every space integral: 8-point
+One level-batched cell kernel, ``_level_powers``, evaluates the space
+integrals of a whole stack of time levels in one vectorized pass: 8-point
 Gauss-Legendre per cell in each direction with the x_d^alpha factor kept
 inside the integrand.  Its integrand is |e|^p, where e is the bilinear field
 (order 0) or its exact elementwise gradient (order 1) minus the same of
-analytic callables, which are zero unless given.  So error norms and norms
-of analytic callables are the same integral: the latter is the error of the
-zero field.  Order 2 uses nodal second differences (the three-point
-formulas are exact on quadratics).  The time integral is the level-wise
-rectangle rule (right endpoint), summed by ``_rectangle_norm``.
+analytic callables (zero unless given; called once per chunk of levels).
+So error norms and norms of analytic callables are the same integral: the
+latter is the error of the zero field.  Order 2 uses nodal second
+differences (the three-point formulas are exact on quadratics).  Time uses
+the right-endpoint rectangle rule, summed in level order.
 """
 
 import numpy as np
@@ -58,20 +59,6 @@ class NormSpec:
 
 # -- elementwise evaluation -----------------------------------------------------
 
-def _space_cell_split(mesh, space_cells):
-    npc = mesh.xprime_count
-    if space_cells is None:
-        flat = np.arange(mesh.n_space_cells)
-    else:
-        flat = np.asarray(space_cells, int)
-    return flat // npc, flat % npc
-
-
-def _corner_values(values, j, m, npc):
-    m1 = (m + 1) % npc
-    return (values[j, m], values[j + 1, m], values[j, m1], values[j + 1, m1])
-
-
 def _zero(t, xp, x):
     return 0.0
 
@@ -79,102 +66,129 @@ def _zero(t, xp, x):
 # subtracting 0.0 leaves every value bitwise unchanged
 _ZERO_EXACT = {"u": _zero, "du": (_zero, _zero)}
 
+# quadrature points per chunk of levels: bounds the kernel's temporaries
+_CHUNK_POINTS = 1 << 18
 
-def _level_power(mesh, values, spec, space_cells=None, exact=None, t=0.0):
-    """integral over the selected space cells of |e|^p x_d^alpha for one
-    nodal array (M+1, npc), where e is the field (order 0) or its gradient
-    (order 1) minus the same of ``exact`` at time t: a dict of callables
-    (t, x', x_d) 'u' and 'du' (tuple ordered (x', x_d) in dim 2), zero when
-    None.  Returns the p-th power (not the norm)."""
+
+def _exact_at(func, t, xp, x):
+    """func(t, xp, x), returned as is, for a chunk of times t (C, 1, 1, 1);
+    it must broadcast to the chunk's shape (C, cells, s, q)."""
+    out = func(t, xp, x)
+    shape = np.broadcast_shapes(t.shape, np.shape(xp), x.shape)
+    try:
+        if np.broadcast_shapes(np.shape(out), shape) == shape:
+            return out
+    except ValueError:
+        pass
+    raise ValueError("exact callable returned shape %s for a chunk of shape "
+                     "%s; it must broadcast t against the quadrature points"
+                     % (np.shape(out), shape))
+
+
+def _level_powers(mesh, levels, spec, space_cells, exact, times):
+    """(L,) p-th powers (not norms): for each nodal array of the stack
+    ``levels`` (L, M+1, npc) at ``times`` (L,), the integral over the
+    selected space cells (None: all) of |e|^p x_d^alpha, where e is the
+    field (order 0) or its gradient (order 1) minus the same of ``exact``: a
+    dict of callables (t, x', x_d) 'u' and 'du' (tuple ordered (x', x_d) in
+    dim 2), zero when None.  Each level is summed as one contiguous row, so
+    its value depends neither on the other levels nor on the chunking."""
     order = spec.derivative_order
     if order == "2_full":
         if exact is not None:
             raise ValueError("error norms support derivative orders up to 1")
-        mag = second_difference_magnitude(mesh, values)
+        mag = second_difference_magnitude(mesh, levels)
         inner = NormSpec(spec.p, spec.weight_exponent, "0")
-        return _level_power(mesh, mag, inner, space_cells)
+        return _level_powers(mesh, mag, inner, space_cells, None, times)
     if exact is None:
         exact = _ZERO_EXACT
 
     p, alpha = spec.p, spec.weight_exponent
-    j, m = _space_cell_split(mesh, space_cells)
-    if j.size == 0:
-        return 0.0
     npc = mesh.xprime_count
+    flat = (np.arange(mesh.n_space_cells) if space_cells is None
+            else np.asarray(space_cells, int))
+    j, m = flat // npc, flat % npc
+    m1 = (m + 1) % npc
+    powers = np.zeros(len(levels))
+    if j.size == 0:
+        return powers
     xl = mesh.xd_nodes[j]
     h = mesh.xd_widths[j]
     delta = mesh.xprime_spacing if mesh.dim == 2 else 1.0
 
     s = 0.5 * (_GLX + 1.0)          # xd barycentric nodes
     ws = 0.5 * _GLW
-    if mesh.dim == 2:
-        q, wq = s, ws
-    else:
-        q, wq = np.array([0.5]), np.array([1.0])
+    q, wq = (s, ws) if mesh.dim == 2 else (np.array([0.5]), np.array([1.0]))
 
-    u00, u10, u01, u11 = _corner_values(values, j, m, npc)
-    # shapes: cells x s-nodes x q-nodes
+    # shapes: cells x s-nodes x q-nodes, after a level axis where one exists
     S = s[None, :, None]
     Q = q[None, None, :]
     x = xl[:, None, None] + h[:, None, None] * S
-    if mesh.dim == 2:
-        xp = mesh.xprime_nodes[m][:, None, None] + delta * Q
-    else:
-        xp = np.zeros_like(x)
-    if order == "0":
-        g = (u00[:, None, None] * (1 - S) * (1 - Q)
-             + u10[:, None, None] * S * (1 - Q)
-             + u01[:, None, None] * (1 - S) * Q
-             + u11[:, None, None] * S * Q)
-        core = np.abs(g - exact["u"](t, xp, x)) ** p
-    else:
-        du = exact["du"]
-        ed = ((u10 - u00)[:, None, None] * (1 - Q)
-              + (u11 - u01)[:, None, None] * Q) / h[:, None, None] \
-            - du[-1](t, xp, x)
-        if order == "1_xd":
-            core = np.abs(ed) ** p
-        else:
-            ep = 0.0
-            if mesh.dim == 2:       # in dim 1, du[0] is the x_d derivative
-                ep = ((u01 - u00)[:, None, None] * (1 - S)
-                      + (u11 - u10)[:, None, None] * S) / delta \
-                    - du[0](t, xp, x)
-            core = (ed * ed + ep * ep) ** (p / 2)
+    xp = (mesh.xprime_nodes[m][:, None, None] + delta * Q if mesh.dim == 2
+          else np.zeros_like(x))
+    xa = x ** alpha
     w2 = ws[None, :, None] * wq[None, None, :]
     cellsize = (h * delta)[:, None, None]
-    return float(np.sum(core * x ** alpha * w2 * cellsize))
+    chunk = max(1, _CHUNK_POINTS // (x.size * q.size))
+
+    for a in range(0, len(levels), chunk):
+        values = levels[a:a + chunk]
+        t = times[a:a + chunk, None, None, None]
+        corners = values[:, [j, j + 1, j, j + 1], [m, m, m1, m1]]
+        u00, u10, u01, u11 = np.moveaxis(corners, 1, 0)[..., None, None]
+        if order == "0":
+            g = (u00 * (1 - S) * (1 - Q) + u10 * S * (1 - Q)
+                 + u01 * (1 - S) * Q + u11 * S * Q)
+            core = np.abs(g - _exact_at(exact["u"], t, xp, x)) ** p
+        else:
+            du = exact["du"]
+            ed = ((u10 - u00) * (1 - Q) + (u11 - u01) * Q) \
+                / h[:, None, None] - _exact_at(du[-1], t, xp, x)
+            if order == "1_xd":
+                core = np.abs(ed) ** p
+            else:
+                ep = 0.0
+                if mesh.dim == 2:   # in dim 1, du[0] is the x_d derivative
+                    ep = ((u01 - u00) * (1 - S) + (u11 - u10) * S) / delta \
+                        - _exact_at(du[0], t, xp, x)
+                core = (ed * ed + ep * ep) ** (p / 2)
+        cell = core * xa * w2 * cellsize
+        powers[a:a + chunk] = cell.reshape(len(values), -1).sum(axis=1)
+    return powers
 
 
 def second_difference_fields(mesh, values):
-    """Nodal second differences (d2_xd, d2_mixed, d2_xp); the latter two are
-    None in dim=1.  Boundary rows copy their interior neighbour (constant
-    extrapolation keeps quadratics exact)."""
+    """Nodal second differences (d2_xd, d2_mixed, d2_xp) of values
+    (..., M+1, npc), taken over the last two axes, so leading axes (levels)
+    are allowed; the latter two are None in dim=1.  Boundary rows copy their
+    interior neighbour (constant extrapolation keeps quadratics exact)."""
     values = np.asarray(values, float)
     h = mesh.xd_widths
     hm, hp = h[:-1], h[1:]
     out = np.empty_like(values)
-    num = values.shape[0] - 1
+    num = values.shape[-2] - 1
     wl = (2 / (hm * (hm + hp)))[:, None]
     wc = (-2 / (hm * hp))[:, None]
     wr = (2 / (hp * (hm + hp)))[:, None]
-    out[1:num] = wl * values[:-2] + wc * values[1:-1] + wr * values[2:]
-    out[0] = out[1]
-    out[num] = out[num - 1]
+    out[..., 1:num, :] = (wl * values[..., :-2, :] + wc * values[..., 1:-1, :]
+                          + wr * values[..., 2:, :])
+    out[..., 0, :] = out[..., 1, :]
+    out[..., num, :] = out[..., num - 1, :]
     if mesh.dim == 1:
         return out, None, None
     delta = mesh.xprime_spacing
-    dpp = (np.roll(values, 1, axis=1) - 2 * values
-           + np.roll(values, -1, axis=1)) / delta ** 2
-    dq = (np.roll(values, -1, axis=1) - np.roll(values, 1, axis=1)) \
+    dpp = (np.roll(values, 1, axis=-1) - 2 * values
+           + np.roll(values, -1, axis=-1)) / delta ** 2
+    dq = (np.roll(values, -1, axis=-1) - np.roll(values, 1, axis=-1)) \
         / (2 * delta)
     dl = (-hp / (hm * (hm + hp)))[:, None]
     dc = ((hp - hm) / (hm * hp))[:, None]
     dr = (hm / (hp * (hm + hp)))[:, None]
     dpd = np.empty_like(values)
-    dpd[1:num] = dl * dq[:-2] + dc * dq[1:-1] + dr * dq[2:]
-    dpd[0] = dpd[1]
-    dpd[num] = dpd[num - 1]
+    dpd[..., 1:num, :] = (dl * dq[..., :-2, :] + dc * dq[..., 1:-1, :]
+                          + dr * dq[..., 2:, :])
+    dpd[..., 0, :] = dpd[..., 1, :]
+    dpd[..., num, :] = dpd[..., num - 1, :]
     return out, dpd, dpp
 
 
@@ -210,18 +224,20 @@ def _retained(field, spec, skip_initial, t=0.0):
     is one level of unit weight at time t."""
     if isinstance(field, DiscreteField):
         _, space_cells = _region_cells(field.mesh, spec)
-        return field.values[None], (t,), 1.0, space_cells
+        return field.values[None], np.array([t], float), 1.0, space_cells
     ends, space_cells = _region_cells(field.mesh, spec, skip_initial,
                                       field.time_count)
     return field.levels[ends], field.times[ends], field.dt, space_cells
 
 
 def _rectangle_norm(mesh, levels, times, dt, spec, space_cells, exact=None):
-    """Right-endpoint rectangle rule in time: the p-th root of the sum over
-    the nodal arrays ``levels`` at ``times`` of dt * _level_power."""
+    """Right-endpoint rectangle rule in time: the p-th root of the sum, in
+    level order, of dt times the _level_powers of the stack ``levels`` at
+    ``times``."""
     total = 0.0
-    for values, t in zip(levels, times):
-        total += dt * _level_power(mesh, values, spec, space_cells, exact, t)
+    for power in _level_powers(mesh, levels, spec, space_cells, exact,
+                               times).tolist():
+        total += dt * power
     return total ** (1.0 / spec.p)
 
 
@@ -314,16 +330,22 @@ class SlopeReport:
                 "passed": bool(self.passed)}
 
 
-def _xp_lp_power(mesh, row, p):
-    """integral over the periodic x' circle of |P1 row|^p (row: (npc,))."""
+def _scalar_power(a, e):
+    """a ** e elementwise by the C library's pow, as for Python floats; an
+    array power may take a SIMD path that differs in the last bit."""
+    return np.array([v ** e for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _xp_lp_powers(mesh, rows, p):
+    """integrals over the periodic x' circle of |P1 row|^p for a stack of
+    rows (..., npc); one value per row."""
     if mesh.dim == 1:
-        return float(np.abs(row[0]) ** p)
+        return _scalar_power(np.abs(rows[..., 0]), p)
     delta = mesh.xprime_spacing
-    a = row
-    b = np.roll(row, -1)
     s = 0.5 * (_GLX + 1.0)
-    g = a[:, None] * (1 - s[None, :]) + b[:, None] * s[None, :]
-    return float(np.sum(np.abs(g) ** p * (0.5 * _GLW)[None, :]) * delta)
+    g = rows[..., None] * (1 - s) + np.roll(rows, -1, axis=-1)[..., None] * s
+    cell = np.abs(g) ** p * (0.5 * _GLW)
+    return cell.reshape(rows.shape[:-1] + (-1,)).sum(axis=-1) * delta
 
 
 def slice_norms(field, p, skip_initial=0):
@@ -331,20 +353,13 @@ def slice_norms(field, p, skip_initial=0):
     solutions).  Returns (xd_nodes, s)."""
     mesh = field.mesh
     if isinstance(field, DiscreteField):
-        stacked = field.values[None, :, :]
-        dt = 1.0
-        rows = range(1)
+        stacked, dt = field.values[None], 1.0
     else:
-        stacked = field.levels
-        dt = field.dt
-        rows = range(skip_initial + 1, stacked.shape[0])
-    s = np.zeros(mesh.M + 1)
-    for jnode in range(mesh.M + 1):
-        acc = 0.0
-        for n in rows:
-            acc += dt * _xp_lp_power(mesh, stacked[n, jnode, :], p)
-        s[jnode] = acc ** (1.0 / p)
-    return mesh.xd_nodes.copy(), s
+        stacked, dt = field.levels[skip_initial + 1:], field.dt
+    acc = np.zeros(mesh.M + 1)
+    for powers in _xp_lp_powers(mesh, stacked, p):   # level order per node
+        acc += dt * powers
+    return mesh.xd_nodes.copy(), _scalar_power(acc, 1.0 / p)
 
 
 def trace_decay_check(field, p, skip_initial=0):

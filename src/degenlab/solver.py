@@ -17,6 +17,8 @@ for N+1; every solve, including one that reuses the factors, is followed by
 a backward-error check.
 """
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -175,12 +177,27 @@ def _system(Mmat, K, s, mesh, transpose=False):
         rows = np.repeat(np.arange(shape[0]), np.diff(indptr))[order]
         colptr = np.searchsorted(indices[order], np.arange(shape[1] + 1))
         A = A[:, order]
+    keep = A != 0
+    data = A[keep]                      # the kept entries, level by level
+    rows = np.broadcast_to(rows.astype(np.intc), A.shape)[keep]
+    kept = np.zeros((len(A), A.shape[1] + 1), np.intc)
+    np.cumsum(keep, axis=1, dtype=np.intc, out=kept[:, 1:])
+    ptr = kept.take(colptr, axis=1)     # (L, ncols + 1) column pointers
+    ends = np.cumsum(ptr[:, -1])
+    starts = ends - ptr[:, -1]
+    # each level's rows are a subset of the pattern's sorted, unique rows:
+    # a copy of one template built by scipy's constructor, with the level's
+    # arrays, skips the re-validation of the index arrays at every step
+    template = sp.csc_matrix((data[:ends[0]], rows[:ends[0]], ptr[0]),
+                             shape=shape)
+    template.has_canonical_format = True
 
     def system(n):
-        data = A[n if A.shape[0] > 1 else 0]
-        keep = data != 0
-        ptr = np.concatenate(([0], np.cumsum(keep)))[colptr]
-        return sp.csc_matrix((data[keep], rows[keep], ptr), shape=shape)
+        k = n if len(A) > 1 else 0
+        level = slice(starts[k], ends[k])
+        mat = copy.copy(template)
+        mat.data, mat.indices, mat.indptr = data[level], rows[level], ptr[k]
+        return mat
 
     return system
 

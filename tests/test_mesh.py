@@ -87,8 +87,8 @@ def test_cylinder_cells_boundary():
     assert np.all(m.xd_centers[cs.space_j] < 0.5)
     tc = m.time_centers[cs.time_cells]
     assert np.all(tc <= 1.0) and np.all(tc > 0.5)
-    # scaling the cylinder can only grow the selection
-    big = cells_in_cylinder(m, cyl.scaled(1.5))
+    # a concentric cylinder of larger radius can only grow the selection
+    big = cells_in_cylinder(m, Cylinder(1.0, 0.0, 0.75))
     assert set(cs.space_cells) <= set(big.space_cells)
     assert set(cs.time_cells) <= set(big.time_cells)
 
@@ -100,7 +100,8 @@ def test_cylinder_measure_adds_up():
     # uniform mesh: widths 0.25, centers 0.125..: centers < 1.0 -> 4 cells
     assert cs.space_j.size == 4
     expect = cs.time_cells.size * 0.25 * (4 * 0.25)
-    assert abs(cs.total_measure() - expect) < 1e-14
+    total = cs.time_cells.size * m.time_step * cs.space_measures().sum()
+    assert abs(total - expect) < 1e-14
 
 
 def test_empty_cylinder():

@@ -1,13 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import degenlab.norms
 from degenlab import (Cylinder, DiscreteField, NormSpec, SpaceTimeSolution,
                       analytic_norm, assemble_weighted_mass, build_mesh,
-                      cell_center_gradients, error_norm, hardy_check,
-                      levels_norm, model_stiffness,
-                      second_difference_fields, slice_norms,
-                      trace_decay_check, weighted_norm)
+                      cell_center_gradients, cells_in_cylinder, error_norm,
+                      hardy_check, levels_norm, model_stiffness,
+                      second_difference_fields, second_difference_magnitude,
+                      slice_norms, trace_decay_check, weighted_norm)
 
 
 def test_norm_spec_validation():
@@ -272,6 +275,108 @@ def test_error_norm_rejects_second_order():
     with pytest.raises(ValueError, match="orders up to 1"):
         error_norm(sol, {"u": zero, "du": (zero,)},
                    NormSpec(2.0, 1.0, "2_full"))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level_chunking_leaves_every_norm_bitwise(monkeypatch, dim):
+    # 5 levels (4 after skip_initial=1 or in the cylinder's window): chunks
+    # of one level, and of three levels, which divides neither count
+    sol = _random_solution(dim, 7)
+    m = sol.mesh
+    chunks = []
+
+    def u(t, xp, x):
+        chunks.append(np.shape(t)[0])
+        return (1 + t) * np.sin(xp + x) * x
+
+    dux = lambda t, xp, x: (1 + t) * (np.sin(xp + x) + x * np.cos(xp + x))
+    dup = lambda t, xp, x: (1 + t) * x * np.cos(xp + x)
+    exact = {"u": u, "du": (dup, dux) if dim == 2 else (dux,)}
+    cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
+
+    def all_norms(spec, space_cells):
+        out = [weighted_norm(sol, spec),
+               weighted_norm(sol, spec, skip_initial=1),
+               weighted_norm(sol.field_at(2), spec),
+               levels_norm(m, sol.levels[1:], sol.dt, spec, space_cells)]
+        if spec.derivative_order != "2_full":
+            out.append(error_norm(sol, exact, spec, skip_initial=1))
+        if spec.derivative_order == "0":
+            out.append(analytic_norm(m, u, spec))
+        return out
+
+    for order in ("0", "1_xd", "1_full", "2_full"):
+        for region in (None, cyl):
+            spec = NormSpec(3.0, 0.5, order, region)
+            space_cells = (None if region is None
+                           else cells_in_cylinder(m, region).space_cells)
+            n_cells = m.n_space_cells if region is None else len(space_cells)
+            # 8 Gauss points per cell along x_d, and along x' in dim 2
+            per_level = n_cells * 8 * (8 if dim == 2 else 1)
+            want = all_norms(spec, space_cells)
+            for budget in (1, 3 * per_level):
+                with monkeypatch.context() as mp:
+                    mp.setattr(degenlab.norms, "_CHUNK_POINTS", budget)
+                    assert all_norms(spec, space_cells) == want
+                    if order == "0" and region is None:
+                        chunks.clear()
+                        analytic_norm(m, u, spec)
+                        assert chunks == ([1] * 5 if budget == 1 else [3, 2])
+
+
+def test_exact_callable_must_broadcast_the_chunk_times():
+    sol = _random_solution(1, 0)            # 5 levels, 10 cells
+    flat = lambda t, xp, x: np.ravel(t)[:, None] * np.ravel(x)
+    with pytest.raises(ValueError, match=re.escape(
+            "returned shape (5, 80) for a chunk of shape (5, 10, 8, 1)")):
+        error_norm(sol, {"u": flat}, NormSpec(2.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_second_differences_of_a_stack_are_per_level(dim):
+    sol = _random_solution(dim, 4)
+    stack = second_difference_magnitude(sol.mesh, sol.levels)
+    each = [second_difference_magnitude(sol.mesh, v) for v in sol.levels]
+    assert stack.tobytes() == np.stack(each).tobytes()
+
+
+def _slice_norms_per_node(field, p, skip_initial):
+    """The per-(node, level) loop that slice_norms batches."""
+    mesh, w = field.mesh, 0.5 * np.polynomial.legendre.leggauss(8)[1]
+    s = 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)
+    out = []
+    for j in range(mesh.M + 1):
+        acc = 0.0
+        for n in range(skip_initial + 1, field.levels.shape[0]):
+            row = field.levels[n, j]
+            if mesh.dim == 1:
+                power = float(np.abs(row[0]) ** p)
+            else:
+                g = row[:, None] * (1 - s) + np.roll(row, -1)[:, None] * s
+                power = float(np.sum(np.abs(g) ** p * w)
+                              * mesh.xprime_spacing)
+            acc += field.dt * power
+        out.append(acc ** (1.0 / p))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_slice_norms_are_bitwise_the_per_node_loop(dim):
+    # enough nodes and levels that a power differing in the last bit from
+    # the C library's pow shows in some slice norm
+    if dim == 1:
+        m = build_mesh(1, 2.0, 64, 1.5, time_step=0.05, time_count=16)
+    else:
+        m = build_mesh(2, 2.0, 16, 1.5, xprime_count=6,
+                       xprime_length=2 * np.pi, time_step=0.05, time_count=8)
+    vals = np.random.default_rng(dim).standard_normal(
+        (m.time_count + 1, m.M + 1, m.xprime_count))
+    vals[:, 0] = vals[:, -1] = 0.0
+    sol = SpaceTimeSolution(m, vals, m.time_levels)
+    for p in (2.0, 3.0, 4.0):
+        for k in (0, 2):
+            assert slice_norms(sol, p, k)[1].tolist() == \
+                _slice_norms_per_node(sol, p, k)
 
 
 def test_slice_norms_circle_oracle():
