@@ -25,7 +25,7 @@ from .harness import (CHECK_IDS, CSV_HEADER, DegenerateLocalSolution,
 from .mesh import (CellSet, Cylinder, TensorMesh, build_mesh,
                    cells_in_cylinder, prime_cells_in_cylinder)
 from .mms import (ClosureError, ManufacturedCase, StudyTable,
-                  convergence_study, default_case, nodal_residual)
+                  convergence_study, default_case)
 from .norms import (NormSpec, RatioReport, SlopeReport, analytic_norm,
                     cell_center_gradients, error_norm, hardy_check,
                     levels_norm, second_difference_fields,
@@ -33,7 +33,7 @@ from .norms import (NormSpec, RatioReport, SlopeReport, analytic_norm,
                     trace_decay_check, weighted_norm)
 from .solver import (Marcher, SolverError, SpaceTimeSolution,
                      TimeStepperConfig, adjoint_march, adjoint_march_system,
-                     linear_solve, march, march_system, steady_solve)
+                     linear_solve, march, march_system)
 
 __version__ = "0.1.0"
 

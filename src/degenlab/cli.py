@@ -1,5 +1,4 @@
-"""Config-driven front end: ``lab run config.json [--out DIR] [--seed S]``
-(``--jobs N`` and ``LAB_JOBS`` are still validated but have no effect).
+"""Config-driven front end: ``lab run config.json [--out DIR] [--seed S]``.
 
 Configs are flat JSON with a schema version field and strict key checking.
 Artifacts (reports CSV, JSON bundle with the config echo, plot scripts,
@@ -519,22 +518,6 @@ def run(cfg):
     return (1 if failing else 0), reports
 
 
-def _check_jobs(arg_jobs):
-    """Validate --jobs, else LAB_JOBS.  Both are deprecated: runs are
-    serial, so the value is checked and otherwise ignored."""
-    jobs = arg_jobs
-    if jobs is None:
-        env = os.environ.get("LAB_JOBS")
-        if env is None:
-            return
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ConfigError("LAB_JOBS must be an integer, got %r" % env)
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="lab", description="estimate-verification laboratory for the "
@@ -544,9 +527,6 @@ def main(argv=None):
     runp.add_argument("config", help="path to a flat JSON config")
     runp.add_argument("--out", default=None,
                       help="output directory (overrides out_dir)")
-    runp.add_argument("--jobs", type=int, default=None,
-                      help="deprecated, no effect (validated as >= 1; "
-                      "fallback: LAB_JOBS)")
     runp.add_argument("--seed", type=int, default=None,
                       help="base seed (overrides the config)")
     args = parser.parse_args(argv)
@@ -559,7 +539,6 @@ def main(argv=None):
             cfg["out_dir"] = args.out
         if args.seed is not None:
             cfg["seed"] = int(args.seed)
-        _check_jobs(args.jobs)
     except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

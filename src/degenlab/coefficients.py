@@ -2,9 +2,12 @@
 partial mean oscillation functional over half-ball cylinders.
 
 Coefficient callables take (t, xprime, xd) and must broadcast over numpy
-arrays; a0 is a function of xd alone.  Index convention: in dim=2 the index
-order is (x', x_d), so the degenerate direction is always the LAST index d-1;
-in dim=1 the single index 0 is the x_d direction.
+arrays, t included: sample_on_mesh calls each one once per time grid with
+t = times[:, None, None], like every other callable in the package, and
+samples a field whose kind declares it autonomous at one time only.  a0 is
+a function of xd alone.  Index convention: in dim=2 the index order is
+(x', x_d), so the degenerate direction is always the LAST index d-1; in
+dim=1 the single index 0 is the x_d direction.
 """
 
 import numpy as np
@@ -72,7 +75,8 @@ class CoefficientField:
 
 class CoefficientSample:
     """Cell-midpoint samples over a mesh: a (nt, Mc, npc, dim, dim),
-    c0 (nt, Mc, npc), a0 (Mc,).  With a scalar t the leading axis is 1."""
+    c0 (nt, Mc, npc), a0 (Mc,).  With a scalar t the leading axis is 1; a
+    and c0 are read-only."""
 
     def __init__(self, mesh, times, a, c0, a0):
         self.mesh = mesh
@@ -113,28 +117,48 @@ def _validate_samples(mesh, nu, a, c0, a0, times):
                          % mesh.xd_centers[j])
 
 
+def _sampled(name, values, shape, t):
+    """values as a read-only view of the sample shape; a result that does
+    not broadcast to it raises ValueError naming both shapes."""
+    values = np.asarray(values, float)
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError("%s returned shape %s for t of shape %s; it must "
+                         "broadcast to %s" % (name, values.shape, np.shape(t),
+                                              shape))
+
+
 def sample_on_mesh(coeffs, mesh, t=None):
     """Midpoint samples of the coefficients on every spatial cell, at all time
     cell centers (t=None), at one time, or at each time of a 1-D array.
-    Validates the bounds on the samples."""
+    a_matrix and c0 are called once with t = times[:, None, None]; an
+    autonomous field is sampled at times[0] alone and broadcast along the
+    time axis.  Validates the bounds on the samples; the arrays returned are
+    read-only."""
     times = mesh.time_centers if t is None \
         else np.atleast_1d(np.asarray(t, float))
     if times.ndim != 1:
         raise ValueError("t must be None, a scalar or a 1-D array of times")
-    xd = mesh.xd_centers[:, None]
+    sampled = times[:1] if coeffs.autonomous else times
+    tt = sampled[:, None, None]
     xp = np.broadcast_to(mesh.xprime_centers[None, :],
                          (mesh.M, mesh.xprime_count))
-    xd = np.broadcast_to(xd, xp.shape)
-    a = np.stack([coeffs.a_matrix(tv, xp, xd) for tv in times])
-    c0 = np.stack([np.broadcast_to(np.asarray(coeffs.c0(tv, xp, xd), float),
-                                   xp.shape) for tv in times])
+    xd = np.broadcast_to(mesh.xd_centers[:, None], xp.shape)
+    shape = (sampled.size,) + xp.shape
+    dims = (coeffs.dim, coeffs.dim)
+    a = _sampled("a_matrix", coeffs.a_matrix(tt, xp, xd), shape + dims, tt)
+    c0 = _sampled("c0", coeffs.c0(tt, xp, xd), shape, tt)
     a0 = np.broadcast_to(np.asarray(coeffs.a0(mesh.xd_centers), float),
                          (mesh.M,)).astype(float)
     if not (np.isfinite(a).all() and np.isfinite(c0).all()
             and np.isfinite(a0).all()):
         raise ValueError("non-finite coefficient samples")
-    _validate_samples(mesh, coeffs.nu, a, c0, a0, times)
-    return CoefficientSample(mesh, times, a, c0, a0)
+    _validate_samples(mesh, coeffs.nu, a, c0, a0, sampled)
+    nt = times.size
+    return CoefficientSample(mesh, times,
+                             np.broadcast_to(a, (nt,) + a.shape[1:]),
+                             np.broadcast_to(c0, (nt,) + c0.shape[1:]), a0)
 
 
 class EmptyCylinder(ValueError):

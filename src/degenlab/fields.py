@@ -110,7 +110,7 @@ def smooth_random_closure(seed, dim, n_terms=4, t_scale=1.0, xp_length=1.0,
     return closure
 
 
-def random_w1p_field(seed, mesh, time_dependent=False):
+def random_w1p_field(seed, mesh):
     """Random discrete field vanishing at x_d = 0 (and at L_d), for the Hardy
     and trace corpora.  The same seed on a refined mesh samples the same
     underlying smooth function.
@@ -118,9 +118,4 @@ def random_w1p_field(seed, mesh, time_dependent=False):
     g = smooth_random_closure(seed, mesh.dim, xp_length=mesh.xprime_length)
     f = DiscreteField.sample(mesh, g, t=0.3)
     f.values[-1, :] = 0.0   # keep the discrete zero trace at the truncation
-    if not time_dependent:
-        return f
-    levels = [sample_nodes(mesh, g, t) for t in mesh.time_levels]
-    arr = np.stack(levels)
-    arr[:, -1, :] = 0.0
-    return arr
+    return f

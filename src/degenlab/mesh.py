@@ -99,11 +99,6 @@ class TensorMesh:
     def n_interior(self):
         return (self.M - 1) * self.xprime_count
 
-    def cell_area(self, j):
-        """Spatial measure of cell column j (same for every m)."""
-        w = self.xd_widths[j]
-        return w if self.dim == 1 else w * self.xprime_spacing
-
     def xprime_distance(self, a, b):
         """Minimum-image distance on the periodic x' circle."""
         d = np.abs(np.asarray(a) - b) % self.xprime_length

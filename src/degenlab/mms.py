@@ -13,9 +13,6 @@ import numpy as np
 from .norms import NormSpec, error_norm
 from .solver import TimeStepperConfig, march
 from .coefficients import identity_coefficients
-from .assembly import (LoadAssembler, assemble_stiffness,
-                       assemble_weighted_mass)
-from .fields import sample_nodes
 
 
 class ClosureError(ValueError):
@@ -41,7 +38,8 @@ def _check_close(fd, closure_vals, what, tol=1e-7):
 
 
 class ManufacturedCase:
-    """Analytic solution with closures:
+    """Analytic solution with closures, each of which broadcasts numpy
+    arrays, t included:
 
     u, u_t: (t, xp, xd) -> values
     du: tuple of dim first-partial closures, ordered (x', x_d) in dim 2
@@ -153,17 +151,16 @@ class ManufacturedCase:
         rng = np.random.default_rng(190)
         # zero trace at x_d = 0, 100 points
         t, xp, _ = self._sample_points(rng, 100)
-        tgrid = np.linspace(0, self.T, 9)[:, None]
-        xgrid = np.linspace(0, self.xp_length, 11)[None, :]
+        tgrid = np.linspace(0, self.T, 9)
+        xgrid = np.linspace(0, self.xp_length, 11)
         dense = np.linspace(0, self.Ld, 101)
-        umax = max(np.max(np.abs(self.u(ti, xgrid, dense[:, None, None])))
-                   for ti in tgrid.ravel())
+        umax = np.max(np.abs(self.u(tgrid[:, None, None], xgrid,
+                                    dense[:, None])))
         if np.max(np.abs(self.u(t, xp, np.zeros_like(t)))) > 1e-12 * max(
                 umax, 1e-12):
             raise ClosureError("u does not vanish at x_d = 0")
         # truncation admissibility at x_d = Ld
-        edge = max(np.max(np.abs(self.u(ti, xgrid.ravel(), self.Ld)))
-                   for ti in tgrid.ravel())
+        edge = np.max(np.abs(self.u(tgrid[:, None], xgrid, self.Ld)))
         if edge > 1e-6 * max(umax, 1e-300):
             raise ClosureError(
                 "u(., L_d) = %.3e exceeds 1e-6 of max |u| = %.3e: not "
@@ -377,29 +374,3 @@ def convergence_study(case, meshes, p=2.0, theta=1.0, linear_tol=1e-11):
         e1 = error_norm(sol, exact, NormSpec(p, 0.0, "1_full"))
         rows.append(StudyRow(mesh.M, sol.dt, e0, e1))
     return StudyTable(rows, p)
-
-
-def nodal_residual(case, mesh, theta=1.0):
-    """Truncation indicator: plug the analytic solution's nodal samples into
-    the marched system and return max_n ||residual^n||_2 normalized by
-    dt * max ||b||_2."""
-    F, f = case.synthesize_sources()
-    dt = mesh.total_time / mesh.time_count
-    N = mesh.time_count
-    mass = assemble_weighted_mass(mesh, case.coeffs.a0)
-    K = assemble_stiffness(mesh, case.coeffs, case.lam, t=0.0).matrix
-    times = dt * np.arange(N + 1)
-    u = sample_nodes(mesh, case.u, times[:, None, None])[:, 1:-1, :].reshape(
-        N + 1, -1)
-    b = LoadAssembler(mesh).assemble(F, f, case.lam, times)
-    worst = 0.0
-    bscale = 0.0
-    for n in range(N):
-        btheta = theta * b[n + 1] + (1 - theta) * b[n]
-        res = mass.matrix @ (u[n + 1] - u[n]) \
-            + dt * theta * (K @ u[n + 1]) \
-            + dt * (1 - theta) * (K @ u[n]) \
-            - dt * btheta
-        worst = max(worst, np.linalg.norm(res))
-        bscale = max(bscale, np.linalg.norm(btheta))
-    return worst / (dt * max(bscale, 1e-300))

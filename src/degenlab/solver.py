@@ -23,9 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (LoadAssembler, assemble_stiffness,
-                       assemble_weighted_mass, interior_pattern,
-                       stiffness_levels)
+from .assembly import (LoadAssembler, assemble_weighted_mass,
+                       interior_pattern, stiffness_levels)
 from .fields import DiscreteField
 
 
@@ -367,13 +366,3 @@ def adjoint_march(mesh, coeffs, lam, dual_loads, config=None):
     """Wrapper: the backward march on the transpose of the forward system
     of ``march``, whose coefficients are those of coeffs.transposed()."""
     return Marcher(mesh, coeffs, config).adjoint(lam, dual_loads)
-
-
-def steady_solve(mesh, coeffs, lam, F=None, f=None, t=0.0, config=None):
-    """Solve the stationary problem K u = b at a frozen time; returns a
-    DiscreteField."""
-    config = config or TimeStepperConfig()
-    K = assemble_stiffness(mesh, coeffs, lam, t=t).matrix
-    b = LoadAssembler(mesh).assemble(F, f, lam, t=t)
-    x = linear_solve(K, b, tol=config.linear_tol)
-    return DiscreteField.from_interior(mesh, x)

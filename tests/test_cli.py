@@ -91,17 +91,6 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
 
-def test_lab_jobs_environment_fallback(tmp_path, monkeypatch, capsys):
-    path = _small_sweep(tmp_path, lambda_grid=[2.0])
-    monkeypatch.setenv("LAB_JOBS", "soup")
-    assert main(["run", path]) == 2
-    assert "LAB_JOBS" in capsys.readouterr().err
-    monkeypatch.setenv("LAB_JOBS", "0")
-    assert main(["run", path]) == 2
-    monkeypatch.setenv("LAB_JOBS", "2")
-    assert main(["run", path]) == 0
-
-
 @pytest.mark.parametrize("command", degenlab.cli.COMMANDS)
 def test_every_command_runs_on_its_defaults(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)         # the default out_dir is relative

@@ -135,19 +135,102 @@ def test_partial_average_of_d_column_is_full_average():
     assert np.allclose(avg_c0, 1.0)
 
 
-def test_structure_condition_flags():
-    m1 = build_mesh(1, 4.0, 16, 2.0)
-    m2 = build_mesh(2, 4.0, 16, 2.0, xprime_count=6,
-                    xprime_length=2 * np.pi)
-    assert check_structure_condition(generate_family(0, "constant", 0.5,
-                                                     0.2, dim=1), m1)
-    assert check_structure_condition(generate_family(1, "xd_only", 0.5,
-                                                     0.2, dim=2,
-                                                     xp_length=2 * np.pi),
-                                     m2)
-    osc = generate_family(2, "oscillatory", 0.5, 0.2, dim=2,
-                          xp_length=2 * np.pi)
-    assert not check_structure_condition(osc, m2)
+_KINDS = ("constant", "xd_only", "oscillatory")
+
+
+def _mesh(dim, time_count=8):
+    return build_mesh(dim, 4.0, 16, 2.0,
+                      xprime_count=6 if dim == 2 else 1,
+                      xprime_length=2 * np.pi if dim == 2 else None,
+                      time_step=1.0 / time_count, time_count=time_count)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_structure_condition_flags(kind, dim):
+    # the a_id column is constant for the constant and xd_only families at
+    # every time level, and not for the oscillatory one
+    coeffs = generate_family(_KINDS.index(kind), kind, 0.5, 0.2, dim=dim,
+                             xp_length=2 * np.pi)
+    assert check_structure_condition(coeffs, _mesh(dim)) is \
+        (kind != "oscillatory")
+
+
+def _per_time_sample(coeffs, mesh, times):
+    """The reference: one a_matrix and one c0 call per time."""
+    xp = np.broadcast_to(mesh.xprime_centers[None, :],
+                         (mesh.M, mesh.xprime_count))
+    xd = np.broadcast_to(mesh.xd_centers[:, None], xp.shape)
+    a = np.stack([coeffs.a_matrix(tv, xp, xd) for tv in times])
+    c0 = np.stack([np.broadcast_to(np.asarray(coeffs.c0(tv, xp, xd), float),
+                                   xp.shape) for tv in times])
+    return a, c0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_sampling_is_bitwise_the_per_time_loop(kind, dim):
+    m = _mesh(dim, time_count=16)
+    for seed in range(4):
+        coeffs = generate_family(seed, kind, 0.5, 0.2, dim=dim,
+                                 xp_length=2 * np.pi)
+        for field in (coeffs, coeffs.transposed()):
+            for t in (None, 0.3, np.linspace(0.0, 1.0, 7)):
+                times = m.time_centers if t is None else np.atleast_1d(t)
+                s = sample_on_mesh(field, m, t=t)
+                a, c0 = _per_time_sample(field, m, times)
+                assert s.a.shape == a.shape and s.c0.shape == c0.shape
+                assert np.ascontiguousarray(s.a).tobytes() == a.tobytes()
+                assert np.ascontiguousarray(s.c0).tobytes() == c0.tobytes()
+                assert np.array_equal(s.times, times)
+
+
+@pytest.mark.parametrize("name, returned, target", [
+    ("a_matrix", "(4, 8, 4, 1, 1)", "(4, 8, 1, 1, 1)"),
+    ("c0", "(4,)", "(4, 8, 1)")], ids=["a_matrix", "c0"])
+def test_coefficient_that_does_not_broadcast_t_is_refused(name, returned,
+                                                          target):
+    m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
+
+    def bad(t, xp, xd):
+        return 1.0 + 0.1 * np.sin(np.ravel(t))     # loses the grid axes
+
+    one = _const(1.0)
+    coeffs = CoefficientField(1, 0.5, ((bad if name == "a_matrix" else one,),),
+                              bad if name == "c0" else one,
+                              lambda xd: 1.0 + 0.0 * np.asarray(xd, float))
+    with pytest.raises(ValueError) as info:
+        sample_on_mesh(coeffs, m)
+    assert str(info.value) == ("%s returned shape %s for t of shape (4, 1, 1);"
+                               " it must broadcast to %s"
+                               % (name, returned, target))
+
+
+@pytest.mark.parametrize("kind", ["constant", "xd_only"])
+def test_autonomous_field_is_sampled_at_one_time(kind):
+    base = generate_family(3, kind, 0.5, 0.2, dim=2, xp_length=2 * np.pi)
+    calls = []
+
+    def counted(name, func):
+        def closure(t, xp, xd):
+            calls.append((name, np.shape(t)))
+            return func(t, xp, xd)
+        return closure
+
+    a = [[counted("a%d%d" % (i, j), base.a[i][j]) for j in range(2)]
+         for i in range(2)]
+    coeffs = CoefficientField(2, base.nu, a, counted("c0", base.c0),
+                              base.a0, kind=kind)
+    m = _mesh(2, time_count=10)
+    for t in (None, 0.4, np.linspace(0.0, 1.0, 11)):
+        calls.clear()
+        s = sample_on_mesh(coeffs, m, t=t)
+        assert sorted(calls) == [(name, (1, 1, 1)) for name in
+                                 ("a00", "a01", "a10", "a11", "c0")]
+        nt = s.times.size
+        assert s.a.shape == (nt, 16, 6, 2, 2) and s.c0.shape == (nt, 16, 6)
+        assert not s.a.flags.writeable and not s.c0.flags.writeable
+        assert np.array_equal(s.a, np.broadcast_to(s.a[:1], s.a.shape))
 
 
 def test_family_respects_ellipticity_bounds():

@@ -3,7 +3,7 @@ import pytest
 
 from degenlab import (ClosureError, ManufacturedCase, StudyTable, build_mesh,
                       convergence_study, default_case, generate_family,
-                      identity_coefficients, nodal_residual)
+                      identity_coefficients)
 from degenlab.mms import StudyRow
 
 
@@ -94,27 +94,6 @@ def test_mode_validation():
     mixed = default_case(1, lam=4.0, mode="mixed")
     F, f = mixed.synthesize_sources()
     assert F[-1] is not None and f is not None
-
-
-def test_nodal_residual_shrinks_under_refinement():
-    case = default_case(1, lam=1.0)
-    r1 = nodal_residual(case, _mesh_d1(8, 10))
-    r2 = nodal_residual(case, _mesh_d1(16, 40))
-    print("nodal residual", r1, r2)
-    assert np.isfinite(r1) and r1 > 0
-    assert r1 / r2 > 2.5
-
-
-def test_nodal_residual_dim2():
-    case = default_case(2, lam=1.0)
-    m = build_mesh(2, 4.0, 12, 2.0, xprime_count=8,
-                   xprime_length=2 * np.pi, time_step=0.1, time_count=10)
-    m2 = build_mesh(2, 4.0, 24, 2.0, xprime_count=16,
-                    xprime_length=2 * np.pi, time_step=0.025, time_count=40)
-    r1 = nodal_residual(case, m)
-    r2 = nodal_residual(case, m2)
-    print("dim2 residual", r1, r2)
-    assert r1 / r2 > 2.5
 
 
 def test_convergence_study_rates_d1():

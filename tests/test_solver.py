@@ -14,7 +14,7 @@ from degenlab import (CoefficientField, DiscreteField, LoadAssembler,
                       generate_family, identity_coefficients,
                       interior_pattern, linear_solve, march, march_system,
                       model_stiffness, sample_nodes, smooth_random_closure,
-                      steady_solve, stiffness_levels)
+                      stiffness_levels)
 
 LOG2 = np.log(2.0)
 
@@ -328,15 +328,23 @@ def test_source_free_march_decays():
                for i in range(len(norms) - 1))
 
 
+def _steady_state(m, coeffs, lam, F=None, f=None):
+    """Nodal values of the stationary solution K u = b at t = 0, by one
+    sparse direct solve."""
+    K = assemble_stiffness(m, coeffs, lam, t=0.0).matrix
+    b = LoadAssembler(m).assemble(F, f, lam, t=0.0)
+    return DiscreteField.from_interior(m, linear_solve(K, b)).values
+
+
 def test_march_approaches_steady_state():
     m = build_mesh(1, 4.0, 12, 2.0, time_step=0.25, time_count=120)
     coeffs = generate_family(5, "constant", 0.5, 0.0, dim=1)
     lam = 4.0
     f = lambda t, xp, xd: np.sin(xd)
     sol = march(m, coeffs, lam, f=f)
-    u_star = steady_solve(m, coeffs, lam, f=f)
-    gap = np.abs(sol.levels[-1] - u_star.values).max()
-    early = np.abs(sol.levels[4] - u_star.values).max()
+    u_star = _steady_state(m, coeffs, lam, f=f)
+    gap = np.abs(sol.levels[-1] - u_star).max()
+    early = np.abs(sol.levels[4] - u_star).max()
     print("steady gap late", gap, "early", early)
     assert gap < 1e-9
     assert gap < early
@@ -346,10 +354,10 @@ def test_steady_solve_flux_data_nodal_exact():
     # with a = I, lam = 0 and flux data F = u' for u = x(1-x)/2 the
     # discrete solution interpolates u exactly (1d Galerkin projection)
     m = build_mesh(1, 1.0, 4, 1.0)
-    u = steady_solve(m, identity_coefficients(1), 0.0,
-                     F=lambda t, xp, xd: 0.5 - xd)
+    u = _steady_state(m, identity_coefficients(1), 0.0,
+                      F=lambda t, xp, xd: 0.5 - xd)
     expect = m.xd_nodes * (1 - m.xd_nodes) / 2
-    assert np.max(np.abs(u.values[:, 0] - expect)) < 1e-13
+    assert np.max(np.abs(u[:, 0] - expect)) < 1e-13
 
 
 def test_adjoint_pairing_identity_dense():
