@@ -390,6 +390,12 @@ class LoadAssembler:
         None, a callable (dim=1) or a tuple of dim callables; f is None or a
         callable.  Each source is sampled once for all times, so it must
         broadcast an array t against the node grid."""
+        b = self.combine(self.parts(F, f, t), lam)
+        return b[0] if np.ndim(t) == 0 else b
+
+    def parts(self, F, f, t):
+        """(B_F, B_f) with b(lam) = B_F + sqrt(lam) B_f at the times t, one
+        row per time; B_f is None without f."""
         mesh = self.mesh
         times = np.atleast_1d(np.asarray(t, float))
         if times.ndim != 1:
@@ -399,21 +405,28 @@ class LoadAssembler:
             return sample_nodes(mesh, func, times[:, None, None]).reshape(
                 times.size, mesh.n_nodes).T
 
-        b = np.zeros((times.size, mesh.n_interior))
+        B_F = np.zeros((times.size, mesh.n_interior))
         if F is not None:
             comps = F if isinstance(F, (tuple, list)) else (F,)
             if len(comps) != mesh.dim:
                 raise ValueError("F needs %d components" % mesh.dim)
             for i, Fi in enumerate(comps):
                 if Fi is not None:
-                    b += (self.G[i] @ samples(Fi)).T
-        if f is not None:
+                    B_F += (self.G[i] @ samples(Fi)).T
+        return B_F, None if f is None else (self.W @ samples(f)).T
+
+    @staticmethod
+    def combine(parts, lam):
+        """b(lam) = B_F + sqrt(lam) B_f from ``parts``, checked finite."""
+        B_F, B_f = parts
+        b = B_F.copy()
+        if B_f is not None:
             if lam < 0:
                 raise ValueError("lambda must be >= 0")
-            b += np.sqrt(lam) * (self.W @ samples(f)).T
+            b += np.sqrt(lam) * B_f
         if not np.all(np.isfinite(b)):
             raise ValueError("non-finite load entries")
-        return b[0] if np.ndim(t) == 0 else b
+        return b
 
 
 def _load_maps(mesh):

@@ -249,6 +249,9 @@ def _local_solutions(cfg, problem, lam):
 def _cmd_solve(cfg):
     mesh = _build_mesh(cfg)
     coeffs = _coeffs(cfg, mesh)
+    if cfg["export_matrix"] and not coeffs.autonomous:
+        raise ConfigError("export_matrix writes one stiffness matrix, but "
+                          "coefficient kind %r depends on time" % cfg["kind"])
     F, f = _sources(cfg, mesh)
     sol = march(mesh, coeffs, cfg["lambda"], F=F, f=f, config=_stepper(cfg))
     lines = ["t,xprime,xd,u"]

@@ -203,7 +203,12 @@ def partial_averages(coeffs, mesh, cyl, sample=None):
     _check_cylinder_domain(mesh, cyl)
     if sample is None:
         sample = sample_on_mesh(coeffs, mesh)
-    d = coeffs.dim
+    return _averages(mesh, cyl, sample, cells_in_cylinder(mesh, cyl))
+
+
+def _averages(mesh, cyl, sample, ball):
+    """partial_averages on a checked cylinder with its cell set ``ball``."""
+    d = sample.a.shape[-1]
     tset, xpset = prime_cells_in_cylinder(mesh, cyl)
     if tset.size == 0 or xpset.size == 0:
         raise EmptyCylinder("cylinder contains no (t,x') cells to average over")
@@ -217,7 +222,6 @@ def partial_averages(coeffs, mesh, cyl, sample=None):
     avg_c0 = np.where(np.ptp(sub_c, axis=(0, 2)) == 0.0, sub_c[0, :, 0],
                       sub_c.mean(axis=(0, 2)))
     # full-average constants for the a_id column, cell-measure weighted
-    ball = cells_in_cylinder(mesh, cyl)
     if ball.n_cells == 0:
         raise EmptyCylinder("cylinder contains no cells")
     areas = ball.space_measures()
@@ -237,10 +241,8 @@ def oscillation(coeffs, mesh, cyl, sample=None):
     _check_cylinder_domain(mesh, cyl)
     if sample is None:
         sample = sample_on_mesh(coeffs, mesh)
-    avg_a, avg_c0 = partial_averages(coeffs, mesh, cyl, sample=sample)
     ball = cells_in_cylinder(mesh, cyl)
-    if ball.n_cells == 0:
-        raise EmptyCylinder("cylinder contains no cells")
+    avg_a, avg_c0 = _averages(mesh, cyl, sample, ball)
     aj, am = ball.space_j, ball.space_m
     areas = ball.space_measures()
     wsum = areas.sum() * ball.time_cells.size

@@ -8,20 +8,19 @@ stiffness has one form: an (L, nnz) stack of entry data on the mesh's
 interior pattern, one level (L = 1) when the coefficient field declares
 itself autonomous and one per time level (L = N+1) otherwise.  A
 ``Marcher`` splits it as K(lam) = D + lam * C once per (mesh, coefficients),
-so a lambda grid assembles D and C once.  The adjoint march takes the same
-forward stack: M is bitwise symmetric, so its system M + dt K^T is the
-transpose of the forward system, and no transposed stiffness is assembled.
-Every linear system goes to one sparse direct solver (SuperLU through
-scipy's ``splu``), factored once per march for one level and once per step
-for N+1; every solve, including one that reuses the factors, is followed by
-a backward-error check.
+so a lambda grid assembles D and C once.  Every linear system goes to one
+banded LU (LAPACK's dgbtrf/dgbtrs), filled straight from CSR entry data with
+the bandwidths of the interior pattern and factored once per march for one
+level, once per step for N+1.  The adjoint march takes the same forward
+stack: M is bitwise symmetric, so its system M + dt K^T is the transpose of
+the forward one, solved with the forward factors transposed.  Every solve is
+checked against the matrix that was factored, a march's in one pass after
+the last step.
 """
-
-import copy
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .assembly import (LoadAssembler, assemble_weighted_mass,
                        interior_pattern, stiffness_levels)
@@ -47,50 +46,78 @@ class TimeStepperConfig:
 
 # -- linear solves ------------------------------------------------------------
 
-def _backward_error(A, x, b, norm_A):
-    r = b - A @ x
-    denom = np.linalg.norm(b) + norm_A * np.linalg.norm(x)
-    if denom == 0.0:
-        return 0.0
-    return np.linalg.norm(r) / denom
+class _BandLU:
+    """LAPACK's banded LU for square matrices on one CSR pattern, whose
+    bandwidths it reads: ``factor`` fills one reused band buffer from entry
+    data in pattern order, ``solve`` reuses the factors (transposed for
+    trans=1), and ``check`` checks a batch of solves in one pass."""
 
+    def __init__(self, indices, indptr, n):
+        self._rows = np.repeat(np.arange(n), np.diff(indptr))
+        self._cols, self._indptr = np.asarray(indices, np.intp), indptr
+        off = self._rows - self._cols
+        self.kl, self.ku = int(off.max(initial=0)), int(-off.min(initial=0))
+        ldab = 2 * self.kl + self.ku + 1
+        self._band = np.zeros((ldab, n), order="F")
+        self._flat = self._band.reshape(-1, order="F")      # a view
+        self._at = self.kl + self.ku + off + ldab * self._cols  # A[i, j]
 
-def _factorize(A, tol):
-    """LU-factor the square matrix A once; returns solve(b) -> x.  Each
-    solve is checked: a backward error above 10*tol, or a singular A, raises
-    SolverError."""
-    if not (sp.issparse(A) and A.format == "csc" and A.has_canonical_format):
-        A = sp.csc_matrix(A, copy=True)
-        A.sum_duplicates()
-    n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("linear_solve needs a square matrix")
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:        # "Factor is exactly singular"
-        raise SolverError("LU factorization failed: %s" % exc)
-    # max absolute row sum, each row summed in column order
-    norm_A = np.bincount(A.indices, weights=np.abs(A.data),
-                         minlength=n).max() if A.nnz else 0.0
+    def factor(self, data, where=""):
+        """LU-factor the matrix with these entries; an exactly singular one
+        raises SolverError, prefixed by ``where``."""
+        self._flat[:] = 0.0
+        self._flat[self._at] = data
+        _, self._piv, info = dgbtrf(self._band, self.kl, self.ku,
+                                    overwrite_ab=1)
+        if info > 0:
+            raise SolverError("%sLU factorization failed: the matrix is "
+                              "exactly singular (zero pivot %d)"
+                              % (where, info))
 
-    def solve(b):
-        b = np.asarray(b, float)
-        if b.shape != (n,):
-            raise ValueError("shape mismatch in linear_solve")
-        x = lu.solve(b)
-        be = _backward_error(A, x, b, norm_A)
-        if not np.isfinite(be) or be > 10 * tol:
-            raise SolverError("linear solve backward error %.3e exceeds %.3e"
-                              % (be, 10 * tol))
-        return x
+    def solve(self, b, trans=0):
+        return dgbtrs(self._band, self.kl, self.ku, b, self._piv,
+                      trans=trans)[0]
 
-    return solve
+    def check(self, data, X, B, tol, levels=None, trans=0):
+        """The backward error ||b - A x|| / (||b|| + ||A||_inf ||x||) of each
+        solve A_k x_k = b_k (A_k^T for trans=1), with A_k the rows of data (1
+        or K, nnz), must be finite and at most 10*tol; the first that is not
+        raises SolverError, naming time level levels[k] when given.  A
+        factored matrix has no empty row or column."""
+        rows, cols, ptr = self._rows, self._cols, self._indptr
+        if trans:                       # A^T in CSR order: A in CSC order
+            order = np.argsort(cols, kind="stable")
+            data, rows, cols = data[:, order], cols[order], rows[order]
+            ptr = np.searchsorted(rows, np.arange(len(ptr)))
+        Ax = X[:, cols]
+        Ax *= data
+        Ax = np.add.reduceat(Ax, ptr[:-1], axis=1)
+        norm_A = np.add.reduceat(np.abs(data), ptr[:-1], axis=1).max(axis=1)
+        denom = np.linalg.norm(B, axis=1) + norm_A * np.linalg.norm(X, axis=1)
+        errors = np.linalg.norm(B - Ax, axis=1) / np.where(denom == 0, 1,
+                                                           denom)
+        bad = ~(errors <= 10 * tol)
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = "" if levels is None else "time level %d: " % levels[k]
+            raise SolverError("%slinear solve backward error %.3e exceeds "
+                              "%.3e" % (where, errors[k], 10 * tol))
 
 
 def linear_solve(A, b, tol=1e-10):
-    """Solve A x = b by sparse LU.  Raises SolverError when A is singular or
+    """Solve A x = b by banded LU.  Raises SolverError when A is singular or
     the verified backward error exceeds 10*tol."""
-    return _factorize(A, tol)(b)
+    A = sp.csr_matrix(A, copy=True)
+    A.sum_duplicates()
+    b = np.asarray(b, float)
+    if A.shape[1] != A.shape[0] or b.shape != A.shape[:1]:
+        raise ValueError("linear_solve needs a square A and a b of its "
+                         "size, got %s and %s" % (A.shape, b.shape))
+    lu = _BandLU(A.indices, A.indptr, len(b))
+    lu.factor(A.data)
+    x = lu.solve(b)
+    lu.check(A.data[None], x[None], b[None], tol)
+    return x
 
 
 # -- solution container --------------------------------------------------------
@@ -114,15 +141,6 @@ class SpaceTimeSolution:
         self.lam = lam
         self.config = config
         self.loads = None
-
-    @classmethod
-    def from_interior_levels(cls, mesh, interior, times, lam=None,
-                             config=None):
-        interior = np.asarray(interior, float)
-        full = np.zeros((interior.shape[0], mesh.M + 1, mesh.xprime_count))
-        full[:, 1:-1, :] = interior.reshape(interior.shape[0], mesh.M - 1,
-                                            mesh.xprime_count)
-        return cls(mesh, full, times, lam=lam, config=config)
 
     @property
     def time_count(self):
@@ -151,54 +169,24 @@ class SpaceTimeSolution:
 
 # -- marching -------------------------------------------------------------------
 
-def _system(Mmat, K, s, mesh, transpose=False):
-    """n -> M + s K^n as a CSC matrix, or its transpose M + s (K^n)^T, for a
-    stiffness stack K (L, nnz) on the mesh's interior pattern, L = 1
-    (autonomous; every n gives level 0) or N+1.  M is bitwise symmetric, so
-    the CSC arrays of the transpose are the CSR arrays of M + s K^n.  All
-    system data is formed at once; each level drops its exact zeros, as a
-    sparse sum would, so the factorization sees the same pattern."""
+def _systems(mass, stiffness, s, mesh):
+    """(K, A, LU): the stiffness stack K (L, nnz) on the mesh's interior
+    pattern, L = 1 (autonomous; every n gives level 0) or N+1, the entry
+    data A of M + s K^n, and a band LU for that pattern."""
     indices, indptr, shape = interior_pattern(mesh)
     N = mesh.time_count
+    K = np.asarray(stiffness, float)
     if K.ndim != 2 or K.shape[0] not in (1, N + 1) \
             or K.shape[1] != indices.size:
         raise ValueError("stiffness stack must have shape (1, nnz) or "
                          "(N+1, nnz) = %s, got %s"
                          % ((N + 1, indices.size), K.shape))
+    Mmat = mass.matrix
     if not (np.array_equal(Mmat.indptr, indptr)
             and np.array_equal(Mmat.indices, indices)):
         raise ValueError("the mass must be on the interior pattern of the "
                          "mesh")
-    A = Mmat.data + s * K
-    rows, colptr = indices, indptr
-    if not transpose:
-        order = np.argsort(indices, kind="stable")          # CSR -> CSC
-        rows = np.repeat(np.arange(shape[0]), np.diff(indptr))[order]
-        colptr = np.searchsorted(indices[order], np.arange(shape[1] + 1))
-        A = A[:, order]
-    keep = A != 0
-    data = A[keep]                      # the kept entries, level by level
-    rows = np.broadcast_to(rows.astype(np.intc), A.shape)[keep]
-    kept = np.zeros((len(A), A.shape[1] + 1), np.intc)
-    np.cumsum(keep, axis=1, dtype=np.intc, out=kept[:, 1:])
-    ptr = kept.take(colptr, axis=1)     # (L, ncols + 1) column pointers
-    ends = np.cumsum(ptr[:, -1])
-    starts = ends - ptr[:, -1]
-    # each level's rows are a subset of the pattern's sorted, unique rows:
-    # a copy of one template built by scipy's constructor, with the level's
-    # arrays, skips the re-validation of the index arrays at every step
-    template = sp.csc_matrix((data[:ends[0]], rows[:ends[0]], ptr[0]),
-                             shape=shape)
-    template.has_canonical_format = True
-
-    def system(n):
-        k = n if len(A) > 1 else 0
-        level = slice(starts[k], ends[k])
-        mat = copy.copy(template)
-        mat.data, mat.indices, mat.indptr = data[level], rows[level], ptr[k]
-        return mat
-
-    return system
+    return K, Mmat.data + s * K, _BandLU(indices, indptr, shape[0])
 
 
 def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
@@ -210,9 +198,9 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
     autonomous coefficients, factored once, or L = N+1, refactored every
     step.  loads: None or an array (N+1, n_interior) whose row n is the load
     b^n; u0: interior vector or None.  Each step solves (M + theta dt
-    K^{n+1}) u^{n+1} = (M - (1-theta) dt K^n) u^n + dt b^theta, and every
-    solve is checked.  The returned solution keeps the load rows as
-    ``loads``.
+    K^{n+1}) u^{n+1} = (M - (1-theta) dt K^n) u^n + dt b^theta; every solve
+    is checked after the last step.  The returned solution keeps the load
+    rows as ``loads``.
     """
     config = config or TimeStepperConfig()
     dt, N = mesh.time_step, mesh.time_count
@@ -224,44 +212,35 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
             raise ValueError("loads must have shape (N+1, n_interior) = %s, "
                              "got %s" % ((N + 1, n_int), loads.shape))
     b = np.zeros((N + 1, n_int)) if loads is None else loads
-    K = np.asarray(stiffness, float)
-    Mmat = mass.matrix
-    system = _system(Mmat, K, theta * dt, mesh)
+    K, A, lu = _systems(mass, stiffness, theta * dt, mesh)
     stacked = len(K) > 1
-    indices, indptr, shape = interior_pattern(mesh)
-
-    interior = np.zeros((N + 1, n_int))
+    Mmat = mass.matrix
+    levels = np.zeros((N + 1, mesh.M + 1, mesh.xprime_count))
+    interior = levels[:, 1:-1, :].reshape(N + 1, n_int)      # a view
     if u0 is not None:
         interior[0] = np.asarray(u0, float)
-
-    solve = None
+    rhs = dt * (theta * b[1:] + (1 - theta) * b[:-1])   # row n: step n -> n+1
     for n in range(N):
-        rhs = Mmat @ interior[n] + dt * (theta * b[n + 1]
-                                         + (1 - theta) * b[n])
+        if n == 0 or stacked:
+            lu.factor(A[n + 1 if stacked else 0], "time level %d: " % (n + 1))
+        rhs[n] += Mmat @ interior[n]
         if theta < 1.0:
-            Kn = sp.csr_matrix((K[n if stacked else 0], indices, indptr),
-                               shape=shape)
-            rhs -= (1 - theta) * dt * (Kn @ interior[n])
-        try:
-            if solve is None or stacked:
-                solve = _factorize(system(n + 1), config.linear_tol)
-            interior[n + 1] = solve(rhs)
-        except SolverError as exc:
-            raise SolverError("time level %d: %s" % (n + 1, exc))
+            Kn = sp.csr_matrix((K[n if stacked else 0], Mmat.indices,
+                                Mmat.indptr), shape=Mmat.shape)
+            rhs[n] -= (1 - theta) * dt * (Kn @ interior[n])
+        interior[n + 1] = lu.solve(rhs[n])
+    lu.check(A[1:] if stacked else A, interior[1:], rhs, config.linear_tol,
+             levels=np.arange(1, N + 1))
 
     if loads is None:
         # pure decay: the weighted mass norm must not grow
-        prev = interior[0] @ (Mmat @ interior[0])
-        for n in range(1, N + 1):
-            cur = interior[n] @ (Mmat @ interior[n])
-            if cur > prev * (1 + 1e-10) + 1e-14:
-                raise SolverError("source-free march gained weighted energy "
-                                  "at level %d" % n)
-            prev = cur
+        energy = np.einsum("ij,ji->i", interior, Mmat @ interior.T)
+        grew = energy[1:] > energy[:-1] * (1 + 1e-10) + 1e-14
+        if grew.any():
+            raise SolverError("source-free march gained weighted energy "
+                              "at level %d" % (np.argmax(grew) + 1))
 
-    sol = SpaceTimeSolution.from_interior_levels(mesh, interior,
-                                                 mesh.time_levels,
-                                                 config=config)
+    sol = SpaceTimeSolution(mesh, levels, mesh.time_levels, config=config)
     sol.loads = loads
     return sol
 
@@ -271,9 +250,9 @@ class Marcher:
     one coefficient field: the weighted mass and the stiffness split
     K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
     declares itself autonomous (see ``CoefficientField.autonomous``) and at
-    every time level of the mesh otherwise, built on first use.  One
-    marcher marches any number of lambdas, forward and adjoint, and
-    assembles each of these once."""
+    every time level of the mesh otherwise, and the load parts of the last
+    sources (F, f), by identity; each built on first use.  One marcher
+    marches any number of lambdas, forward and adjoint."""
 
     def __init__(self, mesh, coeffs, config=None):
         self.mesh = mesh
@@ -281,6 +260,7 @@ class Marcher:
         self.config = config or TimeStepperConfig()
         self.mass = assemble_weighted_mass(mesh, coeffs.a0)
         self._split = None
+        self._sources = (None, None, None)
 
     def stiffness(self, lam):
         """K(lam) as march_system takes it: the stack D + lam * C (D alone
@@ -300,8 +280,10 @@ class Marcher:
         stiffness = self.stiffness(lam)
         loads = None
         if F is not None or f is not None:
-            loads = LoadAssembler(self.mesh).assemble(F, f, lam,
-                                                      self.mesh.time_levels)
+            if self._sources[0] is not F or self._sources[1] is not f:
+                self._sources = (F, f, LoadAssembler(self.mesh).parts(
+                    F, f, self.mesh.time_levels))
+            loads = LoadAssembler.combine(self._sources[2], lam)
         u0vec = None
         if u0 is not None:
             if not u0.has_zero_trace():
@@ -336,10 +318,10 @@ def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     for n = N..1 (implicit Euler only: the duality identity is exact there).
 
     mass and stiffness are those of the forward march_system: the weighted
-    mass and the forward K stack (L, nnz), L = 1 or N+1, not K^T.  Since M
-    is bitwise symmetric, each system is the transpose of the forward one.
-    dual_loads: array (N+1, n_interior); row n is c^n, row 0 is ignored.
-    Returns an array of the same shape whose row n is v^n (row 0 is zero).
+    mass and the forward K stack (L, nnz), L = 1 or N+1, not K^T; each
+    system is solved with the forward factors, transposed.  dual_loads:
+    array (N+1, n_interior); row n is c^n, row 0 is ignored.  Returns an
+    array of the same shape whose row n is v^n (row 0 is zero).
     """
     config = config or TimeStepperConfig()
     if config.theta != 1.0:
@@ -348,18 +330,18 @@ def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     dual_loads = np.asarray(dual_loads, float)
     if dual_loads.shape != (N + 1, mesh.n_interior):
         raise ValueError("dual_loads must have shape (N+1, n_interior)")
-    K = np.asarray(stiffness, float)
-    Mmat = mass.matrix
-    system = _system(Mmat, K, dt, mesh, transpose=True)
-    v = np.zeros_like(dual_loads)
-    v_next = np.zeros(mesh.n_interior)
-    solve = None
-    for n in range(N, 0, -1):
-        if solve is None or len(K) > 1:
-            solve = _factorize(system(n), config.linear_tol)
-        v[n] = solve(Mmat @ v_next + dt * dual_loads[n])
-        v_next = v[n]
-    return v
+    K, A, lu = _systems(mass, stiffness, dt, mesh)
+    stacked = len(K) > 1
+    v = np.zeros((N + 2, mesh.n_interior))          # v^{N+1} = 0
+    rhs = dt * dual_loads[N:0:-1]          # row k: the step to level N - k
+    for k, n in enumerate(range(N, 0, -1)):
+        if k == 0 or stacked:
+            lu.factor(A[n if stacked else 0], "time level %d: " % n)
+        rhs[k] += mass.matrix @ v[n + 1]
+        v[n] = lu.solve(rhs[k], trans=1)
+    lu.check(A[N:0:-1] if stacked else A, v[N:0:-1], rhs, config.linear_tol,
+             levels=np.arange(N, 0, -1), trans=1)
+    return v[:-1]
 
 
 def adjoint_march(mesh, coeffs, lam, dual_loads, config=None):

@@ -107,6 +107,15 @@ def test_solver_failure_exits_three(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_matrix_export_refuses_a_time_dependent_kind(tmp_path, capsys):
+    path = _write_cfg(tmp_path, command="solve", dim=1, mesh_M=6,
+                      time_step=0.25, time_count=4, export_matrix=True,
+                      kind="oscillatory", eps=0.2)
+    assert main(["run", path]) == 2
+    assert "kind 'oscillatory' depends on time" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rows_and_idempotent_reruns(tmp_path):
     path = _small_sweep(tmp_path)
     assert main(["run", path]) == 0

@@ -1,9 +1,13 @@
+import inspect
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 import degenlab.assembly
 import degenlab.solver
@@ -143,15 +147,72 @@ def test_march_evaluates_each_load_once(monkeypatch):
     assert sol.loads.shape == (7, m.n_interior)
 
 
+def test_marcher_samples_each_source_once_per_lambda_grid(monkeypatch):
+    # b(lam) = B_F + sqrt(lam) B_f: a lambda grid samples F and f once, and
+    # every row is bitwise the load assembled at its lambda
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=4, xprime_length=2 * np.pi,
+                   time_step=0.1, time_count=4)
+    F = tuple(smooth_random_closure(11 + i, 2, xp_length=2 * np.pi)
+              for i in range(2))
+    f = smooth_random_closure(5, 2, xp_length=2 * np.pi)
+    marcher = Marcher(m, generate_family(1, "xd_only", 0.5, 0.2, dim=2))
+    calls = []
+
+    def counting_sample_nodes(mesh, func, t):
+        calls.append(func)
+        return sample_nodes(mesh, func, t)
+
+    monkeypatch.setattr(degenlab.assembly, "sample_nodes",
+                        counting_sample_nodes)
+    sols = [marcher.march(lam, F=F, f=f) for lam in (0.0, 1.0, 10.0, 1e3)]
+    assert calls == [F[0], F[1], f]
+    marcher.march(1.0, F=F)                  # other sources: sampled anew
+    assert calls[3:] == [F[0], F[1]]
+    monkeypatch.undo()
+    la = LoadAssembler(m)
+    for sol in sols:
+        rows = la.assemble(F, f, sol.lam, m.time_levels)
+        assert sol.loads.tobytes() == rows.tobytes()
+    with pytest.raises(ValueError, match="lambda must be >= 0"):
+        marcher.march(-1.0, F=F, f=f)
+
+
 def _count_factorizations(monkeypatch):
     calls = []
 
-    def counting_splu(A, *args, **kwargs):
-        calls.append(A.shape)
-        return splu(A, *args, **kwargs)
+    def counting_dgbtrf(ab, *args, **kwargs):
+        calls.append(ab.shape)
+        return dgbtrf(ab, *args, **kwargs)
 
-    monkeypatch.setattr(degenlab.solver, "splu", counting_splu)
+    monkeypatch.setattr(degenlab.solver, "dgbtrf", counting_dgbtrf)
     return calls
+
+
+def _record_solves(monkeypatch, wrong_from=np.inf):
+    """Record the trans flag of every banded solve; from the wrong_from-th
+    solve on, return twice the solution."""
+    solves = []
+
+    def recording_dgbtrs(*args, **kwargs):
+        solves.append(kwargs.get("trans", 0))
+        x, info = dgbtrs(*args, **kwargs)
+        return (x if len(solves) < wrong_from else 2 * x), info
+
+    monkeypatch.setattr(degenlab.solver, "dgbtrs", recording_dgbtrs)
+    return solves
+
+
+def _band_solve(A, b, bw):
+    """x of A x = b by LAPACK's gbsv (gbtrf, then gbtrs) on the dense
+    entries of A within bw diagonals of the main one, in band storage."""
+    A = A.toarray()
+    n = len(A)
+    ab = np.zeros((3 * bw + 1, n))
+    for k in range(-bw, bw + 1):           # A[i, i + k] at ab[2 bw - k]
+        ab[2 * bw - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
+    _, _, x, info = dgbsv(bw, bw, ab, b)
+    assert info == 0
+    return x
 
 
 @pytest.mark.parametrize("kind, expected", [("constant", 1), ("xd_only", 1),
@@ -184,19 +245,10 @@ def test_march_checks_solves_that_reuse_the_factors(monkeypatch):
         march_system(Mw, K, loads, m,
                      config=TimeStepperConfig(linear_tol=1e-30))
 
-    class WrongFromThirdSolve:
-        def __init__(self, A):
-            self.lu = splu(A)
-            self.solves = 0
-
-        def solve(self, b):
-            self.solves += 1
-            x = self.lu.solve(b)
-            return x if self.solves < 3 else 2 * x
-
-    monkeypatch.setattr(degenlab.solver, "splu", WrongFromThirdSolve)
+    solves = _record_solves(monkeypatch, wrong_from=3)
     with pytest.raises(SolverError, match="time level 3:"):
         march_system(Mw, K, loads, m)
+    assert solves == [0] * 5          # checked after the last step
 
 
 def test_march_wrapper_matches_march_system():
@@ -217,7 +269,10 @@ def test_march_wrapper_matches_march_system():
 
 def _reference_march(m, coeffs, lam, loads, times, theta):
     """The theta scheme step by step, with the stiffness assembled at each
-    time level and the system matrix summed and converted by scipy."""
+    time level, the system matrix summed by scipy and solved by gbsv with
+    the bandwidth of the interior pattern: 1 in d = 1, 2 xprime_count - 1
+    in d = 2."""
+    bw = 1 if m.dim == 1 else 2 * m.xprime_count - 1
     dt = times[1] - times[0]
     Mw = assemble_weighted_mass(m, coeffs.a0).matrix
     K = [assemble_stiffness(m, coeffs, lam, t=t).matrix for t in times]
@@ -227,7 +282,7 @@ def _reference_march(m, coeffs, lam, loads, times, theta):
                                 + (1 - theta) * loads[n])
         if theta < 1.0:
             rhs -= (1 - theta) * dt * (K[n] @ u[n])
-        u[n + 1] = splu(sp.csc_matrix(Mw + theta * dt * K[n + 1])).solve(rhs)
+        u[n + 1] = _band_solve(Mw + theta * dt * K[n + 1], rhs, bw)
     return u
 
 
@@ -272,8 +327,10 @@ def test_time_dependent_march_is_bitwise_the_per_step_scheme(dim, theta,
         assert np.abs(ref).max() > 0
 
 
-def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum(
-        monkeypatch):
+def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
+    # an entry of one level cancels exactly; the band storage holds it as
+    # the zero that a sparse sum would drop, and the march is bitwise the
+    # step-by-step banded solve of the scipy-summed systems
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
     mass = assemble_weighted_mass(m)
     Mw = mass.matrix
@@ -283,25 +340,112 @@ def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum(
     assert indices[k] == 1
     K[3, k] = -4.0 * Mw.data[k]  # M + dt K = M - M = 0 exactly (dt = 1/4)
     loads = np.ones((5, m.n_interior))
-    factored = []
-
-    def recording_splu(A, *args, **kwargs):
-        factored.append(A)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(degenlab.solver, "splu", recording_splu)
     sol = march_system(mass, K, loads, m)
     u = np.zeros_like(loads)
     for n in range(4):
         Kn = sp.csr_matrix((K[n + 1], indices, indptr), shape=shape)
-        A = sp.csc_matrix(Mw + 0.25 * Kn)
-        got = factored[n]
-        assert got.data.tobytes() == A.data.tobytes()
-        assert np.array_equal(got.indices, A.indices)
-        assert np.array_equal(got.indptr, A.indptr)
+        A = Mw + 0.25 * Kn
         assert A.nnz == indices.size - (n + 1 == 3)
-        u[n + 1] = splu(A).solve(Mw @ u[n] + 0.25 * loads[n + 1])
+        u[n + 1] = _band_solve(A, Mw @ u[n] + 0.25 * loads[n + 1], 1)
     assert sol.interior_levels().tobytes() == u.tobytes()
+
+
+def test_a_singular_level_raises_at_once_and_names_it(monkeypatch):
+    m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
+    mass = assemble_weighted_mass(m)
+    K = np.tile(model_stiffness(m).matrix.data, (5, 1))
+    K[3] = -4.0 * mass.matrix.data      # M + dt K^3 = 0 (dt = 1/4)
+    solves = _record_solves(monkeypatch)
+    with pytest.raises(SolverError, match="time level 3: LU factorization "
+                       "failed: the matrix is exactly singular"):
+        march_system(mass, K, np.ones((5, m.n_interior)), m)
+    assert len(solves) == 2
+
+
+def test_band_reaches_the_periodic_wrap_in_d2():
+    # x' is periodic: the interior pattern couples node 0 of a row of
+    # x_d nodes with node P-1 of the next one, 2 P - 1 entries off the
+    # diagonal, and the banded march must solve those entries exactly
+    P = 5
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=P, xprime_length=2 * np.pi,
+                   time_step=0.25, time_count=2)
+    indices, indptr, shape = interior_pattern(m)
+    rows = np.repeat(np.arange(shape[0]), np.diff(indptr))
+    assert np.abs(rows - indices).max() == 2 * P - 1
+    rng = np.random.default_rng(3)
+    K = sp.csr_matrix((rng.uniform(-1.0, 1.0, indices.size), indices,
+                       indptr), shape=shape)
+    K.setdiag(10.0 + rng.uniform(0.0, 1.0, shape[0]))
+    far = rows - indices == 2 * P - 1
+    assert np.all(K.data[far] != 0)
+    mass = assemble_weighted_mass(m)
+    loads = rng.standard_normal((3, m.n_interior))
+    sol = march_system(mass, K.data[None], loads, m)
+    A = (mass.matrix + 0.25 * K).toarray()
+    u1 = np.linalg.solve(A, 0.25 * loads[1])
+    u2 = np.linalg.solve(A, mass.matrix @ u1 + 0.25 * loads[2])
+    for got, want in ((sol.interior(1), u1), (sol.interior(2), u2)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    x = linear_solve(K, loads[0], tol=1e-12)
+    want = np.linalg.solve(K.toarray(), loads[0])
+    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_adjoint_checks_every_solve_and_names_the_level(monkeypatch):
+    m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
+    Mw = assemble_weighted_mass(m)
+    K = _stack(m, identity_coefficients(1), 1.0)
+    c_rows = np.ones((6, m.n_interior))
+    # the adjoint marches n = 5, 4, ..., 1: its first solve is level 5
+    with pytest.raises(SolverError, match="time level 5:"):
+        adjoint_march_system(Mw, K, c_rows, m,
+                             config=TimeStepperConfig(linear_tol=1e-30))
+    solves = _record_solves(monkeypatch, wrong_from=2)
+    with pytest.raises(SolverError, match="time level 4:"):
+        adjoint_march_system(Mw, K, c_rows, m)
+    assert solves == [1] * 5
+    coeffs = generate_family(0, "oscillatory", 0.5, 0.2, dim=1)
+    K = _stack(m, coeffs, 1.0, m.time_levels)
+    solves = _record_solves(monkeypatch, wrong_from=4)
+    with pytest.raises(SolverError, match="time level 2:"):
+        adjoint_march_system(Mw, K, c_rows, m)
+
+
+def _march_digests():
+    """sha256 of the levels of a time-dependent d = 1 march and its adjoint,
+    and of a d = 2 pair whose band (2 * 33 - 1 = 65 diagonals on each side)
+    is wider than the 64 up to which reference LAPACK keeps dgbtrf
+    unblocked."""
+    import hashlib
+
+    import numpy as np
+
+    from degenlab import (Marcher, LoadAssembler, build_mesh,
+                          generate_family, smooth_random_closure)
+    out = []
+    for dim, P, kind in ((1, 1, "oscillatory"), (2, 33, "xd_only")):
+        m = build_mesh(dim, 3.0, 6, 2.0, xprime_count=P,
+                       xprime_length=2 * np.pi, time_step=0.1, time_count=4)
+        f = smooth_random_closure(5, dim, xp_length=2 * np.pi)
+        marcher = Marcher(m, generate_family(2, kind, 0.5, 0.2, dim=dim,
+                                             xp_length=2 * np.pi))
+        u = marcher.march(3.0, f=f).interior_levels()
+        v = marcher.adjoint(3.0, LoadAssembler(m).assemble(
+            None, f, 3.0, m.time_levels))
+        out += [hashlib.sha256(a.tobytes()).hexdigest() for a in (u, v)]
+    return out
+
+
+def test_marches_rerun_byte_identical_on_one_blas_thread():
+    script = inspect.getsource(_march_digests) + \
+        "\nprint(' '.join(_march_digests()))\n"
+    src = os.path.dirname(os.path.dirname(degenlab.solver.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == _march_digests()
 
 
 def test_march_system_rejects_a_stack_of_the_wrong_shape():
@@ -391,10 +535,11 @@ def test_adjoint_pairing_identity_dense():
 @pytest.mark.parametrize("kind", ["constant", "xd_only"])
 def test_adjoint_factors_the_transpose_of_the_forward_system(monkeypatch,
                                                              kind, dim, lam):
-    # the system splu receives is bitwise the one assembled from the
-    # transposed coefficients and converted by scipy; in d = 2 the xd_only
-    # family makes K nonsymmetric (a constant antisymmetric part of a
-    # cancels in the assembled form)
+    # the adjoint factors the forward system once and solves every step
+    # with those factors transposed (trans=1): its levels are the dense
+    # solves with the matrix assembled from the transposed coefficients.
+    # In d = 2 the xd_only family makes K nonsymmetric (a constant
+    # antisymmetric part of a cancels in the assembled form)
     if dim == 1:
         m = build_mesh(1, 3.0, 10, 2.0, time_step=0.25, time_count=4)
     else:
@@ -404,21 +549,19 @@ def test_adjoint_factors_the_transpose_of_the_forward_system(monkeypatch,
                              xp_length=2 * np.pi)
     Kt = assemble_stiffness(m, coeffs.transposed(), lam).matrix
     assert (abs(Kt - Kt.T).max() > 1e-3) == (dim == 2 and kind == "xd_only")
-    factored = []
-
-    def recording_splu(A, *args, **kwargs):
-        factored.append(A)
-        return splu(A, *args, **kwargs)
-
-    monkeypatch.setattr(degenlab.solver, "splu", recording_splu)
-    adjoint_march(m, coeffs, lam, np.ones((5, m.n_interior)))
+    calls = _count_factorizations(monkeypatch)
+    solves = _record_solves(monkeypatch)
+    c_rows = np.ones((5, m.n_interior))
+    v = adjoint_march(m, coeffs, lam, c_rows)
+    assert len(calls) == 1
+    assert solves == [1] * 4
     M = assemble_weighted_mass(m, coeffs.a0).matrix
-    expect = sp.csc_matrix(M + m.time_step * Kt)
-    assert len(factored) == 1
-    got = factored[0]
-    assert got.data.tobytes() == expect.data.tobytes()
-    assert np.array_equal(got.indices, expect.indices)
-    assert np.array_equal(got.indptr, expect.indptr)
+    At = (M + m.time_step * Kt).toarray()
+    expect = np.zeros_like(v)
+    for n in range(4, 0, -1):
+        nxt = expect[n + 1] if n < 4 else 0.0 * expect[0]
+        expect[n] = np.linalg.solve(At, M @ nxt + m.time_step * c_rows[n])
+    assert np.abs(v - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_adjoint_of_a_time_dependent_march_pairs_exactly(monkeypatch):
