@@ -9,20 +9,26 @@ interior pattern, one level (L = 1) when the coefficient field declares
 itself autonomous and one per time level (L = N+1) otherwise.  A
 ``Marcher`` splits it as K(lam) = D + lam * C once per (mesh, coefficients),
 so a lambda grid assembles D and C once.  Every linear system goes to one
-banded LU (LAPACK's dgbtrf/dgbtrs), filled straight from CSR entry data with
-the bandwidths of the interior pattern and factored once per march for one
-level, once per step for N+1.  The adjoint march takes the same forward
-stack: M is bitwise symmetric, so its system M + dt K^T is the transpose of
-the forward one, solved with the forward factors transposed.  Every solve is
-checked against the matrix that was factored, a march's in one pass after
-the last step.
+banded LU (LAPACK's dgbtrf/dgbtrs), filled straight from CSR entry data and
+factored once per march for one level, once per step for N+1.  The band
+takes the interior DoFs in a declared order, natural in d = 1 and with the
+periodic x' index interleaved in d = 2, which narrows the band from 2P - 1
+to P + 2 diagonals; that layout is built once per mesh.  The adjoint march
+takes the same forward stack: M is bitwise symmetric, so its system
+M + dt K^T is the transpose of the forward one, solved with the forward
+factors transposed.  Each mesh keeps one band LU that all its marches
+factor into, so an adjoint reuses the factors of a forward march of the
+same system.  Every solve is checked against the matrix that was factored,
+in the original DoF order, a march's in one pass after the last step.
 """
+
+import functools
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import (LoadAssembler, assemble_weighted_mass,
+from .assembly import (LoadAssembler, _cached, assemble_weighted_mass,
                        interior_pattern, stiffness_levels)
 from .fields import DiscreteField
 
@@ -46,27 +52,86 @@ class TimeStepperConfig:
 
 # -- linear solves ------------------------------------------------------------
 
-class _BandLU:
-    """LAPACK's banded LU for square matrices on one CSR pattern, whose
-    bandwidths it reads: ``factor`` fills one reused band buffer from entry
-    data in pattern order, ``solve`` reuses the factors (transposed for
-    trans=1), and ``check`` checks a batch of solves in one pass."""
+class _BandLayout:
+    """Where the entries of one square CSR pattern go in LAPACK band storage
+    when the DoFs are taken in ``order`` (the natural order when None): the
+    bandwidths of the reordered pattern, the band position of every entry,
+    and the CSR rows of the pattern and, on first use, of its transpose,
+    which the backward error checks read.  It depends on the pattern
+    alone."""
 
-    def __init__(self, indices, indptr, n):
-        self._rows = np.repeat(np.arange(n), np.diff(indptr))
-        self._cols, self._indptr = np.asarray(indices, np.intp), indptr
-        off = self._rows - self._cols
+    def __init__(self, indices, indptr, n, order=None):
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        cols = np.asarray(indices, np.intp)
+        self.order, self.rank = order, None
+        r, c = rows, cols
+        if order is not None:
+            self.rank = np.empty(n, np.intp)
+            self.rank[order] = np.arange(n)
+            r, c = self.rank[rows], self.rank[cols]
+        off = r - c
         self.kl, self.ku = int(off.max(initial=0)), int(-off.min(initial=0))
-        ldab = 2 * self.kl + self.ku + 1
-        self._band = np.zeros((ldab, n), order="F")
+        self.shape = (2 * self.kl + self.ku + 1, n)
+        self.at = self.kl + self.ku + off + self.shape[0] * c     # A[i, j]
+        # (entry order, rows, cols, row starts) of A in CSR order
+        self.csr = (None, rows, cols, indptr)
+
+    @functools.cached_property
+    def csr_t(self):
+        """``csr`` of A^T, which in CSR order is A in CSC order."""
+        _, rows, cols, indptr = self.csr
+        t = np.argsort(cols, kind="stable")
+        return (t, cols[t], rows[t],
+                np.searchsorted(cols[t], np.arange(len(indptr))))
+
+
+def _band_layout(mesh):
+    """The band layout of the mesh's interior pattern in its declared DoF
+    order, built once per mesh.  The order is the natural one in d = 1.  In
+    d = 2 each row of x_d nodes takes its periodic x' nodes as 0, P-1, 1,
+    P-2, ..., which puts the wrap between x' nodes 0 and P-1 next to each
+    other: the band reaches P + 2 diagonals (P >= 3) instead of the 2P - 1
+    of the natural order."""
+    def build():
+        indices, indptr, shape = interior_pattern(mesh)
+        order = None
+        if mesh.dim == 2:
+            P = mesh.xprime_count
+            k = np.arange(P)
+            ring = np.where(k % 2 == 0, k // 2, P - 1 - k // 2)
+            order = (P * np.arange(shape[0] // P)[:, None] + ring).ravel()
+        return _BandLayout(indices, indptr, shape[0], order)
+    return _cached(mesh, "band layout", build)
+
+
+def _band_lu(mesh):
+    """The one band LU on the mesh's band layout that every march on the
+    mesh factors into; ``factor_once`` makes reusing it safe."""
+    return _cached(mesh, "band lu", lambda: _BandLU(_band_layout(mesh)))
+
+
+class _BandLU:
+    """LAPACK's banded LU for matrices on one band layout: ``factor`` fills
+    the band buffer from entry data in pattern order, ``solve`` reuses the
+    factors (transposed for trans=1) and takes b and x in the pattern's own
+    DoF order, and ``check`` checks a batch of solves in one pass against
+    the factored matrix in that order.  A factorization owns only the band
+    buffer, the pivots and, after ``factor_once``, a copy of the entries it
+    factored."""
+
+    def __init__(self, layout):
+        self.layout = layout
+        self.kl, self.ku = layout.kl, layout.ku
+        self._band = np.zeros(layout.shape, order="F")
         self._flat = self._band.reshape(-1, order="F")      # a view
-        self._at = self.kl + self.ku + off + ldab * self._cols  # A[i, j]
+        self._factored = None
 
     def factor(self, data, where=""):
         """LU-factor the matrix with these entries; an exactly singular one
         raises SolverError, prefixed by ``where``."""
+        self._factored = None
         self._flat[:] = 0.0
-        self._flat[self._at] = data
+        self._flat[self.layout.at] = data
         _, self._piv, info = dgbtrf(self._band, self.kl, self.ku,
                                     overwrite_ab=1)
         if info > 0:
@@ -74,9 +139,24 @@ class _BandLU:
                               "exactly singular (zero pivot %d)"
                               % (where, info))
 
+    def factor_once(self, data, where=""):
+        """``factor``, unless the buffer holds the factors of exactly these
+        entries, bitwise, from the last factorization."""
+        if self._factored is None or \
+                self._factored.tobytes() != data.tobytes():
+            self.factor(data, where)
+            self._factored = data.copy()
+
     def solve(self, b, trans=0):
-        return dgbtrs(self._band, self.kl, self.ku, b, self._piv,
-                      trans=trans)[0]
+        """x of A x = b, or of A^T x = b for trans=1: with P the declared
+        order, the band holds P A P^T, and (P A P^T)^T = P A^T P^T, so both
+        solve for P x with P b."""
+        order = self.layout.order
+        if order is None:
+            return dgbtrs(self._band, self.kl, self.ku, b, self._piv,
+                          trans=trans)[0]
+        return dgbtrs(self._band, self.kl, self.ku, b[order], self._piv,
+                      trans=trans, overwrite_b=1)[0][self.layout.rank]
 
     def check(self, data, X, B, tol, levels=None, trans=0):
         """The backward error ||b - A x|| / (||b|| + ||A||_inf ||x||) of each
@@ -84,11 +164,10 @@ class _BandLU:
         or K, nnz), must be finite and at most 10*tol; the first that is not
         raises SolverError, naming time level levels[k] when given.  A
         factored matrix has no empty row or column."""
-        rows, cols, ptr = self._rows, self._cols, self._indptr
-        if trans:                       # A^T in CSR order: A in CSC order
-            order = np.argsort(cols, kind="stable")
-            data, rows, cols = data[:, order], cols[order], rows[order]
-            ptr = np.searchsorted(rows, np.arange(len(ptr)))
+        order, rows, cols, ptr = (self.layout.csr_t if trans
+                                  else self.layout.csr)
+        if order is not None:
+            data = data[:, order]
         Ax = X[:, cols]
         Ax *= data
         Ax = np.add.reduceat(Ax, ptr[:-1], axis=1)
@@ -105,15 +184,15 @@ class _BandLU:
 
 
 def linear_solve(A, b, tol=1e-10):
-    """Solve A x = b by banded LU.  Raises SolverError when A is singular or
-    the verified backward error exceeds 10*tol."""
+    """Solve A x = b by banded LU in the natural order.  Raises SolverError
+    when A is singular or the verified backward error exceeds 10*tol."""
     A = sp.csr_matrix(A, copy=True)
     A.sum_duplicates()
     b = np.asarray(b, float)
     if A.shape[1] != A.shape[0] or b.shape != A.shape[:1]:
         raise ValueError("linear_solve needs a square A and a b of its "
                          "size, got %s and %s" % (A.shape, b.shape))
-    lu = _BandLU(A.indices, A.indptr, len(b))
+    lu = _BandLU(_BandLayout(A.indices, A.indptr, len(b)))
     lu.factor(A.data)
     x = lu.solve(b)
     lu.check(A.data[None], x[None], b[None], tol)
@@ -172,7 +251,7 @@ class SpaceTimeSolution:
 def _systems(mass, stiffness, s, mesh):
     """(K, A, LU): the stiffness stack K (L, nnz) on the mesh's interior
     pattern, L = 1 (autonomous; every n gives level 0) or N+1, the entry
-    data A of M + s K^n, and a band LU for that pattern."""
+    data A of M + s K^n, and the mesh's band LU."""
     indices, indptr, shape = interior_pattern(mesh)
     N = mesh.time_count
     K = np.asarray(stiffness, float)
@@ -186,7 +265,7 @@ def _systems(mass, stiffness, s, mesh):
             and np.array_equal(Mmat.indices, indices)):
         raise ValueError("the mass must be on the interior pattern of the "
                          "mesh")
-    return K, Mmat.data + s * K, _BandLU(indices, indptr, shape[0])
+    return K, Mmat.data + s * K, _band_lu(mesh)
 
 
 def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
@@ -200,7 +279,8 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
     b^n; u0: interior vector or None.  Each step solves (M + theta dt
     K^{n+1}) u^{n+1} = (M - (1-theta) dt K^n) u^n + dt b^theta; every solve
     is checked after the last step.  The returned solution keeps the load
-    rows as ``loads``.
+    rows as ``loads``.  A one-level march whose system the mesh's band LU
+    holds the factors of, bitwise, solves with them without factoring.
     """
     config = config or TimeStepperConfig()
     dt, N = mesh.time_step, mesh.time_count
@@ -220,13 +300,16 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
     if u0 is not None:
         interior[0] = np.asarray(u0, float)
     rhs = dt * (theta * b[1:] + (1 - theta) * b[:-1])   # row n: step n -> n+1
+    if not stacked:
+        lu.factor_once(A[0], "time level 1: ")
     for n in range(N):
-        if n == 0 or stacked:
-            lu.factor(A[n + 1 if stacked else 0], "time level %d: " % (n + 1))
+        if stacked:
+            lu.factor(A[n + 1], "time level %d: " % (n + 1))
         rhs[n] += Mmat @ interior[n]
         if theta < 1.0:
-            Kn = sp.csr_matrix((K[n if stacked else 0], Mmat.indices,
-                                Mmat.indptr), shape=Mmat.shape)
+            if n == 0 or stacked:       # the explicit part: K^n, or K
+                Kn = sp.csr_matrix((K[n], Mmat.indices, Mmat.indptr),
+                                   shape=Mmat.shape)
             rhs[n] -= (1 - theta) * dt * (Kn @ interior[n])
         interior[n + 1] = lu.solve(rhs[n])
     lu.check(A[1:] if stacked else A, interior[1:], rhs, config.linear_tol,
@@ -251,8 +334,11 @@ class Marcher:
     K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
     declares itself autonomous (see ``CoefficientField.autonomous``) and at
     every time level of the mesh otherwise, and the load parts of the last
-    sources (F, f), by identity; each built on first use.  One marcher
-    marches any number of lambdas, forward and adjoint."""
+    sources (F, f), by identity, each built on first use.  One marcher
+    marches any number of lambdas, forward and adjoint; for an autonomous
+    field at theta = 1 the adjoint at the lambda of the last march on the
+    mesh solves with its factors, transposed, instead of factoring the same
+    system again."""
 
     def __init__(self, mesh, coeffs, config=None):
         self.mesh = mesh
@@ -320,8 +406,10 @@ def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     mass and stiffness are those of the forward march_system: the weighted
     mass and the forward K stack (L, nnz), L = 1 or N+1, not K^T; each
     system is solved with the forward factors, transposed.  dual_loads:
-    array (N+1, n_interior); row n is c^n, row 0 is ignored.  Returns an
-    array of the same shape whose row n is v^n (row 0 is zero).
+    array (N+1, n_interior); row n is c^n, row 0 is ignored.  As for
+    march_system, a one-level adjoint whose forward system the mesh's band
+    LU holds the factors of, bitwise, factors nothing.  Returns an array of
+    the same shape whose row n is v^n (row 0 is zero).
     """
     config = config or TimeStepperConfig()
     if config.theta != 1.0:
@@ -334,9 +422,11 @@ def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     stacked = len(K) > 1
     v = np.zeros((N + 2, mesh.n_interior))          # v^{N+1} = 0
     rhs = dt * dual_loads[N:0:-1]          # row k: the step to level N - k
+    if not stacked:
+        lu.factor_once(A[0], "time level %d: " % N)
     for k, n in enumerate(range(N, 0, -1)):
-        if k == 0 or stacked:
-            lu.factor(A[n if stacked else 0], "time level %d: " % n)
+        if stacked:
+            lu.factor(A[n], "time level %d: " % n)
         rhs[k] += mass.matrix @ v[n + 1]
         v[n] = lu.solve(rhs[k], trans=1)
     lu.check(A[N:0:-1] if stacked else A, v[N:0:-1], rhs, config.linear_tol,

@@ -322,14 +322,19 @@ def test_duality_check_d1():
     print("duality d1 rel", rep.params["rel_errors_max"])
 
 
-def test_duality_check_d2_nonsymmetric():
+def test_duality_check_d2_nonsymmetric(monkeypatch):
     mesh = build_mesh(2, 4.0, 10, 2.0, xprime_count=6,
                       xprime_length=2 * np.pi, time_step=0.125, time_count=8)
     coeffs = generate_family(0, "constant", 0.5, 0.2, dim=2,
                              xp_length=2 * np.pi)
     prob = ProblemSpec(mesh, coeffs, seed=0)
-    rep = duality_check(prob, seeds=(0,), lam=1.0, kind="constant", eps=0.2)
+    # one factorization per seed: the adjoint solves with the forward
+    # march's factors, transposed
+    factorizations = _count_calls(monkeypatch, degenlab.solver, "dgbtrf")
+    rep = duality_check(prob, seeds=(0, 1), lam=1.0, kind="constant",
+                        eps=0.2)
     assert rep.passed
+    assert len(factorizations) == 2
     print("duality d2 rel", rep.params["rel_errors_max"])
 
 

@@ -202,16 +202,31 @@ def _record_solves(monkeypatch, wrong_from=np.inf):
     return solves
 
 
-def _band_solve(A, b, bw):
+def _declared_order(m):
+    """The DoF order of the band: natural in d = 1; in d = 2 each row of
+    x_d nodes takes its x' nodes as 0, P-1, 1, P-2, ..."""
+    if m.dim == 1:
+        return np.arange(m.n_interior)
+    P = m.xprime_count
+    ring = [k // 2 if k % 2 == 0 else P - 1 - k // 2 for k in range(P)]
+    return np.array([j * P + r for j in range(m.M - 1) for r in ring])
+
+
+def _band_solve(A, b, bw, order=None):
     """x of A x = b by LAPACK's gbsv (gbtrf, then gbtrs) on the dense
-    entries of A within bw diagonals of the main one, in band storage."""
+    entries of A, its rows and columns taken in order (the natural one when
+    None), within bw diagonals of the main one, in band storage."""
     A = A.toarray()
     n = len(A)
+    order = np.arange(n) if order is None else order
+    A, b = A[np.ix_(order, order)], b[order]
     ab = np.zeros((3 * bw + 1, n))
     for k in range(-bw, bw + 1):           # A[i, i + k] at ab[2 bw - k]
         ab[2 * bw - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
-    _, _, x, info = dgbsv(bw, bw, ab, b)
+    _, _, y, info = dgbsv(bw, bw, ab, b)
     assert info == 0
+    x = np.empty_like(y)
+    x[order] = y
     return x
 
 
@@ -269,10 +284,10 @@ def test_march_wrapper_matches_march_system():
 
 def _reference_march(m, coeffs, lam, loads, times, theta):
     """The theta scheme step by step, with the stiffness assembled at each
-    time level, the system matrix summed by scipy and solved by gbsv with
-    the bandwidth of the interior pattern: 1 in d = 1, 2 xprime_count - 1
-    in d = 2."""
-    bw = 1 if m.dim == 1 else 2 * m.xprime_count - 1
+    time level, the system matrix summed by scipy and solved by gbsv in the
+    declared DoF order with the bandwidth of the interior pattern in that
+    order: 1 in d = 1, xprime_count + 2 in d = 2."""
+    bw = 1 if m.dim == 1 else m.xprime_count + 2
     dt = times[1] - times[0]
     Mw = assemble_weighted_mass(m, coeffs.a0).matrix
     K = [assemble_stiffness(m, coeffs, lam, t=t).matrix for t in times]
@@ -282,7 +297,8 @@ def _reference_march(m, coeffs, lam, loads, times, theta):
                                 + (1 - theta) * loads[n])
         if theta < 1.0:
             rhs -= (1 - theta) * dt * (K[n] @ u[n])
-        u[n + 1] = _band_solve(Mw + theta * dt * K[n + 1], rhs, bw)
+        u[n + 1] = _band_solve(Mw + theta * dt * K[n + 1], rhs, bw,
+                               _declared_order(m))
     return u
 
 
@@ -391,6 +407,64 @@ def test_band_reaches_the_periodic_wrap_in_d2():
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("dim, P, width", [(1, 1, 1), (2, 5, 7),
+                                           (2, 32, 34)])
+def test_declared_order_narrows_the_band(dim, P, width):
+    # natural in d = 1; in d = 2 the interleaved x' order puts the periodic
+    # wrap next to the diagonal, so the band reaches P + 2, not 2 P - 1
+    m = build_mesh(dim, 3.0, 6, 2.0, xprime_count=P,
+                   xprime_length=2 * np.pi, time_step=0.25, time_count=2)
+    layout = degenlab.solver._band_layout(m)
+    assert layout is degenlab.solver._band_layout(m)      # once per mesh
+    assert (layout.kl, layout.ku) == (width, width)
+    if dim == 1:
+        assert layout.order is None
+    else:
+        assert np.array_equal(layout.order, _declared_order(m))
+        natural = degenlab.solver._BandLayout(*interior_pattern(m)[:2],
+                                              m.n_interior)
+        assert natural.kl == natural.ku == 2 * P - 1
+
+
+def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi,
+                   time_step=0.25, time_count=4)
+    coeffs = generate_family(1, "xd_only", 0.5, 0.2, dim=2,
+                             xp_length=2 * np.pi)
+    f = smooth_random_closure(5, 2, xp_length=2 * np.pi)
+    c_rows = LoadAssembler(m).assemble(None, f, 1.0, m.time_levels)
+    fresh = {lam: adjoint_march(m, coeffs, lam, c_rows) for lam in (1.0, 3.0)}
+    marcher = Marcher(m, coeffs)
+    calls = _count_factorizations(monkeypatch)
+    u = marcher.march(1.0, f=f)
+    assert len(calls) == 1
+    # the adjoint at the same lambda solves with the forward factors, and
+    # gives bitwise what factoring anew gives
+    assert marcher.adjoint(1.0, c_rows).tobytes() == fresh[1.0].tobytes()
+    assert len(calls) == 1
+    assert marcher.march(1.0, f=f).levels.tobytes() == u.levels.tobytes()
+    assert len(calls) == 1
+    # another lambda is another system: factored anew, and then lambda = 1
+    # is factored again
+    assert marcher.adjoint(3.0, c_rows).tobytes() == fresh[3.0].tobytes()
+    assert len(calls) == 2
+    marcher.adjoint(1.0, c_rows)
+    assert len(calls) == 3
+    # the factors belong to the mesh, so the one-call wrappers share them
+    march(m, coeffs, 3.0, f=f)
+    assert adjoint_march(m, coeffs, 3.0, c_rows).tobytes() == \
+        fresh[3.0].tobytes()
+    assert len(calls) == 4
+    # a stacked march factors every step, even where levels repeat bitwise
+    late = Marcher(m, _late_switch(2, m.total_time))
+    stack = late.stiffness(1.0)
+    assert stack[1].tobytes() == stack[2].tobytes()
+    late.march(1.0, f=f)
+    late.march(1.0, f=f)
+    late.adjoint(1.0, c_rows)
+    assert len(calls) == 4 + 3 * 4
+
+
 def test_adjoint_checks_every_solve_and_names_the_level(monkeypatch):
     m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
     Mw = assemble_weighted_mass(m)
@@ -413,9 +487,9 @@ def test_adjoint_checks_every_solve_and_names_the_level(monkeypatch):
 
 def _march_digests():
     """sha256 of the levels of a time-dependent d = 1 march and its adjoint,
-    and of a d = 2 pair whose band (2 * 33 - 1 = 65 diagonals on each side)
-    is wider than the 64 up to which reference LAPACK keeps dgbtrf
-    unblocked."""
+    and of a d = 2 pair whose band in the declared order (63 + 2 = 65
+    diagonals on each side) is wider than the 64 up to which reference
+    LAPACK keeps dgbtrf unblocked."""
     import hashlib
 
     import numpy as np
@@ -423,7 +497,7 @@ def _march_digests():
     from degenlab import (Marcher, LoadAssembler, build_mesh,
                           generate_family, smooth_random_closure)
     out = []
-    for dim, P, kind in ((1, 1, "oscillatory"), (2, 33, "xd_only")):
+    for dim, P, kind in ((1, 1, "oscillatory"), (2, 63, "xd_only")):
         m = build_mesh(dim, 3.0, 6, 2.0, xprime_count=P,
                        xprime_length=2 * np.pi, time_step=0.1, time_count=4)
         f = smooth_random_closure(5, dim, xp_length=2 * np.pi)
