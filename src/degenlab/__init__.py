@@ -7,13 +7,11 @@ studies, and ratio checkers for the a-priori estimates.
 from .assembly import (AssemblyError, LoadAssembler, SparseOperator,
                        assemble_stiffness, assemble_weighted_mass, data_grams,
                        interior_pattern, model_stiffness, stiffness_levels,
-                       stiffness_operator, weighted_pair_integrals,
-                       xd_weighted_pairs)
+                       weighted_pair_integrals, xd_weighted_pairs)
 from .coefficients import (CoefficientField, OscillationReport,
                            check_structure_condition, generate_family,
                            identity_coefficients, oscillation,
-                           oscillation_scan, partial_averages,
-                           sample_on_mesh)
+                           oscillation_scan, sample_on_mesh)
 from .fields import (DiscreteField, node_grid, random_w1p_field,
                      sample_nodes, smooth_random_closure)
 from .harness import (CHECK_IDS, CSV_HEADER, DegenerateLocalSolution,

@@ -142,21 +142,10 @@ def _certified_pairs(mesh):
 # -- sparse operator wrapper --------------------------------------------------
 
 class SparseOperator:
-    """CSR matrix with a symmetry tag and provenance."""
+    """An assembled operator; ``matrix`` is its CSR matrix."""
 
-    def __init__(self, matrix, symmetry="general", mesh=None, kind=""):
+    def __init__(self, matrix):
         self.matrix = sp.csr_matrix(matrix)
-        self.symmetry = symmetry
-        self.mesh = mesh
-        self.kind = kind
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __repr__(self):
-        return "SparseOperator(%dx%d, %s, %s)" % (
-            self.shape[0], self.shape[1], self.symmetry, self.kind)
 
 
 # -- per-mesh scatter plan ----------------------------------------------------
@@ -298,8 +287,7 @@ def assemble_weighted_mass(mesh, a0=None):
             raise ValueError("a0 must be finite and positive: a0 = %g at "
                              "x_d=%.6g" % (a0_cells[j], mesh.xd_centers[j]))
         mat = _weighted_mass(mesh, a0_cells)
-    return SparseOperator(mat, symmetry="symmetric", mesh=mesh,
-                          kind="weighted_mass")
+    return SparseOperator(mat)
 
 
 def _weighted_mass(mesh, a0_cells):
@@ -338,24 +326,20 @@ def stiffness_levels(mesh, coeffs, times):
     return D, C
 
 
-def stiffness_operator(mesh, D, C, lam):
-    """K = D + lam * C from one level of stiffness_levels, summed as sparse
-    matrices; D alone when lam = 0."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    plan = _plan(mesh, "interior", "interior")
-    K = plan.csr(D)
-    if lam > 0:
-        K = K + lam * plan.csr(C)
-    return SparseOperator(K, mesh=mesh, kind="stiffness")
-
-
 def assemble_stiffness(mesh, coeffs, lam, t=0.0):
     """K = diffusion(a_ij frozen at cell midpoints, time t) + lambda * c0-block
-    with the x_d^{-1} weight.  sample_on_mesh certifies nu|xi|^2 <= a xi.xi
-    and c0 >= nu on every cell, so v'Kv >= nu v'K0v for every v."""
+    with the x_d^{-1} weight, the one level of stiffness_levels at t summed
+    as sparse matrices (the diffusion block alone when lam = 0).
+    sample_on_mesh certifies nu|xi|^2 <= a xi.xi and c0 >= nu on every cell,
+    so v'Kv >= nu v'K0v for every v."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
     D, C = stiffness_levels(mesh, coeffs, [t])
-    return stiffness_operator(mesh, D[0], C[0], lam)
+    plan = _plan(mesh, "interior", "interior")
+    K = plan.csr(D[0])
+    if lam > 0:
+        K = K + lam * plan.csr(C[0])
+    return SparseOperator(K)
 
 
 def model_stiffness(mesh):
@@ -366,9 +350,7 @@ def model_stiffness(mesh):
                                                  mesh.dim, mesh.dim))
         return _read_only(_plan(mesh, "interior", "interior").csr(
             _diffusion(mesh, eye)[0]))
-    return SparseOperator(_cached(mesh, "model_stiffness", build),
-                          symmetry="symmetric", mesh=mesh,
-                          kind="model_stiffness")
+    return SparseOperator(_cached(mesh, "model_stiffness", build))
 
 
 # -- loads --------------------------------------------------------------------
@@ -447,8 +429,7 @@ def data_grams(mesh):
     j = 0 row/column is excluded, which is exact in that case.  Built once
     per mesh, read-only."""
     gram_all, gram_w = _cached(mesh, "grams", lambda: _grams(mesh))
-    return (SparseOperator(gram_all, "symmetric", mesh, "gram_nodes"),
-            SparseOperator(gram_w, "symmetric", mesh, "gram_weighted_no0"))
+    return SparseOperator(gram_all), SparseOperator(gram_w)
 
 
 def _grams(mesh):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.io import mmwrite
 
 from .assembly import AssemblyError, assemble_stiffness
-from .coefficients import generate_family, oscillation_scan
+from .coefficients import KINDS, generate_family, oscillation_scan
 from .fields import random_w1p_field, smooth_random_closure
 from .harness import (CSV_HEADER, DegenerateLocalSolution, ProblemSpec,
                       boundary_lipschitz, caccioppoli_ratio,
@@ -30,12 +30,9 @@ from .harness import (CSV_HEADER, DegenerateLocalSolution, ProblemSpec,
                       locally_homogeneous_solution, main_estimate_sweep,
                       trace_report, w_estimate_ratio)
 from .mesh import Cylinder, build_mesh
-from .mms import convergence_study, default_case
+from .mms import ManufacturedCase, convergence_study, default_case
 from .solver import SolverError, TimeStepperConfig, march
 
-COMMANDS = ("solve", "mms", "sweep", "caccioppoli", "wlemma", "lipschitz",
-            "duality", "corollary2", "trace", "hardy", "oscillation")
-KINDS = ("constant", "xd_only", "oscillatory")
 SCHEMA_VERSION = 1
 
 
@@ -43,19 +40,23 @@ class ConfigError(ValueError):
     pass
 
 
-def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_finite_num(v):
+    """A number of the float range: False for NaN, the infinities (JSON's
+    NaN, Infinity and 1e400) and integers beyond it."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and -sys.float_info.max <= v <= sys.float_info.max
 
 
 def _check_int(key, v):
-    if not (_is_num(v) and float(v) == int(v)):
+    if not (_is_finite_num(v) and float(v) == int(v)):
         raise ConfigError("key %r must be an integer, got %r" % (key, v))
     return int(v)
 
 
 def _check_float(key, v):
-    if not _is_num(v):
-        raise ConfigError("key %r must be a number, got %r" % (key, v))
+    if not _is_finite_num(v):
+        raise ConfigError("key %r must be a finite number, got %r"
+                          % (key, v))
     return float(v)
 
 
@@ -152,7 +153,7 @@ def parse_config(raw):
         raise ConfigError("unknown coefficient kind %r" % cfg["kind"])
     if cfg["dim"] not in (1, 2):
         raise ConfigError("dim must be 1 or 2")
-    if cfg["mms_mode"] not in ("f_only", "F_only", "mixed"):
+    if cfg["mms_mode"] not in ManufacturedCase.MODES:
         raise ConfigError("unknown mms_mode %r" % cfg["mms_mode"])
     if cfg["rho_grid"] is None:
         raise ConfigError("rho_grid must be a non-empty list")
@@ -389,6 +390,15 @@ def _cmd_oscillation(cfg):
                 ("oscillation.json", summary + "\n")], []
 
 
+# command name -> handler(cfg) -> (reports, artifacts, plots)
+_HANDLERS = {"solve": _cmd_solve, "mms": _cmd_mms, "sweep": _cmd_sweep,
+             "caccioppoli": _cmd_caccioppoli, "wlemma": _cmd_wlemma,
+             "lipschitz": _cmd_lipschitz, "duality": _cmd_duality,
+             "corollary2": _cmd_corollary2, "trace": _cmd_trace,
+             "hardy": _cmd_hardy, "oscillation": _cmd_oscillation}
+COMMANDS = tuple(_HANDLERS)
+
+
 # -- plot scripts ----------------------------------------------------------------
 
 def emit_plot_script(csv_text, csv_name, kind):
@@ -483,12 +493,7 @@ def write_artifacts(out_dir, artifacts):
 
 def run(cfg):
     """Execute one parsed config; returns (exit_code, reports)."""
-    handlers = {"solve": _cmd_solve, "mms": _cmd_mms, "sweep": _cmd_sweep,
-                "caccioppoli": _cmd_caccioppoli, "wlemma": _cmd_wlemma,
-                "lipschitz": _cmd_lipschitz, "duality": _cmd_duality,
-                "corollary2": _cmd_corollary2, "trace": _cmd_trace,
-                "hardy": _cmd_hardy, "oscillation": _cmd_oscillation}
-    reports, artifacts, plots = handlers[cfg["command"]](cfg)
+    reports, artifacts, plots = _HANDLERS[cfg["command"]](cfg)
 
     named = []
     csv_text = None
@@ -542,15 +547,12 @@ def main(argv=None):
             cfg["out_dir"] = args.out
         if args.seed is not None:
             cfg["seed"] = int(args.seed)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     try:
         code, _ = run(cfg)
         return code
-    except (ConfigError,) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
     except (SolverError, AssemblyError, DegenerateLocalSolution) as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 3

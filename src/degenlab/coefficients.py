@@ -21,7 +21,9 @@ def _const(value):
     return closure
 
 
-# the kinds whose coefficients do not depend on t
+# the kinds generate_family builds, and those whose coefficients do not
+# depend on t
+KINDS = ("constant", "xd_only", "oscillatory")
 _AUTONOMOUS_KINDS = ("constant", "xd_only")
 
 
@@ -32,8 +34,7 @@ class CoefficientField:
     families are autonomous, and every other kind, ``"user"`` included, is
     taken to depend on t (see ``autonomous``)."""
 
-    def __init__(self, dim, nu, a, c0, a0, kind="user", div_a=None,
-                 seed=None, eps=0.0):
+    def __init__(self, dim, nu, a, c0, a0, kind="user", div_a=None):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         if not 0 < nu < 1:
@@ -47,8 +48,6 @@ class CoefficientField:
         self.a0 = a0
         self.kind = kind
         self.div_a = div_a          # optional: (t,xp,xd) -> tuple of dim arrays
-        self.seed = seed
-        self.eps = float(eps)
 
     @property
     def autonomous(self):
@@ -70,7 +69,7 @@ class CoefficientField:
         at = tuple(tuple(self.a[j][i] for j in range(self.dim))
                    for i in range(self.dim))
         return CoefficientField(self.dim, self.nu, at, self.c0, self.a0,
-                                kind=self.kind, seed=self.seed, eps=self.eps)
+                                kind=self.kind)
 
 
 class CoefficientSample:
@@ -78,8 +77,7 @@ class CoefficientSample:
     c0 (nt, Mc, npc), a0 (Mc,).  With a scalar t the leading axis is 1; a
     and c0 are read-only."""
 
-    def __init__(self, mesh, times, a, c0, a0):
-        self.mesh = mesh
+    def __init__(self, times, a, c0, a0):
         self.times = times
         self.a = a
         self.c0 = c0
@@ -156,7 +154,7 @@ def sample_on_mesh(coeffs, mesh, t=None):
         raise ValueError("non-finite coefficient samples")
     _validate_samples(mesh, coeffs.nu, a, c0, a0, sampled)
     nt = times.size
-    return CoefficientSample(mesh, times,
+    return CoefficientSample(times,
                              np.broadcast_to(a, (nt,) + a.shape[1:]),
                              np.broadcast_to(c0, (nt,) + c0.shape[1:]), a0)
 
@@ -168,18 +166,10 @@ class EmptyCylinder(ValueError):
 class OscillationReport:
     """Partial mean oscillation a#_rho(z0) over one cylinder."""
 
-    def __init__(self, cylinder, value, per_entry):
+    def __init__(self, cylinder, value):
         self.cylinder = cylinder
         self.rho = cylinder.radius
         self.value = float(value)
-        self.per_entry = np.asarray(per_entry, float)
-
-    def to_json(self):
-        return {"center_time": self.cylinder.center_time,
-                "center_xprime": self.cylinder.center_xprime,
-                "center_xd": self.cylinder.center_xd,
-                "rho": self.rho, "value": self.value,
-                "per_entry": self.per_entry.tolist()}
 
     def csv_row(self):
         return "%.17g,%.17g,%.17g,%.17g,%.17g" % (
@@ -192,22 +182,15 @@ def _check_cylinder_domain(mesh, cyl):
         raise ValueError("cylinder crosses x_d = L_d; refusing to clip")
 
 
-def partial_averages(coeffs, mesh, cyl, sample=None):
-    """Frozen coefficients of Definition-style averaging: for j != d the
-    (t,x')-average over Q'_rho(z0') per x_d slice; for the whole column j = d
-    the full cylinder average (one constant per entry); c0 averaged slice-wise.
+def _averages(mesh, cyl, sample, ball):
+    """Frozen coefficients of Definition-style averaging over a checked
+    cylinder with its cell set ``ball``: for j != d the (t,x')-average over
+    Q'_rho(z0') per x_d slice; for the whole column j = d the full cylinder
+    average (one constant per entry); c0 averaged slice-wise.
 
     Returns (avg_a, avg_c0): avg_a has shape (M, dim, dim) (the j=d column is
     constant across slices), avg_c0 has shape (M,).
     """
-    _check_cylinder_domain(mesh, cyl)
-    if sample is None:
-        sample = sample_on_mesh(coeffs, mesh)
-    return _averages(mesh, cyl, sample, cells_in_cylinder(mesh, cyl))
-
-
-def _averages(mesh, cyl, sample, ball):
-    """partial_averages on a checked cylinder with its cell set ``ball``."""
     d = sample.a.shape[-1]
     tset, xpset = prime_cells_in_cylinder(mesh, cyl)
     if tset.size == 0 or xpset.size == 0:
@@ -252,21 +235,20 @@ def oscillation(coeffs, mesh, cyl, sample=None):
     dev_c = np.abs(c_cells - avg_c0[aj][None, :])
     terms_a = (dev_a * areas[None, :, None, None]).sum(axis=(0, 1)) / wsum
     term_c = (dev_c * areas[None, :]).sum() / wsum
-    value = terms_a.max() + term_c
-    per_entry = np.append(terms_a.ravel(), term_c)
-    return OscillationReport(cyl, value, per_entry)
+    return OscillationReport(cyl, terms_a.max() + term_c)
 
 
-def oscillation_scan(coeffs, mesh, rho_list, n_time=3, n_xp=2):
-    """Max oscillation over a lattice of boundary-centered cylinders; returns
+def oscillation_scan(coeffs, mesh, rho_list):
+    """Max oscillation over a lattice of boundary-centered cylinders, 3 end
+    times by 2 x' centers (one in dim 1) per radius; returns
     (gamma_measured, reports)."""
     from .mesh import Cylinder
     sample = sample_on_mesh(coeffs, mesh)
     reports = []
     for rho in rho_list:
         tmax = mesh.total_time
-        t0s = np.linspace(min(rho * 1.01, tmax), tmax, n_time)
-        xp0s = (np.linspace(0, mesh.xprime_length, n_xp, endpoint=False)
+        t0s = np.linspace(min(rho * 1.01, tmax), tmax, 3)
+        xp0s = (np.linspace(0, mesh.xprime_length, 2, endpoint=False)
                 if mesh.dim == 2 else [0.0])
         for t0 in t0s:
             for xp0 in xp0s:
@@ -280,12 +262,12 @@ def oscillation_scan(coeffs, mesh, rho_list, n_time=3, n_xp=2):
     return gamma, reports
 
 
-def check_structure_condition(coeffs, mesh, tol=1e-12):
+def check_structure_condition(coeffs, mesh):
     """Whether the a_id column (all i, including a_dd) is constant on the mesh
     samples -- the hypothesis of the w-estimate."""
     sample = sample_on_mesh(coeffs, mesh)
     col = sample.a[..., coeffs.dim - 1]
-    return float(np.ptp(col.reshape(-1, coeffs.dim), axis=0).max()) <= tol
+    return float(np.ptp(col.reshape(-1, coeffs.dim), axis=0).max()) <= 1e-12
 
 
 # -- generated families ------------------------------------------------------
@@ -297,7 +279,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
     xd_only      entries depend on x_d only; the a_id column is constant
     oscillatory  trigonometric oscillation in (t, x', x_d) of amplitude eps
     """
-    if kind not in ("constant", "xd_only", "oscillatory"):
+    if kind not in KINDS:
         raise ValueError("unknown kind %r" % (kind,))
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0,1)")
@@ -325,8 +307,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
             z = 0.0 * np.asarray(xd, float)
             return tuple(z for _ in range(dim))
 
-        return CoefficientField(dim, nu, a, c0, a0, kind=kind, div_a=div_a,
-                                seed=seed, eps=eps)
+        return CoefficientField(dim, nu, a, c0, a0, kind=kind, div_a=div_a)
 
     if kind == "xd_only":
         w = rng.uniform(0.5, 1.5, size=6)
@@ -368,8 +349,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
                 d0 = amp * w[3] * np.cos(w[3] * xd + ph[3])
                 return (d0, 0.0 * xd)
 
-        return CoefficientField(dim, nu, a, c0, a0, kind=kind, div_a=div_a,
-                                seed=seed, eps=eps)
+        return CoefficientField(dim, nu, a, c0, a0, kind=kind, div_a=div_a)
 
     # oscillatory: full (t, x', x_d) dependence
     A = rng.uniform(-1.0, 1.0, size=(dim, dim)) / dim
@@ -438,7 +418,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
         return 1.0 + eps * cc * np.sin(om_c[2] * np.asarray(xd, float))
 
     return CoefficientField(dim, nu, a, c0, a0, kind="oscillatory",
-                            div_a=div_a, seed=seed, eps=eps)
+                            div_a=div_a)
 
 
 def identity_coefficients(dim, nu=0.5):

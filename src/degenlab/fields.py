@@ -22,18 +22,6 @@ class DiscreteField:
         self.values = values
 
     @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros((mesh.M + 1, mesh.xprime_count)))
-
-    @classmethod
-    def from_interior(cls, mesh, vec):
-        """Expand an interior DoF vector (rows j=1..M-1) to the full grid."""
-        vals = np.zeros((mesh.M + 1, mesh.xprime_count))
-        vals[1:mesh.M, :] = np.asarray(vec, float).reshape(
-            mesh.M - 1, mesh.xprime_count)
-        return cls(mesh, vals)
-
-    @classmethod
     def sample(cls, mesh, func, t=0.0):
         """Nodal samples of func(t, xprime, xd); func must broadcast."""
         return cls(mesh, sample_nodes(mesh, func, t))
@@ -41,10 +29,8 @@ class DiscreteField:
     def interior_vector(self):
         return self.values[1:self.mesh.M, :].ravel()
 
-    def has_zero_trace(self, tol=0.0):
-        m = self.mesh.M
-        return (np.max(np.abs(self.values[0])) <= tol
-                and np.max(np.abs(self.values[m])) <= tol)
+    def has_zero_trace(self):
+        return not (self.values[0].any() or self.values[self.mesh.M].any())
 
 
 def node_grid(mesh):
@@ -74,17 +60,18 @@ def sample_nodes(mesh, func, t):
     return out
 
 
-def smooth_random_closure(seed, dim, n_terms=4, t_scale=1.0, xp_length=1.0,
-                          envelope=True):
+def smooth_random_closure(seed, dim, xp_length=1.0, envelope=True):
     """Deterministic smooth random function of (t, x', x_d) built from a short
-    trigonometric series.  With envelope=True the factor x_d*exp(-x_d) is
-    applied, so the function vanishes linearly at x_d = 0 and decays in x_d.
+    trigonometric series of four terms.  With envelope=True the factor
+    x_d*exp(-x_d) is applied, so the function vanishes linearly at x_d = 0
+    and decays in x_d.
 
     Returns a closure usable as a source/field sampler.
     """
+    n_terms = 4
     rng = np.random.default_rng(seed)
     amp = rng.uniform(-1.0, 1.0, size=n_terms)
-    om_t = rng.uniform(0.5, 3.0, size=n_terms) / t_scale
+    om_t = rng.uniform(0.5, 3.0, size=n_terms)
     ph_t = rng.uniform(0, 2 * np.pi, size=n_terms)
     om_d = rng.uniform(0.5, 2.5, size=n_terms)
     ph_d = rng.uniform(0, 2 * np.pi, size=n_terms)

@@ -103,10 +103,6 @@ class EstimateReport:
                          for k, v in self.params.items()}
         return out
 
-    def summary(self):
-        return "%s: lhs=%.6g rhs=%.6g ratio=%.6g pass=%s" % (
-            self.check_id, self.lhs, self.rhs, self.ratio, self.passed)
-
 
 class ProblemSpec:
     """Bundle of mesh, coefficients, data closures, and run labels shared by
@@ -224,21 +220,21 @@ def _wp_data_norm(mesh, F, f, p, skip):
     return rhs
 
 
-def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,),
-                        rho_fractions=(0.25, 0.5, 1.0)):
+def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
     """Solve across a lambda grid for each coefficient-oscillation amplitude
     and report the ratio of solution to data W^1_p norms.  Each coefficient
-    field's measured partial oscillation over cylinders of radius up to rho0
-    is recorded as gamma_measured.  Within the window lambda*rho0 >= 1 the
-    report fails when the per-amplitude ratio spread exceeds 3 or one
-    space+time refinement moves a ratio by more than 15 percent.
+    field's measured partial oscillation over cylinders of radius rho0/4,
+    rho0/2 and rho0 is recorded as gamma_measured.  Within the window
+    lambda*rho0 >= 1 the report fails when the per-amplitude ratio spread
+    exceeds 3 or one space+time refinement moves a ratio by more than 15
+    percent.
     """
     mesh = problem.mesh
     config = problem.stepper()
     lambdas = [float(v) for v in lambdas]
     if any(v <= 0 for v in lambdas):
         raise ValueError("the sweep needs positive lambda values")
-    fine = mesh.refined(space=True, time=True)
+    fine = mesh.refined()
     families = []
     for eps in eps_grid:
         if eps == 0.0:
@@ -247,7 +243,7 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,),
             coeffs = generate_family(problem.seed, "oscillatory",
                                      problem.coeffs.nu, eps, dim=mesh.dim,
                                      xp_length=mesh.xprime_length)
-        rhos = [fr * problem.rho0 for fr in rho_fractions]
+        rhos = [fr * problem.rho0 for fr in (0.25, 0.5, 1.0)]
         gamma, _ = oscillation_scan(coeffs, mesh, rhos)
         families.append((float(eps), coeffs, gamma))
 
@@ -308,8 +304,7 @@ def _smoothstep(x, lo, hi):
     return s * s * (3.0 - 2.0 * s)
 
 
-def locally_homogeneous_solution(problem, cylinder, lam=1.0, config=None,
-                                 seed=None):
+def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
     """Produce a solution whose sources vanish identically on and well above
     the given boundary cylinder, so the discrete equation is homogeneous
     there (verified row by row), yet which is nontrivial on the cylinder.
@@ -344,8 +339,7 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, config=None,
     else:
         F, f = problem.F, problem.f
 
-    config = config or problem.stepper()
-    sol = march(mesh, coeffs, lam, F=F, f=f, config=config)
+    sol = march(mesh, coeffs, lam, F=F, f=f, config=problem.stepper())
 
     # certify discrete homogeneity: every interior row whose nodal support
     # lies below the cushion must receive an exactly zero load at all times
@@ -388,7 +382,7 @@ def _local_params(sol, lam, r, R, extra=None):
     return params
 
 
-def caccioppoli_ratio(u_local, r, R, lam=None):
+def caccioppoli_ratio(u_local, r, R):
     """Reverse-type local bounds on a locally homogeneous solution: the
     gradient variant integrates |Du|^2 + lam*u^2/x_d over the inner cylinder
     against u^2/x_d over the outer one; the time-derivative variant bounds
@@ -396,8 +390,7 @@ def caccioppoli_ratio(u_local, r, R, lam=None):
     (gradient report, time-derivative report); empirical constants are
     recorded in the params, with finiteness the only hard verdict.
     """
-    mesh = u_local.mesh
-    lam = u_local.lam if lam is None else float(lam)
+    mesh, lam = u_local.mesh, u_local.lam
     base = u_local.homogeneous_cylinder
     if not 0 < r < R:
         raise ValueError("need 0 < r < R")
@@ -430,15 +423,14 @@ def caccioppoli_ratio(u_local, r, R, lam=None):
     return rep1, rep2
 
 
-def w_estimate_ratio(u_local, r, R, lam=None, enforce_structure=True):
+def w_estimate_ratio(u_local, r, R, enforce_structure=True):
     """Quotient-field bound: with w = u/x_d (defined nodally away from
     x_d = 0; the boundary node never enters the integrals), compare
     x_d|Dw|^2 + lam*w^2 on the inner cylinder against w^2 on the outer one.
     The structural hypothesis (constant coefficients in the degenerate
     column) is enforced unless this runs as a violation probe.
     """
-    mesh = u_local.mesh
-    lam = u_local.lam if lam is None else float(lam)
+    mesh, lam = u_local.mesh, u_local.lam
     if enforce_structure and \
             not check_structure_condition(u_local.coeffs, mesh):
         raise ValueError("the quotient estimate requires a constant "
@@ -483,15 +475,14 @@ def _region_nodes(mesh, cs):
     return flat // mesh.xprime_count, flat % mesh.xprime_count
 
 
-def boundary_lipschitz(u_local, r, lam=None):
+def boundary_lipschitz(u_local, r):
     """Pointwise gradient bound at the degenerate boundary: the max of
     |Du| over cell centers of the inner boundary cylinder against the
     gradient-plus-weighted-mass norm over the doubled cylinder.  Also
     records the near-boundary quotient sup|u|/x_d (linear decay of the
     solution into the boundary) and sup x_d^{-1/2}|D_x' u|.
     """
-    mesh = u_local.mesh
-    lam = u_local.lam if lam is None else float(lam)
+    mesh, lam = u_local.mesh, u_local.lam
     base = u_local.homogeneous_cylinder
     if not base.boundary_centered:
         raise ValueError("boundary estimate needs a boundary-centered "

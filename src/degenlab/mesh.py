@@ -104,28 +104,12 @@ class TensorMesh:
         d = np.abs(np.asarray(a) - b) % self.xprime_length
         return np.minimum(d, self.xprime_length - d)
 
-    def summary(self):
-        return {
-            "dim": self.dim,
-            "M": self.M,
-            "L_d": self.Ld,
-            "grading_exponent": self.grading_exponent,
-            "xprime_count": self.xprime_count,
-            "xprime_length": self.xprime_length,
-            "time_step": self.time_step,
-            "time_count": self.time_count,
-        }
-
-    def refined(self, space=True, time=True):
+    def refined(self):
         """One refinement: double M (and x' count for dim=2), halve dt."""
-        M2 = 2 * self.M if space else self.M
-        np2 = self.xprime_count
-        if space and self.dim == 2:
-            np2 = 2 * self.xprime_count
-        dt2 = 0.5 * self.time_step if time else self.time_step
-        nt2 = 2 * self.time_count if time else self.time_count
-        return build_mesh(self.dim, self.Ld, M2, self.grading_exponent,
-                          np2, self.xprime_length, dt2, nt2)
+        np2 = 2 * self.xprime_count if self.dim == 2 else self.xprime_count
+        return build_mesh(self.dim, self.Ld, 2 * self.M, self.grading_exponent,
+                          np2, self.xprime_length, 0.5 * self.time_step,
+                          2 * self.time_count)
 
     def __repr__(self):
         return ("TensorMesh(dim=%d, M=%d, L_d=%g, kappa=%g, nprime=%d, "
@@ -172,12 +156,6 @@ class Cylinder:
     def boundary_centered(self):
         return self.center_xd == 0.0
 
-    def summary(self):
-        return {"center_time": self.center_time,
-                "center_xprime": self.center_xprime,
-                "center_xd": self.center_xd,
-                "radius": self.radius}
-
     def __repr__(self):
         return "Cylinder(t0=%g, x'0=%g, xd0=%g, r=%g)" % (
             self.center_time, self.center_xprime, self.center_xd, self.radius)
@@ -187,9 +165,8 @@ class CellSet:
     """Cells of a mesh inside a cylinder: the product of a time-cell index set
     and a spatial-cell index set (flat index j*xprime_count + m)."""
 
-    def __init__(self, mesh, cylinder, time_cells, space_cells):
+    def __init__(self, mesh, time_cells, space_cells):
         self.mesh = mesh
-        self.cylinder = cylinder
         self.time_cells = np.asarray(time_cells, dtype=int)
         self.space_cells = np.asarray(space_cells, dtype=int)
 
@@ -233,7 +210,7 @@ def cells_in_cylinder(mesh, cyl):
     """Cells whose centers lie in the cylinder.  Deterministic; may be empty."""
     space = _space_cells_in_ball(mesh, cyl)
     time = _time_cells_in_window(mesh, cyl.center_time, cyl.radius)
-    return CellSet(mesh, cyl, time, space)
+    return CellSet(mesh, time, space)
 
 
 def prime_cells_in_cylinder(mesh, cyl):

@@ -47,14 +47,17 @@ class ManufacturedCase:
     F_d_antiderivative: optional closure with d/dx_d F_d = -residual/x_d
         (required by mode F_only/mixed)
     u_tt, du_t, d2u_t: optional time-derivative closures enabling f_t
+
+    The mixed mode puts half of the residual in f and half in F_d.  Every
+    closure is cross-checked at construction.
     """
 
     MODES = ("f_only", "F_only", "mixed")
 
     def __init__(self, name, dim, coeffs, lam, u, u_t, du, d2u,
-                 mode="f_only", mix_weight=0.5, F_d_antiderivative=None,
+                 mode="f_only", F_d_antiderivative=None,
                  u_tt=None, du_t=None, d2u_t=None,
-                 Ld=4.0, T=1.0, xp_length=2 * np.pi, check=True):
+                 Ld=4.0, T=1.0, xp_length=2 * np.pi):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         if mode not in self.MODES:
@@ -73,8 +76,6 @@ class ManufacturedCase:
         if set(d2u) != need:
             raise ValueError("d2u must supply exactly the pairs %s"
                              % sorted(need))
-        if not 0.0 <= mix_weight <= 1.0:
-            raise ValueError("mix_weight must lie in [0, 1]")
         self.name = name
         self.dim = dim
         self.coeffs = coeffs
@@ -84,7 +85,6 @@ class ManufacturedCase:
         self.du = tuple(du)
         self.d2u = dict(d2u)
         self.mode = mode
-        self.mix_weight = float(mix_weight)
         self.F_d_antiderivative = F_d_antiderivative
         self.u_tt = u_tt
         self.du_t = du_t
@@ -92,26 +92,14 @@ class ManufacturedCase:
         self.Ld = float(Ld)
         self.T = float(T)
         self.xp_length = float(xp_length)
-        if check:
-            self._validate()
+        self._validate()
 
     # -- residual of the strong form, with f = F = 0 --------------------------
 
     def residual(self, t, xp, xd):
         """u_t + lambda c0 u - x_d * div(a Du), vectorized."""
-        c = self.coeffs
-        acc = self.u_t(t, xp, xd) + self.lam * c.c0(t, xp, xd) \
-            * self.u(t, xp, xd)
-        dive = np.zeros(np.broadcast(np.asarray(t), np.asarray(xp),
-                                     np.asarray(xd)).shape)
-        diva = c.div_a(t, xp, xd) if c.div_a is not None else None
-        for j in range(self.dim):
-            if diva is not None:
-                dive = dive + diva[j] * self.du[j](t, xp, xd)
-            for i in range(self.dim):
-                key = (min(i, j), max(i, j))
-                dive = dive + c.a[i][j](t, xp, xd) * self.d2u[key](t, xp, xd)
-        return acc - np.asarray(xd) * dive
+        return self._strong_form(self.u, self.u_t, self.du, self.d2u,
+                                 t, xp, xd)
 
     def residual_t(self, t, xp, xd):
         """Time derivative of the residual; needs the *_t closures and
@@ -123,18 +111,23 @@ class ManufacturedCase:
         if not c.autonomous:
             raise ClosureError("f_t needs autonomous coefficients, got kind "
                                "%r" % c.kind)
-        acc = self.u_tt(t, xp, xd) + self.lam * c.c0(t, xp, xd) \
-            * self.u_t(t, xp, xd)
+        return self._strong_form(self.u_t, self.u_tt, self.du_t, self.d2u_t,
+                                 t, xp, xd)
+
+    def _strong_form(self, v, v_t, dv, d2v, t, xp, xd):
+        """v_t + lambda c0 v - x_d * div(a Dv) for the closures of v: u
+        itself, or u_t with the coefficients frozen in time."""
+        c = self.coeffs
+        acc = v_t(t, xp, xd) + self.lam * c.c0(t, xp, xd) * v(t, xp, xd)
         dive = np.zeros(np.broadcast(np.asarray(t), np.asarray(xp),
                                      np.asarray(xd)).shape)
         diva = c.div_a(t, xp, xd) if c.div_a is not None else None
         for j in range(self.dim):
             if diva is not None:
-                dive = dive + diva[j] * self.du_t[j](t, xp, xd)
+                dive = dive + diva[j] * dv[j](t, xp, xd)
             for i in range(self.dim):
                 key = (min(i, j), max(i, j))
-                dive = dive + c.a[i][j](t, xp, xd) \
-                    * self.d2u_t[key](t, xp, xd)
+                dive = dive + c.a[i][j](t, xp, xd) * d2v[key](t, xp, xd)
         return acc - np.asarray(xd) * dive
 
     # -- construction checks ----------------------------------------------------
@@ -210,19 +203,19 @@ class ManufacturedCase:
             F = [None] * self.dim
             F[self.dim - 1] = self.F_d_antiderivative
             return tuple(F), None
-        w = self.mix_weight
-        if lam == 0 and w > 0:
-            raise ValueError("mixed mode with weight on f needs lambda > 0")
+        if lam == 0:
+            raise ValueError("mixed mode needs lambda > 0 (half the residual "
+                             "goes to f)")
 
         def f_part(t, xp, xd):
-            return w / np.sqrt(lam) * self.residual(t, xp, xd)
+            return 0.5 / np.sqrt(lam) * self.residual(t, xp, xd)
 
         def Fd_part(t, xp, xd):
-            return (1.0 - w) * self.F_d_antiderivative(t, xp, xd)
+            return 0.5 * self.F_d_antiderivative(t, xp, xd)
 
         F = [None] * self.dim
         F[self.dim - 1] = Fd_part
-        return tuple(F), (f_part if w > 0 else None)
+        return tuple(F), f_part
 
     def synthesize_f_t(self):
         """Closure for the time derivative of the f_only source."""
@@ -238,9 +231,9 @@ class ManufacturedCase:
 
 # -- default family -------------------------------------------------------------
 
-def default_case(dim, lam=1.0, Ld=4.0, T=1.0, mode="f_only", coeffs=None,
-                 amplitude=1.0):
-    """u = A sin(t) g(x_d) [cos(x')] with g = x e^{-x} - x^2 e^{-Ld}/Ld:
+def default_case(dim, lam=1.0, Ld=4.0, T=1.0, mode="f_only", amplitude=1.0):
+    """u = A sin(t) g(x_d) [cos(x')] with g = x e^{-x} - x^2 e^{-Ld}/Ld,
+    for identity coefficients:
     vanishing linearly at x_d = 0, exactly zero at the truncation boundary,
     and with elementary antiderivatives for the F_only mode."""
     c = np.exp(-Ld) / Ld
@@ -262,8 +255,6 @@ def default_case(dim, lam=1.0, Ld=4.0, T=1.0, mode="f_only", coeffs=None,
     def g_anti(x):
         return -(x + 1) * np.exp(-x) - c * x ** 3 / 3
 
-    if coeffs is None:
-        coeffs = identity_coefficients(dim)
     lamf = float(lam)
 
     if dim == 1:
@@ -302,9 +293,9 @@ def default_case(dim, lam=1.0, Ld=4.0, T=1.0, mode="f_only", coeffs=None,
                 + np.sin(t) * (gp(xd) - g_anti(xd)))
 
     return ManufacturedCase(
-        "default_d%d" % dim, dim, coeffs, lamf, u, u_t, du, d2u, mode=mode,
-        F_d_antiderivative=Fd_anti, u_tt=u_tt, du_t=du_t, d2u_t=d2u_t,
-        Ld=Ld, T=T)
+        "default_d%d" % dim, dim, identity_coefficients(dim), lamf, u, u_t,
+        du, d2u, mode=mode, F_d_antiderivative=Fd_anti, u_tt=u_tt,
+        du_t=du_t, d2u_t=d2u_t, Ld=Ld, T=T)
 
 
 # -- convergence machinery ---------------------------------------------------------

@@ -50,12 +50,6 @@ class NormSpec:
         self.derivative_order = order
         self.region = region
 
-    def summary(self):
-        return {"p": self.p, "alpha": self.weight_exponent,
-                "order": self.derivative_order,
-                "region": None if self.region is None
-                else self.region.summary()}
-
 
 # -- elementwise evaluation -----------------------------------------------------
 
@@ -219,12 +213,12 @@ def _region_cells(mesh, spec, skip_initial=0, time_count=0):
     return cs.time_cells + 1, cs.space_cells
 
 
-def _retained(field, spec, skip_initial, t=0.0):
+def _retained(field, spec, skip_initial):
     """(levels, times, dt, space_cells) for _rectangle_norm: a DiscreteField
-    is one level of unit weight at time t."""
+    is one level of unit weight at time 0."""
     if isinstance(field, DiscreteField):
         _, space_cells = _region_cells(field.mesh, spec)
-        return field.values[None], np.array([t], float), 1.0, space_cells
+        return field.values[None], np.zeros(1), 1.0, space_cells
     ends, space_cells = _region_cells(field.mesh, spec, skip_initial,
                                       field.time_count)
     return field.levels[ends], field.times[ends], field.dt, space_cells
@@ -262,11 +256,12 @@ def levels_norm(mesh, level_values, dt, spec, space_cells=None):
                            dt, spec, space_cells)
 
 
-def error_norm(solution_or_field, exact, spec, t=0.0, skip_initial=0):
-    """Weighted L_p distance between the discrete field and analytic
-    callables; solutions integrate in time by the rectangle rule."""
+def error_norm(solution_or_field, exact, spec, skip_initial=0):
+    """Weighted L_p distance between the discrete field (at t = 0) or the
+    solution and analytic callables; solutions integrate in time by the
+    rectangle rule."""
     levels, times, dt, space_cells = _retained(solution_or_field, spec,
-                                               skip_initial, t)
+                                               skip_initial)
     return _rectangle_norm(solution_or_field.mesh, levels, times, dt, spec,
                            space_cells, exact)
 
@@ -287,20 +282,13 @@ def analytic_norm(mesh, func, spec, skip_initial=0):
 # -- inequality checks --------------------------------------------------------------
 
 class RatioReport:
-    def __init__(self, name, numerator, denominator, bound, p):
-        self.name = name
+    def __init__(self, numerator, denominator, bound):
         self.numerator = float(numerator)
         self.denominator = float(denominator)
         self.bound = float(bound)
-        self.p = float(p)
         self.ratio = (0.0 if numerator == 0 else
                       float(numerator / denominator))
         self.passed = self.ratio <= self.bound
-
-    def summary(self):
-        return {"name": self.name, "ratio": self.ratio, "bound": self.bound,
-                "numerator": self.numerator, "denominator": self.denominator,
-                "p": self.p, "passed": bool(self.passed)}
 
 
 def hardy_check(field, p):
@@ -312,22 +300,16 @@ def hardy_check(field, p):
     if den == 0.0 and num > 0.0:
         raise ValueError("zero gradient with nonzero weighted norm: "
                          "the x_d=0 trace must be broken")
-    return RatioReport("hardy", num, den, p / (p - 1) + 0.05, p)
+    return RatioReport(num, den, p / (p - 1) + 0.05)
 
 
 class SlopeReport:
-    def __init__(self, p, slope, constant, threshold, n_slices):
-        self.p = p
+    def __init__(self, slope, constant, threshold, n_slices):
         self.slope = float(slope)
         self.constant = float(constant)
         self.threshold = float(threshold)
         self.n_slices = int(n_slices)
         self.passed = np.isfinite(constant) and slope >= threshold
-
-    def summary(self):
-        return {"p": self.p, "slope": self.slope, "constant": self.constant,
-                "threshold": self.threshold, "n_slices": self.n_slices,
-                "passed": bool(self.passed)}
 
 
 def _scalar_power(a, e):
@@ -378,7 +360,7 @@ def trace_decay_check(field, p, skip_initial=0):
     slope = np.polyfit(np.log(xd[usable]), np.log(s[usable]), 1)[0]
     pos = np.arange(1, mesh.M + 1)
     constant = float(np.max(s[pos] / xd[pos] ** expo))
-    return SlopeReport(p, slope, constant, expo - 0.05, usable.size)
+    return SlopeReport(slope, constant, expo - 0.05, usable.size)
 
 
 def cell_center_gradients(mesh, values):

@@ -44,8 +44,9 @@ class TimeStepperConfig:
     def __init__(self, theta=1.0, linear_tol=1e-10):
         if not 0.5 <= theta <= 1.0:
             raise ValueError("theta must lie in [1/2, 1], got %r" % (theta,))
-        if not linear_tol > 0:
-            raise ValueError("linear_tol must be positive")
+        if not 0 < linear_tol < np.inf:
+            raise ValueError("linear_tol must be finite and positive, got %r"
+                             % (linear_tol,))
         self.theta = float(theta)
         self.linear_tol = float(linear_tol)
 
@@ -202,9 +203,10 @@ def linear_solve(A, b, tol=1e-10):
 # -- solution container --------------------------------------------------------
 
 class SpaceTimeSolution:
-    """Nodal values at every time level; Dirichlet traces are exactly zero."""
+    """Nodal values at every time level; Dirichlet traces are exactly zero.
+    A march sets ``lam`` and ``loads``."""
 
-    def __init__(self, mesh, levels, times, lam=None, config=None):
+    def __init__(self, mesh, levels, times):
         levels = np.asarray(levels, float)
         times = np.asarray(times, float)
         if levels.ndim != 3 or levels.shape[1:] != (mesh.M + 1,
@@ -217,8 +219,7 @@ class SpaceTimeSolution:
         self.mesh = mesh
         self.levels = levels
         self.times = times
-        self.lam = lam
-        self.config = config
+        self.lam = None
         self.loads = None
 
     @property
@@ -323,7 +324,7 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
             raise SolverError("source-free march gained weighted energy "
                               "at level %d" % (np.argmax(grew) + 1))
 
-    sol = SpaceTimeSolution(mesh, levels, mesh.time_levels, config=config)
+    sol = SpaceTimeSolution(mesh, levels, mesh.time_levels)
     sol.loads = loads
     return sol
 

@@ -2,14 +2,20 @@
 wraps the functions that bench/tracing.py lists in TRACED, and the
 workloads in bench/workloads.py call module attributes.  These tests fail
 when a change to the package removes or renames a name the benchmark still
-uses, instead of leaving the failure to ``bench/run.py --trace 1``."""
+uses, instead of leaving the failure to ``bench/run.py --trace 1``.  The
+last one fails the other way round, when the package exports a function or
+class that only its own unit tests use."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+import degenlab
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _resolve(module_name, qualname):
@@ -19,20 +25,26 @@ def _resolve(module_name, qualname):
     return obj
 
 
-def test_every_traced_function_resolves():
+def _traced():
     spec = importlib.util.spec_from_file_location("bench_tracing",
                                                   BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.TRACED
-    for module, qualname in tracing.TRACED:
+    return tracing.TRACED
+
+
+def test_every_traced_function_resolves():
+    traced = _traced()
+    assert traced
+    for module, qualname in traced:
         assert callable(_resolve("degenlab." + module, qualname))
 
 
 def _package_names(tree):
     """(module, name) for every package name the parsed code uses: each
     attribute of an ``import degenlab.x as X`` alias and each name of a
-    ``from degenlab.x import ...``."""
+    ``from degenlab.x import ...`` or, inside the package, of a
+    ``from .x import ...``."""
     aliases = {}
     used = set()
     for node in ast.walk(tree):
@@ -40,6 +52,9 @@ def _package_names(tree):
             aliases.update((alias.asname, alias.name) for alias in node.names
                            if alias.name.startswith("degenlab.")
                            and alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            used.update(("degenlab." + (node.module or ""), alias.name)
+                        for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and \
                 (node.module or "").startswith("degenlab"):
             used.update((node.module, alias.name) for alias in node.names)
@@ -57,3 +72,26 @@ def test_every_name_the_workloads_use_resolves():
         "degenlab.harness", "degenlab.norms", "degenlab.mesh"}
     for module, name in names:
         _resolve(module, name)
+
+
+def test_every_exported_function_and_class_has_a_program_user():
+    """Each function or class in ``degenlab.__all__`` is read somewhere in
+    the package outside ``__init__.py``, by the benchmark (its workloads or
+    TRACED), or by the acceptance tests; one that only its own unit tests
+    use goes."""
+    users = [p for p in sorted((ROOT / "src" / "degenlab").glob("*.py"))
+             if p.name != "__init__.py"]
+    users += sorted(BENCH.glob("*.py")) + [ROOT / "tests" /
+                                           "test_acceptance.py"]
+    used = {part for _, qualname in _traced() for part in qualname.split(".")}
+    for path in users:
+        tree = ast.parse(path.read_text())
+        used.update(name for _, name in _package_names(tree))
+        used.update(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))
+    exported = [name for name in degenlab.__all__
+                if inspect.isfunction(getattr(degenlab, name))
+                or inspect.isclass(getattr(degenlab, name))]
+    assert len(exported) > 40
+    assert sorted(set(exported) - used) == []

@@ -91,6 +91,20 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("key, literal", [("mesh_M", "Infinity"),
+                                          ("mesh_M", "NaN"),
+                                          ("linear_tol", "Infinity")])
+def test_non_finite_config_numbers_exit_two_naming_the_key(
+        tmp_path, capsys, key, literal):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"command": "solve", "out_dir": %s, "%s": %s}'
+                    % (json.dumps(str(tmp_path / "out")), key, literal))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", degenlab.cli.COMMANDS)
 def test_every_command_runs_on_its_defaults(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)         # the default out_dir is relative

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from degenlab import (CoefficientField, Cylinder, build_mesh,
-                      check_structure_condition, generate_family,
-                      identity_coefficients, oscillation, oscillation_scan,
-                      partial_averages, sample_on_mesh)
+                      cells_in_cylinder, check_structure_condition,
+                      generate_family, identity_coefficients, oscillation,
+                      oscillation_scan, sample_on_mesh)
+from degenlab.coefficients import _averages
 
 
 def _const(v):
@@ -117,16 +118,15 @@ def test_partial_average_of_d_column_is_full_average():
                               lambda xd: 1.0 + 0.0 * np.asarray(xd, float),
                               kind="oscillatory")
     cyl = Cylinder(1.5, 0.0, 0.8)
-    avg_a, avg_c0 = partial_averages(coeffs, m, cyl)
+    cs = cells_in_cylinder(m, cyl)
+    sample = sample_on_mesh(coeffs, m)
+    avg_a, avg_c0 = _averages(m, cyl, sample, cs)
     assert avg_a.shape == (12, 2, 2)
     # whole column j=d constant across slices
     assert np.ptp(avg_a[:, 0, 1]) == 0.0
     assert np.ptp(avg_a[:, 1, 1]) == 0.0
     assert abs(avg_a[0, 0, 1] - 0.125) < 1e-14
     # dense oracle for the weighted full average of a_dd over the cylinder
-    from degenlab import cells_in_cylinder
-    cs = cells_in_cylinder(m, cyl)
-    sample = sample_on_mesh(coeffs, m)
     vals = sample.a[..., 1, 1][:, cs.space_j, cs.space_m][cs.time_cells]
     w = cs.space_measures()
     oracle = float((vals * w[None, :]).sum() /

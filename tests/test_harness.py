@@ -88,7 +88,7 @@ def test_energy_ratio_within_explicit_constant():
     f = smooth_random_closure(12, 1)
     prob = _problem_d1(M=32, time_count=20, F=F, f=f, seed=1)
     rep = energy_ratio(prob, lam=10.0)
-    print(rep.summary())
+    print(rep.csv_row())
     assert rep.threshold == 4.0 / 0.5
     assert rep.passed
     assert 0 < rep.ratio <= rep.threshold
@@ -126,7 +126,7 @@ def test_main_estimate_sweep_reports():
         assert rep.params["uniformity"] >= 1.0
         assert np.isfinite(rep.params["refine_drift"])
         assert rep.params["gamma_measured"] <= 1e-12   # xd_only family
-        print(rep.summary(), "drift", rep.params["refine_drift"])
+        print(rep.csv_row(), "drift", rep.params["refine_drift"])
     lams = [rep.params["lambda"] for rep in reports]
     assert lams == [1.0, 4.0]
     with pytest.raises(ValueError):
@@ -263,7 +263,7 @@ def test_caccioppoli_reports():
     for rep in (rep_g, rep_t):
         assert np.isfinite(rep.ratio) and rep.passed
         assert rep.lhs > 0 and rep.rhs > 0
-        print(rep.summary())
+        print(rep.csv_row())
     with pytest.raises(ValueError):
         caccioppoli_ratio(sol, 0.5, 0.25)
     with pytest.raises(ValueError):
@@ -287,7 +287,7 @@ def test_w_estimate_structure_enforcement():
     assert rep.check_id == "w_estimate"
     assert rep.params["variant"] == "standard"
     assert np.isfinite(rep.ratio) and rep.lhs > 0
-    print(rep.summary())
+    print(rep.csv_row())
     # swap in a structure-violating family: enforcement must trip, the
     # probe variant must still report
     sol.coeffs = generate_family(5, "oscillatory", 0.5, 0.2, dim=1)
@@ -304,7 +304,7 @@ def test_boundary_lipschitz_report():
     assert np.isfinite(rep.lhs) and rep.lhs > 0
     assert rep.params["sup_u_over_xd"] > 0
     assert rep.params["sup_xhalf_dxprime"] == 0.0      # dim 1
-    print(rep.summary(), "quot", rep.params["sup_u_over_xd"])
+    print(rep.csv_row(), "quot", rep.params["sup_u_over_xd"])
     # non-boundary cylinder is rejected
     sol.homogeneous_cylinder = Cylinder(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
@@ -368,7 +368,7 @@ def test_corollary2_validation_and_report():
     assert np.isfinite(rep.ratio) and rep.lhs > 0 and rep.rhs > 0
     for key in ("norm_u", "norm_du", "norm_ut", "norm_d2u", "norm_dut"):
         assert rep.params[key] >= 0
-    print(rep.summary())
+    print(rep.csv_row())
 
 
 def test_hardy_and_trace_adapters():

@@ -25,7 +25,7 @@ def test_norm_spec_validation():
     with pytest.raises(ValueError):
         NormSpec(2.0, region="ball")
     spec = NormSpec(2.0, weight_exponent=-2.0)
-    assert spec.summary()["alpha"] == -2.0
+    assert spec.weight_exponent == -2.0
 
 
 def test_power_function_norm_oracles():
@@ -127,8 +127,7 @@ def test_trace_decay_slope_oracles():
     assert rep2.passed            # 0.6 >= 1/2 - 1/2 - 0.05
     with pytest.raises(ValueError):
         trace_decay_check(lin, 1.5)
-    summ = rep.summary()
-    assert summ["n_slices"] >= 4
+    assert rep.n_slices >= 4
 
 
 def test_second_differences_exact_on_quadratics():

@@ -84,6 +84,10 @@ def test_stepper_config_validation():
         TimeStepperConfig(theta=1.2)
     with pytest.raises(ValueError):
         TimeStepperConfig(linear_tol=0.0)
+    # with linear_tol = inf every backward error passes errors <= 10 * inf
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="linear_tol must be finite"):
+            TimeStepperConfig(linear_tol=tol)
     with pytest.raises(TypeError):
         TimeStepperConfig(time_step=0.25)     # the mesh owns the time grid
     cfg = TimeStepperConfig(theta=0.5)
@@ -551,7 +555,9 @@ def _steady_state(m, coeffs, lam, F=None, f=None):
     sparse direct solve."""
     K = assemble_stiffness(m, coeffs, lam, t=0.0).matrix
     b = LoadAssembler(m).assemble(F, f, lam, t=0.0)
-    return DiscreteField.from_interior(m, linear_solve(K, b)).values
+    vals = np.zeros((m.M + 1, m.xprime_count))
+    vals[1:m.M] = linear_solve(K, b).reshape(m.M - 1, m.xprime_count)
+    return vals
 
 
 def test_march_approaches_steady_state():
