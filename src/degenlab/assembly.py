@@ -13,11 +13,13 @@ x_d^{-1} pair table and the load maps, in a cache that holds meshes weakly.
 Each assembly is then one fold through the plan: the contributions to every
 entry are summed in ascending value order, so the result does not depend on
 the order of the terms, and assembling the transposed coefficients gives
-bitwise the transpose.  A fold takes cell values with a leading level axis,
-so the stiffness of every time level of a march is one fold
-(``stiffness_levels``), each level bitwise equal to its fold alone.  The
-mesh-only operators (the a0-free mass, the model stiffness, the Grams and
-the load maps) are built once per mesh and shared read-only.
+bitwise the transpose.  The plan fixes that order once, grouping the
+contributions by entry and the groups by size: a fold sorts only groups of
+3 or more and sums all groups with one reduceat.  A fold takes cell values
+with a leading level axis, so the stiffness of every time level of a march
+is one fold (``stiffness_levels``), each level bitwise equal to its fold
+alone.  The mesh-only operators (the a0-free mass, the model stiffness, the
+Grams and the load maps) are built once per mesh and shared read-only.
 
 The singular factor 1/x_d is integrated exactly per element against P1
 products (antiderivatives with logarithms); sources are interpolated to the
@@ -168,10 +170,13 @@ def _cached(mesh, key, build):
 
 class _ScatterPlan:
     """Where the 16 (trial corner, test corner) pairs of every cell land in
-    an operator from a column space to a row space: per kept contribution
-    its cell, x_d corners (a, b), x' corners (a', b') and entry key
-    row * ncols + col; the start of each key group in key order; and the
-    CSR structure of the entries."""
+    an operator from a column space to a row space, and the order a fold
+    sums them in, both fixed once: per kept contribution its cell and flat
+    indices into the x_d pair table (j, a, b) and the x' pair table
+    (a', b'), grouped by entry, the groups by size and then CSR entry.
+    ``starts`` are the group starts, ``buckets`` one (offset, groups, size)
+    per size and ``back`` puts the groups in the CSR order of ``indices``
+    and ``indptr``; a fold sorts only groups of 3 or more."""
 
     def __init__(self, mesh, rows, cols):
         npc = mesh.xprime_count
@@ -180,23 +185,33 @@ class _ScatterPlan:
         (r0, r1), (c0, c1) = [(_SPACES[s][0], mesh.M - _SPACES[s][1])
                               for s in (rows, cols)]
         nrows, ncols = (r1 - r0 + 1) * npc, (c1 - c0 + 1) * npc
-        cells, corners, keys = [], [], []
+        cells, keys = [], []
         for axd, bxd, aq, bq in itertools.product((0, 1), repeat=4):
             k = np.nonzero((r0 <= j + bxd) & (j + bxd <= r1)
                            & (c0 <= j + axd) & (j + axd <= c1))[0]
             row = (j[k] + bxd - r0) * npc + (m[k] + bq) % npc
             col = (j[k] + axd - c0) * npc + (m[k] + aq) % npc
             cells.append(k)
-            corners.append(np.repeat([[axd], [bxd], [aq], [bq]], k.size, 1))
             keys.append(row * ncols + col)
-        self.cell = np.concatenate(cells)
-        axd, bxd, aq, bq = np.concatenate(corners, axis=1)
-        self.xd_at = (j[self.cell], axd, bxd)
-        self.xp_at = (aq, bq)
-        self.keys = np.concatenate(keys)
-        ordered = np.sort(self.keys)
-        self.starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-        entries = ordered[self.starts]
+        # corners of the i-th pair: 2 axd + bxd = i >> 2, 2 aq + bq = i & 3
+        pair = np.repeat(np.arange(16), [k.size for k in cells])
+        keys = np.concatenate(keys)
+        by_key = np.argsort(keys, kind="stable")
+        ordered = keys[by_key]
+        first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        entries = ordered[first]
+        sizes = np.diff(np.r_[first, keys.size])
+        # a stable argsort of 16-bit integers is a radix sort
+        order = by_key[np.argsort(np.repeat(sizes, sizes).astype(np.int16),
+                                  kind="stable")]
+        self.cell, pair = np.concatenate(cells)[order], pair[order]
+        self.xd_at, self.xp_at = j[self.cell] * 4 + (pair >> 2), pair & 3
+        by_size = np.argsort(sizes, kind="stable")
+        self.starts = np.cumsum(sizes[by_size]) - sizes[by_size]
+        size, groups = np.unique(sizes, return_counts=True)
+        self.buckets = list(zip(np.cumsum(size * groups) - size * groups,
+                                groups, size))
+        self.back = np.argsort(by_size)
         self.indices = entries % ncols
         self.indptr = np.searchsorted(entries, ncols * np.arange(nrows + 1))
         self.indices.setflags(write=False)
@@ -207,17 +222,24 @@ class _ScatterPlan:
         """Entry data of the sum of terms (cellvals, x_d pair table, x' pair
         table), one row per level: cellvals has shape (levels, cells), and
         contribution cellvals[l, cell] * xd[j, a, b] * xp[a', b'] goes to
-        row l of the (levels, nnz) result.  Each entry of each level is
-        summed in ascending value order, so a row is bitwise the fold of its
-        level alone."""
-        vals = np.concatenate([cellvals[:, self.cell] * xd[self.xd_at]
-                               * xp[self.xp_at] for cellvals, xd, xp in terms],
-                              axis=1)
-        keys = np.broadcast_to(np.tile(self.keys, len(terms)), vals.shape)
-        order = np.lexsort((vals, keys), axis=1)
-        # n terms repeat each key n times: group g starts at n * starts[g]
-        return np.add.reduceat(np.take_along_axis(vals, order, axis=1),
-                               len(terms) * self.starts, axis=1)
+        row l of the (levels, nnz) result.  Each entry of each level sums
+        the contributions of all terms in ascending value order (a group of
+        two needs no sort: float addition commutes), so a row is bitwise the
+        fold of its level alone, whatever the order of the terms."""
+        n = len(terms)
+        vals = np.stack([np.take(cellvals, self.cell, axis=1)
+                         * np.take(xd, self.xd_at) * np.take(xp, self.xp_at)
+                         for cellvals, xd, xp in terms], axis=1)
+        out = np.empty((len(vals), n * self.cell.size))
+        for offset, groups, size in self.buckets:
+            end = offset + groups * size
+            # a view (levels, groups, n * size) of out, one group per row
+            block = out[:, n * offset:n * end].reshape(-1, groups, n * size)
+            block.reshape(-1, groups, n, size)[...] = vals[
+                :, :, offset:end].reshape(-1, n, groups, size).swapaxes(1, 2)
+            if n * size >= 3:
+                block.sort()
+        return np.add.reduceat(out, n * self.starts, axis=1)[:, self.back]
 
     def csr(self, data):
         """CSR matrix with this plan's entries and one level of fold data."""

@@ -54,7 +54,7 @@ class ManufacturedCase:
 
     MODES = ("f_only", "F_only", "mixed")
 
-    def __init__(self, name, dim, coeffs, lam, u, u_t, du, d2u,
+    def __init__(self, dim, coeffs, lam, u, u_t, du, d2u,
                  mode="f_only", F_d_antiderivative=None,
                  u_tt=None, du_t=None, d2u_t=None,
                  Ld=4.0, T=1.0, xp_length=2 * np.pi):
@@ -76,7 +76,6 @@ class ManufacturedCase:
         if set(d2u) != need:
             raise ValueError("d2u must supply exactly the pairs %s"
                              % sorted(need))
-        self.name = name
         self.dim = dim
         self.coeffs = coeffs
         self.lam = float(lam)
@@ -293,9 +292,9 @@ def default_case(dim, lam=1.0, Ld=4.0, T=1.0, mode="f_only", amplitude=1.0):
                 + np.sin(t) * (gp(xd) - g_anti(xd)))
 
     return ManufacturedCase(
-        "default_d%d" % dim, dim, identity_coefficients(dim), lamf, u, u_t,
-        du, d2u, mode=mode, F_d_antiderivative=Fd_anti, u_tt=u_tt,
-        du_t=du_t, d2u_t=d2u_t, Ld=Ld, T=T)
+        dim, identity_coefficients(dim), lamf, u, u_t, du, d2u, mode=mode,
+        F_d_antiderivative=Fd_anti, u_tt=u_tt, du_t=du_t, d2u_t=d2u_t, Ld=Ld,
+        T=T)
 
 
 # -- convergence machinery ---------------------------------------------------------
@@ -309,9 +308,8 @@ class StudyRow:
 
 
 class StudyTable:
-    def __init__(self, rows, p):
+    def __init__(self, rows):
         self.rows = rows
-        self.p = p
         self.rates0 = self._rates([r.e0 for r in rows])
         self.rates1 = self._rates([r.e1 for r in rows])
 
@@ -364,4 +362,4 @@ def convergence_study(case, meshes, p=2.0, theta=1.0, linear_tol=1e-11):
         e0 = error_norm(sol, exact, NormSpec(p, -p / 2.0, "0"))
         e1 = error_norm(sol, exact, NormSpec(p, 0.0, "1_full"))
         rows.append(StudyRow(mesh.M, sol.dt, e0, e1))
-    return StudyTable(rows, p)
+    return StudyTable(rows)

@@ -243,6 +243,57 @@ def test_stiffness_levels_rows_are_bitwise_per_level_folds(dim, kind):
     assert (kind == "oscillatory") == (D[0].tobytes() != D[-1].tobytes())
 
 
+def _entry_keys(mesh, plan):
+    """row * ncols + col of each contribution of an interior x interior
+    plan, recomputed from its cell and its x_d and x' pair corners."""
+    npc = mesh.xprime_count
+    j, m = np.divmod(plan.cell, npc)
+    a, b = np.divmod(plan.xd_at - 4 * j, 2)
+    aq, bq = np.divmod(plan.xp_at, 2)
+    row = (j + b - 1) * npc + (m + bq) % npc
+    col = (j + a - 1) * npc + (m + aq) % npc
+    return row * plan.shape[1] + col
+
+
+def _lexsort_fold(plan, keys, terms):
+    """Reference fold: one lexsort by (entry key, value) over all
+    contributions of all terms, then one reduceat over the entries."""
+    vals = np.concatenate([cellvals[:, plan.cell] * np.take(xd, plan.xd_at)
+                           * np.take(xp, plan.xp_at)
+                           for cellvals, xd, xp in terms], axis=1)
+    ordered = np.sort(keys)
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    order = np.lexsort((vals, np.broadcast_to(np.tile(keys, len(terms)),
+                                              vals.shape)), axis=1)
+    return np.add.reduceat(np.take_along_axis(vals, order, axis=1),
+                           len(terms) * starts, axis=1)
+
+
+@pytest.mark.parametrize("dim, npc", [(1, 1), (2, 5), (2, 6)])
+def test_fold_is_the_value_ordered_sum(dim, npc):
+    m = _small_mesh(1) if dim == 1 else build_mesh(
+        2, 3.0, 6, 2.0, xprime_count=npc, xprime_length=2 * np.pi)
+    plan = assembly._plan(m, "interior", "interior")
+    keys = _entry_keys(m, plan)
+    rows = np.repeat(np.arange(plan.shape[0]), np.diff(plan.indptr))
+    assert np.array_equal(np.unique(keys),
+                          rows * plan.shape[1] + plan.indices)
+    xd = dim - 1
+    rng = np.random.default_rng(dim + npc)
+    for cellvals in (lambda: rng.uniform(0.5, 2.0, (3, m.n_space_cells)),
+                     lambda: np.full((3, m.n_space_cells), 0.75)):
+        four = [assembly._term(m, cellvals(), None, None),
+                assembly._term(m, cellvals(), xd, xd),
+                assembly._weighted_term(m, cellvals()),
+                assembly._term(m, cellvals(), 0, xd)]
+        for terms in (four[:1], four[2:3], four):
+            data = plan.fold(terms)
+            ref = _lexsort_fold(plan, keys, terms)
+            assert data.shape == (3, plan.indices.size)
+            assert data.tobytes() == ref.tobytes()
+            assert plan.fold(terms[::-1]).tobytes() == data.tobytes()
+
+
 def test_mesh_only_operators_are_shared_read_only():
     m = _small_mesh(2)
     for build in (model_stiffness, assemble_weighted_mass,

@@ -95,3 +95,27 @@ def test_every_exported_function_and_class_has_a_program_user():
                 or inspect.isclass(getattr(degenlab, name))]
     assert len(exported) > 40
     assert sorted(set(exported) - used) == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read in that module; the package's
+    ``__init__.py`` is skipped, as its imports are the re-exports."""
+    paths = [p for p in sorted((ROOT / "src" / "degenlab").glob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    paths += sorted((ROOT / "tests" / "golden").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+                   for name, line in sorted(imported.items())
+                   if name not in used]
+    assert unused == []

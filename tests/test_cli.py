@@ -5,7 +5,6 @@ import shutil
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from scipy.io import mmread
 

@@ -11,7 +11,7 @@ from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
                       boundary_lipschitz, build_mesh, caccioppoli_ratio,
                       corollary2_check, default_case, duality_check,
                       energy_ratio, generate_family, hardy_report,
-                      identity_coefficients, locally_homogeneous_solution, main_estimate_sweep,
+                      locally_homogeneous_solution, main_estimate_sweep,
                       smooth_random_closure, trace_report, w_estimate_ratio)
 
 
@@ -351,13 +351,13 @@ def test_corollary2_validation_and_report():
         corollary2_check(fcase, mesh, p=2.0)
     from degenlab import ManufacturedCase
     xcase = ManufacturedCase(
-        "nonident", 1, generate_family(0, "xd_only", 0.5, 0.2, dim=1),
+        1, generate_family(0, "xd_only", 0.5, 0.2, dim=1),
         1.0, case.u, case.u_t, case.du, case.d2u, u_tt=case.u_tt,
         du_t=case.du_t, d2u_t=case.d2u_t)
     with pytest.raises(ValueError):
         corollary2_check(xcase, mesh, p=2.0)
     ocase = ManufacturedCase(
-        "oscillatory", 1, generate_family(0, "oscillatory", 0.5, 0.2, dim=1),
+        1, generate_family(0, "oscillatory", 0.5, 0.2, dim=1),
         1.0, case.u, case.u_t, case.du, case.d2u, u_tt=case.u_tt,
         du_t=case.du_t, d2u_t=case.d2u_t)
     with pytest.raises(ValueError, match="autonomous coefficients, got kind "

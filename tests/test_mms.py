@@ -59,10 +59,9 @@ def test_closure_cross_checks_catch_mistakes():
     good_du = (lambda t, xp, xd: np.sin(t) * gp(xd),)
     d2u = {(0, 0): lambda t, xp, xd: np.sin(t) * gpp(xd)}
     with pytest.raises(ClosureError):
-        ManufacturedCase("bad", 1, identity_coefficients(1), 1.0, u, u_t,
-                         wrong_du, d2u)
-    ManufacturedCase("good", 1, identity_coefficients(1), 1.0, u, u_t,
-                     good_du, d2u)
+        ManufacturedCase(1, identity_coefficients(1), 1.0, u, u_t, wrong_du,
+                         d2u)
+    ManufacturedCase(1, identity_coefficients(1), 1.0, u, u_t, good_du, d2u)
 
 
 def test_trace_and_truncation_admissibility():
@@ -72,15 +71,13 @@ def test_trace_and_truncation_admissibility():
     du = (lambda t, xp, xd: np.sin(t) + 0.0 * xd,)
     d2u = {(0, 0): lambda t, xp, xd: 0.0 * xd}
     with pytest.raises(ClosureError):
-        ManufacturedCase("trace", 1, identity_coefficients(1), 1.0, u, u_t,
-                         du, d2u)
+        ManufacturedCase(1, identity_coefficients(1), 1.0, u, u_t, du, d2u)
     # fine at x_d = 0 but large at the truncation edge
     v = lambda t, xp, xd: np.sin(t) * xd
     v_t = lambda t, xp, xd: np.cos(t) * xd
     dv = (lambda t, xp, xd: np.sin(t) + 0.0 * xd,)
     with pytest.raises(ClosureError):
-        ManufacturedCase("edge", 1, identity_coefficients(1), 1.0, v, v_t,
-                         dv, d2u)
+        ManufacturedCase(1, identity_coefficients(1), 1.0, v, v_t, dv, d2u)
 
 
 def test_mode_validation():
@@ -136,7 +133,7 @@ def test_f_t_refuses_time_dependent_coefficients():
     auto = default_case(1, lam=1.0)
     assert np.isfinite(auto.synthesize_f_t()(0.5, 0.0, 1.0))
     case = ManufacturedCase(
-        "oscillatory", 1, generate_family(0, "oscillatory", 0.5, 0.2, dim=1),
+        1, generate_family(0, "oscillatory", 0.5, 0.2, dim=1),
         1.0, auto.u, auto.u_t, auto.du, auto.d2u, u_tt=auto.u_tt,
         du_t=auto.du_t, d2u_t=auto.d2u_t)
     f_t = case.synthesize_f_t()
@@ -147,7 +144,7 @@ def test_f_t_refuses_time_dependent_coefficients():
 def test_study_table_bookkeeping():
     rows = [StudyRow(8, 0.1, 64.0, 8.0), StudyRow(16, 0.025, 16.0, 4.0),
             StudyRow(32, 0.00625, 4.0, 2.0)]
-    table = StudyTable(rows, 2.0)
+    table = StudyTable(rows)
     assert np.isnan(table.rates0[0])
     assert abs(table.rates0[1] - 2.0) < 1e-12
     assert abs(table.rates1[2] - 1.0) < 1e-12
