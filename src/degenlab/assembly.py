@@ -27,13 +27,13 @@ nodes and then integrated exactly, so load assembly is two sparse matvecs.
 """
 
 import itertools
-import weakref
 
 import numpy as np
 import scipy.sparse as sp
 
 from .coefficients import sample_on_mesh
 from .fields import sample_nodes
+from .mesh import _cached
 
 
 class AssemblyError(RuntimeError):
@@ -155,18 +155,6 @@ class SparseOperator:
 # named DoF spaces by node row j: (first row, rows cut at x_d = L_d); DoF
 # (j, m) of a space has index (j - first row) * xprime_count + m
 _SPACES = {"interior": (1, 1), "nodes": (0, 0), "nodes_no0": (1, 0)}
-
-# mesh -> {key: table}; a table derives from the key and the read-only
-# xd_nodes and xprime_count alone, so it cannot go stale
-_CACHE = weakref.WeakKeyDictionary()
-
-
-def _cached(mesh, key, build):
-    tables = _CACHE.setdefault(mesh, {})
-    if key not in tables:
-        tables[key] = build()
-    return tables[key]
-
 
 class _ScatterPlan:
     """Where the 16 (trial corner, test corner) pairs of every cell land in

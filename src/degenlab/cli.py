@@ -108,6 +108,8 @@ _INT_KEYS = {"schema_version", "dim", "mesh_M", "xprime_count",
 _FLOAT_KEYS = {"L_d", "grading", "xprime_length", "time_step", "nu",
                "lambda", "p", "eps", "rho0", "theta", "linear_tol",
                "cyl_radius", "r_inner", "r_outer"}
+# counts of checks: 0 would run a command that checks nothing
+_COUNT_KEYS = ("n_solutions", "duality_seeds", "n_fields")
 _BOOL_KEYS = {"with_F", "with_f", "emit_plots", "export_matrix"}
 _STR_KEYS = {"command", "kind", "mms_mode", "out_dir"}
 _FLOATLIST_KEYS = {"lambda_grid", "p_grid", "eps_grid", "rho_grid"}
@@ -157,6 +159,10 @@ def parse_config(raw):
         raise ConfigError("unknown mms_mode %r" % cfg["mms_mode"])
     if cfg["rho_grid"] is None:
         raise ConfigError("rho_grid must be a non-empty list")
+    for key in _COUNT_KEYS:
+        if cfg[key] < 1:
+            raise ConfigError("key %r must be at least 1, got %r"
+                              % (key, cfg[key]))
     return cfg
 
 

@@ -492,17 +492,13 @@ def boundary_lipschitz(u_local, r):
     cs = cells_in_cylinder(mesh, Qr)
     if cs.n_cells == 0:
         raise ValueError("inner cylinder contains no mesh cells")
-    sup_grad = 0.0
+    grads = cell_center_gradients(mesh, u_local.levels[cs.time_cells + 1])
+    sel = grads[:, cs.space_j, cs.space_m]      # (levels, ncells, dim)
+    sup_grad = float(np.sqrt(np.sum(sel * sel, axis=-1)).max())
     sup_dxp = 0.0
-    xc = mesh.xd_centers[cs.space_j]
-    for k in cs.time_cells:
-        grads = cell_center_gradients(mesh, u_local.levels[k + 1])
-        sel = grads[cs.space_j, cs.space_m]      # (ncells, dim)
-        mag = np.sqrt(np.sum(sel * sel, axis=1))
-        sup_grad = max(sup_grad, float(mag.max()))
-        if mesh.dim == 2:
-            sup_dxp = max(sup_dxp,
-                          float(np.max(np.abs(sel[:, 0]) / np.sqrt(xc))))
+    if mesh.dim == 2:
+        xc = mesh.xd_centers[cs.space_j]
+        sup_dxp = float(np.max(np.abs(sel[..., 0]) / np.sqrt(xc)))
     jj, mm = _region_nodes(mesh, cs)
     keep = jj >= 1
     jj, mm = jj[keep], mm[keep]

@@ -7,7 +7,21 @@ single phantom cell of length 1 so that all measures reduce to dx_d.
 Time is a uniform grid t_n = n*dt, n = 0..time_count.
 """
 
+import weakref
+
 import numpy as np
+
+# mesh -> {key: table}, holding meshes weakly; a table derives from its key
+# and the mesh's read-only geometry alone, so it cannot go stale
+_CACHE = weakref.WeakKeyDictionary()
+
+
+def _cached(mesh, key, build):
+    """The table ``key`` of ``mesh``, built by ``build()`` on first use."""
+    tables = _CACHE.setdefault(mesh, {})
+    if key not in tables:
+        tables[key] = build()
+    return tables[key]
 
 
 class TensorMesh:

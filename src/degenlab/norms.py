@@ -2,21 +2,30 @@
 (Hardy ratio, near-boundary trace decay, weighted second differences).
 
 One level-batched cell kernel, ``_level_powers``, evaluates the space
-integrals of a whole stack of time levels in one vectorized pass: 8-point
-Gauss-Legendre per cell in each direction with the x_d^alpha factor kept
-inside the integrand.  Its integrand is |e|^p, where e is the bilinear field
-(order 0) or its exact elementwise gradient (order 1) minus the same of
-analytic callables (zero unless given; called once per chunk of levels).
-So error norms and norms of analytic callables are the same integral: the
-latter is the error of the zero field.  Order 2 uses nodal second
-differences (the three-point formulas are exact on quadratics).  Time uses
+integrals of a whole stack of time levels: 8-point Gauss-Legendre per cell
+in each direction with the x_d^alpha factor kept inside the integrand.  Its
+integrand is |e|^p, where e is the bilinear field (order 0) or its exact
+elementwise gradient (order 1) minus the same of analytic callables (zero
+unless given; called once per chunk of levels).  So error norms and norms
+of analytic callables are the same integral: the latter is the error of the
+zero field.  Order 2 uses nodal second differences (the three-point
+formulas are exact on quadratics).
+
+The geometry of the kernel is a ``_NormPlan``, built once per (mesh, space
+cell set, weight exponent) and kept in the mesh's cache: the corner gather,
+the barycentric Gauss nodes, x_d^alpha, the point weights and cell sizes.
+The kernel lays every intermediate out point-major, (s, q, level, cell), so
+each elementwise op runs over one contiguous (level, cell) block per Gauss
+point, and updates its temporaries in place.  It sums each level as one
+contiguous row in (cell, s, q) order, after one transpose back, so a level's
+value depends neither on the other levels nor on the chunking.  Time uses
 the right-endpoint rectangle rule, summed in level order.
 """
 
 import numpy as np
 
 from .fields import DiscreteField
-from .mesh import cells_in_cylinder, Cylinder
+from .mesh import _cached, cells_in_cylinder, Cylinder
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(8)
 _ORDERS = ("0", "1_full", "1_xd", "2_full")
@@ -53,13 +62,6 @@ class NormSpec:
 
 # -- elementwise evaluation -----------------------------------------------------
 
-def _zero(t, xp, x):
-    return 0.0
-
-
-# subtracting 0.0 leaves every value bitwise unchanged
-_ZERO_EXACT = {"u": _zero, "du": (_zero, _zero)}
-
 # quadrature points per chunk of levels: bounds the kernel's temporaries
 _CHUNK_POINTS = 1 << 18
 
@@ -79,14 +81,75 @@ def _exact_at(func, t, xp, x):
                      % (np.shape(out), shape))
 
 
+class _NormPlan:
+    """The quadrature of one (mesh, space cell set, weight exponent), built
+    once.  Point-major: an array of the kernel is laid out (s, q, level,
+    cell), s the 8 Gauss nodes along x_d and q those along x' (one midpoint
+    in dim 1), so every elementwise op runs over the contiguous (level,
+    cell) block of each point.  Holds the corner gather (j, j + 1) x (m, m1),
+    the barycentric nodes S, 1 - S, Q and 1 - Q, x_d^alpha and the point
+    weights w2, the cell sizes and widths h, and the points x (cells, s, 1)
+    and xp (cells, 1, q), or zeros like x in dim 1, that the exact callables
+    receive; every array is read-only."""
+
+    def __init__(self, mesh, flat, alpha):
+        npc = mesh.xprime_count
+        self.j, self.m = flat // npc, flat % npc
+        self.j1, self.m1 = self.j + 1, (self.m + 1) % npc
+        xl = mesh.xd_nodes[self.j]
+        h = mesh.xd_widths[self.j]
+        self.delta = mesh.xprime_spacing if mesh.dim == 2 else 1.0
+        s = 0.5 * (_GLX + 1.0)          # xd barycentric nodes
+        ws = 0.5 * _GLW
+        q, wq = ((s, ws) if mesh.dim == 2
+                 else (np.array([0.5]), np.array([1.0])))
+        self.S = s[:, None, None, None]
+        self.S1 = 1 - self.S
+        self.Q = q[None, :, None, None]
+        self.Q1 = 1 - self.Q
+        self.x = xl[:, None, None] + h[:, None, None] * s[None, :, None]
+        self.xp = (mesh.xprime_nodes[self.m][:, None, None]
+                   + self.delta * q[None, None, :] if mesh.dim == 2
+                   else np.zeros_like(self.x))
+        self.xa = (self.x ** alpha).transpose(1, 2, 0)[:, :, None, :].copy()
+        self.w2 = (ws[:, None] * wq[None, :])[:, :, None, None]
+        self.cellsize = h * self.delta
+        self.h = h
+        self.points = self.x.size * q.size      # per level
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
+
+
+def _norm_plan(mesh, flat, alpha):
+    key = ("norm plan", None if flat is None else flat.tobytes(), alpha)
+    if flat is None:
+        flat = np.arange(mesh.n_space_cells)
+    return _cached(mesh, key, lambda: _NormPlan(mesh, flat, alpha))
+
+
+def _minus(a, e):
+    """a - e for a point-major a (s, q, C, cells) and e broadcasting to the
+    (C, cells, s, q) chunk, point-major, computed through a transposed view
+    (in place when a has the broadcast shape)."""
+    shape = np.broadcast_shapes(a.shape[2:] + a.shape[:2], np.shape(e))
+    out = a if shape == a.shape[2:] + a.shape[:2] \
+        else np.empty(shape[2:] + shape[:2])
+    np.subtract(a.transpose(2, 3, 0, 1), e, out=out.transpose(2, 3, 0, 1))
+    return out
+
+
 def _level_powers(mesh, levels, spec, space_cells, exact, times):
     """(L,) p-th powers (not norms): for each nodal array of the stack
     ``levels`` (L, M+1, npc) at ``times`` (L,), the integral over the
     selected space cells (None: all) of |e|^p x_d^alpha, where e is the
     field (order 0) or its gradient (order 1) minus the same of ``exact``: a
     dict of callables (t, x', x_d) 'u' and 'du' (tuple ordered (x', x_d) in
-    dim 2), zero when None.  Each level is summed as one contiguous row, so
-    its value depends neither on the other levels nor on the chunking."""
+    dim 2), zero when None.  Each level is summed as one contiguous row in
+    (cell, s, q) order, so its value depends neither on the other levels
+    nor on the chunking.  In dim 1, m1 == m and Q = 1 - Q = 1/2, so the
+    third and fourth corner terms equal the first and second, and the x'
+    derivative is 0."""
     order = spec.derivative_order
     if order == "2_full":
         if exact is not None:
@@ -94,60 +157,75 @@ def _level_powers(mesh, levels, spec, space_cells, exact, times):
         mag = second_difference_magnitude(mesh, levels)
         inner = NormSpec(spec.p, spec.weight_exponent, "0")
         return _level_powers(mesh, mag, inner, space_cells, None, times)
-    if exact is None:
-        exact = _ZERO_EXACT
 
-    p, alpha = spec.p, spec.weight_exponent
-    npc = mesh.xprime_count
-    flat = (np.arange(mesh.n_space_cells) if space_cells is None
-            else np.asarray(space_cells, int))
-    j, m = flat // npc, flat % npc
-    m1 = (m + 1) % npc
+    p = spec.p
+    flat = None if space_cells is None else np.asarray(space_cells, int)
     powers = np.zeros(len(levels))
-    if j.size == 0:
+    if flat is not None and flat.size == 0:
         return powers
-    xl = mesh.xd_nodes[j]
-    h = mesh.xd_widths[j]
-    delta = mesh.xprime_spacing if mesh.dim == 2 else 1.0
-
-    s = 0.5 * (_GLX + 1.0)          # xd barycentric nodes
-    ws = 0.5 * _GLW
-    q, wq = (s, ws) if mesh.dim == 2 else (np.array([0.5]), np.array([1.0]))
-
-    # shapes: cells x s-nodes x q-nodes, after a level axis where one exists
-    S = s[None, :, None]
-    Q = q[None, None, :]
-    x = xl[:, None, None] + h[:, None, None] * S
-    xp = (mesh.xprime_nodes[m][:, None, None] + delta * Q if mesh.dim == 2
-          else np.zeros_like(x))
-    xa = x ** alpha
-    w2 = ws[None, :, None] * wq[None, None, :]
-    cellsize = (h * delta)[:, None, None]
-    chunk = max(1, _CHUNK_POINTS // (x.size * q.size))
+    plan = _norm_plan(mesh, flat, spec.weight_exponent)
+    dim2 = mesh.dim == 2
+    S, S1, Q, Q1 = plan.S, plan.S1, plan.Q, plan.Q1
+    chunk = max(1, _CHUNK_POINTS // plan.points)
 
     for a in range(0, len(levels), chunk):
         values = levels[a:a + chunk]
         t = times[a:a + chunk, None, None, None]
-        corners = values[:, [j, j + 1, j, j + 1], [m, m, m1, m1]]
-        u00, u10, u01, u11 = np.moveaxis(corners, 1, 0)[..., None, None]
+        u00 = values[:, plan.j, plan.m]         # (C, cells)
+        u10 = values[:, plan.j1, plan.m]
+        if dim2:
+            u01 = values[:, plan.j, plan.m1]
+            u11 = values[:, plan.j1, plan.m1]
         if order == "0":
-            g = (u00 * (1 - S) * (1 - Q) + u10 * S * (1 - Q)
-                 + u01 * (1 - S) * Q + u11 * S * Q)
-            core = np.abs(g - _exact_at(exact["u"], t, xp, x)) ** p
-        else:
-            du = exact["du"]
-            ed = ((u10 - u00) * (1 - Q) + (u11 - u01) * Q) \
-                / h[:, None, None] - _exact_at(du[-1], t, xp, x)
-            if order == "1_xd":
-                core = np.abs(ed) ** p
+            g = u00 * S1 * Q1
+            t2 = u10 * S * Q1
+            if dim2:
+                g += t2
+                g += u01 * S1 * Q
+                g += u11 * S * Q
             else:
-                ep = 0.0
-                if mesh.dim == 2:   # in dim 1, du[0] is the x_d derivative
-                    ep = ((u01 - u00) * (1 - S) + (u11 - u10) * S) / delta \
-                        - _exact_at(du[0], t, xp, x)
-                core = (ed * ed + ep * ep) ** (p / 2)
-        cell = core * xa * w2 * cellsize
-        powers[a:a + chunk] = cell.reshape(len(values), -1).sum(axis=1)
+                t1 = g
+                g = t1 + t2
+                g += t1
+                g += t2
+            if exact is not None:
+                g = _minus(g, _exact_at(exact["u"], t, plan.xp, plan.x))
+            core = np.abs(g, out=g)
+            core **= p
+        else:
+            ed = (u10 - u00) * Q1
+            if dim2:
+                ed += (u11 - u01) * Q
+            else:
+                ed += ed
+            ed /= plan.h
+            if exact is not None:
+                ed = _minus(ed, _exact_at(exact["du"][-1], t, plan.xp,
+                                          plan.x))
+            if order == "1_xd":
+                core = np.abs(ed, out=ed)
+                core **= p
+            else:
+                core = ed
+                core *= ed
+                if dim2:        # in dim 1 the x' term is 0.0
+                    ep = (u01 - u00) * S1
+                    ep += (u11 - u10) * S
+                    ep /= plan.delta
+                    if exact is not None:
+                        ep = _minus(ep, _exact_at(exact["du"][0], t,
+                                                  plan.xp, plan.x))
+                    ep *= ep
+                    core = core + ep
+                core **= p / 2
+        if core.shape[0] == 1:      # no s axis yet: x_d^alpha adds it
+            core = core * plan.xa
+        else:
+            core *= plan.xa
+        core *= plan.w2
+        core *= plan.cellsize
+        powers[a:a + chunk] = \
+            core.transpose(2, 3, 0, 1).reshape(len(values), -1).sum(axis=1)
     return powers
 
 
@@ -364,19 +442,21 @@ def trace_decay_check(field, p, skip_initial=0):
 
 
 def cell_center_gradients(mesh, values):
-    """Gradient of the bilinear field at cell centers, shape (Mc, npc, dim)
-    with (x', x_d) ordering in dim 2."""
+    """Gradient of the bilinear field at cell centers of values (..., M+1,
+    npc), shape (..., Mc, npc, dim) with (x', x_d) ordering in dim 2;
+    leading axes (levels) are allowed."""
     values = np.asarray(values, float)
-    h = mesh.xd_widths
-    out = np.empty((mesh.M, mesh.xprime_count, mesh.dim))
-    vr = np.roll(values, -1, axis=1) if mesh.dim == 2 else values
-    dd = 0.5 * ((values[1:] - values[:-1]) + (vr[1:] - vr[:-1])) \
-        / h[:, None]
+    h = mesh.xd_widths[:, None]
+    out = np.empty(values.shape[:-2] + (mesh.M, mesh.xprime_count, mesh.dim))
+    vr = np.roll(values, -1, axis=-1) if mesh.dim == 2 else values
+    lo, hi = values[..., :-1, :], values[..., 1:, :]
+    vr_lo, vr_hi = vr[..., :-1, :], vr[..., 1:, :]
+    dd = 0.5 * ((hi - lo) + (vr_hi - vr_lo)) / h
     if mesh.dim == 1:
-        out[:, :, 0] = dd
+        out[..., 0] = dd
         return out
     delta = mesh.xprime_spacing
-    dp = 0.5 * ((vr[:-1] - values[:-1]) + (vr[1:] - values[1:])) / delta
-    out[:, :, 0] = dp
-    out[:, :, 1] = dd
+    dp = 0.5 * ((vr_lo - lo) + (vr_hi - hi)) / delta
+    out[..., 0] = dp
+    out[..., 1] = dd
     return out

@@ -28,9 +28,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .assembly import (LoadAssembler, _cached, assemble_weighted_mass,
+from .assembly import (LoadAssembler, assemble_weighted_mass,
                        interior_pattern, stiffness_levels)
 from .fields import DiscreteField
+from .mesh import _cached
 
 
 class SolverError(RuntimeError):

@@ -1,11 +1,17 @@
 """Rewrite tests/golden/values.json from the code in this checkout.
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [--check]
 
 Run it only when a golden value is meant to move, and record each moved
 value and the reason for it.  Never regenerate to make a defect pass.
+
+With --check nothing is written: every stored value that the checkout
+computes differently (compared bitwise, as float.hex) is printed with its
+path, and the exit status is 1 if any would move, else 0.
 """
 
+import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,9 +23,45 @@ sys.path.insert(0, os.path.dirname(HERE))
 import test_golden  # noqa: E402
 
 
-def main():
-    with tempfile.TemporaryDirectory() as tmp:
+def moved(want, got, path=""):
+    """(path, stored, computed) for every leaf of the stored values that
+    the computed values do not repeat exactly; a list whose length changed
+    is one leaf."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got)):
+            yield from moved(want.get(key), got.get(key), path + "/" + key)
+    elif (isinstance(want, list) and isinstance(got, list)
+          and len(want) == len(got)):
+        for k, (w, g) in enumerate(zip(want, got)):
+            yield from moved(w, g, "%s[%d]" % (path, k))
+    elif want != got:
+        yield path, want, got
+
+
+def _show(value):
+    """A float.hex leaf as its decimal value, anything else as is."""
+    try:
+        return repr(float.fromhex(value))
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--check", action="store_true",
+                    help="write nothing; print each value that would move "
+                         "and exit 1 if any would")
+    args = ap.parse_args(argv)
+    # the commands' progress lines go to stderr, the results to stdout
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(sys.stderr):
         values = test_golden.collect(tmp)
+    if args.check:
+        changes = list(moved(test_golden._load(), values))
+        for path, want, got in changes:
+            print("%s: %s -> %s" % (path, _show(want), _show(got)))
+        print("%d golden value(s) would move" % len(changes))
+        return 1 if changes else 0
     with open(test_golden.GOLDEN, "w") as fh:
         json.dump(values, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -29,7 +71,8 @@ def main():
         n_cli += sum(len(v) for k, v in outputs.items() if k != "reports")
     print("wrote %s: %d cli values, %d norm values"
           % (test_golden.GOLDEN, n_cli, len(values["norms"])))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

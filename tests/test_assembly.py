@@ -9,11 +9,13 @@ from scipy.io import mmread, mmwrite
 from scipy.linalg import eigh
 
 from degenlab import assembly
-from degenlab import (AssemblyError, LoadAssembler, assemble_stiffness,
-                      assemble_weighted_mass, build_mesh, data_grams,
-                      generate_family, identity_coefficients,
-                      interior_pattern, model_stiffness, sample_on_mesh,
-                      stiffness_levels, weighted_pair_integrals)
+from degenlab import (AssemblyError, LoadAssembler, NormSpec,
+                      assemble_stiffness, assemble_weighted_mass, build_mesh,
+                      data_grams, generate_family, identity_coefficients,
+                      interior_pattern, levels_norm, model_stiffness,
+                      sample_on_mesh, stiffness_levels,
+                      weighted_pair_integrals)
+from degenlab.mesh import _CACHE
 
 LOG2 = np.log(2.0)
 
@@ -471,11 +473,12 @@ def test_plan_cache_lets_meshes_go():
     m = build_mesh(1, 4.0, 8, 2.0)
     assemble_weighted_mass(m)
     LoadAssembler(m)
+    levels_norm(m, np.ones((2, m.M + 1, 1)), 1.0, NormSpec(2.0))
     ref = weakref.ref(m)
-    assert ref() in assembly._CACHE
+    assert ref() in _CACHE
     gc.collect()
-    held = len(assembly._CACHE)
+    held = len(_CACHE)
     del m
     gc.collect()
     assert ref() is None
-    assert len(assembly._CACHE) == held - 1
+    assert len(_CACHE) == held - 1

@@ -73,6 +73,20 @@ def test_parse_config_type_checks():
         parse_config(["command"])
 
 
+@pytest.mark.parametrize("key, command", [("duality_seeds", "duality"),
+                                          ("n_fields", "hardy"),
+                                          ("n_solutions", "caccioppoli")])
+def test_counts_below_one_are_config_errors(tmp_path, capsys, key, command):
+    # a count of 0 would run a check that checks nothing
+    for value in (0, -2):
+        path = _write_cfg(tmp_path, command=command, **{key: value})
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "config error: key %r must be at least 1, got %d" \
+            % (key, value) in err
+    assert parse_config({"command": command, key: 1})[key] == 1
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))

@@ -331,6 +331,118 @@ def test_exact_callable_must_broadcast_the_chunk_times():
         error_norm(sol, {"u": flat}, NormSpec(2.0))
 
 
+def _reference_level_powers(mesh, levels, spec, space_cells, exact, times):
+    """The unplanned (levels, cells, 8, q) kernel that _level_powers
+    replaced: geometry built per call, four corner terms in both dims."""
+    if spec.derivative_order == "2_full":
+        mag = second_difference_magnitude(mesh, levels)
+        inner = NormSpec(spec.p, spec.weight_exponent, "0")
+        return _reference_level_powers(mesh, mag, inner, space_cells, None,
+                                       times)
+    zero = lambda t, xp, x: 0.0
+    exact = exact or {"u": zero, "du": (zero, zero)}
+    p, alpha, order = spec.p, spec.weight_exponent, spec.derivative_order
+    npc = mesh.xprime_count
+    flat = (np.arange(mesh.n_space_cells) if space_cells is None
+            else np.asarray(space_cells, int))
+    j, m = flat // npc, flat % npc
+    m1 = (m + 1) % npc
+    xl, h = mesh.xd_nodes[j], mesh.xd_widths[j]
+    delta = mesh.xprime_spacing if mesh.dim == 2 else 1.0
+    glx, glw = np.polynomial.legendre.leggauss(8)
+    s, ws = 0.5 * (glx + 1.0), 0.5 * glw
+    q, wq = (s, ws) if mesh.dim == 2 else (np.array([0.5]), np.array([1.0]))
+    S, Q = s[None, :, None], q[None, None, :]
+    x = xl[:, None, None] + h[:, None, None] * S
+    xp = (mesh.xprime_nodes[m][:, None, None] + delta * Q if mesh.dim == 2
+          else np.zeros_like(x))
+    xa = x ** alpha
+    w2 = ws[None, :, None] * wq[None, None, :]
+    cellsize = (h * delta)[:, None, None]
+    t = times[:, None, None, None]
+    corners = levels[:, [j, j + 1, j, j + 1], [m, m, m1, m1]]
+    u00, u10, u01, u11 = np.moveaxis(corners, 1, 0)[..., None, None]
+    if order == "0":
+        g = (u00 * (1 - S) * (1 - Q) + u10 * S * (1 - Q)
+             + u01 * (1 - S) * Q + u11 * S * Q)
+        core = np.abs(g - exact["u"](t, xp, x)) ** p
+    else:
+        du = exact["du"]
+        ed = ((u10 - u00) * (1 - Q) + (u11 - u01) * Q) \
+            / h[:, None, None] - du[-1](t, xp, x)
+        if order == "1_xd":
+            core = np.abs(ed) ** p
+        else:
+            ep = 0.0
+            if mesh.dim == 2:
+                ep = ((u01 - u00) * (1 - S) + (u11 - u10) * S) / delta \
+                    - du[0](t, xp, x)
+            core = (ed * ed + ep * ep) ** (p / 2)
+    cell = core * xa * w2 * cellsize
+    return cell.reshape(len(levels), -1).sum(axis=1)
+
+
+def _battery_exacts(dim):
+    """Two exact solutions: one varying in t, one constant in t (its
+    values broadcast against the chunk without a level axis)."""
+    u = lambda t, xp, x: (1 + t) * np.sin(xp + x) * x
+    dux = lambda t, xp, x: (1 + t) * (np.sin(xp + x) + x * np.cos(xp + x))
+    dup = lambda t, xp, x: (1 + t) * x * np.cos(xp + x)
+    lin = {"u": lambda t, xp, x: 0.7 * x - 0.1,
+           "du": (lambda t, xp, x: 0.2 + 0.0 * xp,
+                  lambda t, xp, x: 0.7 + 0.0 * x)}
+    if dim == 1:
+        lin["du"] = lin["du"][1:]
+    return ({"u": u, "du": (dup, dux) if dim == 2 else (dux,)}, lin)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_level_powers_are_bitwise_the_unplanned_kernel(dim):
+    sol = _random_solution(dim, 11)
+    m = sol.mesh
+    levels, times = sol.levels, sol.times
+    cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
+    regions = (None, cells_in_cylinder(m, cyl).space_cells)
+    cases = [("0", a) for a in (-1.5, 0.0, 1.0)]
+    cases += [(o, a) for o in ("1_xd", "1_full", "2_full") for a in (0.0, 1.0)]
+    checked = 0
+    for order, alpha in cases:
+        exacts = (None,)
+        if order != "2_full":
+            exacts += _battery_exacts(dim)
+        for p in (1.5, 2.0, 3.0, 4.0):
+            spec = NormSpec(p, alpha, order)
+            for cells in regions:
+                for exact in exacts:
+                    got = degenlab.norms._level_powers(m, levels, spec, cells,
+                                                      exact, times)
+                    want = _reference_level_powers(m, levels, spec, cells,
+                                                   exact, times)
+                    assert got.tobytes() == want.tobytes(), \
+                        (order, alpha, p, cells is None, exact is None)
+                    checked += 1
+    print("dim %d: %d norms (%d level powers) bitwise equal"
+          % (dim, checked, checked * len(levels)))
+    assert checked >= 100
+
+
+def test_norm_plan_is_built_once_and_read_only():
+    sol = _random_solution(2, 3)
+    spec = NormSpec(3.0, 0.5, "1_full", Cylinder(0.7, 0.8, 0.9, 1.0))
+    plans = lambda: {k: v for k, v in degenlab.mesh._CACHE[sol.mesh].items()
+                     if k[0] == "norm plan"}
+    first = weighted_norm(sol, spec)
+    built = plans()
+    assert len(built) == 1
+    assert weighted_norm(sol, spec) == first
+    assert error_norm(sol, _battery_exacts(2)[0], spec) > 0
+    assert plans() == built
+    plan, = built.values()
+    arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 10
+    assert not any(a.flags.writeable for a in arrays)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_second_differences_of_a_stack_are_per_level(dim):
     sol = _random_solution(dim, 4)
@@ -386,6 +498,14 @@ def test_slice_norms_circle_oracle():
     xd, s = slice_norms(u, 2.0)
     assert xd.shape == s.shape == (5,)
     assert np.max(np.abs(s - np.sqrt(np.pi))) < 0.01 * np.sqrt(np.pi)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_center_gradients_of_a_stack_are_per_level(dim):
+    sol = _random_solution(dim, 6)
+    stack = cell_center_gradients(sol.mesh, sol.levels)
+    each = [cell_center_gradients(sol.mesh, v) for v in sol.levels]
+    assert stack.tobytes() == np.stack(each).tobytes()
 
 
 def test_cell_center_gradients_oracles():
