@@ -250,15 +250,15 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
     data_norms = {}
 
     def wp_norms(m, coeffs):
-        """(lhs, rhs) per lambda on mesh m: one marcher per (mesh, field),
-        and the lambda-free data norm once per mesh."""
-        marcher = Marcher(m, coeffs, config)
+        """(lhs, rhs) per lambda on mesh m: one march of the lambda grid
+        per (mesh, field), and the lambda-free data norm once per mesh."""
+        sols = Marcher(m, coeffs, config).march(lambdas, F=problem.F,
+                                                f=problem.f)
         skip = m.time_count // 10
         if m not in data_norms:
             data_norms[m] = _wp_data_norm(m, problem.F, problem.f, p, skip)
-        return [(_wp_solution_norm(marcher.march(lam, F=problem.F,
-                                                 f=problem.f), lam, p, skip),
-                 data_norms[m]) for lam in lambdas]
+        return [(_wp_solution_norm(sol, sol.lam, p, skip), data_norms[m])
+                for sol in sols]
 
     reports = []
     for eps, coeffs, gamma in families:
@@ -543,7 +543,7 @@ def duality_check(problem, p=2.0, seeds=(0, 1, 2, 3, 4), lam=1.0,
         B = tuple(closure(101 + i) for i in range(mesh.dim))
         bfun = closure(107)
         marcher = Marcher(mesh, coeffs, config)
-        u = marcher.march(lam, F=F, f=f)
+        u = marcher.march([lam], F=F, f=f)[0]
         b_rows = u.loads
         c_rows = LoadAssembler(mesh).assemble(B, bfun, lam, u.times)
         v = marcher.adjoint(lam, c_rows)

@@ -3,23 +3,30 @@
     M du/dt + K(t) u = b(t),   u(0) = u0,
 
 on the mesh's time grid with the theta-scheme (implicit Euler by default),
-plus the backward adjoint march used by the duality identity.  The
-stiffness has one form: an (L, nnz) stack of entry data on the mesh's
-interior pattern, one level (L = 1) when the coefficient field declares
-itself autonomous and one per time level (L = N+1) otherwise.  A
-``Marcher`` splits it as K(lam) = D + lam * C once per (mesh, coefficients),
-so a lambda grid assembles D and C once.  Every linear system goes to one
-banded LU (LAPACK's dgbtrf/dgbtrs), filled straight from CSR entry data and
-factored once per march for one level, once per step for N+1.  The band
-takes the interior DoFs in a declared order, natural in d = 1 and with the
-periodic x' index interleaved in d = 2, which narrows the band from 2P - 1
-to P + 2 diagonals; that layout is built once per mesh.  The adjoint march
-takes the same forward stack: M is bitwise symmetric, so its system
-M + dt K^T is the transpose of the forward one, solved with the forward
-factors transposed.  Each mesh keeps one band LU that all its marches
-factor into, so an adjoint reuses the factors of a forward march of the
-same system.  Every solve is checked against the matrix that was factored,
-in the original DoF order, a march's in one pass after the last step.
+plus the backward adjoint march used by the duality identity.  The forward
+march takes a batch of k systems on one mesh and mass, each with its own
+stiffness stack and loads.  A stiffness stack has one form: an (L, nnz)
+array of entry data on the mesh's interior pattern, one level (L = 1) when
+the coefficient field declares itself autonomous and one per time level
+(L = N+1) otherwise.  A ``Marcher`` splits it as K(lam) = D + lam * C once
+per (mesh, coefficients), so a lambda grid assembles D and C once and
+marches as one batch.  Every linear system goes to one banded LU (LAPACK's
+dgbtrf/dgbtrs), filled straight from CSR entry data: the k systems of one
+level sit side by side as the blocks of one block-diagonal band, factored
+once per march for one level and once per step for N+1, and each step
+makes one dgbtrs and one product with the block-diagonal mass for the
+whole batch.  The factors and solutions of every block are bitwise those
+of its system alone.  The band takes the interior DoFs in a declared
+order, natural in d = 1 and with the periodic x' index interleaved in
+d = 2, which narrows the band from 2P - 1 to P + 2 diagonals; that layout
+is built once per mesh.  The adjoint march takes one forward stack: M is
+bitwise symmetric, so its system M + dt K^T is the transpose of the
+forward one, solved with the forward factors transposed.  Each mesh keeps
+one band LU per batch size that its marches factor into, so an adjoint
+reuses the factors of a one-system forward march of the same system.
+Every solve is checked against the matrix that was factored, in the
+original DoF order, after the last step and one batch member at a time; a
+failure names the member and the time level.
 """
 
 import functools
@@ -106,66 +113,82 @@ def _band_layout(mesh):
     return _cached(mesh, "band layout", build)
 
 
-def _band_lu(mesh):
-    """The one band LU on the mesh's band layout that every march on the
-    mesh factors into; ``factor_once`` makes reusing it safe."""
-    return _cached(mesh, "band lu", lambda: _BandLU(_band_layout(mesh)))
+def _band_lu(mesh, k=1):
+    """The one band LU of k blocks on the mesh's band layout that every
+    march of k systems on the mesh factors into; ``factor_once`` makes
+    reusing it safe."""
+    return _cached(mesh, ("band lu", k),
+                   lambda: _BandLU(_band_layout(mesh), k))
 
 
 class _BandLU:
-    """LAPACK's banded LU for matrices on one band layout: ``factor`` fills
-    the band buffer from entry data in pattern order, ``solve`` reuses the
-    factors (transposed for trans=1) and takes b and x in the pattern's own
-    DoF order, and ``check`` checks a batch of solves in one pass against
-    the factored matrix in that order.  A factorization owns only the band
-    buffer, the pivots and, after ``factor_once``, a copy of the entries it
-    factored."""
+    """LAPACK's banded LU for k matrices on one band layout, taken as the
+    blocks of one block-diagonal matrix: ``factor`` fills the band buffer
+    from entry data (k, nnz) in pattern order, ``solve`` reuses the factors
+    (transposed for trans=1) and takes b and x in the pattern's own DoF
+    order, and ``check`` checks a batch of solves of one block in one
+    pass against its factored matrix in that order.  A vector of the k
+    systems is their k vectors end to end.  The band of a block holds zeros
+    outside it, so dgbtrf and dgbtrs treat every block as they treat its
+    matrix alone.  A factorization owns only the band buffer, the
+    pivots and, after ``factor_once``, a copy of the entries it factored."""
 
-    def __init__(self, layout):
+    def __init__(self, layout, k=1):
         self.layout = layout
         self.kl, self.ku = layout.kl, layout.ku
-        self._band = np.zeros(layout.shape, order="F")
+        height, n = layout.shape
+        self._band = np.zeros((height, k * n), order="F")
         self._flat = self._band.reshape(-1, order="F")      # a view
+        blocks = np.arange(k)[:, None]
+        self._at = layout.at + height * n * blocks           # (k, nnz)
+        self._order = self._rank = None
+        if layout.order is not None:
+            self._order = (layout.order + n * blocks).ravel()
+            self._rank = (layout.rank + n * blocks).ravel()
         self._factored = None
 
-    def factor(self, data, where=""):
-        """LU-factor the matrix with these entries; an exactly singular one
-        raises SolverError, prefixed by ``where``."""
+    def factor(self, data, level=None, names=None):
+        """LU-factor the matrices with these entries; an exactly singular
+        one raises SolverError naming its block by names[i] and the time
+        level when given."""
         self._factored = None
         self._flat[:] = 0.0
-        self._flat[self.layout.at] = data
+        self._flat[self._at] = data
         _, self._piv, info = dgbtrf(self._band, self.kl, self.ku,
                                     overwrite_ab=1)
         if info > 0:
-            raise SolverError("%sLU factorization failed: the matrix is "
+            i, pivot = divmod(info - 1, self.layout.shape[1])
+            raise SolverError("%s%sLU factorization failed: the matrix is "
                               "exactly singular (zero pivot %d)"
-                              % (where, info))
+                              % ("" if names is None else names[i],
+                                 "" if level is None
+                                 else "time level %d: " % level, pivot + 1))
 
-    def factor_once(self, data, where=""):
+    def factor_once(self, data, level=None, names=None):
         """``factor``, unless the buffer holds the factors of exactly these
         entries, bitwise, from the last factorization."""
         if self._factored is None or \
                 self._factored.tobytes() != data.tobytes():
-            self.factor(data, where)
+            self.factor(data, level, names)
             self._factored = data.copy()
 
     def solve(self, b, trans=0):
         """x of A x = b, or of A^T x = b for trans=1: with P the declared
         order, the band holds P A P^T, and (P A P^T)^T = P A^T P^T, so both
         solve for P x with P b."""
-        order = self.layout.order
-        if order is None:
+        if self._order is None:
             return dgbtrs(self._band, self.kl, self.ku, b, self._piv,
                           trans=trans)[0]
-        return dgbtrs(self._band, self.kl, self.ku, b[order], self._piv,
-                      trans=trans, overwrite_b=1)[0][self.layout.rank]
+        return dgbtrs(self._band, self.kl, self.ku, b[self._order],
+                      self._piv, trans=trans, overwrite_b=1)[0][self._rank]
 
-    def check(self, data, X, B, tol, levels=None, trans=0):
+    def check(self, data, X, B, tol, levels=None, trans=0, name=""):
         """The backward error ||b - A x|| / (||b|| + ||A||_inf ||x||) of each
-        solve A_k x_k = b_k (A_k^T for trans=1), with A_k the rows of data (1
-        or K, nnz), must be finite and at most 10*tol; the first that is not
-        raises SolverError, naming time level levels[k] when given.  A
-        factored matrix has no empty row or column."""
+        solve A_k x_k = b_k (A_k^T for trans=1) of one block, with A_k the
+        rows of data (1 or K, nnz), must be finite and at most 10*tol; the
+        first that is not raises SolverError, prefixed by ``name`` and
+        naming time level levels[k] when given.  A factored matrix has no
+        empty row or column."""
         order, rows, cols, ptr = (self.layout.csr_t if trans
                                   else self.layout.csr)
         if order is not None:
@@ -181,8 +204,8 @@ class _BandLU:
         if bad.any():
             k = int(np.argmax(bad))
             where = "" if levels is None else "time level %d: " % levels[k]
-            raise SolverError("%slinear solve backward error %.3e exceeds "
-                              "%.3e" % (where, errors[k], 10 * tol))
+            raise SolverError("%s%slinear solve backward error %.3e exceeds "
+                              "%.3e" % (name, where, errors[k], 10 * tol))
 
 
 def linear_solve(A, b, tol=1e-10):
@@ -250,84 +273,137 @@ class SpaceTimeSolution:
 
 # -- marching -------------------------------------------------------------------
 
-def _systems(mass, stiffness, s, mesh):
-    """(K, A, LU): the stiffness stack K (L, nnz) on the mesh's interior
-    pattern, L = 1 (autonomous; every n gives level 0) or N+1, the entry
-    data A of M + s K^n, and the mesh's band LU."""
+def _systems(mass, stiffness, s, mesh, batch=True):
+    """(K, A, LU) of a batch of k systems: the stiffness stacks K (k, L,
+    nnz) on the mesh's interior pattern, L = 1 (autonomous; every n gives
+    level 0) or N+1, the entry data A (L, k, nnz) of M + s K_i^n, laid out
+    step-major so that the k systems of one level are contiguous, and the
+    mesh's band LU of k blocks.  With batch=False, stiffness is the one
+    stack (L, nnz) of a single system."""
     indices, indptr, shape = interior_pattern(mesh)
     N = mesh.time_count
     K = np.asarray(stiffness, float)
-    if K.ndim != 2 or K.shape[0] not in (1, N + 1) \
-            or K.shape[1] != indices.size:
-        raise ValueError("stiffness stack must have shape (1, nnz) or "
-                         "(N+1, nnz) = %s, got %s"
-                         % ((N + 1, indices.size), K.shape))
+    if K.ndim != 2 + batch or K.shape[-2] not in (1, N + 1) \
+            or K.shape[-1] != indices.size or K.shape[0] < 1:
+        k = "k, " if batch else ""
+        raise ValueError("stiffness stack must have shape (%s1, nnz) or "
+                         "(%sN+1, nnz) = (%s%d, %d), got %s"
+                         % (k, k, k, N + 1, indices.size, K.shape))
+    if not batch:
+        K = K[None]
     Mmat = mass.matrix
     if not (np.array_equal(Mmat.indptr, indptr)
             and np.array_equal(Mmat.indices, indices)):
         raise ValueError("the mass must be on the interior pattern of the "
                          "mesh")
-    return K, Mmat.data + s * K, _band_lu(mesh)
+    A = np.empty((K.shape[1], K.shape[0], K.shape[2]))
+    np.multiply(K.transpose(1, 0, 2), s, out=A)
+    A += Mmat.data
+    return K, A, _band_lu(mesh, K.shape[0])
 
 
-def march_system(mass, stiffness, loads, mesh, config=None, u0=None):
-    """Core theta-scheme on the mesh's time grid t_n = n dt, n = 0..N.
+def _block_diagonal(data, mesh):
+    """The CSR matrix diag(A_1, ..., A_k) whose block i has the entry data
+    data[i] on the mesh's interior pattern; every row keeps the pattern's
+    entry order, so a product sums each row as the block's own does."""
+    indices, indptr, shape = interior_pattern(mesh)
+    k, nnz = data.shape
+    shift = np.arange(k)[:, None]
+    return sp.csr_matrix(
+        (data.reshape(-1), (indices + shape[0] * shift).ravel(),
+         np.append((indptr[:-1] + nnz * shift).ravel(), k * nnz)),
+        shape=(k * shape[0], k * shape[1]))
+
+
+def march_system(mass, stiffness, loads, mesh, config=None, u0=None,
+                 names=None):
+    """Core theta-scheme for a batch of k systems that share the mesh and
+    the mass, on the mesh's time grid t_n = n dt, n = 0..N.
 
     mass: the weighted mass (SparseOperator, SPD) of assemble_weighted_mass.
-    stiffness: an array (L, nnz) whose row n is the data of K(t_n) on
+    stiffness: an array (k, L, nnz) whose [i, n] is the data of K_i(t_n) on
     ``interior_pattern(mesh)`` (see ``stiffness_levels``): L = 1 for
     autonomous coefficients, factored once, or L = N+1, refactored every
-    step.  loads: None or an array (N+1, n_interior) whose row n is the load
-    b^n; u0: interior vector or None.  Each step solves (M + theta dt
-    K^{n+1}) u^{n+1} = (M - (1-theta) dt K^n) u^n + dt b^theta; every solve
-    is checked after the last step.  The returned solution keeps the load
-    rows as ``loads``.  A one-level march whose system the mesh's band LU
-    holds the factors of, bitwise, solves with them without factoring.
+    step.  loads: None or an array (k, N+1, n_interior) whose [i, n] is the
+    load b_i^n; u0: None or an array (k, n_interior).  names: k prefixes of
+    the failures of the k systems ("system i: " when omitted).  Each step
+    solves (M + theta dt K_i^{n+1}) u_i^{n+1} = (M - (1-theta) dt K_i^n)
+    u_i^n + dt b_i^theta for every i: the k systems of a level are the
+    blocks of one band, so a step makes at most one dgbtrf, one dgbtrs and
+    one product with the block-diagonal mass, and every solution is
+    bitwise that of its system marched alone.  Every solve is checked
+    after the last step, one system at a time.  Returns k solutions, each
+    keeping its load rows as ``loads``.  A one-level march whose systems
+    the mesh's band LU of k blocks holds the factors of, bitwise, solves
+    with them without factoring.
     """
     config = config or TimeStepperConfig()
     dt, N = mesh.time_step, mesh.time_count
     theta = config.theta
     n_int = mesh.n_interior
+    K, A, lu = _systems(mass, stiffness, theta * dt, mesh)
+    k = len(K)
+    names = names or ["system %d: " % i for i in range(k)]
+    if len(names) != k:
+        raise ValueError("names must hold one prefix per system, k = %d, "
+                         "got %d" % (k, len(names)))
+    rhs = np.zeros((N, k, n_int))       # [n, i]: system i, step n -> n+1
     if loads is not None:
         loads = np.asarray(loads, float)
-        if loads.shape != (N + 1, n_int):
-            raise ValueError("loads must have shape (N+1, n_interior) = %s, "
-                             "got %s" % ((N + 1, n_int), loads.shape))
-    b = np.zeros((N + 1, n_int)) if loads is None else loads
-    K, A, lu = _systems(mass, stiffness, theta * dt, mesh)
-    stacked = len(K) > 1
-    Mmat = mass.matrix
-    levels = np.zeros((N + 1, mesh.M + 1, mesh.xprime_count))
-    interior = levels[:, 1:-1, :].reshape(N + 1, n_int)      # a view
+        if loads.shape != (k, N + 1, n_int):
+            raise ValueError("loads must have shape (k, N+1, n_interior) = "
+                             "%s, got %s" % ((k, N + 1, n_int), loads.shape))
+        b = loads.transpose(1, 0, 2)
+        np.multiply(b[1:], theta, out=rhs)
+        rhs += (1 - theta) * b[:-1]
+        rhs *= dt
+    U = np.zeros((N + 1, k, n_int))     # [n, i]: u_i^n
     if u0 is not None:
-        interior[0] = np.asarray(u0, float)
-    rhs = dt * (theta * b[1:] + (1 - theta) * b[:-1])   # row n: step n -> n+1
+        u0 = np.asarray(u0, float)
+        if u0.shape != (k, n_int):
+            raise ValueError("u0 must have shape (k, n_interior) = %s, got %s"
+                             % ((k, n_int), u0.shape))
+        U[0] = u0
+    Mmat = mass.matrix
+    Mb = Mmat if k == 1 else _block_diagonal(
+        np.broadcast_to(Mmat.data, (k, Mmat.nnz)), mesh)
+    U_flat, rhs_flat = U.reshape(N + 1, -1), rhs.reshape(N, -1)  # views
+    stacked = A.shape[0] > 1
     if not stacked:
-        lu.factor_once(A[0], "time level 1: ")
+        lu.factor_once(A[0], 1, names)
     for n in range(N):
         if stacked:
-            lu.factor(A[n + 1], "time level %d: " % (n + 1))
-        rhs[n] += Mmat @ interior[n]
+            lu.factor(A[n + 1], n + 1, names)
+        rhs_flat[n] += Mb @ U_flat[n]
         if theta < 1.0:
             if n == 0 or stacked:       # the explicit part: K^n, or K
-                Kn = sp.csr_matrix((K[n], Mmat.indices, Mmat.indptr),
-                                   shape=Mmat.shape)
-            rhs[n] -= (1 - theta) * dt * (Kn @ interior[n])
-        interior[n + 1] = lu.solve(rhs[n])
-    lu.check(A[1:] if stacked else A, interior[1:], rhs, config.linear_tol,
-             levels=np.arange(1, N + 1))
+                Kn = _block_diagonal(K[:, n], mesh)
+            rhs_flat[n] -= (1 - theta) * dt * (Kn @ U_flat[n])
+        U_flat[n + 1] = lu.solve(rhs_flat[n])
+    levels = np.arange(1, N + 1)
+    for i in range(k):
+        lu.check(A[1:, i] if stacked else A[:, i], U[1:, i], rhs[:, i],
+                 config.linear_tol, levels=levels, name=names[i])
 
     if loads is None:
         # pure decay: the weighted mass norm must not grow
-        energy = np.einsum("ij,ji->i", interior, Mmat @ interior.T)
-        grew = energy[1:] > energy[:-1] * (1 + 1e-10) + 1e-14
-        if grew.any():
-            raise SolverError("source-free march gained weighted energy "
-                              "at level %d" % (np.argmax(grew) + 1))
+        for i in range(k):
+            energy = np.einsum("ij,ji->i", U[:, i], Mmat @ U[:, i].T)
+            grew = energy[1:] > energy[:-1] * (1 + 1e-10) + 1e-14
+            if grew.any():
+                raise SolverError("%ssource-free march gained weighted "
+                                  "energy at level %d"
+                                  % (names[i], np.argmax(grew) + 1))
 
-    sol = SpaceTimeSolution(mesh, levels, mesh.time_levels)
-    sol.loads = loads
-    return sol
+    nodes = np.zeros((k, N + 1, mesh.M + 1, mesh.xprime_count))
+    nodes[:, :, 1:-1, :] = U.transpose(1, 0, 2).reshape(
+        k, N + 1, mesh.M - 1, mesh.xprime_count)
+    sols = []
+    for i in range(k):
+        sol = SpaceTimeSolution(mesh, nodes[i], mesh.time_levels)
+        sol.loads = None if loads is None else loads[i]
+        sols.append(sol)
+    return sols
 
 
 class Marcher:
@@ -338,9 +414,9 @@ class Marcher:
     every time level of the mesh otherwise, and the load parts of the last
     sources (F, f), by identity, each built on first use.  One marcher
     marches any number of lambdas, forward and adjoint; for an autonomous
-    field at theta = 1 the adjoint at the lambda of the last march on the
-    mesh solves with its factors, transposed, instead of factoring the same
-    system again."""
+    field at theta = 1 the adjoint at the lambda of the last one-lambda
+    march on the mesh solves with its factors, transposed, instead of
+    factoring the same system again."""
 
     def __init__(self, mesh, coeffs, config=None):
         self.mesh = mesh
@@ -350,68 +426,86 @@ class Marcher:
         self._split = None
         self._sources = (None, None, None)
 
-    def stiffness(self, lam):
-        """K(lam) as march_system takes it: the stack D + lam * C (D alone
-        when lam = 0), one level when autonomous, else N+1."""
-        if lam < 0:
-            raise ValueError("lambda must be >= 0")
+    def stiffness(self, lams):
+        """K(lam) for each lambda of a grid, as march_system takes it: an
+        array (k, L, nnz) of D + lam * C (D alone where lam = 0), one level
+        when autonomous, else N+1."""
+        lams = np.asarray(lams, float)
+        if lams.ndim != 1:
+            raise ValueError("a lambda grid must be one-dimensional, got "
+                             "shape %s" % (lams.shape,))
+        if not np.all(lams >= 0):
+            raise ValueError("lambda must be >= 0, got %s" % lams)
         if self._split is None:
             times = self.mesh.time_levels
             if self.coeffs.autonomous:
                 times = times[:1]
             self._split = stiffness_levels(self.mesh, self.coeffs, times)
         D, C = self._split
-        return D if lam == 0 else D + lam * C
+        K = D + lams[:, None, None] * C
+        K[lams == 0] = D
+        return K
 
-    def march(self, lam, F=None, f=None, u0=None):
-        """Forward march at this lambda; see ``march``."""
-        stiffness = self.stiffness(lam)
-        loads = None
-        if F is not None or f is not None:
-            if self._sources[0] is not F or self._sources[1] is not f:
-                self._sources = (F, f, LoadAssembler(self.mesh).parts(
-                    F, f, self.mesh.time_levels))
-            loads = LoadAssembler.combine(self._sources[2], lam)
+    def march(self, lams, F=None, f=None, u0=None):
+        """Forward marches at every lambda of the grid ``lams``, one
+        solution per lambda, in order, as one batch of march_system; see
+        ``march``."""
+        lams = np.asarray(lams, float)
+        K = self.stiffness(lams)
+        if not len(K):
+            return []
+        grid = lams.tolist()
         u0vec = None
         if u0 is not None:
             if not u0.has_zero_trace():
                 raise ValueError("initial field must vanish on both "
                                  "boundaries")
             u0vec = u0.interior_vector()
-        sol = march_system(self.mass, stiffness, loads, self.mesh,
-                           config=self.config, u0=u0vec)
-        sol.lam = lam
-        return sol
+            u0vec = np.broadcast_to(u0vec, (len(grid), u0vec.size))
+        loads = None
+        if F is not None or f is not None:
+            if self._sources[0] is not F or self._sources[1] is not f:
+                self._sources = (F, f, LoadAssembler(self.mesh).parts(
+                    F, f, self.mesh.time_levels))
+            loads = np.stack([LoadAssembler.combine(self._sources[2], lam)
+                              for lam in grid])
+        sols = march_system(self.mass, K, loads, self.mesh,
+                            config=self.config, u0=u0vec,
+                            names=["lambda %r: " % lam for lam in grid])
+        for lam, sol in zip(grid, sols):
+            sol.lam = lam
+        return sols
 
     def adjoint(self, lam, dual_loads):
         """Backward march on the transpose of the forward system at this
         lambda; see ``adjoint_march``."""
-        return adjoint_march_system(self.mass, self.stiffness(lam),
+        return adjoint_march_system(self.mass, self.stiffness([lam])[0],
                                     dual_loads, self.mesh, config=self.config)
 
 
 def march(mesh, coeffs, lam, F=None, f=None, config=None, u0=None):
-    """Assemble-and-march convenience wrapper.
+    """Assemble-and-march convenience wrapper for one lambda.
 
     F: None, a callable (dim=1) or tuple of per-direction callables
     (t, xp, xd) -> values; f likewise scalar-valued.  u0 is a DiscreteField
-    (zeros when omitted).  Returns a SpaceTimeSolution.  To march several
-    lambdas on one field, use one ``Marcher``.
+    (zeros when omitted).  Returns a SpaceTimeSolution.  To march a lambda
+    grid on one field, use one ``Marcher``.
     """
-    return Marcher(mesh, coeffs, config).march(lam, F=F, f=f, u0=u0)
+    return Marcher(mesh, coeffs, config).march([lam], F=F, f=f, u0=u0)[0]
 
 
 def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     """Backward march (M + dt K^n)^T v^n = M v^{n+1} + dt c^n, v^{N+1} = 0,
     for n = N..1 (implicit Euler only: the duality identity is exact there).
 
-    mass and stiffness are those of the forward march_system: the weighted
-    mass and the forward K stack (L, nnz), L = 1 or N+1, not K^T; each
-    system is solved with the forward factors, transposed.  dual_loads:
-    array (N+1, n_interior); row n is c^n, row 0 is ignored.  As for
-    march_system, a one-level adjoint whose forward system the mesh's band
-    LU holds the factors of, bitwise, factors nothing.  Returns an array of
-    the same shape whose row n is v^n (row 0 is zero).
+    mass and stiffness are those of one forward system of march_system:
+    the weighted mass and the forward K stack (L, nnz), L = 1 or N+1, not
+    K^T; each system is solved with the forward factors, transposed.
+    dual_loads: array (N+1, n_interior); row n is c^n, row 0 is ignored.
+    As for march_system, a one-level adjoint whose forward system the
+    mesh's one-block band LU holds the factors of, bitwise, factors
+    nothing.  Returns an array of the same shape whose row n is v^n (row 0
+    is zero).
     """
     config = config or TimeStepperConfig()
     if config.theta != 1.0:
@@ -420,19 +514,19 @@ def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     dual_loads = np.asarray(dual_loads, float)
     if dual_loads.shape != (N + 1, mesh.n_interior):
         raise ValueError("dual_loads must have shape (N+1, n_interior)")
-    K, A, lu = _systems(mass, stiffness, dt, mesh)
-    stacked = len(K) > 1
+    _, A, lu = _systems(mass, stiffness, dt, mesh, batch=False)
+    stacked = A.shape[0] > 1
     v = np.zeros((N + 2, mesh.n_interior))          # v^{N+1} = 0
     rhs = dt * dual_loads[N:0:-1]          # row k: the step to level N - k
     if not stacked:
-        lu.factor_once(A[0], "time level %d: " % N)
+        lu.factor_once(A[0], N)
     for k, n in enumerate(range(N, 0, -1)):
         if stacked:
-            lu.factor(A[n], "time level %d: " % n)
+            lu.factor(A[n], n)
         rhs[k] += mass.matrix @ v[n + 1]
         v[n] = lu.solve(rhs[k], trans=1)
-    lu.check(A[N:0:-1] if stacked else A, v[N:0:-1], rhs, config.linear_tol,
-             levels=np.arange(N, 0, -1), trans=1)
+    lu.check(A[N:0:-1, 0] if stacked else A[:, 0], v[N:0:-1], rhs,
+             config.linear_tol, levels=np.arange(N, 0, -1), trans=1)
     return v[:-1]
 
 

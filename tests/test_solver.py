@@ -103,8 +103,8 @@ def test_march_scalar_recursion_backward_euler():
     mval = Mw.matrix[0, 0]
     kval = K.matrix[0, 0]
     assert abs(mval - (4 * LOG2 - 2)) < 1e-14
-    sol = march_system(Mw, _stack(m, identity_coefficients(1), 1.0),
-                       np.ones((6, 1)), m)
+    sol, = march_system(Mw, _stack(m, identity_coefficients(1), 1.0)[None],
+                        np.ones((1, 6, 1)), m)
     u = 0.0
     for n in range(5):
         u = (mval * u + 0.1 * 1.0) / (mval + 0.1 * kval)
@@ -120,8 +120,8 @@ def test_march_scalar_recursion_crank_nicolson():
     mval, kval = Mw.matrix[0, 0], K.matrix[0, 0]
     cfg = TimeStepperConfig(theta=0.5)
     loads = np.cos(0.05 * np.arange(9))[:, None]
-    sol = march_system(Mw, _stack(m, identity_coefficients(1), 2.0), loads,
-                       m, config=cfg)
+    sol, = march_system(Mw, _stack(m, identity_coefficients(1), 2.0)[None],
+                        loads[None], m, config=cfg)
     u = 0.0
     dt = 0.05
     for n in range(8):
@@ -168,9 +168,10 @@ def test_marcher_samples_each_source_once_per_lambda_grid(monkeypatch):
 
     monkeypatch.setattr(degenlab.assembly, "sample_nodes",
                         counting_sample_nodes)
-    sols = [marcher.march(lam, F=F, f=f) for lam in (0.0, 1.0, 10.0, 1e3)]
+    sols = marcher.march([0.0, 1.0, 10.0, 1e3], F=F, f=f)
     assert calls == [F[0], F[1], f]
-    marcher.march(1.0, F=F)                  # other sources: sampled anew
+    assert [sol.lam for sol in sols] == [0.0, 1.0, 10.0, 1e3]
+    marcher.march([1.0], F=F)                # other sources: sampled anew
     assert calls[3:] == [F[0], F[1]]
     monkeypatch.undo()
     la = LoadAssembler(m)
@@ -178,7 +179,7 @@ def test_marcher_samples_each_source_once_per_lambda_grid(monkeypatch):
         rows = la.assemble(F, f, sol.lam, m.time_levels)
         assert sol.loads.tobytes() == rows.tobytes()
     with pytest.raises(ValueError, match="lambda must be >= 0"):
-        marcher.march(-1.0, F=F, f=f)
+        marcher.march([1.0, -1.0], F=F, f=f)
 
 
 def _count_factorizations(monkeypatch):
@@ -259,14 +260,14 @@ def test_march_checks_solves_that_reuse_the_factors(monkeypatch):
     m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
     Mw = assemble_weighted_mass(m)
     K = _stack(m, identity_coefficients(1), 1.0)
-    loads = np.ones((6, m.n_interior))
+    loads = np.ones((1, 6, m.n_interior))
     with pytest.raises(SolverError, match="time level 1:"):
-        march_system(Mw, K, loads, m,
+        march_system(Mw, K[None], loads, m,
                      config=TimeStepperConfig(linear_tol=1e-30))
 
     solves = _record_solves(monkeypatch, wrong_from=3)
     with pytest.raises(SolverError, match="time level 3:"):
-        march_system(Mw, K, loads, m)
+        march_system(Mw, K[None], loads, m)
     assert solves == [0] * 5          # checked after the last step
 
 
@@ -280,7 +281,7 @@ def test_march_wrapper_matches_march_system():
     K = _stack(m, coeffs, lam)
     la = LoadAssembler(m)
     rows = np.array([la.assemble(None, f, lam, t=t) for t in m.time_levels])
-    sol2 = march_system(Mw, K, rows, m)
+    sol2, = march_system(Mw, K[None], rows[None], m)
     assert np.array_equal(sol.levels, sol2.levels)
     assert np.array_equal(sol.loads, rows)
     assert sol.lam == lam
@@ -347,6 +348,168 @@ def test_time_dependent_march_is_bitwise_the_per_step_scheme(dim, theta,
         assert np.abs(ref).max() > 0
 
 
+def _grid_mesh(dim):
+    if dim == 1:
+        return build_mesh(1, 4.0, 12, 2.0, time_step=0.1, time_count=6)
+    return build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi,
+                      time_step=0.125, time_count=5)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["xd_only", "oscillatory"])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("loaded", [True, False])
+def test_a_batch_march_is_bitwise_one_march_per_system(dim, kind, theta,
+                                                       loaded):
+    # the k systems of a level are the blocks of one band: factors and
+    # solves of each block are bitwise those of its system alone, with
+    # one level (xd_only) or N+1 (oscillatory), lambda = 0 included
+    m = _grid_mesh(dim)
+    cfg = TimeStepperConfig(theta=theta)
+    marcher = Marcher(m, generate_family(2, kind, 0.5, 0.2, dim=dim,
+                                         xp_length=2 * np.pi), cfg)
+    K = marcher.stiffness([0.0, 1.0, 10.0, 1e3])
+    assert K.shape[1] == (1 if kind == "xd_only" else m.time_count + 1)
+    rng = np.random.default_rng(5)
+    loads = rng.standard_normal((4, m.time_count + 1, m.n_interior)) \
+        if loaded else None
+    u0 = rng.standard_normal((4, m.n_interior))
+    batch = march_system(marcher.mass, K, loads, m, config=cfg, u0=u0)
+    assert len(batch) == 4
+    for i, sol in enumerate(batch):
+        one, = march_system(marcher.mass, K[i:i + 1],
+                            None if loads is None else loads[i:i + 1], m,
+                            config=cfg, u0=u0[i:i + 1])
+        assert sol.levels.tobytes() == one.levels.tobytes()
+        assert np.abs(one.levels[-1]).max() > 0
+        assert (sol.loads is None) == (not loaded)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("loaded", [True, False])
+def test_marcher_grid_is_bitwise_the_one_lambda_marches(dim, loaded):
+    m = _grid_mesh(dim)
+    coeffs = generate_family(3, "oscillatory", 0.5, 0.2, dim=dim,
+                             xp_length=2 * np.pi)
+    F = tuple(smooth_random_closure(11 + i, dim, xp_length=2 * np.pi)
+              for i in range(dim)) if loaded else None
+    f = smooth_random_closure(5, dim, xp_length=2 * np.pi) if loaded \
+        else None
+    u0 = None if loaded else DiscreteField.sample(
+        m, lambda t, xp, xd: np.cos(xp) * xd * (m.xd_nodes[-1] - xd))
+    grid = [0.0, 1.0, 10.0, 1e3]
+    sols = Marcher(m, coeffs).march(grid, F=F, f=f, u0=u0)
+    for lam, sol in zip(grid, sols):
+        one = march(m, coeffs, lam, F=F, f=f, u0=u0)
+        assert sol.lam == one.lam == lam
+        assert sol.levels.tobytes() == one.levels.tobytes()
+        if loaded:
+            assert sol.loads.tobytes() == one.loads.tobytes()
+    assert Marcher(m, coeffs).march([], f=f) == []
+    with pytest.raises(ValueError, match="one-dimensional, got shape"):
+        Marcher(m, coeffs).march(1.0, f=f)
+
+
+@pytest.mark.parametrize("dim, kind, factorings", [
+    (1, "xd_only", 1), (1, "oscillatory", 5), (2, "xd_only", 1),
+    (2, "oscillatory", 5)])
+def test_a_lambda_grid_is_one_band(monkeypatch, dim, kind, factorings):
+    # one dgbtrf of a 3-block band per factoring, so once per level, not
+    # once per lambda, and one dgbtrs per step
+    m = build_mesh(dim, 3.0, 6, 2.0, xprime_count=1 if dim == 1 else 5,
+                   xprime_length=2 * np.pi, time_step=0.2, time_count=5)
+    marcher = Marcher(m, generate_family(4, kind, 0.5, 0.2, dim=dim,
+                                         xp_length=2 * np.pi))
+    calls = _count_factorizations(monkeypatch)
+    solves = _record_solves(monkeypatch)
+    marcher.march([1.0, 10.0, 100.0],
+                  f=smooth_random_closure(5, dim, xp_length=2 * np.pi))
+    assert len(calls) == factorings
+    assert {shape[1] for shape in calls} == {3 * m.n_interior}
+    assert len(solves) == 5
+
+
+def test_march_system_refuses_a_u0_not_shaped_per_system():
+    m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
+    Mw = assemble_weighted_mass(m)
+    K = _stack(m, identity_coefficients(1), 1.0)[None]
+    n = m.n_interior
+    for u0 in (1.0, [1.0], np.ones(n), np.ones((2, n)), np.ones((1, n + 1))):
+        with pytest.raises(ValueError, match=re.escape(
+                "u0 must have shape (k, n_interior) = (1, %d), got %s"
+                % (n, np.shape(u0)))):
+            march_system(Mw, K, None, m, u0=u0)
+    sol, = march_system(Mw, K, None, m, u0=np.ones((1, n)))
+    assert np.all(sol.levels[0, 1:-1] == 1.0)
+    # one failure prefix per system, or a later member's failure could not
+    # be named
+    for names in (["a: "], ["a: ", "b: ", "c: "]):
+        with pytest.raises(ValueError, match=re.escape(
+                "names must hold one prefix per system, k = 2, got %d"
+                % len(names))):
+            march_system(Mw, np.concatenate([K, K]), None, m, names=names)
+
+
+GRID = [1.0, 10.0, 100.0, 1000.0]
+
+
+def _edited_grid_marcher(monkeypatch, edit):
+    """A d = 1 marcher on a time-dependent field (dt = 1/4) whose stiffness
+    grid for GRID has been changed by edit(K, mass entry data)."""
+    m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
+    marcher = Marcher(m, generate_family(0, "oscillatory", 0.5, 0.2, dim=1))
+    K = marcher.stiffness(GRID)
+    edit(K, marcher.mass.matrix.data)
+    monkeypatch.setattr(marcher, "stiffness", lambda lams: K)
+    return marcher
+
+
+def test_a_failing_grid_member_names_its_level_and_lambda(monkeypatch):
+    f = lambda t, xp, xd: xd * np.exp(-xd)
+
+    def singular(K, M):          # M + dt K^3 = 0 at lambda = 100
+        K[2, 3] = -4.0 * M
+    solves = _record_solves(monkeypatch)
+    with pytest.raises(SolverError, match=re.escape(
+            "lambda 100.0: time level 3: LU factorization failed: the "
+            "matrix is exactly singular")):
+        _edited_grid_marcher(monkeypatch, singular).march(GRID, f=f)
+    assert len(solves) == 2
+    monkeypatch.undo()
+
+    # the third step returns the solution of lambda = 10 doubled
+    marcher = _edited_grid_marcher(monkeypatch, lambda K, M: None)
+    n = marcher.mesh.n_interior
+    sizes = []
+
+    def doubling_dgbtrs(*args, **kwargs):
+        x, info = dgbtrs(*args, **kwargs)
+        sizes.append(x.size)
+        if len(sizes) == 3:
+            x[n:2 * n] *= 2.0
+        return x, info
+
+    monkeypatch.setattr(degenlab.solver, "dgbtrs", doubling_dgbtrs)
+    with pytest.raises(SolverError, match=re.escape(
+            "lambda 10.0: time level 3: linear solve backward error")):
+        marcher.march(GRID, f=f)
+    assert sizes == [4 * n] * 4        # one solve per step for the grid
+    monkeypatch.undo()
+
+    def growing(K, M):           # K = -M: u^{n+1} = u^n / (1 - dt)
+        K[3] = -M
+    marcher = _edited_grid_marcher(monkeypatch, growing)
+    u0 = DiscreteField.sample(marcher.mesh, lambda t, xp, xd: xd * (4 - xd))
+    with pytest.raises(SolverError, match=re.escape(
+            "lambda 1000.0: source-free march gained weighted energy at "
+            "level 1")):
+        marcher.march(GRID, u0=u0)
+    # a direct call names its systems by their place in the batch
+    with pytest.raises(SolverError, match="^system 3: source-free"):
+        march_system(marcher.mass, marcher.stiffness(GRID), None,
+                     marcher.mesh, u0=np.ones((4, n)))
+
+
 def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
     # an entry of one level cancels exactly; the band storage holds it as
     # the zero that a sparse sum would drop, and the march is bitwise the
@@ -360,7 +523,7 @@ def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
     assert indices[k] == 1
     K[3, k] = -4.0 * Mw.data[k]  # M + dt K = M - M = 0 exactly (dt = 1/4)
     loads = np.ones((5, m.n_interior))
-    sol = march_system(mass, K, loads, m)
+    sol, = march_system(mass, K[None], loads[None], m)
     u = np.zeros_like(loads)
     for n in range(4):
         Kn = sp.csr_matrix((K[n + 1], indices, indptr), shape=shape)
@@ -378,7 +541,7 @@ def test_a_singular_level_raises_at_once_and_names_it(monkeypatch):
     solves = _record_solves(monkeypatch)
     with pytest.raises(SolverError, match="time level 3: LU factorization "
                        "failed: the matrix is exactly singular"):
-        march_system(mass, K, np.ones((5, m.n_interior)), m)
+        march_system(mass, K[None], np.ones((1, 5, m.n_interior)), m)
     assert len(solves) == 2
 
 
@@ -400,7 +563,7 @@ def test_band_reaches_the_periodic_wrap_in_d2():
     assert np.all(K.data[far] != 0)
     mass = assemble_weighted_mass(m)
     loads = rng.standard_normal((3, m.n_interior))
-    sol = march_system(mass, K.data[None], loads, m)
+    sol, = march_system(mass, K.data[None, None], loads[None], m)
     A = (mass.matrix + 0.25 * K).toarray()
     u1 = np.linalg.solve(A, 0.25 * loads[1])
     u2 = np.linalg.solve(A, mass.matrix @ u1 + 0.25 * loads[2])
@@ -440,13 +603,14 @@ def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
     fresh = {lam: adjoint_march(m, coeffs, lam, c_rows) for lam in (1.0, 3.0)}
     marcher = Marcher(m, coeffs)
     calls = _count_factorizations(monkeypatch)
-    u = marcher.march(1.0, f=f)
+    u, = marcher.march([1.0], f=f)
     assert len(calls) == 1
     # the adjoint at the same lambda solves with the forward factors, and
     # gives bitwise what factoring anew gives
     assert marcher.adjoint(1.0, c_rows).tobytes() == fresh[1.0].tobytes()
     assert len(calls) == 1
-    assert marcher.march(1.0, f=f).levels.tobytes() == u.levels.tobytes()
+    assert marcher.march([1.0], f=f)[0].levels.tobytes() == \
+        u.levels.tobytes()
     assert len(calls) == 1
     # another lambda is another system: factored anew, and then lambda = 1
     # is factored again
@@ -461,10 +625,10 @@ def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
     assert len(calls) == 4
     # a stacked march factors every step, even where levels repeat bitwise
     late = Marcher(m, _late_switch(2, m.total_time))
-    stack = late.stiffness(1.0)
+    stack = late.stiffness([1.0])[0]
     assert stack[1].tobytes() == stack[2].tobytes()
-    late.march(1.0, f=f)
-    late.march(1.0, f=f)
+    late.march([1.0], f=f)
+    late.march([1.0], f=f)
     late.adjoint(1.0, c_rows)
     assert len(calls) == 4 + 3 * 4
 
@@ -507,7 +671,7 @@ def _march_digests():
         f = smooth_random_closure(5, dim, xp_length=2 * np.pi)
         marcher = Marcher(m, generate_family(2, kind, 0.5, 0.2, dim=dim,
                                              xp_length=2 * np.pi))
-        u = marcher.march(3.0, f=f).interior_levels()
+        u = marcher.march([3.0], f=f)[0].interior_levels()
         v = marcher.adjoint(3.0, LoadAssembler(m).assemble(
             None, f, 3.0, m.time_levels))
         out += [hashlib.sha256(a.tobytes()).hexdigest() for a in (u, v)]
@@ -530,9 +694,9 @@ def test_march_system_rejects_a_stack_of_the_wrong_shape():
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
     nnz = interior_pattern(m)[0].size
     with pytest.raises(ValueError, match=re.escape(
-            "(N+1, nnz) = (5, %d), got (3, %d)" % (nnz, nnz))):
-        march_system(assemble_weighted_mass(m), np.zeros((3, nnz)),
-                     np.ones((5, m.n_interior)), m)
+            "(k, N+1, nnz) = (k, 5, %d), got (1, 3, %d)" % (nnz, nnz))):
+        march_system(assemble_weighted_mass(m), np.zeros((1, 3, nnz)),
+                     np.ones((1, 5, m.n_interior)), m)
 
 
 def test_source_free_march_decays():
@@ -600,7 +764,7 @@ def test_adjoint_pairing_identity_dense():
     assert np.abs(K - K.T).max() > 0.1
     b_rows = rng.standard_normal((N + 1, n))
     c_rows = rng.standard_normal((N + 1, n))
-    sol = march_system(Mw, K.data[None], b_rows, m)
+    sol, = march_system(Mw, K.data[None, None], b_rows[None], m)
     v = adjoint_march_system(Mw, K.data[None], c_rows, m)
     dt = 0.2
     lhs = dt * sum(c_rows[k] @ sol.interior(k) for k in range(1, N + 1))
@@ -653,11 +817,11 @@ def test_adjoint_of_a_time_dependent_march_pairs_exactly(monkeypatch):
                              xp_length=2 * np.pi)
     marcher = Marcher(m, coeffs, TimeStepperConfig(linear_tol=1e-12))
     indices, indptr, shape = interior_pattern(m)
-    K = sp.csr_matrix((marcher.stiffness(1.0)[2], indices, indptr),
+    K = sp.csr_matrix((marcher.stiffness([1.0])[0, 2], indices, indptr),
                       shape=shape)
     assert abs(K - K.T).max() > 1e-3
     f = smooth_random_closure(2, 2, xp_length=2 * np.pi)
-    u = marcher.march(1.0, f=f)
+    u, = marcher.march([1.0], f=f)
     c_rows = LoadAssembler(m).assemble(
         None, smooth_random_closure(3, 2, xp_length=2 * np.pi), 1.0,
         m.time_levels)
@@ -688,13 +852,19 @@ def test_time_grid_mismatch_rejected():
     # a stack on another time grid of the same window
     other = build_mesh(1, 2.0, 4, 1.0, time_step=0.25, time_count=4)
     K = _stack(m, coeffs, 1.0, other.time_levels)
-    with pytest.raises(ValueError, match="stiffness stack must have shape"):
-        march_system(Mw, K, None, m)
-    with pytest.raises(ValueError, match="stiffness stack must have shape"):
+    nnz = K.shape[1]
+    with pytest.raises(ValueError, match=re.escape(
+            "stiffness stack must have shape (k, 1, nnz) or (k, N+1, nnz) "
+            "= (k, 11, %d), got (1, 5, %d)" % (nnz, nnz))):
+        march_system(Mw, K[None], None, m)
+    # the adjoint takes one system and names only the shape it was given
+    with pytest.raises(ValueError, match=re.escape(
+            "stiffness stack must have shape (1, nnz) or (N+1, nnz) "
+            "= (11, %d), got (5, %d)" % (nnz, nnz))):
         adjoint_march_system(Mw, K, np.zeros((11, m.n_interior)), m)
     K = _stack(m, coeffs, 1.0, m.time_levels)
     with pytest.raises(ValueError, match="loads must have shape"):
-        march_system(Mw, K, np.zeros((10, m.n_interior)), m)
+        march_system(Mw, K[None], np.zeros((1, 10, m.n_interior)), m)
 
 
 def test_solution_container_invariants():
