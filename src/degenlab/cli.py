@@ -163,6 +163,12 @@ def parse_config(raw):
         if cfg[key] < 1:
             raise ConfigError("key %r must be at least 1, got %r"
                               % (key, cfg[key]))
+    # every W^1_p norm needs p > 1; refused here, before any march
+    for key, values in (("p", [cfg["p"]]), ("p_grid", cfg["p_grid"] or [])):
+        for v in values:
+            if not v > 1:
+                raise ConfigError("key %r must be greater than 1, got %r"
+                                  % (key, v))
     return cfg
 
 

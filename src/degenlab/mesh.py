@@ -7,13 +7,25 @@ single phantom cell of length 1 so that all measures reduce to dx_d.
 Time is a uniform grid t_n = n*dt, n = 0..time_count.
 """
 
+import functools
 import weakref
 
 import numpy as np
 
-# mesh -> {key: table}, holding meshes weakly; a table derives from its key
-# and the mesh's read-only geometry alone, so it cannot go stale
+# mesh -> {key: table}: the scatter plans, band layout and band LUs, load
+# maps, a0-free mass, Grams and norm plans of a mesh.  Meshes are held
+# weakly; a table derives from its key and the mesh's immutable geometry
+# alone, so it cannot go stale.  build_mesh interns its meshes (see
+# _INTERNED), so the tables of a geometry outlive one command and serve
+# every later command on that geometry; a TensorMesh(...) built directly is
+# not interned, and its tables go with it.
 _CACHE = weakref.WeakKeyDictionary()
+
+# How many geometries build_mesh keeps a mesh of, least recently used
+# first out.  One command builds at most 3 meshes (sweep: the mesh and
+# its refinement, 2; the golden mms ladder, 3; every other command, 1), so
+# 8 holds every mesh of at least the last two commands.
+_INTERNED = 8
 
 
 def _cached(mesh, key, build):
@@ -55,6 +67,17 @@ class TensorMesh:
         self.time_count = int(time_count)
         self.grading_exponent = float(grading_exponent)
         self.xd_nodes.setflags(write=False)
+        self._sealed = True
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_sealed", False):
+            raise AttributeError("TensorMesh is immutable: cannot set %r"
+                                 % (name,))
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError("TensorMesh is immutable: cannot delete %r"
+                             % (name,))
 
     # -- x_d direction -------------------------------------------------
     @property
@@ -134,20 +157,38 @@ class TensorMesh:
 
 def build_mesh(dim, L_d, M, grading_exponent, xprime_count=1,
                xprime_length=None, time_step=1.0, time_count=1):
-    """Build the graded tensor mesh: xd_nodes[j] = L_d*(j/M)**grading_exponent."""
-    if not np.isfinite([L_d, grading_exponent, time_step]).all():
+    """The graded tensor mesh xd_nodes[j] = L_d*(j/M)**grading_exponent.
+    Equal geometries share one immutable mesh, and so its tables (see
+    _CACHE), while the geometry is among the _INTERNED most recently
+    used."""
+    if dim not in (1, 2):
+        raise ValueError("dim must be 1 or 2, got %r" % (dim,))
+    if dim == 1:
+        xprime_count, xprime_length = 1, 1.0
+    elif xprime_length is None:
+        raise ValueError("dim=2 requires xprime_length")
+    if not np.isfinite([L_d, grading_exponent, time_step,
+                        xprime_length]).all():
         raise ValueError("non-finite mesh parameters")
+    for name, v in (("M", M), ("xprime_count", xprime_count),
+                    ("time_count", time_count)):
+        if not float(v).is_integer():
+            raise ValueError("%s must be an integer, got %r" % (name, v))
     if M < 2:
         raise ValueError("M must be >= 2, got %r" % (M,))
     if grading_exponent < 1:
         raise ValueError("grading_exponent must be >= 1")
     if L_d <= 0:
         raise ValueError("L_d must be positive")
-    if dim == 1:
-        xprime_count, xprime_length = 1, 1.0
-    elif xprime_length is None:
-        raise ValueError("dim=2 requires xprime_length")
-    nodes = L_d * (np.arange(M + 1) / M) ** float(grading_exponent)
+    return _interned(int(dim), float(L_d), int(M), float(grading_exponent),
+                     int(xprime_count), float(xprime_length),
+                     float(time_step), int(time_count))
+
+
+@functools.lru_cache(maxsize=_INTERNED)
+def _interned(dim, L_d, M, grading_exponent, xprime_count, xprime_length,
+              time_step, time_count):
+    nodes = L_d * (np.arange(M + 1) / M) ** grading_exponent
     return TensorMesh(dim, nodes, xprime_count, xprime_length,
                       time_step, time_count, grading_exponent)
 

@@ -29,8 +29,6 @@ original DoF order, after the last step and one batch member at a time; a
 failure names the member and the time level.
 """
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -65,13 +63,13 @@ class _BandLayout:
     """Where the entries of one square CSR pattern go in LAPACK band storage
     when the DoFs are taken in ``order`` (the natural order when None): the
     bandwidths of the reordered pattern, the band position of every entry,
-    and the CSR rows of the pattern and, on first use, of its transpose,
-    which the backward error checks read.  It depends on the pattern
-    alone."""
+    and the pattern (indices, indptr) itself, which the backward error
+    checks read.  It depends on the pattern alone."""
 
     def __init__(self, indices, indptr, n, order=None):
         rows = np.repeat(np.arange(n), np.diff(indptr))
         cols = np.asarray(indices, np.intp)
+        self.pattern = (indices, indptr)
         self.order, self.rank = order, None
         r, c = rows, cols
         if order is not None:
@@ -82,16 +80,6 @@ class _BandLayout:
         self.kl, self.ku = int(off.max(initial=0)), int(-off.min(initial=0))
         self.shape = (2 * self.kl + self.ku + 1, n)
         self.at = self.kl + self.ku + off + self.shape[0] * c     # A[i, j]
-        # (entry order, rows, cols, row starts) of A in CSR order
-        self.csr = (None, rows, cols, indptr)
-
-    @functools.cached_property
-    def csr_t(self):
-        """``csr`` of A^T, which in CSR order is A in CSC order."""
-        _, rows, cols, indptr = self.csr
-        t = np.argsort(cols, kind="stable")
-        return (t, cols[t], rows[t],
-                np.searchsorted(cols[t], np.arange(len(indptr))))
 
 
 def _band_layout(mesh):
@@ -187,16 +175,18 @@ class _BandLU:
         solve A_k x_k = b_k (A_k^T for trans=1) of one block, with A_k the
         rows of data (1 or K, nnz), must be finite and at most 10*tol; the
         first that is not raises SolverError, prefixed by ``name`` and
-        naming time level levels[k] when given.  A factored matrix has no
-        empty row or column."""
-        order, rows, cols, ptr = (self.layout.csr_t if trans
-                                  else self.layout.csr)
-        if order is not None:
-            data = data[:, order]
-        Ax = X[:, cols]
-        Ax *= data
-        Ax = np.add.reduceat(Ax, ptr[:-1], axis=1)
-        norm_A = np.add.reduceat(np.abs(data), ptr[:-1], axis=1).max(axis=1)
+        naming time level levels[k] when given.  All A_k x_k are one
+        sparse product with diag(A_1, ..., A_K), or with A_1 for every x_k
+        when data has one row."""
+        A = _block_diagonal(data, *self.layout.pattern)
+        if trans:
+            A = A.T
+        if len(data) == 1:
+            Ax = (A @ X.T).T
+        else:
+            Ax = (A @ X.reshape(-1)).reshape(X.shape)
+        norm_A = (abs(A) @ np.ones(A.shape[1])).reshape(len(data), -1).max(
+            axis=1)
         denom = np.linalg.norm(B, axis=1) + norm_A * np.linalg.norm(X, axis=1)
         errors = np.linalg.norm(B - Ax, axis=1) / np.where(denom == 0, 1,
                                                            denom)
@@ -302,17 +292,18 @@ def _systems(mass, stiffness, s, mesh, batch=True):
     return K, A, _band_lu(mesh, K.shape[0])
 
 
-def _block_diagonal(data, mesh):
+def _block_diagonal(data, indices, indptr):
     """The CSR matrix diag(A_1, ..., A_k) whose block i has the entry data
-    data[i] on the mesh's interior pattern; every row keeps the pattern's
-    entry order, so a product sums each row as the block's own does."""
-    indices, indptr, shape = interior_pattern(mesh)
+    data[i] on the square CSR pattern (indices, indptr); every row keeps
+    the pattern's entry order, so a product sums each row as the block's
+    own does."""
+    n = len(indptr) - 1
     k, nnz = data.shape
     shift = np.arange(k)[:, None]
     return sp.csr_matrix(
-        (data.reshape(-1), (indices + shape[0] * shift).ravel(),
+        (data.reshape(-1), (indices + n * shift).ravel(),
          np.append((indptr[:-1] + nnz * shift).ravel(), k * nnz)),
-        shape=(k * shape[0], k * shape[1]))
+        shape=(k * n, k * n))
 
 
 def march_system(mass, stiffness, loads, mesh, config=None, u0=None,
@@ -365,8 +356,9 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None,
                              % ((k, n_int), u0.shape))
         U[0] = u0
     Mmat = mass.matrix
+    pattern = Mmat.indices, Mmat.indptr     # interior, as _systems checked
     Mb = Mmat if k == 1 else _block_diagonal(
-        np.broadcast_to(Mmat.data, (k, Mmat.nnz)), mesh)
+        np.broadcast_to(Mmat.data, (k, Mmat.nnz)), *pattern)
     U_flat, rhs_flat = U.reshape(N + 1, -1), rhs.reshape(N, -1)  # views
     stacked = A.shape[0] > 1
     if not stacked:
@@ -377,7 +369,7 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None,
         rhs_flat[n] += Mb @ U_flat[n]
         if theta < 1.0:
             if n == 0 or stacked:       # the explicit part: K^n, or K
-                Kn = _block_diagonal(K[:, n], mesh)
+                Kn = _block_diagonal(K[:, n], *pattern)
             rhs_flat[n] -= (1 - theta) * dt * (Kn @ U_flat[n])
         U_flat[n + 1] = lu.solve(rhs_flat[n])
     levels = np.arange(1, N + 1)

@@ -15,7 +15,7 @@ from degenlab import (AssemblyError, LoadAssembler, NormSpec,
                       interior_pattern, levels_norm, model_stiffness,
                       sample_on_mesh, stiffness_levels,
                       weighted_pair_integrals)
-from degenlab.mesh import _CACHE
+from degenlab.mesh import _CACHE, _INTERNED, _interned
 
 LOG2 = np.log(2.0)
 
@@ -418,6 +418,7 @@ def test_indefinite_pair_table_is_rejected(monkeypatch):
         return table
 
     monkeypatch.setattr(assembly, "weighted_pair_integrals", indefinite)
+    _interned.cache_clear()     # a fresh mesh, with no pair table built yet
     m = build_mesh(1, 4.0, 8, 2.0)
     with pytest.raises(AssemblyError, match="not positive definite on cell 2"):
         assemble_weighted_mass(m)
@@ -452,6 +453,7 @@ def test_plan_is_per_mesh_and_built_once(monkeypatch):
 
     plan_class = assembly._ScatterPlan
     monkeypatch.setattr(assembly, "_ScatterPlan", counting)
+    _interned.cache_clear()
     a = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
     b = build_mesh(2, 2.0, 4, 1.5, xprime_count=3, xprime_length=1.0)
     coeffs = generate_family(2, "oscillatory", 0.5, 0.2, dim=2,
@@ -470,15 +472,24 @@ def test_plan_is_per_mesh_and_built_once(monkeypatch):
 
 
 def test_plan_cache_lets_meshes_go():
+    # build_mesh keeps the meshes of the last _INTERNED geometries; one more
+    # geometry drops the oldest, and every table built on it goes with it
+    _interned.cache_clear()
     m = build_mesh(1, 4.0, 8, 2.0)
     assemble_weighted_mass(m)
     LoadAssembler(m)
     levels_norm(m, np.ones((2, m.M + 1, 1)), 1.0, NormSpec(2.0))
     ref = weakref.ref(m)
-    assert ref() in _CACHE
-    gc.collect()
-    held = len(_CACHE)
+    plan = weakref.ref(_CACHE[m]["interior", "interior"])
     del m
     gc.collect()
-    assert ref() is None
+    assert ref() in _CACHE          # interned: the mesh is still held
+    held = len(_CACHE)
+    newer = [build_mesh(1, 4.0, 8 + k, 2.0) for k in range(1, _INTERNED)]
+    gc.collect()
+    assert ref() is not None
+    newer.append(build_mesh(1, 4.0, 8 + _INTERNED, 2.0))
+    gc.collect()
+    assert ref() is None and plan() is None
     assert len(_CACHE) == held - 1
+    assert all(build_mesh(1, 4.0, mesh.M, 2.0) is mesh for mesh in newer)

@@ -87,6 +87,23 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, key, command):
     assert parse_config({"command": command, key: 1})[key] == 1
 
 
+@pytest.mark.parametrize("key, command, value, bad", [
+    ("p_grid", "sweep", [3.0, 0.5], 0.5), ("p", "duality", 0.5, 0.5),
+    ("p", "hardy", 1, 1)])
+def test_p_at_most_one_is_a_config_error(tmp_path, capsys, monkeypatch, key,
+                                         command, value, bad):
+    # refused before any march: a W^1_p norm needs p > 1
+    marches = []
+    monkeypatch.setattr(degenlab.solver, "march_system",
+                        lambda *a, **k: marches.append(1))
+    path = _write_cfg(tmp_path, command=command, **{key: value})
+    assert main(["run", path]) == 2
+    assert "config error: key %r must be greater than 1, got %r" \
+        % (key, bad) in capsys.readouterr().err
+    assert not marches
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
@@ -157,6 +174,49 @@ def test_sweep_rows_and_idempotent_reruns(tmp_path):
     assert main(["run", path]) == 0
     assert (out / "reports.csv").read_bytes() == text1
     assert (out / "run.json").read_bytes() == run1
+
+
+def _count_plans(monkeypatch):
+    """The (mesh id, rows, cols) of every scatter plan built from now on."""
+    built = []
+    plan_class = degenlab.assembly._ScatterPlan
+
+    def counting(mesh, rows, cols):
+        built.append((id(mesh), rows, cols))
+        return plan_class(mesh, rows, cols)
+
+    monkeypatch.setattr(degenlab.assembly, "_ScatterPlan", counting)
+    return built
+
+
+def test_rerun_of_a_sweep_builds_no_plans(tmp_path, monkeypatch, capsys):
+    # build_mesh interns the sweep's mesh and its refinement, and with them
+    # every per-mesh table, so a second run in one process builds none
+    # (the config of the sweep_osc_d1 benchmark workload)
+    degenlab.mesh._interned.cache_clear()
+    cfg = parse_config(dict(command="sweep", dim=1, mesh_M=32,
+                            time_step=1.0 / 32, time_count=32,
+                            kind="oscillatory", eps=0.2, p=3.0,
+                            lambda_grid=[1.0, 10.0, 100.0, 1000.0],
+                            out_dir=str(tmp_path / "out")))
+    built = _count_plans(monkeypatch)
+    assert run(cfg)[0] == 0
+    assert len(built) == len(set(built)) == 4
+    assert len({mesh for mesh, _, _ in built}) == 2
+    del built[:]
+    assert run(cfg)[0] == 0
+    assert built == []
+
+
+def test_p_grid_sweep_builds_the_refined_plans_once(tmp_path, monkeypatch,
+                                                    capsys):
+    # each p of the grid refines the mesh again; one geometry, one mesh
+    degenlab.mesh._interned.cache_clear()
+    built = _count_plans(monkeypatch)
+    path = _small_sweep(tmp_path, p_grid=[2.0, 3.0, 4.0])
+    assert main(["run", path]) == 0
+    assert len(built) == len(set(built))
+    assert len({mesh for mesh, _, _ in built}) == 2
 
 
 def test_run_json_config_echo_reparses(tmp_path):

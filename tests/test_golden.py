@@ -15,6 +15,7 @@ import os
 
 import numpy as np
 
+import degenlab.mesh
 from degenlab import (Cylinder, NormSpec, build_mesh, generate_family, march,
                       smooth_random_closure, weighted_norm)
 from degenlab.cli import COMMANDS, parse_config, run
@@ -179,6 +180,33 @@ def test_cli_outputs_match_goldens(tmp_path):
                      bad)
     print("cli goldens: %d of %d values bitwise equal" % tuple(tally))
     assert not bad, "\n".join(bad[:20])
+
+
+def _artifact_bytes(out_dir):
+    """Every artifact of a run by name, the manifest without its timestamp."""
+    got = {}
+    for fname in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, fname), "rb") as fh:
+            got[fname] = fh.read()
+    manifest = json.loads(got.pop("MANIFEST.json"))
+    del manifest["created_utc"]
+    return got, manifest
+
+
+def test_warm_reruns_are_byte_identical_to_cold(tmp_path):
+    # each config twice in one process: first on fresh meshes (intern
+    # cleared), then on the interned meshes and the tables the first run
+    # built, factors included
+    for name in CONFIGS:
+        raw = dict(CONFIGS[name], out_dir=str(tmp_path / name))
+        runs = []
+        degenlab.mesh._interned.cache_clear()
+        for _ in range(2):
+            run(parse_config(raw))
+            runs.append(_artifact_bytes(raw["out_dir"]))
+        cold, warm = runs
+        assert "run.json" in cold[0], name
+        assert warm == cold, name
 
 
 def test_norm_battery_matches_goldens():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from degenlab import Cylinder, build_mesh, cells_in_cylinder
+from degenlab import Cylinder, TensorMesh, build_mesh, cells_in_cylinder
 
 
 def test_graded_nodes_match_power_law():
@@ -76,6 +76,47 @@ def test_nodes_are_write_locked():
     m = build_mesh(1, 4.0, 8, 2.0)
     with pytest.raises((ValueError, RuntimeError)):
         m.xd_nodes[0] = 1.0
+
+
+def test_mesh_refuses_assignment():
+    m = build_mesh(1, 4.0, 8, 2.0, time_step=0.5, time_count=2)
+    with pytest.raises(AttributeError,
+                       match="TensorMesh is immutable: cannot set 'time_step'"):
+        m.time_step = 0.25
+    with pytest.raises(AttributeError, match="cannot set 'extra'"):
+        m.extra = 1
+    with pytest.raises(AttributeError, match="cannot delete 'dim'"):
+        del m.dim
+    assert m.time_step == 0.5 and m.dim == 1 and not hasattr(m, "extra")
+
+
+def test_build_mesh_interns_one_mesh_per_geometry():
+    m = build_mesh(2, 4.0, 8, 2.0, xprime_count=6, xprime_length=2 * np.pi,
+                   time_step=0.25, time_count=4)
+    assert build_mesh(2, 4, 8.0, 2, xprime_count=6.0,
+                      xprime_length=2 * np.pi, time_step=0.25,
+                      time_count=4) is m
+    assert m.refined() is m.refined()
+    assert m.refined() is not m
+    assert build_mesh(2, 4.0, 8, 2.0, xprime_count=6,
+                      xprime_length=2 * np.pi, time_step=0.25,
+                      time_count=5) is not m
+    # in d = 1 the x' arguments do not shape the geometry
+    d1 = build_mesh(1, 4.0, 8, 2.0)
+    assert build_mesh(1, 4.0, 8, 2.0, xprime_count=3,
+                      xprime_length=5.0) is d1
+    direct = TensorMesh(1, d1.xd_nodes, 1, 1.0, 1.0, 1, 2.0)
+    assert direct is not d1
+    assert np.array_equal(direct.xd_nodes, d1.xd_nodes)
+    with pytest.raises(ValueError, match="non-finite mesh parameters"):
+        build_mesh(2, 4.0, 8, 2.0, xprime_count=6, xprime_length=np.nan)
+    for bad in (dict(M=8.5), dict(time_count=2.5), dict(xprime_count=6.5)):
+        args = dict(dim=2, L_d=4.0, M=8, grading_exponent=2.0,
+                    xprime_count=6, xprime_length=1.0, time_count=2)
+        args.update(bad)
+        name, = bad
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            build_mesh(**args)
 
 
 def test_cylinder_cells_boundary():

@@ -593,6 +593,36 @@ def test_declared_order_narrows_the_band(dim, P, width):
         assert natural.kl == natural.ku == 2 * P - 1
 
 
+@pytest.mark.parametrize("trans", [0, 1])
+@pytest.mark.parametrize("n_levels", [1, 3])
+def test_check_is_the_dense_backward_error(trans, n_levels):
+    # a nonsymmetric pattern in the interleaved d = 2 order, one matrix for
+    # every solve or one per solve: the largest backward error, formed
+    # densely, passes at tol = err / 10 and fails just below, naming its
+    # level
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
+    indices, indptr, shape = interior_pattern(m)
+    lu = degenlab.solver._BandLU(degenlab.solver._band_layout(m))
+    rng = np.random.default_rng(2 * n_levels + trans)
+    data = rng.standard_normal((n_levels, indices.size))
+    X, B = rng.standard_normal((2, 3, shape[0]))
+    errors = []
+    for i in range(3):
+        A = sp.csr_matrix((data[i % n_levels], indices, indptr),
+                          shape).toarray()
+        A = A.T if trans else A
+        errors.append(np.linalg.norm(B[i] - A @ X[i]) / (
+            np.linalg.norm(B[i])
+            + np.abs(A).sum(axis=1).max() * np.linalg.norm(X[i])))
+    worst = max(errors)
+    lu.check(data, X, B, worst / 10 * (1 + 1e-12), trans=trans)
+    with pytest.raises(SolverError, match=re.escape(
+            "lam: time level %d: linear solve backward error"
+            % (7 + errors.index(worst)))):
+        lu.check(data, X, B, worst / 10 * (1 - 1e-12), levels=[7, 8, 9],
+                 trans=trans, name="lam: ")
+
+
 def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
     m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi,
                    time_step=0.25, time_count=4)
@@ -619,7 +649,7 @@ def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
     marcher.adjoint(1.0, c_rows)
     assert len(calls) == 3
     # the factors belong to the mesh, so the one-call wrappers share them
-    march(m, coeffs, 3.0, f=f)
+    u3 = march(m, coeffs, 3.0, f=f)
     assert adjoint_march(m, coeffs, 3.0, c_rows).tobytes() == \
         fresh[3.0].tobytes()
     assert len(calls) == 4
@@ -631,6 +661,10 @@ def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
     late.march([1.0], f=f)
     late.adjoint(1.0, c_rows)
     assert len(calls) == 4 + 3 * 4
+    # the stacked marches overwrote the factors of lambda = 3, which is
+    # factored again
+    assert march(m, coeffs, 3.0, f=f).levels.tobytes() == u3.levels.tobytes()
+    assert len(calls) == 4 + 3 * 4 + 1
 
 
 def test_adjoint_checks_every_solve_and_names_the_level(monkeypatch):
