@@ -1,6 +1,6 @@
 """Config-driven front end: ``lab run config.json [--out DIR] [--seed S]``.
 
-Configs are flat JSON with a schema version field and strict key checking.
+Configs are flat JSON, each key declared once in ``_SCHEMA``, strictly checked.
 Artifacts (reports CSV, JSON bundle with the config echo, plot scripts,
 solution tables, matrix exports) are written atomically and listed with
 content hashes in MANIFEST.json; timestamps appear only in the manifest so
@@ -38,149 +38,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
-
-
-def _is_finite_num(v):
-    """A number of the float range: False for NaN, the infinities (JSON's
-    NaN, Infinity and 1e400) and integers beyond it."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and -sys.float_info.max <= v <= sys.float_info.max
-
-
-def _check_int(key, v):
-    if not (_is_finite_num(v) and float(v) == int(v)):
-        raise ConfigError("key %r must be an integer, got %r" % (key, v))
-    return int(v)
-
-
-def _check_float(key, v):
-    if not _is_finite_num(v):
-        raise ConfigError("key %r must be a finite number, got %r"
-                          % (key, v))
-    return float(v)
-
-
-def _check_bool(key, v):
-    if not isinstance(v, bool):
-        raise ConfigError("key %r must be a boolean, got %r" % (key, v))
-    return v
-
-
-def _check_str(key, v):
-    if not isinstance(v, str):
-        raise ConfigError("key %r must be a string, got %r" % (key, v))
-    return v
-
-
-def _check_numlist(key, v, integral=False):
-    if v is None:
-        return None
-    if not isinstance(v, list) or not v:
-        raise ConfigError("key %r must be a non-empty list" % key)
-    out = []
-    for item in v:
-        out.append(_check_int(key, item) if integral
-                   else _check_float(key, item))
-    return out
-
-
-_DEFAULTS = {
-    "schema_version": SCHEMA_VERSION, "command": None,
-    "dim": 1, "L_d": 4.0, "mesh_M": 48, "grading": 2.0,
-    "xprime_count": 12, "xprime_length": 2 * np.pi,
-    "time_step": 0.05, "time_count": 20,
-    "nu": 0.5, "lambda": 1.0, "lambda_grid": None,
-    "p": 2.0, "p_grid": None,
-    "kind": "constant", "eps": 0.0, "eps_grid": None,
-    "seed": 0, "rho0": 1.0,
-    "theta": 1.0, "linear_tol": 1e-10,
-    "with_F": True, "with_f": True,
-    "mms_meshes": [16, 32, 64], "mms_mode": "f_only",
-    "cyl_time": None, "cyl_radius": 0.5,
-    "r_inner": 0.25, "r_outer": 0.5, "n_solutions": 3,
-    "duality_seeds": 5, "n_fields": 50, "rho_grid": [0.25, 0.5],
-    "out_dir": "lab_out", "emit_plots": True, "export_matrix": False,
-}
-
-_INT_KEYS = {"schema_version", "dim", "mesh_M", "xprime_count",
-             "time_count", "seed", "n_solutions", "duality_seeds",
-             "n_fields"}
-_FLOAT_KEYS = {"L_d", "grading", "xprime_length", "time_step", "nu",
-               "lambda", "p", "eps", "rho0", "theta", "linear_tol",
-               "cyl_radius", "r_inner", "r_outer"}
-# counts of checks: 0 would run a command that checks nothing
-_COUNT_KEYS = ("n_solutions", "duality_seeds", "n_fields")
-_BOOL_KEYS = {"with_F", "with_f", "emit_plots", "export_matrix"}
-_STR_KEYS = {"command", "kind", "mms_mode", "out_dir"}
-_FLOATLIST_KEYS = {"lambda_grid", "p_grid", "eps_grid", "rho_grid"}
-_INTLIST_KEYS = {"mms_meshes"}
-_OPTIONAL_FLOAT_KEYS = {"cyl_time"}
-
-
-def parse_config(raw):
-    """Validate a raw mapping against the flat schema; unknown keys are
-    rejected by name, defaults fill the gaps, and the result re-parses to
-    itself."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - set(_DEFAULTS))
-    if unknown:
-        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
-    if cfg["command"] is None:
-        raise ConfigError("config needs a 'command' key")
-    for key in _INT_KEYS:
-        cfg[key] = _check_int(key, cfg[key])
-    for key in _FLOAT_KEYS:
-        cfg[key] = _check_float(key, cfg[key])
-    for key in _OPTIONAL_FLOAT_KEYS:
-        if cfg[key] is not None:
-            cfg[key] = _check_float(key, cfg[key])
-    for key in _BOOL_KEYS:
-        cfg[key] = _check_bool(key, cfg[key])
-    for key in _STR_KEYS:
-        cfg[key] = _check_str(key, cfg[key])
-    for key in _FLOATLIST_KEYS:
-        cfg[key] = _check_numlist(key, cfg[key])
-    for key in _INTLIST_KEYS:
-        cfg[key] = _check_numlist(key, cfg[key], integral=True)
-    if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError("unsupported schema_version %r"
-                          % cfg["schema_version"])
-    if cfg["command"] not in COMMANDS:
-        raise ConfigError("unknown command %r; expected one of %s"
-                          % (cfg["command"], ", ".join(COMMANDS)))
-    if cfg["kind"] not in KINDS:
-        raise ConfigError("unknown coefficient kind %r" % cfg["kind"])
-    if cfg["dim"] not in (1, 2):
-        raise ConfigError("dim must be 1 or 2")
-    if cfg["mms_mode"] not in ManufacturedCase.MODES:
-        raise ConfigError("unknown mms_mode %r" % cfg["mms_mode"])
-    if cfg["rho_grid"] is None:
-        raise ConfigError("rho_grid must be a non-empty list")
-    for key in _COUNT_KEYS:
-        if cfg[key] < 1:
-            raise ConfigError("key %r must be at least 1, got %r"
-                              % (key, cfg[key]))
-    # every W^1_p norm needs p > 1; refused here, before any march
-    for key, values in (("p", [cfg["p"]]), ("p_grid", cfg["p_grid"] or [])):
-        for v in values:
-            if not v > 1:
-                raise ConfigError("key %r must be greater than 1, got %r"
-                                  % (key, v))
-    return cfg
-
-
-def load_config(path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
-    return parse_config(raw)
 
 
 # -- builders -------------------------------------------------------------------
@@ -409,6 +266,134 @@ _HANDLERS = {"solve": _cmd_solve, "mms": _cmd_mms, "sweep": _cmd_sweep,
              "corollary2": _cmd_corollary2, "trace": _cmd_trace,
              "hardy": _cmd_hardy, "oscillation": _cmd_oscillation}
 COMMANDS = tuple(_HANDLERS)
+
+
+# -- config schema ---------------------------------------------------------------
+# A check takes (key, value) and gives back the value, normalized, or raises
+# a ConfigError that names the key and the value.
+
+def _is_finite_num(v):
+    """A number of the float range: False for NaN, the infinities (JSON's
+    NaN, Infinity and 1e400) and integers beyond it."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and -sys.float_info.max <= v <= sys.float_info.max
+
+
+def _rule(ok, rule, convert=None, base=None):
+    """A check: the value, after the check base if one is given, must
+    satisfy ok; it is given back through convert if one is given."""
+    def checked(key, v):
+        if base is not None:
+            v = base(key, v)
+        if not ok(v):
+            raise ConfigError("key %r must be %s, got %r" % (key, rule, v))
+        return v if convert is None else convert(v)
+    return checked
+
+
+_int = _rule(lambda v: _is_finite_num(v) and float(v) == int(v),
+             "an integer", int)
+_float = _rule(_is_finite_num, "a finite number", float)
+_bool = _rule(lambda v: isinstance(v, bool), "a boolean")
+_str = _rule(lambda v: isinstance(v, str), "a string")
+
+
+def _at_least(check, low):
+    return _rule(lambda v: v >= low, "at least %r" % low, base=check)
+
+
+def _above(check, low):
+    return _rule(lambda v: v > low, "greater than %r" % low, base=check)
+
+
+def _one_of(check, choices):
+    return _rule(lambda v: v in choices,
+                 "one of %s" % ", ".join(map(str, choices)), base=check)
+
+
+def _list(check):
+    """A non-empty list whose every entry passes check."""
+    def checked(key, v):
+        if not isinstance(v, list) or not v:
+            raise ConfigError("key %r must be a non-empty list, got %r"
+                              % (key, v))
+        return [check(key, item) for item in v]
+    return checked
+
+
+def _optional(check):
+    """None, or a value that passes check."""
+    return lambda key, v: None if v is None else check(key, v)
+
+
+# The one declaration of the config keys: key -> (default, check), checked
+# in this order, so the first error a config reports is always the same.
+# Only a key whose default is None takes null.  Every W^1_p norm needs
+# p > 1, and a count of 0 would run a check that checks nothing.
+_SCHEMA = {
+    "schema_version": (SCHEMA_VERSION, _one_of(_int, (SCHEMA_VERSION,))),
+    "command": (None, _one_of(_str, COMMANDS)),
+    "dim": (1, _one_of(_int, (1, 2))),
+    "L_d": (4.0, _float),
+    "mesh_M": (48, _at_least(_int, 2)),
+    "grading": (2.0, _float),
+    "xprime_count": (12, _int),
+    "xprime_length": (2 * np.pi, _float),
+    "time_step": (0.05, _above(_float, 0)),
+    "time_count": (20, _at_least(_int, 1)),
+    "nu": (0.5, _float),
+    "lambda": (1.0, _float),
+    "lambda_grid": (None, _optional(_list(_float))),
+    "p": (2.0, _above(_float, 1)),
+    "p_grid": (None, _optional(_list(_above(_float, 1)))),
+    "kind": ("constant", _one_of(_str, KINDS)),
+    "eps": (0.0, _float),
+    "eps_grid": (None, _optional(_list(_float))),
+    "seed": (0, _int),
+    "rho0": (1.0, _float),
+    "theta": (1.0, _float),
+    "linear_tol": (1e-10, _float),
+    "with_F": (True, _bool),
+    "with_f": (True, _bool),
+    "mms_meshes": ([16, 32, 64], _list(_int)),
+    "mms_mode": ("f_only", _one_of(_str, ManufacturedCase.MODES)),
+    "cyl_time": (None, _optional(_float)),
+    "cyl_radius": (0.5, _float),
+    "r_inner": (0.25, _float),
+    "r_outer": (0.5, _float),
+    "n_solutions": (3, _at_least(_int, 1)),
+    "duality_seeds": (5, _at_least(_int, 1)),
+    "n_fields": (50, _at_least(_int, 1)),
+    "rho_grid": ([0.25, 0.5], _list(_float)),
+    "out_dir": ("lab_out", _str),
+    "emit_plots": (True, _bool),
+    "export_matrix": (False, _bool),
+}
+
+
+def parse_config(raw):
+    """Validate a raw mapping against _SCHEMA: unknown keys are rejected by
+    name, defaults fill the gaps, every key is checked in the table's order,
+    and the result re-parses to itself."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(raw) - set(_SCHEMA))
+    if unknown:
+        raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
+    if raw.get("command") is None:
+        raise ConfigError("config needs a 'command' key")
+    return {key: check(key, raw.get(key, default))
+            for key, (default, check) in _SCHEMA.items()}
+
+def load_config(path):
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError("cannot read config %s: %s" % (path, exc))
+    except json.JSONDecodeError as exc:
+        raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
+    return parse_config(raw)
 
 
 # -- plot scripts ----------------------------------------------------------------

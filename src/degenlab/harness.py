@@ -375,7 +375,7 @@ def _sub_cylinder(base, radius):
 
 def _local_params(sol, lam, r, R, extra=None):
     params = {"lambda": lam, "p": 2.0, "mesh_M": sol.mesh.M, "dt": sol.dt,
-              "seed": getattr(sol, "seed", None), "rho0": R,
+              "seed": sol.seed, "rho0": R,
               "gamma_measured": None, "r_inner": r, "r_outer": R}
     if extra:
         params.update(extra)

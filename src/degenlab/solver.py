@@ -403,8 +403,7 @@ class Marcher:
     one coefficient field: the weighted mass and the stiffness split
     K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
     declares itself autonomous (see ``CoefficientField.autonomous``) and at
-    every time level of the mesh otherwise, and the load parts of the last
-    sources (F, f), by identity, each built on first use.  One marcher
+    every time level of the mesh otherwise, built on first use.  One marcher
     marches any number of lambdas, forward and adjoint; for an autonomous
     field at theta = 1 the adjoint at the lambda of the last one-lambda
     march on the mesh solves with its factors, transposed, instead of
@@ -416,7 +415,6 @@ class Marcher:
         self.config = config or TimeStepperConfig()
         self.mass = assemble_weighted_mass(mesh, coeffs.a0)
         self._split = None
-        self._sources = (None, None, None)
 
     def stiffness(self, lams):
         """K(lam) for each lambda of a grid, as march_system takes it: an
@@ -456,10 +454,9 @@ class Marcher:
             u0vec = np.broadcast_to(u0vec, (len(grid), u0vec.size))
         loads = None
         if F is not None or f is not None:
-            if self._sources[0] is not F or self._sources[1] is not f:
-                self._sources = (F, f, LoadAssembler(self.mesh).parts(
-                    F, f, self.mesh.time_levels))
-            loads = np.stack([LoadAssembler.combine(self._sources[2], lam)
+            parts = LoadAssembler(self.mesh).parts(F, f,
+                                                   self.mesh.time_levels)
+            loads = np.stack([LoadAssembler.combine(parts, lam)
                               for lam in grid])
         sols = march_system(self.mass, K, loads, self.mesh,
                             config=self.config, u0=u0vec,

@@ -24,6 +24,16 @@ def _write_cfg(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+def _child_env():
+    """The environment of a child process that imports the degenlab under
+    test, however pytest was launched."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(degenlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def _small_sweep(tmp_path, **extra):
     base = dict(command="sweep", dim=1, mesh_M=10, time_step=0.125,
                 time_count=8, kind="xd_only", eps=0.2, seed=1,
@@ -39,6 +49,11 @@ def test_parse_config_fills_defaults_and_roundtrips():
     assert cfg["schema_version"] == 1
     again = parse_config(cfg)
     assert again == cfg
+    # null is taken only where the default is None, and re-parses to itself
+    nulls = dict.fromkeys(("lambda_grid", "p_grid", "eps_grid", "cyl_time"))
+    cfg = parse_config(dict(nulls, command="sweep"))
+    assert {key: cfg[key] for key in nulls} == nulls
+    assert parse_config(cfg) == cfg
 
 
 def test_parse_config_rejects_unknown_key_by_name():
@@ -123,16 +138,60 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, literal", [("mesh_M", "Infinity"),
                                           ("mesh_M", "NaN"),
-                                          ("linear_tol", "Infinity")])
+                                          ("linear_tol", "Infinity"),
+                                          ("mms_meshes", "null"),
+                                          ("rho_grid", "null")])
 def test_non_finite_config_numbers_exit_two_naming_the_key(
         tmp_path, capsys, key, literal):
+    # null too: a key whose default is not None does not take it
     path = tmp_path / "cfg.json"
-    path.write_text('{"command": "solve", "out_dir": %s, "%s": %s}'
+    path.write_text('{"command": "mms", "out_dir": %s, "%s": %s}'
                     % (json.dumps(str(tmp_path / "out")), key, literal))
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and repr(key) in err
+    assert "config error: key %r" % key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("time_step", -1, "greater than 0, got -1.0"),
+    ("time_count", 0, "at least 1, got 0"),
+    ("mesh_M", 1, "at least 2, got 1")],
+    ids=["time_step", "time_count", "mesh_M"])
+def test_grid_ranges_are_config_errors(tmp_path, capsys, key, value, rule):
+    path = _write_cfg(tmp_path, command="solve", **{key: value})
+    assert main(["run", path]) == 2
+    assert "config error: key %r must be %s" % (key, rule) \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_first_config_error_does_not_depend_on_the_hash_seed():
+    # the keys are checked in the schema's order, not in a set's
+    script = ("from degenlab.cli import parse_config\n"
+              "try:\n"
+              "    parse_config({'command': 'solve', 'time_count': 'x',\n"
+              "                  'seed': 'y', 'mesh_M': 'z', 'nu': 'w'})\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    out = []
+    for seed in ("1", "4"):
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=dict(_child_env(), PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out == ["key 'mesh_M' must be an integer, got 'z'\n"] * 2
+
+
+def test_readme_names_every_config_key():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    missing = [key for key in degenlab.cli._SCHEMA
+               if "`%s`" % key not in section]
+    assert missing == []
 
 
 @pytest.mark.parametrize("command", degenlab.cli.COMMANDS)
@@ -343,13 +402,8 @@ def test_duality_and_hardy_commands(tmp_path):
 
 def test_console_entry_point_runs(tmp_path):
     path = _small_sweep(tmp_path, lambda_grid=[2.0])
-    # The child imports the degenlab under test, however pytest was launched.
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(degenlab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "degenlab", "run", path],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "1 report(s), 0 failed" in proc.stdout
 
