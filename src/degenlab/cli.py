@@ -334,9 +334,9 @@ _SCHEMA = {
     "schema_version": (SCHEMA_VERSION, _one_of(_int, (SCHEMA_VERSION,))),
     "command": (None, _one_of(_str, COMMANDS)),
     "dim": (1, _one_of(_int, (1, 2))),
-    "L_d": (4.0, _float),
+    "L_d": (4.0, _above(_float, 0)),
     "mesh_M": (48, _at_least(_int, 2)),
-    "grading": (2.0, _float),
+    "grading": (2.0, _at_least(_float, 1)),
     "xprime_count": (12, _int),
     "xprime_length": (2 * np.pi, _float),
     "time_step": (0.05, _above(_float, 0)),

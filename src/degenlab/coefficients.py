@@ -34,7 +34,7 @@ class CoefficientField:
     families are autonomous, and every other kind, ``"user"`` included, is
     taken to depend on t (see ``autonomous``)."""
 
-    def __init__(self, dim, nu, a, c0, a0, kind="user", div_a=None):
+    def __init__(self, dim, nu, a, c0, a0, kind="user"):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         if not 0 < nu < 1:
@@ -47,7 +47,6 @@ class CoefficientField:
         self.c0 = c0
         self.a0 = a0
         self.kind = kind
-        self.div_a = div_a          # optional: (t,xp,xd) -> tuple of dim arrays
 
     @property
     def autonomous(self):
@@ -303,11 +302,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
         def a0(xd):
             return a0c + 0.0 * np.asarray(xd, float)
 
-        def div_a(t, xp, xd):
-            z = 0.0 * np.asarray(xd, float)
-            return tuple(z for _ in range(dim))
-
-        return CoefficientField(dim, nu, a, c0, a0, kind=kind, div_a=div_a)
+        return CoefficientField(dim, nu, a, c0, a0, kind=kind)
 
     if kind == "xd_only":
         w = rng.uniform(0.5, 1.5, size=6)
@@ -330,9 +325,6 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
 
         if dim == 1:
             a = ((_const(consts[0]),),)
-
-            def div_a(t, xp, xd):
-                return (0.0 * np.asarray(xd, float),)
         else:
             def a00(t, xp, xd):
                 return 1.0 + amp * s_00(xd) + 0.0 * np.asarray(xp, float)
@@ -343,13 +335,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
             a = ((a00, _const(eps * 0.25)),
                  (a10, _const(consts[1])))
 
-            def div_a(t, xp, xd):
-                xd = np.asarray(xd, float)
-                # (div a)_j = sum_i d_i a_ij; only d/dx_d of the a_d* row acts
-                d0 = amp * w[3] * np.cos(w[3] * xd + ph[3])
-                return (d0, 0.0 * xd)
-
-        return CoefficientField(dim, nu, a, c0, a0, kind=kind, div_a=div_a)
+        return CoefficientField(dim, nu, a, c0, a0, kind=kind)
 
     # oscillatory: full (t, x', x_d) dependence
     A = rng.uniform(-1.0, 1.0, size=(dim, dim)) / dim
@@ -374,38 +360,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
             return (1.0 if i == j else 0.0) + eps * A[i, j] * osc
         return closure
 
-    def entry_partial(i, j, axis):
-        """d a_ij / d x_axis (axis: 0 = x' when dim=2, dim-1 = x_d)."""
-        def closure(t, xp, xd):
-            t = np.asarray(t, float)
-            xd = np.asarray(xd, float)
-            ft = np.sin(om_t[i, j] * t + ph_t[i, j])
-            fd = np.cos(om_d[i, j] * xd + ph_d[i, j])
-            if dim == 2:
-                xp = np.asarray(xp, float)
-                fp = np.cos(kp[i, j] * twopi * xp + ph_p[i, j])
-                if axis == 0:
-                    dfp = -kp[i, j] * twopi * np.sin(kp[i, j] * twopi * xp
-                                                     + ph_p[i, j])
-                    return eps * A[i, j] * ft * fd * dfp
-                dfd = -om_d[i, j] * np.sin(om_d[i, j] * xd + ph_d[i, j])
-                return eps * A[i, j] * ft * dfd * fp
-            dfd = -om_d[i, j] * np.sin(om_d[i, j] * xd + ph_d[i, j])
-            return eps * A[i, j] * ft * dfd
-        return closure
-
     a = tuple(tuple(entry(i, j) for j in range(dim)) for i in range(dim))
-    partials = [[[entry_partial(i, j, ax) for ax in range(dim)]
-                 for j in range(dim)] for i in range(dim)]
-
-    def div_a(t, xp, xd):
-        out = []
-        for j in range(dim):
-            acc = 0.0
-            for i in range(dim):
-                acc = acc + partials[i][j][i](t, xp, xd)
-            out.append(acc + 0.0 * np.asarray(xd, float))
-        return tuple(out)
 
     def c0(t, xp, xd):
         t = np.asarray(t, float)
@@ -417,8 +372,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
     def a0(xd):
         return 1.0 + eps * cc * np.sin(om_c[2] * np.asarray(xd, float))
 
-    return CoefficientField(dim, nu, a, c0, a0, kind="oscillatory",
-                            div_a=div_a)
+    return CoefficientField(dim, nu, a, c0, a0, kind="oscillatory")
 
 
 def identity_coefficients(dim, nu=0.5):

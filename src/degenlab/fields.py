@@ -26,12 +26,6 @@ class DiscreteField:
         """Nodal samples of func(t, xprime, xd); func must broadcast."""
         return cls(mesh, sample_nodes(mesh, func, t))
 
-    def interior_vector(self):
-        return self.values[1:self.mesh.M, :].ravel()
-
-    def has_zero_trace(self):
-        return not (self.values[0].any() or self.values[self.mesh.M].any())
-
 
 def node_grid(mesh):
     """Meshgrid of nodal coordinates: (xprime, xd) arrays of shape (M+1, nprime)."""

@@ -1,11 +1,14 @@
 """Manufactured solutions: given analytic u (with hand-written derivative
-closures) and a coefficient field, synthesize sources (F, f) so u solves
+closures) and a coefficient field that is constant in space and time,
+synthesize sources (F, f) so u solves
 
     u_t + lambda c0 u - x_d D_i(a_ij D_j u - F_i) = sqrt(lambda) f
 
-exactly.  Derivative closures are author-supplied and cross-validated against
-finite differences at construction (step 1e-6, relative tolerance 1e-7), so a
-wrong closure fails loudly instead of polluting a convergence study.
+exactly.  With constant a_ij the divergence is a_ij D_i D_j u, so the
+second-derivative closures are all the residual needs.  Derivative closures
+are author-supplied and cross-validated against finite differences at
+construction (step 1e-6, relative tolerance 1e-7), so a wrong closure fails
+loudly instead of polluting a convergence study.
 """
 
 import numpy as np
@@ -39,14 +42,17 @@ def _check_close(fd, closure_vals, what, tol=1e-7):
 
 class ManufacturedCase:
     """Analytic solution with closures, each of which broadcasts numpy
-    arrays, t included:
+    arrays, t included, on a coefficient field of kind ``"constant"``: the
+    residual has no (D_i a_ij) D_j u term and f_t no t-derivative of the
+    coefficients, so a field of any other kind is refused.
 
     u, u_t: (t, xp, xd) -> values
     du: tuple of dim first-partial closures, ordered (x', x_d) in dim 2
     d2u: dict {(i,j): closure} for i <= j (symmetric completion implied)
     F_d_antiderivative: optional closure with d/dx_d F_d = -residual/x_d
         (required by mode F_only/mixed)
-    u_tt, du_t, d2u_t: optional time-derivative closures enabling f_t
+    u_tt, d2u_t: optional time-derivative closures (d2u_t a dict like
+        d2u) enabling f_t
 
     The mixed mode puts half of the residual in f and half in F_d.  Every
     closure is cross-checked at construction.
@@ -56,7 +62,7 @@ class ManufacturedCase:
 
     def __init__(self, dim, coeffs, lam, u, u_t, du, d2u,
                  mode="f_only", F_d_antiderivative=None,
-                 u_tt=None, du_t=None, d2u_t=None,
+                 u_tt=None, d2u_t=None,
                  Ld=4.0, T=1.0, xp_length=2 * np.pi):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
@@ -64,12 +70,15 @@ class ManufacturedCase:
             raise ValueError("mode must be one of %s" % (self.MODES,))
         if lam < 0:
             raise ValueError("lambda must be >= 0")
-        if mode == "f_only" and lam == 0:
-            raise ValueError("f_only mode needs lambda > 0 (division by "
-                             "sqrt(lambda))")
+        if mode in ("f_only", "mixed") and lam == 0:
+            raise ValueError("%s mode needs lambda > 0 (division by "
+                             "sqrt(lambda))" % mode)
         if mode in ("F_only", "mixed") and F_d_antiderivative is None:
             raise ValueError("mode %s requires an F_d antiderivative closure"
                              % mode)
+        if coeffs.kind != "constant":
+            raise ValueError("a manufactured case needs coefficients of "
+                             "kind 'constant', got kind %r" % (coeffs.kind,))
         if len(du) != dim:
             raise ValueError("du must supply %d components" % dim)
         need = {(i, j) for i in range(dim) for j in range(i, dim)}
@@ -86,7 +95,6 @@ class ManufacturedCase:
         self.mode = mode
         self.F_d_antiderivative = F_d_antiderivative
         self.u_tt = u_tt
-        self.du_t = du_t
         self.d2u_t = d2u_t
         self.Ld = float(Ld)
         self.T = float(T)
@@ -97,33 +105,22 @@ class ManufacturedCase:
 
     def residual(self, t, xp, xd):
         """u_t + lambda c0 u - x_d * div(a Du), vectorized."""
-        return self._strong_form(self.u, self.u_t, self.du, self.d2u,
-                                 t, xp, xd)
+        return self._strong_form(self.u, self.u_t, self.d2u, t, xp, xd)
 
     def residual_t(self, t, xp, xd):
-        """Time derivative of the residual; needs the *_t closures and
-        autonomous coefficients (the t-derivatives of a_ij and c0 are not
-        taken)."""
-        if self.u_tt is None or self.du_t is None or self.d2u_t is None:
-            raise ClosureError("f_t needs u_tt, du_t and d2u_t closures")
-        c = self.coeffs
-        if not c.autonomous:
-            raise ClosureError("f_t needs autonomous coefficients, got kind "
-                               "%r" % c.kind)
-        return self._strong_form(self.u_t, self.u_tt, self.du_t, self.d2u_t,
-                                 t, xp, xd)
+        """Time derivative of the residual; needs the *_t closures."""
+        if self.u_tt is None or self.d2u_t is None:
+            raise ClosureError("f_t needs u_tt and d2u_t closures")
+        return self._strong_form(self.u_t, self.u_tt, self.d2u_t, t, xp, xd)
 
-    def _strong_form(self, v, v_t, dv, d2v, t, xp, xd):
-        """v_t + lambda c0 v - x_d * div(a Dv) for the closures of v: u
-        itself, or u_t with the coefficients frozen in time."""
+    def _strong_form(self, v, v_t, d2v, t, xp, xd):
+        """v_t + lambda c0 v - x_d * a_ij D_i D_j v for the closures of v:
+        u itself, or u_t (the coefficients are constant)."""
         c = self.coeffs
         acc = v_t(t, xp, xd) + self.lam * c.c0(t, xp, xd) * v(t, xp, xd)
         dive = np.zeros(np.broadcast(np.asarray(t), np.asarray(xp),
                                      np.asarray(xd)).shape)
-        diva = c.div_a(t, xp, xd) if c.div_a is not None else None
         for j in range(self.dim):
-            if diva is not None:
-                dive = dive + diva[j] * dv[j](t, xp, xd)
             for i in range(self.dim):
                 key = (min(i, j), max(i, j))
                 dive = dive + c.a[i][j](t, xp, xd) * d2v[key](t, xp, xd)
@@ -174,12 +171,9 @@ class ManufacturedCase:
             fd = _fd_partial(self.F_d_antiderivative, (t, xp, xd), 2)
             target = -self.residual(t, xp, xd) / xd
             _check_close(fd, target, "F_d antiderivative", tol=3e-6)
-        if self.u_tt is not None and self.du_t is not None:
+        if self.u_tt is not None:
             _check_close(_fd_partial(self.u_t, pts, 0), self.u_tt(*pts),
                          "u_tt")
-            for comp, ax in enumerate(axes):
-                _check_close(_fd_partial(self.du[comp], pts, 0),
-                             self.du_t[comp](*pts), "du_t[%d]" % comp)
         if self.d2u_t is not None:
             for key, closure in self.d2u_t.items():
                 _check_close(_fd_partial(self.d2u[key], pts, 0),
@@ -202,9 +196,6 @@ class ManufacturedCase:
             F = [None] * self.dim
             F[self.dim - 1] = self.F_d_antiderivative
             return tuple(F), None
-        if lam == 0:
-            raise ValueError("mixed mode needs lambda > 0 (half the residual "
-                             "goes to f)")
 
         def f_part(t, xp, xd):
             return 0.5 / np.sqrt(lam) * self.residual(t, xp, xd)
@@ -230,13 +221,12 @@ class ManufacturedCase:
 
 # -- default family -------------------------------------------------------------
 
-def default_case(dim, lam=1.0, Ld=4.0, T=1.0, mode="f_only", amplitude=1.0):
-    """u = A sin(t) g(x_d) [cos(x')] with g = x e^{-x} - x^2 e^{-Ld}/Ld,
+def default_case(dim, lam=1.0, Ld=4.0, T=1.0, mode="f_only"):
+    """u = sin(t) g(x_d) [cos(x')] with g = x e^{-x} - x^2 e^{-Ld}/Ld,
     for identity coefficients:
     vanishing linearly at x_d = 0, exactly zero at the truncation boundary,
     and with elementary antiderivatives for the F_only mode."""
     c = np.exp(-Ld) / Ld
-    A = float(amplitude)
 
     def g(x):
         return x * np.exp(-x) - c * x ** 2
@@ -257,44 +247,40 @@ def default_case(dim, lam=1.0, Ld=4.0, T=1.0, mode="f_only", amplitude=1.0):
     lamf = float(lam)
 
     if dim == 1:
-        u = lambda t, xp, xd: A * np.sin(t) * g(xd)
-        u_t = lambda t, xp, xd: A * np.cos(t) * g(xd)
-        u_tt = lambda t, xp, xd: -A * np.sin(t) * g(xd)
-        du = (lambda t, xp, xd: A * np.sin(t) * gp(xd),)
-        du_t = (lambda t, xp, xd: A * np.cos(t) * gp(xd),)
-        d2u = {(0, 0): lambda t, xp, xd: A * np.sin(t) * gpp(xd)}
-        d2u_t = {(0, 0): lambda t, xp, xd: A * np.cos(t) * gpp(xd)}
+        u = lambda t, xp, xd: np.sin(t) * g(xd)
+        u_t = lambda t, xp, xd: np.cos(t) * g(xd)
+        u_tt = lambda t, xp, xd: -np.sin(t) * g(xd)
+        du = (lambda t, xp, xd: np.sin(t) * gp(xd),)
+        d2u = {(0, 0): lambda t, xp, xd: np.sin(t) * gpp(xd)}
+        d2u_t = {(0, 0): lambda t, xp, xd: np.cos(t) * gpp(xd)}
 
         def Fd_anti(t, xp, xd):
             # d/dx Fd = -residual/x for a = I, c0 = 1
-            return A * (-(np.cos(t) + lamf * np.sin(t)) * g_over_x_anti(xd)
-                        + np.sin(t) * gp(xd))
+            return (-(np.cos(t) + lamf * np.sin(t)) * g_over_x_anti(xd)
+                    + np.sin(t) * gp(xd))
     else:
-        u = lambda t, xp, xd: A * np.sin(t) * np.cos(xp) * g(xd)
-        u_t = lambda t, xp, xd: A * np.cos(t) * np.cos(xp) * g(xd)
-        u_tt = lambda t, xp, xd: -A * np.sin(t) * np.cos(xp) * g(xd)
-        du = (lambda t, xp, xd: -A * np.sin(t) * np.sin(xp) * g(xd),
-              lambda t, xp, xd: A * np.sin(t) * np.cos(xp) * gp(xd))
-        du_t = (lambda t, xp, xd: -A * np.cos(t) * np.sin(xp) * g(xd),
-                lambda t, xp, xd: A * np.cos(t) * np.cos(xp) * gp(xd))
-        d2u = {(0, 0): lambda t, xp, xd: -A * np.sin(t) * np.cos(xp) * g(xd),
-               (0, 1): lambda t, xp, xd: -A * np.sin(t) * np.sin(xp) * gp(xd),
-               (1, 1): lambda t, xp, xd: A * np.sin(t) * np.cos(xp) * gpp(xd)}
+        u = lambda t, xp, xd: np.sin(t) * np.cos(xp) * g(xd)
+        u_t = lambda t, xp, xd: np.cos(t) * np.cos(xp) * g(xd)
+        u_tt = lambda t, xp, xd: -np.sin(t) * np.cos(xp) * g(xd)
+        du = (lambda t, xp, xd: -np.sin(t) * np.sin(xp) * g(xd),
+              lambda t, xp, xd: np.sin(t) * np.cos(xp) * gp(xd))
+        d2u = {(0, 0): lambda t, xp, xd: -np.sin(t) * np.cos(xp) * g(xd),
+               (0, 1): lambda t, xp, xd: -np.sin(t) * np.sin(xp) * gp(xd),
+               (1, 1): lambda t, xp, xd: np.sin(t) * np.cos(xp) * gpp(xd)}
         d2u_t = {
-            (0, 0): lambda t, xp, xd: -A * np.cos(t) * np.cos(xp) * g(xd),
-            (0, 1): lambda t, xp, xd: -A * np.cos(t) * np.sin(xp) * gp(xd),
-            (1, 1): lambda t, xp, xd: A * np.cos(t) * np.cos(xp) * gpp(xd)}
+            (0, 0): lambda t, xp, xd: -np.cos(t) * np.cos(xp) * g(xd),
+            (0, 1): lambda t, xp, xd: -np.cos(t) * np.sin(xp) * gp(xd),
+            (1, 1): lambda t, xp, xd: np.cos(t) * np.cos(xp) * gpp(xd)}
 
         def Fd_anti(t, xp, xd):
             # includes the tangential Laplacian contribution
-            return A * np.cos(xp) * (
+            return np.cos(xp) * (
                 -(np.cos(t) + lamf * np.sin(t)) * g_over_x_anti(xd)
                 + np.sin(t) * (gp(xd) - g_anti(xd)))
 
     return ManufacturedCase(
         dim, identity_coefficients(dim), lamf, u, u_t, du, d2u, mode=mode,
-        F_d_antiderivative=Fd_anti, u_tt=u_tt, du_t=du_t, d2u_t=d2u_t, Ld=Ld,
-        T=T)
+        F_d_antiderivative=Fd_anti, u_tt=u_tt, d2u_t=d2u_t, Ld=Ld, T=T)
 
 
 # -- convergence machinery ---------------------------------------------------------

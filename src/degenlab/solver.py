@@ -1,9 +1,11 @@
 """Time marching for the discrete system
 
-    M du/dt + K(t) u = b(t),   u(0) = u0,
+    M du/dt + K(t) u = b(t),   u(0) = 0,
 
-on the mesh's time grid with the theta-scheme (implicit Euler by default),
-plus the backward adjoint march used by the duality identity.  The forward
+marched from rest on the mesh's time grid with the theta-scheme (implicit
+Euler by default), plus the backward adjoint march used by the duality
+identity.  The problem is posed on (-inf, T) with no initial condition,
+so every march starts from zero.  The forward
 march takes a batch of k systems on one mesh and mass, each with its own
 stiffness stack and loads.  A stiffness stack has one form: an (L, nnz)
 array of entry data on the mesh's interior pattern, one level (L = 1) when
@@ -306,27 +308,27 @@ def _block_diagonal(data, indices, indptr):
         shape=(k * n, k * n))
 
 
-def march_system(mass, stiffness, loads, mesh, config=None, u0=None,
-                 names=None):
+def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     """Core theta-scheme for a batch of k systems that share the mesh and
-    the mass, on the mesh's time grid t_n = n dt, n = 0..N.
+    the mass, marched from rest (u^0 = 0) on the mesh's time grid
+    t_n = n dt, n = 0..N.
 
     mass: the weighted mass (SparseOperator, SPD) of assemble_weighted_mass.
     stiffness: an array (k, L, nnz) whose [i, n] is the data of K_i(t_n) on
     ``interior_pattern(mesh)`` (see ``stiffness_levels``): L = 1 for
     autonomous coefficients, factored once, or L = N+1, refactored every
     step.  loads: None or an array (k, N+1, n_interior) whose [i, n] is the
-    load b_i^n; u0: None or an array (k, n_interior).  names: k prefixes of
-    the failures of the k systems ("system i: " when omitted).  Each step
-    solves (M + theta dt K_i^{n+1}) u_i^{n+1} = (M - (1-theta) dt K_i^n)
-    u_i^n + dt b_i^theta for every i: the k systems of a level are the
-    blocks of one band, so a step makes at most one dgbtrf, one dgbtrs and
-    one product with the block-diagonal mass, and every solution is
-    bitwise that of its system marched alone.  Every solve is checked
-    after the last step, one system at a time.  Returns k solutions, each
-    keeping its load rows as ``loads``.  A one-level march whose systems
-    the mesh's band LU of k blocks holds the factors of, bitwise, solves
-    with them without factoring.
+    load b_i^n.  names: k prefixes of the failures of the k systems
+    ("system i: " when omitted).  Each step solves (M + theta dt
+    K_i^{n+1}) u_i^{n+1} = (M - (1-theta) dt K_i^n) u_i^n + dt b_i^theta
+    for every i: the k systems of a level are the blocks of one band, so
+    a step makes at most one dgbtrf, one dgbtrs and one product with the
+    block-diagonal mass, and every solution is bitwise that of its system
+    marched alone.  Every solve is checked after the last step, one
+    system at a time.  Returns k solutions, each keeping its load rows as
+    ``loads``.  A one-level march whose systems the mesh's band LU of k
+    blocks holds the factors of, bitwise, solves with them without
+    factoring.
     """
     config = config or TimeStepperConfig()
     dt, N = mesh.time_step, mesh.time_count
@@ -349,12 +351,6 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None,
         rhs += (1 - theta) * b[:-1]
         rhs *= dt
     U = np.zeros((N + 1, k, n_int))     # [n, i]: u_i^n
-    if u0 is not None:
-        u0 = np.asarray(u0, float)
-        if u0.shape != (k, n_int):
-            raise ValueError("u0 must have shape (k, n_interior) = %s, got %s"
-                             % ((k, n_int), u0.shape))
-        U[0] = u0
     Mmat = mass.matrix
     pattern = Mmat.indices, Mmat.indptr     # interior, as _systems checked
     Mb = Mmat if k == 1 else _block_diagonal(
@@ -376,16 +372,6 @@ def march_system(mass, stiffness, loads, mesh, config=None, u0=None,
     for i in range(k):
         lu.check(A[1:, i] if stacked else A[:, i], U[1:, i], rhs[:, i],
                  config.linear_tol, levels=levels, name=names[i])
-
-    if loads is None:
-        # pure decay: the weighted mass norm must not grow
-        for i in range(k):
-            energy = np.einsum("ij,ji->i", U[:, i], Mmat @ U[:, i].T)
-            grew = energy[1:] > energy[:-1] * (1 + 1e-10) + 1e-14
-            if grew.any():
-                raise SolverError("%ssource-free march gained weighted "
-                                  "energy at level %d"
-                                  % (names[i], np.argmax(grew) + 1))
 
     nodes = np.zeros((k, N + 1, mesh.M + 1, mesh.xprime_count))
     nodes[:, :, 1:-1, :] = U.transpose(1, 0, 2).reshape(
@@ -436,7 +422,7 @@ class Marcher:
         K[lams == 0] = D
         return K
 
-    def march(self, lams, F=None, f=None, u0=None):
+    def march(self, lams, F=None, f=None):
         """Forward marches at every lambda of the grid ``lams``, one
         solution per lambda, in order, as one batch of march_system; see
         ``march``."""
@@ -445,13 +431,6 @@ class Marcher:
         if not len(K):
             return []
         grid = lams.tolist()
-        u0vec = None
-        if u0 is not None:
-            if not u0.has_zero_trace():
-                raise ValueError("initial field must vanish on both "
-                                 "boundaries")
-            u0vec = u0.interior_vector()
-            u0vec = np.broadcast_to(u0vec, (len(grid), u0vec.size))
         loads = None
         if F is not None or f is not None:
             parts = LoadAssembler(self.mesh).parts(F, f,
@@ -459,7 +438,7 @@ class Marcher:
             loads = np.stack([LoadAssembler.combine(parts, lam)
                               for lam in grid])
         sols = march_system(self.mass, K, loads, self.mesh,
-                            config=self.config, u0=u0vec,
+                            config=self.config,
                             names=["lambda %r: " % lam for lam in grid])
         for lam, sol in zip(grid, sols):
             sol.lam = lam
@@ -472,15 +451,15 @@ class Marcher:
                                     dual_loads, self.mesh, config=self.config)
 
 
-def march(mesh, coeffs, lam, F=None, f=None, config=None, u0=None):
-    """Assemble-and-march convenience wrapper for one lambda.
+def march(mesh, coeffs, lam, F=None, f=None, config=None):
+    """Assemble-and-march convenience wrapper for one lambda, from rest.
 
     F: None, a callable (dim=1) or tuple of per-direction callables
-    (t, xp, xd) -> values; f likewise scalar-valued.  u0 is a DiscreteField
-    (zeros when omitted).  Returns a SpaceTimeSolution.  To march a lambda
-    grid on one field, use one ``Marcher``.
+    (t, xp, xd) -> values; f likewise scalar-valued.  Returns a
+    SpaceTimeSolution.  To march a lambda grid on one field, use one
+    ``Marcher``.
     """
-    return Marcher(mesh, coeffs, config).march([lam], F=F, f=f, u0=u0)[0]
+    return Marcher(mesh, coeffs, config).march([lam], F=F, f=f)[0]
 
 
 def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):

@@ -74,27 +74,46 @@ def test_every_name_the_workloads_use_resolves():
         _resolve(module, name)
 
 
+def _public_members(cls):
+    """The public methods and properties that cls defines itself."""
+    return [name for name, member in vars(cls).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(member)
+                 or isinstance(member, (property, classmethod, staticmethod)))]
+
+
 def test_every_exported_function_and_class_has_a_program_user():
     """Each function or class in ``degenlab.__all__`` is read somewhere in
     the package outside ``__init__.py``, by the benchmark (its workloads or
     TRACED), or by the acceptance tests; one that only its own unit tests
-    use goes."""
+    use goes.  The same holds one level down: each public method or
+    property that an exported class defines is read as an attribute (or
+    listed in TRACED) by those same files."""
     users = [p for p in sorted((ROOT / "src" / "degenlab").glob("*.py"))
              if p.name != "__init__.py"]
     users += sorted(BENCH.glob("*.py")) + [ROOT / "tests" /
                                            "test_acceptance.py"]
     used = {part for _, qualname in _traced() for part in qualname.split(".")}
+    attrs = set(used)
     for path in users:
         tree = ast.parse(path.read_text())
         used.update(name for _, name in _package_names(tree))
         used.update(node.id for node in ast.walk(tree)
                     if isinstance(node, ast.Name)
                     and isinstance(node.ctx, ast.Load))
+        attrs.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load))
     exported = [name for name in degenlab.__all__
                 if inspect.isfunction(getattr(degenlab, name))
                 or inspect.isclass(getattr(degenlab, name))]
     assert len(exported) > 40
     assert sorted(set(exported) - used) == []
+    members = [(cls, name) for cls in exported
+               if inspect.isclass(getattr(degenlab, cls))
+               for name in _public_members(getattr(degenlab, cls))]
+    assert len(members) > 40
+    assert ["%s.%s" % m for m in members if m[1] not in attrs] == []
 
 
 def test_no_unused_imports():

@@ -156,8 +156,10 @@ def test_non_finite_config_numbers_exit_two_naming_the_key(
 @pytest.mark.parametrize("key, value, rule", [
     ("time_step", -1, "greater than 0, got -1.0"),
     ("time_count", 0, "at least 1, got 0"),
-    ("mesh_M", 1, "at least 2, got 1")],
-    ids=["time_step", "time_count", "mesh_M"])
+    ("mesh_M", 1, "at least 2, got 1"),
+    ("L_d", -1, "greater than 0, got -1.0"),
+    ("grading", 0.5, "at least 1, got 0.5")],
+    ids=["time_step", "time_count", "mesh_M", "L_d", "grading"])
 def test_grid_ranges_are_config_errors(tmp_path, capsys, key, value, rule):
     path = _write_cfg(tmp_path, command="solve", **{key: value})
     assert main(["run", path]) == 2

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from degenlab import (ClosureError, ManufacturedCase, StudyTable, build_mesh,
-                      convergence_study, default_case, generate_family,
-                      identity_coefficients)
+from degenlab import (ClosureError, CoefficientField, ManufacturedCase,
+                      StudyTable, build_mesh, convergence_study, default_case,
+                      generate_family, identity_coefficients)
 from degenlab.mms import StudyRow
 
 
@@ -26,27 +26,6 @@ def test_synthesized_source_matches_hand_formula():
         got = float(f(t, 0.0, x))
         assert abs(got - expect) < 1e-13 * max(1.0, abs(expect))
     assert abs(float(f(0.5, 0.0, 1.0)) - 0.6737630558352162) < 1e-15
-
-
-def test_zero_amplitude_case_is_silent():
-    case = default_case(1, lam=2.0, amplitude=0.0)
-    F, f = case.synthesize_sources()
-    pts = (np.array([0.3, 0.7]), 0.0, np.array([1.2, 2.5]))
-    assert np.all(np.asarray(f(*pts)) == 0.0)
-    assert np.all(case.residual(*pts) == 0.0)
-
-
-def test_source_linearity_in_amplitude():
-    c1 = default_case(1, lam=3.0, amplitude=1.0)
-    c2 = default_case(1, lam=3.0, amplitude=2.0)
-    _, f1 = c1.synthesize_sources()
-    _, f2 = c2.synthesize_sources()
-    rng = np.random.default_rng(1)
-    t = rng.uniform(0.1, 1.0, 40)
-    x = rng.uniform(0.05, 3.8, 40)
-    a = np.asarray(f1(t, 0.0, x))
-    b = np.asarray(f2(t, 0.0, x))
-    assert np.max(np.abs(b - 2 * a)) < 1e-12 * max(1.0, np.max(np.abs(b)))
 
 
 def test_closure_cross_checks_catch_mistakes():
@@ -83,6 +62,8 @@ def test_trace_and_truncation_admissibility():
 def test_mode_validation():
     with pytest.raises(ValueError):
         default_case(1, lam=0.0)                  # f_only needs lambda > 0
+    with pytest.raises(ValueError, match="mixed mode needs lambda > 0"):
+        default_case(1, lam=0.0, mode="mixed")    # so does mixed
     case = default_case(1, lam=0.0, mode="F_only")
     F, f = case.synthesize_sources()
     assert f is None and F[-1] is not None
@@ -128,17 +109,29 @@ def test_time_error_saturates_with_small_dt():
 
 
 def test_f_t_refuses_time_dependent_coefficients():
-    # f_t drops the t-derivatives of a and c0, so it is only the time
-    # derivative of f when the coefficients are autonomous
+    # f_t drops the t-derivatives of a and c0, and the residual the
+    # x-derivatives of a, so a case is built on constant coefficients only
     auto = default_case(1, lam=1.0)
     assert np.isfinite(auto.synthesize_f_t()(0.5, 0.0, 1.0))
-    case = ManufacturedCase(
-        1, generate_family(0, "oscillatory", 0.5, 0.2, dim=1),
-        1.0, auto.u, auto.u_t, auto.du, auto.d2u, u_tt=auto.u_tt,
-        du_t=auto.du_t, d2u_t=auto.d2u_t)
-    f_t = case.synthesize_f_t()
-    with pytest.raises(ClosureError, match="kind 'oscillatory'"):
-        f_t(0.5, 0.0, 1.0)
+    for kind in ("xd_only", "oscillatory"):
+        with pytest.raises(ValueError, match="got kind %r" % kind):
+            ManufacturedCase(
+                1, generate_family(0, kind, 0.5, 0.2, dim=1),
+                1.0, auto.u, auto.u_t, auto.du, auto.d2u, u_tt=auto.u_tt,
+                d2u_t=auto.d2u_t)
+
+
+def test_a_case_refuses_a_user_field_with_x_dependent_a():
+    # the strong form has no (D_i a_ij) D_j u term: with a11 = 1 + 0.2 sin
+    # x_d its residual would be wrong, so the field is refused by its kind
+    auto = default_case(1, lam=1.0)
+    const = identity_coefficients(1)
+    coeffs = CoefficientField(
+        1, 0.5, ((lambda t, xp, xd: 1.0 + 0.2 * np.sin(xd),),), const.c0,
+        const.a0)
+    with pytest.raises(ValueError, match="got kind 'user'"):
+        ManufacturedCase(1, coeffs, 1.0, auto.u, auto.u_t, auto.du,
+                         auto.d2u)
 
 
 def test_study_table_bookkeeping():

@@ -11,9 +11,9 @@ from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 import degenlab.assembly
 import degenlab.solver
-from degenlab import (CoefficientField, DiscreteField, LoadAssembler,
-                      Marcher, SolverError, SpaceTimeSolution,
-                      TimeStepperConfig, adjoint_march, adjoint_march_system,
+from degenlab import (CoefficientField, LoadAssembler, Marcher,
+                      SolverError, SpaceTimeSolution, TimeStepperConfig,
+                      adjoint_march, adjoint_march_system,
                       assemble_stiffness, assemble_weighted_mass, build_mesh,
                       generate_family, identity_coefficients,
                       interior_pattern, linear_solve, march, march_system,
@@ -363,7 +363,8 @@ def test_a_batch_march_is_bitwise_one_march_per_system(dim, kind, theta,
                                                        loaded):
     # the k systems of a level are the blocks of one band: factors and
     # solves of each block are bitwise those of its system alone, with
-    # one level (xd_only) or N+1 (oscillatory), lambda = 0 included
+    # one level (xd_only) or N+1 (oscillatory), lambda = 0 included;
+    # without loads every march from rest stays exactly at rest
     m = _grid_mesh(dim)
     cfg = TimeStepperConfig(theta=theta)
     marcher = Marcher(m, generate_family(2, kind, 0.5, 0.2, dim=dim,
@@ -373,15 +374,14 @@ def test_a_batch_march_is_bitwise_one_march_per_system(dim, kind, theta,
     rng = np.random.default_rng(5)
     loads = rng.standard_normal((4, m.time_count + 1, m.n_interior)) \
         if loaded else None
-    u0 = rng.standard_normal((4, m.n_interior))
-    batch = march_system(marcher.mass, K, loads, m, config=cfg, u0=u0)
+    batch = march_system(marcher.mass, K, loads, m, config=cfg)
     assert len(batch) == 4
     for i, sol in enumerate(batch):
         one, = march_system(marcher.mass, K[i:i + 1],
                             None if loads is None else loads[i:i + 1], m,
-                            config=cfg, u0=u0[i:i + 1])
+                            config=cfg)
         assert sol.levels.tobytes() == one.levels.tobytes()
-        assert np.abs(one.levels[-1]).max() > 0
+        assert (one.max_abs() > 0) == loaded
         assert (sol.loads is None) == (not loaded)
 
 
@@ -395,14 +395,13 @@ def test_marcher_grid_is_bitwise_the_one_lambda_marches(dim, loaded):
               for i in range(dim)) if loaded else None
     f = smooth_random_closure(5, dim, xp_length=2 * np.pi) if loaded \
         else None
-    u0 = None if loaded else DiscreteField.sample(
-        m, lambda t, xp, xd: np.cos(xp) * xd * (m.xd_nodes[-1] - xd))
     grid = [0.0, 1.0, 10.0, 1e3]
-    sols = Marcher(m, coeffs).march(grid, F=F, f=f, u0=u0)
+    sols = Marcher(m, coeffs).march(grid, F=F, f=f)
     for lam, sol in zip(grid, sols):
-        one = march(m, coeffs, lam, F=F, f=f, u0=u0)
+        one = march(m, coeffs, lam, F=F, f=f)
         assert sol.lam == one.lam == lam
         assert sol.levels.tobytes() == one.levels.tobytes()
+        assert (sol.max_abs() > 0) == loaded     # no loads: at rest
         if loaded:
             assert sol.loads.tobytes() == one.loads.tobytes()
     assert Marcher(m, coeffs).march([], f=f) == []
@@ -429,18 +428,10 @@ def test_a_lambda_grid_is_one_band(monkeypatch, dim, kind, factorings):
     assert len(solves) == 5
 
 
-def test_march_system_refuses_a_u0_not_shaped_per_system():
+def test_march_system_refuses_names_not_one_per_system():
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
     Mw = assemble_weighted_mass(m)
     K = _stack(m, identity_coefficients(1), 1.0)[None]
-    n = m.n_interior
-    for u0 in (1.0, [1.0], np.ones(n), np.ones((2, n)), np.ones((1, n + 1))):
-        with pytest.raises(ValueError, match=re.escape(
-                "u0 must have shape (k, n_interior) = (1, %d), got %s"
-                % (n, np.shape(u0)))):
-            march_system(Mw, K, None, m, u0=u0)
-    sol, = march_system(Mw, K, None, m, u0=np.ones((1, n)))
-    assert np.all(sol.levels[0, 1:-1] == 1.0)
     # one failure prefix per system, or a later member's failure could not
     # be named
     for names in (["a: "], ["a: ", "b: ", "c: "]):
@@ -470,11 +461,16 @@ def test_a_failing_grid_member_names_its_level_and_lambda(monkeypatch):
     def singular(K, M):          # M + dt K^3 = 0 at lambda = 100
         K[2, 3] = -4.0 * M
     solves = _record_solves(monkeypatch)
+    marcher = _edited_grid_marcher(monkeypatch, singular)
     with pytest.raises(SolverError, match=re.escape(
             "lambda 100.0: time level 3: LU factorization failed: the "
             "matrix is exactly singular")):
-        _edited_grid_marcher(monkeypatch, singular).march(GRID, f=f)
+        marcher.march(GRID, f=f)
     assert len(solves) == 2
+    # a direct call names its systems by their place in the batch
+    with pytest.raises(SolverError, match="^system 2: time level 3: LU"):
+        march_system(marcher.mass, marcher.stiffness(GRID), None,
+                     marcher.mesh)
     monkeypatch.undo()
 
     # the third step returns the solution of lambda = 10 doubled
@@ -494,20 +490,6 @@ def test_a_failing_grid_member_names_its_level_and_lambda(monkeypatch):
             "lambda 10.0: time level 3: linear solve backward error")):
         marcher.march(GRID, f=f)
     assert sizes == [4 * n] * 4        # one solve per step for the grid
-    monkeypatch.undo()
-
-    def growing(K, M):           # K = -M: u^{n+1} = u^n / (1 - dt)
-        K[3] = -M
-    marcher = _edited_grid_marcher(monkeypatch, growing)
-    u0 = DiscreteField.sample(marcher.mesh, lambda t, xp, xd: xd * (4 - xd))
-    with pytest.raises(SolverError, match=re.escape(
-            "lambda 1000.0: source-free march gained weighted energy at "
-            "level 1")):
-        marcher.march(GRID, u0=u0)
-    # a direct call names its systems by their place in the batch
-    with pytest.raises(SolverError, match="^system 3: source-free"):
-        march_system(marcher.mass, marcher.stiffness(GRID), None,
-                     marcher.mesh, u0=np.ones((4, n)))
 
 
 def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
@@ -731,21 +713,6 @@ def test_march_system_rejects_a_stack_of_the_wrong_shape():
             "(k, N+1, nnz) = (k, 5, %d), got (1, 3, %d)" % (nnz, nnz))):
         march_system(assemble_weighted_mass(m), np.zeros((1, 3, nnz)),
                      np.ones((1, 5, m.n_interior)), m)
-
-
-def test_source_free_march_decays():
-    m = build_mesh(1, 4.0, 16, 2.0, time_step=0.05, time_count=20)
-    coeffs = generate_family(1, "xd_only", 0.5, 0.2, dim=1)
-    u0 = DiscreteField.sample(m, lambda t, xp, xd: xd * (4 - xd))
-    sol = march(m, coeffs, lam=5.0, u0=u0)
-    Mw = assemble_weighted_mass(m, coeffs.a0).matrix
-    norms = [sol.interior(n) @ (Mw @ sol.interior(n))
-             for n in range(sol.time_count + 1)]
-    print("decay norms", norms[0], norms[-1])
-    assert norms[0] > 0
-    assert norms[-1] < 0.5 * norms[0]
-    assert all(norms[i + 1] <= norms[i] * (1 + 1e-12)
-               for i in range(len(norms) - 1))
 
 
 def _steady_state(m, coeffs, lam, F=None, f=None):
