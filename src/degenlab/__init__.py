@@ -22,8 +22,8 @@ from .harness import (CHECK_IDS, CSV_HEADER, DegenerateLocalSolution,
                       trace_report, w_estimate_ratio)
 from .mesh import (CellSet, Cylinder, TensorMesh, build_mesh,
                    cells_in_cylinder, prime_cells_in_cylinder)
-from .mms import (ClosureError, ManufacturedCase, StudyTable,
-                  convergence_study, default_case)
+from .mms import (ManufacturedCase, StudyTable, convergence_study,
+                  default_case)
 from .norms import (NormSpec, RatioReport, SlopeReport, analytic_norm,
                     cell_center_gradients, error_norm, hardy_check,
                     levels_norm, second_difference_fields,

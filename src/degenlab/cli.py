@@ -370,11 +370,16 @@ _SCHEMA = {
     "export_matrix": (False, _bool),
 }
 
+# The commands that march the sources with_F and with_f select: with both
+# off they march u = 0 from rest and would certify nothing.
+_MARCH_THE_SOURCES = ("solve", "sweep", "trace")
+
 
 def parse_config(raw):
     """Validate a raw mapping against _SCHEMA: unknown keys are rejected by
     name, defaults fill the gaps, every key is checked in the table's order,
-    and the result re-parses to itself."""
+    a command of _MARCH_THE_SOURCES needs a source, and the result re-parses
+    to itself."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(raw) - set(_SCHEMA))
@@ -382,8 +387,13 @@ def parse_config(raw):
         raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
     if raw.get("command") is None:
         raise ConfigError("config needs a 'command' key")
-    return {key: check(key, raw.get(key, default))
-            for key, (default, check) in _SCHEMA.items()}
+    cfg = {key: check(key, raw.get(key, default))
+           for key, (default, check) in _SCHEMA.items()}
+    if cfg["command"] in _MARCH_THE_SOURCES \
+            and not (cfg["with_F"] or cfg["with_f"]):
+        raise ConfigError("command %r marches the sources, so with_F and "
+                          "with_f must not both be false" % cfg["command"])
+    return cfg
 
 def load_config(path):
     try:

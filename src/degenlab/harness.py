@@ -14,7 +14,7 @@ import numpy as np
 from .assembly import (LoadAssembler, assemble_weighted_mass, data_grams,
                        model_stiffness)
 from .coefficients import (check_structure_condition, generate_family,
-                           oscillation_scan, sample_on_mesh)
+                           oscillation_scan)
 from .fields import sample_nodes, smooth_random_closure
 from .mesh import Cylinder, cells_in_cylinder
 from .norms import (NormSpec, analytic_norm, cell_center_gradients,
@@ -444,23 +444,20 @@ def w_estimate_ratio(u_local, r, R, enforce_structure=True):
                                   1.0)[None, :, None]
     w[:, 0, :] = w[:, 1, :]      # extrapolated; excluded from all integrals
 
-    def region_norms(cyl):
+    def region_norm(cyl):
+        """spec -> the norm of w over cyl, the first x_d layer left out."""
         cs = cells_in_cylinder(mesh, cyl)
         keep = cs.space_cells[cs.space_j >= 1]
         if keep.size == 0:
             raise ValueError("cylinder has no cells away from the first "
                              "x_d layer")
         levels = w[cs.time_cells + 1]
-        g = levels_norm(mesh, levels, u_local.dt,
-                        NormSpec(2.0, 1.0, "1_full"), space_cells=keep)
-        z = levels_norm(mesh, levels, u_local.dt, NormSpec(2.0, 0.0, "0"),
-                        space_cells=keep)
-        return g, z
+        return lambda spec: levels_norm(mesh, levels, u_local.dt, spec,
+                                        space_cells=keep)
 
-    g_r, z_r = region_norms(Qr)
-    _, z_R = region_norms(QR)
-    lhs = g_r ** 2 + lam * z_r ** 2
-    rhs = z_R ** 2
+    inner, zero = region_norm(Qr), NormSpec(2.0, 0.0, "0")
+    lhs = inner(NormSpec(2.0, 1.0, "1_full")) ** 2 + lam * inner(zero) ** 2
+    rhs = region_norm(QR)(zero) ** 2
     extra = {"variant": "probe" if not enforce_structure else "standard"}
     return EstimateReport("w_estimate", lhs, rhs,
                           params=_local_params(u_local, lam, r, R, extra))
@@ -571,8 +568,9 @@ def corollary2_check(case, mesh, p, config=None):
     norm (weight x_d^{-p/2}), gradient norm, difference-quotient time
     derivative norm (weight x_d^{-p/2}), second-difference norm (weight
     x_d^{+p/2}), and gradient-of-time-derivative norm, against the data
-    norms of f and f_t at weight x_d^{-p/2}.  Requires p >= 2 and identity
-    coefficients; the manufactured case must carry its data in f alone.
+    norms of f and f_t at weight x_d^{-p/2}.  Requires p >= 2; the
+    manufactured case, on identity coefficients by construction, must carry
+    its data in f alone.
     """
     if p < 2:
         raise ValueError("the second-order estimate needs p >= 2")
@@ -581,16 +579,6 @@ def corollary2_check(case, mesh, p, config=None):
     if abs(mesh.Ld - case.Ld) > 1e-12 or \
             abs(mesh.total_time - case.T) > 1e-12:
         raise ValueError("mesh window does not match the manufactured case")
-    sample = sample_on_mesh(case.coeffs, mesh, t=0.37 * case.T)
-    eye = np.zeros_like(sample.a)
-    for i in range(mesh.dim):
-        eye[..., i, i] = 1.0
-    if not (np.allclose(sample.a, eye, rtol=0, atol=1e-12)
-            and np.allclose(sample.c0, 1.0, rtol=0, atol=1e-12)
-            and np.allclose(case.coeffs.a0(mesh.xd_centers), 1.0, rtol=0,
-                            atol=1e-12)):
-        raise ValueError("the second-order estimate is stated for identity "
-                         "coefficients")
     _, f = case.synthesize_sources()
     f_t = case.synthesize_f_t()
     sol = march(mesh, case.coeffs, case.lam, F=None, f=f,

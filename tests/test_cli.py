@@ -168,6 +168,20 @@ def test_grid_ranges_are_config_errors(tmp_path, capsys, key, value, rule):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep", "trace"])
+def test_marching_with_both_sources_off_is_a_config_error(tmp_path, capsys,
+                                                          command):
+    # from rest with no sources the march is u = 0: solve would write
+    # zeros, sweep certify 0 <= 0, trace fail on empty slices
+    path = _write_cfg(tmp_path, command=command, with_F=False, with_f=False,
+                      mesh_M=16, time_count=5)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: command %r marches the sources" % command in err
+    assert "with_F" in err and "with_f" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_first_config_error_does_not_depend_on_the_hash_seed():
     # the keys are checked in the schema's order, not in a set's
     script = ("from degenlab.cli import parse_config\n"
