@@ -24,11 +24,10 @@ from .mesh import (CellSet, Cylinder, TensorMesh, build_mesh,
                    cells_in_cylinder, prime_cells_in_cylinder)
 from .mms import (ManufacturedCase, StudyTable, convergence_study,
                   default_case)
-from .norms import (NormSpec, RatioReport, SlopeReport, analytic_norm,
+from .norms import (NormSpec, RatioReport, analytic_norm,
                     cell_center_gradients, error_norm, hardy_check,
                     levels_norm, second_difference_fields,
-                    second_difference_magnitude, slice_norms,
-                    trace_decay_check, weighted_norm)
+                    second_difference_magnitude, slice_norms, weighted_norm)
 from .solver import (Marcher, SolverError, SpaceTimeSolution,
                      TimeStepperConfig, adjoint_march, adjoint_march_system,
                      linear_solve, march, march_system)

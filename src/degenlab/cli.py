@@ -4,7 +4,8 @@ Configs are flat JSON, each key declared once in ``_SCHEMA``, strictly checked.
 Artifacts (reports CSV, JSON bundle with the config echo, plot scripts,
 solution tables, matrix exports) are written atomically and listed with
 content hashes in MANIFEST.json; timestamps appear only in the manifest so
-re-runs are byte-identical.
+re-runs are byte-identical.  A plot script is built from the column layout
+its CSV is written with, never by reading the CSV back.
 
 Exit codes: 0 all checks passed, 1 at least one report failed, 2 config
 error, 3 solver/assembly failure.
@@ -157,9 +158,8 @@ def _cmd_mms(cfg):
         ladder.append(_build_mesh(cfg, M=M, refine_time=int(round(scale))))
     table = convergence_study(case, ladder, p=cfg["p"], theta=cfg["theta"],
                               linear_tol=cfg["linear_tol"])
-    artifacts = [("mms.csv", table.csv())]
-    plots = [("plot_error.gp", "error_h", "mms.csv")]
-    return [], artifacts, plots
+    return [], [("mms.csv", table.csv())], \
+        [("plot_error.gp", _error_plot(table))]
 
 
 def _cmd_sweep(cfg):
@@ -169,8 +169,7 @@ def _cmd_sweep(cfg):
     for p in _ps(cfg):
         reports.extend(main_estimate_sweep(problem, p, _lambdas(cfg),
                                            eps_grid=eps_grid))
-    plots = [("plot_ratio.gp", "ratio_lambda", "reports.csv")]
-    return reports, [], plots
+    return reports, [], [("plot_ratio.gp", _ratio_plot())]
 
 
 def _local_reports(cfg, check):
@@ -221,30 +220,32 @@ def _cmd_corollary2(cfg):
     return reports, [], []
 
 
+def _corpus(cfg, mesh):
+    """(field, seed) for each of the n_fields random W^1_p fields."""
+    seeds = [cfg["seed"] + s for s in range(cfg["n_fields"])]
+    return [(random_w1p_field(seed, mesh), seed) for seed in seeds]
+
+
 def _cmd_trace(cfg):
+    """Per p, the corpus reports, then the march's; both are built once."""
     mesh = _build_mesh(cfg)
+    corpus = _corpus(cfg, mesh)
+    F, f = _sources(cfg, mesh)
+    sol = march(mesh, _coeffs(cfg, mesh), cfg["lambda"], F=F, f=f,
+                config=_stepper(cfg))
     reports = []
     for p in _ps(cfg):
-        for s in range(cfg["n_fields"]):
-            fld = random_w1p_field(cfg["seed"] + s, mesh)
-            reports.append(trace_report(fld, p, seed=cfg["seed"] + s))
-        coeffs = _coeffs(cfg, mesh)
-        F, f = _sources(cfg, mesh)
-        sol = march(mesh, coeffs, cfg["lambda"], F=F, f=f,
-                    config=_stepper(cfg))
+        reports.extend(trace_report(fld, p, seed=seed)
+                       for fld, seed in corpus)
         reports.append(trace_report(sol, p, skip_initial=sol.time_count
                                     // 10, seed=cfg["seed"]))
     return reports, [], []
 
 
 def _cmd_hardy(cfg):
-    mesh = _build_mesh(cfg)
-    reports = []
-    for p in _ps(cfg):
-        for s in range(cfg["n_fields"]):
-            fld = random_w1p_field(cfg["seed"] + s, mesh)
-            reports.append(hardy_report(fld, p, seed=cfg["seed"] + s))
-    return reports, [], []
+    corpus = _corpus(cfg, _build_mesh(cfg))
+    return [hardy_report(fld, p, seed=seed)
+            for p in _ps(cfg) for fld, seed in corpus], [], []
 
 
 def _cmd_oscillation(cfg):
@@ -259,7 +260,8 @@ def _cmd_oscillation(cfg):
                 ("oscillation.json", summary + "\n")], []
 
 
-# command name -> handler(cfg) -> (reports, artifacts, plots)
+# command name -> handler(cfg) -> (reports, artifacts, plots), the last two
+# lists of (name, text); plots are written only with emit_plots
 _HANDLERS = {"solve": _cmd_solve, "mms": _cmd_mms, "sweep": _cmd_sweep,
              "caccioppoli": _cmd_caccioppoli, "wlemma": _cmd_wlemma,
              "lipschitz": _cmd_lipschitz, "duality": _cmd_duality,
@@ -407,64 +409,44 @@ def load_config(path):
 
 
 # -- plot scripts ----------------------------------------------------------------
+# Each script plots columns of a layout the program declares: CSV_HEADER for
+# reports.csv, StudyTable.COLUMNS for mms.csv.
 
-def emit_plot_script(csv_text, csv_name, kind):
-    """Standalone gnuplot script for the named CSV; header-only input still
-    produces a script (with a warning on stderr)."""
-    lines = csv_text.splitlines()
-    if not lines:
-        raise ValueError("empty CSV: no header to plot from")
-    header = lines[0].split(",")
-    rows = lines[1:]
-    if not rows:
-        print("warning: %s has no data rows; plot script emitted anyway"
-              % csv_name, file=sys.stderr)
-    out = ["# gnuplot script generated alongside %s" % csv_name,
-           'set datafile separator ","']
-    if kind == "ratio_lambda":
-        for col in ("lambda", "ratio"):
-            if col not in header:
-                raise ValueError("CSV %s lacks a %r column" % (csv_name,
-                                                               col))
-        ilam = header.index("lambda") + 1
-        irat = header.index("ratio") + 1
-        out += ["set logscale x", 'set xlabel "lambda"',
-                'set ylabel "lhs/rhs ratio"', "set key off",
-                "set term pngcairo size 900,600",
-                'set output "ratio_lambda.png"',
-                'plot "%s" every ::1 using %d:%d with points pt 7'
-                % (csv_name, ilam, irat)]
-    elif kind == "error_h":
-        for col in ("M", "e0", "e1"):
-            if col not in header:
-                raise ValueError("CSV %s lacks a %r column" % (csv_name,
-                                                               col))
-        c1 = c2 = 1.0
-        if rows:
-            first = rows[0].split(",")
-            M0 = float(first[header.index("M")])
-            e0 = float(first[header.index("e0")])
-            e1 = float(first[header.index("e1")])
-            c2 = e0 / (1.0 / M0) ** 2 if e0 > 0 else 1.0
-            c1 = e1 / (1.0 / M0) if e1 > 0 else 1.0
-        ie0 = header.index("e0") + 1
-        ie1 = header.index("e1") + 1
-        im = header.index("M") + 1
-        out += ["set logscale xy", 'set xlabel "1/M"',
-                'set ylabel "error"', "set key left top",
-                "set term pngcairo size 900,600",
-                'set output "error_h.png"',
-                "ref1(x) = %.6g * x" % c1,
-                "ref2(x) = %.6g * x**2" % c2,
-                'plot "%s" every ::1 using (1/$%d):%d with linespoints '
-                'title "weighted solution error", \\' % (csv_name, im, ie0),
-                '     "%s" every ::1 using (1/$%d):%d with linespoints '
-                'title "gradient error", \\' % (csv_name, im, ie1),
-                '     ref1(x) title "slope 1" dt 2, \\',
-                '     ref2(x) title "slope 2" dt 3']
-    else:
-        raise ValueError("unknown plot kind %r" % (kind,))
-    return "\n".join(out) + "\n"
+def _gnuplot(csv_name, png, settings, plot):
+    return "\n".join(["# gnuplot script generated alongside %s" % csv_name,
+                      'set datafile separator ","'] + settings
+                     + ["set term pngcairo size 900,600",
+                        'set output "%s"' % png] + plot) + "\n"
+
+
+def _ratio_plot():
+    """The ratio of every row of reports.csv against its lambda."""
+    col = CSV_HEADER.split(",").index
+    return _gnuplot(
+        "reports.csv", "ratio_lambda.png",
+        ["set logscale x", 'set xlabel "lambda"', 'set ylabel "lhs/rhs ratio"',
+         "set key off"],
+        ['plot "reports.csv" every ::1 using %d:%d with points pt 7'
+         % (col("lambda") + 1, col("ratio") + 1)])
+
+
+def _error_plot(table):
+    """Both errors of mms.csv against 1/M, with slope-1 and slope-2
+    reference lines through its first row as mms.csv prints it."""
+    col = {name: k + 1 for k, name in enumerate(table.COLUMNS)}
+    M0, _, e0, e1 = map(float, table.csv_rows()[0].split(",")[:4])
+    curve = '"mms.csv" every ::1 using (1/$%d):%d with linespoints ' \
+        'title "%s", \\'
+    return _gnuplot(
+        "mms.csv", "error_h.png",
+        ["set logscale xy", 'set xlabel "1/M"', 'set ylabel "error"',
+         "set key left top"],
+        ["ref1(x) = %.6g * x" % (e1 / (1.0 / M0)),
+         "ref2(x) = %.6g * x**2" % (e0 / (1.0 / M0) ** 2),
+         "plot " + curve % (col["M"], col["e0"], "weighted solution error"),
+         "     " + curve % (col["M"], col["e1"], "gradient error"),
+         '     ref1(x) title "slope 1" dt 2, \\',
+         '     ref2(x) title "slope 2" dt 3'])
 
 
 # -- artifact plumbing -------------------------------------------------------------
@@ -503,11 +485,9 @@ def run(cfg):
     reports, artifacts, plots = _HANDLERS[cfg["command"]](cfg)
 
     named = []
-    csv_text = None
     if reports:
-        csv_text = CSV_HEADER + "\n" + \
-            "\n".join(r.csv_row() for r in reports) + "\n"
-        named.append(("reports.csv", csv_text))
+        named.append(("reports.csv", CSV_HEADER + "\n" + "\n".join(
+            r.csv_row() for r in reports) + "\n"))
     bundle = {"config": cfg,
               "reports": [r.to_json() for r in reports],
               "n_reports": len(reports),
@@ -516,13 +496,7 @@ def run(cfg):
                   + "\n"))
     named.extend(artifacts)
     if cfg["emit_plots"]:
-        for plot_name, kind, csv_name in plots:
-            source = csv_text if csv_name == "reports.csv" else \
-                dict(artifacts).get(csv_name)
-            if source is None:
-                continue
-            named.append((plot_name, emit_plot_script(source, csv_name,
-                                                      kind)))
+        named.extend(plots)
     write_artifacts(cfg["out_dir"], named)
 
     failing = [r for r in reports if not r.passed]

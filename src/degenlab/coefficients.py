@@ -12,7 +12,7 @@ dim=1 the single index 0 is the x_d direction.
 
 import numpy as np
 
-from .mesh import cells_in_cylinder, prime_cells_in_cylinder
+from .mesh import Cylinder, cells_in_cylinder, prime_cells_in_cylinder
 
 
 def _const(value):
@@ -187,8 +187,9 @@ def _averages(mesh, cyl, sample, ball):
     Q'_rho(z0') per x_d slice; for the whole column j = d the full cylinder
     average (one constant per entry); c0 averaged slice-wise.
 
-    Returns (avg_a, avg_c0): avg_a has shape (M, dim, dim) (the j=d column is
-    constant across slices), avg_c0 has shape (M,).
+    Returns (avg_a, avg_c0, areas, wsum): avg_a has shape (M, dim, dim) (the
+    j=d column is constant across slices), avg_c0 has shape (M,); areas and
+    their space-time total wsum weigh the cells of ``ball``.
     """
     d = sample.a.shape[-1]
     tset, xpset = prime_cells_in_cylinder(mesh, cyl)
@@ -214,7 +215,7 @@ def _averages(mesh, cyl, sample, ball):
                         (col * areas[None, :, None]).sum(axis=(0, 1)) / wsum)
     avg_a = avg_a.copy()
     avg_a[:, :, d - 1] = const_id[None, :]
-    return avg_a, avg_c0
+    return avg_a, avg_c0, areas, wsum
 
 
 def oscillation(coeffs, mesh, cyl, sample=None):
@@ -224,10 +225,8 @@ def oscillation(coeffs, mesh, cyl, sample=None):
     if sample is None:
         sample = sample_on_mesh(coeffs, mesh)
     ball = cells_in_cylinder(mesh, cyl)
-    avg_a, avg_c0 = _averages(mesh, cyl, sample, ball)
+    avg_a, avg_c0, areas, wsum = _averages(mesh, cyl, sample, ball)
     aj, am = ball.space_j, ball.space_m
-    areas = ball.space_measures()
-    wsum = areas.sum() * ball.time_cells.size
     a_cells = sample.a[:, aj, am, :, :][ball.time_cells]       # (nt, nc, d, d)
     c_cells = sample.c0[:, aj, am][ball.time_cells]            # (nt, nc)
     dev_a = np.abs(a_cells - avg_a[aj][None, :, :, :])
@@ -241,7 +240,6 @@ def oscillation_scan(coeffs, mesh, rho_list):
     """Max oscillation over a lattice of boundary-centered cylinders, 3 end
     times by 2 x' centers (one in dim 1) per radius; returns
     (gamma_measured, reports)."""
-    from .mesh import Cylinder
     sample = sample_on_mesh(coeffs, mesh)
     reports = []
     for rho in rho_list:

@@ -3,8 +3,11 @@ ratio reports: the L2 energy bound with its explicit constant, W^1_p
 ratio sweeps across lambda and coefficient-oscillation grids, local
 reverse-type (Caccioppoli) and quotient-field bounds on locally homogeneous
 solutions, the pointwise boundary bound, the exact discrete duality
-pairing, and the second-order weighted estimate for the model equation.
+pairing, the second-order weighted estimate for the model equation, and
+the Hardy quotient and near-boundary trace decay of single fields.
 
+Every verdict and every report label is decided here: ``norms`` gives the
+numbers, and an ``EstimateReport`` row has the columns of ``CSV_HEADER``.
 Empirical constants are recorded, never asserted against specific values;
 pass criteria are boundedness, refinement stability, and lambda-uniformity.
 """
@@ -18,12 +21,13 @@ from .coefficients import (check_structure_condition, generate_family,
 from .fields import sample_nodes, smooth_random_closure
 from .mesh import Cylinder, cells_in_cylinder
 from .norms import (NormSpec, analytic_norm, cell_center_gradients,
-                    hardy_check, levels_norm, trace_decay_check,
-                    weighted_norm)
+                    hardy_check, levels_norm, slice_norms, weighted_norm)
 from .solver import Marcher, TimeStepperConfig, march
 
-CSV_HEADER = ("check_id,lambda,p,mesh_M,dt,seed,rho0,gamma_measured,"
-              "lhs,rhs,ratio,pass")
+# the run labels of a report row, each None unless its check knows it
+_LABELS = ("lambda", "p", "mesh_M", "dt", "seed", "rho0", "gamma_measured")
+CSV_HEADER = ",".join(("check_id",) + _LABELS + ("lhs", "rhs", "ratio",
+                                                  "pass"))
 
 CHECK_IDS = frozenset({"energy_L2", "main_Wp", "caccioppoli", "w_estimate",
                        "lipschitz", "duality", "corollary2",
@@ -40,9 +44,7 @@ class DegenerateLocalSolution(RuntimeError):
 def _fmt(x):
     if x is None:
         return "nan"
-    if isinstance(x, (bool, np.bool_)):
-        return "%d" % int(x)
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (int, np.integer)):     # a bool too, as 0 or 1
         return "%d" % x
     return "%.17g" % float(x)
 
@@ -52,7 +54,8 @@ class EstimateReport:
 
     ratio = lhs/rhs when rhs > 0; a vanishing rhs requires lhs at or below
     the absolute floor 1e-12 (then ratio = 0).  params carries the run
-    labels (lambda, p, mesh_M, dt, seed, rho0, gamma_measured, ...).
+    labels of CSV_HEADER, None where the check does not give one, and any
+    further numbers the check records.
     """
 
     def __init__(self, check_id, lhs, rhs, params=None, threshold=None,
@@ -73,33 +76,24 @@ class EstimateReport:
         self.lhs = lhs
         self.rhs = rhs
         self.ratio = lhs / rhs if rhs > 0 else 0.0
-        self.params = dict(params or {})
+        self.params = dict.fromkeys(_LABELS)
+        self.params.update(params or {})
         self.threshold = None if threshold is None else float(threshold)
         if passed is None:
-            if self.threshold is not None:
-                passed = np.isfinite(self.ratio) and \
-                    self.ratio <= self.threshold
-            else:
-                passed = np.isfinite(self.ratio)
+            passed = np.isfinite(self.ratio) and (
+                self.threshold is None or self.ratio <= self.threshold)
         self.passed = bool(passed)
 
     def csv_row(self):
-        p = self.params
-        cols = [self.check_id,
-                _fmt(p.get("lambda")), _fmt(p.get("p")),
-                _fmt(p.get("mesh_M")), _fmt(p.get("dt")),
-                _fmt(p.get("seed")), _fmt(p.get("rho0")),
-                _fmt(p.get("gamma_measured")),
-                _fmt(self.lhs), _fmt(self.rhs), _fmt(self.ratio),
-                "%d" % int(self.passed)]
-        return ",".join(cols)
+        values = [self.params[k] for k in _LABELS] + \
+            [self.lhs, self.rhs, self.ratio, self.passed]
+        return ",".join([self.check_id] + [_fmt(v) for v in values])
 
     def to_json(self):
         out = {"check_id": self.check_id, "lhs": self.lhs, "rhs": self.rhs,
                "ratio": self.ratio, "pass": self.passed,
                "threshold": self.threshold}
-        out["params"] = {k: (v if not isinstance(v, (np.floating, np.integer))
-                             else v.item())
+        out["params"] = {k: v.item() if isinstance(v, np.generic) else v
                          for k, v in self.params.items()}
         return out
 
@@ -194,7 +188,7 @@ def energy_ratio(problem, lam):
     rhs = np.sqrt(A2) + np.sqrt(B2)
     params = {"lambda": lam, "p": 2.0, "mesh_M": mesh.M, "dt": dt,
               "seed": problem.seed, "rho0": problem.rho0,
-              "gamma_measured": None, "grad_part": float(np.sqrt(X2)),
+              "grad_part": float(np.sqrt(X2)),
               "weighted_part": float(np.sqrt(W2))}
     return EstimateReport("energy_L2", lhs, rhs, params=params,
                           threshold=4.0 / coeffs.nu)
@@ -373,13 +367,10 @@ def _sub_cylinder(base, radius):
                     base.center_xprime)
 
 
-def _local_params(sol, lam, r, R, extra=None):
-    params = {"lambda": lam, "p": 2.0, "mesh_M": sol.mesh.M, "dt": sol.dt,
-              "seed": sol.seed, "rho0": R,
-              "gamma_measured": None, "r_inner": r, "r_outer": R}
-    if extra:
-        params.update(extra)
-    return params
+def _local_params(sol, lam, r, R, extra):
+    return dict({"lambda": lam, "p": 2.0, "mesh_M": sol.mesh.M, "dt": sol.dt,
+                 "seed": sol.seed, "rho0": R, "r_inner": r, "r_outer": R},
+                **extra)
 
 
 def caccioppoli_ratio(u_local, r, R):
@@ -396,7 +387,8 @@ def caccioppoli_ratio(u_local, r, R):
         raise ValueError("need 0 < r < R")
     Qr = _sub_cylinder(base, r)
     QR = _sub_cylinder(base, R)
-    if cells_in_cylinder(mesh, Qr).n_cells == 0:
+    cs_r = cells_in_cylinder(mesh, Qr)
+    if cs_r.n_cells == 0:
         raise ValueError("inner cylinder contains no mesh cells")
     grad_r = weighted_norm(u_local, NormSpec(2.0, 0.0, "1_full", region=Qr))
     wmass_r = weighted_norm(u_local, NormSpec(2.0, -1.0, "0", region=Qr))
@@ -410,7 +402,6 @@ def caccioppoli_ratio(u_local, r, R):
         params=_local_params(u_local, lam, r, R, {"variant": "gradient"}))
 
     diffs = u_local.time_differences()
-    cs_r = cells_in_cylinder(mesh, Qr)
     ut_norm = levels_norm(mesh, diffs[cs_r.time_cells], u_local.dt,
                           NormSpec(2.0, -1.0, "0"),
                           space_cells=cs_r.space_cells)
@@ -554,7 +545,7 @@ def duality_check(problem, p=2.0, seeds=(0, 1, 2, 3, 4), lam=1.0,
             worst = (int(s), rel, abs(P1 - P2), scale)
     params = {"lambda": lam, "p": float(p), "mesh_M": mesh.M,
               "dt": mesh.time_step, "seed": worst[0], "rho0": problem.rho0,
-              "gamma_measured": None, "n_seeds": len(list(seeds)),
+              "n_seeds": len(list(seeds)),
               "kind": kind, "eps": eps, "rel_errors_max": max(rels)}
     passed = all(r <= 1e-8 for r in rels)
     return EstimateReport("duality", worst[2], worst[3], params=params,
@@ -597,34 +588,44 @@ def corollary2_check(case, mesh, p, config=None):
         + analytic_norm(mesh, f_t, NormSpec(p, -p / 2.0, "0"),
                         skip_initial=skip)
     params = {"lambda": case.lam, "p": float(p), "mesh_M": mesh.M,
-              "dt": mesh.time_step, "seed": None, "rho0": None,
-              "gamma_measured": None, "norm_u": n_u, "norm_du": n_du,
+              "dt": mesh.time_step, "norm_u": n_u, "norm_du": n_du,
               "norm_ut": n_ut, "norm_d2u": n_d2, "norm_dut": n_dut}
     return EstimateReport("corollary2", lhs, rhs, params=params)
 
 
-# -- corpus wrappers ----------------------------------------------------------------
+# -- Hardy quotient and trace decay -------------------------------------------------
 
 def hardy_report(field, p, seed=None):
-    """EstimateReport adapter for the weighted-quotient inequality on one
-    discrete field."""
+    """Weighted-quotient (Hardy) inequality on one discrete field:
+    ||u/x_d||_p against ||D_d u||_p, passing up to the sharp constant
+    p/(p-1) plus the allowance 0.05."""
     rr = hardy_check(field, p)
-    params = {"lambda": None, "p": float(p), "mesh_M": field.mesh.M,
-              "dt": None, "seed": seed, "rho0": None,
-              "gamma_measured": None}
+    params = {"p": float(p), "mesh_M": field.mesh.M, "seed": seed}
     return EstimateReport("hardy", rr.numerator, rr.denominator,
-                          params=params, threshold=rr.bound)
+                          params=params, threshold=p / (p - 1) + 0.05)
 
 
-def trace_report(field_or_solution, p, skip_initial=0, seed=None):
-    """EstimateReport adapter for the near-boundary decay slope: lhs is the
-    fitted slope, rhs is 1, and the verdict compares the slope against
-    1/2 - 1/p minus the fitting allowance."""
-    sr = trace_decay_check(field_or_solution, p, skip_initial=skip_initial)
-    params = {"lambda": None, "p": float(p),
-              "mesh_M": field_or_solution.mesh.M, "dt": None, "seed": seed,
-              "rho0": None, "gamma_measured": None,
-              "slope_threshold": sr.threshold, "constant": sr.constant,
-              "n_slices": sr.n_slices}
-    return EstimateReport("trace", sr.slope, 1.0, params=params,
-                          passed=bool(sr.passed))
+def trace_report(field, p, skip_initial=0, seed=None):
+    """Near-boundary decay of a field or solution: lhs is the least-squares
+    log-log slope of its slice norms s(x_d) over the near-boundary quartile
+    of nodes, rhs is 1.  It passes when the slope reaches the expected decay
+    exponent 1/2 - 1/p less the fitting allowance 0.05 and the constant
+    max s(x_d) / x_d^(1/2 - 1/p) is finite.  Requires p >= 2."""
+    if p < 2:
+        raise ValueError("trace decay check needs p >= 2")
+    mesh = field.mesh
+    xd, s = slice_norms(field, p, skip_initial=skip_initial)
+    expo = 0.5 - 1.0 / p
+    js = np.arange(1, min(max(4, mesh.M // 4), mesh.M) + 1)
+    usable = js[s[js] > 0]
+    if usable.size < 4:
+        raise ValueError("fewer than 4 usable near-boundary slices")
+    slope = float(np.polyfit(np.log(xd[usable]), np.log(s[usable]), 1)[0])
+    pos = np.arange(1, mesh.M + 1)
+    constant = float(np.max(s[pos] / xd[pos] ** expo))
+    threshold = expo - 0.05
+    params = {"p": float(p), "mesh_M": mesh.M, "seed": seed,
+              "slope_threshold": threshold, "constant": constant,
+              "n_slices": usable.size}
+    return EstimateReport("trace", slope, 1.0, params=params,
+                          passed=np.isfinite(constant) and slope >= threshold)

@@ -149,6 +149,10 @@ class StudyTable:
     """Errors e0 and e1 of a convergence study, one entry per mesh of M
     cells and time step dt, with the observed rates between rungs."""
 
+    # the columns of csv() and the format of its rows
+    COLUMNS = ("M", "dt", "e0", "e1", "rate0", "rate1")
+    _ROW = "%d,%.10g,%.12g,%.12g,%.6g,%.6g"
+
     def __init__(self, M, dt, e0, e1):
         self.M, self.dt, self.e0, self.e1 = map(np.asarray, (M, dt, e0, e1))
         self.rates0 = self._rates(self.e0)
@@ -177,12 +181,14 @@ class StudyTable:
                                    1)[0])
         return tuple(out)
 
+    def csv_rows(self):
+        """The data rows of csv(), one per rung, as it prints them."""
+        return [self._ROW % row for row in zip(self.M, self.dt, self.e0,
+                                               self.e1, self.rates0,
+                                               self.rates1)]
+
     def csv(self):
-        lines = ["M,dt,e0,e1,rate0,rate1"]
-        for row in zip(self.M, self.dt, self.e0, self.e1, self.rates0,
-                       self.rates1):
-            lines.append("%d,%.10g,%.12g,%.12g,%.6g,%.6g" % row)
-        return "\n".join(lines) + "\n"
+        return "\n".join([",".join(self.COLUMNS)] + self.csv_rows()) + "\n"
 
 
 def convergence_study(case, meshes, p=2.0, theta=1.0, linear_tol=1e-11):

@@ -1,5 +1,5 @@
-"""Weighted norms of discrete fields and the standalone inequality checks
-(Hardy ratio, near-boundary trace decay, weighted second differences).
+"""Weighted norms of discrete fields, the Hardy quotient and the slice norms
+that ``harness`` turns into reports, and weighted second differences.
 
 One level-batched cell kernel, ``_level_powers``, evaluates the space
 integrals of a whole stack of time levels: 8-point Gauss-Legendre per cell
@@ -357,20 +357,18 @@ def analytic_norm(mesh, func, spec, skip_initial=0):
                            mesh.time_step, spec, space_cells, {"u": func})
 
 
-# -- inequality checks --------------------------------------------------------------
+# -- Hardy quotient and slice norms ------------------------------------------------
 
 class RatioReport:
-    def __init__(self, numerator, denominator, bound):
+    def __init__(self, numerator, denominator):
         self.numerator = float(numerator)
         self.denominator = float(denominator)
-        self.bound = float(bound)
         self.ratio = (0.0 if numerator == 0 else
                       float(numerator / denominator))
-        self.passed = self.ratio <= self.bound
 
 
 def hardy_check(field, p):
-    """r = ||u/x_d||_p / ||D_d u||_p against the sharp constant p/(p-1)."""
+    """r = ||u/x_d||_p / ||D_d u||_p, whose sharp bound is p/(p-1)."""
     num_spec = NormSpec(p, weight_exponent=-p, derivative_order="0")
     den_spec = NormSpec(p, weight_exponent=0.0, derivative_order="1_xd")
     num = weighted_norm(field, num_spec)
@@ -378,16 +376,7 @@ def hardy_check(field, p):
     if den == 0.0 and num > 0.0:
         raise ValueError("zero gradient with nonzero weighted norm: "
                          "the x_d=0 trace must be broken")
-    return RatioReport(num, den, p / (p - 1) + 0.05)
-
-
-class SlopeReport:
-    def __init__(self, slope, constant, threshold, n_slices):
-        self.slope = float(slope)
-        self.constant = float(constant)
-        self.threshold = float(threshold)
-        self.n_slices = int(n_slices)
-        self.passed = np.isfinite(constant) and slope >= threshold
+    return RatioReport(num, den)
 
 
 def _scalar_power(a, e):
@@ -420,25 +409,6 @@ def slice_norms(field, p, skip_initial=0):
     for powers in _xp_lp_powers(mesh, stacked, p):   # level order per node
         acc += dt * powers
     return mesh.xd_nodes.copy(), _scalar_power(acc, 1.0 / p)
-
-
-def trace_decay_check(field, p, skip_initial=0):
-    """Least-squares log-log slope of the slice norms over the near-boundary
-    quartile; the expected decay exponent is 1/2 - 1/p."""
-    if p < 2:
-        raise ValueError("trace decay check needs p >= 2")
-    xd, s = slice_norms(field, p, skip_initial=skip_initial)
-    expo = 0.5 - 1.0 / p
-    mesh = field.mesh
-    quart = max(4, mesh.M // 4)
-    js = np.arange(1, min(quart, mesh.M) + 1)
-    usable = js[s[js] > 0]
-    if usable.size < 4:
-        raise ValueError("fewer than 4 usable near-boundary slices")
-    slope = np.polyfit(np.log(xd[usable]), np.log(s[usable]), 1)[0]
-    pos = np.arange(1, mesh.M + 1)
-    constant = float(np.max(s[pos] / xd[pos] ** expo))
-    return SlopeReport(slope, constant, expo - 0.05, usable.size)
 
 
 def cell_center_gradients(mesh, values):

@@ -9,8 +9,7 @@ import pytest
 from scipy.io import mmread
 
 import degenlab
-from degenlab.cli import (ConfigError, emit_plot_script, load_config, main,
-                          parse_config, run)
+from degenlab.cli import ConfigError, load_config, main, parse_config, run
 
 CSV_HEADER = ("check_id,lambda,p,mesh_M,dt,seed,rho0,gamma_measured,"
               "lhs,rhs,ratio,pass")
@@ -361,19 +360,6 @@ def test_sweep_plot_script(tmp_path):
     assert 'set datafile separator ","' in script
     assert "set logscale x" in script
     assert "reports.csv" in script
-
-
-def test_emit_plot_script_edge_cases(capsys):
-    with pytest.raises(ValueError):
-        emit_plot_script("", "x.csv", "ratio_lambda")
-    with pytest.raises(ValueError):
-        emit_plot_script("a,b\n1,2\n", "x.csv", "ratio_lambda")
-    with pytest.raises(ValueError):
-        emit_plot_script(CSV_HEADER + "\n", "x.csv", "contour")
-    script = emit_plot_script(CSV_HEADER + "\n", "reports.csv",
-                              "ratio_lambda")
-    assert "ratio_lambda.png" in script
-    assert "no data rows" in capsys.readouterr().err
 
 
 def test_oscillation_command(tmp_path):

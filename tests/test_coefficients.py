@@ -120,7 +120,7 @@ def test_partial_average_of_d_column_is_full_average():
     cyl = Cylinder(1.5, 0.0, 0.8)
     cs = cells_in_cylinder(m, cyl)
     sample = sample_on_mesh(coeffs, m)
-    avg_a, avg_c0 = _averages(m, cyl, sample, cs)
+    avg_a, avg_c0, areas, wsum = _averages(m, cyl, sample, cs)
     assert avg_a.shape == (12, 2, 2)
     # whole column j=d constant across slices
     assert np.ptp(avg_a[:, 0, 1]) == 0.0
@@ -129,6 +129,8 @@ def test_partial_average_of_d_column_is_full_average():
     # dense oracle for the weighted full average of a_dd over the cylinder
     vals = sample.a[..., 1, 1][:, cs.space_j, cs.space_m][cs.time_cells]
     w = cs.space_measures()
+    assert areas.tolist() == w.tolist()
+    assert wsum == w.sum() * cs.time_cells.size
     oracle = float((vals * w[None, :]).sum() /
                    (w.sum() * cs.time_cells.size))
     assert abs(avg_a[0, 1, 1] - oracle) < 1e-13

@@ -60,6 +60,35 @@ CONFIGS = {
                         eps=0.3, rho_grid=[0.25, 0.5]),
 }
 
+# the full text of the plot scripts the sweep and mms CONFIGS write
+PLOTS = {
+    ("sweep", "plot_ratio.gp"): r"""# gnuplot script generated alongside reports.csv
+set datafile separator ","
+set logscale x
+set xlabel "lambda"
+set ylabel "lhs/rhs ratio"
+set key off
+set term pngcairo size 900,600
+set output "ratio_lambda.png"
+plot "reports.csv" every ::1 using 2:11 with points pt 7
+""",
+    ("mms", "plot_error.gp"): r"""# gnuplot script generated alongside mms.csv
+set datafile separator ","
+set logscale xy
+set xlabel "1/M"
+set ylabel "error"
+set key left top
+set term pngcairo size 900,600
+set output "error_h.png"
+ref1(x) = 0.455517 * x
+ref2(x) = 0.626261 * x**2
+plot "mms.csv" every ::1 using (1/$1):3 with linespoints title "weighted solution error", \
+     "mms.csv" every ::1 using (1/$1):4 with linespoints title "gradient error", \
+     ref1(x) title "slope 1" dt 2, \
+     ref2(x) title "slope 2" dt 3
+""",
+}
+
 _ORDERS = ("0", "1_xd", "1_full", "2_full")
 _WEIGHTS = (-0.5, 0.0, 1.0)
 _PS = (1.5, 3.0)
@@ -193,12 +222,21 @@ def _artifact_bytes(out_dir):
     return got, manifest
 
 
+def test_plot_scripts_match_the_pinned_text(tmp_path):
+    for (name, fname), want in PLOTS.items():
+        out_dir = tmp_path / name
+        run(parse_config(dict(CONFIGS[name], out_dir=str(out_dir),
+                              emit_plots=True)))
+        assert (out_dir / fname).read_text() == want, fname
+
+
 def test_warm_reruns_are_byte_identical_to_cold(tmp_path):
-    # each config twice in one process: first on fresh meshes (intern
-    # cleared), then on the interned meshes and the tables the first run
-    # built, factors included
+    # each config twice in one process, plots on, into one directory: first
+    # on fresh meshes (intern cleared), then on the interned meshes and the
+    # tables the first run built, factors included
     for name in CONFIGS:
-        raw = dict(CONFIGS[name], out_dir=str(tmp_path / name))
+        raw = dict(CONFIGS[name], out_dir=str(tmp_path / name),
+                   emit_plots=True)
         runs = []
         degenlab.mesh._interned.cache_clear()
         for _ in range(2):
@@ -206,6 +244,7 @@ def test_warm_reruns_are_byte_identical_to_cold(tmp_path):
             runs.append(_artifact_bytes(raw["out_dir"]))
         cold, warm = runs
         assert "run.json" in cold[0], name
+        assert all(fname in cold[0] for n, fname in PLOTS if n == name)
         assert warm == cold, name
 
 

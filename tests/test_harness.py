@@ -357,6 +357,36 @@ def test_corollary2_validation_and_report():
     print(rep.csv_row())
 
 
+def test_trace_report_slope_oracles():
+    m = build_mesh(1, 1.0, 128, 2.0)
+    lin = DiscreteField.sample(m, lambda t, xp, xd: xd)
+    rep = trace_report(lin, 2.0)
+    print("slope(x)", rep.lhs)
+    assert abs(rep.lhs - 1.0) < 1e-10
+    assert rep.passed
+    frac = DiscreteField.sample(m, lambda t, xp, xd: xd ** 0.6)
+    rep2 = trace_report(frac, 2.0)
+    print("slope(x^0.6)", rep2.lhs)
+    assert abs(rep2.lhs - 0.6) < 1e-10
+    assert rep2.passed            # 0.6 >= 1/2 - 1/2 - 0.05
+    with pytest.raises(ValueError):
+        trace_report(lin, 1.5)
+    assert rep.params["n_slices"] >= 4
+
+
+def test_hardy_report_linear_profile():
+    m = build_mesh(1, 1.0, 32, 2.0)
+    u = DiscreteField.sample(m, lambda t, xp, xd: xd)
+    rep = hardy_report(u, 2.0)
+    assert abs(rep.ratio - 1.0) < 1e-12
+    assert rep.passed
+    bump = DiscreteField.sample(m, lambda t, xp, xd: xd * (1 - xd))
+    rep2 = hardy_report(bump, 3.0)
+    print("hardy ratio", rep2.ratio, "bound", rep2.threshold)
+    assert rep2.passed
+    assert rep2.ratio <= 1.5 + 0.05
+
+
 def test_hardy_and_trace_adapters():
     m = build_mesh(1, 1.0, 64, 2.0)
     lin = DiscreteField.sample(m, lambda t, xp, xd: xd)

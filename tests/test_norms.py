@@ -8,9 +8,9 @@ import degenlab.norms
 from degenlab import (Cylinder, DiscreteField, NormSpec, SpaceTimeSolution,
                       analytic_norm, assemble_weighted_mass, build_mesh,
                       cell_center_gradients, cells_in_cylinder, error_norm,
-                      hardy_check, levels_norm, model_stiffness,
+                      levels_norm, model_stiffness,
                       second_difference_fields, second_difference_magnitude,
-                      slice_norms, trace_decay_check, weighted_norm)
+                      slice_norms, weighted_norm)
 
 
 def test_norm_spec_validation():
@@ -113,23 +113,6 @@ def test_smooth_profile_against_dense_quadrature():
     assert abs(got - oracle) < 0.02 * oracle
 
 
-def test_trace_decay_slope_oracles():
-    m = build_mesh(1, 1.0, 128, 2.0)
-    lin = DiscreteField.sample(m, lambda t, xp, xd: xd)
-    rep = trace_decay_check(lin, 2.0)
-    print("slope(x)", rep.slope)
-    assert abs(rep.slope - 1.0) < 1e-10
-    assert rep.passed
-    frac = DiscreteField.sample(m, lambda t, xp, xd: xd ** 0.6)
-    rep2 = trace_decay_check(frac, 2.0)
-    print("slope(x^0.6)", rep2.slope)
-    assert abs(rep2.slope - 0.6) < 1e-10
-    assert rep2.passed            # 0.6 >= 1/2 - 1/2 - 0.05
-    with pytest.raises(ValueError):
-        trace_decay_check(lin, 1.5)
-    assert rep.n_slices >= 4
-
-
 def test_second_differences_exact_on_quadratics():
     m = build_mesh(1, 2.0, 20, 2.0)       # graded: unequal neighbours
     vals = (m.xd_nodes ** 2)[:, None]
@@ -162,19 +145,6 @@ def test_second_order_norm_frozen():
     got = weighted_norm(u, NormSpec(2.0, 1.0, "2_full"))
     print("second order norm", got)
     assert abs(got - np.sqrt(2.0)) < 1e-12
-
-
-def test_hardy_check_linear_profile():
-    m = build_mesh(1, 1.0, 32, 2.0)
-    u = DiscreteField.sample(m, lambda t, xp, xd: xd)
-    rep = hardy_check(u, 2.0)
-    assert abs(rep.ratio - 1.0) < 1e-12
-    assert rep.passed
-    bump = DiscreteField.sample(m, lambda t, xp, xd: xd * (1 - xd))
-    rep2 = hardy_check(bump, 3.0)
-    print("hardy ratio", rep2.ratio, "bound", rep2.bound)
-    assert rep2.passed
-    assert rep2.ratio <= 1.5 + 0.05
 
 
 def test_solution_norm_rectangle_rule_and_skip():
