@@ -165,10 +165,8 @@ def _cmd_mms(cfg):
 def _cmd_sweep(cfg):
     problem = _problem(cfg)
     eps_grid = cfg["eps_grid"] if cfg["eps_grid"] else [cfg["eps"]]
-    reports = []
-    for p in _ps(cfg):
-        reports.extend(main_estimate_sweep(problem, p, _lambdas(cfg),
-                                           eps_grid=eps_grid))
+    reports = main_estimate_sweep(problem, _ps(cfg), _lambdas(cfg),
+                                  eps_grid=eps_grid)
     return reports, [], [("plot_ratio.gp", _ratio_plot())]
 
 
@@ -376,12 +374,17 @@ _SCHEMA = {
 # off they march u = 0 from rest and would certify nothing.
 _MARCH_THE_SOURCES = ("solve", "sweep", "trace")
 
+# The commands whose checks need p >= 2: the trace decay exponent
+# 1/2 - 1/p and the second-order weighted estimate.
+_P_AT_LEAST_2 = ("trace", "corollary2")
+
 
 def parse_config(raw):
     """Validate a raw mapping against _SCHEMA: unknown keys are rejected by
     name, defaults fill the gaps, every key is checked in the table's order,
-    a command of _MARCH_THE_SOURCES needs a source, and the result re-parses
-    to itself."""
+    a command of _MARCH_THE_SOURCES needs a source, one of _P_AT_LEAST_2
+    needs every p it reads (p_grid when given, else p) at least 2, and the
+    result re-parses to itself."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(raw) - set(_SCHEMA))
@@ -395,7 +398,12 @@ def parse_config(raw):
             and not (cfg["with_F"] or cfg["with_f"]):
         raise ConfigError("command %r marches the sources, so with_F and "
                           "with_f must not both be false" % cfg["command"])
+    if cfg["command"] in _P_AT_LEAST_2 and min(_ps(cfg)) < 2:
+        key = "p_grid" if cfg["p_grid"] else "p"
+        raise ConfigError("key %r must be at least 2 for command %r, got %r"
+                          % (key, cfg["command"], cfg[key]))
     return cfg
+
 
 def load_config(path):
     try:

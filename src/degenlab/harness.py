@@ -8,6 +8,10 @@ the Hardy quotient and near-boundary trace decay of single fields.
 
 Every verdict and every report label is decided here: ``norms`` gives the
 numbers, and an ``EstimateReport`` row has the columns of ``CSV_HEADER``.
+What depends on a problem alone is derived once per ``ProblemSpec``: its
+``Marcher`` (weighted mass and stiffness split) serves every solution
+marched for it, and the structure condition of its coefficients is decided
+once for every quotient check of its solutions.
 Empirical constants are recorded, never asserted against specific values;
 pass criteria are boundedness, refinement stability, and lambda-uniformity.
 """
@@ -101,7 +105,11 @@ class EstimateReport:
 class ProblemSpec:
     """Bundle of mesh, coefficients, data closures, and run labels shared by
     the checkers.  F is None, a callable (dim=1) or a tuple of per-direction
-    callables (t, xp, xd); f is None or a scalar callable."""
+    callables (t, xp, xd); f is None or a scalar callable.
+
+    ``marcher()`` and ``structure_condition()`` are derived from mesh,
+    coeffs and config on first use and kept with the problem; reassigning
+    any of the three drops them, so the next use derives them again."""
 
     def __init__(self, mesh, coeffs, F=None, f=None, config=None, seed=0,
                  rho0=1.0):
@@ -117,8 +125,29 @@ class ProblemSpec:
         self.seed = int(seed)
         self.rho0 = float(rho0)
 
+    def __setattr__(self, name, value):
+        if name in ("mesh", "coeffs", "config"):
+            object.__setattr__(self, "_derived", {})
+        object.__setattr__(self, name, value)
+
+    def _derive(self, key, build):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def stepper(self):
         return self.config or TimeStepperConfig()
+
+    def marcher(self):
+        """The Marcher of this mesh, field and stepper that every march of
+        the problem goes through."""
+        return self._derive("marcher", lambda: Marcher(
+            self.mesh, self.coeffs, self.stepper()))
+
+    def structure_condition(self):
+        """check_structure_condition of the problem's field on its mesh."""
+        return self._derive("structure", lambda: check_structure_condition(
+            self.coeffs, self.mesh))
 
 
 def _f_components(F):
@@ -146,11 +175,12 @@ def _f_magnitude(F):
 # -- L2 energy inequality -------------------------------------------------------
 
 def energy_ratio(problem, lam):
-    """March the problem with implicit Euler and compare
-    ||Du|| + sqrt(lam)||u||_w against ||F|| + ||f||_w through the assembled
-    quadratic forms (all four integrals are exact for the bilinear fields).
-    The dissipation identity of the scheme makes ratio <= 4/nu a theorem of
-    the discretization, so the report carries that threshold untoleranced.
+    """March the problem with implicit Euler, through its marcher, and
+    compare ||Du|| + sqrt(lam)||u||_w against ||F|| + ||f||_w through the
+    assembled quadratic forms (all four integrals are exact for the bilinear
+    fields).  The dissipation identity of the scheme makes ratio <= 4/nu a
+    theorem of the discretization, so the report carries that threshold
+    untoleranced.
     """
     mesh, coeffs = problem.mesh, problem.coeffs
     config = problem.stepper()
@@ -158,7 +188,7 @@ def energy_ratio(problem, lam):
         raise ValueError("the exact energy bound needs theta = 1")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    sol = march(mesh, coeffs, lam, F=problem.F, f=problem.f, config=config)
+    sol = problem.marcher().march([lam], F=problem.F, f=problem.f)[0]
     K0 = model_stiffness(mesh).matrix
     Mw = assemble_weighted_mass(mesh).matrix
     gram_all, gram_w = data_grams(mesh)
@@ -216,7 +246,9 @@ def _wp_data_norm(mesh, F, f, p, skip):
 
 def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
     """Solve across a lambda grid for each coefficient-oscillation amplitude
-    and report the ratio of solution to data W^1_p norms.  Each coefficient
+    and report the ratio of solution to data W^1_p norms, for p or for each
+    p of a grid: the reports run over p, then the amplitude, then lambda,
+    and every field is marched once for all of them.  Each coefficient
     field's measured partial oscillation over cylinders of radius rho0/4,
     rho0/2 and rho0 is recorded as gamma_measured.  Within the window
     lambda*rho0 >= 1 the report fails when the per-amplitude ratio spread
@@ -225,6 +257,7 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
     """
     mesh = problem.mesh
     config = problem.stepper()
+    ps = np.atleast_1d(p).tolist()
     lambdas = [float(v) for v in lambdas]
     if any(v <= 0 for v in lambdas):
         raise ValueError("the sweep needs positive lambda values")
@@ -244,45 +277,61 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
     data_norms = {}
 
     def wp_norms(m, coeffs):
-        """(lhs, rhs) per lambda on mesh m: one march of the lambda grid
-        per (mesh, field), and the lambda-free data norm once per mesh."""
+        """Per p of ps, (lhs, rhs) per lambda on mesh m: one march of the
+        lambda grid per (mesh, field), and the lambda-free data norm once
+        per (mesh, p)."""
         sols = Marcher(m, coeffs, config).march(lambdas, F=problem.F,
                                                 f=problem.f)
         skip = m.time_count // 10
-        if m not in data_norms:
-            data_norms[m] = _wp_data_norm(m, problem.F, problem.f, p, skip)
-        return [(_wp_solution_norm(sol, sol.lam, p, skip), data_norms[m])
-                for sol in sols]
+        out = []
+        for q in ps:
+            if (m, q) not in data_norms:
+                data_norms[m, q] = _wp_data_norm(m, problem.F, problem.f, q,
+                                                 skip)
+            out.append([(_wp_solution_norm(sol, sol.lam, q, skip),
+                         data_norms[m, q]) for sol in sols])
+        return out
 
-    reports = []
+    reports = [[] for _ in ps]        # per p, in amplitude then lambda order
     for eps, coeffs, gamma in families:
-        cell = []
-        for lam, (lc, rc), (lf, rf) in zip(lambdas, wp_norms(mesh, coeffs),
-                                           wp_norms(fine, coeffs)):
-            ratio_c = lc / rc if rc > 0 else 0.0
-            ratio_f = lf / rf if rf > 0 else 0.0
-            drift = abs(ratio_f - ratio_c) / ratio_c if ratio_c > 0 else 0.0
-            cell.append((lam, lc, rc, ratio_c, ratio_f, drift))
-        in_window = [lam * problem.rho0 >= 1.0 for lam, *_ in cell]
-        window_ratios = [row[3] for row, ok in zip(cell, in_window)
-                         if ok and row[3] > 0]
-        if window_ratios:
-            uniformity = max(window_ratios) / min(window_ratios)
-        else:
-            uniformity = 1.0
-        for (lam, lc, rc, ratio_c, ratio_f, drift), ok in zip(cell,
-                                                              in_window):
-            params = {"lambda": lam, "p": float(p), "mesh_M": mesh.M,
-                      "dt": mesh.time_step,
-                      "seed": problem.seed, "rho0": problem.rho0,
-                      "gamma_measured": gamma, "eps": eps,
-                      "ratio_refined": ratio_f, "refine_drift": drift,
-                      "uniformity": uniformity, "in_window": ok,
-                      "kind": coeffs.kind}
-            passed = np.isfinite(ratio_c) and \
-                (not ok or (uniformity <= 3.0 and drift <= 0.15))
-            reports.append(EstimateReport("main_Wp", lc, rc, params=params,
-                                          passed=passed))
+        for q, rows, coarse, refined in zip(ps, reports,
+                                            wp_norms(mesh, coeffs),
+                                            wp_norms(fine, coeffs)):
+            rows.extend(_sweep_reports(problem, q, eps, coeffs, gamma,
+                                       lambdas, coarse, refined))
+    return [rep for rows in reports for rep in rows]
+
+
+def _sweep_reports(problem, p, eps, coeffs, gamma, lambdas, coarse, fine):
+    """The main_Wp reports of one (p, amplitude) from the (lhs, rhs) of
+    each lambda on the mesh and on its refinement."""
+    mesh = problem.mesh
+    cell = []
+    for lam, (lc, rc), (lf, rf) in zip(lambdas, coarse, fine):
+        ratio_c = lc / rc if rc > 0 else 0.0
+        ratio_f = lf / rf if rf > 0 else 0.0
+        drift = abs(ratio_f - ratio_c) / ratio_c if ratio_c > 0 else 0.0
+        cell.append((lam, lc, rc, ratio_c, ratio_f, drift))
+    in_window = [lam * problem.rho0 >= 1.0 for lam, *_ in cell]
+    window_ratios = [row[3] for row, ok in zip(cell, in_window)
+                     if ok and row[3] > 0]
+    if window_ratios:
+        uniformity = max(window_ratios) / min(window_ratios)
+    else:
+        uniformity = 1.0
+    reports = []
+    for (lam, lc, rc, ratio_c, ratio_f, drift), ok in zip(cell, in_window):
+        params = {"lambda": lam, "p": float(p), "mesh_M": mesh.M,
+                  "dt": mesh.time_step,
+                  "seed": problem.seed, "rho0": problem.rho0,
+                  "gamma_measured": gamma, "eps": eps,
+                  "ratio_refined": ratio_f, "refine_drift": drift,
+                  "uniformity": uniformity, "in_window": ok,
+                  "kind": coeffs.kind}
+        passed = np.isfinite(ratio_c) and \
+            (not ok or (uniformity <= 3.0 and drift <= 0.15))
+        reports.append(EstimateReport("main_Wp", lc, rc, params=params,
+                                      passed=passed))
     return reports
 
 
@@ -304,8 +353,10 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
     there (verified row by row), yet which is nontrivial on the cylinder.
 
     With no data on the problem, random sources supported above the cushion
-    are synthesized from the seed.  Raises DegenerateLocalSolution when the
-    result is numerically zero on the cylinder.
+    are synthesized from the seed.  The march goes through the problem's
+    marcher, and the solution keeps its problem as ``problem``.  Raises
+    DegenerateLocalSolution when the result is numerically zero on the
+    cylinder.
     """
     mesh, coeffs = problem.mesh, problem.coeffs
     if coeffs.kind == "oscillatory":
@@ -333,7 +384,7 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
     else:
         F, f = problem.F, problem.f
 
-    sol = march(mesh, coeffs, lam, F=F, f=f, config=problem.stepper())
+    sol = problem.marcher().march([lam], F=F, f=f)[0]
 
     # certify discrete homogeneity: every interior row whose nodal support
     # lies below the cushion must receive an exactly zero load at all times
@@ -350,7 +401,7 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
         raise DegenerateLocalSolution("solution is numerically zero on the "
                                       "cylinder (seed %d)" % seed)
     sol.homogeneous_cylinder = cylinder
-    sol.coeffs = coeffs
+    sol.problem = problem
     sol.lam = lam
     sol.seed = seed
     sol.source_bound = x_lo
@@ -419,11 +470,11 @@ def w_estimate_ratio(u_local, r, R, enforce_structure=True):
     x_d = 0; the boundary node never enters the integrals), compare
     x_d|Dw|^2 + lam*w^2 on the inner cylinder against w^2 on the outer one.
     The structural hypothesis (constant coefficients in the degenerate
-    column) is enforced unless this runs as a violation probe.
+    column), decided once per problem, is enforced unless this runs as a
+    violation probe.
     """
     mesh, lam = u_local.mesh, u_local.lam
-    if enforce_structure and \
-            not check_structure_condition(u_local.coeffs, mesh):
+    if enforce_structure and not u_local.problem.structure_condition():
         raise ValueError("the quotient estimate requires a constant "
                          "degenerate coefficient column")
     base = u_local.homogeneous_cylinder

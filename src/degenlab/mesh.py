@@ -4,7 +4,8 @@ The x_d direction is graded toward the degenerate boundary x_d = 0 by the
 power law  node_j = L_d * (j/M)**kappa.  In dim = 2 the lateral direction x'
 is a uniform periodic interval of length L'; in dim = 1 it collapses to a
 single phantom cell of length 1 so that all measures reduce to dx_d.
-Time is a uniform grid t_n = n*dt, n = 0..time_count.
+Time is a uniform grid t_n = n*dt, n = 0..time_count.  The cells of a
+cylinder are found once per (mesh, cylinder geometry) and shared read-only.
 """
 
 import functools
@@ -13,9 +14,10 @@ import weakref
 import numpy as np
 
 # mesh -> {key: table}: the scatter plans, band layout and band LUs, load
-# maps, a0-free mass, Grams and norm plans of a mesh.  Meshes are held
-# weakly; a table derives from its key and the mesh's immutable geometry
-# alone, so it cannot go stale.  build_mesh interns its meshes (see
+# maps, a0-free mass, Grams, norm plans and cylinder cell sets of a mesh.
+# Meshes are held weakly, and no table refers back to its mesh; a table
+# derives from its key and the mesh's immutable geometry alone, so it
+# cannot go stale.  build_mesh interns its meshes (see
 # _INTERNED), so the tables of a geometry outlive one command and serve
 # every later command on that geometry; a TensorMesh(...) built directly is
 # not interned, and its tables go with it.
@@ -218,30 +220,27 @@ class Cylinder:
 
 class CellSet:
     """Cells of a mesh inside a cylinder: the product of a time-cell index set
-    and a spatial-cell index set (flat index j*xprime_count + m)."""
+    and a spatial-cell index set (flat index j*xprime_count + m), with the
+    x_d index j and x' index m of each spatial cell.  Every array is
+    read-only; the set keeps no reference to its mesh."""
 
     def __init__(self, mesh, time_cells, space_cells):
-        self.mesh = mesh
         self.time_cells = np.asarray(time_cells, dtype=int)
         self.space_cells = np.asarray(space_cells, dtype=int)
+        self.space_j = self.space_cells // mesh.xprime_count
+        self.space_m = self.space_cells % mesh.xprime_count
+        self._measures = mesh.xd_widths[self.space_j]
+        if mesh.dim == 2:
+            self._measures = self._measures * mesh.xprime_spacing
+        for table in vars(self).values():
+            table.setflags(write=False)
 
     @property
     def n_cells(self):
         return self.time_cells.size * self.space_cells.size
 
-    @property
-    def space_j(self):
-        return self.space_cells // self.mesh.xprime_count
-
-    @property
-    def space_m(self):
-        return self.space_cells % self.mesh.xprime_count
-
     def space_measures(self):
-        w = self.mesh.xd_widths[self.space_j]
-        if self.mesh.dim == 2:
-            w = w * self.mesh.xprime_spacing
-        return w
+        return self._measures
 
 
 def _space_cells_in_ball(mesh, cyl):
@@ -262,10 +261,15 @@ def _time_cells_in_window(mesh, t0, radius):
 
 
 def cells_in_cylinder(mesh, cyl):
-    """Cells whose centers lie in the cylinder.  Deterministic; may be empty."""
-    space = _space_cells_in_ball(mesh, cyl)
-    time = _time_cells_in_window(mesh, cyl.center_time, cyl.radius)
-    return CellSet(mesh, time, space)
+    """Cells whose centers lie in the cylinder.  Deterministic; may be empty.
+    One read-only CellSet per (mesh, cylinder geometry), kept with the
+    mesh's tables and keyed by the cylinder's four floats, so equal
+    cylinders built apart share it."""
+    key = ("cells", cyl.center_time, cyl.center_xprime, cyl.center_xd,
+           cyl.radius)
+    return _cached(mesh, key, lambda: CellSet(
+        mesh, _time_cells_in_window(mesh, cyl.center_time, cyl.radius),
+        _space_cells_in_ball(mesh, cyl)))
 
 
 def prime_cells_in_cylinder(mesh, cyl):

@@ -12,12 +12,15 @@ array of entry data on the mesh's interior pattern, one level (L = 1) when
 the coefficient field declares itself autonomous and one per time level
 (L = N+1) otherwise.  A ``Marcher`` splits it as K(lam) = D + lam * C once
 per (mesh, coefficients), so a lambda grid assembles D and C once and
-marches as one batch.  Every linear system goes to one banded LU (LAPACK's
-dgbtrf/dgbtrs), filled straight from CSR entry data: the k systems of one
-level sit side by side as the blocks of one block-diagonal band, factored
-once per march for one level and once per step for N+1, and each step
-makes one dgbtrs and one product with the block-diagonal mass for the
-whole batch.  The factors and solutions of every block are bitwise those
+marches as one batch, and a problem that marches many solutions (see
+``harness.ProblemSpec.marcher``) assembles its mass and split once.
+Every linear system goes to one banded LU (LAPACK's dgbtrf/dgbtrs),
+filled straight from CSR entry data: the k systems of one level sit side
+by side as the blocks of one block-diagonal band, factored once per march
+for one level and once per step for N+1, and each step makes one dgbtrs
+and one product with the block-diagonal mass for the whole batch (for
+theta < 1, one more with the block-diagonal K^n, a matrix built once per
+march).  The factors and solutions of every block are bitwise those
 of its system alone.  The band takes the interior DoFs in a declared
 order, natural in d = 1 and with the periodic x' index interleaved in
 d = 2, which narrows the band from 2P - 1 to P + 2 diagonals; that layout
@@ -323,12 +326,13 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     K_i^{n+1}) u_i^{n+1} = (M - (1-theta) dt K_i^n) u_i^n + dt b_i^theta
     for every i: the k systems of a level are the blocks of one band, so
     a step makes at most one dgbtrf, one dgbtrs and one product with the
-    block-diagonal mass, and every solution is bitwise that of its system
-    marched alone.  Every solve is checked after the last step, one
-    system at a time.  Returns k solutions, each keeping its load rows as
-    ``loads``.  A one-level march whose systems the mesh's band LU of k
-    blocks holds the factors of, bitwise, solves with them without
-    factoring.
+    block-diagonal mass (and, for theta < 1, one with the block-diagonal
+    K^n, built once per march and refilled from K[:, n] at each step), and
+    every solution is bitwise that of its system marched alone.  Every
+    solve is checked after the last step, one system at a time.  Returns k
+    solutions, each keeping its load rows as ``loads``.  A one-level march
+    whose systems the mesh's band LU of k blocks holds the factors of,
+    bitwise, solves with them without factoring.
     """
     config = config or TimeStepperConfig()
     dt, N = mesh.time_step, mesh.time_count
@@ -357,6 +361,9 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
         np.broadcast_to(Mmat.data, (k, Mmat.nnz)), *pattern)
     U_flat, rhs_flat = U.reshape(N + 1, -1), rhs.reshape(N, -1)  # views
     stacked = A.shape[0] > 1
+    if theta < 1.0:         # the explicit part: K^n, or K, on one matrix
+        Kn = _block_diagonal(K[:, 0].copy(), *pattern)  # never a view of K
+        Kn_data = Kn.data.reshape(k, -1)        # a view, refilled per step
     if not stacked:
         lu.factor_once(A[0], 1, names)
     for n in range(N):
@@ -364,8 +371,8 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
             lu.factor(A[n + 1], n + 1, names)
         rhs_flat[n] += Mb @ U_flat[n]
         if theta < 1.0:
-            if n == 0 or stacked:       # the explicit part: K^n, or K
-                Kn = _block_diagonal(K[:, n], *pattern)
+            if stacked:
+                Kn_data[:] = K[:, n]
             rhs_flat[n] -= (1 - theta) * dt * (Kn @ U_flat[n])
         U_flat[n + 1] = lu.solve(rhs_flat[n])
     levels = np.arange(1, N + 1)
@@ -390,10 +397,10 @@ class Marcher:
     K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
     declares itself autonomous (see ``CoefficientField.autonomous``) and at
     every time level of the mesh otherwise, built on first use.  One marcher
-    marches any number of lambdas, forward and adjoint; for an autonomous
-    field at theta = 1 the adjoint at the lambda of the last one-lambda
-    march on the mesh solves with its factors, transposed, instead of
-    factoring the same system again."""
+    marches any number of lambdas and sources, forward and adjoint; for an
+    autonomous field at theta = 1 the adjoint at the lambda of the last
+    one-lambda march on the mesh solves with its factors, transposed,
+    instead of factoring the same system again."""
 
     def __init__(self, mesh, coeffs, config=None):
         self.mesh = mesh
@@ -452,12 +459,13 @@ class Marcher:
 
 
 def march(mesh, coeffs, lam, F=None, f=None, config=None):
-    """Assemble-and-march convenience wrapper for one lambda, from rest.
+    """Assemble-and-march convenience wrapper for one lambda, from rest,
+    through a new ``Marcher``.
 
     F: None, a callable (dim=1) or tuple of per-direction callables
     (t, xp, xd) -> values; f likewise scalar-valued.  Returns a
-    SpaceTimeSolution.  To march a lambda grid on one field, use one
-    ``Marcher``.
+    SpaceTimeSolution.  To march a lambda grid, or many sources, on one
+    field, use one ``Marcher`` (a ``ProblemSpec`` keeps one).
     """
     return Marcher(mesh, coeffs, config).march([lam], F=F, f=f)[0]
 

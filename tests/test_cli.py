@@ -9,7 +9,9 @@ import pytest
 from scipy.io import mmread
 
 import degenlab
+from degenlab import Marcher, ProblemSpec, check_structure_condition
 from degenlab.cli import ConfigError, load_config, main, parse_config, run
+from test_golden import CONFIGS as GOLDEN
 
 CSV_HEADER = ("check_id,lambda,p,mesh_M,dt,seed,rho0,gamma_measured,"
               "lhs,rhs,ratio,pass")
@@ -116,6 +118,34 @@ def test_p_at_most_one_is_a_config_error(tmp_path, capsys, monkeypatch, key,
         % (key, bad) in capsys.readouterr().err
     assert not marches
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("trace", "p_grid", [2.0, 1.5]), ("trace", "p", 1.5),
+    ("corollary2", "p", 1.5), ("corollary2", "p_grid", [1.25, 3.0])])
+def test_p_below_two_is_refused_for_trace_and_corollary2(
+        tmp_path, capsys, monkeypatch, command, key, value):
+    # refused before the corpus is built or anything is marched
+    built = []
+    monkeypatch.setattr(degenlab.solver, "march_system",
+                        lambda *a, **k: built.append("march"))
+    monkeypatch.setattr(degenlab.cli, "random_w1p_field",
+                        lambda *a, **k: built.append("field"))
+    path = _write_cfg(tmp_path, command=command, mesh_M=8, n_fields=1,
+                      **{key: value})
+    assert main(["run", path]) == 2
+    assert "config error: key %r must be at least 2 for command %r, got %r" \
+        % (key, command, value) in capsys.readouterr().err
+    assert not built
+    assert not (tmp_path / "out").exists()
+
+
+def test_p_below_two_is_refused_only_where_read():
+    # p_grid replaces p, and hardy's quotient needs only p > 1
+    assert parse_config({"command": "trace", "p": 1.5, "p_grid": [2.0]})
+    assert parse_config({"command": "corollary2", "p": 2.0})["p"] == 2.0
+    assert parse_config({"command": "hardy", "p_grid": [1.5]})
+    assert parse_config({"command": "sweep", "p": 1.5})
 
 
 def test_load_config_errors(tmp_path):
@@ -284,13 +314,86 @@ def test_rerun_of_a_sweep_builds_no_plans(tmp_path, monkeypatch, capsys):
 
 def test_p_grid_sweep_builds_the_refined_plans_once(tmp_path, monkeypatch,
                                                     capsys):
-    # each p of the grid refines the mesh again; one geometry, one mesh
+    # the mesh and its refinement: one geometry each, one mesh each
     degenlab.mesh._interned.cache_clear()
     built = _count_plans(monkeypatch)
     path = _small_sweep(tmp_path, p_grid=[2.0, 3.0, 4.0])
     assert main(["run", path]) == 0
     assert len(built) == len(set(built))
     assert len({mesh for mesh, _, _ in built}) == 2
+
+
+def _counting(monkeypatch, module, name):
+    """The calls of module.name from now on, one entry per call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_p_grid_sweep_marches_each_field_once(tmp_path, monkeypatch):
+    # the golden sweep: 2 amplitudes, each on its mesh and the refinement
+    raw = dict(GOLDEN["sweep"], p_grid=[2.0, 3.0, 4.0])
+    marches = _counting(monkeypatch, degenlab.solver, "march_system")
+    code, reports = run(parse_config(dict(raw, out_dir=str(tmp_path))))
+    assert code == 0 and len(marches) == 4
+    assert [(r.params["p"], r.params["eps"], r.params["lambda"])
+            for r in reports] == [(p, e, lam) for p in raw["p_grid"]
+                                  for e in raw["eps_grid"]
+                                  for lam in raw["lambda_grid"]]
+    # the reports of one p at a time, concatenated in p order
+    alone = [r for p in raw["p_grid"] for r in run(parse_config(
+        dict(raw, p_grid=[p], out_dir=str(tmp_path))))[1]]
+    assert len(marches) == 4 + 4 * 3
+    assert [r.csv_row() for r in reports] == [r.csv_row() for r in alone]
+    assert [r.to_json() for r in reports] == [r.to_json() for r in alone]
+
+
+@pytest.mark.parametrize("command, marched", [
+    ("caccioppoli", 4), ("wlemma", 2), ("lipschitz", 2)])
+def test_a_local_command_assembles_once_per_run(tmp_path, monkeypatch,
+                                                command, marched):
+    # n_solutions x lambdas marches, all through the problem's one marcher
+    masses = _counting(monkeypatch, degenlab.solver, "assemble_weighted_mass")
+    splits = _counting(monkeypatch, degenlab.solver, "stiffness_levels")
+    marches = _counting(monkeypatch, degenlab.solver, "march_system")
+    structure = _counting(monkeypatch, degenlab.harness,
+                          "check_structure_condition")
+    assert run(parse_config(dict(GOLDEN[command],
+                                 out_dir=str(tmp_path))))[0] == 0
+    assert len(marches) == marched
+    assert len(masses) == len(splits) == 1
+    assert len(structure) == (1 if command == "wlemma" else 0)
+
+
+@pytest.mark.parametrize("command", ["caccioppoli", "wlemma", "lipschitz"])
+def test_a_local_command_writes_what_fresh_assembly_writes(
+        tmp_path, monkeypatch, command):
+    cfg = parse_config(dict(GOLDEN[command], out_dir=str(tmp_path)))
+
+    def artifacts():
+        run(cfg)
+        return [(tmp_path / name).read_bytes()
+                for name in ("reports.csv", "run.json")]
+
+    shared = artifacts()
+    # every march on a new marcher, the structure condition sampled at
+    # every check, every cell set found again
+    monkeypatch.setattr(ProblemSpec, "marcher", lambda self: Marcher(
+        self.mesh, self.coeffs, self.stepper()))
+    monkeypatch.setattr(ProblemSpec, "structure_condition",
+                        lambda self: check_structure_condition(self.coeffs,
+                                                               self.mesh))
+    monkeypatch.setattr(degenlab.mesh, "_cached",
+                        lambda mesh, key, build: build())
+    masses = _counting(monkeypatch, degenlab.solver, "assemble_weighted_mass")
+    assert artifacts() == shared
+    assert len(masses) == (4 if command == "caccioppoli" else 2)
 
 
 def test_run_json_config_echo_reparses(tmp_path):

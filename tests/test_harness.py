@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
                       corollary2_check, default_case, duality_check,
                       energy_ratio, generate_family, hardy_report,
                       locally_homogeneous_solution, main_estimate_sweep,
-                      smooth_random_closure, trace_report, w_estimate_ratio)
+                      march, smooth_random_closure, trace_report,
+                      w_estimate_ratio)
 
 
 def _problem_d1(M=24, time_count=20, seed=0, kind="xd_only", nu=0.5,
@@ -113,6 +117,57 @@ def test_problem_spec_validation():
     coeffs1 = generate_family(0, "constant", 0.5, 0.0, dim=1)
     with pytest.raises(ValueError):
         ProblemSpec(mesh, coeffs1, rho0=0.0)
+
+
+def test_a_problem_marches_through_one_marcher_until_reassigned():
+    f = smooth_random_closure(4, 1)
+    prob = _problem_d1(M=12, time_count=8, f=f, seed=1)
+    first = prob.marcher()
+    energy_ratio(prob, lam=2.0)
+    assert prob.marcher() is first
+    # a reassigned stepper: the next march builds a marcher on it
+    half = TimeStepperConfig(theta=0.5)
+    prob.config = half
+    second = prob.marcher()
+    assert second is not first and second.config is half
+    got = second.march([2.0], f=f)[0]
+    want = march(prob.mesh, prob.coeffs, 2.0, f=f, config=half)
+    assert got.levels.tobytes() == want.levels.tobytes()
+    # a reassigned field: a marcher on it, and the structure decided again
+    assert prob.structure_condition()
+    prob.coeffs = generate_family(1, "oscillatory", 0.5, 0.2, dim=1)
+    third = prob.marcher()
+    assert third is not second and third.coeffs is prob.coeffs
+    assert not prob.structure_condition()
+    prob.mesh = build_mesh(1, 4.0, 10, 2.0, time_step=0.125, time_count=8)
+    assert prob.marcher() is not third
+    assert prob.marcher().mesh is prob.mesh
+
+
+def test_a_problem_keeps_its_field_alive_only_while_it_lives():
+    prob = _problem_d1(M=16, time_count=10, seed=3)
+    sol = locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5))
+    w_estimate_ratio(sol, 0.25, 0.5)
+    field = weakref.ref(prob.coeffs)
+    del prob, sol
+    gc.collect()
+    assert field() is None
+
+
+def test_duality_keeps_no_field_of_its_seeds(monkeypatch):
+    made = []
+    generate = degenlab.harness.generate_family
+
+    def recording(*args, **kwargs):
+        field = generate(*args, **kwargs)
+        made.append(weakref.ref(field))
+        return field
+
+    monkeypatch.setattr(degenlab.harness, "generate_family", recording)
+    duality_check(_problem_d1(M=10, time_count=6), seeds=(0, 1), lam=1.0,
+                  kind="xd_only", eps=0.2)
+    gc.collect()
+    assert len(made) == 2 and all(ref() is None for ref in made)
 
 
 def test_main_estimate_sweep_reports():
@@ -288,9 +343,10 @@ def test_w_estimate_structure_enforcement():
     assert rep.params["variant"] == "standard"
     assert np.isfinite(rep.ratio) and rep.lhs > 0
     print(rep.csv_row())
-    # swap in a structure-violating family: enforcement must trip, the
-    # probe variant must still report
-    sol.coeffs = generate_family(5, "oscillatory", 0.5, 0.2, dim=1)
+    # swap in a structure-violating family on the solution's problem: the
+    # condition is decided again, enforcement must trip, the probe variant
+    # must still report
+    sol.problem.coeffs = generate_family(5, "oscillatory", 0.5, 0.2, dim=1)
     with pytest.raises(ValueError):
         w_estimate_ratio(sol, 0.25, 0.5)
     probe = w_estimate_ratio(sol, 0.25, 0.5, enforce_structure=False)

@@ -1,7 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from degenlab import Cylinder, TensorMesh, build_mesh, cells_in_cylinder
+import degenlab.coefficients
+from degenlab import (Cylinder, TensorMesh, build_mesh, cells_in_cylinder,
+                      generate_family, oscillation_scan)
 
 
 def test_graded_nodes_match_power_law():
@@ -143,6 +148,90 @@ def test_cylinder_measure_adds_up():
     expect = cs.time_cells.size * 0.25 * (4 * 0.25)
     total = cs.time_cells.size * m.time_step * cs.space_measures().sum()
     assert abs(total - expect) < 1e-14
+
+
+def _fresh_cells(m, cyl):
+    """The cells of cyl by brute force over every cell center: (time cells,
+    space cells, x_d index, x' index, space measures)."""
+    tc = m.time_centers
+    time = [n for n in range(m.time_count)
+            if cyl.center_time - cyl.radius < tc[n] <= cyl.center_time]
+    space = []
+    for j in range(m.M):
+        for k in range(m.xprime_count):
+            d2 = (m.xd_centers[j] - cyl.center_xd) ** 2
+            if m.dim == 2:
+                d2 += m.xprime_distance(m.xprime_centers[k],
+                                        cyl.center_xprime) ** 2
+            if d2 < cyl.radius ** 2:
+                space.append(j * m.xprime_count + k)
+    space = np.array(space, int)
+    j, k = space // m.xprime_count, space % m.xprime_count
+    measures = m.xd_widths[j] * (m.xprime_spacing if m.dim == 2 else 1.0)
+    return np.array(time, int), space, j, k, measures
+
+
+def _assert_shared_and_fresh(m, cyl):
+    cs = cells_in_cylinder(m, cyl)
+    again = Cylinder(cyl.center_time, cyl.center_xd, cyl.radius,
+                     cyl.center_xprime)
+    assert cells_in_cylinder(m, again) is cs
+    got = (cs.time_cells, cs.space_cells, cs.space_j, cs.space_m,
+           cs.space_measures())
+    for have, want in zip(got, _fresh_cells(m, cyl)):
+        assert not have.flags.writeable
+        assert np.array_equal(have, want)
+        with pytest.raises(ValueError):
+            have[...] = 0
+    assert cs.n_cells == cs.time_cells.size * cs.space_cells.size
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_sets_are_shared_read_only_and_fresh(dim):
+    # one CellSet per (mesh, cylinder geometry), equal to a brute-force
+    # selection, whatever Cylinder object asks for it
+    m = build_mesh(dim, 4.0, 16, 2.0, xprime_count=6,
+                   xprime_length=2 * np.pi, time_step=0.125, time_count=8)
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        t0, xd0 = rng.uniform(0.0, 1.2), rng.uniform(0.0, 1.5)
+        cyl = Cylinder(t0, xd0 * (rng.random() < 0.7), rng.uniform(0.05, 1.5),
+                       rng.uniform(0.0, 2 * np.pi))
+        _assert_shared_and_fresh(m, cyl)
+    assert cells_in_cylinder(m, Cylinder(1.0, 0.0, 0.5)) is not \
+        cells_in_cylinder(m, Cylinder(1.0, 0.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_oscillation_lattice_cell_sets_are_fresh(monkeypatch, dim):
+    m = build_mesh(dim, 4.0, 12, 2.0, xprime_count=6,
+                   xprime_length=2 * np.pi, time_step=0.125, time_count=8)
+    asked = []
+    real = degenlab.coefficients.cells_in_cylinder
+
+    def recording(mesh, cyl):
+        asked.append(cyl)
+        return real(mesh, cyl)
+
+    monkeypatch.setattr(degenlab.coefficients, "cells_in_cylinder",
+                        recording)
+    coeffs = generate_family(1, "oscillatory", 0.5, 0.2, dim=dim,
+                             xp_length=2 * np.pi)
+    oscillation_scan(coeffs, m, [0.25, 0.5, 1.0])
+    assert len(asked) == 9 * dim
+    for cyl in asked:
+        _assert_shared_and_fresh(m, cyl)
+
+
+def test_cell_sets_do_not_keep_their_mesh_alive():
+    # a CellSet lives in its mesh's tables, held weakly: it must hold no
+    # reference back to the mesh
+    m = TensorMesh(1, np.linspace(0.0, 2.0, 9), 1, 1.0, 0.25, 4, 1.0)
+    assert cells_in_cylinder(m, Cylinder(1.0, 0.0, 0.5)).n_cells > 0
+    gone = weakref.ref(m)
+    del m
+    gc.collect()
+    assert gone() is None
 
 
 def test_empty_cylinder():

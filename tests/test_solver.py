@@ -492,6 +492,35 @@ def test_a_failing_grid_member_names_its_level_and_lambda(monkeypatch):
     assert sizes == [4 * n] * 4        # one solve per step for the grid
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_explicit_part_is_one_matrix_per_march(monkeypatch, k):
+    # theta < 1 on a stack of N+1 levels: one block-diagonal K^n, built
+    # before the first step and refilled at each; the stack is not written
+    built = []
+    block_diagonal = degenlab.solver._block_diagonal
+
+    def counting(data, indices, indptr):
+        built.append(data.shape)
+        return block_diagonal(data, indices, indptr)
+
+    monkeypatch.setattr(degenlab.solver, "_block_diagonal", counting)
+    coeffs = generate_family(2, "oscillatory", 0.5, 0.2, dim=1)
+    for N in (4, 8):
+        m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=N)
+        K = np.stack([_stack(m, coeffs, lam, m.time_levels)
+                      for lam in (0.5, 2.0, 8.0)[:k]])
+        kept = K.copy()
+        loads = np.ones((k, N + 1, m.n_interior))
+        del built[:]
+        march_system(assemble_weighted_mass(m, coeffs.a0), K, loads, m,
+                     config=TimeStepperConfig(theta=0.5))
+        assert K.tobytes() == kept.tobytes()
+        # K^n, the mass of a batch, and one backward-error check per system
+        assert sorted(built) == sorted([(k, K.shape[-1])]
+                                       + [(k, K.shape[-1])] * (k > 1)
+                                       + [(N, K.shape[-1])] * k)
+
+
 def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
     # an entry of one level cancels exactly; the band storage holds it as
     # the zero that a sparse sum would drop, and the march is bitwise the
