@@ -378,13 +378,48 @@ _MARCH_THE_SOURCES = ("solve", "sweep", "trace")
 # 1/2 - 1/p and the second-order weighted estimate.
 _P_AT_LEAST_2 = ("trace", "corollary2")
 
+# The commands that march locally homogeneous solutions: their field must
+# not depend on t, and their radii must nest inside cyl_radius.
+_LOCAL = ("caccioppoli", "wlemma", "lipschitz")
+
+# The rules a key keeps, given the other keys, for the commands that read
+# it: (commands, key, holds(cfg), rule), the rule formatted with the config.
+# Checked in this order after _SCHEMA, so a config is refused naming the key
+# and its value before anything is built, and only by a command that reads
+# the key (x' keys only in dim 2).
+_COMMAND_RULES = (
+    (COMMANDS, "xprime_count",
+     lambda c: c["dim"] == 1 or c["xprime_count"] >= 1, "at least 1 in dim 2"),
+    (COMMANDS, "xprime_length",
+     lambda c: c["dim"] == 1 or c["xprime_length"] > 0,
+     "greater than 0 in dim 2"),
+    (_P_AT_LEAST_2, "p_grid",
+     lambda c: not c["p_grid"] or min(c["p_grid"]) >= 2, "at least 2"),
+    (_P_AT_LEAST_2, "p", lambda c: bool(c["p_grid"]) or c["p"] >= 2,
+     "at least 2"),
+    (_LOCAL, "kind", lambda c: c["kind"] != "oscillatory",
+     "constant or xd_only"),
+    (_LOCAL, "cyl_radius", lambda c: c["cyl_radius"] > 0, "greater than 0"),
+    (("caccioppoli", "wlemma"), "r_inner",
+     lambda c: 0 < c["r_inner"] < c["r_outer"],
+     "greater than 0 and less than r_outer = {r_outer!r}"),
+    (("caccioppoli", "wlemma"), "r_outer",
+     lambda c: c["r_outer"] <= c["cyl_radius"],
+     "at most cyl_radius = {cyl_radius!r}"),
+    (("lipschitz",), "r_inner",
+     lambda c: 0 < 2 * c["r_inner"] <= c["cyl_radius"],
+     "greater than 0 and at most half of cyl_radius = {cyl_radius!r}"),
+    (("oscillation",), "rho_grid", lambda c: min(c["rho_grid"]) > 0,
+     "a list of radii greater than 0"),
+)
+
 
 def parse_config(raw):
     """Validate a raw mapping against _SCHEMA: unknown keys are rejected by
     name, defaults fill the gaps, every key is checked in the table's order,
-    a command of _MARCH_THE_SOURCES needs a source, one of _P_AT_LEAST_2
-    needs every p it reads (p_grid when given, else p) at least 2, and the
-    result re-parses to itself."""
+    a command of _MARCH_THE_SOURCES needs a source, the rules of
+    _COMMAND_RULES hold for the command, and the result re-parses to
+    itself."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(raw) - set(_SCHEMA))
@@ -394,14 +429,14 @@ def parse_config(raw):
         raise ConfigError("config needs a 'command' key")
     cfg = {key: check(key, raw.get(key, default))
            for key, (default, check) in _SCHEMA.items()}
-    if cfg["command"] in _MARCH_THE_SOURCES \
-            and not (cfg["with_F"] or cfg["with_f"]):
+    command = cfg["command"]
+    if command in _MARCH_THE_SOURCES and not (cfg["with_F"] or cfg["with_f"]):
         raise ConfigError("command %r marches the sources, so with_F and "
-                          "with_f must not both be false" % cfg["command"])
-    if cfg["command"] in _P_AT_LEAST_2 and min(_ps(cfg)) < 2:
-        key = "p_grid" if cfg["p_grid"] else "p"
-        raise ConfigError("key %r must be at least 2 for command %r, got %r"
-                          % (key, cfg["command"], cfg[key]))
+                          "with_f must not both be false" % command)
+    for commands, key, holds, rule in _COMMAND_RULES:
+        if command in commands and not holds(cfg):
+            raise ConfigError("key %r must be %s for command %r, got %r"
+                              % (key, rule.format(**cfg), command, cfg[key]))
     return cfg
 
 

@@ -129,20 +129,21 @@ def _sampled(name, values, shape, t):
 def sample_on_mesh(coeffs, mesh, t=None):
     """Midpoint samples of the coefficients on every spatial cell, at all time
     cell centers (t=None), at one time, or at each time of a 1-D array.
-    a_matrix and c0 are called once with t = times[:, None, None]; an
-    autonomous field is sampled at times[0] alone and broadcast along the
-    time axis.  Validates the bounds on the samples; the arrays returned are
-    read-only."""
+    a_matrix and c0 are called once with t = times[:, None, None] and the
+    cell-centre axes x' (1, xprime_count) and x_d (M, 1); an autonomous
+    field is sampled at times[0] alone.  Validates the bounds on the
+    samples; the arrays returned are read-only views of the full shape
+    (times, M, xprime_count), broadcast where a sample is constant along
+    an axis."""
     times = mesh.time_centers if t is None \
         else np.atleast_1d(np.asarray(t, float))
     if times.ndim != 1:
         raise ValueError("t must be None, a scalar or a 1-D array of times")
     sampled = times[:1] if coeffs.autonomous else times
     tt = sampled[:, None, None]
-    xp = np.broadcast_to(mesh.xprime_centers[None, :],
-                         (mesh.M, mesh.xprime_count))
-    xd = np.broadcast_to(mesh.xd_centers[:, None], xp.shape)
-    shape = (sampled.size,) + xp.shape
+    xp = mesh.xprime_centers[None, :]
+    xd = mesh.xd_centers[:, None]
+    shape = (sampled.size, mesh.M, mesh.xprime_count)
     dims = (coeffs.dim, coeffs.dim)
     a = _sampled("a_matrix", coeffs.a_matrix(tt, xp, xd), shape + dims, tt)
     c0 = _sampled("c0", coeffs.c0(tt, xp, xd), shape, tt)

@@ -28,27 +28,30 @@ class DiscreteField:
 
 
 def node_grid(mesh):
-    """Meshgrid of nodal coordinates: (xprime, xd) arrays of shape (M+1, nprime)."""
-    xd = mesh.xd_nodes[:, None]
-    xp = mesh.xprime_nodes[None, :]
-    return np.broadcast_to(xp, (mesh.M + 1, mesh.xprime_count)), \
-        np.broadcast_to(xd, (mesh.M + 1, mesh.xprime_count))
+    """Nodal coordinates as broadcastable axes: x' of shape (1, xprime_count)
+    and x_d of shape (M+1, 1).  Together they span the (M+1, xprime_count)
+    node grid, as the norm kernel's points (cells, 1, q) and (cells, s, 1)
+    span its quadrature points, so a callable evaluates each factor of one
+    coordinate once per node of that coordinate."""
+    return mesh.xprime_nodes[None, :], mesh.xd_nodes[:, None]
 
 
 def sample_nodes(mesh, func, t):
-    """Evaluate func(t, xprime, xd) on the full node grid, shape
-    (M+1, xprime_count).  t may be an array such as times[:, None, None]:
-    func must broadcast it against the grid, and the result takes the
-    broadcast shape, one grid per time."""
+    """Evaluate func(t, xprime, xd) on the node axes of ``node_grid`` and
+    return a new array of the full node-grid shape (M+1, xprime_count).
+    t may be an array such as times[:, None, None]: func must broadcast it
+    against the axes, and the result takes the broadcast shape, one grid
+    per time."""
     xp, xd = node_grid(mesh)
-    shape = np.broadcast_shapes(np.shape(t), xd.shape)
+    grid = (mesh.M + 1, mesh.xprime_count)
+    shape = np.broadcast_shapes(np.shape(t), grid)
     out = np.asarray(func(t, xp, xd), dtype=float)
     try:
         out = np.broadcast_to(out, shape).copy()
     except ValueError:
         raise ValueError("sampler returned shape %s for t of shape %s; it "
                          "must broadcast t against the node grid %s"
-                         % (out.shape, np.shape(t), xd.shape))
+                         % (out.shape, np.shape(t), grid))
     if not np.all(np.isfinite(out)):
         raise ValueError("sampler returned non-finite values")
     return out
@@ -77,15 +80,25 @@ def smooth_random_closure(seed, dim, xp_length=1.0, envelope=True):
         t = np.asarray(t, float)
         xp = np.asarray(xp, float)
         xd = np.asarray(xd, float)
-        acc = 0.0
+        # one array of the result's shape takes the sum in place; the order
+        # 0.0 + term_0 + ... + term_3, each term ((amp sin_t) cos_d) cos_p,
+        # fixes every sample bitwise, and each factor keeps the shape of
+        # its own coordinate
+        shape = np.broadcast_shapes(t.shape, xd.shape,
+                                    xp.shape if dim == 2 else ())
+        acc = np.zeros(shape)
+        term = np.empty(shape) if dim == 2 else None
         for k in range(n_terms):
-            term = amp[k] * np.sin(om_t[k] * t + ph_t[k]) \
+            part = amp[k] * np.sin(om_t[k] * t + ph_t[k]) \
                 * np.cos(om_d[k] * xd + ph_d[k])
             if dim == 2:
-                term = term * np.cos(k_p[k] * two_pi_over_L * xp + ph_p[k])
-            acc = acc + term
+                np.multiply(part, np.cos(k_p[k] * two_pi_over_L * xp
+                                         + ph_p[k]), out=term)
+                part = term
+            acc += part
         if envelope:
-            acc = acc * xd * np.exp(-xd)
+            acc *= xd
+            acc *= np.exp(-xd)
         return acc
 
     return closure

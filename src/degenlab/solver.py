@@ -403,6 +403,10 @@ class Marcher:
     instead of factoring the same system again."""
 
     def __init__(self, mesh, coeffs, config=None):
+        if coeffs.dim != mesh.dim:
+            raise ValueError("a coefficient field of dimension %d cannot be "
+                             "marched on a mesh of dimension %d"
+                             % (coeffs.dim, mesh.dim))
         self.mesh = mesh
         self.coeffs = coeffs
         self.config = config or TimeStepperConfig()

@@ -8,6 +8,13 @@ value and the reason for it.  Never regenerate to make a defect pass.
 With --check nothing is written: every stored value that the checkout
 computes differently (compared bitwise, as float.hex) is printed with its
 path, and the exit status is 1 if any would move, else 0.
+
+    PYTHONPATH=src python tests/golden/regen.py --check --against PATH
+
+compares with the values file PATH instead of the stored one: a file that
+regen.py wrote in another checkout (say, of the parent commit), so that
+only the values the two checkouts compute differently on this machine are
+printed, whatever the stored file says.
 """
 
 import argparse
@@ -51,16 +58,26 @@ def main(argv=None):
     ap.add_argument("--check", action="store_true",
                     help="write nothing; print each value that would move "
                          "and exit 1 if any would")
+    ap.add_argument("--against", metavar="PATH",
+                    help="with --check, compare with the values file PATH "
+                         "(written by regen.py in another checkout) "
+                         "instead of the stored values")
     args = ap.parse_args(argv)
+    if args.against is not None and not args.check:
+        ap.error("--against needs --check")
+    reference = args.against or test_golden.GOLDEN
+    if args.check:
+        with open(reference) as fh:
+            want = json.load(fh)
     # the commands' progress lines go to stderr, the results to stdout
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(sys.stderr):
         values = test_golden.collect(tmp)
     if args.check:
-        changes = list(moved(test_golden._load(), values))
-        for path, want, got in changes:
-            print("%s: %s -> %s" % (path, _show(want), _show(got)))
-        print("%d golden value(s) would move" % len(changes))
+        changes = list(moved(want, values))
+        for path, stored, got in changes:
+            print("%s: %s -> %s" % (path, _show(stored), _show(got)))
+        print("%d value(s) differ from %s" % (len(changes), reference))
         return 1 if changes else 0
     with open(test_golden.GOLDEN, "w") as fh:
         json.dump(values, fh, indent=1, sort_keys=True)

@@ -148,6 +148,45 @@ def test_p_below_two_is_refused_only_where_read():
     assert parse_config({"command": "sweep", "p": 1.5})
 
 
+@pytest.mark.parametrize("config, key", [
+    (dict(command="caccioppoli", r_inner=0.6), "r_inner"),
+    (dict(command="wlemma", r_inner=-0.1), "r_inner"),
+    (dict(command="caccioppoli", r_outer=0.8), "r_outer"),
+    (dict(command="lipschitz", r_inner=0.4), "r_inner"),
+    (dict(command="wlemma", cyl_radius=0.0), "cyl_radius"),
+    (dict(command="solve", dim=2, xprime_length=-1), "xprime_length"),
+    (dict(command="hardy", dim=2, xprime_count=0), "xprime_count"),
+    (dict(command="oscillation", rho_grid=[0.25, -1]), "rho_grid"),
+    (dict(command="caccioppoli", kind="oscillatory"), "kind")],
+    ids=["cacc-r_inner", "wlemma-r_inner", "r_outer", "lipschitz-r_inner",
+         "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind"])
+def test_command_rules_refuse_before_anything_is_built(
+        tmp_path, capsys, monkeypatch, config, key):
+    built = []
+    monkeypatch.setattr(degenlab.cli, "build_mesh",
+                        lambda *a, **k: built.append("mesh"))
+    path = _write_cfg(tmp_path, **config)
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    _, check = degenlab.cli._SCHEMA[key]
+    value = check(key, config[key])          # as the schema normalizes it
+    assert "config error: key %r must be " % key in err
+    assert "for command %r, got %r" % (config["command"], value) in err
+    assert not built
+    assert not (tmp_path / "out").exists()
+
+
+def test_command_rules_bind_only_where_the_key_is_read():
+    # hardy reads no rho_grid, radii or kind; d = 1 reads no x' keys
+    assert parse_config({"command": "hardy", "rho_grid": [-1],
+                         "r_inner": 0.6, "kind": "oscillatory"})
+    assert parse_config({"command": "solve", "xprime_length": -1,
+                         "xprime_count": 0})
+    assert parse_config({"command": "lipschitz", "r_outer": 0.1})
+    assert parse_config({"command": "oscillation", "kind": "oscillatory",
+                         "r_inner": 0.6})
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))

@@ -9,6 +9,7 @@ Each test prints how many values are bitwise equal.  Regenerate with
 record each moved value and why.
 """
 
+import importlib.util
 import json
 import math
 import os
@@ -257,3 +258,37 @@ def test_norm_battery_matches_goldens():
         _compare(key, [want[key]], [got[key]], tally, bad)
     print("norm goldens: %d of %d values bitwise equal" % tuple(tally))
     assert not bad, "\n".join(bad[:20])
+
+
+def _regen():
+    """tests/golden/regen.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "regen", os.path.join(os.path.dirname(GOLDEN), "regen.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_regen_check_against_a_values_file(tmp_path, capsys):
+    # against the stored file it prints the paths --check prints; against
+    # a copy with one value moved, that path too, and nothing else
+    regen = _regen()
+    runs = {}
+    stored = _load()
+    path = "/cli/hardy/reports[0][1]"
+    moved_copy = json.loads(json.dumps(stored))
+    cell = moved_copy["cli"]["hardy"]["reports"][0]
+    cell[1] = (float.fromhex(cell[1]) * 2).hex()
+    other = tmp_path / "values.json"
+    other.write_text(json.dumps(moved_copy))
+    for name, argv in (("check", ["--check"]),
+                       ("stored", ["--check", "--against", GOLDEN]),
+                       ("moved", ["--check", "--against", str(other)])):
+        status = regen.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        paths = [line.split(": ", 1)[0] for line in lines[:-1]]
+        assert lines[-1].startswith("%d value(s) differ" % len(paths))
+        assert status == (1 if paths else 0)
+        runs[name] = paths
+    assert runs["stored"] == runs["check"]
+    assert sorted(runs["moved"]) == sorted(set(runs["check"]) | {path})

@@ -119,6 +119,19 @@ def test_problem_spec_validation():
         ProblemSpec(mesh, coeffs1, rho0=0.0)
 
 
+def test_a_march_refuses_a_field_of_another_dimension():
+    # the problem checks the dimensions only when built; a field assigned
+    # later, or one given to the bare march, is refused by the Marcher
+    f = smooth_random_closure(3, 1)
+    prob = _problem_d1(M=8, time_count=4, kind="constant", f=f)
+    prob.coeffs = generate_family(0, "constant", 0.5, 0.1, dim=2)
+    message = "dimension 2 cannot be marched on a mesh of dimension 1"
+    with pytest.raises(ValueError, match=message):
+        energy_ratio(prob, 1.0)
+    with pytest.raises(ValueError, match=message):
+        march(prob.mesh, prob.coeffs, 1.0, f=f)
+
+
 def test_a_problem_marches_through_one_marcher_until_reassigned():
     f = smooth_random_closure(4, 1)
     prob = _problem_d1(M=12, time_count=8, f=f, seed=1)
