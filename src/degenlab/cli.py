@@ -30,7 +30,7 @@ from .harness import (CSV_HEADER, DegenerateLocalSolution, ProblemSpec,
                       corollary2_check, duality_check, hardy_report,
                       locally_homogeneous_solution, main_estimate_sweep,
                       trace_report, w_estimate_ratio)
-from .mesh import Cylinder, build_mesh
+from .mesh import Cylinder, build_mesh, time_cells_in_window
 from .mms import ManufacturedCase, convergence_study, default_case
 from .solver import SolverError, TimeStepperConfig, march
 
@@ -382,6 +382,24 @@ _P_AT_LEAST_2 = ("trace", "corollary2")
 # not depend on t, and their radii must nest inside cyl_radius.
 _LOCAL = ("caccioppoli", "wlemma", "lipschitz")
 
+# The commands that build the coefficient field of kind, nu and eps.
+_COEFFICIENTS = ("solve", "sweep", "duality", "trace", "oscillation") + _LOCAL
+
+# The commands whose problem keeps rho0: the sweep's oscillation radii and
+# the reports' rho0 column.
+_PROBLEMS = ("sweep", "duality") + _LOCAL
+
+
+def _window_holds_a_time_cell(c):
+    """Whether the time window of the local commands' cylinder, (t0 -
+    cyl_radius, t0] with t0 = cyl_time or the end time, holds the centre of
+    a time cell of the mesh."""
+    t0 = c["cyl_time"] if c["cyl_time"] is not None \
+        else c["time_step"] * c["time_count"]
+    return time_cells_in_window(c["time_step"], c["time_count"], t0,
+                                c["cyl_radius"]).size > 0
+
+
 # The rules a key keeps, given the other keys, for the commands that read
 # it: (commands, key, holds(cfg), rule), the rule formatted with the config.
 # Checked in this order after _SCHEMA, so a config is refused naming the key
@@ -400,6 +418,10 @@ _COMMAND_RULES = (
     (_LOCAL, "kind", lambda c: c["kind"] != "oscillatory",
      "constant or xd_only"),
     (_LOCAL, "cyl_radius", lambda c: c["cyl_radius"] > 0, "greater than 0"),
+    (_LOCAL, "cyl_time", _window_holds_a_time_cell,
+     "a time whose window (cyl_time - {cyl_radius!r}, cyl_time] holds a "
+     "time-cell centre (n + 1/2) * {time_step!r}, 0 <= n < {time_count!r} "
+     "(None: the end time)"),
     (("caccioppoli", "wlemma"), "r_inner",
      lambda c: 0 < c["r_inner"] < c["r_outer"],
      "greater than 0 and less than r_outer = {r_outer!r}"),
@@ -411,6 +433,14 @@ _COMMAND_RULES = (
      "greater than 0 and at most half of cyl_radius = {cyl_radius!r}"),
     (("oscillation",), "rho_grid", lambda c: min(c["rho_grid"]) > 0,
      "a list of radii greater than 0"),
+    (_COEFFICIENTS, "eps", lambda c: c["eps"] >= 0, "at least 0"),
+    (("sweep",), "eps_grid",
+     lambda c: not c["eps_grid"] or min(c["eps_grid"]) >= 0,
+     "a list of amplitudes at least 0"),
+    (_PROBLEMS, "rho0", lambda c: c["rho0"] > 0, "greater than 0"),
+    # duality_check marches both ways at theta = 1 whatever theta says
+    (("duality",), "theta", lambda c: c["theta"] == 1,
+     "1 (implicit Euler, where the duality identity is exact)"),
 )
 
 

@@ -255,8 +255,10 @@ def _space_cells_in_ball(mesh, cyl):
     return j * mesh.xprime_count + m
 
 
-def _time_cells_in_window(mesh, t0, radius):
-    tc = mesh.time_centers
+def time_cells_in_window(time_step, time_count, t0, radius):
+    """The time cells n < time_count of a grid of step time_step whose
+    centres (n + 1/2) time_step lie in the window (t0 - radius, t0]."""
+    tc = time_step * (np.arange(time_count) + 0.5)
     return np.nonzero((tc > t0 - radius) & (tc <= t0))[0]
 
 
@@ -268,14 +270,16 @@ def cells_in_cylinder(mesh, cyl):
     key = ("cells", cyl.center_time, cyl.center_xprime, cyl.center_xd,
            cyl.radius)
     return _cached(mesh, key, lambda: CellSet(
-        mesh, _time_cells_in_window(mesh, cyl.center_time, cyl.radius),
+        mesh, time_cells_in_window(mesh.time_step, mesh.time_count,
+                                   cyl.center_time, cyl.radius),
         _space_cells_in_ball(mesh, cyl)))
 
 
 def prime_cells_in_cylinder(mesh, cyl):
     """(time, x') cells of Q'_rho(z0') -- the slice-average region used by the
     partial mean oscillation.  In dim=1 the x' set is the single phantom cell."""
-    time = _time_cells_in_window(mesh, cyl.center_time, cyl.radius)
+    time = time_cells_in_window(mesh.time_step, mesh.time_count,
+                                cyl.center_time, cyl.radius)
     if mesh.dim == 1:
         xp = np.array([0])
     else:

@@ -18,13 +18,16 @@ Every linear system goes to one banded LU (LAPACK's dgbtrf/dgbtrs),
 filled straight from CSR entry data: the k systems of one level sit side
 by side as the blocks of one block-diagonal band, factored once per march
 for one level and once per step for N+1, and each step makes one dgbtrs
-and one product with the block-diagonal mass for the whole batch (for
-theta < 1, one more with the block-diagonal K^n, a matrix built once per
-march).  The factors and solutions of every block are bitwise those
-of its system alone.  The band takes the interior DoFs in a declared
-order, natural in d = 1 and with the periodic x' index interleaved in
-d = 2, which narrows the band from 2P - 1 to P + 2 diagonals; that layout
-is built once per mesh.  The adjoint march takes one forward stack: M is
+and one product with the mass of the whole batch (for theta < 1, one
+more with its K^n).  The factors and solutions of every block are
+bitwise those of its system alone.  The band takes the interior DoFs in
+a declared order, natural in d = 1 and with the periodic x' index
+interleaved in d = 2, which narrows the band from 2P - 1 to P + 2
+diagonals; that layout is built once per mesh, and with it the patterns
+of the pattern's transpose and of k copies of either.  No march, step or
+check builds a scipy.sparse matrix: every product calls scipy's own CSR
+kernel on those patterns and the entry data, so it is bitwise the scipy
+product of the same matrix.  The adjoint march takes one forward stack: M is
 bitwise symmetric, so its system M + dt K^T is the transpose of the
 forward one, solved with the forward factors transposed.  Each mesh keeps
 one band LU per batch size that its marches factor into, so an adjoint
@@ -37,6 +40,7 @@ failure names the member and the time level.
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .assembly import (LoadAssembler, assemble_weighted_mass,
                        interior_pattern, stiffness_levels)
@@ -68,13 +72,24 @@ class _BandLayout:
     """Where the entries of one square CSR pattern go in LAPACK band storage
     when the DoFs are taken in ``order`` (the natural order when None): the
     bandwidths of the reordered pattern, the band position of every entry,
-    and the pattern (indices, indptr) itself, which the backward error
-    checks read.  It depends on the pattern alone."""
+    and the pattern (indices, indptr) itself, with the pattern of its
+    transpose, whose entry i is entry perm[i] of the pattern, that the
+    products and the backward error checks read.  It depends on the
+    pattern alone."""
 
     def __init__(self, indices, indptr, n, order=None):
         rows = np.repeat(np.arange(n), np.diff(indptr))
         cols = np.asarray(indices, np.intp)
         self.pattern = (indices, indptr)
+        # A^T by rows: the entries of each column of A, rows ascending
+        self.perm = np.argsort(cols, kind="stable")
+        self._transposed = (
+            rows[self.perm].astype(indices.dtype),
+            np.append(0, np.cumsum(np.bincount(cols, minlength=n))).astype(
+                indptr.dtype))
+        for table in self._transposed:
+            table.setflags(write=False)
+        self._copies = {}
         self.order, self.rank = order, None
         r, c = rows, cols
         if order is not None:
@@ -85,6 +100,37 @@ class _BandLayout:
         self.kl, self.ku = int(off.max(initial=0)), int(-off.min(initial=0))
         self.shape = (2 * self.kl + self.ku + 1, n)
         self.at = self.kl + self.ku + off + self.shape[0] * c     # A[i, j]
+
+    def copies(self, k, trans=0):
+        """The (indices, indptr) of diag(A_1, ..., A_k), k blocks on the
+        pattern (on its transpose for trans=1), every row in the entry order
+        of its block's: in the pattern's index dtype, built once per (k,
+        trans) and read-only for k > 1; for k = 1, the pattern itself."""
+        base = self._transposed if trans else self.pattern
+        if k == 1:
+            return base
+        key = (k, trans)
+        if key not in self._copies:
+            indices, indptr = base
+            n, nnz = len(indptr) - 1, indices.size
+            shift = np.arange(k)[:, None]
+            block = ((indices + n * shift).ravel().astype(indices.dtype),
+                     np.append((indptr[:-1] + nnz * shift).ravel(),
+                               k * nnz).astype(indptr.dtype))
+            for table in block:
+                table.setflags(write=False)
+            self._copies[key] = block
+        return self._copies[key]
+
+
+def _product(pattern, data, x, out):
+    """out = A x for the entry data of A on the CSR pattern (indices,
+    indptr), by ``csr_matvec``, the kernel a scipy CSR product ends in:
+    each row sums from zero, in the pattern's entry order."""
+    indices, indptr = pattern
+    out[:] = 0.0
+    csr_matvec(out.size, x.size, indptr, indices, data, x, out)
+    return out
 
 
 def _band_layout(mesh):
@@ -175,26 +221,37 @@ class _BandLU:
         return dgbtrs(self._band, self.kl, self.ku, b[self._order],
                       self._piv, trans=trans, overwrite_b=1)[0][self._rank]
 
-    def check(self, data, X, B, tol, levels=None, trans=0, name=""):
+    def backward_errors(self, data, X, B, trans=0):
         """The backward error ||b - A x|| / (||b|| + ||A||_inf ||x||) of each
         solve A_k x_k = b_k (A_k^T for trans=1) of one block, with A_k the
-        rows of data (1 or K, nnz), must be finite and at most 10*tol; the
-        first that is not raises SolverError, prefixed by ``name`` and
-        naming time level levels[k] when given.  All A_k x_k are one
-        sparse product with diag(A_1, ..., A_K), or with A_1 for every x_k
-        when data has one row."""
-        A = _block_diagonal(data, *self.layout.pattern)
+        rows of data (1 or K, nnz).  All A_k x_k are one call of scipy's CSR
+        product kernel, on diag(A_1, ..., A_K) or on A_1 for every x_k when
+        data has one row, and so are the row sums of |A_k|: each sum runs
+        as a scipy product of the same matrix runs it."""
+        layout = self.layout
         if trans:
-            A = A.T
-        if len(data) == 1:
-            Ax = (A @ X.T).T
+            data = data[:, layout.perm]
+        levels_n, (K, n) = len(data), X.shape
+        pattern = layout.copies(levels_n, trans)
+        if levels_n == 1:
+            Ax = np.zeros((n, K))
+            indices, indptr = pattern
+            csr_matvecs(n, n, K, indptr, indices, data[0], X.T.ravel(), Ax)
+            Ax = Ax.T
         else:
-            Ax = (A @ X.reshape(-1)).reshape(X.shape)
-        norm_A = (abs(A) @ np.ones(A.shape[1])).reshape(len(data), -1).max(
-            axis=1)
+            Ax = _product(pattern, data.ravel(), X.ravel(),
+                          np.empty(K * n)).reshape(X.shape)
+        size = levels_n * n
+        norm_A = _product(pattern, np.abs(data).ravel(), np.ones(size),
+                          np.empty(size)).reshape(levels_n, n).max(axis=1)
         denom = np.linalg.norm(B, axis=1) + norm_A * np.linalg.norm(X, axis=1)
-        errors = np.linalg.norm(B - Ax, axis=1) / np.where(denom == 0, 1,
-                                                           denom)
+        return np.linalg.norm(B - Ax, axis=1) / np.where(denom == 0, 1, denom)
+
+    def check(self, data, X, B, tol, levels=None, trans=0, name=""):
+        """Every ``backward_errors`` of these solves must be finite and at
+        most 10*tol; the first that is not raises SolverError, prefixed by
+        ``name`` and naming time level levels[k] when given."""
+        errors = self.backward_errors(data, X, B, trans)
         bad = ~(errors <= 10 * tol)
         if bad.any():
             k = int(np.argmax(bad))
@@ -297,20 +354,6 @@ def _systems(mass, stiffness, s, mesh, batch=True):
     return K, A, _band_lu(mesh, K.shape[0])
 
 
-def _block_diagonal(data, indices, indptr):
-    """The CSR matrix diag(A_1, ..., A_k) whose block i has the entry data
-    data[i] on the square CSR pattern (indices, indptr); every row keeps
-    the pattern's entry order, so a product sums each row as the block's
-    own does."""
-    n = len(indptr) - 1
-    k, nnz = data.shape
-    shift = np.arange(k)[:, None]
-    return sp.csr_matrix(
-        (data.reshape(-1), (indices + n * shift).ravel(),
-         np.append((indptr[:-1] + nnz * shift).ravel(), k * nnz)),
-        shape=(k * n, k * n))
-
-
 def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     """Core theta-scheme for a batch of k systems that share the mesh and
     the mass, marched from rest (u^0 = 0) on the mesh's time grid
@@ -326,13 +369,14 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     K_i^{n+1}) u_i^{n+1} = (M - (1-theta) dt K_i^n) u_i^n + dt b_i^theta
     for every i: the k systems of a level are the blocks of one band, so
     a step makes at most one dgbtrf, one dgbtrs and one product with the
-    block-diagonal mass (and, for theta < 1, one with the block-diagonal
-    K^n, built once per march and refilled from K[:, n] at each step), and
-    every solution is bitwise that of its system marched alone.  Every
-    solve is checked after the last step, one system at a time.  Returns k
-    solutions, each keeping its load rows as ``loads``.  A one-level march
-    whose systems the mesh's band LU of k blocks holds the factors of,
-    bitwise, solves with them without factoring.
+    mass of all k systems (and, for theta < 1, one with their K^n, read
+    from K[:, n]), each a call of scipy's CSR kernel on k copies of the
+    mesh's pattern, and every solution is bitwise that of its system
+    marched alone.  Every solve is checked after the last step, one system
+    at a time.  Returns k solutions, each keeping its load rows as
+    ``loads``.  A one-level march whose systems the mesh's band LU of k
+    blocks holds the factors of, bitwise, solves with them without
+    factoring.
     """
     config = config or TimeStepperConfig()
     dt, N = mesh.time_step, mesh.time_count
@@ -355,25 +399,21 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
         rhs += (1 - theta) * b[:-1]
         rhs *= dt
     U = np.zeros((N + 1, k, n_int))     # [n, i]: u_i^n
-    Mmat = mass.matrix
-    pattern = Mmat.indices, Mmat.indptr     # interior, as _systems checked
-    Mb = Mmat if k == 1 else _block_diagonal(
-        np.broadcast_to(Mmat.data, (k, Mmat.nnz)), *pattern)
+    blocks = lu.layout.copies(k)        # interior, as _systems checked
+    M_data = np.tile(mass.matrix.data, k)
     U_flat, rhs_flat = U.reshape(N + 1, -1), rhs.reshape(N, -1)  # views
+    work = np.empty(k * n_int)
     stacked = A.shape[0] > 1
-    if theta < 1.0:         # the explicit part: K^n, or K, on one matrix
-        Kn = _block_diagonal(K[:, 0].copy(), *pattern)  # never a view of K
-        Kn_data = Kn.data.reshape(k, -1)        # a view, refilled per step
     if not stacked:
         lu.factor_once(A[0], 1, names)
     for n in range(N):
         if stacked:
             lu.factor(A[n + 1], n + 1, names)
-        rhs_flat[n] += Mb @ U_flat[n]
-        if theta < 1.0:
-            if stacked:
-                Kn_data[:] = K[:, n]
-            rhs_flat[n] -= (1 - theta) * dt * (Kn @ U_flat[n])
+        rhs_flat[n] += _product(blocks, M_data, U_flat[n], work)
+        if theta < 1.0:     # the explicit part, K^n, or K, as read
+            Kn = K[:, n if stacked else 0].ravel()
+            rhs_flat[n] -= (1 - theta) * dt * _product(blocks, Kn,
+                                                       U_flat[n], work)
         U_flat[n + 1] = lu.solve(rhs_flat[n])
     levels = np.arange(1, N + 1)
     for i in range(k):
@@ -498,12 +538,14 @@ def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     stacked = A.shape[0] > 1
     v = np.zeros((N + 2, mesh.n_interior))          # v^{N+1} = 0
     rhs = dt * dual_loads[N:0:-1]          # row k: the step to level N - k
+    work = np.empty(mesh.n_interior)
     if not stacked:
         lu.factor_once(A[0], N)
     for k, n in enumerate(range(N, 0, -1)):
         if stacked:
             lu.factor(A[n], n)
-        rhs[k] += mass.matrix @ v[n + 1]
+        rhs[k] += _product(lu.layout.pattern, mass.matrix.data, v[n + 1],
+                           work)
         v[n] = lu.solve(rhs[k], trans=1)
     lu.check(A[N:0:-1, 0] if stacked else A[:, 0], v[N:0:-1], rhs,
              config.linear_tol, levels=np.arange(N, 0, -1), trans=1)

@@ -15,12 +15,21 @@ compares with the values file PATH instead of the stored one: a file that
 regen.py wrote in another checkout (say, of the parent commit), so that
 only the values the two checkouts compute differently on this machine are
 printed, whatever the stored file says.
+
+    PYTHONPATH=src python tests/golden/regen.py --only PATH [PATH ...]
+
+rewrites only the values at the named paths, written as --check prints
+them (``/cli/hardy/reports[0][1]``; a path may also name a whole row or
+output), with what the checkout computes; every other stored value keeps
+its bytes.  A path that names no stored value is refused, and then
+nothing is computed or written.
 """
 
 import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -45,6 +54,38 @@ def moved(want, got, path=""):
         yield path, want, got
 
 
+def _steps(values, path):
+    """The dict keys and list indices that lead to the value at path, as
+    ``moved`` writes it, in values; None when values hold none there.  A
+    key may hold "/" (the norm keys do), so the longest key that the path
+    goes on with is taken."""
+    steps = []
+    while path:
+        if isinstance(values, dict) and path.startswith("/"):
+            ends = [key for key in values if path.startswith(key, 1)
+                    and path[1 + len(key):2 + len(key)] in ("", "/", "[")]
+            if not ends:
+                return None
+            step = max(ends, key=len)
+            path = path[1 + len(step):]
+        else:
+            index = re.match(r"\[(\d+)\]", path)
+            if not (isinstance(values, list) and index
+                    and int(index.group(1)) < len(values)):
+                return None
+            step, path = int(index.group(1)), path[index.end():]
+        steps.append(step)
+        values = values[step]
+    return steps or None
+
+
+def _rewrite(stored, values, steps):
+    """Put the value of values at steps into stored."""
+    for step in steps[:-1]:
+        stored, values = stored[step], values[step]
+    stored[steps[-1]] = values[steps[-1]]
+
+
 def _show(value):
     """A float.hex leaf as its decimal value, anything else as is."""
     try:
@@ -62,13 +103,22 @@ def main(argv=None):
                     help="with --check, compare with the values file PATH "
                          "(written by regen.py in another checkout) "
                          "instead of the stored values")
+    ap.add_argument("--only", nargs="+", metavar="PATH",
+                    help="rewrite only the stored values at these paths, "
+                         "written as --check prints them")
     args = ap.parse_args(argv)
     if args.against is not None and not args.check:
         ap.error("--against needs --check")
+    if args.only is not None and args.check:
+        ap.error("--only writes and --check does not")
     reference = args.against or test_golden.GOLDEN
-    if args.check:
+    if args.check or args.only:
         with open(reference) as fh:
             want = json.load(fh)
+    only = [_steps(want, path) for path in args.only or ()]
+    for path, steps in zip(args.only or (), only):
+        if steps is None:
+            ap.error("--only: no stored value at %r" % path)
     # the commands' progress lines go to stderr, the results to stdout
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(sys.stderr):
@@ -79,6 +129,13 @@ def main(argv=None):
             print("%s: %s -> %s" % (path, _show(stored), _show(got)))
         print("%d value(s) differ from %s" % (len(changes), reference))
         return 1 if changes else 0
+    if args.only:
+        for path, steps in zip(args.only, only):
+            if _steps(values, path) != steps:
+                ap.error("--only: the checkout computes no value at %r"
+                         % path)
+            _rewrite(want, values, steps)
+        values = want
     with open(test_golden.GOLDEN, "w") as fh:
         json.dump(values, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -157,9 +157,16 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="solve", dim=2, xprime_length=-1), "xprime_length"),
     (dict(command="hardy", dim=2, xprime_count=0), "xprime_count"),
     (dict(command="oscillation", rho_grid=[0.25, -1]), "rho_grid"),
-    (dict(command="caccioppoli", kind="oscillatory"), "kind")],
+    (dict(command="caccioppoli", kind="oscillatory"), "kind"),
+    (dict(command="trace", eps=-0.1), "eps"),
+    (dict(command="sweep", eps_grid=[0.2, -0.1]), "eps_grid"),
+    (dict(command="duality", rho0=0.0), "rho0"),
+    (dict(command="caccioppoli", cyl_time=5.0), "cyl_time"),
+    (dict(command="lipschitz", cyl_radius=0.02, r_inner=0.005), "cyl_time"),
+    (dict(command="duality", theta=0.5), "theta")],
     ids=["cacc-r_inner", "wlemma-r_inner", "r_outer", "lipschitz-r_inner",
-         "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind"])
+         "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind",
+         "eps", "eps_grid", "rho0", "cyl_time", "cyl_time-end", "theta"])
 def test_command_rules_refuse_before_anything_is_built(
         tmp_path, capsys, monkeypatch, config, key):
     built = []
@@ -169,7 +176,7 @@ def test_command_rules_refuse_before_anything_is_built(
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
     _, check = degenlab.cli._SCHEMA[key]
-    value = check(key, config[key])          # as the schema normalizes it
+    value = check(key, config.get(key))      # as the schema normalizes it
     assert "config error: key %r must be " % key in err
     assert "for command %r, got %r" % (config["command"], value) in err
     assert not built
@@ -185,6 +192,24 @@ def test_command_rules_bind_only_where_the_key_is_read():
     assert parse_config({"command": "lipschitz", "r_outer": 0.1})
     assert parse_config({"command": "oscillation", "kind": "oscillatory",
                          "r_inner": 0.6})
+    # corollary2 builds no coefficient field, no problem and no cylinder;
+    # only sweep reads eps_grid, and only duality ignores theta
+    assert parse_config({"command": "corollary2", "eps": -0.1, "rho0": 0.0,
+                         "cyl_time": 5.0, "eps_grid": [-0.1]})
+    assert parse_config({"command": "solve", "rho0": -1.0, "theta": 0.5,
+                         "eps_grid": [-0.1], "cyl_time": -1.0})
+    assert parse_config({"command": "sweep", "cyl_time": 5.0, "theta": 0.5})
+
+
+def test_a_cylinder_window_needs_a_time_cell_centre():
+    # 20 steps of 0.05: the centres are 0.025, 0.075, ..., 0.975
+    local = {"command": "wlemma", "cyl_radius": 0.5}
+    for cyl_time in (None, 0.025, 0.5, 1.0, 1.47):
+        assert parse_config(dict(local, cyl_time=cyl_time))
+    for cyl_time in (0.02, 1.475, -1.0):
+        with pytest.raises(ConfigError, match="^key 'cyl_time' must be .* "
+                           "got %r$" % cyl_time):
+            parse_config(dict(local, cyl_time=cyl_time))
 
 
 def test_load_config_errors(tmp_path):

@@ -15,6 +15,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 import degenlab.mesh
 from degenlab import (Cylinder, NormSpec, build_mesh, generate_family, march,
@@ -292,3 +293,46 @@ def test_regen_check_against_a_values_file(tmp_path, capsys):
         runs[name] = paths
     assert runs["stored"] == runs["check"]
     assert sorted(runs["moved"]) == sorted(set(runs["check"]) | {path})
+
+
+def test_regen_only_rewrites_the_named_paths(tmp_path, monkeypatch):
+    # on a copy of the values file, with the computed values moved at
+    # three paths: --only rewrites the row and the norm it names, and every
+    # other byte of the file stays, the third moved value included
+    regen = _regen()
+    with open(GOLDEN) as fh:
+        text = fh.read()
+    computed = json.loads(text)
+    row = computed["cli"]["hardy"]["reports"][0]
+    row[1] = _hex(2 * float.fromhex(row[1]))
+    computed["norms"]["d1/0/-0.5/1.5/all"] = _hex(3.0)
+    computed["cli"]["trace"]["reports"][0][2] = _hex(5.0)
+    collected = []
+
+    def collect(tmp_dir):
+        collected.append(tmp_dir)
+        return json.loads(json.dumps(computed))
+
+    copy = tmp_path / "values.json"
+    copy.write_text(text)
+    monkeypatch.setattr(regen.test_golden, "GOLDEN", str(copy))
+    monkeypatch.setattr(regen.test_golden, "collect", collect)
+    assert regen.main(["--only", "/cli/hardy/reports[0]",
+                       "/norms/d1/0/-0.5/1.5/all"]) == 0
+    want = json.loads(text)
+    want["cli"]["hardy"]["reports"][0] = row
+    want["norms"]["d1/0/-0.5/1.5/all"] = _hex(3.0)
+    got = copy.read_text()
+    assert got == json.dumps(want, indent=1, sort_keys=True) + "\n"
+    old, new = text.splitlines(), got.splitlines()
+    assert len(old) == len(new)
+    assert sum(a != b for a, b in zip(old, new)) == 2
+    # a path that names no stored value is refused before anything is
+    # computed, and the file is not written
+    for path in ("/cli/nope", "/cli/hardy/reports[99]", "cli/hardy",
+                 "/norms/d1/0", "/cli/hardy/reports[0][1][0]"):
+        with pytest.raises(SystemExit) as refused:
+            regen.main(["--only", path])
+        assert refused.value.code == 2
+    assert len(collected) == 1
+    assert copy.read_text() == got

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
@@ -492,33 +493,151 @@ def test_a_failing_grid_member_names_its_level_and_lambda(monkeypatch):
     assert sizes == [4 * n] * 4        # one solve per step for the grid
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_explicit_part_is_one_matrix_per_march(monkeypatch, k):
-    # theta < 1 on a stack of N+1 levels: one block-diagonal K^n, built
-    # before the first step and refilled at each; the stack is not written
+def _count_sparse_matrices(monkeypatch):
+    """Record the class of every scipy.sparse matrix or array built."""
     built = []
-    block_diagonal = degenlab.solver._block_diagonal
+    init = scipy.sparse._base._spbase.__init__
 
-    def counting(data, indices, indptr):
-        built.append(data.shape)
-        return block_diagonal(data, indices, indptr)
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(degenlab.solver, "_block_diagonal", counting)
-    coeffs = generate_family(2, "oscillatory", 0.5, 0.2, dim=1)
+    monkeypatch.setattr(scipy.sparse._base._spbase, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("kind", ["xd_only", "oscillatory"])
+def test_marches_build_no_sparse_matrix(monkeypatch, k, kind):
+    # every product of a march, a step or a check runs on the mesh's
+    # pattern and the entry data, never through a scipy.sparse matrix;
+    # the stiffness stack is not written, theta < 1 included
+    built = _count_sparse_matrices(monkeypatch)
+    sp.csr_matrix((np.ones(2), [0, 1], [0, 1, 2])).T
+    assert built == ["csr_matrix", "csc_matrix"]
+    coeffs = generate_family(2, kind, 0.5, 0.2, dim=1)
     for N in (4, 8):
         m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=N)
-        K = np.stack([_stack(m, coeffs, lam, m.time_levels)
+        times = m.time_levels if kind == "oscillatory" else (0.0,)
+        K = np.stack([_stack(m, coeffs, lam, times)
                       for lam in (0.5, 2.0, 8.0)[:k]])
         kept = K.copy()
+        mass = assemble_weighted_mass(m, coeffs.a0)
         loads = np.ones((k, N + 1, m.n_interior))
         del built[:]
-        march_system(assemble_weighted_mass(m, coeffs.a0), K, loads, m,
-                     config=TimeStepperConfig(theta=0.5))
+        for theta in (0.5, 1.0):
+            march_system(mass, K, loads, m,
+                         config=TimeStepperConfig(theta=theta))
+        adjoint_march_system(mass, K[0], loads[0], m)
+        assert built == []
         assert K.tobytes() == kept.tobytes()
-        # K^n, the mass of a batch, and one backward-error check per system
-        assert sorted(built) == sorted([(k, K.shape[-1])]
-                                       + [(k, K.shape[-1])] * (k > 1)
-                                       + [(N, K.shape[-1])] * k)
+
+
+def _block_diagonal(data, indices, indptr):
+    """The scipy CSR matrix diag(A_1, ..., A_k) whose block i has the entry
+    data data[i] on the square CSR pattern (indices, indptr)."""
+    n = len(indptr) - 1
+    k, nnz = data.shape
+    shift = np.arange(k)[:, None]
+    return sp.csr_matrix(
+        (data.reshape(-1), (indices + n * shift).ravel(),
+         np.append((indptr[:-1] + nnz * shift).ravel(), k * nnz)),
+        shape=(k * n, k * n))
+
+
+def _reference_backward_errors(data, X, B, indices, indptr, trans):
+    """The backward errors of the solves of one block formed by scipy
+    products: with diag(A_1, ..., A_K), or with A_1 for every x_k when data
+    has one row, transposed for trans=1."""
+    A = _block_diagonal(data, indices, indptr)
+    if trans:
+        A = A.T
+    if len(data) == 1:
+        Ax = (A @ X.T).T
+    else:
+        Ax = (A @ X.reshape(-1)).reshape(X.shape)
+    norm_A = (abs(A) @ np.ones(A.shape[1])).reshape(len(data), -1).max(
+        axis=1)
+    denom = np.linalg.norm(B, axis=1) + norm_A * np.linalg.norm(X, axis=1)
+    return np.linalg.norm(B - Ax, axis=1) / np.where(denom == 0, 1, denom)
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("trans", [0, 1])
+def test_kernel_products_and_checks_are_bitwise_scipy(dim, k, trans):
+    # the block products of a march and the backward errors of a check
+    # are bitwise those that scipy products of the block-diagonal matrix
+    # give, on read-only inputs, for one level and for N+1 = 6
+    m = build_mesh(dim, 3.0, 8, 2.0, xprime_count=5,
+                   xprime_length=2 * np.pi)
+    indices, indptr, shape = interior_pattern(m)
+    layout = degenlab.solver._band_layout(m)
+    lu = degenlab.solver._BandLU(layout)
+    n = shape[0]
+    rng = np.random.default_rng(10 * dim + 2 * k + trans)
+    scale = 10.0 ** rng.integers(-6, 7, indices.size)
+    data, = _read_only(rng.standard_normal((k, indices.size)) * scale)
+    x, = _read_only(rng.standard_normal(k * n))
+    A = _block_diagonal(data, indices, indptr)
+    want = (A.T if trans else A) @ x
+    pattern = layout.copies(k, trans)
+    entries = data[:, layout.perm] if trans else data
+    got = degenlab.solver._product(pattern, entries.ravel(), x,
+                                   np.empty(k * n))
+    assert got.tobytes() == want.tobytes()
+    assert all(not table.flags.writeable and table.dtype == indices.dtype
+               for table in pattern)
+    assert layout.copies(k, trans) is pattern      # built once
+    for levels_n in (1, 6):
+        stack, X, B = _read_only(
+            rng.standard_normal((levels_n, indices.size)) * scale,
+            rng.standard_normal((6, n)), rng.standard_normal((6, n)))
+        # a solve whose b is A_1 x to rounding: an error near epsilon
+        A1 = _block_diagonal(stack[:1], indices, indptr)
+        B = B.copy()
+        B[0] = (A1.T if trans else A1) @ X[0]
+        B.setflags(write=False)
+        want = _reference_backward_errors(stack, X, B, indices, indptr,
+                                          trans)
+        got = lu.backward_errors(stack, X, B, trans)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("levels_n", [1, 4])
+@pytest.mark.parametrize("trans", [0, 1])
+def test_a_perturbed_level_fails_its_check_by_name(levels_n, trans):
+    # the solves of a march pass their check; one level moved by a relative
+    # 1e-6 fails it, and the failure names that level and no other
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
+    indices, _, shape = interior_pattern(m)
+    lu = degenlab.solver._BandLU(degenlab.solver._band_layout(m))
+    rng = np.random.default_rng(levels_n + trans)
+    data = rng.uniform(-1.0, 1.0, (levels_n, indices.size))
+    diagonal = indices == np.repeat(np.arange(shape[0]),
+                                    np.diff(interior_pattern(m)[1]))
+    data[:, diagonal] += 20.0
+    B = rng.standard_normal((4, shape[0]))
+    X = np.empty_like(B)
+    for i in range(4):
+        lu.factor(data[i % levels_n])
+        X[i] = lu.solve(B[i], trans=trans)
+    levels = [9, 8, 7, 6]
+    lu.check(data, X, B, 1e-13, levels=levels, trans=trans)
+    for bad in range(4):
+        Y = X.copy()
+        Y[bad] *= 1 + 1e-6
+        with pytest.raises(SolverError, match=re.escape(
+                "lam: time level %d: linear solve backward error"
+                % levels[bad])):
+            lu.check(data, Y, B, 1e-13, levels=levels, trans=trans,
+                     name="lam: ")
 
 
 def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
