@@ -102,16 +102,18 @@ def _local_solutions(cfg, problem, lam):
     cyl = _cylinder(cfg, problem.mesh)
     sols = []
     for k in range(cfg["n_solutions"]):
-        for attempt in range(3):
+        seeds = [cfg["seed"] + k + 1000 * attempt for attempt in range(3)]
+        for seed in seeds:
             try:
-                sols.append(locally_homogeneous_solution(
-                    problem, cyl, lam=lam,
-                    seed=cfg["seed"] + k + 1000 * attempt))
+                sols.append(locally_homogeneous_solution(problem, cyl,
+                                                         lam=lam, seed=seed))
                 break
             except DegenerateLocalSolution:
                 continue
         else:
-            raise SolverError("no nontrivial local solution after 3 seeds")
+            raise SolverError("no nontrivial local solution at lambda %r on "
+                              "%r: seeds %s all gave a solution numerically "
+                              "zero on the cylinder" % (lam, cyl, seeds))
     return sols
 
 
@@ -389,6 +391,9 @@ _COEFFICIENTS = ("solve", "sweep", "duality", "trace", "oscillation") + _LOCAL
 # the reports' rho0 column.
 _PROBLEMS = ("sweep", "duality") + _LOCAL
 
+# The commands that build a time stepper: all but hardy and oscillation.
+_STEPPERS = tuple(c for c in COMMANDS if c not in ("hardy", "oscillation"))
+
 
 def _window_holds_a_time_cell(c):
     """Whether the time window of the local commands' cylinder, (t0 -
@@ -441,6 +446,9 @@ _COMMAND_RULES = (
     # duality_check marches both ways at theta = 1 whatever theta says
     (("duality",), "theta", lambda c: c["theta"] == 1,
      "1 (implicit Euler, where the duality identity is exact)"),
+    (_STEPPERS, "theta", lambda c: 0.5 <= c["theta"] <= 1, "in [0.5, 1]"),
+    (_STEPPERS, "linear_tol", lambda c: c["linear_tol"] > 0,
+     "greater than 0"),
 )
 
 

@@ -465,16 +465,15 @@ def caccioppoli_ratio(u_local, r, R):
     return rep1, rep2
 
 
-def w_estimate_ratio(u_local, r, R, enforce_structure=True):
+def w_estimate_ratio(u_local, r, R):
     """Quotient-field bound: with w = u/x_d (defined nodally away from
     x_d = 0; the boundary node never enters the integrals), compare
     x_d|Dw|^2 + lam*w^2 on the inner cylinder against w^2 on the outer one.
     The structural hypothesis (constant coefficients in the degenerate
-    column), decided once per problem, is enforced unless this runs as a
-    violation probe.
+    column), decided once per problem, must hold, or ValueError is raised.
     """
     mesh, lam = u_local.mesh, u_local.lam
-    if enforce_structure and not u_local.problem.structure_condition():
+    if not u_local.problem.structure_condition():
         raise ValueError("the quotient estimate requires a constant "
                          "degenerate coefficient column")
     base = u_local.homogeneous_cylinder
@@ -500,9 +499,9 @@ def w_estimate_ratio(u_local, r, R, enforce_structure=True):
     inner, zero = region_norm(Qr), NormSpec(2.0, 0.0, "0")
     lhs = inner(NormSpec(2.0, 1.0, "1_full")) ** 2 + lam * inner(zero) ** 2
     rhs = region_norm(QR)(zero) ** 2
-    extra = {"variant": "probe" if not enforce_structure else "standard"}
     return EstimateReport("w_estimate", lhs, rhs,
-                          params=_local_params(u_local, lam, r, R, extra))
+                          params=_local_params(u_local, lam, r, R,
+                                               {"variant": "standard"}))
 
 
 def _region_nodes(mesh, cs):

@@ -2,39 +2,30 @@
 
     M du/dt + K(t) u = b(t),   u(0) = 0,
 
-marched from rest on the mesh's time grid with the theta-scheme (implicit
-Euler by default), plus the backward adjoint march used by the duality
-identity.  The problem is posed on (-inf, T) with no initial condition,
-so every march starts from zero.  The forward
-march takes a batch of k systems on one mesh and mass, each with its own
-stiffness stack and loads.  A stiffness stack has one form: an (L, nnz)
-array of entry data on the mesh's interior pattern, one level (L = 1) when
-the coefficient field declares itself autonomous and one per time level
-(L = N+1) otherwise.  A ``Marcher`` splits it as K(lam) = D + lam * C once
-per (mesh, coefficients), so a lambda grid assembles D and C once and
-marches as one batch, and a problem that marches many solutions (see
+posed on (-inf, T) with no initial condition, so marched from rest on the
+mesh's time grid: forward by the theta-scheme (implicit Euler by default),
+and back by the adjoint march that the duality identity pairs with it.
+Both run one time loop, ``_steps``: forward through the time levels 1..N
+for a batch of k systems on one mesh and mass, back through N..1 for one
+system, transposed.
+
+A stiffness stack is an (L, nnz) array of entry data on the mesh's
+interior pattern, one level (L = 1) when the coefficient field declares
+itself autonomous and one per time level (L = N+1) otherwise.  A
+``Marcher`` splits it as K(lam) = D + lam * C once per (mesh,
+coefficients), so a lambda grid assembles D and C once and marches as one
+batch, and a problem that marches many solutions (see
 ``harness.ProblemSpec.marcher``) assembles its mass and split once.
+
 Every linear system goes to one banded LU (LAPACK's dgbtrf/dgbtrs),
-filled straight from CSR entry data: the k systems of one level sit side
-by side as the blocks of one block-diagonal band, factored once per march
-for one level and once per step for N+1, and each step makes one dgbtrs
-and one product with the mass of the whole batch (for theta < 1, one
-more with its K^n).  The factors and solutions of every block are
-bitwise those of its system alone.  The band takes the interior DoFs in
-a declared order, natural in d = 1 and with the periodic x' index
-interleaved in d = 2, which narrows the band from 2P - 1 to P + 2
-diagonals; that layout is built once per mesh, and with it the patterns
-of the pattern's transpose and of k copies of either.  No march, step or
-check builds a scipy.sparse matrix: every product calls scipy's own CSR
-kernel on those patterns and the entry data, so it is bitwise the scipy
-product of the same matrix.  The adjoint march takes one forward stack: M is
-bitwise symmetric, so its system M + dt K^T is the transpose of the
-forward one, solved with the forward factors transposed.  Each mesh keeps
-one band LU per batch size that its marches factor into, so an adjoint
-reuses the factors of a one-system forward march of the same system.
-Every solve is checked against the matrix that was factored, in the
-original DoF order, after the last step and one batch member at a time; a
-failure names the member and the time level.
+filled straight from CSR entry data, in a declared DoF order: natural in
+d = 1 and with the periodic x' index interleaved in d = 2, which narrows
+the band from 2P - 1 to P + 2 diagonals.  That layout is built once per
+mesh, with the patterns of the pattern's transpose and of k copies of
+either, and each mesh keeps one band LU per batch size.  No march, step
+or check builds a scipy.sparse matrix: every product calls scipy's own
+CSR kernel on those patterns and the entry data, so it is bitwise the
+scipy product of the same matrix.
 """
 
 import numpy as np
@@ -354,6 +345,50 @@ def _systems(mass, stiffness, s, mesh, batch=True):
     return K, A, _band_lu(mesh, K.shape[0])
 
 
+def _steps(mass, K, A, lu, rhs, levels, config, dt, names, trans=0):
+    """The one time loop of both marches: k systems that share the mass M,
+    stepped from rest, u^0 = 0, to the time levels ``levels``, one a step.
+    With n = levels[s], step s solves A_i^n u_i^{s+1} = M u_i^s + rhs[s, i]
+    for each system i, less (1 - theta) dt K_i^{n-1} u_i^s when theta < 1,
+    A_i^n = M + theta dt K_i^n being the entries A[n, i] (A[0, i] for one
+    level), transposed for trans=1.  The k systems of a level are the
+    blocks of the band LU ``lu``, factored every step for N+1 levels and
+    once for one, by ``factor_once``: so an adjoint solves with the factors
+    of a one-system forward march of the same system.  A step makes at
+    most one dgbtrf, one dgbtrs and one product with the mass of all k
+    systems, and for theta < 1 one with their K^{n-1}, each a call of
+    scipy's CSR kernel on k copies of the mesh's pattern; every solution
+    is bitwise that of its system stepped alone.  rhs (steps, k, n_int) is
+    completed in place, and every solve is checked against it after the
+    last step, one system at a time, a failure prefixed by names[i] and
+    naming the level.  Returns U (steps + 1, k, n_int), U[s] = u^s.
+    """
+    steps, k, n_int = rhs.shape
+    U = np.zeros((steps + 1, k, n_int))
+    blocks = lu.layout.copies(k)        # interior, as _systems checked
+    M_data = mass.matrix.data if k == 1 else np.tile(mass.matrix.data, k)
+    U_flat, rhs_flat = U.reshape(steps + 1, -1), rhs.reshape(steps, -1)
+    work = np.empty(k * n_int)
+    stacked = A.shape[0] > 1
+    if not stacked:
+        lu.factor_once(A[0], levels[0], names)
+    theta = config.theta
+    for s, n in enumerate(levels.tolist()):
+        if stacked:
+            lu.factor(A[n], n, names)
+        rhs_flat[s] += _product(blocks, M_data, U_flat[s], work)
+        if theta < 1.0:     # the explicit part, K^{n-1}, or K
+            Kn = K[:, n - 1 if stacked else 0].ravel()
+            rhs_flat[s] -= (1 - theta) * dt * _product(blocks, Kn,
+                                                       U_flat[s], work)
+        U_flat[s + 1] = lu.solve(rhs_flat[s], trans)
+    for i in range(k):
+        lu.check(A[levels, i] if stacked else A[:, i], U[1:, i], rhs[:, i],
+                 config.linear_tol, levels=levels, trans=trans,
+                 name=names[i])
+    return U
+
+
 def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     """Core theta-scheme for a batch of k systems that share the mesh and
     the mass, marched from rest (u^0 = 0) on the mesh's time grid
@@ -362,21 +397,12 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     mass: the weighted mass (SparseOperator, SPD) of assemble_weighted_mass.
     stiffness: an array (k, L, nnz) whose [i, n] is the data of K_i(t_n) on
     ``interior_pattern(mesh)`` (see ``stiffness_levels``): L = 1 for
-    autonomous coefficients, factored once, or L = N+1, refactored every
-    step.  loads: None or an array (k, N+1, n_interior) whose [i, n] is the
-    load b_i^n.  names: k prefixes of the failures of the k systems
-    ("system i: " when omitted).  Each step solves (M + theta dt
-    K_i^{n+1}) u_i^{n+1} = (M - (1-theta) dt K_i^n) u_i^n + dt b_i^theta
-    for every i: the k systems of a level are the blocks of one band, so
-    a step makes at most one dgbtrf, one dgbtrs and one product with the
-    mass of all k systems (and, for theta < 1, one with their K^n, read
-    from K[:, n]), each a call of scipy's CSR kernel on k copies of the
-    mesh's pattern, and every solution is bitwise that of its system
-    marched alone.  Every solve is checked after the last step, one system
-    at a time.  Returns k solutions, each keeping its load rows as
-    ``loads``.  A one-level march whose systems the mesh's band LU of k
-    blocks holds the factors of, bitwise, solves with them without
-    factoring.
+    autonomous coefficients, or L = N+1.  loads: None or an array (k, N+1,
+    n_interior) whose [i, n] is the load b_i^n.  names: k prefixes of the
+    failures of the k systems ("system i: " when omitted).  Each step
+    solves (M + theta dt K_i^{n+1}) u_i^{n+1} = (M - (1-theta) dt K_i^n)
+    u_i^n + dt b_i^theta for every i, by ``_steps``.  Returns k solutions,
+    each keeping its load rows as ``loads``.
     """
     config = config or TimeStepperConfig()
     dt, N = mesh.time_step, mesh.time_count
@@ -398,27 +424,7 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
         np.multiply(b[1:], theta, out=rhs)
         rhs += (1 - theta) * b[:-1]
         rhs *= dt
-    U = np.zeros((N + 1, k, n_int))     # [n, i]: u_i^n
-    blocks = lu.layout.copies(k)        # interior, as _systems checked
-    M_data = np.tile(mass.matrix.data, k)
-    U_flat, rhs_flat = U.reshape(N + 1, -1), rhs.reshape(N, -1)  # views
-    work = np.empty(k * n_int)
-    stacked = A.shape[0] > 1
-    if not stacked:
-        lu.factor_once(A[0], 1, names)
-    for n in range(N):
-        if stacked:
-            lu.factor(A[n + 1], n + 1, names)
-        rhs_flat[n] += _product(blocks, M_data, U_flat[n], work)
-        if theta < 1.0:     # the explicit part, K^n, or K, as read
-            Kn = K[:, n if stacked else 0].ravel()
-            rhs_flat[n] -= (1 - theta) * dt * _product(blocks, Kn,
-                                                       U_flat[n], work)
-        U_flat[n + 1] = lu.solve(rhs_flat[n])
-    levels = np.arange(1, N + 1)
-    for i in range(k):
-        lu.check(A[1:, i] if stacked else A[:, i], U[1:, i], rhs[:, i],
-                 config.linear_tol, levels=levels, name=names[i])
+    U = _steps(mass, K, A, lu, rhs, np.arange(1, N + 1), config, dt, names)
 
     nodes = np.zeros((k, N + 1, mesh.M + 1, mesh.xprime_count))
     nodes[:, :, 1:-1, :] = U.transpose(1, 0, 2).reshape(
@@ -437,10 +443,7 @@ class Marcher:
     K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
     declares itself autonomous (see ``CoefficientField.autonomous``) and at
     every time level of the mesh otherwise, built on first use.  One marcher
-    marches any number of lambdas and sources, forward and adjoint; for an
-    autonomous field at theta = 1 the adjoint at the lambda of the last
-    one-lambda march on the mesh solves with its factors, transposed,
-    instead of factoring the same system again."""
+    marches any number of lambdas and sources, forward and adjoint."""
 
     def __init__(self, mesh, coeffs, config=None):
         if coeffs.dim != mesh.dim:
@@ -516,16 +519,14 @@ def march(mesh, coeffs, lam, F=None, f=None, config=None):
 
 def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     """Backward march (M + dt K^n)^T v^n = M v^{n+1} + dt c^n, v^{N+1} = 0,
-    for n = N..1 (implicit Euler only: the duality identity is exact there).
+    for n = N..1 (implicit Euler only: the duality identity is exact there),
+    by ``_steps``.
 
     mass and stiffness are those of one forward system of march_system:
     the weighted mass and the forward K stack (L, nnz), L = 1 or N+1, not
     K^T; each system is solved with the forward factors, transposed.
     dual_loads: array (N+1, n_interior); row n is c^n, row 0 is ignored.
-    As for march_system, a one-level adjoint whose forward system the
-    mesh's one-block band LU holds the factors of, bitwise, factors
-    nothing.  Returns an array of the same shape whose row n is v^n (row 0
-    is zero).
+    Returns an array of the same shape whose row n is v^n (row 0 is zero).
     """
     config = config or TimeStepperConfig()
     if config.theta != 1.0:
@@ -534,22 +535,12 @@ def adjoint_march_system(mass, stiffness, dual_loads, mesh, config=None):
     dual_loads = np.asarray(dual_loads, float)
     if dual_loads.shape != (N + 1, mesh.n_interior):
         raise ValueError("dual_loads must have shape (N+1, n_interior)")
-    _, A, lu = _systems(mass, stiffness, dt, mesh, batch=False)
-    stacked = A.shape[0] > 1
-    v = np.zeros((N + 2, mesh.n_interior))          # v^{N+1} = 0
-    rhs = dt * dual_loads[N:0:-1]          # row k: the step to level N - k
-    work = np.empty(mesh.n_interior)
-    if not stacked:
-        lu.factor_once(A[0], N)
-    for k, n in enumerate(range(N, 0, -1)):
-        if stacked:
-            lu.factor(A[n], n)
-        rhs[k] += _product(lu.layout.pattern, mass.matrix.data, v[n + 1],
-                           work)
-        v[n] = lu.solve(rhs[k], trans=1)
-    lu.check(A[N:0:-1, 0] if stacked else A[:, 0], v[N:0:-1], rhs,
-             config.linear_tol, levels=np.arange(N, 0, -1), trans=1)
-    return v[:-1]
+    K, A, lu = _systems(mass, stiffness, dt, mesh, batch=False)
+    U = _steps(mass, K, A, lu, dt * dual_loads[N:0:-1, None],
+               np.arange(N, 0, -1), config, dt, [""], trans=1)
+    v = np.zeros((N + 1, mesh.n_interior))
+    v[1:] = U[:0:-1, 0]                 # v^n = U[N + 1 - n]
+    return v
 
 
 def adjoint_march(mesh, coeffs, lam, dual_loads, config=None):

@@ -163,10 +163,13 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="duality", rho0=0.0), "rho0"),
     (dict(command="caccioppoli", cyl_time=5.0), "cyl_time"),
     (dict(command="lipschitz", cyl_radius=0.02, r_inner=0.005), "cyl_time"),
-    (dict(command="duality", theta=0.5), "theta")],
+    (dict(command="duality", theta=0.5), "theta"),
+    (dict(command="solve", theta=0.3), "theta"),
+    (dict(command="mms", linear_tol=0), "linear_tol")],
     ids=["cacc-r_inner", "wlemma-r_inner", "r_outer", "lipschitz-r_inner",
          "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind",
-         "eps", "eps_grid", "rho0", "cyl_time", "cyl_time-end", "theta"])
+         "eps", "eps_grid", "rho0", "cyl_time", "cyl_time-end", "theta",
+         "theta-range", "linear_tol"])
 def test_command_rules_refuse_before_anything_is_built(
         tmp_path, capsys, monkeypatch, config, key):
     built = []
@@ -192,6 +195,8 @@ def test_command_rules_bind_only_where_the_key_is_read():
     assert parse_config({"command": "lipschitz", "r_outer": 0.1})
     assert parse_config({"command": "oscillation", "kind": "oscillatory",
                          "r_inner": 0.6})
+    # hardy and oscillation build no time stepper
+    assert parse_config({"command": "hardy", "theta": 0.3, "linear_tol": 0})
     # corollary2 builds no coefficient field, no problem and no cylinder;
     # only sweep reads eps_grid, and only duality ignores theta
     assert parse_config({"command": "corollary2", "eps": -0.1, "rho0": 0.0,
@@ -317,6 +322,17 @@ def test_solver_failure_exits_three(tmp_path, capsys):
                       linear_tol=1e-30)
     assert main(["run", path]) == 3
     assert "solver error" in capsys.readouterr().err
+
+
+def test_no_local_solution_exits_three_naming_lambda(tmp_path, capsys):
+    # at lambda 1000 every seed's solution is numerically zero on the
+    # cylinder
+    path = _write_cfg(tmp_path, **dict(GOLDEN["caccioppoli"], mesh_M=48,
+                                       n_solutions=1, lambda_grid=[1000.0]))
+    assert main(["run", path]) == 3
+    err = capsys.readouterr().err
+    assert "no nontrivial local solution at lambda 1000" in err
+    assert "Cylinder(" in err and "seeds [0, 1000, 2000]" in err
 
 
 def test_matrix_export_refuses_a_time_dependent_kind(tmp_path, capsys):

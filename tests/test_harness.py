@@ -357,13 +357,10 @@ def test_w_estimate_structure_enforcement():
     assert np.isfinite(rep.ratio) and rep.lhs > 0
     print(rep.csv_row())
     # swap in a structure-violating family on the solution's problem: the
-    # condition is decided again, enforcement must trip, the probe variant
-    # must still report
+    # condition is decided again, and enforcement must trip
     sol.problem.coeffs = generate_family(5, "oscillatory", 0.5, 0.2, dim=1)
     with pytest.raises(ValueError):
         w_estimate_ratio(sol, 0.25, 0.5)
-    probe = w_estimate_ratio(sol, 0.25, 0.5, enforce_structure=False)
-    assert probe.params["variant"] == "probe"
 
 
 def test_boundary_lipschitz_report():
