@@ -9,7 +9,7 @@ tensor element), scattered into a pair of named DoF spaces: ``interior``
 (node rows j = 1..M-1), ``nodes`` (j = 0..M) and ``nodes_no0`` (j = 1..M).
 That scatter depends on the mesh alone, so it is built once per (mesh, row
 space, column space) as a ``_ScatterPlan`` and kept, with the certified
-x_d^{-1} pair table and the load maps, in a cache that holds meshes weakly.
+x_d^{-1} pair table and the load maps, among the mesh's tables.
 Each assembly is then one fold through the plan: the contributions to every
 entry are summed in ascending value order, so the result does not depend on
 the order of the terms, and assembling the transposed coefficients gives
@@ -336,20 +336,30 @@ def stiffness_levels(mesh, coeffs, times):
     return D, C
 
 
+def stiffness_entries(split, lams):
+    """The entry data of K(lam) = D + lam * C at each lambda of the 1-D
+    grid lams, from the split (D, C) of stiffness_levels: an array
+    (len(lams),) + D.shape, D alone where lam = 0."""
+    lams = np.asarray(lams, float)
+    if lams.ndim != 1:
+        raise ValueError("a lambda grid must be one-dimensional, got "
+                         "shape %s" % (lams.shape,))
+    if not np.all(lams >= 0):
+        raise ValueError("lambda must be >= 0, got %s" % lams)
+    D, C = split
+    K = D + lams[:, None, None] * C
+    K[lams == 0] = D
+    return K
+
+
 def assemble_stiffness(mesh, coeffs, lam, t=0.0):
     """K = diffusion(a_ij frozen at cell midpoints, time t) + lambda * c0-block
-    with the x_d^{-1} weight, the one level of stiffness_levels at t summed
-    as sparse matrices (the diffusion block alone when lam = 0).
-    sample_on_mesh certifies nu|xi|^2 <= a xi.xi and c0 >= nu on every cell,
-    so v'Kv >= nu v'K0v for every v."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    D, C = stiffness_levels(mesh, coeffs, [t])
-    plan = _plan(mesh, "interior", "interior")
-    K = plan.csr(D[0])
-    if lam > 0:
-        K = K + lam * plan.csr(C[0])
-    return SparseOperator(K)
+    with the x_d^{-1} weight: the stiffness_entries of the one level of
+    stiffness_levels at t, on interior_pattern(mesh).  sample_on_mesh
+    certifies nu|xi|^2 <= a xi.xi and c0 >= nu on every cell, so
+    v'Kv >= nu v'K0v for every v."""
+    K = stiffness_entries(stiffness_levels(mesh, coeffs, [t]), [lam])
+    return SparseOperator(_plan(mesh, "interior", "interior").csr(K[0, 0]))
 
 
 def model_stiffness(mesh):

@@ -23,7 +23,8 @@ import numpy as np
 from scipy.io import mmwrite
 
 from .assembly import AssemblyError, assemble_stiffness
-from .coefficients import KINDS, generate_family, oscillation_scan
+from .coefficients import (_AUTONOMOUS_KINDS, KINDS, generate_family,
+                           oscillation_scan)
 from .fields import random_w1p_field, smooth_random_closure
 from .harness import (CSV_HEADER, DegenerateLocalSolution, ProblemSpec,
                       boundary_lipschitz, caccioppoli_ratio,
@@ -92,14 +93,15 @@ def _ps(cfg):
     return cfg["p_grid"] if cfg["p_grid"] else [cfg["p"]]
 
 
-def _cylinder(cfg, mesh):
+def _cylinder(cfg):
+    """The local commands' cylinder, ending at cyl_time or the end time."""
     t0 = cfg["cyl_time"] if cfg["cyl_time"] is not None \
-        else mesh.total_time
+        else cfg["time_step"] * cfg["time_count"]
     return Cylinder(t0, 0.0, cfg["cyl_radius"])
 
 
 def _local_solutions(cfg, problem, lam):
-    cyl = _cylinder(cfg, problem.mesh)
+    cyl = _cylinder(cfg)
     sols = []
     for k in range(cfg["n_solutions"]):
         seeds = [cfg["seed"] + k + 1000 * attempt for attempt in range(3)]
@@ -122,9 +124,6 @@ def _local_solutions(cfg, problem, lam):
 def _cmd_solve(cfg):
     mesh = _build_mesh(cfg)
     coeffs = _coeffs(cfg, mesh)
-    if cfg["export_matrix"] and not coeffs.autonomous:
-        raise ConfigError("export_matrix writes one stiffness matrix, but "
-                          "coefficient kind %r depends on time" % cfg["kind"])
     F, f = _sources(cfg, mesh)
     sol = march(mesh, coeffs, cfg["lambda"], F=F, f=f, config=_stepper(cfg))
     lines = ["t,xprime,xd,u"]
@@ -144,20 +143,11 @@ def _cmd_solve(cfg):
 
 
 def _cmd_mms(cfg):
-    meshes = cfg["mms_meshes"]
-    if len(meshes) < 3:
-        raise ConfigError("mms_meshes needs at least 3 entries")
-    M0 = meshes[0]
     case = default_case(cfg["dim"], lam=cfg["lambda"], Ld=cfg["L_d"],
                         T=cfg["time_step"] * cfg["time_count"],
                         mode=cfg["mms_mode"])
-    ladder = []
-    for M in meshes:
-        scale = (M / M0) ** 2
-        if abs(scale - round(scale)) > 1e-9:
-            raise ConfigError("mms_meshes must grow by integer-square "
-                              "factors for dt proportional to h^2")
-        ladder.append(_build_mesh(cfg, M=M, refine_time=int(round(scale))))
+    ladder = [_build_mesh(cfg, M=M, refine_time=int(round(scale)))
+              for M, scale in zip(cfg["mms_meshes"], _mms_scales(cfg))]
     table = convergence_study(case, ladder, p=cfg["p"], theta=cfg["theta"],
                               linear_tol=cfg["linear_tol"])
     return [], [("mms.csv", table.csv())], \
@@ -396,13 +386,17 @@ _STEPPERS = tuple(c for c in COMMANDS if c not in ("hardy", "oscillation"))
 
 
 def _window_holds_a_time_cell(c):
-    """Whether the time window of the local commands' cylinder, (t0 -
-    cyl_radius, t0] with t0 = cyl_time or the end time, holds the centre of
-    a time cell of the mesh."""
-    t0 = c["cyl_time"] if c["cyl_time"] is not None \
-        else c["time_step"] * c["time_count"]
-    return time_cells_in_window(c["time_step"], c["time_count"], t0,
-                                c["cyl_radius"]).size > 0
+    """Whether the cylinder's time window holds the centre of a time cell."""
+    cyl = _cylinder(c)
+    return time_cells_in_window(c["time_step"], c["time_count"],
+                                cyl.center_time, cyl.radius).size > 0
+
+
+def _mms_scales(c):
+    """(M / M_0)**2 for each mesh size M of the mms ladder, M_0 its first:
+    the factor its time step is refined by, since dt scales with h^2."""
+    M0 = c["mms_meshes"][0]
+    return [(M / M0) ** 2 for M in c["mms_meshes"]]
 
 
 # The rules a key keeps, given the other keys, for the commands that read
@@ -438,11 +432,24 @@ _COMMAND_RULES = (
      "greater than 0 and at most half of cyl_radius = {cyl_radius!r}"),
     (("oscillation",), "rho_grid", lambda c: min(c["rho_grid"]) > 0,
      "a list of radii greater than 0"),
+    (_COEFFICIENTS, "nu", lambda c: 0 < c["nu"] < 1, "in (0, 1)"),
     (_COEFFICIENTS, "eps", lambda c: c["eps"] >= 0, "at least 0"),
     (("sweep",), "eps_grid",
      lambda c: not c["eps_grid"] or min(c["eps_grid"]) >= 0,
      "a list of amplitudes at least 0"),
     (_PROBLEMS, "rho0", lambda c: c["rho0"] > 0, "greater than 0"),
+    (("solve",), "export_matrix",
+     lambda c: not c["export_matrix"] or c["kind"] in _AUTONOMOUS_KINDS,
+     "false while kind {kind!r} depends on time (it writes one stiffness "
+     "matrix)"),
+    (("mms",), "mms_meshes", lambda c: len(c["mms_meshes"]) >= 3
+     and c["mms_meshes"][0] >= 2
+     and sorted(set(c["mms_meshes"])) == c["mms_meshes"],
+     "a list of at least 3 increasing sizes, each at least 2"),
+    (("mms",), "mms_meshes", lambda c: all(
+        abs(scale - round(scale)) <= 1e-9 for scale in _mms_scales(c)),
+     "a ladder of sizes M whose (M / M_0)**2, M_0 the first, are integers "
+     "(dt scales with h^2)"),
     # duality_check marches both ways at theta = 1 whatever theta says
     (("duality",), "theta", lambda c: c["theta"] == 1,
      "1 (implicit Euler, where the duality identity is exact)"),

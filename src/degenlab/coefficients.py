@@ -17,7 +17,7 @@ from .mesh import Cylinder, cells_in_cylinder, prime_cells_in_cylinder
 
 def _const(value):
     def closure(t, xp, xd):
-        return value + 0.0 * np.asarray(xd, float)
+        return value
     return closure
 
 
@@ -299,7 +299,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
         a0c = 1.0 + eps * ra
 
         def a0(xd):
-            return a0c + 0.0 * np.asarray(xd, float)
+            return a0c
 
         return CoefficientField(dim, nu, a, c0, a0, kind=kind)
 
@@ -317,7 +317,7 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
         s_c0, s_a0, s_00, s_d0 = s(0), s(1), s(2), s(3)
 
         def c0(t, xp, xd):
-            return 1.0 + amp * s_c0(xd) + 0.0 * np.asarray(xp, float)
+            return 1.0 + amp * s_c0(xd)
 
         def a0(xd):
             return 1.0 + amp * s_a0(xd)
@@ -326,10 +326,10 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
             a = ((_const(consts[0]),),)
         else:
             def a00(t, xp, xd):
-                return 1.0 + amp * s_00(xd) + 0.0 * np.asarray(xp, float)
+                return 1.0 + amp * s_00(xd)
 
             def a10(t, xp, xd):
-                return amp * s_d0(xd) + 0.0 * np.asarray(xp, float)
+                return amp * s_d0(xd)
 
             a = ((a00, _const(eps * 0.25)),
                  (a10, _const(consts[1])))

@@ -352,16 +352,19 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
     the given boundary cylinder, so the discrete equation is homogeneous
     there (verified row by row), yet which is nontrivial on the cylinder.
 
-    With no data on the problem, random sources supported above the cushion
-    are synthesized from the seed.  The march goes through the problem's
-    marcher, and the solution keeps its problem as ``problem``.  Raises
-    DegenerateLocalSolution when the result is numerically zero on the
-    cylinder.
+    The sources are synthesized from the seed, random and supported above
+    the cushion, so a problem that carries F or f is refused.  The march
+    goes through the problem's marcher, and the solution keeps its problem
+    as ``problem``.  Raises DegenerateLocalSolution when the result is
+    numerically zero on the cylinder.
     """
     mesh, coeffs = problem.mesh, problem.coeffs
     if coeffs.kind == "oscillatory":
         raise ValueError("local-estimate checks use constant or x_d-only "
                          "coefficients")
+    if problem.F is not None or problem.f is not None:
+        raise ValueError("a locally homogeneous solution synthesizes its "
+                         "own sources, so the problem must carry no F or f")
     seed = problem.seed if seed is None else int(seed)
     extent = cylinder.center_xd + cylinder.radius
     x_lo = max(_SUPPORT_FLOOR, extent + _SUPPORT_GAP)
@@ -371,20 +374,13 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
                          "truncation %.3g for supported sources"
                          % (extent, mesh.Ld))
 
-    if problem.F is None and problem.f is None:
-        def enveloped(g):
-            return lambda t, xp, xd: g(t, xp, xd) * _smoothstep(xd, x_lo,
-                                                                x_hi)
-        raw = [smooth_random_closure(seed * 10 + k, mesh.dim,
-                                     xp_length=mesh.xprime_length,
-                                     envelope=False)
-               for k in range(mesh.dim + 1)]
-        f = enveloped(raw[0])
-        F = tuple(enveloped(g) for g in raw[1:])
-    else:
-        F, f = problem.F, problem.f
-
-    sol = problem.marcher().march([lam], F=F, f=f)[0]
+    def enveloped(g):
+        return lambda t, xp, xd: g(t, xp, xd) * _smoothstep(xd, x_lo, x_hi)
+    raw = [smooth_random_closure(seed * 10 + k, mesh.dim,
+                                 xp_length=mesh.xprime_length, envelope=False)
+           for k in range(mesh.dim + 1)]
+    F = tuple(enveloped(g) for g in raw[1:])
+    sol = problem.marcher().march([lam], F=F, f=enveloped(raw[0]))[0]
 
     # certify discrete homogeneity: every interior row whose nodal support
     # lies below the cushion must receive an exactly zero load at all times
@@ -402,7 +398,6 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
                                       "cylinder (seed %d)" % seed)
     sol.homogeneous_cylinder = cylinder
     sol.problem = problem
-    sol.lam = lam
     sol.seed = seed
     sol.source_bound = x_lo
     return sol
@@ -453,7 +448,7 @@ def caccioppoli_ratio(u_local, r, R):
         params=_local_params(u_local, lam, r, R, {"variant": "gradient"}))
 
     diffs = u_local.time_differences()
-    ut_norm = levels_norm(mesh, diffs[cs_r.time_cells], u_local.dt,
+    ut_norm = levels_norm(mesh, diffs[cs_r.time_cells],
                           NormSpec(2.0, -1.0, "0"),
                           space_cells=cs_r.space_cells)
     lhs2 = ut_norm ** 2
@@ -493,7 +488,7 @@ def w_estimate_ratio(u_local, r, R):
             raise ValueError("cylinder has no cells away from the first "
                              "x_d layer")
         levels = w[cs.time_cells + 1]
-        return lambda spec: levels_norm(mesh, levels, u_local.dt, spec,
+        return lambda spec: levels_norm(mesh, levels, spec,
                                         space_cells=keep)
 
     inner, zero = region_norm(Qr), NormSpec(2.0, 0.0, "0")
@@ -630,8 +625,8 @@ def corollary2_check(case, mesh, p, config=None):
     n_d2 = weighted_norm(sol, NormSpec(p, p / 2.0, "2_full"),
                          skip_initial=skip)
     diffs = sol.time_differences()[skip:]
-    n_ut = levels_norm(mesh, diffs, sol.dt, NormSpec(p, -p / 2.0, "0"))
-    n_dut = levels_norm(mesh, diffs, sol.dt, NormSpec(p, 0.0, "1_full"))
+    n_ut = levels_norm(mesh, diffs, NormSpec(p, -p / 2.0, "0"))
+    n_dut = levels_norm(mesh, diffs, NormSpec(p, 0.0, "1_full"))
     lhs = n_u + n_du + n_ut + n_d2 + n_dut
     rhs = analytic_norm(mesh, f, NormSpec(p, -p / 2.0, "0"),
                         skip_initial=skip) \

@@ -9,19 +9,8 @@ cylinder are found once per (mesh, cylinder geometry) and shared read-only.
 """
 
 import functools
-import weakref
 
 import numpy as np
-
-# mesh -> {key: table}: the scatter plans, band layout and band LUs, load
-# maps, a0-free mass, Grams, norm plans and cylinder cell sets of a mesh.
-# Meshes are held weakly, and no table refers back to its mesh; a table
-# derives from its key and the mesh's immutable geometry alone, so it
-# cannot go stale.  build_mesh interns its meshes (see
-# _INTERNED), so the tables of a geometry outlive one command and serve
-# every later command on that geometry; a TensorMesh(...) built directly is
-# not interned, and its tables go with it.
-_CACHE = weakref.WeakKeyDictionary()
 
 # How many geometries build_mesh keeps a mesh of, least recently used
 # first out.  One command builds at most 3 meshes (sweep: the mesh and
@@ -31,8 +20,12 @@ _INTERNED = 8
 
 
 def _cached(mesh, key, build):
-    """The table ``key`` of ``mesh``, built by ``build()`` on first use."""
-    tables = _CACHE.setdefault(mesh, {})
+    """The table ``key`` of ``mesh``, built by ``build()`` on first use and
+    kept by the mesh for its life.  A table derives from its key and the
+    mesh's immutable geometry alone, so it cannot go stale; build_mesh
+    interns its meshes (see _INTERNED), so a geometry's tables serve every
+    later command on it."""
+    tables = mesh._tables
     if key not in tables:
         tables[key] = build()
     return tables[key]
@@ -69,6 +62,7 @@ class TensorMesh:
         self.time_count = int(time_count)
         self.grading_exponent = float(grading_exponent)
         self.xd_nodes.setflags(write=False)
+        self._tables = {}
         self._sealed = True
 
     def __setattr__(self, name, value):
@@ -161,7 +155,7 @@ def build_mesh(dim, L_d, M, grading_exponent, xprime_count=1,
                xprime_length=None, time_step=1.0, time_count=1):
     """The graded tensor mesh xd_nodes[j] = L_d*(j/M)**grading_exponent.
     Equal geometries share one immutable mesh, and so its tables (see
-    _CACHE), while the geometry is among the _INTERNED most recently
+    _cached), while the geometry is among the _INTERNED most recently
     used."""
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2, got %r" % (dim,))
@@ -222,7 +216,7 @@ class CellSet:
     """Cells of a mesh inside a cylinder: the product of a time-cell index set
     and a spatial-cell index set (flat index j*xprime_count + m), with the
     x_d index j and x' index m of each spatial cell.  Every array is
-    read-only; the set keeps no reference to its mesh."""
+    read-only."""
 
     def __init__(self, mesh, time_cells, space_cells):
         self.time_cells = np.asarray(time_cells, dtype=int)

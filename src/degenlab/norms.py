@@ -281,12 +281,12 @@ def _check_boundary_integrability(values, spec):
                 % spec.weight_exponent)
 
 
-def _region_cells(mesh, spec, skip_initial=0, time_count=0):
-    """(ends, space_cells): the level closing each retained time cell (those
-    of spec.region, else cells skip_initial..time_count-1) and the region's
-    space cells (None: all)."""
+def _region_cells(mesh, spec, skip_initial=0):
+    """(ends, space_cells): the level closing each retained time cell of the
+    mesh (those of spec.region, else cells skip_initial..N-1) and the
+    region's space cells (None: all)."""
     if spec.region is None:
-        return np.arange(skip_initial, time_count) + 1, None
+        return np.arange(skip_initial, mesh.time_count) + 1, None
     cs = cells_in_cylinder(mesh, spec.region)
     return cs.time_cells + 1, cs.space_cells
 
@@ -297,8 +297,7 @@ def _retained(field, spec, skip_initial):
     if isinstance(field, DiscreteField):
         _, space_cells = _region_cells(field.mesh, spec)
         return field.values[None], np.zeros(1), 1.0, space_cells
-    ends, space_cells = _region_cells(field.mesh, spec, skip_initial,
-                                      field.time_count)
+    ends, space_cells = _region_cells(field.mesh, spec, skip_initial)
     return field.levels[ends], field.times[ends], field.dt, space_cells
 
 
@@ -326,12 +325,17 @@ def weighted_norm(field, spec, skip_initial=0):
     return _rectangle_norm(field.mesh, levels, times, dt, spec, space_cells)
 
 
-def levels_norm(mesh, level_values, dt, spec, space_cells=None):
+def levels_norm(mesh, level_values, spec, space_cells=None):
     """Rectangle-rule space-time norm of a raw stack of nodal arrays
-    (n_levels, M+1, npc); every entry contributes dt."""
+    (n_levels, M+1, npc) over space_cells (None: all): every level
+    contributes the mesh's time step.  The levels need not be the mesh's,
+    so a spec with a region is refused."""
+    if spec.region is not None:
+        raise ValueError("levels_norm takes its cells from space_cells, not "
+                         "from spec.region = %r" % (spec.region,))
     level_values = np.asarray(level_values, float)
     return _rectangle_norm(mesh, level_values, np.zeros(len(level_values)),
-                           dt, spec, space_cells)
+                           mesh.time_step, spec, space_cells)
 
 
 def error_norm(solution_or_field, exact, spec, skip_initial=0):
@@ -350,8 +354,7 @@ def analytic_norm(mesh, func, spec, skip_initial=0):
     right-endpoint rectangle rule on the mesh's own grid."""
     if spec.derivative_order != "0":
         raise ValueError("analytic_norm supports derivative_order '0' only")
-    ends, space_cells = _region_cells(mesh, spec, skip_initial,
-                                      mesh.time_count)
+    ends, space_cells = _region_cells(mesh, spec, skip_initial)
     zeros = np.broadcast_to(0.0, (ends.size, mesh.M + 1, mesh.xprime_count))
     return _rectangle_norm(mesh, zeros, mesh.time_levels[ends],
                            mesh.time_step, spec, space_cells, {"u": func})

@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .assembly import (LoadAssembler, assemble_weighted_mass,
-                       interior_pattern, stiffness_levels)
+                       interior_pattern, stiffness_entries, stiffness_levels)
 from .fields import DiscreteField
 from .mesh import _cached
 
@@ -270,32 +270,31 @@ def linear_solve(A, b, tol=1e-10):
 # -- solution container --------------------------------------------------------
 
 class SpaceTimeSolution:
-    """Nodal values at every time level; Dirichlet traces are exactly zero.
-    A march sets ``lam`` and ``loads``."""
+    """Nodal values at every time level of the mesh's time grid: ``times``,
+    ``dt`` and ``time_count`` are the mesh's.  Dirichlet traces are exactly
+    zero.  A march sets ``lam`` and ``loads``."""
 
-    def __init__(self, mesh, levels, times):
+    def __init__(self, mesh, levels):
         levels = np.asarray(levels, float)
-        times = np.asarray(times, float)
-        if levels.ndim != 3 or levels.shape[1:] != (mesh.M + 1,
-                                                    mesh.xprime_count):
-            raise ValueError("levels must have shape (N+1, M+1, xprime_count)")
-        if levels.shape[0] != times.size:
-            raise ValueError("levels/times mismatch")
+        shape = (mesh.time_count + 1, mesh.M + 1, mesh.xprime_count)
+        if levels.shape != shape:
+            raise ValueError("levels must have shape (N+1, M+1, xprime_count)"
+                             " = %s, got %s" % (shape, levels.shape))
         if np.any(levels[:, 0, :] != 0) or np.any(levels[:, -1, :] != 0):
             raise ValueError("nonzero Dirichlet trace in solution levels")
         self.mesh = mesh
         self.levels = levels
-        self.times = times
+        self.times = mesh.time_levels
         self.lam = None
         self.loads = None
 
     @property
     def time_count(self):
-        return self.levels.shape[0] - 1
+        return self.mesh.time_count
 
     @property
     def dt(self):
-        return float(self.times[1] - self.times[0])
+        return self.mesh.time_step
 
     def field_at(self, n):
         return DiscreteField(self.mesh, self.levels[n])
@@ -431,7 +430,7 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
         k, N + 1, mesh.M - 1, mesh.xprime_count)
     sols = []
     for i in range(k):
-        sol = SpaceTimeSolution(mesh, nodes[i], mesh.time_levels)
+        sol = SpaceTimeSolution(mesh, nodes[i])
         sol.loads = None if loads is None else loads[i]
         sols.append(sol)
     return sols
@@ -457,24 +456,15 @@ class Marcher:
         self._split = None
 
     def stiffness(self, lams):
-        """K(lam) for each lambda of a grid, as march_system takes it: an
-        array (k, L, nnz) of D + lam * C (D alone where lam = 0), one level
-        when autonomous, else N+1."""
-        lams = np.asarray(lams, float)
-        if lams.ndim != 1:
-            raise ValueError("a lambda grid must be one-dimensional, got "
-                             "shape %s" % (lams.shape,))
-        if not np.all(lams >= 0):
-            raise ValueError("lambda must be >= 0, got %s" % lams)
+        """K(lam) for each lambda of a grid, as march_system takes it: the
+        stiffness_entries (k, L, nnz) of the split, one level when
+        autonomous, else N+1."""
         if self._split is None:
             times = self.mesh.time_levels
             if self.coeffs.autonomous:
                 times = times[:1]
             self._split = stiffness_levels(self.mesh, self.coeffs, times)
-        D, C = self._split
-        K = D + lams[:, None, None] * C
-        K[lams == 0] = D
-        return K
+        return stiffness_entries(self._split, lams)
 
     def march(self, lams, F=None, f=None):
         """Forward marches at every lambda of the grid ``lams``, one

@@ -2,9 +2,10 @@
 wraps the functions that bench/tracing.py lists in TRACED, and the
 workloads in bench/workloads.py call module attributes.  These tests fail
 when a change to the package removes or renames a name the benchmark still
-uses, instead of leaving the failure to ``bench/run.py --trace 1``.  The
-last one fails the other way round, when the package exports a function or
-class that only its own unit tests use."""
+uses, instead of leaving the failure to ``bench/run.py --trace 1``.  Two
+fail the other way round: when the package exports a function or class
+that only its own unit tests use, and when it defines a module-level name
+that nothing reads."""
 
 import ast
 import importlib
@@ -138,3 +139,38 @@ def test_no_unused_imports():
                    for name, line in sorted(imported.items())
                    if name not in used]
     assert unused == []
+
+
+def test_every_module_level_name_is_read():
+    """Each top-level function, class and assigned name of a module of the
+    package is loaded somewhere in the package, by the benchmark or by the
+    acceptance tests, or is listed in TRACED: a name nothing reads, such as
+    a table left behind when its last user goes, fails here.  A name that
+    the package's ``__init__.py`` imports counts only when it is read
+    elsewhere too, since the re-export alone reads nothing."""
+    sources = sorted((ROOT / "src" / "degenlab").glob("*.py"))
+    users = sources + sorted(BENCH.glob("*.py")) + [ROOT / "tests" /
+                                                    "test_acceptance.py"]
+    loaded = {part for _, qualname in _traced()
+              for part in qualname.split(".")}
+    for path in users:
+        tree = ast.parse(path.read_text())
+        if path.name != "__init__.py":
+            loaded.update(name for _, name in _package_names(tree))
+        loaded.update(node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load))
+    defined = []
+    for path in sources:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += ["%s:%s" % (path.name, name) for name in names
+                        if not (name.startswith("__") and name.endswith("__"))]
+    assert len(defined) > 100
+    assert [d for d in defined if d.split(":")[1] not in loaded] == []

@@ -165,11 +165,20 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="lipschitz", cyl_radius=0.02, r_inner=0.005), "cyl_time"),
     (dict(command="duality", theta=0.5), "theta"),
     (dict(command="solve", theta=0.3), "theta"),
-    (dict(command="mms", linear_tol=0), "linear_tol")],
+    (dict(command="mms", linear_tol=0), "linear_tol"),
+    (dict(command="solve", nu=1.5), "nu"),
+    (dict(command="mms", mms_meshes=[8, 16]), "mms_meshes"),
+    (dict(command="mms", mms_meshes=[0, 16, 32]), "mms_meshes"),
+    (dict(command="mms", mms_meshes=[8, 8, 8]), "mms_meshes"),
+    (dict(command="mms", mms_meshes=[8, 12, 16]), "mms_meshes"),
+    (dict(command="solve", kind="oscillatory", eps=0.2, export_matrix=True),
+     "export_matrix")],
     ids=["cacc-r_inner", "wlemma-r_inner", "r_outer", "lipschitz-r_inner",
          "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind",
          "eps", "eps_grid", "rho0", "cyl_time", "cyl_time-end", "theta",
-         "theta-range", "linear_tol"])
+         "theta-range", "linear_tol", "nu", "mms_meshes-length",
+         "mms_meshes-size", "mms_meshes-increasing", "mms_meshes-squares",
+         "export_matrix"])
 def test_command_rules_refuse_before_anything_is_built(
         tmp_path, capsys, monkeypatch, config, key):
     built = []

@@ -288,18 +288,31 @@ def test_locally_homogeneous_solution_properties():
     assert np.array_equal(sol.levels, sol2.levels)   # deterministic
 
 
-def test_locally_homogeneous_rejects_leaking_sources():
-    # a global source that reaches the cylinder fails the certificate
-    prob = _problem_d1(M=16, time_count=8, f=smooth_random_closure(2, 1))
+def test_locally_homogeneous_rejects_leaking_sources(monkeypatch):
+    # sources not cut off below the cushion reach the cylinder and fail
+    # the certificate
+    monkeypatch.setattr(degenlab.harness, "_smoothstep",
+                        lambda x, lo, hi: np.ones_like(np.asarray(x, float)))
+    prob = _problem_d1(M=16, time_count=8)
     with pytest.raises(ValueError, match="sources leak into the homogeneous"):
         locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5), lam=1.0)
 
 
 def test_locally_homogeneous_rejects_zero_sources():
-    zero = lambda t, xp, xd: 0.0 * np.asarray(xd, float)
-    prob = _problem_d1(M=16, time_count=8, F=(zero,), f=zero)
+    # the golden caccioppoli geometry at M = 48: at lambda = 1000 what the
+    # sources above the cushion leave on the cylinder is numerically zero
+    prob = _problem_d1(M=48, time_count=10)
     with pytest.raises(DegenerateLocalSolution):
-        locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5), lam=1.0)
+        locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5),
+                                     lam=1000.0)
+
+
+def test_locally_homogeneous_refuses_a_problem_with_sources():
+    for data in (dict(f=smooth_random_closure(2, 1)),
+                 dict(F=(smooth_random_closure(3, 1),))):
+        prob = _problem_d1(M=16, time_count=8, **data)
+        with pytest.raises(ValueError, match="must carry no F or f"):
+            locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5))
 
 
 def test_locally_homogeneous_validation():
@@ -340,7 +353,7 @@ def test_caccioppoli_reports():
 
 def test_caccioppoli_zero_solution_passes_via_floor():
     m = build_mesh(1, 4.0, 16, 2.0, time_step=0.1, time_count=10)
-    sol = SpaceTimeSolution(m, np.zeros((11, 17, 1)), m.time_levels)
+    sol = SpaceTimeSolution(m, np.zeros((11, 17, 1)))
     sol.homogeneous_cylinder = Cylinder(1.0, 0.0, 0.5)
     sol.lam = 1.0
     sol.seed = 0

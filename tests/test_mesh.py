@@ -224,8 +224,8 @@ def test_oscillation_lattice_cell_sets_are_fresh(monkeypatch, dim):
 
 
 def test_cell_sets_do_not_keep_their_mesh_alive():
-    # a CellSet lives in its mesh's tables, held weakly: it must hold no
-    # reference back to the mesh
+    # a mesh built directly is not interned: once its last reference goes,
+    # it goes, with its tables, a CellSet among them
     m = TensorMesh(1, np.linspace(0.0, 2.0, 9), 1, 1.0, 0.25, 4, 1.0)
     assert cells_in_cylinder(m, Cylinder(1.0, 0.0, 0.5)).n_cells > 0
     gone = weakref.ref(m)

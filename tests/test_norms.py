@@ -153,15 +153,20 @@ def test_solution_norm_rectangle_rule_and_skip():
     prof = m.xd_nodes * (1 - m.xd_nodes)
     for n in range(5):
         vals[n, :, 0] = prof
-    sol = SpaceTimeSolution(m, vals, m.time_levels)
+    sol = SpaceTimeSolution(m, vals)
     u = DiscreteField(m, vals[0])
     space = weighted_norm(u, NormSpec(2.0))
     full = weighted_norm(sol, NormSpec(2.0))
     half = weighted_norm(sol, NormSpec(2.0), skip_initial=2)
     assert abs(full - space) < 1e-13          # T = 1
     assert abs(half - space * np.sqrt(0.5)) < 1e-13
-    alt = levels_norm(m, vals[1:], 0.25, NormSpec(2.0))
+    alt = levels_norm(m, vals[1:], NormSpec(2.0))
     assert abs(alt - full) < 1e-14
+    # the stack's levels are not the mesh's: a region's cells go by
+    # space_cells, and a spec with a region is refused by name
+    with pytest.raises(ValueError, match="not from spec.region"):
+        levels_norm(m, vals[1:], NormSpec(2.0, region=Cylinder(1.0, 0.0,
+                                                               0.5)))
 
 
 def test_analytic_norm_matches_rectangle_oracle():
@@ -203,7 +208,7 @@ def _random_solution(dim, seed):
         (m.time_count + 1, m.M + 1, m.xprime_count))
     vals[:, 0, :] = 0.0
     vals[:, -1, :] = 0.0
-    return SpaceTimeSolution(m, vals, m.time_levels)
+    return SpaceTimeSolution(m, vals)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -227,8 +232,7 @@ def test_error_against_zero_is_the_plain_norm(dim):
 def test_analytic_norm_is_the_error_of_the_zero_solution(dim):
     m = _random_solution(dim, 0).mesh
     zero_solution = SpaceTimeSolution(
-        m, np.zeros((m.time_count + 1, m.M + 1, m.xprime_count)),
-        m.time_levels)
+        m, np.zeros((m.time_count + 1, m.M + 1, m.xprime_count)))
     func = lambda t, xp, xd: (1 + t) * np.sin(xp + xd) * xd
     cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
     for region in (None, cyl):
@@ -267,7 +271,9 @@ def test_level_chunking_leaves_every_norm_bitwise(monkeypatch, dim):
         out = [weighted_norm(sol, spec),
                weighted_norm(sol, spec, skip_initial=1),
                weighted_norm(sol.field_at(2), spec),
-               levels_norm(m, sol.levels[1:], sol.dt, spec, space_cells)]
+               levels_norm(m, sol.levels[1:], NormSpec(
+                   spec.p, spec.weight_exponent, spec.derivative_order),
+                   space_cells)]
         if spec.derivative_order != "2_full":
             out.append(error_norm(sol, exact, spec, skip_initial=1))
         if spec.derivative_order == "0":
@@ -401,7 +407,7 @@ def test_norm_plan_is_built_once_and_read_only():
     sol = _random_solution(2, 3)
     spec = NormSpec(3.0, 0.5, "1_full", Cylinder(0.7, 0.8, 0.9, 1.0))
     plans = lambda: {k: v for k, v in
-                     degenlab.mesh._CACHE.get(sol.mesh, {}).items()
+                     sol.mesh._tables.items()
                      if k[0] == "norm plan"}
     before = plans()
     first = weighted_norm(sol, spec)
@@ -456,7 +462,7 @@ def test_slice_norms_are_bitwise_the_per_node_loop(dim):
     vals = np.random.default_rng(dim).standard_normal(
         (m.time_count + 1, m.M + 1, m.xprime_count))
     vals[:, 0] = vals[:, -1] = 0.0
-    sol = SpaceTimeSolution(m, vals, m.time_levels)
+    sol = SpaceTimeSolution(m, vals)
     for p in (2.0, 3.0, 4.0):
         for k in (0, 2):
             assert slice_norms(sol, p, k)[1].tolist() == \

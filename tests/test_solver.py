@@ -357,6 +357,26 @@ def _grid_mesh(dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "xd_only", "oscillatory"])
+def test_exported_stiffness_is_the_marchers_entries(dim, kind):
+    # one rule forms K(lam): the exported matrix is the interior pattern
+    # with, bitwise, the entries the march solves with, at every level
+    m = _grid_mesh(dim)
+    coeffs = generate_family(3, kind, 0.5, 0.2, dim=dim,
+                             xp_length=2 * np.pi)
+    indices, indptr, shape = interior_pattern(m)
+    lams = [0.0, 1.0, 1e3]
+    K = Marcher(m, coeffs).stiffness(lams)
+    for i, lam in enumerate(lams):
+        for n, t in enumerate(m.time_levels[:len(K[i])]):
+            A = assemble_stiffness(m, coeffs, lam, t=t).matrix
+            assert A.shape == shape
+            assert np.array_equal(A.indices, indices)
+            assert np.array_equal(A.indptr, indptr)
+            assert A.data.tobytes() == K[i, n].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("kind", ["xd_only", "oscillatory"])
 @pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("loaded", [True, False])
@@ -1025,19 +1045,20 @@ def test_time_grid_mismatch_rejected():
 def test_solution_container_invariants():
     m = build_mesh(1, 2.0, 4, 1.0, time_step=0.5, time_count=2)
     levels = np.zeros((3, 5, 1))
-    times = np.array([0.0, 0.5, 1.0])
-    sol = SpaceTimeSolution(m, levels, times)
+    sol = SpaceTimeSolution(m, levels)
     assert sol.time_count == 2
+    assert sol.dt == 0.5
+    assert np.array_equal(sol.times, [0.0, 0.5, 1.0])
     assert sol.max_abs() == 0.0
     bad = levels.copy()
     bad[1, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        SpaceTimeSolution(m, bad, times)
-    with pytest.raises(ValueError):
-        SpaceTimeSolution(m, levels, times[:2])
+        SpaceTimeSolution(m, bad)
+    with pytest.raises(ValueError, match=r"= \(3, 5, 1\), got \(2, 5, 1\)"):
+        SpaceTimeSolution(m, levels[:2])
     levels2 = levels.copy()
     levels2[2, 2, 0] = 3.0
-    sol2 = SpaceTimeSolution(m, levels2, times)
+    sol2 = SpaceTimeSolution(m, levels2)
     d = sol2.time_differences()
     assert d.shape == (2, 5, 1)
     assert abs(d[1, 2, 0] - 6.0) < 1e-14
