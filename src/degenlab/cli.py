@@ -23,8 +23,8 @@ import numpy as np
 from scipy.io import mmwrite
 
 from .assembly import AssemblyError, assemble_stiffness
-from .coefficients import (_AUTONOMOUS_KINDS, KINDS, generate_family,
-                           oscillation_scan)
+from .coefficients import (_AUTONOMOUS_KINDS, KINDS, _eps_too_large,
+                           generate_family, oscillation_scan)
 from .fields import random_w1p_field, smooth_random_closure
 from .harness import (CSV_HEADER, DegenerateLocalSolution, ProblemSpec,
                       boundary_lipschitz, caccioppoli_ratio,
@@ -381,8 +381,18 @@ _COEFFICIENTS = ("solve", "sweep", "duality", "trace", "oscillation") + _LOCAL
 # the reports' rho0 column.
 _PROBLEMS = ("sweep", "duality") + _LOCAL
 
-# The commands that build a time stepper: all but hardy and oscillation.
+# The commands that build a time stepper and march at lambda: all but
+# hardy and oscillation.
 _STEPPERS = tuple(c for c in COMMANDS if c not in ("hardy", "oscillation"))
+
+# The commands that march every lambda of lambda_grid, or lambda when the
+# grid is not given.
+_LAMBDA_GRIDS = ("sweep",) + _LOCAL
+
+
+def _reads_lambda(c):
+    """Whether the command marches at lambda, not at lambda_grid."""
+    return not (c["command"] in _LAMBDA_GRIDS and c["lambda_grid"])
 
 
 def _window_holds_a_time_cell(c):
@@ -434,9 +444,29 @@ _COMMAND_RULES = (
      "a list of radii greater than 0"),
     (_COEFFICIENTS, "nu", lambda c: 0 < c["nu"] < 1, "in (0, 1)"),
     (_COEFFICIENTS, "eps", lambda c: c["eps"] >= 0, "at least 0"),
+    (_COEFFICIENTS, "eps",
+     lambda c: not _eps_too_large(c["eps"], c["nu"], c["dim"]),
+     "at most 0.999 (1 - nu) / dim, the ellipticity margin at nu = {nu!r} "
+     "and dim = {dim!r}"),
     (("sweep",), "eps_grid",
      lambda c: not c["eps_grid"] or min(c["eps_grid"]) >= 0,
      "a list of amplitudes at least 0"),
+    (("sweep",), "eps_grid", lambda c: not c["eps_grid"] or not any(
+        _eps_too_large(eps, c["nu"], c["dim"]) for eps in c["eps_grid"]),
+     "a list of amplitudes at most 0.999 (1 - nu) / dim, the ellipticity "
+     "margin at nu = {nu!r} and dim = {dim!r}"),
+    (_STEPPERS, "lambda", lambda c: not _reads_lambda(c) or c["lambda"] >= 0,
+     "at least 0"),
+    (_LAMBDA_GRIDS, "lambda_grid",
+     lambda c: not c["lambda_grid"] or min(c["lambda_grid"]) >= 0,
+     "a list of values at least 0"),
+    # the sweep's window lambda * rho0 >= 1 and its ratio spread need
+    # lambda > 0
+    (("sweep",), "lambda", lambda c: not _reads_lambda(c) or c["lambda"] > 0,
+     "greater than 0"),
+    (("sweep",), "lambda_grid",
+     lambda c: not c["lambda_grid"] or min(c["lambda_grid"]) > 0,
+     "a list of values greater than 0"),
     (_PROBLEMS, "rho0", lambda c: c["rho0"] > 0, "greater than 0"),
     (("solve",), "export_matrix",
      lambda c: not c["export_matrix"] or c["kind"] in _AUTONOMOUS_KINDS,

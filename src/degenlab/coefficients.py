@@ -270,6 +270,12 @@ def check_structure_condition(coeffs, mesh):
 
 # -- generated families ------------------------------------------------------
 
+def _eps_too_large(eps, nu, dim):
+    """Whether the amplitude eps leaves no ellipticity margin at nu in
+    dimension dim: eps * dim > 0.999 (1 - nu)."""
+    return eps * dim > (1.0 - nu) * 0.999
+
+
 def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
     """Deterministic smooth coefficient family.
 
@@ -281,10 +287,9 @@ def generate_family(seed, kind, nu, eps, dim=1, xp_length=2 * np.pi):
         raise ValueError("unknown kind %r" % (kind,))
     if not 0 < nu < 1:
         raise ValueError("nu must lie in (0,1)")
-    margin = (1.0 - nu) * 0.999
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    if eps * dim > margin:
+    if _eps_too_large(eps, nu, dim):
         raise ValueError("eps=%g too large for ellipticity margin at nu=%g"
                          % (eps, nu))
     rng = np.random.default_rng(seed)

@@ -10,8 +10,11 @@ Every verdict and every report label is decided here: ``norms`` gives the
 numbers, and an ``EstimateReport`` row has the columns of ``CSV_HEADER``.
 What depends on a problem alone is derived once per ``ProblemSpec``: its
 ``Marcher`` (weighted mass and stiffness split) serves every solution
-marched for it, and the structure condition of its coefficients is decided
-once for every quotient check of its solutions.
+marched for it, the structure condition of its coefficients is decided
+once for every quotient check of its solutions, and the sources of a local
+seed are sampled once for every lambda.  A solution keeps every norm
+integrated of it, so the local checks that read one norm of one cylinder
+integrate it once.
 Empirical constants are recorded, never asserted against specific values;
 pass criteria are boundedness, refinement stability, and lambda-uniformity.
 """
@@ -107,9 +110,11 @@ class ProblemSpec:
     the checkers.  F is None, a callable (dim=1) or a tuple of per-direction
     callables (t, xp, xd); f is None or a scalar callable.
 
-    ``marcher()`` and ``structure_condition()`` are derived from mesh,
-    coeffs and config on first use and kept with the problem; reassigning
-    any of the three drops them, so the next use derives them again."""
+    ``marcher()``, ``structure_condition()`` and ``source_parts()`` are
+    derived from mesh, coeffs and config on first use and kept with the
+    problem; reassigning any of the three drops them, so the next use
+    derives them again.  The source parts of a seed depend on the mesh
+    alone, which cannot change under them, and are kept read-only."""
 
     def __init__(self, mesh, coeffs, F=None, f=None, config=None, seed=0,
                  rho0=1.0):
@@ -148,6 +153,21 @@ class ProblemSpec:
         """check_structure_condition of the problem's field on its mesh."""
         return self._derive("structure", lambda: check_structure_condition(
             self.coeffs, self.mesh))
+
+    def source_parts(self, seed, x_lo, x_hi):
+        """The load parts (B_F, B_f) that ``LoadAssembler.parts`` samples at
+        the mesh's time levels from the sources locally_homogeneous_solution
+        synthesizes from seed with the cushion (x_lo, x_hi), read-only:
+        sampled once per (seed, x_lo, x_hi) for every lambda marched with
+        them (``Marcher.march`` takes them as ``parts``)."""
+        def sample():
+            F, f = _local_sources(self.mesh, seed, x_lo, x_hi)
+            parts = LoadAssembler(self.mesh).parts(F, f,
+                                                   self.mesh.time_levels)
+            for part in parts:
+                part.setflags(write=False)
+            return parts
+        return self._derive(("sources", seed, x_lo, x_hi), sample)
 
 
 def _f_components(F):
@@ -347,15 +367,29 @@ def _smoothstep(x, lo, hi):
     return s * s * (3.0 - 2.0 * s)
 
 
+def _local_sources(mesh, seed, x_lo, x_hi):
+    """(F, f) of a locally homogeneous solution: random closures of the
+    seed times a smoothstep that is exactly zero below x_lo and one above
+    x_hi."""
+    def enveloped(g):
+        return lambda t, xp, xd: g(t, xp, xd) * _smoothstep(xd, x_lo, x_hi)
+    raw = [smooth_random_closure(seed * 10 + k, mesh.dim,
+                                 xp_length=mesh.xprime_length, envelope=False)
+           for k in range(mesh.dim + 1)]
+    return tuple(enveloped(g) for g in raw[1:]), enveloped(raw[0])
+
+
 def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
     """Produce a solution whose sources vanish identically on and well above
     the given boundary cylinder, so the discrete equation is homogeneous
     there (verified row by row), yet which is nontrivial on the cylinder.
 
     The sources are synthesized from the seed, random and supported above
-    the cushion, so a problem that carries F or f is refused.  The march
-    goes through the problem's marcher, and the solution keeps its problem
-    as ``problem``.  Raises DegenerateLocalSolution when the result is
+    the cushion, so a problem that carries F or f is refused.  The problem
+    keeps their load parts (``ProblemSpec.source_parts``), so a seed's
+    sources are sampled once for every lambda.  The march goes through
+    the problem's marcher, and the solution keeps its problem as
+    ``problem``.  Raises DegenerateLocalSolution when the result is
     numerically zero on the cylinder.
     """
     mesh, coeffs = problem.mesh, problem.coeffs
@@ -373,14 +407,8 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
         raise ValueError("no room between the cylinder top %.3g and the "
                          "truncation %.3g for supported sources"
                          % (extent, mesh.Ld))
-
-    def enveloped(g):
-        return lambda t, xp, xd: g(t, xp, xd) * _smoothstep(xd, x_lo, x_hi)
-    raw = [smooth_random_closure(seed * 10 + k, mesh.dim,
-                                 xp_length=mesh.xprime_length, envelope=False)
-           for k in range(mesh.dim + 1)]
-    F = tuple(enveloped(g) for g in raw[1:])
-    sol = problem.marcher().march([lam], F=F, f=enveloped(raw[0]))[0]
+    sol = problem.marcher().march(
+        [lam], parts=problem.source_parts(seed, x_lo, x_hi))[0]
 
     # certify discrete homogeneity: every interior row whose nodal support
     # lies below the cushion must receive an exactly zero load at all times

@@ -19,7 +19,9 @@ each elementwise op runs over one contiguous (level, cell) block per Gauss
 point, and updates its temporaries in place.  It sums each level as one
 contiguous row in (cell, s, q) order, after one transpose back, so a level's
 value depends neither on the other levels nor on the chunking.  Time uses
-the right-endpoint rectangle rule, summed in level order.
+the right-endpoint rectangle rule, summed in level order.  A solution's
+levels are read-only, so ``weighted_norm`` keeps each space-time norm of
+a solution with it and integrates it once.
 """
 
 import numpy as np
@@ -312,17 +314,30 @@ def _rectangle_norm(mesh, levels, times, dt, spec, space_cells, exact=None):
     return total ** (1.0 / spec.p)
 
 
+def _norm_key(spec, skip_initial):
+    """What a space-time norm of one solution depends on: p, the weight
+    exponent, the order, the region's four floats and skip_initial."""
+    cyl = spec.region
+    region = None if cyl is None else (cyl.center_time, cyl.center_xd,
+                                       cyl.radius, cyl.center_xprime)
+    return (spec.p, spec.weight_exponent, spec.derivative_order, region,
+            skip_initial)
+
+
 def weighted_norm(field, spec, skip_initial=0):
     """Weighted L_p (or derivative) norm of a DiscreteField (space only) or a
-    SpaceTimeSolution (space-time, rectangle rule over levels)."""
+    SpaceTimeSolution (space-time, rectangle rule over levels).  A solution
+    keeps each norm integrated of it (``SpaceTimeSolution.kept_norm``); its
+    levels were checked finite, with a zero x_d = 0 trace, when it was
+    made."""
+    def integrate():
+        levels, times, dt, space_cells = _retained(field, spec, skip_initial)
+        return _rectangle_norm(field.mesh, levels, times, dt, spec,
+                               space_cells)
     if isinstance(field, DiscreteField):
         _check_boundary_integrability(field.values, spec)
-    elif not np.all(np.isfinite(field.levels)):
-        raise ValueError("non-finite values in solution")
-    else:
-        _check_boundary_integrability(field.levels, spec)
-    levels, times, dt, space_cells = _retained(field, spec, skip_initial)
-    return _rectangle_norm(field.mesh, levels, times, dt, spec, space_cells)
+        return integrate()
+    return field.kept_norm(_norm_key(spec, skip_initial), integrate)
 
 
 def levels_norm(mesh, level_values, spec, space_cells=None):

@@ -272,21 +272,40 @@ def linear_solve(A, b, tol=1e-10):
 class SpaceTimeSolution:
     """Nodal values at every time level of the mesh's time grid: ``times``,
     ``dt`` and ``time_count`` are the mesh's.  Dirichlet traces are exactly
-    zero.  A march sets ``lam`` and ``loads``."""
+    zero and every value is finite, both checked once here.  A solution
+    keeps its own read-only copy of the levels, so the space-time norms of
+    ``norms.weighted_norm`` are integrated once per solution and norm
+    (see ``kept_norm``): a kept norm cannot go stale.  A march sets
+    ``lam`` and ``loads``."""
 
     def __init__(self, mesh, levels):
-        levels = np.asarray(levels, float)
+        levels = np.array(levels, float)
         shape = (mesh.time_count + 1, mesh.M + 1, mesh.xprime_count)
         if levels.shape != shape:
             raise ValueError("levels must have shape (N+1, M+1, xprime_count)"
                              " = %s, got %s" % (shape, levels.shape))
+        if not np.all(np.isfinite(levels)):
+            raise ValueError("non-finite values in solution")
         if np.any(levels[:, 0, :] != 0) or np.any(levels[:, -1, :] != 0):
             raise ValueError("nonzero Dirichlet trace in solution levels")
+        levels.setflags(write=False)
         self.mesh = mesh
-        self.levels = levels
+        self._levels = levels
+        self._norms = {}
         self.times = mesh.time_levels
         self.lam = None
         self.loads = None
+
+    @property
+    def levels(self):
+        return self._levels
+
+    def kept_norm(self, key, integrate):
+        """The norm that ``key`` names, from ``integrate()`` on the first
+        ask and kept for every later one, so it is bitwise the same."""
+        if key not in self._norms:
+            self._norms[key] = integrate()
+        return self._norms[key]
 
     @property
     def time_count(self):
@@ -466,19 +485,28 @@ class Marcher:
             self._split = stiffness_levels(self.mesh, self.coeffs, times)
         return stiffness_entries(self._split, lams)
 
-    def march(self, lams, F=None, f=None):
+    def march(self, lams, F=None, f=None, parts=None):
         """Forward marches at every lambda of the grid ``lams``, one
         solution per lambda, in order, as one batch of march_system; see
-        ``march``."""
+        ``march``.  The loads b(lam) = B_F + sqrt(lam) B_f of every lambda
+        combine the lambda-free parts (B_F, B_f) that
+        ``LoadAssembler.parts`` samples from F and f at the mesh's time
+        levels, or the ``parts`` a caller keeps from that call (then F and
+        f must be None): a source is sampled once for the whole grid, or
+        once for every march that passes its kept parts."""
+        if parts is not None and (F is not None or f is not None):
+            raise ValueError("march takes the sources F and f or their "
+                             "load parts, not both")
         lams = np.asarray(lams, float)
         K = self.stiffness(lams)
         if not len(K):
             return []
         grid = lams.tolist()
-        loads = None
-        if F is not None or f is not None:
+        if parts is None and (F is not None or f is not None):
             parts = LoadAssembler(self.mesh).parts(F, f,
                                                    self.mesh.time_levels)
+        loads = None
+        if parts is not None:
             loads = np.stack([LoadAssembler.combine(parts, lam)
                               for lam in grid])
         sols = march_system(self.mass, K, loads, self.mesh,

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,8 @@ import pytest
 from scipy.io import mmread
 
 import degenlab
-from degenlab import Marcher, ProblemSpec, check_structure_condition
+from degenlab import (Marcher, ProblemSpec, check_structure_condition,
+                      generate_family)
 from degenlab.cli import ConfigError, load_config, main, parse_config, run
 from test_golden import CONFIGS as GOLDEN
 
@@ -172,13 +175,20 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="mms", mms_meshes=[8, 8, 8]), "mms_meshes"),
     (dict(command="mms", mms_meshes=[8, 12, 16]), "mms_meshes"),
     (dict(command="solve", kind="oscillatory", eps=0.2, export_matrix=True),
-     "export_matrix")],
+     "export_matrix"),
+    (dict(command="duality", dim=2, nu=0.8, eps=0.1), "eps"),
+    (dict(command="sweep", eps_grid=[0.0, 0.6]), "eps_grid"),
+    (dict(command="solve", **{"lambda": -1}), "lambda"),
+    (dict(command="caccioppoli", lambda_grid=[1.0, -1.0]), "lambda_grid"),
+    (dict(command="sweep", **{"lambda": 0.0}), "lambda"),
+    (dict(command="sweep", lambda_grid=[0.0, 1.0]), "lambda_grid")],
     ids=["cacc-r_inner", "wlemma-r_inner", "r_outer", "lipschitz-r_inner",
          "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind",
          "eps", "eps_grid", "rho0", "cyl_time", "cyl_time-end", "theta",
          "theta-range", "linear_tol", "nu", "mms_meshes-length",
          "mms_meshes-size", "mms_meshes-increasing", "mms_meshes-squares",
-         "export_matrix"])
+         "export_matrix", "eps-margin", "eps_grid-margin", "lambda",
+         "lambda_grid", "sweep-lambda", "sweep-lambda_grid"])
 def test_command_rules_refuse_before_anything_is_built(
         tmp_path, capsys, monkeypatch, config, key):
     built = []
@@ -213,6 +223,38 @@ def test_command_rules_bind_only_where_the_key_is_read():
     assert parse_config({"command": "solve", "rho0": -1.0, "theta": 0.5,
                          "eps_grid": [-0.1], "cyl_time": -1.0})
     assert parse_config({"command": "sweep", "cyl_time": 5.0, "theta": 0.5})
+    # a lambda_grid replaces lambda where it is read, by sweep and the
+    # local commands; hardy and oscillation march nothing
+    assert parse_config({"command": "hardy", "lambda": -1.0})
+    assert parse_config({"command": "oscillation", "lambda": -1.0})
+    assert parse_config({"command": "sweep", "lambda": 0.0,
+                         "lambda_grid": [1.0]})
+    assert parse_config({"command": "wlemma", "lambda": -1.0,
+                         "lambda_grid": [0.0]})
+    assert parse_config({"command": "solve", "lambda_grid": [-1.0]})
+    # hardy and corollary2 build no coefficient field
+    assert parse_config({"command": "hardy", "eps": 0.6})
+    assert parse_config({"command": "corollary2", "eps": 0.6,
+                         "eps_grid": [0.6]})
+
+
+def test_the_eps_margin_is_the_one_generate_family_keeps():
+    # eps * dim <= 0.999 (1 - nu): the largest eps it keeps passes, the
+    # next float is refused, by the config naming nu and dim and by the
+    # family
+    for dim, nu in ((1, 0.5), (2, 0.5), (2, 0.8)):
+        eps = 0.999 * (1 - nu) / dim
+        while eps * dim > (1.0 - nu) * 0.999:
+            eps = math.nextafter(eps, 0)
+        edge = dict(command="duality", dim=dim, nu=nu)
+        assert parse_config(dict(edge, eps=eps))["eps"] == eps
+        generate_family(0, "constant", nu, eps, dim=dim)
+        over = math.nextafter(eps, 1)
+        with pytest.raises(ConfigError, match=re.escape(
+                "ellipticity margin at nu = %r and dim = %r" % (nu, dim))):
+            parse_config(dict(edge, eps=over))
+        with pytest.raises(ValueError, match="ellipticity margin"):
+            generate_family(0, "constant", nu, over, dim=dim)
 
 
 def test_a_cylinder_window_needs_a_time_cell_centre():
@@ -458,6 +500,17 @@ def test_a_local_command_assembles_once_per_run(tmp_path, monkeypatch,
     assert len(marches) == marched
     assert len(masses) == len(splits) == 1
     assert len(structure) == (1 if command == "wlemma" else 0)
+
+
+def test_a_local_command_samples_each_seed_sources_once(tmp_path,
+                                                         monkeypatch):
+    # 2 solutions x 2 lambdas: the F and f of each of the 2 seeds are
+    # sampled for the first lambda and kept for the second
+    samples = _counting(monkeypatch, degenlab.assembly, "sample_nodes")
+    raw = GOLDEN["caccioppoli"]
+    assert (raw["n_solutions"], len(raw["lambda_grid"])) == (2, 2)
+    assert run(parse_config(dict(raw, out_dir=str(tmp_path))))[0] == 0
+    assert len(samples) == 4
 
 
 @pytest.mark.parametrize("command", ["caccioppoli", "wlemma", "lipschitz"])

@@ -7,10 +7,12 @@ import pytest
 import degenlab.assembly
 import degenlab.coefficients
 import degenlab.harness
+import degenlab.norms
 import degenlab.solver
 from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
                       DegenerateLocalSolution, DiscreteField, EstimateReport,
-                      ProblemSpec, SpaceTimeSolution, TimeStepperConfig,
+                      LoadAssembler, ProblemSpec, SpaceTimeSolution,
+                      TimeStepperConfig,
                       boundary_lipschitz, build_mesh, caccioppoli_ratio,
                       corollary2_check, default_case, duality_check,
                       energy_ratio, generate_family, hardy_report,
@@ -286,6 +288,68 @@ def test_locally_homogeneous_solution_properties():
     cyl = Cylinder(1.0, 0.0, 0.5)
     sol2 = locally_homogeneous_solution(prob, cyl, lam=1.0, seed=1)
     assert np.array_equal(sol.levels, sol2.levels)   # deterministic
+
+
+def test_a_problem_samples_each_seed_sources_once(monkeypatch):
+    prob = _problem_d1(M=24, time_count=10, seed=2)
+    cyl = Cylinder(1.0, 0.0, 0.5)
+    samples = _count_calls(monkeypatch, degenlab.assembly, "sample_nodes")
+    sols = [locally_homogeneous_solution(prob, cyl, lam=lam, seed=seed)
+            for seed in (2, 3) for lam in (0.0, 1.0, 10.0)]
+    # F and f of each seed, sampled for its first lambda only
+    assert len(samples) == 2 * 2
+    monkeypatch.undo()
+    mesh = prob.mesh
+    x_lo = sols[0].source_bound
+    x_hi = x_lo + degenlab.harness._SUPPORT_RAMP
+    parts = prob.source_parts(2, x_lo, x_hi)
+    assert prob.source_parts(2, x_lo, x_hi) is parts
+    fresh = LoadAssembler(mesh).parts(
+        *degenlab.harness._local_sources(mesh, 2, x_lo, x_hi),
+        mesh.time_levels)
+    for kept, want in zip(parts, fresh):
+        assert kept.tobytes() == want.tobytes()
+        assert not kept.flags.writeable
+    for sol in sols[:3]:
+        assert sol.loads.tobytes() == \
+            LoadAssembler.combine(fresh, sol.lam).tobytes()
+
+
+def test_a_reassigned_mesh_drops_the_source_parts(monkeypatch):
+    prob = _problem_d1(M=24, time_count=10, seed=2)
+    cyl = Cylinder(1.0, 0.0, 0.5)
+    first = locally_homogeneous_solution(prob, cyl, lam=1.0)
+    x_lo = first.source_bound
+    x_hi = x_lo + degenlab.harness._SUPPORT_RAMP
+    kept = prob.source_parts(2, x_lo, x_hi)
+    prob.mesh = build_mesh(1, 4.0, 16, 2.0, time_step=0.1, time_count=10)
+    samples = _count_calls(monkeypatch, degenlab.assembly, "sample_nodes")
+    parts = prob.source_parts(2, x_lo, x_hi)
+    assert len(samples) == 2
+    assert parts is not kept
+    assert parts[0].shape == (11, prob.mesh.n_interior)
+    sol = locally_homogeneous_solution(prob, cyl, lam=1.0)
+    assert sol.levels.shape == (11, 17, 1)
+    assert len(samples) == 2
+
+
+def test_the_local_estimates_integrate_each_norm_once(monkeypatch):
+    # the benchmark's local sequence: Q_R of caccioppoli_ratio is the Q_2r
+    # of boundary_lipschitz, so its two norms are integrated once
+    prob = _problem_d1(M=32, time_count=20, seed=1)
+    calls = _count_calls(monkeypatch, degenlab.norms, "_level_powers")
+    sol = locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5),
+                                       lam=1.0)
+    kept = [list(caccioppoli_ratio(sol, 0.25, 0.5)),
+            w_estimate_ratio(sol, 0.25, 0.5), boundary_lipschitz(sol, 0.25)]
+    # the certificate 1, caccioppoli 5, the quotient 3, lipschitz 0
+    assert len(calls) == 9
+    monkeypatch.undo()
+    fresh_sol = SpaceTimeSolution(sol.mesh, sol.levels)
+    for name in ("lam", "homogeneous_cylinder", "problem", "seed"):
+        setattr(fresh_sol, name, getattr(sol, name))
+    fresh = boundary_lipschitz(fresh_sol, 0.25)
+    assert kept[2].csv_row() == fresh.csv_row()
 
 
 def test_locally_homogeneous_rejects_leaking_sources(monkeypatch):

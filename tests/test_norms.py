@@ -212,6 +212,37 @@ def _random_solution(dim, seed):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_a_kept_norm_is_bitwise_a_fresh_integration(dim, monkeypatch):
+    sol = _random_solution(dim, 5)
+    cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
+    asks = [(NormSpec(p, alpha, order, region), skip)
+            for p in (2.0, 3.0)
+            for order, alpha in (("0", -1.0), ("1_xd", 0.5), ("1_full", 0.0),
+                                 ("2_full", 1.0))
+            for region in (None, cyl) for skip in (0, 2)]
+    first = [weighted_norm(sol, spec, skip) for spec, skip in asks]
+    calls = []
+    real = degenlab.norms._level_powers
+    monkeypatch.setattr(degenlab.norms, "_level_powers",
+                        lambda *args: calls.append(args) or real(*args))
+    # asked again, with specs built anew: kept, no integration
+    again = [weighted_norm(sol, NormSpec(spec.p, spec.weight_exponent,
+                                         spec.derivative_order, spec.region),
+                           skip) for spec, skip in asks]
+    assert not calls
+    # a new solution on the same levels integrates each norm afresh
+    fresh = SpaceTimeSolution(sol.mesh, sol.levels)
+    want = [weighted_norm(fresh, spec, skip) for spec, skip in asks]
+    assert calls
+    assert [x.hex() for x in first] == [x.hex() for x in again] == \
+        [x.hex() for x in want]
+    # another region is another norm
+    other = NormSpec(2.0, -1.0, "0", Cylinder(0.7, 0.8, 0.5, 1.0))
+    assert asks[2][0].region is cyl
+    assert weighted_norm(sol, other) != weighted_norm(sol, asks[2][0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 def test_error_against_zero_is_the_plain_norm(dim):
     # one kernel: the error of u_h against zero callables is ||u_h|| exactly
     sol = _random_solution(dim, dim)

@@ -183,6 +183,27 @@ def test_marcher_samples_each_source_once_per_lambda_grid(monkeypatch):
         marcher.march([1.0, -1.0], F=F, f=f)
 
 
+def test_a_march_on_kept_load_parts_is_a_march_on_its_sources(monkeypatch):
+    # the parts a caller keeps give bitwise the march of the sources they
+    # were sampled from, with no sampling, and not together with sources
+    m = build_mesh(1, 3.0, 8, 2.0, time_step=0.1, time_count=5)
+    F = smooth_random_closure(3, 1)
+    f = smooth_random_closure(4, 1)
+    marcher = Marcher(m, generate_family(1, "xd_only", 0.5, 0.2, dim=1))
+    parts = LoadAssembler(m).parts(F, f, m.time_levels)
+    want = marcher.march([0.0, 2.0], F=F, f=f)
+    calls = []
+    monkeypatch.setattr(degenlab.assembly, "sample_nodes",
+                        lambda *args: calls.append(args))
+    got = marcher.march([0.0, 2.0], parts=parts)
+    assert not calls
+    for a, b in zip(got, want):
+        assert a.levels.tobytes() == b.levels.tobytes()
+        assert a.loads.tobytes() == b.loads.tobytes()
+    with pytest.raises(ValueError, match="not both"):
+        marcher.march([1.0], f=f, parts=parts)
+
+
 def _count_factorizations(monkeypatch):
     calls = []
 
@@ -1063,6 +1084,31 @@ def test_solution_container_invariants():
     assert d.shape == (2, 5, 1)
     assert abs(d[1, 2, 0] - 6.0) < 1e-14
     assert d[0, 2, 0] == 0.0
+
+
+def test_solution_levels_are_a_read_only_copy():
+    m = build_mesh(1, 2.0, 4, 1.0, time_step=0.5, time_count=2)
+    levels = np.zeros((3, 5, 1))
+    levels[1, 2, 0] = 1.0
+    sol = SpaceTimeSolution(m, levels)
+    with pytest.raises(ValueError, match="read-only"):
+        sol.levels[1, 2, 0] = 2.0
+    with pytest.raises(AttributeError):
+        sol.levels = levels
+    # the caller's array stays its own: writing it moves no solution value
+    levels[1, 2, 0] = 5.0
+    assert sol.levels[1, 2, 0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_levels_are_refused_when_made(bad):
+    m = build_mesh(1, 2.0, 4, 1.0, time_step=0.5, time_count=2)
+    for where in ((1, 2, 0), (2, 0, 0)):     # inside, and on the trace
+        levels = np.zeros((3, 5, 1))
+        levels[where] = bad
+        with pytest.raises(ValueError,
+                           match="^non-finite values in solution$"):
+            SpaceTimeSolution(m, levels)
 
 
 def test_march_dim2_runs_and_respects_traces():
