@@ -54,8 +54,10 @@ def _build_mesh(cfg, M=None, refine_time=1):
         time_count=cfg["time_count"] * refine_time)
 
 
-def _coeffs(cfg, mesh):
-    return generate_family(cfg["seed"], cfg["kind"], cfg["nu"], cfg["eps"],
+def _coeffs(cfg, mesh, eps=None):
+    """The field of kind at the amplitude eps, the config's eps if None."""
+    return generate_family(cfg["seed"], cfg["kind"], cfg["nu"],
+                           cfg["eps"] if eps is None else eps,
                            dim=mesh.dim, xp_length=mesh.xprime_length)
 
 
@@ -77,20 +79,12 @@ def _stepper(cfg):
     return TimeStepperConfig(theta=cfg["theta"], linear_tol=cfg["linear_tol"])
 
 
-def _problem(cfg):
+def _problem(cfg, eps=None):
     mesh = _build_mesh(cfg)
-    coeffs = _coeffs(cfg, mesh)
+    coeffs = _coeffs(cfg, mesh, eps)
     F, f = _sources(cfg, mesh)
     return ProblemSpec(mesh, coeffs, F=F, f=f, config=_stepper(cfg),
                        seed=cfg["seed"], rho0=cfg["rho0"])
-
-
-def _lambdas(cfg):
-    return cfg["lambda_grid"] if cfg["lambda_grid"] else [cfg["lambda"]]
-
-
-def _ps(cfg):
-    return cfg["p_grid"] if cfg["p_grid"] else [cfg["p"]]
 
 
 def _cylinder(cfg):
@@ -155,10 +149,11 @@ def _cmd_mms(cfg):
 
 
 def _cmd_sweep(cfg):
-    problem = _problem(cfg)
-    eps_grid = cfg["eps_grid"] if cfg["eps_grid"] else [cfg["eps"]]
-    reports = main_estimate_sweep(problem, _ps(cfg), _lambdas(cfg),
-                                  eps_grid=eps_grid)
+    """The sweep reads eps only as its amplitudes, so its problem carries
+    the amplitude-0 field of kind (see main_estimate_sweep)."""
+    reports = main_estimate_sweep(_problem(cfg, eps=0.0), _values(cfg, "p"),
+                                  _values(cfg, "lambda"),
+                                  eps_grid=_values(cfg, "eps"))
     return reports, [], [("plot_ratio.gp", _ratio_plot())]
 
 
@@ -171,7 +166,7 @@ def _local_reports(cfg, check):
     problem = ProblemSpec(mesh, _coeffs(cfg, mesh), config=_stepper(cfg),
                           seed=cfg["seed"], rho0=cfg["rho0"])
     reports = []
-    for lam in _lambdas(cfg):
+    for lam in _values(cfg, "lambda"):
         for sol in _local_solutions(cfg, problem, lam):
             reports.extend(check(sol))
     return reports, [], []
@@ -206,7 +201,7 @@ def _cmd_corollary2(cfg):
     case = default_case(cfg["dim"], lam=cfg["lambda"], Ld=cfg["L_d"],
                         T=mesh.total_time, mode="f_only")
     reports = [corollary2_check(case, mesh, p, config=_stepper(cfg))
-               for p in _ps(cfg)]
+               for p in _values(cfg, "p")]
     return reports, [], []
 
 
@@ -224,7 +219,7 @@ def _cmd_trace(cfg):
     sol = march(mesh, _coeffs(cfg, mesh), cfg["lambda"], F=F, f=f,
                 config=_stepper(cfg))
     reports = []
-    for p in _ps(cfg):
+    for p in _values(cfg, "p"):
         reports.extend(trace_report(fld, p, seed=seed)
                        for fld, seed in corpus)
         reports.append(trace_report(sol, p, skip_initial=sol.time_count
@@ -235,7 +230,7 @@ def _cmd_trace(cfg):
 def _cmd_hardy(cfg):
     corpus = _corpus(cfg, _build_mesh(cfg))
     return [hardy_report(fld, p, seed=seed)
-            for p in _ps(cfg) for fld, seed in corpus], [], []
+            for p in _values(cfg, "p") for fld, seed in corpus], [], []
 
 
 def _cmd_oscillation(cfg):
@@ -385,14 +380,24 @@ _PROBLEMS = ("sweep", "duality") + _LOCAL
 # hardy and oscillation.
 _STEPPERS = tuple(c for c in COMMANDS if c not in ("hardy", "oscillation"))
 
-# The commands that march every lambda of lambda_grid, or lambda when the
-# grid is not given.
-_LAMBDA_GRIDS = ("sweep",) + _LOCAL
+# The grid that replaces each scalar key, and the commands that read it: a
+# command reads the grid's entries where it reads the grid and the grid is
+# given, and the key's one value otherwise.
+_GRIDS = {"lambda": ("lambda_grid", ("sweep",) + _LOCAL),
+          "p": ("p_grid", ("sweep", "corollary2", "trace", "hardy")),
+          "eps": ("eps_grid", ("sweep",))}
 
 
-def _reads_lambda(c):
-    """Whether the command marches at lambda, not at lambda_grid."""
-    return not (c["command"] in _LAMBDA_GRIDS and c["lambda_grid"])
+def _read_key(c, key):
+    """The key the command reads for key: its grid or key itself."""
+    grid, commands = _GRIDS.get(key, (None, ()))
+    return grid if c["command"] in commands and c[grid] else key
+
+
+def _values(c, key):
+    """The values of key that the command reads, as a list (see _GRIDS)."""
+    read = _read_key(c, key)
+    return c[read] if read != key else [c[key]]
 
 
 def _window_holds_a_time_cell(c):
@@ -411,6 +416,8 @@ def _mms_scales(c):
 
 # The rules a key keeps, given the other keys, for the commands that read
 # it: (commands, key, holds(cfg), rule), the rule formatted with the config.
+# A rule of lambda, p or eps holds for every value the command reads (see
+# _values), and a refusal names the key read, the grid or the scalar.
 # Checked in this order after _SCHEMA, so a config is refused naming the key
 # and its value before anything is built, and only by a command that reads
 # the key (x' keys only in dim 2).
@@ -420,10 +427,7 @@ _COMMAND_RULES = (
     (COMMANDS, "xprime_length",
      lambda c: c["dim"] == 1 or c["xprime_length"] > 0,
      "greater than 0 in dim 2"),
-    (_P_AT_LEAST_2, "p_grid",
-     lambda c: not c["p_grid"] or min(c["p_grid"]) >= 2, "at least 2"),
-    (_P_AT_LEAST_2, "p", lambda c: bool(c["p_grid"]) or c["p"] >= 2,
-     "at least 2"),
+    (_P_AT_LEAST_2, "p", lambda c: min(_values(c, "p")) >= 2, "at least 2"),
     (_LOCAL, "kind", lambda c: c["kind"] != "oscillatory",
      "constant or xd_only"),
     (_LOCAL, "cyl_radius", lambda c: c["cyl_radius"] > 0, "greater than 0"),
@@ -443,30 +447,18 @@ _COMMAND_RULES = (
     (("oscillation",), "rho_grid", lambda c: min(c["rho_grid"]) > 0,
      "a list of radii greater than 0"),
     (_COEFFICIENTS, "nu", lambda c: 0 < c["nu"] < 1, "in (0, 1)"),
-    (_COEFFICIENTS, "eps", lambda c: c["eps"] >= 0, "at least 0"),
-    (_COEFFICIENTS, "eps",
-     lambda c: not _eps_too_large(c["eps"], c["nu"], c["dim"]),
+    (_COEFFICIENTS, "eps", lambda c: min(_values(c, "eps")) >= 0,
+     "at least 0"),
+    (_COEFFICIENTS, "eps", lambda c: not any(
+        _eps_too_large(eps, c["nu"], c["dim"]) for eps in _values(c, "eps")),
      "at most 0.999 (1 - nu) / dim, the ellipticity margin at nu = {nu!r} "
      "and dim = {dim!r}"),
-    (("sweep",), "eps_grid",
-     lambda c: not c["eps_grid"] or min(c["eps_grid"]) >= 0,
-     "a list of amplitudes at least 0"),
-    (("sweep",), "eps_grid", lambda c: not c["eps_grid"] or not any(
-        _eps_too_large(eps, c["nu"], c["dim"]) for eps in c["eps_grid"]),
-     "a list of amplitudes at most 0.999 (1 - nu) / dim, the ellipticity "
-     "margin at nu = {nu!r} and dim = {dim!r}"),
-    (_STEPPERS, "lambda", lambda c: not _reads_lambda(c) or c["lambda"] >= 0,
+    (_STEPPERS, "lambda", lambda c: min(_values(c, "lambda")) >= 0,
      "at least 0"),
-    (_LAMBDA_GRIDS, "lambda_grid",
-     lambda c: not c["lambda_grid"] or min(c["lambda_grid"]) >= 0,
-     "a list of values at least 0"),
     # the sweep's window lambda * rho0 >= 1 and its ratio spread need
     # lambda > 0
-    (("sweep",), "lambda", lambda c: not _reads_lambda(c) or c["lambda"] > 0,
+    (("sweep",), "lambda", lambda c: min(_values(c, "lambda")) > 0,
      "greater than 0"),
-    (("sweep",), "lambda_grid",
-     lambda c: not c["lambda_grid"] or min(c["lambda_grid"]) > 0,
-     "a list of values greater than 0"),
     (_PROBLEMS, "rho0", lambda c: c["rho0"] > 0, "greater than 0"),
     (("solve",), "export_matrix",
      lambda c: not c["export_matrix"] or c["kind"] in _AUTONOMOUS_KINDS,
@@ -510,8 +502,10 @@ def parse_config(raw):
                           "with_f must not both be false" % command)
     for commands, key, holds, rule in _COMMAND_RULES:
         if command in commands and not holds(cfg):
+            read = _read_key(cfg, key)
             raise ConfigError("key %r must be %s for command %r, got %r"
-                              % (key, rule.format(**cfg), command, cfg[key]))
+                              % (read, rule.format(**cfg), command,
+                                 cfg[read]))
     return cfg
 
 

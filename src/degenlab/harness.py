@@ -274,6 +274,11 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
     lambda*rho0 >= 1 the report fails when the per-amplitude ratio spread
     exceeds 3 or one space+time refinement moves a ratio by more than 15
     percent.
+
+    Amplitude 0 marches the problem's own field, and every other amplitude
+    the oscillatory family, whatever the problem's kind.  Every kind of
+    generate_family is the identity field at amplitude 0, so there the kind
+    only labels the rows and decides whether the march is autonomous.
     """
     mesh = problem.mesh
     config = problem.stepper()
@@ -441,6 +446,19 @@ def _sub_cylinder(base, radius):
                     base.center_xprime)
 
 
+def _nested_cylinders(u_local, r, R):
+    """(Q_r, Q_R, the cells of Q_r): the cylinders of radii 0 < r < R
+    inside the solution's homogeneous cylinder, Q_r holding a mesh cell."""
+    if not 0 < r < R:
+        raise ValueError("need 0 < r < R")
+    base = u_local.homogeneous_cylinder
+    Qr, QR = _sub_cylinder(base, r), _sub_cylinder(base, R)
+    cs_r = cells_in_cylinder(u_local.mesh, Qr)
+    if cs_r.n_cells == 0:
+        raise ValueError("inner cylinder contains no mesh cells")
+    return Qr, QR, cs_r
+
+
 def _local_params(sol, lam, r, R, extra):
     return dict({"lambda": lam, "p": 2.0, "mesh_M": sol.mesh.M, "dt": sol.dt,
                  "seed": sol.seed, "rho0": R, "r_inner": r, "r_outer": R},
@@ -456,14 +474,7 @@ def caccioppoli_ratio(u_local, r, R):
     recorded in the params, with finiteness the only hard verdict.
     """
     mesh, lam = u_local.mesh, u_local.lam
-    base = u_local.homogeneous_cylinder
-    if not 0 < r < R:
-        raise ValueError("need 0 < r < R")
-    Qr = _sub_cylinder(base, r)
-    QR = _sub_cylinder(base, R)
-    cs_r = cells_in_cylinder(mesh, Qr)
-    if cs_r.n_cells == 0:
-        raise ValueError("inner cylinder contains no mesh cells")
+    Qr, QR, cs_r = _nested_cylinders(u_local, r, R)
     grad_r = weighted_norm(u_local, NormSpec(2.0, 0.0, "1_full", region=Qr))
     wmass_r = weighted_norm(u_local, NormSpec(2.0, -1.0, "0", region=Qr))
     grad_R = weighted_norm(u_local, NormSpec(2.0, 0.0, "1_full", region=QR))
@@ -499,18 +510,13 @@ def w_estimate_ratio(u_local, r, R):
     if not u_local.problem.structure_condition():
         raise ValueError("the quotient estimate requires a constant "
                          "degenerate coefficient column")
-    base = u_local.homogeneous_cylinder
-    if not 0 < r < R:
-        raise ValueError("need 0 < r < R")
-    Qr = _sub_cylinder(base, r)
-    QR = _sub_cylinder(base, R)
+    _, QR, cs_r = _nested_cylinders(u_local, r, R)
     w = u_local.levels / np.where(mesh.xd_nodes > 0, mesh.xd_nodes,
                                   1.0)[None, :, None]
     w[:, 0, :] = w[:, 1, :]      # extrapolated; excluded from all integrals
 
-    def region_norm(cyl):
-        """spec -> the norm of w over cyl, the first x_d layer left out."""
-        cs = cells_in_cylinder(mesh, cyl)
+    def region_norm(cs):
+        """spec -> the norm of w over cs, the first x_d layer left out."""
         keep = cs.space_cells[cs.space_j >= 1]
         if keep.size == 0:
             raise ValueError("cylinder has no cells away from the first "
@@ -519,9 +525,9 @@ def w_estimate_ratio(u_local, r, R):
         return lambda spec: levels_norm(mesh, levels, spec,
                                         space_cells=keep)
 
-    inner, zero = region_norm(Qr), NormSpec(2.0, 0.0, "0")
+    inner, zero = region_norm(cs_r), NormSpec(2.0, 0.0, "0")
     lhs = inner(NormSpec(2.0, 1.0, "1_full")) ** 2 + lam * inner(zero) ** 2
-    rhs = region_norm(QR)(zero) ** 2
+    rhs = region_norm(cells_in_cylinder(mesh, QR))(zero) ** 2
     return EstimateReport("w_estimate", lhs, rhs,
                           params=_local_params(u_local, lam, r, R,
                                                {"variant": "standard"}))
@@ -544,15 +550,10 @@ def boundary_lipschitz(u_local, r):
     solution into the boundary) and sup x_d^{-1/2}|D_x' u|.
     """
     mesh, lam = u_local.mesh, u_local.lam
-    base = u_local.homogeneous_cylinder
-    if not base.boundary_centered:
+    if not u_local.homogeneous_cylinder.boundary_centered:
         raise ValueError("boundary estimate needs a boundary-centered "
                          "cylinder")
-    Qr = _sub_cylinder(base, r)
-    Q2 = _sub_cylinder(base, 2 * r)
-    cs = cells_in_cylinder(mesh, Qr)
-    if cs.n_cells == 0:
-        raise ValueError("inner cylinder contains no mesh cells")
+    _, Q2, cs = _nested_cylinders(u_local, r, 2 * r)
     grads = cell_center_gradients(mesh, u_local.levels[cs.time_cells + 1])
     sel = grads[:, cs.space_j, cs.space_m]      # (levels, ncells, dim)
     sup_grad = float(np.sqrt(np.sum(sel * sel, axis=-1)).max())

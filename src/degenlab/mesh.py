@@ -8,6 +8,7 @@ Time is a uniform grid t_n = n*dt, n = 0..time_count.  The cells of a
 cylinder are found once per (mesh, cylinder geometry) and shared read-only.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -189,19 +190,23 @@ def _interned(dim, L_d, M, grading_exponent, xprime_count, xprime_length,
                       time_step, time_count, grading_exponent)
 
 
+@dataclasses.dataclass(frozen=True)
 class Cylinder:
     """Q_r^+(z0) = (t0 - r, t0] x B_r^+(x0): a Euclidean half-ball in space
     crossed with a backward time interval (not a parabolic cylinder)."""
 
-    def __init__(self, center_time, center_xd, radius, center_xprime=0.0):
-        if radius <= 0:
+    center_time: float
+    center_xd: float
+    radius: float
+    center_xprime: float = 0.0
+
+    def __post_init__(self):
+        if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if center_xd < 0:
+        if self.center_xd < 0:
             raise ValueError("center_xd must be >= 0")
-        self.center_time = float(center_time)
-        self.center_xprime = float(center_xprime)
-        self.center_xd = float(center_xd)
-        self.radius = float(radius)
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, float(value))
 
     @property
     def boundary_centered(self):
@@ -259,11 +264,9 @@ def time_cells_in_window(time_step, time_count, t0, radius):
 def cells_in_cylinder(mesh, cyl):
     """Cells whose centers lie in the cylinder.  Deterministic; may be empty.
     One read-only CellSet per (mesh, cylinder geometry), kept with the
-    mesh's tables and keyed by the cylinder's four floats, so equal
-    cylinders built apart share it."""
-    key = ("cells", cyl.center_time, cyl.center_xprime, cyl.center_xd,
-           cyl.radius)
-    return _cached(mesh, key, lambda: CellSet(
+    mesh's tables and keyed by the cylinder, so equal cylinders built apart
+    share it."""
+    return _cached(mesh, ("cells", cyl), lambda: CellSet(
         mesh, time_cells_in_window(mesh.time_step, mesh.time_count,
                                    cyl.center_time, cyl.radius),
         _space_cells_in_ball(mesh, cyl)))

@@ -24,6 +24,8 @@ levels are read-only, so ``weighted_norm`` keeps each space-time norm of
 a solution with it and integrates it once.
 """
 
+import dataclasses
+
 import numpy as np
 
 from .fields import DiscreteField
@@ -33,19 +35,24 @@ _GLX, _GLW = np.polynomial.legendre.leggauss(8)
 _ORDERS = ("0", "1_full", "1_xd", "2_full")
 
 
+@dataclasses.dataclass(frozen=True)
 class NormSpec:
     """p in (1, inf); weight x_d^alpha; derivative order; optional Cylinder."""
 
-    def __init__(self, p, weight_exponent=0.0, derivative_order="0",
-                 region=None):
-        order = str(derivative_order)
-        if not p > 1:
-            raise ValueError("p must exceed 1, got %r" % (p,))
+    p: float
+    weight_exponent: float = 0.0
+    derivative_order: str = "0"
+    region: Cylinder | None = None
+
+    def __post_init__(self):
+        order = str(self.derivative_order)
+        if not self.p > 1:
+            raise ValueError("p must exceed 1, got %r" % (self.p,))
         if order not in _ORDERS:
             raise ValueError("derivative_order must be one of %s" % (_ORDERS,))
-        alpha = float(weight_exponent)
+        alpha = float(self.weight_exponent)
         if order == "0":
-            if not alpha > -p - 1:
+            if not alpha > -self.p - 1:
                 raise ValueError(
                     "weight exponent %g not integrable against fields "
                     "vanishing linearly at x_d=0 (need alpha > -p-1)" % alpha)
@@ -54,12 +61,11 @@ class NormSpec:
                 raise ValueError(
                     "weight exponent %g not integrable against derivative "
                     "norms (need alpha > -1)" % alpha)
-        if region is not None and not isinstance(region, Cylinder):
+        if self.region is not None and not isinstance(self.region, Cylinder):
             raise ValueError("region must be a Cylinder or None")
-        self.p = float(p)
-        self.weight_exponent = alpha
-        self.derivative_order = order
-        self.region = region
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "weight_exponent", alpha)
+        object.__setattr__(self, "derivative_order", order)
 
 
 # -- elementwise evaluation -----------------------------------------------------
@@ -314,16 +320,6 @@ def _rectangle_norm(mesh, levels, times, dt, spec, space_cells, exact=None):
     return total ** (1.0 / spec.p)
 
 
-def _norm_key(spec, skip_initial):
-    """What a space-time norm of one solution depends on: p, the weight
-    exponent, the order, the region's four floats and skip_initial."""
-    cyl = spec.region
-    region = None if cyl is None else (cyl.center_time, cyl.center_xd,
-                                       cyl.radius, cyl.center_xprime)
-    return (spec.p, spec.weight_exponent, spec.derivative_order, region,
-            skip_initial)
-
-
 def weighted_norm(field, spec, skip_initial=0):
     """Weighted L_p (or derivative) norm of a DiscreteField (space only) or a
     SpaceTimeSolution (space-time, rectangle rule over levels).  A solution
@@ -337,7 +333,7 @@ def weighted_norm(field, spec, skip_initial=0):
     if isinstance(field, DiscreteField):
         _check_boundary_integrability(field.values, spec)
         return integrate()
-    return field.kept_norm(_norm_key(spec, skip_initial), integrate)
+    return field.kept_norm((spec, skip_initial), integrate)
 
 
 def levels_norm(mesh, level_values, spec, space_cells=None):

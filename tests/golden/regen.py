@@ -7,7 +7,10 @@ value and the reason for it.  Never regenerate to make a defect pass.
 
 With --check nothing is written: every stored value that the checkout
 computes differently (compared bitwise, as float.hex) is printed with its
-path, and the exit status is 1 if any would move, else 0.
+path, and the exit status is 1 if any would move, else 0.  The platform it
+computed on (numpy and scipy versions, numpy's dispatch targets and
+OpenBLAS's core) is printed to stderr, so a count of moved values names
+the machine it holds on.
 
     PYTHONPATH=src python tests/golden/regen.py --check --against PATH
 
@@ -27,6 +30,8 @@ nothing is computed or written.
 
 import argparse
 import contextlib
+import ctypes
+import glob
 import json
 import os
 import re
@@ -86,6 +91,25 @@ def _rewrite(stored, values, steps):
     stored[steps[-1]] = values[steps[-1]]
 
 
+def platform():
+    """The numpy and scipy versions, numpy's SIMD dispatch targets and the
+    core that scipy's OpenBLAS runs, which decide the last bits of the
+    values; the core is ``unknown`` without scipy's bundled OpenBLAS."""
+    import numpy
+    import scipy
+    from numpy._core import _multiarray_umath
+    core = "unknown"
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+        scipy.__file__)), "scipy.libs", "libscipy_openblas-*.so"))
+    if libs:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return "numpy %s, scipy %s, numpy dispatch %s, OpenBLAS core %s" % (
+        numpy.__version__, scipy.__version__,
+        " ".join(_multiarray_umath.__cpu_dispatch__), core)
+
+
 def _show(value):
     """A float.hex leaf as its decimal value, anything else as is."""
     try:
@@ -124,6 +148,7 @@ def main(argv=None):
             contextlib.redirect_stdout(sys.stderr):
         values = test_golden.collect(tmp)
     if args.check:
+        print("computed on: %s" % platform(), file=sys.stderr)
         changes = list(moved(want, values))
         for path, stored, got in changes:
             print("%s: %s -> %s" % (path, _show(stored), _show(got)))

@@ -236,6 +236,9 @@ def test_command_rules_bind_only_where_the_key_is_read():
     assert parse_config({"command": "hardy", "eps": 0.6})
     assert parse_config({"command": "corollary2", "eps": 0.6,
                          "eps_grid": [0.6]})
+    # an eps_grid replaces eps where sweep reads it
+    assert parse_config({"command": "sweep", "eps": -1, "eps_grid": [0.0]})
+    assert parse_config({"command": "sweep", "eps": 0.9, "eps_grid": [0.2]})
 
 
 def test_the_eps_margin_is_the_one_generate_family_keeps():
@@ -409,6 +412,53 @@ def test_sweep_rows_and_idempotent_reruns(tmp_path):
     assert main(["run", path]) == 0
     assert (out / "reports.csv").read_bytes() == text1
     assert (out / "run.json").read_bytes() == run1
+
+
+# a sweep whose eps_grid replaces its eps: only amplitude 0 is marched
+_EPS_REPLACED = dict(command="sweep", kind="oscillatory", eps=0.3,
+                     eps_grid=[0.0], mesh_M=8, time_step=0.125, time_count=8,
+                     lambda_grid=[1, 10], p=3)
+
+
+def test_a_sweep_reports_the_amplitude_its_eps_grid_gives(tmp_path):
+    # eps 0.3 is not read: the rows are those of eps 0.0, byte for byte
+    csv = []
+    for eps in (0.3, 0.0):
+        out = tmp_path / str(eps)
+        assert run(parse_config(dict(_EPS_REPLACED, eps=eps,
+                                     out_dir=str(out))))[0] == 0
+        csv.append((out / "reports.csv").read_bytes())
+    assert csv[0] == csv[1]
+    rows = csv[0].decode().strip().split("\n")
+    column = rows[0].split(",").index("gamma_measured")
+    assert len(rows) == 3
+    assert all(float(row.split(",")[column]) == 0.0 for row in rows[1:])
+
+
+def test_a_sweep_given_an_eps_grid_builds_no_field_at_eps(tmp_path,
+                                                           monkeypatch):
+    amplitudes = []
+    for module in (degenlab.cli, degenlab.harness):
+        real = module.generate_family
+
+        def recording(seed, kind, nu, eps, *args, real=real, **kwargs):
+            amplitudes.append(eps)
+            return real(seed, kind, nu, eps, *args, **kwargs)
+
+        monkeypatch.setattr(module, "generate_family", recording)
+    raw = dict(_EPS_REPLACED, eps_grid=[0.0, 0.2], out_dir=str(tmp_path))
+    assert run(parse_config(raw))[0] == 0
+    assert sorted(set(amplitudes)) == [0.0, 0.2]
+
+
+@pytest.mark.parametrize("kind", ["constant", "xd_only", "oscillatory"])
+def test_a_sweep_reads_kind_only_at_amplitude_0(tmp_path, kind):
+    # every nonzero amplitude marches the oscillatory family
+    raw = dict(_EPS_REPLACED, kind=kind, eps_grid=[0.0, 0.2],
+               out_dir=str(tmp_path))
+    _, reports = run(parse_config(raw))
+    assert [(r.params["kind"], r.params["eps"]) for r in reports] == \
+        [(kind, 0.0)] * 2 + [("oscillatory", 0.2)] * 2
 
 
 def _count_plans(monkeypatch):

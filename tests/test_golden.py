@@ -336,3 +336,25 @@ def test_regen_only_rewrites_the_named_paths(tmp_path, monkeypatch):
         assert refused.value.code == 2
     assert len(collected) == 1
     assert copy.read_text() == got
+
+
+def test_regen_check_prints_its_platform_to_stderr(monkeypatch, capsys):
+    # stdout keeps only the moved values and the count; the platform line
+    # goes to stderr, with the OpenBLAS core unknown when scipy bundles none
+    regen = _regen()
+    stored = _load()
+    monkeypatch.setattr(regen.test_golden, "collect",
+                        lambda tmp_dir: json.loads(json.dumps(stored)))
+    assert regen.main(["--check"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "0 value(s) differ from %s\n" % GOLDEN
+    line = "computed on: %s\n" % regen.platform()
+    assert err == line
+    scipy = pytest.importorskip("scipy")
+    dispatch = " ".join(np._core._multiarray_umath.__cpu_dispatch__)
+    assert line.startswith("computed on: numpy %s, scipy %s, numpy dispatch "
+                           "%s, OpenBLAS core " % (np.__version__,
+                                                   scipy.__version__,
+                                                   dispatch))
+    monkeypatch.setattr(regen.glob, "glob", lambda pattern: [])
+    assert regen.platform().endswith(", OpenBLAS core unknown")

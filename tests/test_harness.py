@@ -454,6 +454,21 @@ def test_boundary_lipschitz_report():
         boundary_lipschitz(sol, 0.25)
 
 
+def test_local_checks_refuse_an_empty_inner_cylinder_alike():
+    # the window (0.99, 1] of radius 0.01 holds no time-cell centre
+    sol = _local_solution(seed=5, kind="xd_only")
+    for check in (lambda: caccioppoli_ratio(sol, 0.01, 0.5),
+                  lambda: w_estimate_ratio(sol, 0.01, 0.5),
+                  lambda: boundary_lipschitz(sol, 0.01)):
+        with pytest.raises(ValueError, match="^inner cylinder contains no "
+                                             "mesh cells$"):
+            check()
+    for check in (lambda: caccioppoli_ratio(sol, 0.5, 0.25),
+                  lambda: w_estimate_ratio(sol, 0.25, 0.25)):
+        with pytest.raises(ValueError, match=r"^need 0 < r < R$"):
+            check()
+
+
 def test_duality_check_d1():
     prob = _problem_d1(M=12, time_count=8, seed=0)
     rep = duality_check(prob, seeds=(0, 1), lam=2.0, kind="xd_only",

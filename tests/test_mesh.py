@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 import degenlab.coefficients
-from degenlab import (Cylinder, TensorMesh, build_mesh, cells_in_cylinder,
-                      generate_family, oscillation_scan)
+from degenlab import (Cylinder, NormSpec, TensorMesh, build_mesh,
+                      cells_in_cylinder, generate_family, oscillation_scan)
 
 
 def test_graded_nodes_match_power_law():
@@ -184,6 +185,26 @@ def _assert_shared_and_fresh(m, cyl):
         with pytest.raises(ValueError):
             have[...] = 0
     assert cs.n_cells == cs.time_cells.size * cs.space_cells.size
+
+
+def test_cylinders_and_norm_specs_are_frozen_values():
+    # equal floats make equal values that hash alike, however they are given
+    cyl = Cylinder(1, 0, np.float64(0.5))
+    assert cyl == Cylinder(1.0, 0.0, 0.5, 0.0)
+    assert hash(cyl) == hash(Cylinder(1.0, 0.0, 0.5, 0.0))
+    assert all(type(v) is float for v in vars(cyl).values())
+    assert repr(cyl) == "Cylinder(t0=1, x'0=0, xd0=0, r=0.5)"
+    spec = NormSpec(2, 0, "0", region=cyl)
+    assert spec == NormSpec(2.0, 0.0, "0", region=Cylinder(1.0, 0.0, 0.5))
+    assert hash(spec) == hash(NormSpec(2.0, 0.0, "0", region=cyl))
+    assert spec != NormSpec(2.0, 0.0, "0")
+    for value, name in ((cyl, "radius"), (spec, "p")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, 3.0)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        Cylinder(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="region must be a Cylinder"):
+        NormSpec(2.0, region=(1.0, 0.0, 0.5))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
