@@ -62,6 +62,10 @@ def _coeffs(cfg, mesh, eps=None):
 
 
 def _sources(cfg, mesh):
+    """The with_F and with_f sources of the commands that march them (see
+    _MARCH_THE_SOURCES), (None, None) for every other command."""
+    if cfg["command"] not in _MARCH_THE_SOURCES:
+        return None, None
     seed = cfg["seed"]
     F = None
     if cfg["with_F"]:
@@ -76,7 +80,7 @@ def _sources(cfg, mesh):
 
 
 def _stepper(cfg):
-    return TimeStepperConfig(theta=cfg["theta"], linear_tol=cfg["linear_tol"])
+    return TimeStepperConfig(theta=cfg["theta"])
 
 
 def _problem(cfg, eps=None):
@@ -142,8 +146,7 @@ def _cmd_mms(cfg):
                         mode=cfg["mms_mode"])
     ladder = [_build_mesh(cfg, M=M, refine_time=int(round(scale)))
               for M, scale in zip(cfg["mms_meshes"], _mms_scales(cfg))]
-    table = convergence_study(case, ladder, p=cfg["p"], theta=cfg["theta"],
-                              linear_tol=cfg["linear_tol"])
+    table = convergence_study(case, ladder, p=cfg["p"], theta=cfg["theta"])
     return [], [("mms.csv", table.csv())], \
         [("plot_error.gp", _error_plot(table))]
 
@@ -160,11 +163,9 @@ def _cmd_sweep(cfg):
 def _local_reports(cfg, check):
     """Reports of check(sol) on the locally homogeneous solutions of every
     lambda.  These solutions synthesize their own sources above the boundary
-    cylinder; the global with_F/with_f sources reach the cylinder, so they
-    are not used."""
-    mesh = _build_mesh(cfg)
-    problem = ProblemSpec(mesh, _coeffs(cfg, mesh), config=_stepper(cfg),
-                          seed=cfg["seed"], rho0=cfg["rho0"])
+    cylinder; the global with_F/with_f sources reach the cylinder, so the
+    problem carries none."""
+    problem = _problem(cfg)
     reports = []
     for lam in _values(cfg, "lambda"):
         for sol in _local_solutions(cfg, problem, lam):
@@ -190,7 +191,8 @@ def _cmd_lipschitz(cfg):
 def _cmd_duality(cfg):
     problem = _problem(cfg)
     report = duality_check(problem, p=cfg["p"],
-                           seeds=range(cfg["duality_seeds"]),
+                           seeds=range(cfg["seed"],
+                                        cfg["seed"] + cfg["duality_seeds"]),
                            lam=cfg["lambda"], kind=cfg["kind"],
                            eps=cfg["eps"])
     return [report], [], []
@@ -339,7 +341,6 @@ _SCHEMA = {
     "seed": (0, _int),
     "rho0": (1.0, _float),
     "theta": (1.0, _float),
-    "linear_tol": (1e-10, _float),
     "with_F": (True, _bool),
     "with_f": (True, _bool),
     "mms_meshes": ([16, 32, 64], _list(_int)),
@@ -476,8 +477,6 @@ _COMMAND_RULES = (
     (("duality",), "theta", lambda c: c["theta"] == 1,
      "1 (implicit Euler, where the duality identity is exact)"),
     (_STEPPERS, "theta", lambda c: 0.5 <= c["theta"] <= 1, "in [0.5, 1]"),
-    (_STEPPERS, "linear_tol", lambda c: c["linear_tol"] > 0,
-     "greater than 0"),
 )
 
 

@@ -191,7 +191,7 @@ class StudyTable:
         return "\n".join([",".join(self.COLUMNS)] + self.csv_rows()) + "\n"
 
 
-def convergence_study(case, meshes, p=2.0, theta=1.0, linear_tol=1e-11):
+def convergence_study(case, meshes, p=2.0, theta=1.0):
     """March the manufactured case on each mesh; e0 is the weighted solution
     error (weight x_d^{-p/2}), e1 the gradient error."""
     if len(meshes) < 3:
@@ -203,8 +203,8 @@ def convergence_study(case, meshes, p=2.0, theta=1.0, linear_tol=1e-11):
         if abs(mesh.Ld - case.Ld) > 1e-12 or abs(mesh.total_time
                                                  - case.T) > 1e-12:
             raise ValueError("mesh window does not match the case")
-        config = TimeStepperConfig(theta=theta, linear_tol=linear_tol)
-        sol = march(mesh, case.coeffs, case.lam, F=F, f=f, config=config)
+        sol = march(mesh, case.coeffs, case.lam, F=F, f=f,
+                    config=TimeStepperConfig(theta))
         e0 = error_norm(sol, exact, NormSpec(p, -p / 2.0, "0"))
         e1 = error_norm(sol, exact, NormSpec(p, 0.0, "1_full"))
         rows.append((mesh.M, sol.dt, e0, e1))

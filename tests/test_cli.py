@@ -168,7 +168,6 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="lipschitz", cyl_radius=0.02, r_inner=0.005), "cyl_time"),
     (dict(command="duality", theta=0.5), "theta"),
     (dict(command="solve", theta=0.3), "theta"),
-    (dict(command="mms", linear_tol=0), "linear_tol"),
     (dict(command="solve", nu=1.5), "nu"),
     (dict(command="mms", mms_meshes=[8, 16]), "mms_meshes"),
     (dict(command="mms", mms_meshes=[0, 16, 32]), "mms_meshes"),
@@ -185,7 +184,7 @@ def test_p_below_two_is_refused_only_where_read():
     ids=["cacc-r_inner", "wlemma-r_inner", "r_outer", "lipschitz-r_inner",
          "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind",
          "eps", "eps_grid", "rho0", "cyl_time", "cyl_time-end", "theta",
-         "theta-range", "linear_tol", "nu", "mms_meshes-length",
+         "theta-range", "nu", "mms_meshes-length",
          "mms_meshes-size", "mms_meshes-increasing", "mms_meshes-squares",
          "export_matrix", "eps-margin", "eps_grid-margin", "lambda",
          "lambda_grid", "sweep-lambda", "sweep-lambda_grid"])
@@ -215,7 +214,7 @@ def test_command_rules_bind_only_where_the_key_is_read():
     assert parse_config({"command": "oscillation", "kind": "oscillatory",
                          "r_inner": 0.6})
     # hardy and oscillation build no time stepper
-    assert parse_config({"command": "hardy", "theta": 0.3, "linear_tol": 0})
+    assert parse_config({"command": "hardy", "theta": 0.3})
     # corollary2 builds no coefficient field, no problem and no cylinder;
     # only sweep reads eps_grid, and only duality ignores theta
     assert parse_config({"command": "corollary2", "eps": -0.1, "rho0": 0.0,
@@ -290,7 +289,7 @@ def test_main_exit_codes_for_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, literal", [("mesh_M", "Infinity"),
                                           ("mesh_M", "NaN"),
-                                          ("linear_tol", "Infinity"),
+                                          ("L_d", "Infinity"),
                                           ("mms_meshes", "null"),
                                           ("rho_grid", "null")])
 def test_non_finite_config_numbers_exit_two_naming_the_key(
@@ -370,10 +369,10 @@ def test_every_command_runs_on_its_defaults(tmp_path, monkeypatch, command):
     assert main(["run", str(path)]) == 0
 
 
-def test_solver_failure_exits_three(tmp_path, capsys):
+def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(degenlab.solver, "_BACKWARD_ERROR_BOUND", 1e-30)
     path = _write_cfg(tmp_path, command="solve", dim=2, mesh_M=24,
-                      xprime_count=12, time_step=0.05, time_count=2,
-                      linear_tol=1e-30)
+                      xprime_count=12, time_step=0.05, time_count=2)
     assert main(["run", path]) == 3
     assert "solver error" in capsys.readouterr().err
 
@@ -695,6 +694,43 @@ def test_duality_and_hardy_commands(tmp_path):
     assert len(rows) == 4
     assert all(r.startswith("hardy,") for r in rows[1:])
     assert all(r.endswith(",1") for r in rows[1:])
+
+
+def test_duality_marches_the_seeds_from_the_config_seed(tmp_path):
+    path = _write_cfg(tmp_path, command="duality", mesh_M=8, time_count=4,
+                      duality_seeds=2, kind="xd_only", eps=0.2)
+    col = CSV_HEADER.split(",").index("seed")
+    csv = {}
+    for seed in (0, 7):
+        out = str(tmp_path / ("out_%d" % seed))
+        assert main(["run", path, "--out", out, "--seed", str(seed)]) == 0
+        with open(os.path.join(out, "reports.csv")) as fh:
+            csv[seed] = fh.read()
+    row = csv[7].strip().split("\n")[1].split(",")
+    assert int(float(row[col])) in (7, 8)
+    assert csv[7] != csv[0]
+
+
+def test_only_the_commands_that_march_the_sources_build_them():
+    # a local command synthesizes its own sources and duality_check its
+    # own per seed, so their problems carry none
+    for command in degenlab.cli.COMMANDS:
+        cfg = parse_config({"command": command})
+        mesh = degenlab.cli._build_mesh(cfg)
+        built = degenlab.cli._sources(cfg, mesh) != (None, None)
+        assert built == (command in degenlab.cli._MARCH_THE_SOURCES)
+    for command in ("duality", "caccioppoli", "wlemma", "lipschitz"):
+        problem = degenlab.cli._problem(parse_config({"command": command}))
+        assert problem.F is None and problem.f is None
+
+
+def test_linear_tol_is_an_unknown_config_key(tmp_path, capsys):
+    # every solve is checked against the solver's own backward-error bound
+    path = _write_cfg(tmp_path, command="solve", linear_tol=1e-10)
+    assert main(["run", path]) == 2
+    assert "config error: unknown config key(s): linear_tol" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point_runs(tmp_path):

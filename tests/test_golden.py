@@ -50,7 +50,7 @@ CONFIGS = {
                       with_f=False, n_solutions=2),
     "duality": dict(command="duality", dim=2, mesh_M=6, xprime_count=4,
                     time_step=0.1, time_count=5, kind="constant", eps=0.2,
-                    duality_seeds=2, **{"lambda": 3.0}),
+                    seed=0, duality_seeds=2, **{"lambda": 3.0}),
     "corollary2": dict(command="corollary2", dim=1, mesh_M=16,
                        time_step=0.05, time_count=10, p_grid=[2.0, 3.0]),
     "trace": dict(command="trace", dim=1, mesh_M=16, time_step=0.1,

@@ -16,7 +16,8 @@ from degenlab import (CoefficientField, LoadAssembler, Marcher,
                       SolverError, SpaceTimeSolution, TimeStepperConfig,
                       adjoint_march, adjoint_march_system,
                       assemble_stiffness, assemble_weighted_mass, build_mesh,
-                      generate_family, identity_coefficients,
+                      convergence_study, generate_family,
+                      identity_coefficients,
                       interior_pattern, linear_solve, march, march_system,
                       model_stiffness, sample_nodes, smooth_random_closure,
                       stiffness_levels)
@@ -59,7 +60,7 @@ def test_linear_solve_wide_band_matches_dense():
         A[i, j] += rng.uniform(-0.5, 0.5)
     A[0, 40] = 0.3     # wide band
     b = rng.standard_normal(n)
-    x = linear_solve(sp.csr_matrix(A), b, tol=1e-12)
+    x = linear_solve(sp.csr_matrix(A), b)
     expect = np.linalg.solve(A, b)
     assert np.max(np.abs(x - expect)) < 1e-8 * np.max(np.abs(expect))
 
@@ -83,16 +84,12 @@ def test_stepper_config_validation():
         TimeStepperConfig(theta=0.3)
     with pytest.raises(ValueError):
         TimeStepperConfig(theta=1.2)
-    with pytest.raises(ValueError):
-        TimeStepperConfig(linear_tol=0.0)
-    # with linear_tol = inf every backward error passes errors <= 10 * inf
-    for tol in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="linear_tol must be finite"):
-            TimeStepperConfig(linear_tol=tol)
     with pytest.raises(TypeError):
         TimeStepperConfig(time_step=0.25)     # the mesh owns the time grid
+    with pytest.raises(TypeError):
+        TimeStepperConfig(linear_tol=1e-10)   # the solver owns its bound
     cfg = TimeStepperConfig(theta=0.5)
-    assert cfg.theta == 0.5 and cfg.linear_tol == 1e-10
+    assert vars(cfg) == {"theta": 0.5}
 
 
 def test_march_scalar_recursion_backward_euler():
@@ -283,9 +280,10 @@ def test_march_checks_solves_that_reuse_the_factors(monkeypatch):
     Mw = assemble_weighted_mass(m)
     K = _stack(m, identity_coefficients(1), 1.0)
     loads = np.ones((1, 6, m.n_interior))
-    with pytest.raises(SolverError, match="time level 1:"):
-        march_system(Mw, K[None], loads, m,
-                     config=TimeStepperConfig(linear_tol=1e-30))
+    with monkeypatch.context() as patch, \
+            pytest.raises(SolverError, match="time level 1:"):
+        patch.setattr(degenlab.solver, "_BACKWARD_ERROR_BOUND", 1e-30)
+        march_system(Mw, K[None], loads, m)
 
     solves = _record_solves(monkeypatch, wrong_from=3)
     with pytest.raises(SolverError, match="time level 3:"):
@@ -670,15 +668,14 @@ def test_a_perturbed_level_fails_its_check_by_name(levels_n, trans):
         lu.factor(data[i % levels_n])
         X[i] = lu.solve(B[i], trans=trans)
     levels = [9, 8, 7, 6]
-    lu.check(data, X, B, 1e-13, levels=levels, trans=trans)
+    lu.check(data, X, B, levels=levels, trans=trans)
     for bad in range(4):
         Y = X.copy()
         Y[bad] *= 1 + 1e-6
         with pytest.raises(SolverError, match=re.escape(
                 "lam: time level %d: linear solve backward error"
                 % levels[bad])):
-            lu.check(data, Y, B, 1e-13, levels=levels, trans=trans,
-                     name="lam: ")
+            lu.check(data, Y, B, levels=levels, trans=trans, name="lam: ")
 
 
 def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
@@ -746,7 +743,7 @@ def test_band_reaches_the_periodic_wrap_in_d2():
     u2 = np.linalg.solve(A, mass.matrix @ u1 + 0.25 * loads[2])
     for got, want in ((sol.interior(1), u1), (sol.interior(2), u2)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    x = linear_solve(K, loads[0], tol=1e-12)
+    x = linear_solve(K, loads[0])
     want = np.linalg.solve(K.toarray(), loads[0])
     assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -772,10 +769,10 @@ def test_declared_order_narrows_the_band(dim, P, width):
 
 @pytest.mark.parametrize("trans", [0, 1])
 @pytest.mark.parametrize("n_levels", [1, 3])
-def test_check_is_the_dense_backward_error(trans, n_levels):
+def test_check_is_the_dense_backward_error(monkeypatch, trans, n_levels):
     # a nonsymmetric pattern in the interleaved d = 2 order, one matrix for
     # every solve or one per solve: the largest backward error, formed
-    # densely, passes at tol = err / 10 and fails just below, naming its
+    # densely, passes a bound of itself and fails just below, naming its
     # level
     m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
     indices, indptr, shape = interior_pattern(m)
@@ -792,12 +789,14 @@ def test_check_is_the_dense_backward_error(trans, n_levels):
             np.linalg.norm(B[i])
             + np.abs(A).sum(axis=1).max() * np.linalg.norm(X[i])))
     worst = max(errors)
-    lu.check(data, X, B, worst / 10 * (1 + 1e-12), trans=trans)
+    bound = "_BACKWARD_ERROR_BOUND"
+    monkeypatch.setattr(degenlab.solver, bound, worst * (1 + 1e-12))
+    lu.check(data, X, B, trans=trans)
+    monkeypatch.setattr(degenlab.solver, bound, worst * (1 - 1e-12))
     with pytest.raises(SolverError, match=re.escape(
             "lam: time level %d: linear solve backward error"
             % (7 + errors.index(worst)))):
-        lu.check(data, X, B, worst / 10 * (1 - 1e-12), levels=[7, 8, 9],
-                 trans=trans, name="lam: ")
+        lu.check(data, X, B, levels=[7, 8, 9], trans=trans, name="lam: ")
 
 
 def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
@@ -850,9 +849,10 @@ def test_adjoint_checks_every_solve_and_names_the_level(monkeypatch):
     K = _stack(m, identity_coefficients(1), 1.0)
     c_rows = np.ones((6, m.n_interior))
     # the adjoint marches n = 5, 4, ..., 1: its first solve is level 5
-    with pytest.raises(SolverError, match="time level 5:"):
-        adjoint_march_system(Mw, K, c_rows, m,
-                             config=TimeStepperConfig(linear_tol=1e-30))
+    with monkeypatch.context() as patch, \
+            pytest.raises(SolverError, match="time level 5:"):
+        patch.setattr(degenlab.solver, "_BACKWARD_ERROR_BOUND", 1e-30)
+        adjoint_march_system(Mw, K, c_rows, m)
     solves = _record_solves(monkeypatch, wrong_from=2)
     with pytest.raises(SolverError, match="time level 4:"):
         adjoint_march_system(Mw, K, c_rows, m)
@@ -1011,7 +1011,7 @@ def test_adjoint_of_a_time_dependent_march_pairs_exactly(monkeypatch):
                    time_step=0.25, time_count=4)
     coeffs = generate_family(3, "oscillatory", 0.5, 0.2, dim=2,
                              xp_length=2 * np.pi)
-    marcher = Marcher(m, coeffs, TimeStepperConfig(linear_tol=1e-12))
+    marcher = Marcher(m, coeffs)
     indices, indptr, shape = interior_pattern(m)
     K = sp.csr_matrix((marcher.stiffness([1.0])[0, 2], indices, indptr),
                       shape=shape)
@@ -1034,11 +1034,34 @@ def test_adjoint_requires_backward_euler():
     Mw = assemble_weighted_mass(m)
     K = _stack(m, identity_coefficients(1), 1.0)
     loads = np.zeros((3, m.n_interior))
-    cfg = TimeStepperConfig(theta=0.5)
-    with pytest.raises(ValueError):
-        adjoint_march_system(Mw, K, loads, m, config=cfg)
+    marcher = Marcher(m, identity_coefficients(1), TimeStepperConfig(0.5))
+    with pytest.raises(ValueError, match="defined for theta = 1"):
+        marcher.adjoint(1.0, loads)
     with pytest.raises(ValueError):
         adjoint_march_system(Mw, K, loads[:2], m)
+
+
+def test_every_solve_is_checked_against_one_fixed_bound(monkeypatch):
+    # LU with partial pivoting is backward stable, so the bound is the
+    # solver's: no entry point takes a tolerance, and the forward march,
+    # the adjoint and linear_solve all quote the one bound when a solve
+    # misses it
+    assert degenlab.solver._BACKWARD_ERROR_BOUND == 1e-11
+    for fn in (linear_solve, adjoint_march, adjoint_march_system,
+               degenlab.solver._BandLU.check, convergence_study):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"tol", "linear_tol", "config"}
+    m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
+    Mw = assemble_weighted_mass(m)
+    K = _stack(m, identity_coefficients(1), 1.0)
+    _record_solves(monkeypatch, wrong_from=1)
+    exceeds = re.escape("exceeds 1.000e-11")
+    with pytest.raises(SolverError, match=exceeds):
+        march_system(Mw, K[None], np.ones((1, 6, m.n_interior)), m)
+    with pytest.raises(SolverError, match=exceeds):
+        adjoint_march_system(Mw, K, np.ones((6, m.n_interior)), m)
+    with pytest.raises(SolverError, match=exceeds):
+        linear_solve(sp.eye(3).tocsr(), np.ones(3))
 
 
 def test_time_grid_mismatch_rejected():
