@@ -375,6 +375,22 @@ def model_stiffness(mesh):
 
 # -- loads --------------------------------------------------------------------
 
+def sample_sources(mesh, F, f, times):
+    """The node samples (len(times), M+1, xprime_count) at the 1-D array
+    times of each component of F (None, a callable in dim 1 or a tuple of
+    dim callables), None where it is None, and of f, None without f: each
+    once for all times, so it must broadcast t against the node grid."""
+    t = times[:, None, None]
+    F_samples = ()
+    if F is not None:
+        comps = F if isinstance(F, (tuple, list)) else (F,)
+        if len(comps) != mesh.dim:
+            raise ValueError("F needs %d components" % mesh.dim)
+        F_samples = tuple(None if Fi is None else sample_nodes(mesh, Fi, t)
+                          for Fi in comps)
+    return F_samples, None if f is None else sample_nodes(mesh, f, t)
+
+
 class LoadAssembler:
     """The sparse maps from nodal source samples to load vectors:
     b = sum_i G_i F_i + sqrt(lambda) W f  with
@@ -388,34 +404,29 @@ class LoadAssembler:
 
     def assemble(self, F, f, lam, t=0.0):
         """Nodal-interpolated loads at time t, one interior vector; for a
-        1-D array t, one row per time, shape (len(t), n_interior).  F is
-        None, a callable (dim=1) or a tuple of dim callables; f is None or a
-        callable.  Each source is sampled once for all times, so it must
-        broadcast an array t against the node grid."""
+        1-D array t, one row per time, shape (len(t), n_interior), of the
+        sources F and f as sample_sources takes them."""
         b = self.combine(self.parts(F, f, t), lam)
         return b[0] if np.ndim(t) == 0 else b
 
     def parts(self, F, f, t):
         """(B_F, B_f) with b(lam) = B_F + sqrt(lam) B_f at the times t, one
         row per time; B_f is None without f."""
-        mesh = self.mesh
         times = np.atleast_1d(np.asarray(t, float))
         if times.ndim != 1:
             raise ValueError("t must be a scalar or a 1-D array of times")
+        return self.sampled_parts(times.size,
+                                  *sample_sources(self.mesh, F, f, times))
 
-        def samples(func):
-            return sample_nodes(mesh, func, times[:, None, None]).reshape(
-                times.size, mesh.n_nodes).T
-
-        B_F = np.zeros((times.size, mesh.n_interior))
-        if F is not None:
-            comps = F if isinstance(F, (tuple, list)) else (F,)
-            if len(comps) != mesh.dim:
-                raise ValueError("F needs %d components" % mesh.dim)
-            for i, Fi in enumerate(comps):
-                if Fi is not None:
-                    B_F += (self.G[i] @ samples(Fi)).T
-        return B_F, None if f is None else (self.W @ samples(f)).T
+    def sampled_parts(self, count, F_samples, f_samples):
+        """``parts`` from the samples of sample_sources at count times."""
+        B_F = np.zeros((count, self.mesh.n_interior))
+        for G, S in zip(self.G, F_samples):
+            if S is not None:
+                B_F += (G @ S.reshape(count, self.mesh.n_nodes).T).T
+        if f_samples is None:
+            return B_F, None
+        return B_F, (self.W @ f_samples.reshape(count, self.mesh.n_nodes).T).T
 
     @staticmethod
     def combine(parts, lam):

@@ -28,12 +28,12 @@ from .coefficients import (_AUTONOMOUS_KINDS, KINDS, _eps_too_large,
 from .fields import random_w1p_field, smooth_random_closure
 from .harness import (CSV_HEADER, DegenerateLocalSolution, ProblemSpec,
                       boundary_lipschitz, caccioppoli_ratio,
-                      corollary2_check, duality_check, hardy_report,
+                      corollary2_reports, duality_check, hardy_report,
                       locally_homogeneous_solution, main_estimate_sweep,
                       trace_report, w_estimate_ratio)
 from .mesh import Cylinder, build_mesh, time_cells_in_window
 from .mms import ManufacturedCase, convergence_study, default_case
-from .solver import SolverError, TimeStepperConfig, march
+from .solver import SolverError, TimeStepperConfig
 
 SCHEMA_VERSION = 1
 
@@ -66,29 +66,25 @@ def _sources(cfg, mesh):
     _MARCH_THE_SOURCES), (None, None) for every other command."""
     if cfg["command"] not in _MARCH_THE_SOURCES:
         return None, None
-    seed = cfg["seed"]
+
+    def closure(k):
+        return smooth_random_closure(cfg["seed"] * 31 + k, mesh.dim,
+                                     xp_length=mesh.xprime_length)
     F = None
     if cfg["with_F"]:
-        F = tuple(smooth_random_closure(seed * 31 + 7 + i, mesh.dim,
-                                        xp_length=mesh.xprime_length)
-                  for i in range(mesh.dim))
-    f = None
-    if cfg["with_f"]:
-        f = smooth_random_closure(seed * 31 + 3, mesh.dim,
-                                  xp_length=mesh.xprime_length)
-    return F, f
-
-
-def _stepper(cfg):
-    return TimeStepperConfig(theta=cfg["theta"])
+        F = tuple(closure(7 + i) for i in range(mesh.dim))
+    return F, closure(3) if cfg["with_f"] else None
 
 
 def _problem(cfg, eps=None):
+    """The config's problem, its field at the amplitude eps (see _coeffs),
+    with rho0 the config's for the commands that read it (_PROBLEMS)."""
     mesh = _build_mesh(cfg)
-    coeffs = _coeffs(cfg, mesh, eps)
     F, f = _sources(cfg, mesh)
-    return ProblemSpec(mesh, coeffs, F=F, f=f, config=_stepper(cfg),
-                       seed=cfg["seed"], rho0=cfg["rho0"])
+    rho0 = cfg["rho0"] if cfg["command"] in _PROBLEMS else 1.0
+    return ProblemSpec(mesh, _coeffs(cfg, mesh, eps), F=F, f=f,
+                       config=TimeStepperConfig(cfg["theta"]),
+                       seed=cfg["seed"], rho0=rho0)
 
 
 def _cylinder(cfg):
@@ -120,10 +116,9 @@ def _local_solutions(cfg, problem, lam):
 # -- commands -------------------------------------------------------------------
 
 def _cmd_solve(cfg):
-    mesh = _build_mesh(cfg)
-    coeffs = _coeffs(cfg, mesh)
-    F, f = _sources(cfg, mesh)
-    sol = march(mesh, coeffs, cfg["lambda"], F=F, f=f, config=_stepper(cfg))
+    problem = _problem(cfg)
+    mesh = problem.mesh
+    sol = problem.solution(cfg["lambda"])
     lines = ["t,xprime,xd,u"]
     for n, t in enumerate(sol.times):
         for j in range(mesh.M + 1):
@@ -133,7 +128,7 @@ def _cmd_solve(cfg):
                     sol.levels[n, j, m]))
     artifacts = [("solution.csv", "\n".join(lines) + "\n")]
     if cfg["export_matrix"]:
-        K = assemble_stiffness(mesh, coeffs, cfg["lambda"])
+        K = assemble_stiffness(mesh, problem.coeffs, cfg["lambda"])
         buf = io.BytesIO()
         mmwrite(buf, K.matrix)
         artifacts.append(("stiffness.mtx", buf.getvalue()))
@@ -189,7 +184,9 @@ def _cmd_lipschitz(cfg):
 
 
 def _cmd_duality(cfg):
-    problem = _problem(cfg)
+    # duality_check marches a field of its own per seed and reads only the
+    # mesh, coeffs.nu and rho0 of its problem: it needs no field at eps
+    problem = _problem(cfg, eps=0.0)
     report = duality_check(problem, p=cfg["p"],
                            seeds=range(cfg["seed"],
                                         cfg["seed"] + cfg["duality_seeds"]),
@@ -202,9 +199,8 @@ def _cmd_corollary2(cfg):
     mesh = _build_mesh(cfg)
     case = default_case(cfg["dim"], lam=cfg["lambda"], Ld=cfg["L_d"],
                         T=mesh.total_time, mode="f_only")
-    reports = [corollary2_check(case, mesh, p, config=_stepper(cfg))
-               for p in _values(cfg, "p")]
-    return reports, [], []
+    return corollary2_reports(case, mesh, _values(cfg, "p"),
+                              TimeStepperConfig(cfg["theta"])), [], []
 
 
 def _corpus(cfg, mesh):
@@ -215,11 +211,9 @@ def _corpus(cfg, mesh):
 
 def _cmd_trace(cfg):
     """Per p, the corpus reports, then the march's; both are built once."""
-    mesh = _build_mesh(cfg)
-    corpus = _corpus(cfg, mesh)
-    F, f = _sources(cfg, mesh)
-    sol = march(mesh, _coeffs(cfg, mesh), cfg["lambda"], F=F, f=f,
-                config=_stepper(cfg))
+    problem = _problem(cfg)
+    corpus = _corpus(cfg, problem.mesh)
+    sol = problem.solution(cfg["lambda"])
     reports = []
     for p in _values(cfg, "p"):
         reports.extend(trace_report(fld, p, seed=seed)
@@ -423,6 +417,7 @@ def _mms_scales(c):
 # and its value before anything is built, and only by a command that reads
 # the key (x' keys only in dim 2).
 _COMMAND_RULES = (
+    (COMMANDS, "seed", lambda c: c["seed"] >= 0, "at least 0"),
     (COMMANDS, "xprime_count",
      lambda c: c["dim"] == 1 or c["xprime_count"] >= 1, "at least 1 in dim 2"),
     (COMMANDS, "xprime_length",
@@ -508,7 +503,9 @@ def parse_config(raw):
     return cfg
 
 
-def load_config(path):
+def load_config(path, overrides=None):
+    """parse_config of the JSON object at path, with the keys of overrides
+    (the command line's) put into it first, so that every check sees them."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -516,6 +513,8 @@ def load_config(path):
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
+    if overrides and isinstance(raw, dict):
+        raw = dict(raw, **overrides)
     return parse_config(raw)
 
 
@@ -633,12 +632,11 @@ def main(argv=None):
     if args.subcommand != "run":
         parser.print_help(sys.stderr)
         return 2
+    overrides = {key: value for key, value in (("out_dir", args.out),
+                                               ("seed", args.seed))
+                 if value is not None}
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            cfg["out_dir"] = args.out
-        if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+        cfg = load_config(args.config, overrides)
     except ValueError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

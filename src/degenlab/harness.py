@@ -8,28 +8,29 @@ the Hardy quotient and near-boundary trace decay of single fields.
 
 Every verdict and every report label is decided here: ``norms`` gives the
 numbers, and an ``EstimateReport`` row has the columns of ``CSV_HEADER``.
-What depends on a problem alone is derived once per ``ProblemSpec``: its
-``Marcher`` (weighted mass and stiffness split) serves every solution
-marched for it, the structure condition of its coefficients is decided
-once for every quotient check of its solutions, and the sources of a local
-seed are sampled once for every lambda.  A solution keeps every norm
-integrated of it, so the local checks that read one norm of one cylinder
-integrate it once.
+What depends on a problem alone is derived once per frozen ``ProblemSpec``:
+its ``Marcher`` serves every solution marched for it, the structure
+condition of its field is decided once, and each source is sampled once,
+its own F and f for the march and the data norms alike, a local seed's for
+every lambda.  A solution keeps every norm integrated of it, so the local
+checks that read one norm of one cylinder integrate it once.
 Empirical constants are recorded, never asserted against specific values;
 pass criteria are boundedness, refinement stability, and lambda-uniformity.
 """
 
+import dataclasses
+
 import numpy as np
 
 from .assembly import (LoadAssembler, assemble_weighted_mass, data_grams,
-                       model_stiffness)
+                       model_stiffness, sample_sources)
 from .coefficients import (check_structure_condition, generate_family,
                            oscillation_scan)
-from .fields import sample_nodes, smooth_random_closure
+from .fields import smooth_random_closure
 from .mesh import Cylinder, cells_in_cylinder
 from .norms import (NormSpec, analytic_norm, cell_center_gradients,
                     hardy_check, levels_norm, slice_norms, weighted_norm)
-from .solver import Marcher, TimeStepperConfig, march
+from .solver import Marcher, TimeStepperConfig
 
 # the run labels of a report row, each None unless its check knows it
 _LABELS = ("lambda", "p", "mesh_M", "dt", "seed", "rho0", "gamma_measured")
@@ -105,80 +106,83 @@ class EstimateReport:
         return out
 
 
+@dataclasses.dataclass(frozen=True, eq=False, repr=False)
 class ProblemSpec:
-    """Bundle of mesh, coefficients, data closures, and run labels shared by
-    the checkers.  F is None, a callable (dim=1) or a tuple of per-direction
-    callables (t, xp, xd); f is None or a scalar callable.
+    """The frozen mesh, coefficients, sources, stepper (implicit Euler when
+    None) and run labels of a problem: F is None, a callable (dim=1) or a
+    tuple of per-direction callables (t, xp, xd), f None or a callable.
+    Assigning a field raises (``dataclasses.replace`` makes a new problem),
+    so what derives from the fields is built on first use, kept read-only
+    and cannot go stale: the marcher, the structure condition, the node
+    samples of F and f, and the load parts of each local seed's sources."""
 
-    ``marcher()``, ``structure_condition()`` and ``source_parts()`` are
-    derived from mesh, coeffs and config on first use and kept with the
-    problem; reassigning any of the three drops them, so the next use
-    derives them again.  The source parts of a seed depend on the mesh
-    alone, which cannot change under them, and are kept read-only."""
+    mesh: object
+    coeffs: object
+    F: object = None
+    f: object = None
+    config: object = None
+    seed: int = 0
+    rho0: float = 1.0
+    _derived: dict = dataclasses.field(default_factory=dict, init=False)
 
-    def __init__(self, mesh, coeffs, F=None, f=None, config=None, seed=0,
-                 rho0=1.0):
-        if coeffs.dim != mesh.dim:
+    def __post_init__(self):
+        if self.coeffs.dim != self.mesh.dim:
             raise ValueError("coefficient/mesh dimension mismatch")
-        if not rho0 > 0:
+        if not self.rho0 > 0:
             raise ValueError("rho0 must be positive")
-        self.mesh = mesh
-        self.coeffs = coeffs
-        self.F = F
-        self.f = f
-        self.config = config
-        self.seed = int(seed)
-        self.rho0 = float(rho0)
-
-    def __setattr__(self, name, value):
-        if name in ("mesh", "coeffs", "config"):
-            object.__setattr__(self, "_derived", {})
-        object.__setattr__(self, name, value)
+        object.__setattr__(self, "config", self.config or TimeStepperConfig())
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "rho0", float(self.rho0))
 
     def _derive(self, key, build):
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
 
-    def stepper(self):
-        return self.config or TimeStepperConfig()
-
     def marcher(self):
-        """The Marcher of this mesh, field and stepper that every march of
-        the problem goes through."""
+        """The Marcher that every march of the problem goes through."""
         return self._derive("marcher", lambda: Marcher(
-            self.mesh, self.coeffs, self.stepper()))
+            self.mesh, self.coeffs, self.config))
 
     def structure_condition(self):
         """check_structure_condition of the problem's field on its mesh."""
         return self._derive("structure", lambda: check_structure_condition(
             self.coeffs, self.mesh))
 
+    def source_samples(self):
+        """sample_sources of F and f at the mesh's time levels, which the
+        loads of ``solution`` and the data norms of energy_ratio read."""
+        return self._derive("samples", lambda: _read_only(sample_sources(
+            self.mesh, self.F, self.f, self.mesh.time_levels)))
+
+    def solution(self, lam):
+        """F and f marched at lam through the marcher, loads from samples."""
+        parts = LoadAssembler(self.mesh).sampled_parts(
+            self.mesh.time_count + 1, *self.source_samples())
+        return self.marcher().march([lam], parts=parts)[0]
+
     def source_parts(self, seed, x_lo, x_hi):
-        """The load parts (B_F, B_f) that ``LoadAssembler.parts`` samples at
-        the mesh's time levels from the sources locally_homogeneous_solution
-        synthesizes from seed with the cushion (x_lo, x_hi), read-only:
-        sampled once per (seed, x_lo, x_hi) for every lambda marched with
-        them (``Marcher.march`` takes them as ``parts``)."""
-        def sample():
-            F, f = _local_sources(self.mesh, seed, x_lo, x_hi)
-            parts = LoadAssembler(self.mesh).parts(F, f,
-                                                   self.mesh.time_levels)
-            for part in parts:
-                part.setflags(write=False)
-            return parts
-        return self._derive(("sources", seed, x_lo, x_hi), sample)
+        """``LoadAssembler.parts`` at the mesh's time levels of the sources
+        that locally_homogeneous_solution synthesizes from seed with the
+        cushion (x_lo, x_hi), for every lambda marched with them."""
+        return self._derive(("sources", seed, x_lo, x_hi), lambda: _read_only(
+            LoadAssembler(self.mesh).parts(
+                *_local_sources(self.mesh, seed, x_lo, x_hi),
+                self.mesh.time_levels)))
 
 
-def _f_components(F):
-    if F is None:
-        return ()
-    comps = F if isinstance(F, (tuple, list)) else (F,)
-    return tuple(c for c in comps if c is not None)
+def _read_only(kept):
+    """kept, each array in it or in a tuple in it made read-only."""
+    for entry in kept:
+        for a in entry if isinstance(entry, tuple) else (entry,):
+            if a is not None:
+                a.setflags(write=False)
+    return kept
 
 
 def _f_magnitude(F):
-    comps = _f_components(F)
+    comps = [c for c in (F if isinstance(F, (tuple, list)) else (F,))
+             if c is not None]
     if not comps:
         return None
 
@@ -195,7 +199,7 @@ def _f_magnitude(F):
 # -- L2 energy inequality -------------------------------------------------------
 
 def energy_ratio(problem, lam):
-    """March the problem with implicit Euler, through its marcher, and
+    """March the problem with implicit Euler (``ProblemSpec.solution``) and
     compare ||Du|| + sqrt(lam)||u||_w against ||F|| + ||f||_w through the
     assembled quadratic forms (all four integrals are exact for the bilinear
     fields).  The dissipation identity of the scheme makes ratio <= 4/nu a
@@ -203,37 +207,30 @@ def energy_ratio(problem, lam):
     untoleranced.
     """
     mesh, coeffs = problem.mesh, problem.coeffs
-    config = problem.stepper()
-    if config.theta != 1.0:
+    if problem.config.theta != 1.0:
         raise ValueError("the exact energy bound needs theta = 1")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    sol = problem.marcher().march([lam], F=problem.F, f=problem.f)[0]
+    sol = problem.solution(lam)
     K0 = model_stiffness(mesh).matrix
     Mw = assemble_weighted_mass(mesh).matrix
-    gram_all, gram_w = data_grams(mesh)
-    Ga, Gw = gram_all.matrix, gram_w.matrix
-    # data samples at the levels the sums read, t_1 .. t_N
-    t = sol.times[1:, None, None]
-    F_samples = [sample_nodes(mesh, Fi, t) for Fi in _f_components(problem.F)]
-    f_samples = None
-    if problem.f is not None:
-        f_samples = sample_nodes(mesh, problem.f, t)
-        if np.max(np.abs(f_samples[:, 0])) != 0.0:
-            raise ValueError("f must vanish at x_d = 0 for the weighted "
-                             "data norm to be finite")
-    dt = sol.dt
-    X2 = W2 = A2 = B2 = 0.0
-    for n in range(1, sol.levels.shape[0]):
-        ui = sol.interior(n)
-        X2 += dt * (ui @ (K0 @ ui))
-        W2 += dt * (ui @ (Mw @ ui))
-        for S in F_samples:
-            va = S[n - 1].ravel()
-            A2 += dt * (va @ (Ga @ va))
-        if f_samples is not None:
-            w = f_samples[n - 1, 1:].ravel()
-            B2 += dt * (w @ (Gw @ w))
+    Ga, Gw = (gram.matrix for gram in data_grams(mesh))
+    F_samples, f_samples = problem.source_samples()
+    if f_samples is not None and np.max(np.abs(f_samples[1:, 0])) != 0.0:
+        raise ValueError("f must vanish at x_d = 0 for the weighted "
+                         "data norm to be finite")
+    dt, N = sol.dt, mesh.time_count
+
+    def form(G, rows):
+        """dt sum_n v_n . G v_n over the rows v_n, n = 1 .. N."""
+        return sum(dt * (v @ (G @ v)) for v in rows)
+
+    U = sol.interior_levels()[1:]
+    X2, W2 = form(K0, U), form(Mw, U)
+    A2 = sum(form(Ga, S[1:].reshape(N, -1)) for S in F_samples
+             if S is not None)
+    B2 = 0.0 if f_samples is None else \
+        form(Gw, f_samples[1:, 1:].reshape(N, -1))
     lhs = np.sqrt(X2) + np.sqrt(lam) * np.sqrt(W2)
     rhs = np.sqrt(A2) + np.sqrt(B2)
     params = {"lambda": lam, "p": 2.0, "mesh_M": mesh.M, "dt": dt,
@@ -281,7 +278,6 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
     only labels the rows and decides whether the march is autonomous.
     """
     mesh = problem.mesh
-    config = problem.stepper()
     ps = np.atleast_1d(p).tolist()
     lambdas = [float(v) for v in lambdas]
     if any(v <= 0 for v in lambdas):
@@ -305,8 +301,8 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
         """Per p of ps, (lhs, rhs) per lambda on mesh m: one march of the
         lambda grid per (mesh, field), and the lambda-free data norm once
         per (mesh, p)."""
-        sols = Marcher(m, coeffs, config).march(lambdas, F=problem.F,
-                                                f=problem.f)
+        sols = Marcher(m, coeffs, problem.config).march(
+            lambdas, F=problem.F, f=problem.f)
         skip = m.time_count // 10
         out = []
         for q in ps:
@@ -340,10 +336,8 @@ def _sweep_reports(problem, p, eps, coeffs, gamma, lambdas, coarse, fine):
     in_window = [lam * problem.rho0 >= 1.0 for lam, *_ in cell]
     window_ratios = [row[3] for row, ok in zip(cell, in_window)
                      if ok and row[3] > 0]
-    if window_ratios:
-        uniformity = max(window_ratios) / min(window_ratios)
-    else:
-        uniformity = 1.0
+    uniformity = max(window_ratios) / min(window_ratios) \
+        if window_ratios else 1.0
     reports = []
     for (lam, lc, rc, ratio_c, ratio_f, drift), ok in zip(cell, in_window):
         params = {"lambda": lam, "p": float(p), "mesh_M": mesh.M,
@@ -390,12 +384,11 @@ def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
     there (verified row by row), yet which is nontrivial on the cylinder.
 
     The sources are synthesized from the seed, random and supported above
-    the cushion, so a problem that carries F or f is refused.  The problem
-    keeps their load parts (``ProblemSpec.source_parts``), so a seed's
-    sources are sampled once for every lambda.  The march goes through
-    the problem's marcher, and the solution keeps its problem as
-    ``problem``.  Raises DegenerateLocalSolution when the result is
-    numerically zero on the cylinder.
+    the cushion, so a problem that carries F or f is refused; they march
+    through the problem's marcher with its kept ``source_parts``, and the
+    solution keeps its problem as ``problem``.  Raises
+    DegenerateLocalSolution when the result is numerically zero on the
+    cylinder.
     """
     mesh, coeffs = problem.mesh, problem.coeffs
     if coeffs.kind == "oscillatory":
@@ -627,15 +620,20 @@ def duality_check(problem, p=2.0, seeds=(0, 1, 2, 3, 4), lam=1.0,
 # -- second-order weighted estimate ------------------------------------------------
 
 def corollary2_check(case, mesh, p, config=None):
-    """Model-equation estimate with exact weights: the sum of the solution
-    norm (weight x_d^{-p/2}), gradient norm, difference-quotient time
-    derivative norm (weight x_d^{-p/2}), second-difference norm (weight
-    x_d^{+p/2}), and gradient-of-time-derivative norm, against the data
-    norms of f and f_t at weight x_d^{-p/2}.  Requires p >= 2; the
-    manufactured case, on identity coefficients by construction, must carry
-    its data in f alone.
+    """The corollary2_reports report of one p."""
+    return corollary2_reports(case, mesh, [p], config)[0]
+
+
+def corollary2_reports(case, mesh, ps, config=None):
+    """Model-equation estimate with exact weights, one report per p of ps
+    from one march of the case: the sum of the solution norm (weight
+    x_d^{-p/2}), gradient norm, difference-quotient time derivative norm
+    (weight x_d^{-p/2}), second-difference norm (weight x_d^{+p/2}), and
+    gradient-of-time-derivative norm, against the data norms of f and f_t
+    at weight x_d^{-p/2}.  Requires p >= 2; the manufactured case, on
+    identity coefficients by construction, must carry its data in f alone.
     """
-    if p < 2:
+    if min(ps) < 2:
         raise ValueError("the second-order estimate needs p >= 2")
     if case.mode != "f_only":
         raise ValueError("a manufactured case with f-only data is required")
@@ -644,25 +642,26 @@ def corollary2_check(case, mesh, p, config=None):
         raise ValueError("mesh window does not match the manufactured case")
     _, f = case.synthesize_sources()
     f_t = case.synthesize_f_t()
-    sol = march(mesh, case.coeffs, case.lam, F=None, f=f,
-                config=config or TimeStepperConfig())
+    sol = Marcher(mesh, case.coeffs, config).march([case.lam], f=f)[0]
     skip = sol.time_count // 10
-    n_u = weighted_norm(sol, NormSpec(p, -p / 2.0, "0"), skip_initial=skip)
-    n_du = weighted_norm(sol, NormSpec(p, 0.0, "1_full"), skip_initial=skip)
-    n_d2 = weighted_norm(sol, NormSpec(p, p / 2.0, "2_full"),
-                         skip_initial=skip)
     diffs = sol.time_differences()[skip:]
-    n_ut = levels_norm(mesh, diffs, NormSpec(p, -p / 2.0, "0"))
-    n_dut = levels_norm(mesh, diffs, NormSpec(p, 0.0, "1_full"))
-    lhs = n_u + n_du + n_ut + n_d2 + n_dut
-    rhs = analytic_norm(mesh, f, NormSpec(p, -p / 2.0, "0"),
-                        skip_initial=skip) \
-        + analytic_norm(mesh, f_t, NormSpec(p, -p / 2.0, "0"),
-                        skip_initial=skip)
-    params = {"lambda": case.lam, "p": float(p), "mesh_M": mesh.M,
-              "dt": mesh.time_step, "norm_u": n_u, "norm_du": n_du,
-              "norm_ut": n_ut, "norm_d2u": n_d2, "norm_dut": n_dut}
-    return EstimateReport("corollary2", lhs, rhs, params=params)
+    reports = []
+    for p in ps:
+        down, grad = NormSpec(p, -p / 2.0, "0"), NormSpec(p, 0.0, "1_full")
+        n_u = weighted_norm(sol, down, skip_initial=skip)
+        n_du = weighted_norm(sol, grad, skip_initial=skip)
+        n_d2 = weighted_norm(sol, NormSpec(p, p / 2.0, "2_full"),
+                             skip_initial=skip)
+        n_ut = levels_norm(mesh, diffs, down)
+        n_dut = levels_norm(mesh, diffs, grad)
+        lhs = n_u + n_du + n_ut + n_d2 + n_dut
+        rhs = analytic_norm(mesh, f, down, skip_initial=skip) \
+            + analytic_norm(mesh, f_t, down, skip_initial=skip)
+        params = {"lambda": case.lam, "p": float(p), "mesh_M": mesh.M,
+                  "dt": mesh.time_step, "norm_u": n_u, "norm_du": n_du,
+                  "norm_ut": n_ut, "norm_d2u": n_d2, "norm_dut": n_dut}
+        reports.append(EstimateReport("corollary2", lhs, rhs, params=params))
+    return reports
 
 
 # -- Hardy quotient and trace decay -------------------------------------------------

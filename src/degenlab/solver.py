@@ -323,9 +323,6 @@ class SpaceTimeSolution:
     def field_at(self, n):
         return DiscreteField(self.mesh, self.levels[n])
 
-    def interior(self, n):
-        return self.levels[n, 1:-1, :].ravel()
-
     def interior_levels(self):
         return self.levels[:, 1:-1, :].reshape(self.levels.shape[0], -1)
 
@@ -490,13 +487,11 @@ class Marcher:
 
     def march(self, lams, F=None, f=None, parts=None):
         """Forward marches at every lambda of the grid ``lams``, one
-        solution per lambda, in order, as one batch of march_system; see
-        ``march``.  The loads b(lam) = B_F + sqrt(lam) B_f of every lambda
-        combine the lambda-free parts (B_F, B_f) that
-        ``LoadAssembler.parts`` samples from F and f at the mesh's time
-        levels, or the ``parts`` a caller keeps from that call (then F and
-        f must be None): a source is sampled once for the whole grid, or
-        once for every march that passes its kept parts."""
+        solution per lambda, in order, as one batch of march_system.  The
+        loads b(lam) = B_F + sqrt(lam) B_f of every lambda combine the
+        lambda-free parts (B_F, B_f) that ``LoadAssembler.parts`` samples
+        from F and f at the mesh's time levels once for the grid, or the
+        ``parts`` a caller keeps (then F and f must be None)."""
         if parts is not None and (F is not None or f is not None):
             raise ValueError("march takes the sources F and f or their "
                              "load parts, not both")
@@ -529,14 +524,9 @@ class Marcher:
 
 
 def march(mesh, coeffs, lam, F=None, f=None, config=None):
-    """Assemble-and-march convenience wrapper for one lambda, from rest,
-    through a new ``Marcher``.
-
-    F: None, a callable (dim=1) or tuple of per-direction callables
-    (t, xp, xd) -> values; f likewise scalar-valued.  Returns a
-    SpaceTimeSolution.  To march a lambda grid, or many sources, on one
-    field, use one ``Marcher`` (a ``ProblemSpec`` keeps one).
-    """
+    """One lambda marched from rest through a new ``Marcher``, F and f as
+    ``LoadAssembler.parts`` takes them.  The program marches through the
+    marcher of its ``ProblemSpec``, or through a ``Marcher`` of its own."""
     return Marcher(mesh, coeffs, config).march([lam], F=F, f=f)[0]
 
 

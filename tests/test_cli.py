@@ -180,14 +180,15 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="solve", **{"lambda": -1}), "lambda"),
     (dict(command="caccioppoli", lambda_grid=[1.0, -1.0]), "lambda_grid"),
     (dict(command="sweep", **{"lambda": 0.0}), "lambda"),
-    (dict(command="sweep", lambda_grid=[0.0, 1.0]), "lambda_grid")],
+    (dict(command="sweep", lambda_grid=[0.0, 1.0]), "lambda_grid"),
+    (dict(command="hardy", seed=-3), "seed")],
     ids=["cacc-r_inner", "wlemma-r_inner", "r_outer", "lipschitz-r_inner",
          "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind",
          "eps", "eps_grid", "rho0", "cyl_time", "cyl_time-end", "theta",
          "theta-range", "nu", "mms_meshes-length",
          "mms_meshes-size", "mms_meshes-increasing", "mms_meshes-squares",
          "export_matrix", "eps-margin", "eps_grid-margin", "lambda",
-         "lambda_grid", "sweep-lambda", "sweep-lambda_grid"])
+         "lambda_grid", "sweep-lambda", "sweep-lambda_grid", "seed"])
 def test_command_rules_refuse_before_anything_is_built(
         tmp_path, capsys, monkeypatch, config, key):
     built = []
@@ -576,7 +577,7 @@ def test_a_local_command_writes_what_fresh_assembly_writes(
     # every march on a new marcher, the structure condition sampled at
     # every check, every cell set found again
     monkeypatch.setattr(ProblemSpec, "marcher", lambda self: Marcher(
-        self.mesh, self.coeffs, self.stepper()))
+        self.mesh, self.coeffs, self.config))
     monkeypatch.setattr(ProblemSpec, "structure_condition",
                         lambda self: check_structure_condition(self.coeffs,
                                                                self.mesh))
@@ -678,6 +679,17 @@ def test_seed_and_out_overrides(tmp_path):
     assert bundle["config"]["out_dir"] == alt
 
 
+def test_a_negative_seed_from_the_command_line_is_refused_by_name(
+        tmp_path, capsys):
+    # --seed and --out go into the config before any check runs
+    path = _small_sweep(tmp_path, lambda_grid=[3.0])
+    alt = str(tmp_path / "alt_out")
+    assert main(["run", path, "--out", alt, "--seed", "-3"]) == 2
+    assert "config error: key 'seed' must be at least 0 for command " \
+        "'sweep', got -3" in capsys.readouterr().err
+    assert not os.path.exists(alt)
+
+
 def test_duality_and_hardy_commands(tmp_path):
     d = _write_cfg(tmp_path, name="dual.json", command="duality", dim=1,
                    mesh_M=10, time_step=0.125, time_count=8,
@@ -709,6 +721,61 @@ def test_duality_marches_the_seeds_from_the_config_seed(tmp_path):
     row = csv[7].strip().split("\n")[1].split(",")
     assert int(float(row[col])) in (7, 8)
     assert csv[7] != csv[0]
+
+
+def test_duality_builds_only_the_fields_it_marches(tmp_path, monkeypatch):
+    # the seeds 7 and 8 at the config's eps, and the problem's field at
+    # amplitude 0
+    made = []
+    for module in (degenlab.cli, degenlab.harness):
+        real = module.generate_family
+
+        def recording(seed, kind, nu, eps, *args, real=real, **kwargs):
+            made.append((seed, eps))
+            return real(seed, kind, nu, eps, *args, **kwargs)
+
+        monkeypatch.setattr(module, "generate_family", recording)
+    raw = dict(GOLDEN["duality"], seed=7, out_dir=str(tmp_path))
+    assert (raw["duality_seeds"], raw["eps"]) == (2, 0.2)
+    assert run(parse_config(raw))[0] == 0
+    assert sorted(made) == [(7, 0.0), (7, 0.2), (8, 0.2)]
+
+
+def test_corollary2_marches_once_for_its_p_grid(tmp_path, monkeypatch):
+    raw = dict(GOLDEN["corollary2"], out_dir=str(tmp_path))
+    marches = _counting(monkeypatch, degenlab.solver, "march_system")
+    code, reports = run(parse_config(raw))
+    assert code == 0 and len(marches) == 1
+    assert [r.params["p"] for r in reports] == raw["p_grid"]
+
+
+def test_no_command_marches_through_the_march_wrapper(tmp_path,
+                                                       monkeypatch):
+    # every golden config writes the same artifacts with every name of
+    # solver.march refusing to run
+    def artifacts(root):
+        root.mkdir()
+        monkeypatch.chdir(root)         # so run.json echoes the same out_dir
+        written = {}
+        for name, raw in GOLDEN.items():
+            run(parse_config(dict(raw, out_dir=name)))
+            for path in sorted((root / name).iterdir()):
+                if path.name != "MANIFEST.json":
+                    written[name, path.name] = path.read_bytes()
+        return written
+
+    want = artifacts(tmp_path / "free")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a program path called solver.march")
+
+    wrapper = degenlab.solver.march
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("degenlab") \
+                and getattr(module, "march", None) is wrapper:
+            monkeypatch.setattr(module, "march", refused)
+    assert degenlab.solver.march is refused
+    assert artifacts(tmp_path / "refused") == want
 
 
 def test_only_the_commands_that_march_the_sources_build_them():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -6,6 +7,7 @@ import pytest
 
 import degenlab.assembly
 import degenlab.coefficients
+import degenlab.fields
 import degenlab.harness
 import degenlab.norms
 import degenlab.solver
@@ -103,10 +105,9 @@ def test_energy_ratio_within_explicit_constant():
 
 def test_energy_ratio_config_validation():
     prob = _problem_d1(M=8, time_count=4)
-    prob.config = TimeStepperConfig(theta=0.5)
+    half = dataclasses.replace(prob, config=TimeStepperConfig(theta=0.5))
     with pytest.raises(ValueError):
-        energy_ratio(prob, lam=1.0)
-    prob.config = None
+        energy_ratio(half, lam=1.0)
     with pytest.raises(ValueError):
         energy_ratio(prob, lam=-1.0)
 
@@ -122,41 +123,74 @@ def test_problem_spec_validation():
 
 
 def test_a_march_refuses_a_field_of_another_dimension():
-    # the problem checks the dimensions only when built; a field assigned
-    # later, or one given to the bare march, is refused by the Marcher
+    # a problem refuses it when built, a new one made from it too, and the
+    # bare march by its Marcher
     f = smooth_random_closure(3, 1)
     prob = _problem_d1(M=8, time_count=4, kind="constant", f=f)
-    prob.coeffs = generate_family(0, "constant", 0.5, 0.1, dim=2)
+    coeffs2 = generate_family(0, "constant", 0.5, 0.1, dim=2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dataclasses.replace(prob, coeffs=coeffs2)
     message = "dimension 2 cannot be marched on a mesh of dimension 1"
     with pytest.raises(ValueError, match=message):
-        energy_ratio(prob, 1.0)
-    with pytest.raises(ValueError, match=message):
-        march(prob.mesh, prob.coeffs, 1.0, f=f)
+        march(prob.mesh, coeffs2, 1.0, f=f)
 
 
-def test_a_problem_marches_through_one_marcher_until_reassigned():
+@pytest.mark.parametrize("name", ["mesh", "coeffs", "config", "F", "f",
+                                  "seed", "rho0"])
+def test_a_problem_is_frozen(name):
+    prob = _problem_d1(M=8, time_count=4)
+    with pytest.raises(AttributeError):
+        setattr(prob, name, None)
+    with pytest.raises(AttributeError):
+        delattr(prob, name)
+
+
+def test_a_problem_marches_through_one_marcher():
     f = smooth_random_closure(4, 1)
     prob = _problem_d1(M=12, time_count=8, f=f, seed=1)
     first = prob.marcher()
     energy_ratio(prob, lam=2.0)
     assert prob.marcher() is first
-    # a reassigned stepper: the next march builds a marcher on it
+    # a problem built with another stepper marches on a marcher of its own
     half = TimeStepperConfig(theta=0.5)
-    prob.config = half
-    second = prob.marcher()
+    second = dataclasses.replace(prob, config=half).marcher()
     assert second is not first and second.config is half
     got = second.march([2.0], f=f)[0]
     want = march(prob.mesh, prob.coeffs, 2.0, f=f, config=half)
     assert got.levels.tobytes() == want.levels.tobytes()
-    # a reassigned field: a marcher on it, and the structure decided again
+    # one with another field decides its own structure condition
     assert prob.structure_condition()
-    prob.coeffs = generate_family(1, "oscillatory", 0.5, 0.2, dim=1)
-    third = prob.marcher()
-    assert third is not second and third.coeffs is prob.coeffs
-    assert not prob.structure_condition()
-    prob.mesh = build_mesh(1, 4.0, 10, 2.0, time_step=0.125, time_count=8)
-    assert prob.marcher() is not third
-    assert prob.marcher().mesh is prob.mesh
+    other = dataclasses.replace(
+        prob, coeffs=generate_family(1, "oscillatory", 0.5, 0.2, dim=1))
+    assert other.marcher().coeffs is other.coeffs
+    assert not other.structure_condition()
+    assert prob.structure_condition() and prob.marcher() is first
+    mesh = build_mesh(1, 4.0, 10, 2.0, time_step=0.125, time_count=8)
+    assert dataclasses.replace(prob, mesh=mesh).marcher().mesh is mesh
+
+
+def test_energy_ratio_samples_each_source_once(monkeypatch):
+    # d = 1 with F and f: one sampling of each for the march's loads and the
+    # data norms alike, and none for a second lambda
+    samples = []
+    real = degenlab.fields.sample_nodes
+
+    def counting(*args, **kwargs):
+        samples.append(args)
+        return real(*args, **kwargs)
+
+    for module in (degenlab.fields, degenlab.assembly, degenlab.harness):
+        if getattr(module, "sample_nodes", None) is real:
+            monkeypatch.setattr(module, "sample_nodes", counting)
+    prob = _problem_d1(M=10, time_count=6, F=smooth_random_closure(3, 1),
+                       f=smooth_random_closure(4, 1), seed=2)
+    energy_ratio(prob, lam=2.0)
+    assert len(samples) == 2
+    kept = energy_ratio(prob, lam=5.0)
+    assert len(samples) == 2
+    fresh = dataclasses.replace(prob)
+    assert energy_ratio(fresh, lam=5.0).to_json() == kept.to_json()
+    assert len(samples) == 4
 
 
 def test_a_problem_keeps_its_field_alive_only_while_it_lives():
@@ -315,20 +349,22 @@ def test_a_problem_samples_each_seed_sources_once(monkeypatch):
             LoadAssembler.combine(fresh, sol.lam).tobytes()
 
 
-def test_a_reassigned_mesh_drops_the_source_parts(monkeypatch):
+def test_a_problem_on_another_mesh_samples_its_own_source_parts(
+        monkeypatch):
     prob = _problem_d1(M=24, time_count=10, seed=2)
     cyl = Cylinder(1.0, 0.0, 0.5)
     first = locally_homogeneous_solution(prob, cyl, lam=1.0)
     x_lo = first.source_bound
     x_hi = x_lo + degenlab.harness._SUPPORT_RAMP
     kept = prob.source_parts(2, x_lo, x_hi)
-    prob.mesh = build_mesh(1, 4.0, 16, 2.0, time_step=0.1, time_count=10)
+    other = dataclasses.replace(prob, mesh=build_mesh(
+        1, 4.0, 16, 2.0, time_step=0.1, time_count=10))
     samples = _count_calls(monkeypatch, degenlab.assembly, "sample_nodes")
-    parts = prob.source_parts(2, x_lo, x_hi)
+    parts = other.source_parts(2, x_lo, x_hi)
     assert len(samples) == 2
-    assert parts is not kept
-    assert parts[0].shape == (11, prob.mesh.n_interior)
-    sol = locally_homogeneous_solution(prob, cyl, lam=1.0)
+    assert parts is not kept and prob.source_parts(2, x_lo, x_hi) is kept
+    assert parts[0].shape == (11, other.mesh.n_interior)
+    sol = locally_homogeneous_solution(other, cyl, lam=1.0)
     assert sol.levels.shape == (11, 17, 1)
     assert len(samples) == 2
 
@@ -433,9 +469,11 @@ def test_w_estimate_structure_enforcement():
     assert rep.params["variant"] == "standard"
     assert np.isfinite(rep.ratio) and rep.lhs > 0
     print(rep.csv_row())
-    # swap in a structure-violating family on the solution's problem: the
-    # condition is decided again, and enforcement must trip
-    sol.problem.coeffs = generate_family(5, "oscillatory", 0.5, 0.2, dim=1)
+    # give the solution a problem of a structure-violating family: it
+    # decides the condition anew, and enforcement must trip
+    sol.problem = dataclasses.replace(
+        sol.problem, coeffs=generate_family(5, "oscillatory", 0.5, 0.2,
+                                            dim=1))
     with pytest.raises(ValueError):
         w_estimate_ratio(sol, 0.25, 0.5)
 

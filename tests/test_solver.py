@@ -106,7 +106,7 @@ def test_march_scalar_recursion_backward_euler():
     u = 0.0
     for n in range(5):
         u = (mval * u + 0.1 * 1.0) / (mval + 0.1 * kval)
-        got = sol.interior(n + 1)[0]
+        got = sol.interior_levels()[n + 1, 0]
         assert abs(got - u) < 1e-13 * max(1.0, abs(u))
     print("final scalar value", u)
 
@@ -126,7 +126,7 @@ def test_march_scalar_recursion_crank_nicolson():
         b_half = 0.5 * (np.cos(dt * n) + np.cos(dt * (n + 1)))
         u = ((mval - 0.5 * dt * kval) * u + dt * b_half) / \
             (mval + 0.5 * dt * kval)
-        assert abs(sol.interior(n + 1)[0] - u) < 1e-13
+        assert abs(sol.interior_levels()[n + 1, 0] - u) < 1e-13
     assert sol.time_count == 8
     assert abs(sol.dt - dt) < 1e-15
 
@@ -741,7 +741,7 @@ def test_band_reaches_the_periodic_wrap_in_d2():
     A = (mass.matrix + 0.25 * K).toarray()
     u1 = np.linalg.solve(A, 0.25 * loads[1])
     u2 = np.linalg.solve(A, mass.matrix @ u1 + 0.25 * loads[2])
-    for got, want in ((sol.interior(1), u1), (sol.interior(2), u2)):
+    for got, want in zip(sol.interior_levels()[1:3], (u1, u2)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     x = linear_solve(K, loads[0])
     want = np.linalg.solve(K.toarray(), loads[0])
@@ -963,7 +963,8 @@ def test_adjoint_pairing_identity_dense():
     sol, = march_system(Mw, K.data[None, None], b_rows[None], m)
     v = adjoint_march_system(Mw, K.data[None], c_rows, m)
     dt = 0.2
-    lhs = dt * sum(c_rows[k] @ sol.interior(k) for k in range(1, N + 1))
+    lhs = dt * sum(c_rows[k] @ sol.interior_levels()[k]
+                   for k in range(1, N + 1))
     rhs = dt * sum(b_rows[k] @ v[k] for k in range(1, N + 1))
     print("pairing lhs", lhs, "rhs", rhs)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
