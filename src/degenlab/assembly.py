@@ -5,8 +5,10 @@ weighted data f, and the data Gram matrices.
 
 Every operator is a sum over the mesh cells of a cell value times an x_d
 pair table times an x' pair table (one 1-D factor per direction of the
-tensor element), scattered into a pair of named DoF spaces: ``interior``
-(node rows j = 1..M-1), ``nodes`` (j = 0..M) and ``nodes_no0`` (j = 1..M).
+tensor element; in dim 1 the x' table is [[1.0]], the one constant basis
+function of the phantom x' cell), scattered into a pair of named DoF
+spaces: ``interior`` (node rows j = 1..M-1), ``nodes`` (j = 0..M) and
+``nodes_no0`` (j = 1..M).
 That scatter depends on the mesh alone, so it is built once per (mesh, row
 space, column space) as a ``_ScatterPlan`` and kept, with the certified
 x_d^{-1} pair table and the load maps, among the mesh's tables.
@@ -157,14 +159,15 @@ class SparseOperator:
 _SPACES = {"interior": (1, 1), "nodes": (0, 0), "nodes_no0": (1, 0)}
 
 class _ScatterPlan:
-    """Where the 16 (trial corner, test corner) pairs of every cell land in
-    an operator from a column space to a row space, and the order a fold
-    sums them in, both fixed once: per kept contribution its cell and flat
-    indices into the x_d pair table (j, a, b) and the x' pair table
-    (a', b'), grouped by entry, the groups by size and then CSR entry.
-    ``starts`` are the group starts, ``buckets`` one (offset, groups, size)
-    per size and ``back`` puts the groups in the CSR order of ``indices``
-    and ``indptr``; a fold sorts only groups of 3 or more."""
+    """Where the (trial corner, test corner) pairs of every cell, 16 in dim
+    2 and 4 in dim 1, land in an operator from a column space to a row
+    space, and the order a fold sums them in, both fixed once: per kept
+    contribution its cell and flat indices into the x_d pair table
+    (j, a, b) and the x' pair table (a', b'), grouped by entry, the groups
+    by size and then CSR entry.  ``starts`` are the group starts,
+    ``buckets`` one (offset, groups, size) per size and ``back`` puts the
+    groups in the CSR order of ``indices`` and ``indptr``; a fold sorts
+    only groups of 3 or more (none in dim 1 for one term: 2 at most)."""
 
     def __init__(self, mesh, rows, cols):
         npc = mesh.xprime_count
@@ -174,15 +177,17 @@ class _ScatterPlan:
                               for s in (rows, cols)]
         nrows, ncols = (r1 - r0 + 1) * npc, (c1 - c0 + 1) * npc
         cells, keys = [], []
-        for axd, bxd, aq, bq in itertools.product((0, 1), repeat=4):
+        xp = (0, 1) if mesh.dim == 2 else (0,)      # x' corner offsets
+        for axd, bxd, aq, bq in itertools.product((0, 1), (0, 1), xp, xp):
             k = np.nonzero((r0 <= j + bxd) & (j + bxd <= r1)
                            & (c0 <= j + axd) & (j + axd <= c1))[0]
             row = (j[k] + bxd - r0) * npc + (m[k] + bq) % npc
             col = (j[k] + axd - c0) * npc + (m[k] + aq) % npc
             cells.append(k)
             keys.append(row * ncols + col)
-        # corners of the i-th pair: 2 axd + bxd = i >> 2, 2 aq + bq = i & 3
-        pair = np.repeat(np.arange(16), [k.size for k in cells])
+        # corners of the i-th pair: 2 axd + bxd = i // len(xp)**2 and, in
+        # dim 2, 2 aq + bq = i % 4
+        pair = np.repeat(np.arange(len(cells)), [k.size for k in cells])
         keys = np.concatenate(keys)
         by_key = np.argsort(keys, kind="stable")
         ordered = keys[by_key]
@@ -193,7 +198,8 @@ class _ScatterPlan:
         order = by_key[np.argsort(np.repeat(sizes, sizes).astype(np.int16),
                                   kind="stable")]
         self.cell, pair = np.concatenate(cells)[order], pair[order]
-        self.xd_at, self.xp_at = j[self.cell] * 4 + (pair >> 2), pair & 3
+        xd_pair, self.xp_at = np.divmod(pair, len(xp) ** 2)
+        self.xd_at = j[self.cell] * 4 + xd_pair
         by_size = np.argsort(sizes, kind="stable")
         self.starts = np.cumsum(sizes[by_size]) - sizes[by_size]
         size, groups = np.unique(sizes, return_counts=True)
@@ -239,8 +245,11 @@ def _plan(mesh, rows, cols):
     return _cached(mesh, (rows, cols), lambda: _ScatterPlan(mesh, rows, cols))
 
 
-def _xprime_width(mesh):
-    return mesh.xprime_spacing if mesh.dim == 2 else 1.0
+def _xprime_pair(mesh, trial_deriv, test_deriv):
+    """The x' pair table; in dim 1 [[1.0]], the phantom cell's one constant
+    basis function, never differentiated."""
+    return np.ones((1, 1)) if mesh.dim == 1 else _pair(
+        mesh.xprime_spacing, trial_deriv, test_deriv)
 
 
 def _term(mesh, cellvals, trial, test):
@@ -249,15 +258,15 @@ def _term(mesh, cellvals, trial, test):
     None for none."""
     xd = mesh.dim - 1
     return (cellvals, _pair(mesh.xd_widths, trial == xd, test == xd),
-            _pair(_xprime_width(mesh), trial not in (None, xd),
-                  test not in (None, xd)))
+            _xprime_pair(mesh, trial not in (None, xd),
+                         test not in (None, xd)))
 
 
 def _weighted_term(mesh, cellvals):
     """Fold term of int phi_a phi_b x_d^{-1} weighted by cellvals
     (levels, cells)."""
     return (cellvals, xd_weighted_pairs(mesh),
-            _pair(_xprime_width(mesh), False, False))
+            _xprime_pair(mesh, False, False))
 
 
 def _one_level(plan, terms):
@@ -399,8 +408,7 @@ class LoadAssembler:
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.W, self.G = _cached(mesh, ("loads", _xprime_width(mesh)),
-                                 lambda: _load_maps(mesh))
+        self.W, self.G = _cached(mesh, "loads", lambda: _load_maps(mesh))
 
     def assemble(self, F, f, lam, t=0.0):
         """Nodal-interpolated loads at time t, one interior vector; for a

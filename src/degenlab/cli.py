@@ -418,6 +418,7 @@ def _mms_scales(c):
 # the key (x' keys only in dim 2).
 _COMMAND_RULES = (
     (COMMANDS, "seed", lambda c: c["seed"] >= 0, "at least 0"),
+    (COMMANDS, "out_dir", lambda c: c["out_dir"] != "", "a non-empty path"),
     (COMMANDS, "xprime_count",
      lambda c: c["dim"] == 1 or c["xprime_count"] >= 1, "at least 1 in dim 2"),
     (COMMANDS, "xprime_length",

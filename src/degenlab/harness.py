@@ -295,14 +295,17 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
         gamma, _ = oscillation_scan(coeffs, mesh, rhos)
         families.append((float(eps), coeffs, gamma))
 
-    data_norms = {}
+    data_norms, load_parts = {}, {}
 
     def wp_norms(m, coeffs):
         """Per p of ps, (lhs, rhs) per lambda on mesh m: one march of the
-        lambda grid per (mesh, field), and the lambda-free data norm once
-        per (mesh, p)."""
+        lambda grid per (mesh, field) on load parts sampled once per mesh,
+        and the lambda-free data norm once per (mesh, p)."""
+        if m not in load_parts:
+            load_parts[m] = LoadAssembler(m).parts(problem.F, problem.f,
+                                                   m.time_levels)
         sols = Marcher(m, coeffs, problem.config).march(
-            lambdas, F=problem.F, f=problem.f)
+            lambdas, parts=load_parts[m])
         skip = m.time_count // 10
         out = []
         for q in ps:

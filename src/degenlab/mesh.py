@@ -3,7 +3,8 @@
 The x_d direction is graded toward the degenerate boundary x_d = 0 by the
 power law  node_j = L_d * (j/M)**kappa.  In dim = 2 the lateral direction x'
 is a uniform periodic interval of length L'; in dim = 1 it collapses to a
-single phantom cell of length 1 so that all measures reduce to dx_d.
+single phantom cell of length 1 with one constant x' basis function, so
+that all measures reduce to dx_d.
 Time is a uniform grid t_n = n*dt, n = 0..time_count.  The cells of a
 cylinder are found once per (mesh, cylinder geometry) and shared read-only.
 """

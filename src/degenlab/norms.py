@@ -8,8 +8,8 @@ integrand is |e|^p, where e is the bilinear field (order 0) or its exact
 elementwise gradient (order 1) minus the same of analytic callables (zero
 unless given; called once per chunk of levels).  So error norms and norms
 of analytic callables are the same integral: the latter is the error of the
-zero field.  Order 2 uses nodal second differences (the three-point
-formulas are exact on quadratics).
+zero field, integrated with no corners gathered.  Order 2 uses nodal second
+differences (the three-point formulas are exact on quadratics).
 
 The geometry of the kernel is a ``_NormPlan``, built once per (mesh, space
 cell set, weight exponent) and kept in the mesh's cache: the corner gather,
@@ -153,11 +153,11 @@ def _level_powers(mesh, levels, spec, space_cells, exact, times):
     selected space cells (None: all) of |e|^p x_d^alpha, where e is the
     field (order 0) or its gradient (order 1) minus the same of ``exact``: a
     dict of callables (t, x', x_d) 'u' and 'du' (tuple ordered (x', x_d) in
-    dim 2), zero when None.  Each level is summed as one contiguous row in
-    (cell, s, q) order, so its value depends neither on the other levels
-    nor on the chunking.  In dim 1, m1 == m and Q = 1 - Q = 1/2, so the
-    third and fourth corner terms equal the first and second, and the x'
-    derivative is 0."""
+    dim 2), zero when None; ``levels`` None is the zero field (order 0).
+    Each level is summed as one contiguous row in (cell, s, q) order, so
+    its value depends neither on the other levels nor on the chunking.  In
+    dim 1 the phantom x' cell has one constant basis function, so a cell
+    has two corners and no x' derivative."""
     order = spec.derivative_order
     if order == "2_full":
         if exact is not None:
@@ -168,7 +168,7 @@ def _level_powers(mesh, levels, spec, space_cells, exact, times):
 
     p = spec.p
     flat = None if space_cells is None else np.asarray(space_cells, int)
-    powers = np.zeros(len(levels))
+    powers = np.zeros(len(times))
     if flat is not None and flat.size == 0:
         return powers
     plan = _norm_plan(mesh, flat, spec.weight_exponent)
@@ -176,36 +176,40 @@ def _level_powers(mesh, levels, spec, space_cells, exact, times):
     S, S1, Q, Q1 = plan.S, plan.S1, plan.Q, plan.Q1
     chunk = max(1, _CHUNK_POINTS // plan.points)
 
-    for a in range(0, len(levels), chunk):
-        values = levels[a:a + chunk]
+    for a in range(0, len(times), chunk):
         t = times[a:a + chunk, None, None, None]
-        u00 = values[:, plan.j, plan.m]         # (C, cells)
-        u10 = values[:, plan.j1, plan.m]
-        if dim2:
-            u01 = values[:, plan.j, plan.m1]
-            u11 = values[:, plan.j1, plan.m1]
-        if order == "0":
-            g = u00 * S1 * Q1
-            t2 = u10 * S * Q1
+        if levels is not None:
+            values = levels[a:a + chunk]
+            u00 = values[:, plan.j, plan.m]     # (C, cells)
+            u10 = values[:, plan.j1, plan.m]
             if dim2:
-                g += t2
+                u01 = values[:, plan.j, plan.m1]
+                u11 = values[:, plan.j1, plan.m1]
+        if levels is None:      # |0 - e| is |e|, laid out (C, cells, s, q)
+            e = _exact_at(exact["u"], t, plan.xp, plan.x)
+            core = np.abs(np.broadcast_to(e, np.broadcast_shapes(
+                t.shape, np.shape(plan.xp), plan.x.shape)))
+            core **= p
+            core = core.transpose(2, 3, 0, 1)   # a point-major view
+        elif order == "0":
+            if dim2:
+                g = u00 * S1 * Q1
+                g += u10 * S * Q1
                 g += u01 * S1 * Q
                 g += u11 * S * Q
             else:
-                t1 = g
-                g = t1 + t2
-                g += t1
-                g += t2
+                g = u00 * S1
+                g += u10 * S
             if exact is not None:
                 g = _minus(g, _exact_at(exact["u"], t, plan.xp, plan.x))
             core = np.abs(g, out=g)
             core **= p
         else:
-            ed = (u10 - u00) * Q1
             if dim2:
+                ed = (u10 - u00) * Q1
                 ed += (u11 - u01) * Q
             else:
-                ed += ed
+                ed = (u10 - u00)[None, None]
             ed /= plan.h
             if exact is not None:
                 ed = _minus(ed, _exact_at(exact["du"][-1], t, plan.xp,
@@ -233,7 +237,7 @@ def _level_powers(mesh, levels, spec, space_cells, exact, times):
         core *= plan.w2
         core *= plan.cellsize
         powers[a:a + chunk] = \
-            core.transpose(2, 3, 0, 1).reshape(len(values), -1).sum(axis=1)
+            core.transpose(2, 3, 0, 1).reshape(len(t), -1).sum(axis=1)
     return powers
 
 
@@ -366,8 +370,7 @@ def analytic_norm(mesh, func, spec, skip_initial=0):
     if spec.derivative_order != "0":
         raise ValueError("analytic_norm supports derivative_order '0' only")
     ends, space_cells = _region_cells(mesh, spec, skip_initial)
-    zeros = np.broadcast_to(0.0, (ends.size, mesh.M + 1, mesh.xprime_count))
-    return _rectangle_norm(mesh, zeros, mesh.time_levels[ends],
+    return _rectangle_norm(mesh, None, mesh.time_levels[ends],
                            mesh.time_step, spec, space_cells, {"u": func})
 
 
@@ -432,15 +435,12 @@ def cell_center_gradients(mesh, values):
     values = np.asarray(values, float)
     h = mesh.xd_widths[:, None]
     out = np.empty(values.shape[:-2] + (mesh.M, mesh.xprime_count, mesh.dim))
-    vr = np.roll(values, -1, axis=-1) if mesh.dim == 2 else values
     lo, hi = values[..., :-1, :], values[..., 1:, :]
-    vr_lo, vr_hi = vr[..., :-1, :], vr[..., 1:, :]
-    dd = 0.5 * ((hi - lo) + (vr_hi - vr_lo)) / h
     if mesh.dim == 1:
-        out[..., 0] = dd
+        out[..., 0] = (hi - lo) / h
         return out
-    delta = mesh.xprime_spacing
-    dp = 0.5 * ((vr_lo - lo) + (vr_hi - hi)) / delta
-    out[..., 0] = dp
-    out[..., 1] = dd
+    vr = np.roll(values, -1, axis=-1)
+    vr_lo, vr_hi = vr[..., :-1, :], vr[..., 1:, :]
+    out[..., 0] = 0.5 * ((vr_lo - lo) + (vr_hi - hi)) / mesh.xprime_spacing
+    out[..., 1] = 0.5 * ((hi - lo) + (vr_hi - vr_lo)) / h
     return out

@@ -7,7 +7,10 @@ value and the reason for it.  Never regenerate to make a defect pass.
 
 With --check nothing is written: every stored value that the checkout
 computes differently (compared bitwise, as float.hex) is printed with its
-path, and the exit status is 1 if any would move, else 0.  The platform it
+path, then their count and the largest relative move among them (any
+move of a leaf that is not a float counts as infinite) and whether it is
+within test_golden.RTOL, and the exit status is 1 if any would move, else
+0.  The platform it
 computed on (numpy and scipy versions, numpy's dispatch targets and
 OpenBLAS's core) is printed to stderr, so a count of moved values names
 the machine it holds on.
@@ -33,6 +36,7 @@ import contextlib
 import ctypes
 import glob
 import json
+import math
 import os
 import re
 import sys
@@ -110,6 +114,17 @@ def platform():
         " ".join(_multiarray_umath.__cpu_dispatch__), core)
 
 
+def relative_move(stored, got):
+    """|got - stored| / max(|stored|, |got|) for two float.hex leaves, as
+    test_golden compares them with RTOL; infinite for any other leaf."""
+    try:
+        a, b = float.fromhex(stored), float.fromhex(got)
+    except (TypeError, ValueError):
+        return math.inf
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 0 else 0.0
+
+
 def _show(value):
     """A float.hex leaf as its decimal value, anything else as is."""
     try:
@@ -152,7 +167,15 @@ def main(argv=None):
         changes = list(moved(want, values))
         for path, stored, got in changes:
             print("%s: %s -> %s" % (path, _show(stored), _show(got)))
-        print("%d value(s) differ from %s" % (len(changes), reference))
+        line = "%d value(s) differ from %s" % (len(changes), reference)
+        if changes:
+            move, path = max((relative_move(stored, got), path)
+                             for path, stored, got in changes)
+            line += "; the largest relative move, %.2g at %s, is %s " \
+                "test_golden.RTOL = %g" % (
+                    move, path, "within" if move <= test_golden.RTOL
+                    else "over", test_golden.RTOL)
+        print(line)
         return 1 if changes else 0
     if args.only:
         for path, steps in zip(args.only, only):

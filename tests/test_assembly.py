@@ -296,6 +296,23 @@ def test_fold_is_the_value_ordered_sum(dim, npc):
             assert plan.fold(terms[::-1]).tobytes() == data.tobytes()
 
 
+def test_d1_operators_are_the_textbook_1d_sums_bitwise():
+    # the phantom x' cell has one constant basis function: a cell adds 4
+    # contributions, an interior entry sums at most 2, a fold sorts nothing
+    m = _small_mesh(1)
+    plan = assembly._plan(m, "interior", "interior")
+    assert [int(size) for _, _, size in plan.buckets] == [1, 2]
+    h, I = m.xd_widths, assembly.xd_weighted_pairs(m)
+    for mat, diag, off in (
+            (model_stiffness(m).matrix, 1 / h[:-1] + 1 / h[1:], -1 / h[1:-1]),
+            (assemble_weighted_mass(m).matrix, I[:-1, 1, 1] + I[1:, 0, 0],
+             I[1:-1, 0, 1])):
+        assert mat.nnz == 3 * m.n_interior - 2
+        assert mat.diagonal().tobytes() == diag.tobytes()
+        assert mat.diagonal(1).tobytes() == off.tobytes()
+        assert mat.diagonal(-1).tobytes() == off.tobytes()
+
+
 def test_mesh_only_operators_are_shared_read_only():
     m = _small_mesh(2)
     for build in (model_stiffness, assemble_weighted_mass,

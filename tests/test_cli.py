@@ -181,14 +181,16 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="caccioppoli", lambda_grid=[1.0, -1.0]), "lambda_grid"),
     (dict(command="sweep", **{"lambda": 0.0}), "lambda"),
     (dict(command="sweep", lambda_grid=[0.0, 1.0]), "lambda_grid"),
-    (dict(command="hardy", seed=-3), "seed")],
+    (dict(command="hardy", seed=-3), "seed"),
+    (dict(command="hardy", out_dir=""), "out_dir")],
     ids=["cacc-r_inner", "wlemma-r_inner", "r_outer", "lipschitz-r_inner",
          "cyl_radius", "xprime_length", "xprime_count", "rho_grid", "kind",
          "eps", "eps_grid", "rho0", "cyl_time", "cyl_time-end", "theta",
          "theta-range", "nu", "mms_meshes-length",
          "mms_meshes-size", "mms_meshes-increasing", "mms_meshes-squares",
          "export_matrix", "eps-margin", "eps_grid-margin", "lambda",
-         "lambda_grid", "sweep-lambda", "sweep-lambda_grid", "seed"])
+         "lambda_grid", "sweep-lambda", "sweep-lambda_grid", "seed",
+         "out_dir"])
 def test_command_rules_refuse_before_anything_is_built(
         tmp_path, capsys, monkeypatch, config, key):
     built = []
@@ -563,6 +565,17 @@ def test_a_local_command_samples_each_seed_sources_once(tmp_path,
     assert len(samples) == 4
 
 
+def test_the_sweep_samples_its_sources_once_per_mesh(tmp_path, monkeypatch):
+    # F and f on the mesh and on its refinement, each sampled for the first
+    # amplitude and kept for the second
+    samples = _counting(monkeypatch, degenlab.assembly, "sample_nodes")
+    raw = GOLDEN["sweep"]
+    assert (raw["eps_grid"], raw["with_F"], raw["with_f"]) == \
+        ([0.0, 0.2], True, True)
+    assert run(parse_config(dict(raw, out_dir=str(tmp_path))))[0] == 0
+    assert len(samples) == 4
+
+
 @pytest.mark.parametrize("command", ["caccioppoli", "wlemma", "lipschitz"])
 def test_a_local_command_writes_what_fresh_assembly_writes(
         tmp_path, monkeypatch, command):
@@ -688,6 +701,15 @@ def test_a_negative_seed_from_the_command_line_is_refused_by_name(
     assert "config error: key 'seed' must be at least 0 for command " \
         "'sweep', got -3" in capsys.readouterr().err
     assert not os.path.exists(alt)
+
+
+def test_an_empty_out_dir_from_the_command_line_is_refused_by_name(
+        tmp_path, capsys):
+    path = _small_sweep(tmp_path, lambda_grid=[3.0])
+    assert main(["run", path, "--out", ""]) == 2
+    assert "config error: key 'out_dir' must be a non-empty path for " \
+        "command 'sweep', got ''" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_duality_and_hardy_commands(tmp_path):

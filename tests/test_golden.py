@@ -293,6 +293,31 @@ def test_regen_check_against_a_values_file(tmp_path, capsys):
         runs[name] = paths
     assert runs["stored"] == runs["check"]
     assert sorted(runs["moved"]) == sorted(set(runs["check"]) | {path})
+    assert lines[-1].endswith("; the largest relative move, 0.5 at %s, is "
+                              "over test_golden.RTOL = 1e-12" % path)
+
+
+def test_regen_check_names_the_largest_relative_move(monkeypatch, capsys):
+    # a value moved by about 1e-15 relative is within RTOL; a moved pass
+    # flag is no float, so its move counts as infinite
+    regen = _regen()
+    computed = _load()
+    row = computed["cli"]["hardy"]["reports"][0]
+    a = float.fromhex(row[2])
+    b = a * (1 + 2.0 ** -50)
+    row[2] = _hex(b)
+    monkeypatch.setattr(regen.test_golden, "collect",
+                        lambda tmp_dir: json.loads(json.dumps(computed)))
+    assert regen.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "1 value(s) differ from %s; the largest relative move, %.2g at "
+        "/cli/hardy/reports[0][2], is within test_golden.RTOL = 1e-12"
+        % (GOLDEN, abs(b - a) / max(abs(a), abs(b))))
+    row[4] = not row[4]
+    assert regen.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "; the largest relative move, inf at /cli/hardy/reports[0][4], is "
+        "over test_golden.RTOL = 1e-12")
 
 
 def test_regen_only_rewrites_the_named_paths(tmp_path, monkeypatch):

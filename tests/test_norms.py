@@ -340,7 +340,8 @@ def test_exact_callable_must_broadcast_the_chunk_times():
 
 def _reference_level_powers(mesh, levels, spec, space_cells, exact, times):
     """The unplanned (levels, cells, 8, q) kernel that _level_powers
-    replaced: geometry built per call, four corner terms in both dims."""
+    replaced: geometry built per call, four corner terms in dim 2 and in
+    dim 1 the two x_d corners, each of unit x' weight."""
     if spec.derivative_order == "2_full":
         mag = second_difference_magnitude(mesh, levels)
         inner = NormSpec(spec.p, spec.weight_exponent, "0")
@@ -371,12 +372,14 @@ def _reference_level_powers(mesh, levels, spec, space_cells, exact, times):
     u00, u10, u01, u11 = np.moveaxis(corners, 1, 0)[..., None, None]
     if order == "0":
         g = (u00 * (1 - S) * (1 - Q) + u10 * S * (1 - Q)
-             + u01 * (1 - S) * Q + u11 * S * Q)
+             + u01 * (1 - S) * Q + u11 * S * Q) if mesh.dim == 2 \
+            else u00 * (1 - S) + u10 * S
         core = np.abs(g - exact["u"](t, xp, x)) ** p
     else:
         du = exact["du"]
-        ed = ((u10 - u00) * (1 - Q) + (u11 - u01) * Q) \
-            / h[:, None, None] - du[-1](t, xp, x)
+        ed = ((u10 - u00) * (1 - Q) + (u11 - u01) * Q) if mesh.dim == 2 \
+            else u10 - u00
+        ed = ed / h[:, None, None] - du[-1](t, xp, x)
         if order == "1_xd":
             core = np.abs(ed) ** p
         else:
