@@ -20,7 +20,6 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.io import mmwrite
 
 from .assembly import AssemblyError, assemble_stiffness
 from .coefficients import (_AUTONOMOUS_KINDS, KINDS, _eps_too_large,
@@ -128,6 +127,7 @@ def _cmd_solve(cfg):
                     sol.levels[n, j, m]))
     artifacts = [("solution.csv", "\n".join(lines) + "\n")]
     if cfg["export_matrix"]:
+        from scipy.io import mmwrite    # only this export loads scipy.io
         K = assemble_stiffness(mesh, problem.coeffs, cfg["lambda"])
         buf = io.BytesIO()
         mmwrite(buf, K.matrix)
@@ -184,15 +184,14 @@ def _cmd_lipschitz(cfg):
 
 
 def _cmd_duality(cfg):
-    # duality_check marches a field of its own per seed and reads only the
-    # mesh, coeffs.nu and rho0 of its problem: it needs no field at eps
+    """One report per lambda.  duality_check marches a field of its own per
+    seed, which the one problem keeps for every lambda, and reads only the
+    mesh, coeffs.nu and rho0 of it: the problem needs no field at eps."""
     problem = _problem(cfg, eps=0.0)
-    report = duality_check(problem, p=cfg["p"],
-                           seeds=range(cfg["seed"],
-                                        cfg["seed"] + cfg["duality_seeds"]),
-                           lam=cfg["lambda"], kind=cfg["kind"],
-                           eps=cfg["eps"])
-    return [report], [], []
+    seeds = range(cfg["seed"], cfg["seed"] + cfg["duality_seeds"])
+    return [duality_check(problem, p=cfg["p"], seeds=seeds, lam=lam,
+                          kind=cfg["kind"], eps=cfg["eps"])
+            for lam in _values(cfg, "lambda")], [], []
 
 
 def _cmd_corollary2(cfg):
@@ -378,7 +377,7 @@ _STEPPERS = tuple(c for c in COMMANDS if c not in ("hardy", "oscillation"))
 # The grid that replaces each scalar key, and the commands that read it: a
 # command reads the grid's entries where it reads the grid and the grid is
 # given, and the key's one value otherwise.
-_GRIDS = {"lambda": ("lambda_grid", ("sweep",) + _LOCAL),
+_GRIDS = {"lambda": ("lambda_grid", ("sweep", "duality") + _LOCAL),
           "p": ("p_grid", ("sweep", "corollary2", "trace", "hardy")),
           "eps": ("eps_grid", ("sweep",))}
 

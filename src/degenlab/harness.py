@@ -12,8 +12,10 @@ What depends on a problem alone is derived once per frozen ``ProblemSpec``:
 its ``Marcher`` serves every solution marched for it, the structure
 condition of its field is decided once, and each source is sampled once,
 its own F and f for the march and the data norms alike, a local seed's for
-every lambda.  A solution keeps every norm integrated of it, so the local
-checks that read one norm of one cylinder integrate it once.
+every lambda, and a duality seed's field, operators and loads are built
+once for every lambda checked with it.  A solution keeps every norm
+integrated of it, so the local checks that read one norm of one cylinder
+integrate it once.
 Empirical constants are recorded, never asserted against specific values;
 pass criteria are boundedness, refinement stability, and lambda-uniformity.
 """
@@ -114,7 +116,8 @@ class ProblemSpec:
     Assigning a field raises (``dataclasses.replace`` makes a new problem),
     so what derives from the fields is built on first use, kept read-only
     and cannot go stale: the marcher, the structure condition, the node
-    samples of F and f, and the load parts of each local seed's sources."""
+    samples of F and f, the load parts of each local seed's sources, and
+    each duality seed's marcher and load parts."""
 
     mesh: object
     coeffs: object
@@ -169,6 +172,23 @@ class ProblemSpec:
             LoadAssembler(self.mesh).parts(
                 *_local_sources(self.mesh, seed, x_lo, x_hi),
                 self.mesh.time_levels)))
+
+    def duality_seed(self, seed, kind, eps):
+        """(marcher, forward parts, dual parts) of one duality_check seed,
+        for every lambda checked with it: the Marcher at theta = 1 of the
+        seed's field of kind at amplitude eps and the problem's nu, and the
+        ``LoadAssembler.parts`` at the mesh's time levels of the seed's
+        forward data (F, f) and dual data (B, b)."""
+        def build():
+            mesh = self.mesh
+            coeffs = generate_family(seed, kind, self.coeffs.nu, eps,
+                                     dim=mesh.dim,
+                                     xp_length=mesh.xprime_length)
+            loads = LoadAssembler(mesh)
+            fwd, dual = (_read_only(loads.parts(*data, mesh.time_levels))
+                         for data in _duality_sources(mesh, seed))
+            return Marcher(mesh, coeffs), fwd, dual
+        return self._derive(("duality", seed, kind, eps), build)
 
 
 def _read_only(kept):
@@ -381,6 +401,16 @@ def _local_sources(mesh, seed, x_lo, x_hi):
     return tuple(enveloped(g) for g in raw[1:]), enveloped(raw[0])
 
 
+def _duality_sources(mesh, seed):
+    """((F, f), (B, b)) of one duality_check seed: the forward and the dual
+    data, random closures of the seed."""
+    def closure(k):
+        return smooth_random_closure(7919 * seed + k, mesh.dim,
+                                     xp_length=mesh.xprime_length)
+    return ((tuple(closure(11 + i) for i in range(mesh.dim)), closure(5)),
+            (tuple(closure(101 + i) for i in range(mesh.dim)), closure(107)))
+
+
 def locally_homogeneous_solution(problem, cylinder, lam=1.0, seed=None):
     """Produce a solution whose sources vanish identically on and well above
     the given boundary cylinder, so the discrete equation is homogeneous
@@ -581,27 +611,23 @@ def duality_check(problem, p=2.0, seeds=(0, 1, 2, 3, 4), lam=1.0,
     pairing of the forward solution with the second data set equals the
     pairing of the backward (transposed-coefficient) solution with the
     first, up to roundoff.  Both march at theta = 1, whatever the
-    problem's stepper says.  Reports the worst seed; pass requires relative
-    agreement to 1e-8 on every seed.
+    problem's stepper says, through the seed's marcher and load parts
+    that the problem keeps (``ProblemSpec.duality_seed``), so a seed
+    checked at many lambdas derives them once.  Reports the worst of the
+    seeds, at least one; pass requires relative agreement to 1e-8 on
+    every seed.
     """
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
     mesh = problem.mesh
     worst = (None, -1.0, 0.0, 0.0)     # (seed, rel, |P1-P2|, max|P|)
     rels = []
     for s in seeds:
-        coeffs = generate_family(int(s), kind, problem.coeffs.nu, eps,
-                                 dim=mesh.dim, xp_length=mesh.xprime_length)
-
-        def closure(k):
-            return smooth_random_closure(7919 * int(s) + k, mesh.dim,
-                                         xp_length=mesh.xprime_length)
-        F = tuple(closure(11 + i) for i in range(mesh.dim))
-        f = closure(5)
-        B = tuple(closure(101 + i) for i in range(mesh.dim))
-        bfun = closure(107)
-        marcher = Marcher(mesh, coeffs)
-        u = marcher.march([lam], F=F, f=f)[0]
+        marcher, fwd, dual = problem.duality_seed(s, kind, eps)
+        u = marcher.march([lam], parts=fwd)[0]
         b_rows = u.loads
-        c_rows = LoadAssembler(mesh).assemble(B, bfun, lam, u.times)
+        c_rows = LoadAssembler.combine(dual, lam)
         v = marcher.adjoint(lam, c_rows)
         dt = u.dt
         P1 = dt * float(np.sum(c_rows[1:] * u.interior_levels()[1:]))
@@ -610,10 +636,10 @@ def duality_check(problem, p=2.0, seeds=(0, 1, 2, 3, 4), lam=1.0,
         rel = abs(P1 - P2) / scale if scale > 0 else 0.0
         rels.append(rel)
         if rel > worst[1]:
-            worst = (int(s), rel, abs(P1 - P2), scale)
+            worst = (s, rel, abs(P1 - P2), scale)
     params = {"lambda": lam, "p": float(p), "mesh_M": mesh.M,
               "dt": mesh.time_step, "seed": worst[0], "rho0": problem.rho0,
-              "n_seeds": len(list(seeds)),
+              "n_seeds": len(seeds),
               "kind": kind, "eps": eps, "rel_errors_max": max(rels)}
     passed = all(r <= 1e-8 for r in rels)
     return EstimateReport("duality", worst[2], worst[3], params=params,

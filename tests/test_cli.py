@@ -179,6 +179,7 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="sweep", eps_grid=[0.0, 0.6]), "eps_grid"),
     (dict(command="solve", **{"lambda": -1}), "lambda"),
     (dict(command="caccioppoli", lambda_grid=[1.0, -1.0]), "lambda_grid"),
+    (dict(command="duality", lambda_grid=[1.0, -1.0]), "lambda_grid"),
     (dict(command="sweep", **{"lambda": 0.0}), "lambda"),
     (dict(command="sweep", lambda_grid=[0.0, 1.0]), "lambda_grid"),
     (dict(command="hardy", seed=-3), "seed"),
@@ -189,8 +190,8 @@ def test_p_below_two_is_refused_only_where_read():
          "theta-range", "nu", "mms_meshes-length",
          "mms_meshes-size", "mms_meshes-increasing", "mms_meshes-squares",
          "export_matrix", "eps-margin", "eps_grid-margin", "lambda",
-         "lambda_grid", "sweep-lambda", "sweep-lambda_grid", "seed",
-         "out_dir"])
+         "lambda_grid", "duality-lambda_grid", "sweep-lambda",
+         "sweep-lambda_grid", "seed", "out_dir"])
 def test_command_rules_refuse_before_anything_is_built(
         tmp_path, capsys, monkeypatch, config, key):
     built = []
@@ -225,13 +226,15 @@ def test_command_rules_bind_only_where_the_key_is_read():
     assert parse_config({"command": "solve", "rho0": -1.0, "theta": 0.5,
                          "eps_grid": [-0.1], "cyl_time": -1.0})
     assert parse_config({"command": "sweep", "cyl_time": 5.0, "theta": 0.5})
-    # a lambda_grid replaces lambda where it is read, by sweep and the
-    # local commands; hardy and oscillation march nothing
+    # a lambda_grid replaces lambda where it is read, by sweep, duality and
+    # the local commands; hardy and oscillation march nothing
     assert parse_config({"command": "hardy", "lambda": -1.0})
     assert parse_config({"command": "oscillation", "lambda": -1.0})
     assert parse_config({"command": "sweep", "lambda": 0.0,
                          "lambda_grid": [1.0]})
     assert parse_config({"command": "wlemma", "lambda": -1.0,
+                         "lambda_grid": [0.0]})
+    assert parse_config({"command": "duality", "lambda": -1.0,
                          "lambda_grid": [0.0]})
     assert parse_config({"command": "solve", "lambda_grid": [-1.0]})
     # hardy and corollary2 build no coefficient field
@@ -745,9 +748,8 @@ def test_duality_marches_the_seeds_from_the_config_seed(tmp_path):
     assert csv[7] != csv[0]
 
 
-def test_duality_builds_only_the_fields_it_marches(tmp_path, monkeypatch):
-    # the seeds 7 and 8 at the config's eps, and the problem's field at
-    # amplitude 0
+def _recording_fields(monkeypatch):
+    """(seed, eps) of every generate_family call from now on."""
     made = []
     for module in (degenlab.cli, degenlab.harness):
         real = module.generate_family
@@ -757,10 +759,41 @@ def test_duality_builds_only_the_fields_it_marches(tmp_path, monkeypatch):
             return real(seed, kind, nu, eps, *args, **kwargs)
 
         monkeypatch.setattr(module, "generate_family", recording)
+    return made
+
+
+def test_duality_builds_only_the_fields_it_marches(tmp_path, monkeypatch):
+    # the seeds 7 and 8 at the config's eps, and the problem's field at
+    # amplitude 0
+    made = _recording_fields(monkeypatch)
     raw = dict(GOLDEN["duality"], seed=7, out_dir=str(tmp_path))
     assert (raw["duality_seeds"], raw["eps"]) == (2, 0.2)
     assert run(parse_config(raw))[0] == 0
     assert sorted(made) == [(7, 0.0), (7, 0.2), (8, 0.2)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_duality_over_a_lambda_grid_derives_each_seed_once(tmp_path,
+                                                           monkeypatch, dim):
+    # one row per lambda, each the row of a run at that lambda alone; the
+    # sources (F, f, B, b) and the field of each of the 2 seeds are built
+    # for the first lambda and kept for the others
+    raw = dict(GOLDEN["duality"], dim=dim, seed=7,
+               lambda_grid=[0.5, 2.0, 8.0])
+    assert raw["duality_seeds"] == 2
+    made = _recording_fields(monkeypatch)
+    samples = _counting(monkeypatch, degenlab.assembly, "sample_nodes")
+    assert main(["run", _write_cfg(tmp_path, **raw)]) == 0
+    assert len(samples) == (2 * dim + 2) * 2
+    assert sorted(made) == [(7, 0.0), (7, 0.2), (8, 0.2)]
+    rows = (tmp_path / "out" / "reports.csv").read_text().splitlines()
+    assert len(rows) == 4
+    for lam, row in zip(raw["lambda_grid"], rows[1:]):
+        out = str(tmp_path / ("out_%r" % lam))
+        alone = dict(raw, lambda_grid=None, out_dir=out, **{"lambda": lam})
+        assert run(parse_config(alone))[0] == 0
+        with open(os.path.join(out, "reports.csv")) as fh:
+            assert fh.read().splitlines() == [rows[0], row]
 
 
 def test_corollary2_marches_once_for_its_p_grid(tmp_path, monkeypatch):
@@ -811,6 +844,17 @@ def test_only_the_commands_that_march_the_sources_build_them():
     for command in ("duality", "caccioppoli", "wlemma", "lipschitz"):
         problem = degenlab.cli._problem(parse_config({"command": command}))
         assert problem.F is None and problem.f is None
+
+
+def test_importing_the_cli_loads_no_scipy_io():
+    # only solve's export_matrix writes a matrix; a child process, so that
+    # this suite's own imports of scipy.io cannot hide one at module load
+    code = "import sys, degenlab, degenlab.cli; print('scipy.io' in " \
+        "sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_linear_tol_is_an_unknown_config_key(tmp_path, capsys):

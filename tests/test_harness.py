@@ -534,6 +534,40 @@ def test_duality_check_d2_nonsymmetric(monkeypatch):
     print("duality d2 rel", rep.params["rel_errors_max"])
 
 
+def test_duality_check_reads_its_seeds_once_and_needs_one():
+    prob = _problem_d1(M=8, time_count=4)
+    args = dict(lam=1.0, kind="xd_only", eps=0.2)
+    rep = duality_check(prob, seeds=(s for s in (0, 1)), **args)
+    assert rep.params["n_seeds"] == 2
+    assert rep.to_json() == duality_check(prob, seeds=(0, 1), **args).to_json()
+    with pytest.raises(ValueError, match=r"^seeds must name at least one "):
+        duality_check(prob, seeds=(), **args)
+
+
+def test_a_problem_keeps_each_duality_seed_for_every_lambda(monkeypatch):
+    args = dict(seeds=(0, 1), kind="xd_only", eps=0.2)
+    fresh = duality_check(_problem_d1(M=8, time_count=4), lam=4.0, **args)
+    prob = _problem_d1(M=8, time_count=4)
+    duality_check(prob, lam=1.0, **args)
+    marcher, fwd, dual = prob.duality_seed(0, "xd_only", 0.2)
+    assert marcher.config.theta == 1.0
+    parts = [a for part in (fwd, dual) for a in part if a is not None]
+    assert len(parts) == 4 and not any(a.flags.writeable for a in parts)
+    # a second lambda samples no source and builds no field or operator
+    samples = _count_calls(monkeypatch, degenlab.assembly, "sample_nodes")
+    fields = _count_calls(monkeypatch, degenlab.harness, "generate_family")
+    masses = _count_calls(monkeypatch, degenlab.solver,
+                          "assemble_weighted_mass")
+    again = duality_check(prob, lam=4.0, **args)
+    assert (samples, fields, masses) == ([], [], [])
+    assert repr(again.to_json()) == repr(fresh.to_json())
+    # another (kind, eps) is another field with loads of its own
+    duality_check(prob, seeds=(0,), lam=4.0, kind="constant", eps=0.2)
+    assert (len(samples), len(fields), len(masses)) == (4, 1, 1)
+    assert prob.duality_seed(0, "constant", 0.2)[0] is not marcher
+    assert prob.duality_seed(0, "xd_only", 0.2) == (marcher, fwd, dual)
+
+
 def test_corollary2_validation_and_report():
     case = default_case(1, lam=1.0)
     mesh = build_mesh(1, 4.0, 24, 2.0, time_step=0.05, time_count=20)
