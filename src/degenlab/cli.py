@@ -1,6 +1,8 @@
 """Config-driven front end: ``lab run config.json [--out DIR] [--seed S]``.
 
 Configs are flat JSON, each key declared once in ``_SCHEMA``, strictly checked.
+What each command reads is declared once in ``_READS``, and a config keeps
+only those keys: a given key that its command does not read is refused.
 Artifacts (reports CSV, JSON bundle with the config echo, plot scripts,
 solution tables, matrix exports) are written atomically and listed with
 content hashes in MANIFEST.json; timestamps appear only in the manifest so
@@ -61,9 +63,9 @@ def _coeffs(cfg, mesh, eps=None):
 
 
 def _sources(cfg, mesh):
-    """The with_F and with_f sources of the commands that march them (see
-    _MARCH_THE_SOURCES), (None, None) for every other command."""
-    if cfg["command"] not in _MARCH_THE_SOURCES:
+    """The with_F and with_f sources of the commands that read them (see
+    _READS), (None, None) for every other command."""
+    if "with_F" not in _READS[cfg["command"]]:
         return None, None
 
     def closure(k):
@@ -77,10 +79,10 @@ def _sources(cfg, mesh):
 
 def _problem(cfg, eps=None):
     """The config's problem, its field at the amplitude eps (see _coeffs),
-    with rho0 the config's for the commands that read it (_PROBLEMS)."""
+    with rho0 the config's for the commands that read it (_READS)."""
     mesh = _build_mesh(cfg)
     F, f = _sources(cfg, mesh)
-    rho0 = cfg["rho0"] if cfg["command"] in _PROBLEMS else 1.0
+    rho0 = cfg["rho0"] if "rho0" in _READS[cfg["command"]] else 1.0
     return ProblemSpec(mesh, _coeffs(cfg, mesh, eps), F=F, f=f,
                        config=TimeStepperConfig(cfg["theta"]),
                        seed=cfg["seed"], rho0=rho0)
@@ -155,32 +157,25 @@ def _cmd_sweep(cfg):
     return reports, [], [("plot_ratio.gp", _ratio_plot())]
 
 
-def _local_reports(cfg, check):
-    """Reports of check(sol) on the locally homogeneous solutions of every
-    lambda.  These solutions synthesize their own sources above the boundary
-    cylinder; the global with_F/with_f sources reach the cylinder, so the
-    problem carries none."""
-    problem = _problem(cfg)
+# local command -> its reports on one locally homogeneous solution
+_LOCAL_CHECKS = {
+    "caccioppoli": lambda cfg, sol: caccioppoli_ratio(
+        sol, cfg["r_inner"], cfg["r_outer"]),
+    "wlemma": lambda cfg, sol: [w_estimate_ratio(sol, cfg["r_inner"],
+                                                 cfg["r_outer"])],
+    "lipschitz": lambda cfg, sol: [boundary_lipschitz(sol, cfg["r_inner"])]}
+
+
+def _cmd_local(cfg):
+    """The command's reports (_LOCAL_CHECKS) on the locally homogeneous
+    solutions of every lambda.  They synthesize their own sources above the
+    cylinder, which with_F/with_f sources would reach: the problem has none."""
+    problem, check = _problem(cfg), _LOCAL_CHECKS[cfg["command"]]
     reports = []
     for lam in _values(cfg, "lambda"):
         for sol in _local_solutions(cfg, problem, lam):
-            reports.extend(check(sol))
+            reports.extend(check(cfg, sol))
     return reports, [], []
-
-
-def _cmd_caccioppoli(cfg):
-    return _local_reports(cfg, lambda sol: caccioppoli_ratio(
-        sol, cfg["r_inner"], cfg["r_outer"]))
-
-
-def _cmd_wlemma(cfg):
-    return _local_reports(cfg, lambda sol: [w_estimate_ratio(
-        sol, cfg["r_inner"], cfg["r_outer"])])
-
-
-def _cmd_lipschitz(cfg):
-    return _local_reports(cfg, lambda sol: [boundary_lipschitz(
-        sol, cfg["r_inner"])])
 
 
 def _cmd_duality(cfg):
@@ -243,8 +238,8 @@ def _cmd_oscillation(cfg):
 # command name -> handler(cfg) -> (reports, artifacts, plots), the last two
 # lists of (name, text); plots are written only with emit_plots
 _HANDLERS = {"solve": _cmd_solve, "mms": _cmd_mms, "sweep": _cmd_sweep,
-             "caccioppoli": _cmd_caccioppoli, "wlemma": _cmd_wlemma,
-             "lipschitz": _cmd_lipschitz, "duality": _cmd_duality,
+             "caccioppoli": _cmd_local, "wlemma": _cmd_local,
+             "lipschitz": _cmd_local, "duality": _cmd_duality,
              "corollary2": _cmd_corollary2, "trace": _cmd_trace,
              "hardy": _cmd_hardy, "oscillation": _cmd_oscillation}
 COMMANDS = tuple(_HANDLERS)
@@ -351,41 +346,41 @@ _SCHEMA = {
     "export_matrix": (False, _bool),
 }
 
-# The commands that march the sources with_F and with_f select: with both
-# off they march u = 0 from rest and would certify nothing.
-_MARCH_THE_SOURCES = ("solve", "sweep", "trace")
+# The one declaration of what each command reads.  Every command reads the
+# keys of _EVERY_COMMAND: it builds a mesh (the x' keys in dim 2 only) and
+# writes artifacts.  mms sizes its meshes by its ladder, not by mesh_M, and
+# a local command marches no with_F or with_f source (see _cmd_local).
+_EVERY_COMMAND = "schema_version command dim L_d grading xprime_count " \
+    "xprime_length time_step time_count out_dir emit_plots"
+_LOCAL_READS = "mesh_M nu kind eps seed lambda lambda_grid rho0 theta " \
+    "cyl_time cyl_radius r_inner n_solutions"
+_READS = {command: frozenset((_EVERY_COMMAND + " " + keys).split())
+          for command, keys in (
+    ("solve", "mesh_M nu kind eps seed lambda theta with_F with_f "
+     "export_matrix"),
+    ("mms", "lambda p theta mms_meshes mms_mode"),
+    ("sweep", "mesh_M nu kind eps eps_grid seed lambda lambda_grid p p_grid "
+     "rho0 theta with_F with_f"),
+    ("caccioppoli", _LOCAL_READS + " r_outer"),
+    ("wlemma", _LOCAL_READS + " r_outer"),
+    ("lipschitz", _LOCAL_READS),
+    ("duality", "mesh_M nu kind eps seed lambda lambda_grid p rho0 theta "
+     "duality_seeds"),
+    ("corollary2", "mesh_M lambda p p_grid theta"),
+    ("trace", "mesh_M nu kind eps seed lambda p p_grid theta with_F with_f "
+     "n_fields"),
+    ("hardy", "mesh_M seed p p_grid n_fields"),
+    ("oscillation", "mesh_M nu kind eps seed rho_grid"))}
 
-# The commands whose checks need p >= 2: the trace decay exponent
-# 1/2 - 1/p and the second-order weighted estimate.
-_P_AT_LEAST_2 = ("trace", "corollary2")
-
-# The commands that march locally homogeneous solutions: their field must
-# not depend on t, and their radii must nest inside cyl_radius.
-_LOCAL = ("caccioppoli", "wlemma", "lipschitz")
-
-# The commands that build the coefficient field of kind, nu and eps.
-_COEFFICIENTS = ("solve", "sweep", "duality", "trace", "oscillation") + _LOCAL
-
-# The commands whose problem keeps rho0: the sweep's oscillation radii and
-# the reports' rho0 column.
-_PROBLEMS = ("sweep", "duality") + _LOCAL
-
-# The commands that build a time stepper and march at lambda: all but
-# hardy and oscillation.
-_STEPPERS = tuple(c for c in COMMANDS if c not in ("hardy", "oscillation"))
-
-# The grid that replaces each scalar key, and the commands that read it: a
-# command reads the grid's entries where it reads the grid and the grid is
-# given, and the key's one value otherwise.
-_GRIDS = {"lambda": ("lambda_grid", ("sweep", "duality") + _LOCAL),
-          "p": ("p_grid", ("sweep", "corollary2", "trace", "hardy")),
-          "eps": ("eps_grid", ("sweep",))}
+# The grid that replaces each scalar key where it is given (see _values).
+_GRIDS = {"lambda": "lambda_grid", "p": "p_grid", "eps": "eps_grid"}
 
 
 def _read_key(c, key):
-    """The key the command reads for key: its grid or key itself."""
-    grid, commands = _GRIDS.get(key, (None, ()))
-    return grid if c["command"] in commands and c[grid] else key
+    """The key the command reads for key: its grid or key itself (a config
+    holds a grid only where its command reads it, see _READS)."""
+    grid = _GRIDS.get(key)
+    return grid if grid in c and c[grid] else key
 
 
 def _values(c, key):
@@ -408,79 +403,85 @@ def _mms_scales(c):
     return [(M / M0) ** 2 for M in c["mms_meshes"]]
 
 
-# The rules a key keeps, given the other keys, for the commands that read
-# it: (commands, key, holds(cfg), rule), the rule formatted with the config.
-# A rule of lambda, p or eps holds for every value the command reads (see
-# _values), and a refusal names the key read, the grid or the scalar.
-# Checked in this order after _SCHEMA, so a config is refused naming the key
-# and its value before anything is built, and only by a command that reads
-# the key (x' keys only in dim 2).
+class _Refusal(str):
+    """A rule's whole refusal, where "key ... must be <rule>" would not do."""
+
+
+# The rules a key keeps, given the other keys: (key, holds(cfg), rule) for
+# every command that reads the key, or (key, holds, rule, commands) for the
+# commands named; the rule is formatted with the config.  A rule of lambda,
+# p or eps holds for every value the command reads (see _values), and a
+# refusal names the key read, the grid or the scalar.  Checked in this order
+# after _SCHEMA, so a config is refused before anything is built.
 _COMMAND_RULES = (
-    (COMMANDS, "seed", lambda c: c["seed"] >= 0, "at least 0"),
-    (COMMANDS, "out_dir", lambda c: c["out_dir"] != "", "a non-empty path"),
-    (COMMANDS, "xprime_count",
-     lambda c: c["dim"] == 1 or c["xprime_count"] >= 1, "at least 1 in dim 2"),
-    (COMMANDS, "xprime_length",
-     lambda c: c["dim"] == 1 or c["xprime_length"] > 0,
+    # with both off the march is u = 0 from rest and would certify nothing
+    ("with_F", lambda c: c["with_F"] or c["with_f"], _Refusal(
+        "command {command!r} marches the sources, so with_F and with_f "
+        "must not both be false")),
+    ("seed", lambda c: c["seed"] >= 0, "at least 0"),
+    ("out_dir", lambda c: c["out_dir"] != "", "a non-empty path"),
+    ("xprime_count", lambda c: c["dim"] == 1 or c["xprime_count"] >= 1,
+     "at least 1 in dim 2"),
+    ("xprime_length", lambda c: c["dim"] == 1 or c["xprime_length"] > 0,
      "greater than 0 in dim 2"),
-    (_P_AT_LEAST_2, "p", lambda c: min(_values(c, "p")) >= 2, "at least 2"),
-    (_LOCAL, "kind", lambda c: c["kind"] != "oscillatory",
-     "constant or xd_only"),
-    (_LOCAL, "cyl_radius", lambda c: c["cyl_radius"] > 0, "greater than 0"),
-    (_LOCAL, "cyl_time", _window_holds_a_time_cell,
+    # the trace exponent 1/2 - 1/p and the second-order estimate need p >= 2
+    ("p", lambda c: min(_values(c, "p")) >= 2, "at least 2",
+     ("trace", "corollary2")),
+    # a locally homogeneous solution needs a field that does not depend on t
+    ("kind", lambda c: c["kind"] != "oscillatory", "constant or xd_only",
+     ("caccioppoli", "wlemma", "lipschitz")),
+    ("cyl_radius", lambda c: c["cyl_radius"] > 0, "greater than 0"),
+    ("cyl_time", _window_holds_a_time_cell,
      "a time whose window (cyl_time - {cyl_radius!r}, cyl_time] holds a "
      "time-cell centre (n + 1/2) * {time_step!r}, 0 <= n < {time_count!r} "
      "(None: the end time)"),
-    (("caccioppoli", "wlemma"), "r_inner",
-     lambda c: 0 < c["r_inner"] < c["r_outer"],
-     "greater than 0 and less than r_outer = {r_outer!r}"),
-    (("caccioppoli", "wlemma"), "r_outer",
-     lambda c: c["r_outer"] <= c["cyl_radius"],
+    ("r_inner", lambda c: 0 < c["r_inner"] < c["r_outer"],
+     "greater than 0 and less than r_outer = {r_outer!r}",
+     ("caccioppoli", "wlemma")),
+    ("r_outer", lambda c: c["r_outer"] <= c["cyl_radius"],
      "at most cyl_radius = {cyl_radius!r}"),
-    (("lipschitz",), "r_inner",
-     lambda c: 0 < 2 * c["r_inner"] <= c["cyl_radius"],
-     "greater than 0 and at most half of cyl_radius = {cyl_radius!r}"),
-    (("oscillation",), "rho_grid", lambda c: min(c["rho_grid"]) > 0,
+    ("r_inner", lambda c: 0 < 2 * c["r_inner"] <= c["cyl_radius"],
+     "greater than 0 and at most half of cyl_radius = {cyl_radius!r}",
+     ("lipschitz",)),
+    ("rho_grid", lambda c: min(c["rho_grid"]) > 0,
      "a list of radii greater than 0"),
-    (_COEFFICIENTS, "nu", lambda c: 0 < c["nu"] < 1, "in (0, 1)"),
-    (_COEFFICIENTS, "eps", lambda c: min(_values(c, "eps")) >= 0,
-     "at least 0"),
-    (_COEFFICIENTS, "eps", lambda c: not any(
-        _eps_too_large(eps, c["nu"], c["dim"]) for eps in _values(c, "eps")),
+    ("nu", lambda c: 0 < c["nu"] < 1, "in (0, 1)"),
+    ("eps", lambda c: min(_values(c, "eps")) >= 0, "at least 0"),
+    ("eps", lambda c: not any(_eps_too_large(eps, c["nu"], c["dim"])
+                              for eps in _values(c, "eps")),
      "at most 0.999 (1 - nu) / dim, the ellipticity margin at nu = {nu!r} "
      "and dim = {dim!r}"),
-    (_STEPPERS, "lambda", lambda c: min(_values(c, "lambda")) >= 0,
-     "at least 0"),
+    ("lambda", lambda c: min(_values(c, "lambda")) >= 0, "at least 0"),
     # the sweep's window lambda * rho0 >= 1 and its ratio spread need
     # lambda > 0
-    (("sweep",), "lambda", lambda c: min(_values(c, "lambda")) > 0,
-     "greater than 0"),
-    (_PROBLEMS, "rho0", lambda c: c["rho0"] > 0, "greater than 0"),
-    (("solve",), "export_matrix",
+    ("lambda", lambda c: min(_values(c, "lambda")) > 0, "greater than 0",
+     ("sweep",)),
+    ("rho0", lambda c: c["rho0"] > 0, "greater than 0"),
+    ("export_matrix",
      lambda c: not c["export_matrix"] or c["kind"] in _AUTONOMOUS_KINDS,
      "false while kind {kind!r} depends on time (it writes one stiffness "
      "matrix)"),
-    (("mms",), "mms_meshes", lambda c: len(c["mms_meshes"]) >= 3
+    ("mms_meshes", lambda c: len(c["mms_meshes"]) >= 3
      and c["mms_meshes"][0] >= 2
      and sorted(set(c["mms_meshes"])) == c["mms_meshes"],
      "a list of at least 3 increasing sizes, each at least 2"),
-    (("mms",), "mms_meshes", lambda c: all(
-        abs(scale - round(scale)) <= 1e-9 for scale in _mms_scales(c)),
+    ("mms_meshes", lambda c: all(abs(scale - round(scale)) <= 1e-9
+                                 for scale in _mms_scales(c)),
      "a ladder of sizes M whose (M / M_0)**2, M_0 the first, are integers "
      "(dt scales with h^2)"),
     # duality_check marches both ways at theta = 1 whatever theta says
-    (("duality",), "theta", lambda c: c["theta"] == 1,
-     "1 (implicit Euler, where the duality identity is exact)"),
-    (_STEPPERS, "theta", lambda c: 0.5 <= c["theta"] <= 1, "in [0.5, 1]"),
+    ("theta", lambda c: c["theta"] == 1,
+     "1 (implicit Euler, where the duality identity is exact)", ("duality",)),
+    ("theta", lambda c: 0.5 <= c["theta"] <= 1, "in [0.5, 1]"),
 )
 
 
 def parse_config(raw):
-    """Validate a raw mapping against _SCHEMA: unknown keys are rejected by
-    name, defaults fill the gaps, every key is checked in the table's order,
-    a command of _MARCH_THE_SOURCES needs a source, the rules of
-    _COMMAND_RULES hold for the command, and the result re-parses to
-    itself."""
+    """Validate a raw mapping: unknown keys are refused by name, defaults
+    fill the gaps, every key is checked in _SCHEMA's order, a given key that
+    the command does not read (_READS) is refused by name, and the rules of
+    _COMMAND_RULES hold.  The result holds only the keys the command reads
+    and re-parses to itself."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(raw) - set(_SCHEMA))
@@ -491,11 +492,16 @@ def parse_config(raw):
     cfg = {key: check(key, raw.get(key, default))
            for key, (default, check) in _SCHEMA.items()}
     command = cfg["command"]
-    if command in _MARCH_THE_SOURCES and not (cfg["with_F"] or cfg["with_f"]):
-        raise ConfigError("command %r marches the sources, so with_F and "
-                          "with_f must not both be false" % command)
-    for commands, key, holds, rule in _COMMAND_RULES:
-        if command in commands and not holds(cfg):
+    ignored = sorted(set(raw) - _READS[command])
+    if ignored:
+        raise ConfigError("config key(s) that command %r does not read: %s"
+                          % (command, ", ".join(ignored)))
+    cfg = {key: cfg[key] for key in _SCHEMA if key in _READS[command]}
+    for key, holds, rule, *commands in _COMMAND_RULES:
+        binds = command in commands[0] if commands else key in cfg
+        if binds and not holds(cfg):
+            if isinstance(rule, _Refusal):
+                raise ConfigError(rule.format(**cfg))
             read = _read_key(cfg, key)
             raise ConfigError("key %r must be %s for command %r, got %r"
                               % (read, rule.format(**cfg), command,
@@ -624,25 +630,18 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="subcommand")
     runp = sub.add_parser("run", help="execute one experiment config")
     runp.add_argument("config", help="path to a flat JSON config")
-    runp.add_argument("--out", default=None,
+    runp.add_argument("--out", dest="out_dir",
                       help="output directory (overrides out_dir)")
-    runp.add_argument("--seed", type=int, default=None,
+    runp.add_argument("--seed", type=int,
                       help="base seed (overrides the config)")
     args = parser.parse_args(argv)
     if args.subcommand != "run":
         parser.print_help(sys.stderr)
         return 2
-    overrides = {key: value for key, value in (("out_dir", args.out),
-                                               ("seed", args.seed))
-                 if value is not None}
+    overrides = {key: getattr(args, key) for key in ("out_dir", "seed")
+                 if getattr(args, key) is not None}
     try:
-        cfg = load_config(args.config, overrides)
-    except ValueError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
-        code, _ = run(cfg)
-        return code
+        return run(load_config(args.config, overrides))[0]
     except (SolverError, AssemblyError, DegenerateLocalSolution) as exc:
         print("solver error: %s" % exc, file=sys.stderr)
         return 3

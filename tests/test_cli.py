@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import string
 import subprocess
 import sys
 
@@ -54,10 +55,12 @@ def test_parse_config_fills_defaults_and_roundtrips():
     again = parse_config(cfg)
     assert again == cfg
     # null is taken only where the default is None, and re-parses to itself
-    nulls = dict.fromkeys(("lambda_grid", "p_grid", "eps_grid", "cyl_time"))
-    cfg = parse_config(dict(nulls, command="sweep"))
-    assert {key: cfg[key] for key in nulls} == nulls
-    assert parse_config(cfg) == cfg
+    for command, keys in (("sweep", ("lambda_grid", "p_grid", "eps_grid")),
+                          ("wlemma", ("lambda_grid", "cyl_time"))):
+        nulls = dict.fromkeys(keys)
+        cfg = parse_config(dict(nulls, command=command))
+        assert {key: cfg[key] for key in nulls} == nulls
+        assert parse_config(cfg) == cfg
 
 
 def test_parse_config_rejects_unknown_key_by_name():
@@ -134,7 +137,8 @@ def test_p_below_two_is_refused_for_trace_and_corollary2(
                         lambda *a, **k: built.append("march"))
     monkeypatch.setattr(degenlab.cli, "random_w1p_field",
                         lambda *a, **k: built.append("field"))
-    path = _write_cfg(tmp_path, command=command, mesh_M=8, n_fields=1,
+    corpus = {"n_fields": 1} if command == "trace" else {}
+    path = _write_cfg(tmp_path, command=command, mesh_M=8, **corpus,
                       **{key: value})
     assert main(["run", path]) == 2
     assert "config error: key %r must be at least 2 for command %r, got %r" \
@@ -209,41 +213,73 @@ def test_command_rules_refuse_before_anything_is_built(
 
 
 def test_command_rules_bind_only_where_the_key_is_read():
-    # hardy reads no rho_grid, radii or kind; d = 1 reads no x' keys
-    assert parse_config({"command": "hardy", "rho_grid": [-1],
-                         "r_inner": 0.6, "kind": "oscillatory"})
+    # d = 1 reads no x' keys, and a grid replaces its scalar where both are
+    # read, by sweep, duality and the local commands
     assert parse_config({"command": "solve", "xprime_length": -1,
                          "xprime_count": 0})
-    assert parse_config({"command": "lipschitz", "r_outer": 0.1})
-    assert parse_config({"command": "oscillation", "kind": "oscillatory",
-                         "r_inner": 0.6})
-    # hardy and oscillation build no time stepper
-    assert parse_config({"command": "hardy", "theta": 0.3})
-    # corollary2 builds no coefficient field, no problem and no cylinder;
-    # only sweep reads eps_grid, and only duality ignores theta
-    assert parse_config({"command": "corollary2", "eps": -0.1, "rho0": 0.0,
-                         "cyl_time": 5.0, "eps_grid": [-0.1]})
-    assert parse_config({"command": "solve", "rho0": -1.0, "theta": 0.5,
-                         "eps_grid": [-0.1], "cyl_time": -1.0})
-    assert parse_config({"command": "sweep", "cyl_time": 5.0, "theta": 0.5})
-    # a lambda_grid replaces lambda where it is read, by sweep, duality and
-    # the local commands; hardy and oscillation march nothing
-    assert parse_config({"command": "hardy", "lambda": -1.0})
-    assert parse_config({"command": "oscillation", "lambda": -1.0})
     assert parse_config({"command": "sweep", "lambda": 0.0,
                          "lambda_grid": [1.0]})
     assert parse_config({"command": "wlemma", "lambda": -1.0,
                          "lambda_grid": [0.0]})
     assert parse_config({"command": "duality", "lambda": -1.0,
                          "lambda_grid": [0.0]})
-    assert parse_config({"command": "solve", "lambda_grid": [-1.0]})
-    # hardy and corollary2 build no coefficient field
-    assert parse_config({"command": "hardy", "eps": 0.6})
-    assert parse_config({"command": "corollary2", "eps": 0.6,
-                         "eps_grid": [0.6]})
-    # an eps_grid replaces eps where sweep reads it
     assert parse_config({"command": "sweep", "eps": -1, "eps_grid": [0.0]})
     assert parse_config({"command": "sweep", "eps": 0.9, "eps_grid": [0.2]})
+    # a key the command does not read is refused, whatever its value: hardy
+    # and corollary2 build no coefficient field, hardy and oscillation no
+    # time stepper, only the local commands a cylinder, only sweep reads
+    # eps_grid and lipschitz reads one radius
+    for raw, ignored in [
+            (dict(command="hardy", rho_grid=[-1], r_inner=0.6,
+                  kind="oscillatory"), "kind, r_inner, rho_grid"),
+            (dict(command="lipschitz", r_outer=0.1), "r_outer"),
+            (dict(command="oscillation", kind="oscillatory", r_inner=0.6),
+             "r_inner"),
+            (dict(command="hardy", theta=0.3), "theta"),
+            (dict(command="corollary2", eps=-0.1, rho0=0.0, cyl_time=5.0,
+                  eps_grid=[-0.1]), "cyl_time, eps, eps_grid, rho0"),
+            (dict(command="solve", rho0=-1.0, theta=0.5, eps_grid=[-0.1],
+                  cyl_time=-1.0), "cyl_time, eps_grid, rho0"),
+            (dict(command="sweep", cyl_time=5.0, theta=0.5), "cyl_time"),
+            (dict(command="hardy", **{"lambda": -1.0}), "lambda"),
+            (dict(command="oscillation", **{"lambda": -1.0}), "lambda"),
+            (dict(command="solve", lambda_grid=[-1.0]), "lambda_grid"),
+            (dict(command="hardy", eps=0.6), "eps"),
+            (dict(command="corollary2", eps=0.6, eps_grid=[0.6]),
+             "eps, eps_grid")]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        assert str(err.value) == "config key(s) that command %r does not " \
+            "read: %s" % (raw["command"], ignored)
+
+
+def test_a_key_the_command_does_not_read_exits_two_naming_it(
+        tmp_path, capsys, monkeypatch):
+    # solve marches one lambda and builds no cylinder or local solutions
+    built = []
+    monkeypatch.setattr(degenlab.cli, "build_mesh",
+                        lambda *a, **k: built.append("mesh"))
+    path = _write_cfg(tmp_path, command="solve", mesh_M=8, time_count=4,
+                      lambda_grid=[1, 2, 3], n_solutions=5, cyl_radius=0.3)
+    assert main(["run", path]) == 2
+    assert "config error: config key(s) that command 'solve' does not " \
+        "read: cyl_radius, lambda_grid, n_solutions" in capsys.readouterr().err
+    assert not built
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["mms", "corollary2"])
+def test_a_seed_is_refused_where_the_command_reads_none(tmp_path, capsys,
+                                                        command):
+    # mms and corollary2 march manufactured cases that draw nothing at
+    # random; --out stays valid for them
+    path = _write_cfg(tmp_path, **GOLDEN[command])
+    alt = str(tmp_path / "alt_out")
+    assert main(["run", path, "--out", alt, "--seed", "3"]) == 2
+    assert "config error: config key(s) that command %r does not read: " \
+        "seed" % command in capsys.readouterr().err
+    assert not os.path.exists(alt)
+    assert main(["run", path, "--out", alt]) == 0
 
 
 def test_the_eps_margin_is_the_one_generate_family_keeps():
@@ -365,6 +401,21 @@ def test_readme_names_every_config_key():
     missing = [key for key in degenlab.cli._SCHEMA
                if "`%s`" % key not in section]
     assert missing == []
+
+
+def test_readme_lists_what_each_command_reads():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    every = set(degenlab.cli._EVERY_COMMAND.split())
+    rows = {}
+    for line in readme.splitlines():
+        cells = line.split(" | ")
+        if len(cells) == 2 and cells[0].strip("| `") in degenlab.cli.COMMANDS:
+            rows[cells[0].strip("| `")] = set(cells[1].strip(" |`").split(
+                "` `"))
+    assert rows == {command: row - every
+                    for command, row in degenlab.cli._READS.items()}
 
 
 @pytest.mark.parametrize("command", degenlab.cli.COMMANDS)
@@ -645,9 +696,8 @@ def test_solve_artifacts_and_matrix_export(tmp_path):
 
 
 def test_mms_command_emits_table_and_plot(tmp_path):
-    path = _write_cfg(tmp_path, command="mms", dim=1, mesh_M=8,
-                      time_step=0.125, time_count=8,
-                      mms_meshes=[8, 16, 32])
+    path = _write_cfg(tmp_path, command="mms", dim=1, time_step=0.125,
+                      time_count=8, mms_meshes=[8, 16, 32])
     assert main(["run", path]) == 0
     out = tmp_path / "out"
     table = (out / "mms.csv").read_text().strip().split("\n")
@@ -838,12 +888,88 @@ def test_only_the_commands_that_march_the_sources_build_them():
     # own per seed, so their problems carry none
     for command in degenlab.cli.COMMANDS:
         cfg = parse_config({"command": command})
-        mesh = degenlab.cli._build_mesh(cfg)
+        mesh = degenlab.cli._build_mesh(cfg, M=8)     # mms reads no mesh_M
         built = degenlab.cli._sources(cfg, mesh) != (None, None)
-        assert built == (command in degenlab.cli._MARCH_THE_SOURCES)
+        assert built == ("with_F" in degenlab.cli._READS[command])
     for command in ("duality", "caccioppoli", "wlemma", "lipschitz"):
         problem = degenlab.cli._problem(parse_config({"command": command}))
         assert problem.F is None and problem.f is None
+
+
+class _Recording(dict):
+    """A config that records the key of every read through [] or get."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_a_golden_config_reads_exactly_its_command_row(tmp_path, name):
+    # unread are only schema_version (read at parse time), the x' keys in
+    # d = 1 and the scalar that a given grid replaces
+    raw = GOLDEN[name]
+    cfg = _Recording(parse_config(dict(raw, out_dir=str(tmp_path))))
+    run(cfg)
+    unread = {"schema_version"} \
+        | ({"xprime_count", "xprime_length"} if raw["dim"] == 1 else set()) \
+        | {key for key, grid in degenlab.cli._GRIDS.items() if grid in raw}
+    row = degenlab.cli._READS[raw["command"]]
+    assert unread <= row
+    assert cfg.read == row - unread
+
+
+def test_run_json_echoes_exactly_the_keys_the_command_reads(tmp_path):
+    for name, raw in GOLDEN.items():
+        out = tmp_path / name
+        run(parse_config(dict(raw, out_dir=str(out))))
+        echoed = json.loads((out / "run.json").read_text())["config"]
+        assert set(echoed) == degenlab.cli._READS[raw["command"]], name
+
+
+def test_the_table_of_reads_covers_every_command_and_key():
+    cli = degenlab.cli
+    assert sorted(cli._READS) == sorted(cli.COMMANDS)
+    assert set().union(*cli._READS.values()) == set(cli._SCHEMA)
+    for row in cli._READS.values():
+        assert row <= set(cli._SCHEMA)
+        # a grid replaces its scalar only where both are read
+        assert all(key in row for key, grid in cli._GRIDS.items()
+                   if grid in row)
+
+
+def test_every_rule_binds_only_where_its_keys_are_read():
+    # a rule names its commands only where it binds more narrowly than the
+    # commands that read its key; each of them reads the key and every key
+    # the rule's text names
+    cli = degenlab.cli
+    formatter = string.Formatter()
+    for key, holds, rule, *commands in cli._COMMAND_RULES:
+        readers = {c for c in cli.COMMANDS if key in cli._READS[c]}
+        binds = set(commands[0]) if commands else readers
+        assert binds and binds <= readers, key
+        assert not commands or binds != readers, key
+        named = {field for _, field, _, _ in formatter.parse(rule) if field}
+        assert all(named | {key} <= cli._READS[c] for c in binds), key
+
+
+def test_the_problem_keeps_rho0_where_the_command_reads_it():
+    # the sweep's oscillation radii and the reports' rho0 column; solve and
+    # trace read no rho0 and march at the default 1.0
+    for command in ("sweep", "duality", "caccioppoli", "wlemma", "lipschitz"):
+        cfg = parse_config({"command": command, "rho0": 0.5})
+        assert degenlab.cli._problem(cfg).rho0 == 0.5
+    for command in ("solve", "trace"):
+        assert degenlab.cli._problem(parse_config({"command": command})) \
+            .rho0 == 1.0
 
 
 def test_importing_the_cli_loads_no_scipy_io():

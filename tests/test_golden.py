@@ -40,14 +40,11 @@ CONFIGS = {
                   with_F=True, with_f=True),
     "caccioppoli": dict(command="caccioppoli", dim=1, mesh_M=24,
                         time_step=0.1, time_count=10, kind="xd_only",
-                        eps=0.2, with_F=False, with_f=False, n_solutions=2,
-                        lambda_grid=[1.0, 10.0]),
+                        eps=0.2, n_solutions=2, lambda_grid=[1.0, 10.0]),
     "wlemma": dict(command="wlemma", dim=1, mesh_M=24, time_step=0.1,
-                   time_count=10, kind="constant", with_F=False,
-                   with_f=False, n_solutions=2),
+                   time_count=10, kind="constant", n_solutions=2),
     "lipschitz": dict(command="lipschitz", dim=1, mesh_M=24, time_step=0.1,
-                      time_count=10, kind="xd_only", eps=0.2, with_F=False,
-                      with_f=False, n_solutions=2),
+                      time_count=10, kind="xd_only", eps=0.2, n_solutions=2),
     "duality": dict(command="duality", dim=2, mesh_M=6, xprime_count=4,
                     time_step=0.1, time_count=5, kind="constant", eps=0.2,
                     seed=0, duality_seeds=2, **{"lambda": 3.0}),
