@@ -126,6 +126,21 @@ def _product(pattern, data, x, out):
     return out
 
 
+def _c_ordered(x, out):
+    """x when C-ordered, else a copy of x in ``out``, a C-ordered array of
+    x's shape: a ufunc buffers an operand whose layout is not its output's."""
+    if x.flags.c_contiguous:
+        return x
+    out[:] = x
+    return out
+
+
+def _row_norms(x, out):
+    """np.linalg.norm(x, axis=1) of a real C-ordered (K, n) x, its squares
+    formed in ``out``, which may be x."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, out=out), axis=1))
+
+
 def _band_layout(mesh):
     """The band layout of the mesh's interior pattern in its declared DoF
     order, built once per mesh.  The order is the natural one in d = 1.  In
@@ -163,7 +178,9 @@ class _BandLU:
     systems is their k vectors end to end.  The band of a block holds zeros
     outside it, so dgbtrf and dgbtrs treat every block as they treat its
     matrix alone.  A factorization owns only the band buffer, the
-    pivots and, after ``factor_once``, a copy of the entries it factored."""
+    pivots, after ``factor_once`` a copy of the entries it factored, and
+    one flat work array, grown on demand and kept like the band, in which
+    ``check`` forms every temporary of the size of its solves."""
 
     def __init__(self, layout, k=1):
         self.layout = layout
@@ -178,6 +195,7 @@ class _BandLU:
             self._order = (layout.order + n * blocks).ravel()
             self._rank = (layout.rank + n * blocks).ravel()
         self._factored = None
+        self._work = np.empty(0)
 
     def factor(self, data, level=None, names=None):
         """LU-factor the matrices with these entries; an exactly singular
@@ -198,9 +216,10 @@ class _BandLU:
 
     def factor_once(self, data, level=None, names=None):
         """``factor``, unless the buffer holds the factors of exactly these
-        entries, bitwise, from the last factorization."""
-        if self._factored is None or \
-                self._factored.tobytes() != data.tobytes():
+        entries, bitwise, from the last factorization: compared as uint64
+        bit patterns, so a zero of the other sign is factored anew."""
+        if self._factored is None or not np.array_equal(
+                self._factored.view(np.uint64), data.view(np.uint64)):
             self.factor(data, level, names)
             self._factored = data.copy()
 
@@ -220,25 +239,43 @@ class _BandLU:
         rows of data (1 or K, nnz).  All A_k x_k are one call of scipy's CSR
         product kernel, on diag(A_1, ..., A_K) or on A_1 for every x_k when
         data has one row, and so are the row sums of |A_k|: each sum runs
-        as a scipy product of the same matrix runs it."""
+        as a scipy product of the same matrix runs it.  Every temporary of
+        the size of X is formed in the two halves of the kept work array:
+        the X that the kernel reads (transposed for one row), A X, the
+        squares behind the row norms of B, X and the residual B - A X, and
+        a C-ordered copy of a B or X that is not (one member of a batch).
+        Kept, they are not given back to the system between marches for
+        the next march to fault in again.  Each row norm
+        is sqrt(add.reduce(x * x, axis=1)) over C-ordered rows, what
+        np.linalg.norm(x, axis=1) computes, so every error is bitwise what
+        the norms give.  The errors are a new array."""
         layout = self.layout
         if trans:
             data = data[:, layout.perm]
         levels_n, (K, n) = len(data), X.shape
+        size = K * n
+        if self._work.size < 2 * size:
+            self._work = np.empty(2 * size)
+        first, second = self._work[:size], self._work[size:2 * size]
         pattern = layout.copies(levels_n, trans)
-        if levels_n == 1:
-            Ax = np.zeros((n, K))
+        if levels_n == 1:       # X^T and (A X)^T, then A X in the first half
+            first.reshape(n, K)[:] = X.T
+            second[:] = 0.0
             indices, indptr = pattern
-            csr_matvecs(n, n, K, indptr, indices, data[0], X.T.ravel(), Ax)
-            Ax = Ax.T
+            csr_matvecs(n, n, K, indptr, indices, data[0], first, second)
+            first.reshape(K, n)[:] = second.reshape(n, K).T
+            Ax, w = first, second
         else:
-            Ax = _product(pattern, data.ravel(), X.ravel(),
-                          np.empty(K * n)).reshape(X.shape)
-        size = levels_n * n
-        norm_A = _product(pattern, np.abs(data).ravel(), np.ones(size),
-                          np.empty(size)).reshape(levels_n, n).max(axis=1)
-        denom = np.linalg.norm(B, axis=1) + norm_A * np.linalg.norm(X, axis=1)
-        return np.linalg.norm(B - Ax, axis=1) / np.where(denom == 0, 1, denom)
+            x = _c_ordered(X, first.reshape(K, n)).ravel()
+            Ax, w = _product(pattern, data.ravel(), x, second), first
+        Ax, w = Ax.reshape(K, n), w.reshape(K, n)
+        rows = levels_n * n
+        norm_A = _product(pattern, np.abs(data).ravel(), np.ones(rows),
+                          np.empty(rows)).reshape(levels_n, n).max(axis=1)
+        denom = (_row_norms(_c_ordered(B, w), w)
+                 + norm_A * _row_norms(_c_ordered(X, w), w))
+        np.subtract(_c_ordered(B, w), Ax, out=w)
+        return _row_norms(w, w) / np.where(denom == 0, 1, denom)
 
     def check(self, data, X, B, levels=None, trans=0, name=""):
         """Every ``backward_errors`` of these solves must be finite and at

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -797,6 +798,104 @@ def test_check_is_the_dense_backward_error(monkeypatch, trans, n_levels):
             "lam: time level %d: linear solve backward error"
             % (7 + errors.index(worst)))):
         lu.check(data, X, B, levels=[7, 8, 9], trans=trans, name="lam: ")
+
+
+def _diagonally_dominant(m, levels_n, rng):
+    """(data, diagonal): levels_n rows of entries on the interior pattern
+    of m, uniform in [-1, 1] off the diagonal and 20 more on it, and the
+    mask of the diagonal entries."""
+    indices, indptr, shape = interior_pattern(m)
+    data = rng.uniform(-1.0, 1.0, (levels_n, indices.size))
+    diagonal = indices == np.repeat(np.arange(shape[0]), np.diff(indptr))
+    data[:, diagonal] += 20.0
+    return data, diagonal
+
+
+def test_factor_once_reuses_only_bitwise_equal_entries(monkeypatch):
+    # a copy of the factored entries reuses the factors; the same entries
+    # with one zero of the other sign are equal as numbers but not bitwise,
+    # and are factored anew
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
+    lu = degenlab.solver._BandLU(degenlab.solver._band_layout(m))
+    data, diagonal = _diagonally_dominant(m, 1, np.random.default_rng(5))
+    zero = np.flatnonzero(~diagonal)[0]
+    data[0, zero] = 0.0
+    flipped = data.copy()
+    flipped[0, zero] = -0.0
+    assert np.array_equal(flipped, data)
+    calls = _count_factorizations(monkeypatch)
+    lu.factor_once(data)
+    lu.factor_once(data.copy())
+    assert len(calls) == 1
+    lu.factor_once(flipped)
+    assert len(calls) == 2
+    lu.factor_once(flipped.copy())
+    assert len(calls) == 2
+    lu.factor_once(data)
+    assert len(calls) == 3
+
+
+def _check_case(m, levels_n, solves, rng):
+    """Read-only (data, X, B) of a check: levels_n rows of entries, and
+    solves rows of X and B, each a row of a wider array as the members of
+    a batch march are."""
+    n = m.n_interior
+    data = rng.standard_normal((levels_n, interior_pattern(m)[0].size))
+    X, B = rng.standard_normal((2, solves, 3, n))[:, :, 1]
+    return _read_only(data, X, B)
+
+
+@pytest.mark.parametrize("levels_n", [1, 6])
+def test_a_check_after_a_larger_or_transposed_one_is_a_fresh_check(levels_n):
+    # the kept work array holds nothing from the check before: after a
+    # check of more levels and solves, or of the transposes, the errors are
+    # bitwise those of a new band LU
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
+    layout = degenlab.solver._band_layout(m)
+    rng = np.random.default_rng(levels_n)
+    case = _check_case(m, levels_n, 6, rng)
+    larger = _check_case(m, 9, 9, rng)
+    for trans in (0, 1):
+        want = degenlab.solver._BandLU(layout).backward_errors(*case, trans)
+        lu = degenlab.solver._BandLU(layout)
+        lu.backward_errors(*larger, trans=trans)
+        assert lu.backward_errors(*case, trans).tobytes() == want.tobytes()
+        lu.backward_errors(*case, trans=1 - trans)
+        assert lu.backward_errors(*case, trans).tobytes() == want.tobytes()
+
+
+def test_backward_errors_are_not_a_view_of_the_work_array():
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
+    lu = degenlab.solver._BandLU(degenlab.solver._band_layout(m))
+    rng = np.random.default_rng(3)
+    errors = lu.backward_errors(*_check_case(m, 1, 6, rng))
+    kept = errors.copy()
+    lu.backward_errors(*_check_case(m, 1, 6, rng))
+    assert errors.tobytes() == kept.tobytes()
+    assert not np.shares_memory(errors, lu._work)
+
+
+@pytest.mark.parametrize("trans", [0, 1])
+def test_a_second_check_allocates_no_block_of_its_solves(trans):
+    # the first check grows the work array; a second of the same size
+    # traces less than K n doubles at its peak, so none of its temporaries
+    # is a fresh (K, n) array, also for the rows of one member of a batch
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi)
+    lu = degenlab.solver._BandLU(degenlab.solver._band_layout(m))
+    data, _ = _diagonally_dominant(m, 1, np.random.default_rng(trans))
+    K, n = 40, m.n_interior
+    B, X = np.random.default_rng(7).standard_normal((2, K, 2, n))[:, :, 1]
+    lu.factor(data[0])
+    for b, x in zip(B, X):
+        x[:] = lu.solve(b, trans)
+    lu.check(data, X, B, trans=trans)
+    tracemalloc.start()
+    try:
+        lu.check(data, X, B, trans=trans)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < K * n * X.itemsize
 
 
 def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
