@@ -21,11 +21,6 @@ class DiscreteField:
         self.mesh = mesh
         self.values = values
 
-    @classmethod
-    def sample(cls, mesh, func, t=0.0):
-        """Nodal samples of func(t, xprime, xd); func must broadcast."""
-        return cls(mesh, sample_nodes(mesh, func, t))
-
 
 def node_grid(mesh):
     """Nodal coordinates as broadcastable axes: x' of shape (1, xprime_count)
@@ -110,6 +105,6 @@ def random_w1p_field(seed, mesh):
     underlying smooth function.
     """
     g = smooth_random_closure(seed, mesh.dim, xp_length=mesh.xprime_length)
-    f = DiscreteField.sample(mesh, g, t=0.3)
-    f.values[-1, :] = 0.0   # keep the discrete zero trace at the truncation
-    return f
+    values = sample_nodes(mesh, g, 0.3)
+    values[-1, :] = 0.0     # keep the discrete zero trace at the truncation
+    return DiscreteField(mesh, values)

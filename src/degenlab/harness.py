@@ -29,7 +29,7 @@ from .assembly import (LoadAssembler, assemble_weighted_mass, data_grams,
 from .coefficients import (check_structure_condition, generate_family,
                            oscillation_scan)
 from .fields import smooth_random_closure
-from .mesh import Cylinder, cells_in_cylinder
+from .mesh import Cylinder, _cached, cells_in_cylinder
 from .norms import (NormSpec, analytic_norm, cell_center_gradients,
                     hardy_check, levels_norm, slice_norms, weighted_norm)
 from .solver import Marcher, TimeStepperConfig
@@ -114,8 +114,9 @@ class ProblemSpec:
     None) and run labels of a problem: F is None, a callable (dim=1) or a
     tuple of per-direction callables (t, xp, xd), f None or a callable.
     Assigning a field raises (``dataclasses.replace`` makes a new problem),
-    so what derives from the fields is built on first use, kept read-only
-    and cannot go stale: the marcher, the structure condition, the node
+    so what derives from the fields is built on first use by
+    ``mesh._cached``, kept read-only in the problem's ``_tables`` and
+    cannot go stale: the marcher, the structure condition, the node
     samples of F and f, the load parts of each local seed's sources, and
     each duality seed's marcher and load parts."""
 
@@ -126,7 +127,7 @@ class ProblemSpec:
     config: object = None
     seed: int = 0
     rho0: float = 1.0
-    _derived: dict = dataclasses.field(default_factory=dict, init=False)
+    _tables: dict = dataclasses.field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.coeffs.dim != self.mesh.dim:
@@ -137,25 +138,20 @@ class ProblemSpec:
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "rho0", float(self.rho0))
 
-    def _derive(self, key, build):
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
-
     def marcher(self):
         """The Marcher that every march of the problem goes through."""
-        return self._derive("marcher", lambda: Marcher(
+        return _cached(self, "marcher", lambda: Marcher(
             self.mesh, self.coeffs, self.config))
 
     def structure_condition(self):
         """check_structure_condition of the problem's field on its mesh."""
-        return self._derive("structure", lambda: check_structure_condition(
+        return _cached(self, "structure", lambda: check_structure_condition(
             self.coeffs, self.mesh))
 
     def source_samples(self):
         """sample_sources of F and f at the mesh's time levels, which the
         loads of ``solution`` and the data norms of energy_ratio read."""
-        return self._derive("samples", lambda: _read_only(sample_sources(
+        return _cached(self, "samples", lambda: _read_only(sample_sources(
             self.mesh, self.F, self.f, self.mesh.time_levels)))
 
     def solution(self, lam):
@@ -168,7 +164,7 @@ class ProblemSpec:
         """``LoadAssembler.parts`` at the mesh's time levels of the sources
         that locally_homogeneous_solution synthesizes from seed with the
         cushion (x_lo, x_hi), for every lambda marched with them."""
-        return self._derive(("sources", seed, x_lo, x_hi), lambda: _read_only(
+        return _cached(self, ("sources", seed, x_lo, x_hi), lambda: _read_only(
             LoadAssembler(self.mesh).parts(
                 *_local_sources(self.mesh, seed, x_lo, x_hi),
                 self.mesh.time_levels)))
@@ -188,7 +184,7 @@ class ProblemSpec:
             fwd, dual = (_read_only(loads.parts(*data, mesh.time_levels))
                          for data in _duality_sources(mesh, seed))
             return Marcher(mesh, coeffs), fwd, dual
-        return self._derive(("duality", seed, kind, eps), build)
+        return _cached(self, ("duality", seed, kind, eps), build)
 
 
 def _read_only(kept):

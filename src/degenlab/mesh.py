@@ -21,13 +21,16 @@ import numpy as np
 _INTERNED = 8
 
 
-def _cached(mesh, key, build):
-    """The table ``key`` of ``mesh``, built by ``build()`` on first use and
-    kept by the mesh for its life.  A table derives from its key and the
-    mesh's immutable geometry alone, so it cannot go stale; build_mesh
-    interns its meshes (see _INTERNED), so a geometry's tables serve every
-    later command on it."""
-    tables = mesh._tables
+def _cached(owner, key, build):
+    """The table ``key`` of ``owner``, built by ``build()`` on first use and
+    kept in the owner's ``_tables`` dict for its life: the one way the
+    package keeps what it derives.  Each owner is immutable where its
+    tables read it (a mesh, a frozen problem, a solution's read-only
+    levels, a marcher's mesh and field, a band layout's pattern), so a
+    table derives from its key and the owner alone and cannot go stale.
+    build_mesh interns its meshes (see _INTERNED), so a geometry's tables
+    serve every later command on it."""
+    tables = owner._tables
     if key not in tables:
         tables[key] = build()
     return tables[key]

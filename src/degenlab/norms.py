@@ -327,9 +327,9 @@ def _rectangle_norm(mesh, levels, times, dt, spec, space_cells, exact=None):
 def weighted_norm(field, spec, skip_initial=0):
     """Weighted L_p (or derivative) norm of a DiscreteField (space only) or a
     SpaceTimeSolution (space-time, rectangle rule over levels).  A solution
-    keeps each norm integrated of it (``SpaceTimeSolution.kept_norm``); its
-    levels were checked finite, with a zero x_d = 0 trace, when it was
-    made."""
+    keeps each norm integrated of it (by ``_cached``, keyed by the spec and
+    skip_initial), so a norm asked again is bitwise the first; its levels
+    were checked finite, with a zero x_d = 0 trace, when it was made."""
     def integrate():
         levels, times, dt, space_cells = _retained(field, spec, skip_initial)
         return _rectangle_norm(field.mesh, levels, times, dt, spec,
@@ -337,7 +337,7 @@ def weighted_norm(field, spec, skip_initial=0):
     if isinstance(field, DiscreteField):
         _check_boundary_integrability(field.values, spec)
         return integrate()
-    return field.kept_norm((spec, skip_initial), integrate)
+    return _cached(field, (spec, skip_initial), integrate)
 
 
 def levels_norm(mesh, level_values, spec, space_cells=None):

@@ -21,11 +21,12 @@ Every linear system goes to one banded LU (LAPACK's dgbtrf/dgbtrs),
 filled straight from CSR entry data, in a declared DoF order: natural in
 d = 1 and with the periodic x' index interleaved in d = 2, which narrows
 the band from 2P - 1 to P + 2 diagonals.  That layout is built once per
-mesh, with the patterns of the pattern's transpose and of k copies of
-either, and each mesh keeps one band LU per batch size.  No march, step
-or check builds a scipy.sparse matrix: every product calls scipy's own
-CSR kernel on those patterns and the entry data, so it is bitwise the
-scipy product of the same matrix.
+mesh, with the patterns of k copies of the pattern, and each mesh keeps
+one band LU per batch size.  The interior pattern is its own transpose,
+so a transpose is a permutation of the entry data on the same pattern.
+No march, step or check builds a scipy.sparse matrix: every product
+calls scipy's own CSR kernel on those patterns and the entry data, so it
+is bitwise the scipy product of the same matrix.
 """
 
 import numpy as np
@@ -65,24 +66,24 @@ class _BandLayout:
     """Where the entries of one square CSR pattern go in LAPACK band storage
     when the DoFs are taken in ``order`` (the natural order when None): the
     bandwidths of the reordered pattern, the band position of every entry,
-    and the pattern (indices, indptr) itself, with the pattern of its
-    transpose, whose entry i is entry perm[i] of the pattern, that the
-    products and the backward error checks read.  It depends on the
-    pattern alone."""
+    and the pattern (indices, indptr) itself, which the products and the
+    backward error checks read.  It depends on the pattern alone.
+
+    Only the mesh's interior pattern is ever solved transposed, and it is
+    its own transpose: symmetric, with the columns of every row ascending,
+    so listing the entries of each column by ascending row lists the
+    pattern again.  So A^T is the matrix on the same pattern whose entry i
+    is entry perm[i] of A, and every product with A^T and every check of
+    a transposed solve reads A[..., perm] on the pattern, or on
+    ``copies`` of it."""
 
     def __init__(self, indices, indptr, n, order=None):
         rows = np.repeat(np.arange(n), np.diff(indptr))
         cols = np.asarray(indices, np.intp)
         self.pattern = (indices, indptr)
-        # A^T by rows: the entries of each column of A, rows ascending
+        # the entries of each column of A, rows ascending: A^T by rows
         self.perm = np.argsort(cols, kind="stable")
-        self._transposed = (
-            rows[self.perm].astype(indices.dtype),
-            np.append(0, np.cumsum(np.bincount(cols, minlength=n))).astype(
-                indptr.dtype))
-        for table in self._transposed:
-            table.setflags(write=False)
-        self._copies = {}
+        self._tables = {}
         self.order, self.rank = order, None
         r, c = rows, cols
         if order is not None:
@@ -94,17 +95,16 @@ class _BandLayout:
         self.shape = (2 * self.kl + self.ku + 1, n)
         self.at = self.kl + self.ku + off + self.shape[0] * c     # A[i, j]
 
-    def copies(self, k, trans=0):
+    def copies(self, k):
         """The (indices, indptr) of diag(A_1, ..., A_k), k blocks on the
-        pattern (on its transpose for trans=1), every row in the entry order
-        of its block's: in the pattern's index dtype, built once per (k,
-        trans) and read-only for k > 1; for k = 1, the pattern itself."""
-        base = self._transposed if trans else self.pattern
+        pattern, every row in the entry order of its block's: in the
+        pattern's index dtype, built once per k and read-only for k > 1;
+        for k = 1, the pattern itself."""
         if k == 1:
-            return base
-        key = (k, trans)
-        if key not in self._copies:
-            indices, indptr = base
+            return self.pattern
+
+        def build():
+            indices, indptr = self.pattern
             n, nnz = len(indptr) - 1, indices.size
             shift = np.arange(k)[:, None]
             block = ((indices + n * shift).ravel().astype(indices.dtype),
@@ -112,8 +112,8 @@ class _BandLayout:
                                k * nnz).astype(indptr.dtype))
             for table in block:
                 table.setflags(write=False)
-            self._copies[key] = block
-        return self._copies[key]
+            return block
+        return _cached(self, ("copies", k), build)
 
 
 def _product(pattern, data, x, out):
@@ -239,7 +239,8 @@ class _BandLU:
         rows of data (1 or K, nnz).  All A_k x_k are one call of scipy's CSR
         product kernel, on diag(A_1, ..., A_K) or on A_1 for every x_k when
         data has one row, and so are the row sums of |A_k|: each sum runs
-        as a scipy product of the same matrix runs it.  Every temporary of
+        as a scipy product of the same matrix runs it.  A^T is A[..., perm]
+        on the same pattern (see _BandLayout).  Every temporary of
         the size of X is formed in the two halves of the kept work array:
         the X that the kernel reads (transposed for one row), A X, the
         squares behind the row norms of B, X and the residual B - A X, and
@@ -257,7 +258,7 @@ class _BandLU:
         if self._work.size < 2 * size:
             self._work = np.empty(2 * size)
         first, second = self._work[:size], self._work[size:2 * size]
-        pattern = layout.copies(levels_n, trans)
+        pattern = layout.copies(levels_n)
         if levels_n == 1:       # X^T and (A X)^T, then A X in the first half
             first.reshape(n, K)[:] = X.T
             second[:] = 0.0
@@ -314,13 +315,15 @@ def linear_solve(A, b):
 class SpaceTimeSolution:
     """Nodal values at every time level of the mesh's time grid: ``times``,
     ``dt`` and ``time_count`` are the mesh's.  Dirichlet traces are exactly
-    zero and every value is finite, both checked once here.  A solution
+    zero and every value is finite, both checked once here.  A march gives
+    the lambda ``lam`` it marched at and the load rows ``loads`` (N+1,
+    n_interior) it marched on, each None when not known.  A solution
     keeps its own read-only copy of the levels, so the space-time norms of
-    ``norms.weighted_norm`` are integrated once per solution and norm
-    (see ``kept_norm``): a kept norm cannot go stale.  A march sets
-    ``lam`` and ``loads``."""
+    ``norms.weighted_norm`` are integrated once per solution and norm and
+    kept in its ``_tables`` (see ``mesh._cached``): a kept norm cannot go
+    stale."""
 
-    def __init__(self, mesh, levels):
+    def __init__(self, mesh, levels, lam=None, loads=None):
         levels = np.array(levels, float)
         shape = (mesh.time_count + 1, mesh.M + 1, mesh.xprime_count)
         if levels.shape != shape:
@@ -333,21 +336,14 @@ class SpaceTimeSolution:
         levels.setflags(write=False)
         self.mesh = mesh
         self._levels = levels
-        self._norms = {}
+        self._tables = {}
         self.times = mesh.time_levels
-        self.lam = None
-        self.loads = None
+        self.lam = lam
+        self.loads = loads
 
     @property
     def levels(self):
         return self._levels
-
-    def kept_norm(self, key, integrate):
-        """The norm that ``key`` names, from ``integrate()`` on the first
-        ask and kept for every later one, so it is bitwise the same."""
-        if key not in self._norms:
-            self._norms[key] = integrate()
-        return self._norms[key]
 
     @property
     def time_count(self):
@@ -444,7 +440,7 @@ def _steps(mass, K, A, lu, rhs, levels, theta, dt, names, trans=0):
     return U
 
 
-def march_system(mass, stiffness, loads, mesh, config=None, names=None):
+def march_system(mass, stiffness, loads, mesh, config=None, lams=None):
     """Core theta-scheme for a batch of k systems that share the mesh and
     the mass, marched from rest (u^0 = 0) on the mesh's time grid
     t_n = n dt, n = 0..N.
@@ -453,11 +449,13 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     stiffness: an array (k, L, nnz) whose [i, n] is the data of K_i(t_n) on
     ``interior_pattern(mesh)`` (see ``stiffness_levels``): L = 1 for
     autonomous coefficients, or L = N+1.  loads: None or an array (k, N+1,
-    n_interior) whose [i, n] is the load b_i^n.  names: k prefixes of the
-    failures of the k systems ("system i: " when omitted).  Each step
+    n_interior) whose [i, n] is the load b_i^n.  lams: the k lambdas the
+    stack was formed at, or None; a failure of system i names lams[i]
+    ("lambda 10.0: "), or i ("system i: ") when lams is None.  Each step
     solves (M + theta dt K_i^{n+1}) u_i^{n+1} = (M - (1-theta) dt K_i^n)
     u_i^n + dt b_i^theta for every i, by ``_steps``.  Returns k solutions,
-    each keeping its load rows as ``loads``.
+    solution i made with lams[i] as its ``lam`` and its load rows as its
+    ``loads``.
     """
     config = config or TimeStepperConfig()
     dt, N = mesh.time_step, mesh.time_count
@@ -465,10 +463,15 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     n_int = mesh.n_interior
     K, A, lu = _systems(mass, stiffness, theta * dt, mesh)
     k = len(K)
-    names = names or ["system %d: " % i for i in range(k)]
-    if len(names) != k:
-        raise ValueError("names must hold one prefix per system, k = %d, "
-                         "got %d" % (k, len(names)))
+    if lams is None:
+        lams = [None] * k
+        names = ["system %d: " % i for i in range(k)]
+    else:
+        lams = [float(lam) for lam in lams]
+        names = ["lambda %r: " % lam for lam in lams]
+    if len(lams) != k:
+        raise ValueError("lams must hold one lambda per system, k = %d, "
+                         "got %d" % (k, len(lams)))
     rhs = np.zeros((N, k, n_int))       # [n, i]: system i, step n -> n+1
     if loads is not None:
         loads = np.asarray(loads, float)
@@ -484,12 +487,9 @@ def march_system(mass, stiffness, loads, mesh, config=None, names=None):
     nodes = np.zeros((k, N + 1, mesh.M + 1, mesh.xprime_count))
     nodes[:, :, 1:-1, :] = U.transpose(1, 0, 2).reshape(
         k, N + 1, mesh.M - 1, mesh.xprime_count)
-    sols = []
-    for i in range(k):
-        sol = SpaceTimeSolution(mesh, nodes[i])
-        sol.loads = None if loads is None else loads[i]
-        sols.append(sol)
-    return sols
+    return [SpaceTimeSolution(mesh, nodes[i], lams[i],
+                              None if loads is None else loads[i])
+            for i in range(k)]
 
 
 class Marcher:
@@ -509,18 +509,18 @@ class Marcher:
         self.coeffs = coeffs
         self.config = config or TimeStepperConfig()
         self.mass = assemble_weighted_mass(mesh, coeffs.a0)
-        self._split = None
+        self._tables = {}
 
     def stiffness(self, lams):
         """K(lam) for each lambda of a grid, as march_system takes it: the
         stiffness_entries (k, L, nnz) of the split, one level when
         autonomous, else N+1."""
-        if self._split is None:
+        def split():
             times = self.mesh.time_levels
             if self.coeffs.autonomous:
                 times = times[:1]
-            self._split = stiffness_levels(self.mesh, self.coeffs, times)
-        return stiffness_entries(self._split, lams)
+            return stiffness_levels(self.mesh, self.coeffs, times)
+        return stiffness_entries(_cached(self, "split", split), lams)
 
     def march(self, lams, F=None, f=None, parts=None):
         """Forward marches at every lambda of the grid ``lams``, one
@@ -544,12 +544,8 @@ class Marcher:
         if parts is not None:
             loads = np.stack([LoadAssembler.combine(parts, lam)
                               for lam in grid])
-        sols = march_system(self.mass, K, loads, self.mesh,
-                            config=self.config,
-                            names=["lambda %r: " % lam for lam in grid])
-        for lam, sol in zip(grid, sols):
-            sol.lam = lam
-        return sols
+        return march_system(self.mass, K, loads, self.mesh,
+                            config=self.config, lams=grid)
 
     def adjoint(self, lam, dual_loads):
         """Backward march on the transpose of the forward system at this

@@ -5,7 +5,8 @@ when a change to the package removes or renames a name the benchmark still
 uses, instead of leaving the failure to ``bench/run.py --trace 1``.  Two
 fail the other way round: when the package exports a function or class
 that only its own unit tests use, and when it defines a module-level name
-that nothing reads."""
+that nothing reads.  One more keeps the modules below the harness from
+patching an object after it is built."""
 
 import ast
 import importlib
@@ -174,3 +175,56 @@ def test_every_module_level_name_is_read():
                         if not (name.startswith("__") and name.endswith("__"))]
     assert len(defined) > 100
     assert [d for d in defined if d.split(":")[1] not in loaded] == []
+
+
+def _patches(tree):
+    """The line of every assignment (plain, augmented or annotated) to an
+    attribute, or to an item or slice of one, of any name but ``self``,
+    and of every ``setattr`` or ``object.__setattr__`` on such a name."""
+    def foreign(node):
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        return not (isinstance(node, ast.Name) and node.id == "self")
+
+    def patched(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(patched(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return patched(target.value)
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        return isinstance(target, ast.Attribute) and foreign(target)
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and node.args and (
+                ast.unparse(node.func) in ("setattr", "object.__setattr__")):
+            targets = []
+            if foreign(node.args[0]):
+                lines.append(node.lineno)
+        else:
+            continue
+        lines += [node.lineno for t in targets if patched(t)]
+    return sorted(lines)
+
+
+def test_no_object_is_patched_after_it_is_built():
+    """In the modules below the harness an object gets its state when it is
+    built, and keeps what it derives through ``mesh._cached``: no code sets
+    an attribute of an object other than ``self``.  ``harness.py`` is not
+    held to this while ``locally_homogeneous_solution`` sets four local
+    attributes on its solution, two of which (``homogeneous_cylinder`` and
+    ``source_bound``) ``bench/workloads.py:217-218`` reads."""
+    modules = ("mesh.py", "fields.py", "norms.py", "solver.py")
+    assert _patches(ast.parse("a.b = 1\nself.c[0].d += 2\nx, e.f[1] = g\n"
+                              "self.h[2] = 3\nsetattr(i, 'j', 4)\n"
+                              "object.__setattr__(self, 'k', 5)\n"
+                              "l.m().n[:] = 6\nl.m()[:] = 7\n")) == \
+        [1, 3, 5, 7]
+    assert {m: _patches(ast.parse((ROOT / "src" / "degenlab" / m)
+                                  .read_text())) for m in modules} == \
+        dict.fromkeys(modules, [])

@@ -19,8 +19,13 @@ from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
                       corollary2_check, default_case, duality_check,
                       energy_ratio, generate_family, hardy_report,
                       locally_homogeneous_solution, main_estimate_sweep,
-                      march, smooth_random_closure, trace_report,
-                      w_estimate_ratio)
+                      march, sample_nodes, smooth_random_closure,
+                      trace_report, w_estimate_ratio)
+
+
+def _sampled(mesh, func):
+    """The field of func's nodal samples at t = 0."""
+    return DiscreteField(mesh, sample_nodes(mesh, func, 0.0))
 
 
 def _problem_d1(M=24, time_count=20, seed=0, kind="xd_only", nu=0.5,
@@ -589,12 +594,12 @@ def test_corollary2_validation_and_report():
 
 def test_trace_report_slope_oracles():
     m = build_mesh(1, 1.0, 128, 2.0)
-    lin = DiscreteField.sample(m, lambda t, xp, xd: xd)
+    lin = _sampled(m, lambda t, xp, xd: xd)
     rep = trace_report(lin, 2.0)
     print("slope(x)", rep.lhs)
     assert abs(rep.lhs - 1.0) < 1e-10
     assert rep.passed
-    frac = DiscreteField.sample(m, lambda t, xp, xd: xd ** 0.6)
+    frac = _sampled(m, lambda t, xp, xd: xd ** 0.6)
     rep2 = trace_report(frac, 2.0)
     print("slope(x^0.6)", rep2.lhs)
     assert abs(rep2.lhs - 0.6) < 1e-10
@@ -606,11 +611,11 @@ def test_trace_report_slope_oracles():
 
 def test_hardy_report_linear_profile():
     m = build_mesh(1, 1.0, 32, 2.0)
-    u = DiscreteField.sample(m, lambda t, xp, xd: xd)
+    u = _sampled(m, lambda t, xp, xd: xd)
     rep = hardy_report(u, 2.0)
     assert abs(rep.ratio - 1.0) < 1e-12
     assert rep.passed
-    bump = DiscreteField.sample(m, lambda t, xp, xd: xd * (1 - xd))
+    bump = _sampled(m, lambda t, xp, xd: xd * (1 - xd))
     rep2 = hardy_report(bump, 3.0)
     print("hardy ratio", rep2.ratio, "bound", rep2.threshold)
     assert rep2.passed
@@ -619,7 +624,7 @@ def test_hardy_report_linear_profile():
 
 def test_hardy_and_trace_adapters():
     m = build_mesh(1, 1.0, 64, 2.0)
-    lin = DiscreteField.sample(m, lambda t, xp, xd: xd)
+    lin = _sampled(m, lambda t, xp, xd: xd)
     h = hardy_report(lin, 2.0, seed=9)
     assert h.check_id == "hardy"
     assert abs(h.ratio - 1.0) < 1e-12

@@ -9,8 +9,14 @@ from degenlab import (Cylinder, DiscreteField, NormSpec, SpaceTimeSolution,
                       analytic_norm, assemble_weighted_mass, build_mesh,
                       cell_center_gradients, cells_in_cylinder, error_norm,
                       levels_norm, model_stiffness,
-                      second_difference_fields, second_difference_magnitude,
-                      slice_norms, weighted_norm)
+                      sample_nodes, second_difference_fields,
+                      second_difference_magnitude, slice_norms,
+                      weighted_norm)
+
+
+def _sampled(mesh, func):
+    """The field of func's nodal samples at t = 0."""
+    return DiscreteField(mesh, sample_nodes(mesh, func, 0.0))
 
 
 def test_norm_spec_validation():
@@ -32,7 +38,7 @@ def test_power_function_norm_oracles():
     # u = x_d interpolates exactly; closed forms:
     # ||u||_{L_p, x^alpha}^p = 1/(p+1+alpha) on (0,1)
     m = build_mesh(1, 1.0, 64, 2.0)
-    u = DiscreteField.sample(m, lambda t, xp, xd: xd)
+    u = _sampled(m, lambda t, xp, xd: xd)
     cases = [(2.0, 0.0), (3.0, -1.0), (2.0, -2.0), (4.0, 1.5)]
     for p, alpha in cases:
         got = weighted_norm(u, NormSpec(p, weight_exponent=alpha))
@@ -106,7 +112,7 @@ def test_norms_match_assembled_quadratic_forms():
 
 def test_smooth_profile_against_dense_quadrature():
     m = build_mesh(1, 1.0, 64, 1.0)
-    u = DiscreteField.sample(m, lambda t, xp, xd: xd * np.exp(-xd))
+    u = _sampled(m, lambda t, xp, xd: xd * np.exp(-xd))
     got = weighted_norm(u, NormSpec(2.0))
     oracle = np.sqrt(quad(lambda x: (x * np.exp(-x)) ** 2, 0, 1)[0])
     print("interp norm", got, "continuum", oracle)
@@ -188,7 +194,7 @@ def test_error_norm_zero_for_reproduced_linears():
     m = build_mesh(2, 2.0, 8, 1.0, xprime_count=6, xprime_length=3.0,
                    time_step=0.5, time_count=2)
     a, b = 0.7, 0.0        # keep x'-periodicity trivial
-    u = DiscreteField.sample(m, lambda t, xp, xd: a * xd + b)
+    u = _sampled(m, lambda t, xp, xd: a * xd + b)
     exact = {"u": lambda t, xp, x: a * x + b,
              "du": (lambda t, xp, x: 0.0 * x, lambda t, xp, x:
                     a + 0.0 * x)}
@@ -506,8 +512,7 @@ def test_slice_norms_are_bitwise_the_per_node_loop(dim):
 def test_slice_norms_circle_oracle():
     m = build_mesh(2, 1.0, 4, 1.0, xprime_count=64,
                    xprime_length=2 * np.pi)
-    u = DiscreteField.sample(m, lambda t, xp, xd: np.sin(xp)
-                             + 0.0 * xd)
+    u = _sampled(m, lambda t, xp, xd: np.sin(xp) + 0.0 * xd)
     xd, s = slice_norms(u, 2.0)
     assert xd.shape == s.shape == (5,)
     assert np.max(np.abs(s - np.sqrt(np.pi))) < 0.01 * np.sqrt(np.pi)
@@ -523,7 +528,7 @@ def test_cell_center_gradients_of_a_stack_are_per_level(dim):
 
 def test_cell_center_gradients_oracles():
     m = build_mesh(2, 2.0, 8, 1.5, xprime_count=8, xprime_length=2 * np.pi)
-    lin = DiscreteField.sample(m, lambda t, xp, xd: xd)
+    lin = _sampled(m, lambda t, xp, xd: xd)
     g = cell_center_gradients(m, lin.values)
     assert g.shape == (8, 8, 2)
     assert np.max(np.abs(g[:, :, 1] - 1.0)) < 1e-13

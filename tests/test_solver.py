@@ -424,6 +424,7 @@ def test_a_batch_march_is_bitwise_one_march_per_system(dim, kind, theta,
         assert sol.levels.tobytes() == one.levels.tobytes()
         assert (one.max_abs() > 0) == loaded
         assert (sol.loads is None) == (not loaded)
+        assert sol.lam is one.lam is None      # no lams given
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -462,24 +463,27 @@ def test_a_lambda_grid_is_one_band(monkeypatch, dim, kind, factorings):
                                          xp_length=2 * np.pi))
     calls = _count_factorizations(monkeypatch)
     solves = _record_solves(monkeypatch)
-    marcher.march([1.0, 10.0, 100.0],
-                  f=smooth_random_closure(5, dim, xp_length=2 * np.pi))
+    sols = marcher.march(np.array([1.0, 10.0, 100.0]),
+                         f=smooth_random_closure(5, dim, xp_length=2 * np.pi))
+    # each solution is made with its grid value, a Python float
+    assert [(type(sol.lam), sol.lam) for sol in sols] == \
+        [(float, 1.0), (float, 10.0), (float, 100.0)]
     assert len(calls) == factorings
     assert {shape[1] for shape in calls} == {3 * m.n_interior}
     assert len(solves) == 5
 
 
-def test_march_system_refuses_names_not_one_per_system():
+def test_march_system_refuses_lams_not_one_per_system():
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
     Mw = assemble_weighted_mass(m)
     K = _stack(m, identity_coefficients(1), 1.0)[None]
-    # one failure prefix per system, or a later member's failure could not
-    # be named
-    for names in (["a: "], ["a: ", "b: ", "c: "]):
+    # one lambda per system, or a later member could neither be given its
+    # lambda nor have its failure named
+    for lams in ([1.0], [1.0, 2.0, 3.0]):
         with pytest.raises(ValueError, match=re.escape(
-                "names must hold one prefix per system, k = 2, got %d"
-                % len(names))):
-            march_system(Mw, np.concatenate([K, K]), None, m, names=names)
+                "lams must hold one lambda per system, k = 2, got %d"
+                % len(lams))):
+            march_system(Mw, np.concatenate([K, K]), None, m, lams=lams)
 
 
 GRID = [1.0, 10.0, 100.0, 1000.0]
@@ -602,6 +606,26 @@ def _reference_backward_errors(data, X, B, indices, indptr, trans):
     return np.linalg.norm(B - Ax, axis=1) / np.where(denom == 0, 1, denom)
 
 
+@pytest.mark.parametrize("dim, P", [(1, 1), (2, 1), (2, 2), (2, 3), (2, 5),
+                                    (2, 32)])
+def test_the_interior_pattern_is_its_own_transpose(dim, P):
+    # the entries of each column, rows ascending, list the pattern again,
+    # so A^T is A[perm] on the same pattern, bitwise scipy's transpose
+    m = build_mesh(dim, 3.0, 6, 2.0, xprime_count=P,
+                   xprime_length=2 * np.pi)
+    indices, indptr, shape = interior_pattern(m)
+    layout = degenlab.solver._band_layout(m)
+    n = shape[0]
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    assert np.array_equal(rows[layout.perm], indices)
+    assert np.array_equal(np.bincount(indices, minlength=n), np.diff(indptr))
+    data = np.random.default_rng(P).standard_normal(indices.size)
+    AT = sp.csr_matrix((data, indices, indptr), shape=shape).T.tocsr()
+    assert np.array_equal(AT.indices, indices)
+    assert np.array_equal(AT.indptr, indptr)
+    assert AT.data.tobytes() == data[layout.perm].tobytes()
+
+
 def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
@@ -627,14 +651,14 @@ def test_kernel_products_and_checks_are_bitwise_scipy(dim, k, trans):
     x, = _read_only(rng.standard_normal(k * n))
     A = _block_diagonal(data, indices, indptr)
     want = (A.T if trans else A) @ x
-    pattern = layout.copies(k, trans)
+    pattern = layout.copies(k)        # A^T is A[..., perm] on the pattern
     entries = data[:, layout.perm] if trans else data
     got = degenlab.solver._product(pattern, entries.ravel(), x,
                                    np.empty(k * n))
     assert got.tobytes() == want.tobytes()
     assert all(not table.flags.writeable and table.dtype == indices.dtype
                for table in pattern)
-    assert layout.copies(k, trans) is pattern      # built once
+    assert layout.copies(k) is pattern      # built once
     for levels_n in (1, 6):
         stack, X, B = _read_only(
             rng.standard_normal((levels_n, indices.size)) * scale,
