@@ -17,10 +17,12 @@ coefficients), so a lambda grid assembles D and C once and marches as one
 batch, and a problem that marches many solutions (see
 ``harness.ProblemSpec.marcher``) assembles its mass and split once.
 
-Every linear system goes to one banded LU (LAPACK's dgbtrf/dgbtrs),
-filled straight from CSR entry data, in a declared DoF order: natural in
-d = 1 and with the periodic x' index interleaved in d = 2, which narrows
-the band from 2P - 1 to P + 2 diagonals.  That layout is built once per
+Every linear system goes to one banded LU (LAPACK's dgbtrf), filled
+straight from CSR entry data and solved through its factors by two BLAS
+triangular band solves (dtbsv), or by LAPACK's dgbtrs when dgbtrf
+interchanged rows, in a declared DoF order: natural in d = 1 and with the
+periodic x' index interleaved in d = 2, which narrows the band from
+2P - 1 to P + 2 diagonals.  That layout is built once per
 mesh, with the patterns of k copies of the pattern, and each mesh keeps
 one band LU per batch size.  The interior pattern is its own transpose,
 so a transpose is a permutation of the entry data on the same pattern.
@@ -31,6 +33,7 @@ is bitwise the scipy product of the same matrix.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
@@ -176,24 +179,47 @@ class _BandLU:
     order, and ``check`` checks a batch of solves of one block in one
     pass against its factored matrix in that order.  A vector of the k
     systems is their k vectors end to end.  The band of a block holds zeros
-    outside it, so dgbtrf and dgbtrs treat every block as they treat its
-    matrix alone.  A factorization owns only the band buffer, the
-    pivots, after ``factor_once`` a copy of the entries it factored, and
-    one flat work array, grown on demand and kept like the band, in which
-    ``check`` forms every temporary of the size of its solves."""
+    outside it, so dgbtrf treats every block as it treats its matrix alone.
+
+    When dgbtrf interchanged no rows (the pivots are the identity), A = L U
+    with L unit lower of kl subdiagonals, its multipliers stored below the
+    diagonal of U in the band, and ``solve`` is two BLAS triangular band
+    solves (dtbsv): U is the band as stored (kl + ku superdiagonals), and L
+    is a view of the same buffer from kl + ku entries on, with the band's
+    leading dimension, so that column j of the view starts at the diagonal
+    of U (not read: L has a unit diagonal) followed by column j's
+    multipliers; the buffer is kl + ku entries longer than the band so
+    the view has a full last column.  A forward solve updates each entry
+    through L as dgbtrs does, column by column, and makes dgbtrs's own
+    dtbsv call for U, so it is bitwise dgbtrs, and each block's solution
+    is bitwise that of its system solved alone; a transposed solve sums
+    each entry in another order than dgbtrs, so it agrees with dgbtrs
+    trans=1 to roundoff, not bitwise.  When dgbtrf did interchange
+    rows, L is not banded and ``solve`` calls dgbtrs.
+
+    A factorization owns only the buffer, the pivots and whether they
+    interchanged rows, after ``factor_once`` a copy of the entries it
+    factored, and one flat work array, grown on demand and kept like the
+    band, in which ``check`` forms every temporary of the size of its
+    solves."""
 
     def __init__(self, layout, k=1):
         self.layout = layout
         self.kl, self.ku = layout.kl, layout.ku
         height, n = layout.shape
-        self._band = np.zeros((height, k * n), order="F")
-        self._flat = self._band.reshape(-1, order="F")      # a view
+        shape, pad = (height, k * n), self.kl + self.ku
+        buffer = np.zeros(height * k * n + pad)
+        self._flat = buffer[:height * k * n]                 # views
+        self._band = self._flat.reshape(shape, order="F")
+        self._lower = buffer[pad:].reshape(shape, order="F")
         blocks = np.arange(k)[:, None]
         self._at = layout.at + height * n * blocks           # (k, nnz)
         self._order = self._rank = None
         if layout.order is not None:
             self._order = (layout.order + n * blocks).ravel()
             self._rank = (layout.rank + n * blocks).ravel()
+        self._identity = np.arange(k * n, dtype=np.int32)
+        self._interchanged = None
         self._factored = None
         self._work = np.empty(0)
 
@@ -206,6 +232,7 @@ class _BandLU:
         self._flat[self._at] = data
         _, self._piv, info = dgbtrf(self._band, self.kl, self.ku,
                                     overwrite_ab=1)
+        self._interchanged = not np.array_equal(self._piv, self._identity)
         if info > 0:
             i, pivot = divmod(info - 1, self.layout.shape[1])
             raise SolverError("%s%sLU factorization failed: the matrix is "
@@ -226,12 +253,19 @@ class _BandLU:
     def solve(self, b, trans=0):
         """x of A x = b, or of A^T x = b for trans=1: with P the declared
         order, the band holds P A P^T, and (P A P^T)^T = P A^T P^T, so both
-        solve for P x with P b."""
-        if self._order is None:
-            return dgbtrs(self._band, self.kl, self.ku, b, self._piv,
-                          trans=trans)[0]
-        return dgbtrs(self._band, self.kl, self.ku, b[self._order],
-                      self._piv, trans=trans, overwrite_b=1)[0][self._rank]
+        solve for P x with P b.  L then U, or U^T then L^T, by dtbsv, or
+        by dgbtrs when the factoring interchanged rows."""
+        x = b.copy() if self._order is None else b[self._order]
+        if self._interchanged:
+            x = dgbtrs(self._band, self.kl, self.ku, x, self._piv,
+                       trans=trans, overwrite_b=1)[0]
+        else:
+            factors = [(self.kl, self._lower, 1),
+                       (self.kl + self.ku, self._band, 0)]
+            for k, ab, lower in factors[::-1] if trans else factors:
+                x = dtbsv(k, ab, x, lower=lower, trans=trans, diag=lower,
+                          overwrite_x=1)
+        return x if self._rank is None else x[self._rank]
 
     def backward_errors(self, data, X, B, trans=0):
         """The backward error ||b - A x|| / (||b|| + ||A||_inf ||x||) of each
@@ -408,13 +442,14 @@ def _steps(mass, K, A, lu, rhs, levels, theta, dt, names, trans=0):
     blocks of the band LU ``lu``, factored every step for N+1 levels and
     once for one, by ``factor_once``: so an adjoint solves with the factors
     of a one-system forward march of the same system.  A step makes at
-    most one dgbtrf, one dgbtrs and one product with the mass of all k
-    systems, and for theta < 1 one with their K^{n-1}, each a call of
-    scipy's CSR kernel on k copies of the mesh's pattern; every solution
-    is bitwise that of its system stepped alone.  rhs (steps, k, n_int) is
-    completed in place, and every solve is checked against it after the
-    last step, one system at a time, a failure prefixed by names[i] and
-    naming the level.  Returns U (steps + 1, k, n_int), U[s] = u^s.
+    most one dgbtrf, one solve through its factors (two dtbsv, or one
+    dgbtrs when dgbtrf interchanged rows; see _BandLU) and one product
+    with the mass of all k systems, and for theta < 1 one with their
+    K^{n-1}, each a call of scipy's CSR kernel on k copies of the mesh's
+    pattern; every solution is bitwise that of its system stepped alone.
+    rhs (steps, k, n_int) is completed in place, and every solve is
+    checked against it after the last step, one system at a time, a
+    failure prefixed by names[i] and naming the level.  Returns U (steps + 1, k, n_int), U[s] = u^s.
     """
     steps, k, n_int = rhs.shape
     U = np.zeros((steps + 1, k, n_int))

@@ -1,17 +1,22 @@
 """The paper's class is invariant under the dilation (t, x) -> (s t, s x)
 with lambda -> lambda / s.  At s = 1/4 every scaled node, time and
 product is exact in binary, so the discrete march is covariant bitwise:
-the dilated problem marches to the same levels.  A wrong dt, h, lambda or
+the dilated problem marches to the same levels, forward and, with its
+dual rows scaled as its loads are, back by the adjoint march.  A wrong dt, h, lambda or
 source factor, or a wrong weight exponent, breaks the equality, and no
 stored value is read."""
 
 import numpy as np
 import pytest
 
-from degenlab import (CoefficientField, ProblemSpec, TimeStepperConfig,
-                      build_mesh, generate_family, smooth_random_closure)
+from degenlab import (CoefficientField, LoadAssembler, ProblemSpec,
+                      TimeStepperConfig, build_mesh, generate_family,
+                      smooth_random_closure)
 
 S = 4.0         # the dilated problem is the problem shrunk by S
+# the exact ratio of the dilated problem's load rows to the problem's:
+# S^(2 - d), the weighted mass's S^(1 - d) over the time step's 1 / S
+LOAD_RATIO = {1: 4.0, 2: 1.0}
 
 
 def _composed(g, factor=1.0):
@@ -64,3 +69,26 @@ def test_the_dilated_problem_marches_to_the_same_levels(kind, dim, theta):
         assert got.lam == S * lam
         assert want.max_abs() > 0
         assert got.levels.tobytes() == want.levels.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "xd_only", "oscillatory"])
+def test_the_dilated_adjoint_marches_to_the_same_levels(kind, dim):
+    # the backward march solves with the forward factors transposed: the
+    # dilated system is the system times S^(1 - d), and dual rows scaled by
+    # the forward loads' ratio give bitwise the same v
+    problem = _problem(kind, dim, 1.0)
+    small = _dilated(problem)
+    mesh = problem.mesh
+    dual = LoadAssembler(mesh).assemble(
+        None, smooth_random_closure(7, dim, xp_length=2 * np.pi), 1.0,
+        mesh.time_levels)
+    ratio = LOAD_RATIO[dim]
+    for lam in (0.0, 1.0, 10.0):
+        loads = problem.solution(lam).loads
+        assert small.solution(S * lam).loads.tobytes() == \
+            (ratio * loads).tobytes()
+        want = problem.marcher().adjoint(lam, dual)
+        got = small.marcher().adjoint(S * lam, ratio * dual)
+        assert np.abs(want).max() > 0
+        assert got.tobytes() == want.tobytes()

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import degenlab.mesh
+import degenlab.solver
 from degenlab import (Cylinder, NormSpec, build_mesh, generate_family, march,
                       smooth_random_closure, weighted_norm)
 from degenlab.cli import COMMANDS, parse_config, run
@@ -208,6 +209,26 @@ def test_cli_outputs_match_goldens(tmp_path):
                      bad)
     print("cli goldens: %d of %d values bitwise equal" % tuple(tally))
     assert not bad, "\n".join(bad[:20])
+
+
+def test_no_golden_factorization_interchanges_rows(tmp_path, monkeypatch):
+    # without a row interchange every solve runs the two triangular band
+    # solves; a golden config whose dgbtrf pivots would move every solve
+    # of it to the dgbtrs fallback, so none may, and the duality config
+    # (forward and transposed solves) factors at all
+    factor = degenlab.solver._BandLU.factor
+    interchanged = {}
+
+    def recording(lu, *args, **kwargs):
+        factor(lu, *args, **kwargs)
+        interchanged[name].append(lu._interchanged)
+
+    monkeypatch.setattr(degenlab.solver._BandLU, "factor", recording)
+    for name in CONFIGS:
+        interchanged[name] = []
+        run_config(name, tmp_path / name)
+    assert not any(any(flags) for flags in interchanged.values())
+    assert interchanged["duality"]
 
 
 def _artifact_bytes(out_dir):

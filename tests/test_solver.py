@@ -24,6 +24,7 @@ from degenlab import (CoefficientField, LoadAssembler, Marcher,
                       stiffness_levels)
 
 LOG2 = np.log(2.0)
+_SOLVE = degenlab.solver._BandLU.solve      # as defined, never a wrapper
 
 
 def _stack(m, coeffs, lam, times=(0.0,)):
@@ -214,17 +215,113 @@ def _count_factorizations(monkeypatch):
 
 
 def _record_solves(monkeypatch, wrong_from=np.inf):
-    """Record the trans flag of every banded solve; from the wrong_from-th
-    solve on, return twice the solution."""
+    """Record the trans flag of every banded solve, ``_BandLU.solve``,
+    whichever routine it solves by; from the wrong_from-th solve on,
+    return twice the solution."""
     solves = []
 
-    def recording_dgbtrs(*args, **kwargs):
-        solves.append(kwargs.get("trans", 0))
-        x, info = dgbtrs(*args, **kwargs)
-        return (x if len(solves) < wrong_from else 2 * x), info
+    def recording_solve(lu, b, trans=0):
+        solves.append(trans)
+        x = _SOLVE(lu, b, trans)
+        return x if len(solves) < wrong_from else 2 * x
 
-    monkeypatch.setattr(degenlab.solver, "dgbtrs", recording_dgbtrs)
+    monkeypatch.setattr(degenlab.solver._BandLU, "solve", recording_solve)
     return solves
+
+
+def test_a_row_interchange_falls_back_to_dgbtrs(monkeypatch):
+    # |1e-3| < |1| below it: dgbtrf swaps the first two rows, L is no
+    # longer banded, and every solve goes through dgbtrs, checked as the
+    # triangular band solves are
+    A = sp.csr_matrix(np.array([[1e-3, 1.0, 0.0], [1.0, 1.0, 1.0],
+                                [0.0, 1.0, 1.0]]))
+    b = np.array([1.0, 2.0, 3.0])
+    calls = []
+
+    def counting_dgbtrs(*args, **kwargs):
+        calls.append(kwargs.get("trans", 0))
+        return dgbtrs(*args, **kwargs)
+
+    def no_dtbsv(*args, **kwargs):
+        raise AssertionError("dtbsv after a row interchange")
+
+    monkeypatch.setattr(degenlab.solver, "dgbtrs", counting_dgbtrs)
+    monkeypatch.setattr(degenlab.solver, "dtbsv", no_dtbsv)
+    x = linear_solve(A, b)
+    want = np.linalg.solve(A.toarray(), b)
+    assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+    lu = degenlab.solver._BandLU(degenlab.solver._BandLayout(
+        A.indices, A.indptr, 3))
+    lu.factor(A.data)
+    assert lu._interchanged
+    x = lu.solve(b, trans=1)
+    want = np.linalg.solve(A.toarray().T, b)
+    assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+    lu.check(A.data[None], x[None], b[None], trans=1)
+    assert calls == [0, 1]
+
+    def doubling_dgbtrs(*args, **kwargs):
+        x, info = dgbtrs(*args, **kwargs)
+        return 2 * x, info
+
+    monkeypatch.setattr(degenlab.solver, "dgbtrs", doubling_dgbtrs)
+    with pytest.raises(SolverError, match=re.escape("exceeds 1.000e-11")):
+        linear_solve(A, b)
+
+
+@pytest.mark.parametrize("trans", [0, 1])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_band_solves_agree_with_dgbtrs_on_the_same_factors(dim, k, trans):
+    # without a row interchange the solve is two triangular band solves
+    # on the band: forward they make dgbtrs's own L and U updates, bitwise,
+    # and transposed they sum in another order, to roundoff.  In d = 2
+    # xd_only is nonsymmetric and the band is in the declared order
+    m = build_mesh(dim, 3.0, 8, 2.0, xprime_count=1 if dim == 1 else 5,
+                   xprime_length=2 * np.pi, time_step=0.2, time_count=4)
+    marcher = Marcher(m, generate_family(1, "xd_only", 0.5, 0.2, dim=dim,
+                                         xp_length=2 * np.pi))
+    _, A, lu = degenlab.solver._systems(
+        marcher.mass, marcher.stiffness([1.0, 10.0, 100.0][:k]), 0.2, m)
+    lu.factor(A[0])
+    assert not lu._interchanged
+    b = np.random.default_rng(10 * dim + k).standard_normal(
+        k * m.n_interior)
+    b_bytes = b.tobytes()
+    order = np.tile(_declared_order(m), k) \
+        + np.repeat(m.n_interior * np.arange(k), m.n_interior)
+    want = np.empty_like(b)
+    want[order] = dgbtrs(lu._band, lu.kl, lu.ku, b[order], lu._piv,
+                         trans=trans)[0]
+    x = lu.solve(b, trans)
+    assert b.tobytes() == b_bytes
+    if trans:
+        assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+    else:
+        assert x.tobytes() == want.tobytes()
+
+
+def test_a_32_by_32_d2_march_factors_without_a_row_interchange(
+        monkeypatch):
+    # a march and its adjoint on 992 interior DoFs, refactored every
+    # step, run the triangular band solves throughout, never the dgbtrs
+    # fallback
+    m = build_mesh(2, 3.0, 32, 2.0, xprime_count=32,
+                   xprime_length=2 * np.pi, time_step=0.1, time_count=3)
+    marcher = Marcher(m, generate_family(2, "oscillatory", 0.5, 0.2, dim=2,
+                                         xp_length=2 * np.pi))
+    f = smooth_random_closure(4, 2, xp_length=2 * np.pi)
+    interchanged = []
+    factor = degenlab.solver._BandLU.factor
+
+    def recording(lu, *args, **kwargs):
+        factor(lu, *args, **kwargs)
+        interchanged.append(lu._interchanged)
+
+    monkeypatch.setattr(degenlab.solver._BandLU, "factor", recording)
+    u, = marcher.march([3.0], f=f)
+    marcher.adjoint(3.0, u.loads)
+    assert interchanged == [False] * 6
 
 
 def _declared_order(m):
@@ -456,7 +553,7 @@ def test_marcher_grid_is_bitwise_the_one_lambda_marches(dim, loaded):
     (2, "oscillatory", 5)])
 def test_a_lambda_grid_is_one_band(monkeypatch, dim, kind, factorings):
     # one dgbtrf of a 3-block band per factoring, so once per level, not
-    # once per lambda, and one dgbtrs per step
+    # once per lambda, and one solve per step
     m = build_mesh(dim, 3.0, 6, 2.0, xprime_count=1 if dim == 1 else 5,
                    xprime_length=2 * np.pi, time_step=0.2, time_count=5)
     marcher = Marcher(m, generate_family(4, kind, 0.5, 0.2, dim=dim,
@@ -523,14 +620,14 @@ def test_a_failing_grid_member_names_its_level_and_lambda(monkeypatch):
     n = marcher.mesh.n_interior
     sizes = []
 
-    def doubling_dgbtrs(*args, **kwargs):
-        x, info = dgbtrs(*args, **kwargs)
+    def doubling_solve(lu, b, trans=0):
+        x = _SOLVE(lu, b, trans)
         sizes.append(x.size)
         if len(sizes) == 3:
             x[n:2 * n] *= 2.0
-        return x, info
+        return x
 
-    monkeypatch.setattr(degenlab.solver, "dgbtrs", doubling_dgbtrs)
+    monkeypatch.setattr(degenlab.solver._BandLU, "solve", doubling_solve)
     with pytest.raises(SolverError, match=re.escape(
             "lambda 10.0: time level 3: linear solve backward error")):
         marcher.march(GRID, f=f)
