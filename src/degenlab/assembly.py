@@ -20,8 +20,10 @@ contributions by entry and the groups by size: a fold sorts only groups of
 3 or more and sums all groups with one reduceat.  A fold takes cell values
 with a leading level axis, so the stiffness of every time level of a march
 is one fold (``stiffness_levels``), each level bitwise equal to its fold
-alone.  The mesh-only operators (the a0-free mass, the model stiffness, the
-Grams and the load maps) are built once per mesh and shared read-only.
+alone.  The operators are plain CSR matrices (assemble_stiffness alone
+wraps its own in a SparseOperator); the mesh-only ones (the a0-free mass,
+the model stiffness, the Grams and the load maps) are built once per mesh
+and shared read-only.
 
 The singular factor 1/x_d is integrated exactly per element against P1
 products (antiderivatives with logarithms); sources are interpolated to the
@@ -139,14 +141,13 @@ def _certified_pairs(mesh):
         raise AssemblyError("x_d^-1-weighted pair table is not positive "
                             "definite on cell %d, x_d in [%g, %g]: broken "
                             "quadrature" % (j, nodes[j], nodes[j + 1]))
-    table.setflags(write=False)
     return table
 
 
 # -- sparse operator wrapper --------------------------------------------------
 
 class SparseOperator:
-    """An assembled operator; ``matrix`` is its CSR matrix."""
+    """The stiffness of assemble_stiffness; ``matrix`` is its CSR matrix."""
 
     def __init__(self, matrix):
         self.matrix = sp.csr_matrix(matrix)
@@ -273,12 +274,6 @@ def _one_level(plan, terms):
     return plan.csr(plan.fold(terms)[0])
 
 
-def _read_only(mat):
-    for part in (mat.data, mat.indices, mat.indptr):
-        part.setflags(write=False)
-    return mat
-
-
 def interior_pattern(mesh):
     """(indices, indptr, shape) of the CSR pattern that every operator on
     the interior DoFs is folded onto: the weighted mass, and the rows of
@@ -290,23 +285,21 @@ def interior_pattern(mesh):
 # -- operators ----------------------------------------------------------------
 
 def assemble_weighted_mass(mesh, a0=None):
-    """M_kl = int a0(x_d) phi_k phi_l x_d^{-1} dx over interior DoFs.  SPD:
-    a0 must be finite and positive on every cell, and the pair table is
-    certified per cell (see xd_weighted_pairs).  The a0-free mass depends
-    on the mesh alone; it is built once per mesh and shared, read-only."""
+    """M_kl = int a0(x_d) phi_k phi_l x_d^{-1} dx over interior DoFs, in CSR.
+    SPD: a0 must be finite and positive on every cell, and the pair table
+    is certified per cell (see xd_weighted_pairs).  The a0-free mass
+    depends on the mesh alone; it is kept once per mesh (read-only)."""
     if a0 is None:
-        mat = _cached(mesh, "mass", lambda: _read_only(
-            _weighted_mass(mesh, np.ones(mesh.M))))
-    else:
-        a0_cells = np.broadcast_to(np.asarray(a0(mesh.xd_centers), float),
-                                   (mesh.M,))
-        bad = ~(np.isfinite(a0_cells) & (a0_cells > 0))
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ValueError("a0 must be finite and positive: a0 = %g at "
-                             "x_d=%.6g" % (a0_cells[j], mesh.xd_centers[j]))
-        mat = _weighted_mass(mesh, a0_cells)
-    return SparseOperator(mat)
+        return sp.csr_matrix(_cached(mesh, "mass", lambda: _weighted_mass(
+            mesh, np.ones(mesh.M))))
+    a0_cells = np.broadcast_to(np.asarray(a0(mesh.xd_centers), float),
+                               (mesh.M,))
+    bad = ~(np.isfinite(a0_cells) & (a0_cells > 0))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError("a0 must be finite and positive: a0 = %g at "
+                         "x_d=%.6g" % (a0_cells[j], mesh.xd_centers[j]))
+    return _weighted_mass(mesh, a0_cells)
 
 
 def _weighted_mass(mesh, a0_cells):
@@ -372,14 +365,14 @@ def assemble_stiffness(mesh, coeffs, lam, t=0.0):
 
 
 def model_stiffness(mesh):
-    """K0: a = I, lambda = 0.  u^T K0 u is exactly the squared L2 gradient
-    norm of the interior P1 field u.  Built once per mesh, read-only."""
+    """K0 in CSR: a = I, lambda = 0.  u^T K0 u is exactly the squared L2
+    gradient norm of the interior P1 field u.  Kept once per mesh."""
     def build():
         eye = np.broadcast_to(np.eye(mesh.dim), (1, mesh.M, mesh.xprime_count,
                                                  mesh.dim, mesh.dim))
-        return _read_only(_plan(mesh, "interior", "interior").csr(
-            _diffusion(mesh, eye)[0]))
-    return SparseOperator(_cached(mesh, "model_stiffness", build))
+        return _plan(mesh, "interior", "interior").csr(
+            _diffusion(mesh, eye)[0])
+    return sp.csr_matrix(_cached(mesh, "model_stiffness", build))
 
 
 # -- loads --------------------------------------------------------------------
@@ -456,7 +449,6 @@ def _load_maps(mesh):
     maps = [_one_level(plan, [_weighted_term(mesh, ones)])]
     maps += [_one_level(plan, [_term(mesh, ones, None, i)])
              for i in range(mesh.dim)]
-    maps = [_read_only(mat) for mat in maps]
     return maps[0], tuple(maps[1:])
 
 
@@ -464,11 +456,11 @@ def _load_maps(mesh):
 
 def data_grams(mesh):
     """(unweighted Gram over all nodes, x_d^{-1}-weighted Gram over nodes with
-    j >= 1).  The weighted form requires the x_d = 0 samples to vanish; the
-    j = 0 row/column is excluded, which is exact in that case.  Built once
-    per mesh, read-only."""
-    gram_all, gram_w = _cached(mesh, "grams", lambda: _grams(mesh))
-    return SparseOperator(gram_all), SparseOperator(gram_w)
+    j >= 1) in CSR.  The weighted form requires the x_d = 0 samples to
+    vanish; the j = 0 row/column is excluded, which is exact in that case.
+    Kept once per mesh."""
+    return tuple(sp.csr_matrix(gram)
+                 for gram in _cached(mesh, "grams", lambda: _grams(mesh)))
 
 
 def _grams(mesh):
@@ -477,4 +469,4 @@ def _grams(mesh):
                           [_term(mesh, ones, None, None)])
     gram_w = _one_level(_plan(mesh, "nodes_no0", "nodes_no0"),
                         [_weighted_term(mesh, ones)])
-    return _read_only(gram_all), _read_only(gram_w)
+    return gram_all, gram_w

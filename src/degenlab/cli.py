@@ -181,11 +181,11 @@ def _cmd_local(cfg):
 def _cmd_duality(cfg):
     """One report per lambda.  duality_check marches a field of its own per
     seed, which the one problem keeps for every lambda, and reads only the
-    mesh, coeffs.nu and rho0 of it: the problem needs no field at eps."""
+    mesh and coeffs.nu of it: the problem needs no field at eps."""
     problem = _problem(cfg, eps=0.0)
     seeds = range(cfg["seed"], cfg["seed"] + cfg["duality_seeds"])
-    return [duality_check(problem, p=cfg["p"], seeds=seeds, lam=lam,
-                          kind=cfg["kind"], eps=cfg["eps"])
+    return [duality_check(problem, seeds=seeds, lam=lam, kind=cfg["kind"],
+                          eps=cfg["eps"])
             for lam in _values(cfg, "lambda")], [], []
 
 
@@ -352,7 +352,7 @@ _SCHEMA = {
 # a local command marches no with_F or with_f source (see _cmd_local).
 _EVERY_COMMAND = "schema_version command dim L_d grading xprime_count " \
     "xprime_length time_step time_count out_dir emit_plots"
-_LOCAL_READS = "mesh_M nu kind eps seed lambda lambda_grid rho0 theta " \
+_LOCAL_READS = "mesh_M nu kind eps seed lambda lambda_grid theta " \
     "cyl_time cyl_radius r_inner n_solutions"
 _READS = {command: frozenset((_EVERY_COMMAND + " " + keys).split())
           for command, keys in (
@@ -364,7 +364,7 @@ _READS = {command: frozenset((_EVERY_COMMAND + " " + keys).split())
     ("caccioppoli", _LOCAL_READS + " r_outer"),
     ("wlemma", _LOCAL_READS + " r_outer"),
     ("lipschitz", _LOCAL_READS),
-    ("duality", "mesh_M nu kind eps seed lambda lambda_grid p rho0 theta "
+    ("duality", "mesh_M nu kind eps seed lambda lambda_grid theta "
      "duality_seeds"),
     ("corollary2", "mesh_M lambda p p_grid theta"),
     ("trace", "mesh_M nu kind eps seed lambda p p_grid theta with_F with_f "

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 
 import numpy as np
+import scipy.sparse as sp
 
 # How many geometries build_mesh keeps a mesh of, least recently used
 # first out.  One command builds at most 3 meshes (sweep: the mesh and
@@ -27,13 +28,27 @@ def _cached(owner, key, build):
     package keeps what it derives.  Each owner is immutable where its
     tables read it (a mesh, a frozen problem, a solution's read-only
     levels, a marcher's mesh and field, a band layout's pattern), so a
-    table derives from its key and the owner alone and cannot go stale.
-    build_mesh interns its meshes (see _INTERNED), so a geometry's tables
-    serve every later command on it."""
+    table derives from its key and the owner alone and cannot go stale,
+    and it is read-only: every array in it, in its tuples and lists and
+    behind a CSR matrix (data, indices, indptr), an object as its class
+    makes it.  build_mesh interns its meshes (see _INTERNED), so a
+    geometry's tables serve every later command on it."""
     tables = owner._tables
     if key not in tables:
-        tables[key] = build()
+        tables[key] = _frozen(build())
     return tables[key]
+
+
+def _frozen(table):
+    """table, every array in it made read-only (see _cached)."""
+    if isinstance(table, (tuple, list)):
+        for entry in table:
+            _frozen(entry)
+    elif sp.issparse(table):
+        _frozen((table.data, table.indices, table.indptr))
+    elif isinstance(table, np.ndarray):
+        table.setflags(write=False)
+    return table
 
 
 class TensorMesh:

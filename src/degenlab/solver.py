@@ -11,7 +11,8 @@ system, transposed.
 
 A stiffness stack is an (L, nnz) array of entry data on the mesh's
 interior pattern, one level (L = 1) when the coefficient field declares
-itself autonomous and one per time level (L = N+1) otherwise.  A
+itself autonomous and one per time level (L = N+1) otherwise, and the
+mass is entry data (nnz,) on the same pattern.  A
 ``Marcher`` splits it as K(lam) = D + lam * C once per (mesh,
 coefficients), so a lambda grid assembles D and C once and marches as one
 batch, and a problem that marches many solutions (see
@@ -101,8 +102,8 @@ class _BandLayout:
     def copies(self, k):
         """The (indices, indptr) of diag(A_1, ..., A_k), k blocks on the
         pattern, every row in the entry order of its block's: in the
-        pattern's index dtype, built once per k and read-only for k > 1;
-        for k = 1, the pattern itself."""
+        pattern's index dtype, built once per k (read-only, see _cached)
+        for k > 1; for k = 1, the pattern itself."""
         if k == 1:
             return self.pattern
 
@@ -110,12 +111,9 @@ class _BandLayout:
             indices, indptr = self.pattern
             n, nnz = len(indptr) - 1, indices.size
             shift = np.arange(k)[:, None]
-            block = ((indices + n * shift).ravel().astype(indices.dtype),
-                     np.append((indptr[:-1] + nnz * shift).ravel(),
-                               k * nnz).astype(indptr.dtype))
-            for table in block:
-                table.setflags(write=False)
-            return block
+            return ((indices + n * shift).ravel().astype(indices.dtype),
+                    np.append((indptr[:-1] + nnz * shift).ravel(),
+                              k * nnz).astype(indptr.dtype))
         return _cached(self, ("copies", k), build)
 
 
@@ -408,9 +406,9 @@ def _systems(mass, stiffness, s, mesh, batch=True):
     nnz) on the mesh's interior pattern, L = 1 (autonomous; every n gives
     level 0) or N+1, the entry data A (L, k, nnz) of M + s K_i^n, laid out
     step-major so that the k systems of one level are contiguous, and the
-    mesh's band LU of k blocks.  With batch=False, stiffness is the one
-    stack (L, nnz) of a single system."""
-    indices, indptr, shape = interior_pattern(mesh)
+    mesh's band LU of k blocks, from the mass's entry data (nnz,).  With
+    batch=False, stiffness is the one stack (L, nnz) of a single system."""
+    indices = interior_pattern(mesh)[0]
     N = mesh.time_count
     K = np.asarray(stiffness, float)
     if K.ndim != 2 + batch or K.shape[-2] not in (1, N + 1) \
@@ -421,14 +419,13 @@ def _systems(mass, stiffness, s, mesh, batch=True):
                          % (k, k, k, N + 1, indices.size, K.shape))
     if not batch:
         K = K[None]
-    Mmat = mass.matrix
-    if not (np.array_equal(Mmat.indptr, indptr)
-            and np.array_equal(Mmat.indices, indices)):
-        raise ValueError("the mass must be on the interior pattern of the "
-                         "mesh")
+    if np.shape(mass) != indices.shape:
+        raise ValueError("the mass must be entry data of shape (nnz,) = %s "
+                         "on the interior pattern of the mesh, got %s"
+                         % (indices.shape, np.shape(mass)))
     A = np.empty((K.shape[1], K.shape[0], K.shape[2]))
     np.multiply(K.transpose(1, 0, 2), s, out=A)
-    A += Mmat.data
+    A += mass
     return K, A, _band_lu(mesh, K.shape[0])
 
 
@@ -453,8 +450,8 @@ def _steps(mass, K, A, lu, rhs, levels, theta, dt, names, trans=0):
     """
     steps, k, n_int = rhs.shape
     U = np.zeros((steps + 1, k, n_int))
-    blocks = lu.layout.copies(k)        # interior, as _systems checked
-    M_data = mass.matrix.data if k == 1 else np.tile(mass.matrix.data, k)
+    blocks = lu.layout.copies(k)        # k copies of the interior pattern
+    M_data = mass if k == 1 else np.tile(mass, k)
     U_flat, rhs_flat = U.reshape(steps + 1, -1), rhs.reshape(steps, -1)
     work = np.empty(k * n_int)
     stacked = A.shape[0] > 1
@@ -480,7 +477,7 @@ def march_system(mass, stiffness, loads, mesh, config=None, lams=None):
     the mass, marched from rest (u^0 = 0) on the mesh's time grid
     t_n = n dt, n = 0..N.
 
-    mass: the weighted mass (SparseOperator, SPD) of assemble_weighted_mass.
+    mass: the weighted mass's entry data (nnz,) on the pattern of stiffness.
     stiffness: an array (k, L, nnz) whose [i, n] is the data of K_i(t_n) on
     ``interior_pattern(mesh)`` (see ``stiffness_levels``): L = 1 for
     autonomous coefficients, or L = N+1.  loads: None or an array (k, N+1,
@@ -529,8 +526,8 @@ def march_system(mass, stiffness, loads, mesh, config=None, lams=None):
 
 class Marcher:
     """The lambda-free parts of M du/dt + K(lam, t) u = b on one mesh with
-    one coefficient field: the weighted mass and the stiffness split
-    K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
+    one coefficient field: the weighted mass (entry data) and the stiffness
+    split K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
     declares itself autonomous (see ``CoefficientField.autonomous``) and at
     every time level of the mesh otherwise, built on first use.  One marcher
     marches any number of lambdas and sources, forward and adjoint."""
@@ -543,8 +540,9 @@ class Marcher:
         self.mesh = mesh
         self.coeffs = coeffs
         self.config = config or TimeStepperConfig()
-        self.mass = assemble_weighted_mass(mesh, coeffs.a0)
         self._tables = {}
+        self.mass = _cached(self, "mass", lambda: assemble_weighted_mass(
+            mesh, coeffs.a0).data)
 
     def stiffness(self, lams):
         """K(lam) for each lambda of a grid, as march_system takes it: the
@@ -604,8 +602,8 @@ def adjoint_march_system(mass, stiffness, dual_loads, mesh):
     by ``_steps``.
 
     mass and stiffness are those of one forward system of march_system:
-    the weighted mass and the forward K stack (L, nnz), L = 1 or N+1, not
-    K^T; each system is solved with the forward factors, transposed.
+    the mass's entry data and the forward K stack (L, nnz), L = 1 or N+1,
+    not K^T; each system is solved with the forward factors, transposed.
     dual_loads: array (N+1, n_interior); row n is c^n, row 0 is ignored.
     Returns an array of the same shape whose row n is v^n (row 0 is zero).
     """

@@ -96,8 +96,8 @@ def test_weighted_mass_frozen_value():
     # uniform 2-cell mesh: single interior node, entry 1/2 + (4 ln 2 - 5/2)
     m = build_mesh(1, 2.0, 2, 1.0)
     M = assemble_weighted_mass(m)
-    assert M.matrix.shape == (1, 1)
-    val = M.matrix[0, 0]
+    assert M.shape == (1, 1)
+    val = M[0, 0]
     print("M11 =", val)
     assert abs(val - (4 * LOG2 - 2.0)) < 1e-14
     assert abs(val - 0.7725887222397812) < 1e-14
@@ -105,12 +105,12 @@ def test_weighted_mass_frozen_value():
 
 def test_weighted_mass_weight_scaling():
     m = build_mesh(1, 2.0, 8, 2.0)
-    base = assemble_weighted_mass(m).matrix
+    base = assemble_weighted_mass(m)
 
     def two(xd):
         return 2.0 + 0.0 * np.asarray(xd, float)
 
-    doubled = assemble_weighted_mass(m, two).matrix
+    doubled = assemble_weighted_mass(m, two)
     assert np.allclose(doubled.toarray(), 2 * base.toarray(), rtol=1e-14)
 
 
@@ -126,7 +126,7 @@ def test_stiffness_frozen_value():
 
 def test_model_stiffness_is_dirichlet_form():
     m = build_mesh(1, 1.0, 4, 1.0)
-    K0 = model_stiffness(m).matrix.toarray()
+    K0 = model_stiffness(m).toarray()
     h = 0.25
     expect = (np.diag([2 / h] * 3) + np.diag([-1 / h] * 2, 1)
               + np.diag([-1 / h] * 2, -1))
@@ -304,8 +304,8 @@ def test_d1_operators_are_the_textbook_1d_sums_bitwise():
     assert [int(size) for _, _, size in plan.buckets] == [1, 2]
     h, I = m.xd_widths, assembly.xd_weighted_pairs(m)
     for mat, diag, off in (
-            (model_stiffness(m).matrix, 1 / h[:-1] + 1 / h[1:], -1 / h[1:-1]),
-            (assemble_weighted_mass(m).matrix, I[:-1, 1, 1] + I[1:, 0, 0],
+            (model_stiffness(m), 1 / h[:-1] + 1 / h[1:], -1 / h[1:-1]),
+            (assemble_weighted_mass(m), I[:-1, 1, 1] + I[1:, 0, 0],
              I[1:-1, 0, 1])):
         assert mat.nnz == 3 * m.n_interior - 2
         assert mat.diagonal().tobytes() == diag.tobytes()
@@ -318,17 +318,20 @@ def test_mesh_only_operators_are_shared_read_only():
     for build in (model_stiffness, assemble_weighted_mass,
                   lambda mesh: data_grams(mesh)[0],
                   lambda mesh: data_grams(mesh)[1]):
-        first, again = build(m).matrix, build(m).matrix
+        first, again = build(m), build(m)
         assert np.shares_memory(first.data, again.data)
         assert not first.data.flags.writeable
+        # each call is a new matrix: rebinding its data leaves the kept data
+        first.data = np.zeros_like(first.data)
+        assert np.shares_memory(build(m).data, again.data)
     a0 = identity_coefficients(2).a0
-    assert assemble_weighted_mass(m, a0).matrix.data.flags.writeable
+    assert assemble_weighted_mass(m, a0).data.flags.writeable
 
 
 def test_weighted_mass_is_exactly_symmetric():
     m = build_mesh(2, 4.0, 8, 2.0, xprime_count=6, xprime_length=2 * np.pi)
     M = assemble_weighted_mass(m)
-    assert (M.matrix - M.matrix.T).nnz == 0
+    assert (M - M.T).nnz == 0
 
 
 def test_load_frozen_value_linear_f():
@@ -392,9 +395,9 @@ def test_data_gram_frozen_values():
     m = build_mesh(1, 1.0, 2, 1.0)
     gram_all, gram_w = data_grams(m)
     f_nodes = m.xd_nodes.copy()
-    v = f_nodes @ (gram_all.matrix @ f_nodes)
+    v = f_nodes @ (gram_all @ f_nodes)
     assert abs(v - 1.0 / 3.0) < 1e-14
-    w = f_nodes[1:] @ (gram_w.matrix @ f_nodes[1:])
+    w = f_nodes[1:] @ (gram_w @ f_nodes[1:])
     assert abs(w - 0.5) < 1e-14
 
 
@@ -418,7 +421,7 @@ def test_stiffness_coercive_against_model_stiffness():
         m = build_mesh(dim, 4.0, 12 if dim == 1 else 6, 2.0,
                        xprime_count=1 if dim == 1 else 5,
                        xprime_length=None if dim == 1 else 2 * np.pi)
-        K0 = model_stiffness(m).matrix.toarray()
+        K0 = model_stiffness(m).toarray()
         for kind in ("constant", "xd_only", "oscillatory"):
             coeffs = generate_family(1, kind, 0.5, 0.2, dim=dim,
                                      xp_length=2 * np.pi)
@@ -455,9 +458,9 @@ def test_weighted_mass_rejects_bad_a0(bad):
 
 def _all_operators(m, coeffs):
     la = LoadAssembler(m)
-    mats = [assemble_weighted_mass(m, coeffs.a0).matrix, la.W, *la.G,
+    mats = [assemble_weighted_mass(m, coeffs.a0), la.W, *la.G,
             assemble_stiffness(m, coeffs, 3.0, t=0.2).matrix,
-            *(g.matrix for g in data_grams(m))]
+            *data_grams(m)]
     return [(x.data.copy(), x.indices.copy(), x.indptr.copy()) for x in mats]
 
 

@@ -167,7 +167,7 @@ def test_p_below_two_is_refused_only_where_read():
     (dict(command="caccioppoli", kind="oscillatory"), "kind"),
     (dict(command="trace", eps=-0.1), "eps"),
     (dict(command="sweep", eps_grid=[0.2, -0.1]), "eps_grid"),
-    (dict(command="duality", rho0=0.0), "rho0"),
+    (dict(command="sweep", rho0=0.0), "rho0"),
     (dict(command="caccioppoli", cyl_time=5.0), "cyl_time"),
     (dict(command="lipschitz", cyl_radius=0.02, r_inner=0.005), "cyl_time"),
     (dict(command="duality", theta=0.5), "theta"),
@@ -962,14 +962,31 @@ def test_every_rule_binds_only_where_its_keys_are_read():
 
 
 def test_the_problem_keeps_rho0_where_the_command_reads_it():
-    # the sweep's oscillation radii and the reports' rho0 column; solve and
-    # trace read no rho0 and march at the default 1.0
-    for command in ("sweep", "duality", "caccioppoli", "wlemma", "lipschitz"):
-        cfg = parse_config({"command": command, "rho0": 0.5})
-        assert degenlab.cli._problem(cfg).rho0 == 0.5
-    for command in ("solve", "trace"):
+    # the sweep's oscillation radii and the reports' rho0 column; every
+    # other command that builds a problem reads no rho0 and marches at the
+    # default 1.0
+    cfg = parse_config({"command": "sweep", "rho0": 0.5})
+    assert degenlab.cli._problem(cfg).rho0 == 0.5
+    for command in ("solve", "trace", "duality", "caccioppoli", "wlemma",
+                    "lipschitz"):
         assert degenlab.cli._problem(parse_config({"command": command})) \
             .rho0 == 1.0
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("duality", {"p": 3.0}), ("duality", {"rho0": 0.5}),
+    ("duality", {"p": 2.0, "rho0": 1.0}), ("caccioppoli", {"rho0": 0.5}),
+    ("wlemma", {"rho0": 1.0}), ("lipschitz", {"rho0": 2.0})])
+def test_keys_that_only_label_a_row_are_refused(tmp_path, capsys, command,
+                                                keys):
+    # the local commands label rho0 with their outer radius, and duality
+    # labels p 2 (the L2 pairing) and rho0 the problem's 1.0: no value of
+    # these keys changes a result, so naming one is a config error
+    path = _write_cfg(tmp_path, command=command, **keys)
+    assert main(["run", path]) == 2
+    assert "config error: config key(s) that command %r does not read: %s" \
+        % (command, ", ".join(sorted(keys))) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_the_cli_loads_no_scipy_io():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import degenlab.assembly
+import degenlab.cli
 import degenlab.coefficients
 import degenlab.fields
 import degenlab.harness
@@ -13,14 +14,17 @@ import degenlab.norms
 import degenlab.solver
 from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
                       DegenerateLocalSolution, DiscreteField, EstimateReport,
-                      LoadAssembler, ProblemSpec, SpaceTimeSolution,
+                      LoadAssembler, NormSpec, ProblemSpec,
+                      SpaceTimeSolution,
                       TimeStepperConfig,
                       boundary_lipschitz, build_mesh, caccioppoli_ratio,
                       corollary2_check, default_case, duality_check,
                       energy_ratio, generate_family, hardy_report,
                       locally_homogeneous_solution, main_estimate_sweep,
                       march, sample_nodes, smooth_random_closure,
-                      trace_report, w_estimate_ratio)
+                      trace_report, w_estimate_ratio, weighted_norm)
+from degenlab.cli import parse_config
+from test_golden import CONFIGS as GOLDEN
 
 
 def _sampled(mesh, func):
@@ -410,6 +414,40 @@ def test_locally_homogeneous_rejects_zero_sources():
     with pytest.raises(DegenerateLocalSolution):
         locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5),
                                      lam=1000.0)
+
+
+def _local_ratio(seed, lam, scale, monkeypatch):
+    """(local L2 norm over the cylinder / max|u|, refused) of the local
+    solution of the golden caccioppoli config (M = 24) for one seed and
+    lambda, with both synthesized sources scaled by scale."""
+    sources = degenlab.harness._local_sources
+
+    def scaled(*args):
+        F, f = sources(*args)
+        return (tuple(lambda t, xp, xd, g=g: scale * g(t, xp, xd) for g in F),
+                lambda t, xp, xd: scale * f(t, xp, xd))
+    monkeypatch.setattr(degenlab.harness, "_local_sources", scaled)
+    cfg = parse_config(GOLDEN["caccioppoli"])
+    cyl = degenlab.cli._cylinder(cfg)
+    try:
+        sol = locally_homogeneous_solution(degenlab.cli._problem(cfg), cyl,
+                                           lam=lam, seed=seed)
+    except DegenerateLocalSolution:
+        return None, True
+    local = weighted_norm(sol, NormSpec(2.0, 0.0, "0", region=cyl))
+    return local / sol.max_abs(), False
+
+
+def test_the_degeneracy_floor_is_relative_to_the_solution(monkeypatch):
+    # the march is linear in its sources, so scaling both by 1e-3 scales
+    # u and its local norm alike: the verdict and local / max|u| must not
+    # move.  With an absolute floor of 1e-10 the scaled seed 7 (local
+    # 1.5e-10 unscaled, local / max|u| 2.9e-9) was refused
+    ratio, refused = _local_ratio(7, 300.0, 1.0, monkeypatch)
+    assert not refused and 1e-9 < ratio < 1e-8
+    scaled_ratio, scaled_refused = _local_ratio(7, 300.0, 1e-3, monkeypatch)
+    assert not scaled_refused
+    assert scaled_ratio == pytest.approx(ratio, rel=1e-12)
 
 
 def test_locally_homogeneous_refuses_a_problem_with_sources():

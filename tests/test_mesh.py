@@ -1,13 +1,19 @@
 import dataclasses
 import gc
+import sys
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import degenlab.coefficients
-from degenlab import (Cylinder, NormSpec, TensorMesh, build_mesh,
-                      cells_in_cylinder, generate_family, oscillation_scan)
+import degenlab.mesh
+from degenlab import (Cylinder, Marcher, NormSpec, TensorMesh, build_mesh,
+                      cells_in_cylinder, generate_family, oscillation_scan,
+                      smooth_random_closure, weighted_norm)
+from degenlab.cli import parse_config, run
+from test_golden import CONFIGS
 
 
 def test_graded_nodes_match_power_law():
@@ -264,3 +270,54 @@ def test_empty_cylinder():
 def test_boundary_centered_flag():
     assert Cylinder(1.0, 0.0, 0.5).boundary_centered
     assert not Cylinder(1.0, 0.7, 0.5).boundary_centered
+
+
+
+def _arrays(table, path=()):
+    """(path, array) for every array of a kept table: in it, in its tuples
+    and lists, and the data, indices and indptr of a sparse matrix in it."""
+    if isinstance(table, (tuple, list)):
+        for i, entry in enumerate(table):
+            yield from _arrays(entry, path + (i,))
+    elif sp.issparse(table):
+        for part in ("data", "indices", "indptr"):
+            yield path + (part,), getattr(table, part)
+    elif isinstance(table, np.ndarray):
+        yield path, table
+
+
+def test_every_kept_table_is_read_only(tmp_path, monkeypatch):
+    # whatever mesh._cached keeps, for every owner that keeps anything in
+    # the 11 golden configs and in a forward and an adjoint march, is
+    # read-only: a stray write cannot change a later march or norm
+    owners = {}
+    keep = degenlab.mesh._cached
+
+    def recording(owner, key, build):
+        owners[id(owner)] = owner
+        return keep(owner, key, build)
+    for module in list(sys.modules.values()):
+        if getattr(module, "_cached", None) is keep \
+                and module.__name__.startswith("degenlab."):
+            monkeypatch.setattr(module, "_cached", recording)
+    for name, config in CONFIGS.items():
+        run(parse_config(dict(config, out_dir=str(tmp_path / name),
+                              emit_plots=False)))
+    m = build_mesh(2, 3.0, 6, 2.0, xprime_count=5, xprime_length=2 * np.pi,
+                   time_step=0.25, time_count=4)
+    marcher = Marcher(m, generate_family(1, "oscillatory", 0.5, 0.2, dim=2,
+                                         xp_length=2 * np.pi))
+    sols = marcher.march([1.0, 10.0], f=smooth_random_closure(3, 2))
+    marcher.adjoint(1.0, np.ones((5, m.n_interior)))
+    for sol in sols:
+        weighted_norm(sol, NormSpec(2.0))
+    kept = [(type(owner).__name__, key, path, array)
+            for owner in owners.values()
+            for key, table in owner._tables.items()
+            for path, array in _arrays(table)]
+    assert [where[:3] for where in kept if where[3].flags.writeable] == []
+    assert len(kept) > 100
+    assert {type(owner).__name__ for owner in owners.values()} >= {
+        "TensorMesh", "ProblemSpec", "Marcher", "_BandLayout",
+        "SpaceTimeSolution"}
+    assert {"split", "mass"} <= set(marcher._tables)

@@ -97,8 +97,8 @@ def test_norms_match_assembled_quadratic_forms():
         vals[0] = vals[-1] = 0.0
         u = DiscreteField(m, vals)
         v = vals[1:-1].ravel()
-        Mw = assemble_weighted_mass(m).matrix
-        K0 = model_stiffness(m).matrix
+        Mw = assemble_weighted_mass(m)
+        K0 = model_stiffness(m)
         n_w = weighted_norm(u, NormSpec(2.0, weight_exponent=-1.0))
         n_g = weighted_norm(u, NormSpec(2.0, derivative_order="1_full"))
         qm = v @ (Mw @ v)

@@ -100,10 +100,11 @@ def test_march_scalar_recursion_backward_euler():
     m = build_mesh(1, 1.0, 2, 1.0, time_step=0.1, time_count=5)
     Mw = assemble_weighted_mass(m)
     K = assemble_stiffness(m, identity_coefficients(1), lam=1.0)
-    mval = Mw.matrix[0, 0]
+    mval = Mw[0, 0]
     kval = K.matrix[0, 0]
     assert abs(mval - (4 * LOG2 - 2)) < 1e-14
-    sol, = march_system(Mw, _stack(m, identity_coefficients(1), 1.0)[None],
+    sol, = march_system(Mw.data,
+                        _stack(m, identity_coefficients(1), 1.0)[None],
                         np.ones((1, 6, 1)), m)
     u = 0.0
     for n in range(5):
@@ -117,10 +118,11 @@ def test_march_scalar_recursion_crank_nicolson():
     m = build_mesh(1, 1.0, 2, 1.0, time_step=0.05, time_count=8)
     Mw = assemble_weighted_mass(m)
     K = assemble_stiffness(m, identity_coefficients(1), lam=2.0)
-    mval, kval = Mw.matrix[0, 0], K.matrix[0, 0]
+    mval, kval = Mw[0, 0], K.matrix[0, 0]
     cfg = TimeStepperConfig(theta=0.5)
     loads = np.cos(0.05 * np.arange(9))[:, None]
-    sol, = march_system(Mw, _stack(m, identity_coefficients(1), 2.0)[None],
+    sol, = march_system(Mw.data,
+                        _stack(m, identity_coefficients(1), 2.0)[None],
                         loads[None], m, config=cfg)
     u = 0.0
     dt = 0.05
@@ -367,7 +369,7 @@ def test_adjoint_march_factors_once(monkeypatch):
     m = build_mesh(1, 2.0, 6, 1.5, time_step=0.2, time_count=5)
     K = _stack(m, identity_coefficients(1), 1.0)
     calls = _count_factorizations(monkeypatch)
-    v = adjoint_march_system(assemble_weighted_mass(m), K,
+    v = adjoint_march_system(assemble_weighted_mass(m).data, K,
                              np.ones((6, m.n_interior)), m)
     assert len(calls) == 1
     assert np.all(v[1:] > 0)
@@ -375,7 +377,7 @@ def test_adjoint_march_factors_once(monkeypatch):
 
 def test_march_checks_solves_that_reuse_the_factors(monkeypatch):
     m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
-    Mw = assemble_weighted_mass(m)
+    Mw = assemble_weighted_mass(m).data
     K = _stack(m, identity_coefficients(1), 1.0)
     loads = np.ones((1, 6, m.n_interior))
     with monkeypatch.context() as patch, \
@@ -395,7 +397,7 @@ def test_march_wrapper_matches_march_system():
     lam = 2.0
     f = lambda t, xp, xd: xd * np.exp(-xd)
     sol = march(m, coeffs, lam, f=f)
-    Mw = assemble_weighted_mass(m, coeffs.a0)
+    Mw = assemble_weighted_mass(m, coeffs.a0).data
     K = _stack(m, coeffs, lam)
     la = LoadAssembler(m)
     rows = np.array([la.assemble(None, f, lam, t=t) for t in m.time_levels])
@@ -412,7 +414,7 @@ def _reference_march(m, coeffs, lam, loads, times, theta):
     order: 1 in d = 1, xprime_count + 2 in d = 2."""
     bw = 1 if m.dim == 1 else m.xprime_count + 2
     dt = times[1] - times[0]
-    Mw = assemble_weighted_mass(m, coeffs.a0).matrix
+    Mw = assemble_weighted_mass(m, coeffs.a0)
     K = [assemble_stiffness(m, coeffs, lam, t=t).matrix for t in times]
     u = np.zeros_like(loads)
     for n in range(times.size - 1):
@@ -572,7 +574,7 @@ def test_a_lambda_grid_is_one_band(monkeypatch, dim, kind, factorings):
 
 def test_march_system_refuses_lams_not_one_per_system():
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
-    Mw = assemble_weighted_mass(m)
+    Mw = assemble_weighted_mass(m).data
     K = _stack(m, identity_coefficients(1), 1.0)[None]
     # one lambda per system, or a later member could neither be given its
     # lambda nor have its failure named
@@ -592,7 +594,7 @@ def _edited_grid_marcher(monkeypatch, edit):
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
     marcher = Marcher(m, generate_family(0, "oscillatory", 0.5, 0.2, dim=1))
     K = marcher.stiffness(GRID)
-    edit(K, marcher.mass.matrix.data)
+    edit(K, marcher.mass)
     monkeypatch.setattr(marcher, "stiffness", lambda lams: K)
     return marcher
 
@@ -663,7 +665,7 @@ def test_marches_build_no_sparse_matrix(monkeypatch, k, kind):
         K = np.stack([_stack(m, coeffs, lam, times)
                       for lam in (0.5, 2.0, 8.0)[:k]])
         kept = K.copy()
-        mass = assemble_weighted_mass(m, coeffs.a0)
+        mass = assemble_weighted_mass(m, coeffs.a0).data
         loads = np.ones((k, N + 1, m.n_interior))
         del built[:]
         for theta in (0.5, 1.0):
@@ -805,15 +807,14 @@ def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
     # the zero that a sparse sum would drop, and the march is bitwise the
     # step-by-step banded solve of the scipy-summed systems
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
-    mass = assemble_weighted_mass(m)
-    Mw = mass.matrix
+    Mw = assemble_weighted_mass(m)
     indices, indptr, shape = interior_pattern(m)
-    K = np.tile(model_stiffness(m).matrix.data, (5, 1))
+    K = np.tile(model_stiffness(m).data, (5, 1))
     k = indptr[2]                # first entry of row 2, off the diagonal
     assert indices[k] == 1
     K[3, k] = -4.0 * Mw.data[k]  # M + dt K = M - M = 0 exactly (dt = 1/4)
     loads = np.ones((5, m.n_interior))
-    sol, = march_system(mass, K[None], loads[None], m)
+    sol, = march_system(Mw.data, K[None], loads[None], m)
     u = np.zeros_like(loads)
     for n in range(4):
         Kn = sp.csr_matrix((K[n + 1], indices, indptr), shape=shape)
@@ -825,9 +826,9 @@ def test_stacked_march_drops_exact_cancellations_like_a_sparse_sum():
 
 def test_a_singular_level_raises_at_once_and_names_it(monkeypatch):
     m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
-    mass = assemble_weighted_mass(m)
-    K = np.tile(model_stiffness(m).matrix.data, (5, 1))
-    K[3] = -4.0 * mass.matrix.data      # M + dt K^3 = 0 (dt = 1/4)
+    mass = assemble_weighted_mass(m).data
+    K = np.tile(model_stiffness(m).data, (5, 1))
+    K[3] = -4.0 * mass                  # M + dt K^3 = 0 (dt = 1/4)
     loads = np.ones((5, m.n_interior))
     marches = [(lambda: march_system(mass, K[None], loads[None], m), 2),
                # the adjoint steps back from level 4: one solve, then 3
@@ -859,10 +860,10 @@ def test_band_reaches_the_periodic_wrap_in_d2():
     assert np.all(K.data[far] != 0)
     mass = assemble_weighted_mass(m)
     loads = rng.standard_normal((3, m.n_interior))
-    sol, = march_system(mass, K.data[None, None], loads[None], m)
-    A = (mass.matrix + 0.25 * K).toarray()
+    sol, = march_system(mass.data, K.data[None, None], loads[None], m)
+    A = (mass + 0.25 * K).toarray()
     u1 = np.linalg.solve(A, 0.25 * loads[1])
-    u2 = np.linalg.solve(A, mass.matrix @ u1 + 0.25 * loads[2])
+    u2 = np.linalg.solve(A, mass @ u1 + 0.25 * loads[2])
     for got, want in zip(sol.interior_levels()[1:3], (u1, u2)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     x = linear_solve(K, loads[0])
@@ -1065,7 +1066,7 @@ def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
 
 def test_adjoint_checks_every_solve_and_names_the_level(monkeypatch):
     m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
-    Mw = assemble_weighted_mass(m)
+    Mw = assemble_weighted_mass(m).data
     K = _stack(m, identity_coefficients(1), 1.0)
     c_rows = np.ones((6, m.n_interior))
     # the adjoint marches n = 5, 4, ..., 1: its first solve is level 5
@@ -1126,8 +1127,32 @@ def test_march_system_rejects_a_stack_of_the_wrong_shape():
     nnz = interior_pattern(m)[0].size
     with pytest.raises(ValueError, match=re.escape(
             "(k, N+1, nnz) = (k, 5, %d), got (1, 3, %d)" % (nnz, nnz))):
-        march_system(assemble_weighted_mass(m), np.zeros((1, 3, nnz)),
+        march_system(assemble_weighted_mass(m).data, np.zeros((1, 3, nnz)),
                      np.ones((1, 5, m.n_interior)), m)
+
+
+def test_the_marches_take_the_mass_as_entry_data_on_the_pattern():
+    # the mass is its entry data (nnz,) on interior_pattern(mesh), declared
+    # like the stiffness stack: data of another length, or a matrix, is
+    # refused by shape, naming both shapes
+    m = build_mesh(1, 4.0, 8, 2.0, time_step=0.25, time_count=4)
+    mass = assemble_weighted_mass(m)
+    nnz = mass.nnz
+    K = _stack(m, identity_coefficients(1), 1.0)
+    loads = np.ones((5, m.n_interior))
+    for wrong, got in ((mass.data[:-1], (nnz - 1,)),
+                       (np.append(mass.data, 0.0), (nnz + 1,)),
+                       (mass, mass.shape)):
+        refusal = re.escape("the mass must be entry data of shape (nnz,) = "
+                            "(%d,) on the interior pattern of the mesh, got "
+                            "%s" % (nnz, got))
+        with pytest.raises(ValueError, match=refusal):
+            march_system(wrong, K[None], loads[None], m)
+        with pytest.raises(ValueError, match=refusal):
+            adjoint_march_system(wrong, K, loads, m)
+    sol, = march_system(mass.data, K[None], loads[None], m)
+    v = adjoint_march_system(mass.data, K, loads, m)
+    assert np.all(sol.interior_levels()[1:] > 0) and np.all(v[1:] > 0)
 
 
 def _steady_state(m, coeffs, lam, F=None, f=None):
@@ -1170,7 +1195,7 @@ def test_adjoint_pairing_identity_dense():
     m = build_mesh(1, 2.0, 6, 1.5, time_step=0.2, time_count=5)
     n = m.n_interior
     N = 5
-    Mw = assemble_weighted_mass(m)
+    Mw = assemble_weighted_mass(m).data
     rng = np.random.default_rng(11)
     indices, indptr, shape = interior_pattern(m)
     Kd = np.diag(5.0 + rng.uniform(0, 1, n)) + 0.5 * rng.standard_normal(
@@ -1216,7 +1241,7 @@ def test_adjoint_factors_the_transpose_of_the_forward_system(monkeypatch,
     v = adjoint_march(m, coeffs, lam, c_rows)
     assert len(calls) == 1
     assert solves == [1] * 4
-    M = assemble_weighted_mass(m, coeffs.a0).matrix
+    M = assemble_weighted_mass(m, coeffs.a0)
     At = (M + m.time_step * Kt).toarray()
     expect = np.zeros_like(v)
     for n in range(4, 0, -1):
@@ -1252,7 +1277,7 @@ def test_adjoint_of_a_time_dependent_march_pairs_exactly(monkeypatch):
 
 def test_adjoint_requires_backward_euler():
     m = build_mesh(1, 2.0, 4, 1.0, time_step=0.5, time_count=2)
-    Mw = assemble_weighted_mass(m)
+    Mw = assemble_weighted_mass(m).data
     K = _stack(m, identity_coefficients(1), 1.0)
     loads = np.zeros((3, m.n_interior))
     marcher = Marcher(m, identity_coefficients(1), TimeStepperConfig(0.5))
@@ -1273,7 +1298,7 @@ def test_every_solve_is_checked_against_one_fixed_bound(monkeypatch):
         params = set(inspect.signature(fn).parameters)
         assert not params & {"tol", "linear_tol", "config"}
     m = build_mesh(1, 4.0, 10, 2.0, time_step=0.1, time_count=5)
-    Mw = assemble_weighted_mass(m)
+    Mw = assemble_weighted_mass(m).data
     K = _stack(m, identity_coefficients(1), 1.0)
     _record_solves(monkeypatch, wrong_from=1)
     exceeds = re.escape("exceeds 1.000e-11")
@@ -1287,7 +1312,7 @@ def test_every_solve_is_checked_against_one_fixed_bound(monkeypatch):
 
 def test_time_grid_mismatch_rejected():
     m = build_mesh(1, 2.0, 4, 1.0, time_step=0.1, time_count=10)
-    Mw = assemble_weighted_mass(m)
+    Mw = assemble_weighted_mass(m).data
     coeffs = generate_family(0, "oscillatory", 0.5, 0.2, dim=1)
     # a stack on another time grid of the same window
     other = build_mesh(1, 2.0, 4, 1.0, time_step=0.25, time_count=4)
