@@ -168,7 +168,8 @@ class _ScatterPlan:
     by size and then CSR entry.  ``starts`` are the group starts,
     ``buckets`` one (offset, groups, size) per size and ``back`` puts the
     groups in the CSR order of ``indices`` and ``indptr``; a fold sorts
-    only groups of 3 or more (none in dim 1 for one term: 2 at most)."""
+    only groups of 3 or more (none in dim 1 for one term: 2 at most).
+    Every array is read-only."""
 
     def __init__(self, mesh, rows, cols):
         npc = mesh.xprime_count
@@ -209,9 +210,10 @@ class _ScatterPlan:
         self.back = np.argsort(by_size)
         self.indices = entries % ncols
         self.indptr = np.searchsorted(entries, ncols * np.arange(nrows + 1))
-        self.indices.setflags(write=False)
-        self.indptr.setflags(write=False)
         self.shape = (nrows, ncols)
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     def fold(self, terms):
         """Entry data of the sum of terms (cellvals, x_d pair table, x' pair
@@ -397,11 +399,14 @@ class LoadAssembler:
     """The sparse maps from nodal source samples to load vectors:
     b = sum_i G_i F_i + sqrt(lambda) W f  with
     G_i[k,n] = int Phi_n D_i Phi_k dx,  W[k,n] = int Phi_n Phi_k x_d^{-1} dx.
-    The maps are assembled once per mesh and shared, read-only."""
+    The maps are assembled once per mesh and kept read-only; each
+    assembler holds new CSR matrices on the kept arrays, so rebinding
+    their arrays leaves the kept maps alone."""
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.W, self.G = _cached(mesh, "loads", lambda: _load_maps(mesh))
+        W, G = _cached(mesh, "loads", lambda: _load_maps(mesh))
+        self.W, self.G = sp.csr_matrix(W), tuple(map(sp.csr_matrix, G))
 
     def assemble(self, F, f, lam, t=0.0):
         """Nodal-interpolated loads at time t, one interior vector; for a

@@ -20,13 +20,16 @@ batch, and a problem that marches many solutions (see
 
 Every linear system goes to one banded LU (LAPACK's dgbtrf), filled
 straight from CSR entry data and solved through its factors by two BLAS
-triangular band solves (dtbsv), or by LAPACK's dgbtrs when dgbtrf
-interchanged rows, in a declared DoF order: natural in d = 1 and with the
-periodic x' index interleaved in d = 2, which narrows the band from
-2P - 1 to P + 2 diagonals.  That layout is built once per
-mesh, with the patterns of k copies of the pattern, and each mesh keeps
-one band LU per batch size.  The interior pattern is its own transpose,
-so a transpose is a permutation of the entry data on the same pattern.
+triangular band solves (dtbsv), each at its triangle's own width (kl
+subdiagonals for L, ku superdiagonals for U), or by LAPACK's dgbtrs
+when dgbtrf interchanged rows, in a declared DoF order: natural in
+d = 1 and with the periodic x' index interleaved in d = 2, which
+narrows the band from 2P - 1 to P + 2 diagonals.  That layout is built
+once per mesh, with the patterns of k copies of the pattern, and each
+mesh keeps one band LU per batch size; a band LU copies its L^T out of
+the band only for a transposed solve.  The interior pattern is its own
+transpose, so a transpose is a permutation of the entry data on the
+same pattern.
 No march, step or check builds a scipy.sparse matrix: every product
 calls scipy's own CSR kernel on those patterns and the entry data, so it
 is bitwise the scipy product of the same matrix.
@@ -71,7 +74,8 @@ class _BandLayout:
     when the DoFs are taken in ``order`` (the natural order when None): the
     bandwidths of the reordered pattern, the band position of every entry,
     and the pattern (indices, indptr) itself, which the products and the
-    backward error checks read.  It depends on the pattern alone.
+    backward error checks read.  It depends on the pattern alone, and
+    every array it makes is read-only.
 
     Only the mesh's interior pattern is ever solved transposed, and it is
     its own transpose: symmetric, with the columns of every row ascending,
@@ -98,6 +102,9 @@ class _BandLayout:
         self.kl, self.ku = int(off.max(initial=0)), int(-off.min(initial=0))
         self.shape = (2 * self.kl + self.ku + 1, n)
         self.at = self.kl + self.ku + off + self.shape[0] * c     # A[i, j]
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     def copies(self, k):
         """The (indices, indptr) of diag(A_1, ..., A_k), k blocks on the
@@ -181,35 +188,55 @@ class _BandLU:
 
     When dgbtrf interchanged no rows (the pivots are the identity), A = L U
     with L unit lower of kl subdiagonals, its multipliers stored below the
-    diagonal of U in the band, and ``solve`` is two BLAS triangular band
-    solves (dtbsv): U is the band as stored (kl + ku superdiagonals), and L
-    is a view of the same buffer from kl + ku entries on, with the band's
-    leading dimension, so that column j of the view starts at the diagonal
-    of U (not read: L has a unit diagonal) followed by column j's
-    multipliers; the buffer is kl + ku entries longer than the band so
-    the view has a full last column.  A forward solve updates each entry
-    through L as dgbtrs does, column by column, and makes dgbtrs's own
-    dtbsv call for U, so it is bitwise dgbtrs, and each block's solution
-    is bitwise that of its system solved alone; a transposed solve sums
-    each entry in another order than dgbtrs, so it agrees with dgbtrs
-    trans=1 to roundoff, not bitwise.  When dgbtrf did interchange
-    rows, L is not banded and ``solve`` calls dgbtrs.
+    diagonal of U in the band, and U upper of ku superdiagonals: the top
+    kl rows of the band, which hold the fill of row interchanges, stay
+    exactly zero.  ``solve`` is then two BLAS triangular band solves
+    (dtbsv), each on a Fortran-ordered array that f2py passes without a
+    copy.  U (and U^T) is solved on ku superdiagonals, through a view of
+    the buffer from kl entries on with the band's leading dimension, whose
+    row ku is U's diagonal.  L is a view of the same buffer from kl + ku
+    entries on, so that column j of the view starts at the diagonal of U
+    (not read: L has a unit diagonal) followed by column j's multipliers;
+    the buffer runs kl + ku entries past the band so both views have a
+    full last column.  Multiplier i of column j sits in band row
+    kl + ku + i, so row c of L left of its diagonal runs through the
+    buffer with stride height - 1, one stride per column to its right:
+    ``_lower_rows`` views those k n rows, kl multipliers each, leftmost
+    first, and the buffer starts kl columns of zeros before the band, so
+    that the entries left of L's first column, which no solve reads, lie
+    in it.  L^T is solved as an upper band: the first transposed solve
+    after a factorization copies ``_lower_rows`` into ``_lower_t`` (see
+    ``_transposed_lower``), which the next ``factor`` drops, so a
+    forward-only march never makes it.  A forward
+    solve updates each entry through L as dgbtrs does, column by column,
+    and skips only U's zero fill, so it is bitwise dgbtrs, and each
+    block's solution is bitwise that of its system solved alone; a
+    transposed solve sums each entry in another order than dgbtrs, so it
+    agrees with dgbtrs trans=1 to roundoff, not bitwise.  When dgbtrf did
+    interchange rows, L is not banded and ``solve`` calls dgbtrs.
 
     A factorization owns only the buffer, the pivots and whether they
     interchanged rows, after ``factor_once`` a copy of the entries it
-    factored, and one flat work array, grown on demand and kept like the
-    band, in which ``check`` forms every temporary of the size of its
-    solves."""
+    factored, after a transposed solve the copy of L^T, and one flat work
+    array, grown on demand and kept like the band, in which ``check``
+    forms every temporary of the size of its solves."""
 
     def __init__(self, layout, k=1):
         self.layout = layout
         self.kl, self.ku = layout.kl, layout.ku
+        kl, ku = self.kl, self.ku
         height, n = layout.shape
-        shape, pad = (height, k * n), self.kl + self.ku
-        buffer = np.zeros(height * k * n + pad)
-        self._flat = buffer[:height * k * n]                 # views
+        shape, size, front = (height, k * n), height * k * n, height * kl
+        buffer = np.zeros(front + size + kl + ku)
+        self._flat = buffer[front:front + size]              # views
         self._band = self._flat.reshape(shape, order="F")
-        self._lower = buffer[pad:].reshape(shape, order="F")
+        self._upper = buffer[front + kl:front + kl + size].reshape(
+            shape, order="F")
+        self._lower = buffer[front + kl + ku:].reshape(shape, order="F")
+        step = buffer.itemsize
+        self._lower_rows = np.ndarray(
+            (k * n, kl), buffer=buffer, offset=(height - 1) * step,
+            strides=(height * step, (height - 1) * step))
         blocks = np.arange(k)[:, None]
         self._at = layout.at + height * n * blocks           # (k, nnz)
         self._order = self._rank = None
@@ -219,13 +246,14 @@ class _BandLU:
         self._identity = np.arange(k * n, dtype=np.int32)
         self._interchanged = None
         self._factored = None
+        self._lower_t = None
         self._work = np.empty(0)
 
     def factor(self, data, level=None, names=None):
         """LU-factor the matrices with these entries; an exactly singular
         one raises SolverError naming its block by names[i] and the time
         level when given."""
-        self._factored = None
+        self._factored = self._lower_t = None
         self._flat[:] = 0.0
         self._flat[self._at] = data
         _, self._piv, info = dgbtrf(self._band, self.kl, self.ku,
@@ -251,19 +279,33 @@ class _BandLU:
     def solve(self, b, trans=0):
         """x of A x = b, or of A^T x = b for trans=1: with P the declared
         order, the band holds P A P^T, and (P A P^T)^T = P A^T P^T, so both
-        solve for P x with P b.  L then U, or U^T then L^T, by dtbsv, or
-        by dgbtrs when the factoring interchanged rows."""
+        solve for P x with P b.  L then U, or U^T then L^T, by dtbsv on
+        kl and ku diagonals, or by dgbtrs when the factoring interchanged
+        rows."""
         x = b.copy() if self._order is None else b[self._order]
         if self._interchanged:
             x = dgbtrs(self._band, self.kl, self.ku, x, self._piv,
                        trans=trans, overwrite_b=1)[0]
+        elif trans:
+            if self._lower_t is None:
+                self._lower_t = self._transposed_lower()
+            x = dtbsv(self.ku, self._upper, x, trans=1, overwrite_x=1)
+            x = dtbsv(self.kl, self._lower_t, x, diag=1, overwrite_x=1)
         else:
-            factors = [(self.kl, self._lower, 1),
-                       (self.kl + self.ku, self._band, 0)]
-            for k, ab, lower in factors[::-1] if trans else factors:
-                x = dtbsv(k, ab, x, lower=lower, trans=trans, diag=lower,
-                          overwrite_x=1)
+            x = dtbsv(self.kl, self._lower, x, lower=1, diag=1,
+                      overwrite_x=1)
+            x = dtbsv(self.ku, self._upper, x, overwrite_x=1)
         return x if self._rank is None else x[self._rank]
+
+    def _transposed_lower(self):
+        """L^T as an upper band of kl superdiagonals, (kl + 1, k n) in
+        Fortran order with a unit diagonal: its column c above the
+        diagonal is row c of L left of the diagonal, row c of
+        ``_lower_rows``, so all of it is one copy, contiguous in L^T."""
+        lower_t = np.empty((self.kl + 1, self._band.shape[1]), order="F")
+        lower_t[:-1] = self._lower_rows.T
+        lower_t[-1] = 1.0
+        return lower_t
 
     def backward_errors(self, data, X, B, trans=0):
         """The backward error ||b - A x|| / (||b|| + ||A||_inf ||x||) of each

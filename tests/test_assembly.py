@@ -317,13 +317,17 @@ def test_mesh_only_operators_are_shared_read_only():
     m = _small_mesh(2)
     for build in (model_stiffness, assemble_weighted_mass,
                   lambda mesh: data_grams(mesh)[0],
-                  lambda mesh: data_grams(mesh)[1]):
+                  lambda mesh: data_grams(mesh)[1],
+                  lambda mesh: LoadAssembler(mesh).W,
+                  lambda mesh: LoadAssembler(mesh).G[0],
+                  lambda mesh: LoadAssembler(mesh).G[1]):
         first, again = build(m), build(m)
         assert np.shares_memory(first.data, again.data)
         assert not first.data.flags.writeable
         # each call is a new matrix: rebinding its data leaves the kept data
         first.data = np.zeros_like(first.data)
         assert np.shares_memory(build(m).data, again.data)
+        assert not np.shares_memory(build(m).data, first.data)
     a0 = identity_coefficients(2).a0
     assert assemble_weighted_mass(m, a0).data.flags.writeable
 
@@ -487,7 +491,7 @@ def test_plan_is_per_mesh_and_built_once(monkeypatch):
             assert np.array_equal(part_x, part_y)
     # interior x interior, interior x nodes and the two Gram layouts, per mesh
     assert len(built) == len(set(built)) == 8
-    assert LoadAssembler(a).W is LoadAssembler(a).W
+    assert np.shares_memory(LoadAssembler(a).W.data, LoadAssembler(a).W.data)
     assert not LoadAssembler(a).W.data.flags.writeable
 
 

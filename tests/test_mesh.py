@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import degenlab.assembly
 import degenlab.coefficients
 import degenlab.mesh
+import degenlab.norms
+import degenlab.solver
 from degenlab import (Cylinder, Marcher, NormSpec, TensorMesh, build_mesh,
                       cells_in_cylinder, generate_family, oscillation_scan,
                       smooth_random_closure, weighted_norm)
@@ -273,9 +276,16 @@ def test_boundary_centered_flag():
 
 
 
+# kept objects whose arrays are theirs to freeze; a _BandLU is kept too
+# but stays writable, since every factorization writes its band
+_FROZEN_OBJECTS = (degenlab.solver._BandLayout,
+                   degenlab.assembly._ScatterPlan, degenlab.norms._NormPlan)
+
+
 def _arrays(table, path=()):
     """(path, array) for every array of a kept table: in it, in its tuples
-    and lists, and the data, indices and indptr of a sparse matrix in it."""
+    and lists, the data, indices and indptr of a sparse matrix in it, and
+    the array attributes of a kept layout or plan (_FROZEN_OBJECTS)."""
     if isinstance(table, (tuple, list)):
         for i, entry in enumerate(table):
             yield from _arrays(entry, path + (i,))
@@ -284,6 +294,10 @@ def _arrays(table, path=()):
             yield path + (part,), getattr(table, part)
     elif isinstance(table, np.ndarray):
         yield path, table
+    elif isinstance(table, _FROZEN_OBJECTS):
+        for name, value in vars(table).items():
+            if isinstance(value, np.ndarray):
+                yield path + (name,), value
 
 
 def test_every_kept_table_is_read_only(tmp_path, monkeypatch):
@@ -321,3 +335,13 @@ def test_every_kept_table_is_read_only(tmp_path, monkeypatch):
         "TensorMesh", "ProblemSpec", "Marcher", "_BandLayout",
         "SpaceTimeSolution"}
     assert {"split", "mass"} <= set(marcher._tables)
+    walked = {(type(table).__name__, name)
+              for owner in owners.values()
+              for table in owner._tables.values()
+              if isinstance(table, _FROZEN_OBJECTS)
+              for (name,), _ in _arrays(table)}
+    assert walked >= {("_BandLayout", name)
+                      for name in ("at", "perm", "order", "rank")}
+    assert walked >= {("_ScatterPlan", name)
+                      for name in ("cell", "xp_at", "xd_at", "starts", "back")}
+    assert ("_NormPlan", "xa") in walked

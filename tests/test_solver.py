@@ -271,36 +271,134 @@ def test_a_row_interchange_falls_back_to_dgbtrs(monkeypatch):
         linear_solve(A, b)
 
 
+def _xd_only_systems(dim, k, lams=(1.0, 10.0, 100.0)):
+    """(mesh, entry data (1, k, nnz), band LU) of k xd_only systems at the
+    first k of lams: nonsymmetric in d = 2, where the band is in the
+    declared order."""
+    m = build_mesh(dim, 3.0, 8, 2.0, xprime_count=1 if dim == 1 else 5,
+                   xprime_length=2 * np.pi, time_step=0.2, time_count=4)
+    marcher = Marcher(m, generate_family(1, "xd_only", 0.5, 0.2, dim=dim,
+                                         xp_length=2 * np.pi))
+    _, A, lu = degenlab.solver._systems(
+        marcher.mass, marcher.stiffness(list(lams[:k])), 0.2, m)
+    return m, A, lu
+
+
+def _reference_solve(m, lu, b, trans):
+    """x by dgbtrs on the LU's own factors, in the declared order."""
+    k = b.size // m.n_interior
+    order = np.tile(_declared_order(m), k) \
+        + np.repeat(m.n_interior * np.arange(k), m.n_interior)
+    x = np.empty_like(b)
+    x[order] = dgbtrs(lu._band, lu.kl, lu.ku, b[order], lu._piv,
+                      trans=trans)[0]
+    return x
+
+
 @pytest.mark.parametrize("trans", [0, 1])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_band_solves_agree_with_dgbtrs_on_the_same_factors(dim, k, trans):
     # without a row interchange the solve is two triangular band solves
     # on the band: forward they make dgbtrs's own L and U updates, bitwise,
-    # and transposed they sum in another order, to roundoff.  In d = 2
-    # xd_only is nonsymmetric and the band is in the declared order
-    m = build_mesh(dim, 3.0, 8, 2.0, xprime_count=1 if dim == 1 else 5,
-                   xprime_length=2 * np.pi, time_step=0.2, time_count=4)
-    marcher = Marcher(m, generate_family(1, "xd_only", 0.5, 0.2, dim=dim,
-                                         xp_length=2 * np.pi))
-    _, A, lu = degenlab.solver._systems(
-        marcher.mass, marcher.stiffness([1.0, 10.0, 100.0][:k]), 0.2, m)
+    # and transposed they sum in another order, to roundoff
+    m, A, lu = _xd_only_systems(dim, k)
     lu.factor(A[0])
     assert not lu._interchanged
     b = np.random.default_rng(10 * dim + k).standard_normal(
         k * m.n_interior)
     b_bytes = b.tobytes()
-    order = np.tile(_declared_order(m), k) \
-        + np.repeat(m.n_interior * np.arange(k), m.n_interior)
-    want = np.empty_like(b)
-    want[order] = dgbtrs(lu._band, lu.kl, lu.ku, b[order], lu._piv,
-                         trans=trans)[0]
+    want = _reference_solve(m, lu, b, trans)
     x = lu.solve(b, trans)
     assert b.tobytes() == b_bytes
     if trans:
         assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
     else:
         assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_without_an_interchange_u_has_only_ku_superdiagonals(dim, k):
+    # the top kl rows of the band hold U's fill from row interchanges;
+    # with none they stay exactly zero, so U is solved on ku of them
+    _, A, lu = _xd_only_systems(dim, k)
+    lu.factor(A[0])
+    assert not lu._interchanged and lu.kl > 0
+    assert np.all(lu._band[:lu.kl] == 0)
+    assert np.any(lu._band[lu.kl] != 0)
+
+
+@pytest.mark.parametrize("trans", [0, 1])
+def test_each_triangle_is_solved_at_its_own_width(monkeypatch, trans):
+    # kl = 2 subdiagonals and ku = 3 superdiagonals, diagonally dominant:
+    # no interchange, so L is solved on kl and U on ku diagonals, never
+    # on the kl + ku of the band, each on a Fortran-ordered array that
+    # f2py passes as it is
+    n = 12
+    dense = sum(np.diag(np.full(n - abs(d), 1.0 + 0.1 * d), d)
+                for d in range(-2, 4)) + np.diag(np.full(n, 9.0))
+    A = sp.csr_matrix(dense)
+    lu = degenlab.solver._BandLU(degenlab.solver._BandLayout(
+        A.indices, A.indptr, n))
+    lu.factor(A.data)
+    assert (lu.kl, lu.ku, lu._interchanged) == (2, 3, False)
+    calls = []
+    dtbsv = degenlab.solver.dtbsv
+
+    def counting(k, ab, *args, **kwargs):
+        calls.append((k, ab))
+        return dtbsv(k, ab, *args, **kwargs)
+
+    monkeypatch.setattr(degenlab.solver, "dtbsv", counting)
+    b = np.random.default_rng(3).standard_normal(n)
+    x = lu.solve(b, trans)
+    assert [k for k, _ in calls] == ([3, 2] if trans else [2, 3])
+    assert all(ab.flags.f_contiguous for _, ab in calls)
+    upper, = [ab for k, ab in calls if k == 3]
+    assert np.shares_memory(upper, lu._band)
+    want = np.linalg.solve(dense.T if trans else dense, b)
+    assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_a_transposed_solve_never_reads_a_stale_lower_copy():
+    # L^T is copied out of the band on the first transposed solve after a
+    # factorization; the next factorization, even one that raises, drops
+    # the copy, so a transposed solve after it reads the new factors
+    m, A, lu = _xd_only_systems(2, 1, lams=(1.0,))
+    _, B, _ = _xd_only_systems(2, 1, lams=(100.0,))
+    b = np.random.default_rng(5).standard_normal(m.n_interior)
+    lu.factor(A[0])
+    lu.solve(b, trans=1)
+    lu.factor(B[0])
+    assert lu._lower_t is None
+    want = _reference_solve(m, lu, b, 1)
+    x = lu.solve(b, trans=1)
+    assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
+    assert lu._lower_t is not None
+    with pytest.raises(SolverError, match="exactly singular"):
+        lu.factor(np.zeros_like(B[0]))
+    assert lu._lower_t is None
+
+
+def test_a_forward_march_copies_no_transposed_lower_factor():
+    # only a transposed solve copies L^T: a march, of one lambda or a
+    # grid, leaves its band LU without the copy, an adjoint makes it, and
+    # the next march, which factors anew, drops it again
+    m = build_mesh(2, 2.5, 7, 2.0, xprime_count=6, xprime_length=2 * np.pi,
+                   time_step=0.2, time_count=3)
+    marcher = Marcher(m, generate_family(3, "oscillatory", 0.5, 0.2, dim=2,
+                                         xp_length=2 * np.pi))
+    f = smooth_random_closure(2, 2, xp_length=2 * np.pi)
+    u, = marcher.march([2.0], f=f)
+    marcher.march([2.0, 20.0], f=f)
+    single = degenlab.solver._band_lu(m)
+    assert single._lower_t is None
+    assert degenlab.solver._band_lu(m, 2)._lower_t is None
+    marcher.adjoint(2.0, u.loads)
+    assert single._lower_t is not None
+    marcher.march([3.0], f=f)
+    assert single._lower_t is None
 
 
 def test_a_32_by_32_d2_march_factors_without_a_row_interchange(
