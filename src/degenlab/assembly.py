@@ -37,7 +37,7 @@ import scipy.sparse as sp
 
 from .coefficients import sample_on_mesh
 from .fields import sample_nodes
-from .mesh import _cached
+from .mesh import _cached, _frozen
 
 
 class AssemblyError(RuntimeError):
@@ -211,9 +211,7 @@ class _ScatterPlan:
         self.indices = entries % ncols
         self.indptr = np.searchsorted(entries, ncols * np.arange(nrows + 1))
         self.shape = (nrows, ncols)
-        for table in vars(self).values():
-            if isinstance(table, np.ndarray):
-                table.setflags(write=False)
+        _frozen(list(vars(self).values()))
 
     def fold(self, terms):
         """Entry data of the sum of terms (cellvals, x_d pair table, x' pair
@@ -345,9 +343,9 @@ def stiffness_entries(split, lams):
     grid lams, from the split (D, C) of stiffness_levels: an array
     (len(lams),) + D.shape, D alone where lam = 0."""
     lams = np.asarray(lams, float)
-    if lams.ndim != 1:
-        raise ValueError("a lambda grid must be one-dimensional, got "
-                         "shape %s" % (lams.shape,))
+    if lams.ndim != 1 or not lams.size:
+        raise ValueError("a lambda grid must be non-empty and "
+                         "one-dimensional, got shape %s" % (lams.shape,))
     if not np.all(lams >= 0):
         raise ValueError("lambda must be >= 0, got %s" % lams)
     D, C = split
@@ -381,17 +379,17 @@ def model_stiffness(mesh):
 
 def sample_sources(mesh, F, f, times):
     """The node samples (len(times), M+1, xprime_count) at the 1-D array
-    times of each component of F (None, a callable in dim 1 or a tuple of
-    dim callables), None where it is None, and of f, None without f: each
+    times of each entry of F (None or a sequence of dim entries, each None
+    or a callable), None where it is None, and of f, None without f: each
     once for all times, so it must broadcast t against the node grid."""
     t = times[:, None, None]
     F_samples = ()
     if F is not None:
-        comps = F if isinstance(F, (tuple, list)) else (F,)
-        if len(comps) != mesh.dim:
-            raise ValueError("F needs %d components" % mesh.dim)
+        if callable(F) or len(F) != mesh.dim:
+            raise ValueError("F must be None or a sequence of %d entries, "
+                             "got %r" % (mesh.dim, F))
         F_samples = tuple(None if Fi is None else sample_nodes(mesh, Fi, t)
-                          for Fi in comps)
+                          for Fi in F)
     return F_samples, None if f is None else sample_nodes(mesh, f, t)
 
 
@@ -412,15 +410,18 @@ class LoadAssembler:
         """Nodal-interpolated loads at time t, one interior vector; for a
         1-D array t, one row per time, shape (len(t), n_interior), of the
         sources F and f as sample_sources takes them."""
-        b = self.combine(self.parts(F, f, t), lam)
-        return b[0] if np.ndim(t) == 0 else b
-
-    def parts(self, F, f, t):
-        """(B_F, B_f) with b(lam) = B_F + sqrt(lam) B_f at the times t, one
-        row per time; B_f is None without f."""
         times = np.atleast_1d(np.asarray(t, float))
         if times.ndim != 1:
             raise ValueError("t must be a scalar or a 1-D array of times")
+        b = self.combine(self.sampled_parts(
+            times.size, *sample_sources(self.mesh, F, f, times)), lam)
+        return b[0] if np.ndim(t) == 0 else b
+
+    def parts(self, F, f):
+        """(B_F, B_f) with b(lam) = B_F + sqrt(lam) B_f at the mesh's time
+        levels, one row per level, of the sources F and f as sample_sources
+        takes them; B_f is None without f."""
+        times = self.mesh.time_levels
         return self.sampled_parts(times.size,
                                   *sample_sources(self.mesh, F, f, times))
 
@@ -437,11 +438,11 @@ class LoadAssembler:
     @staticmethod
     def combine(parts, lam):
         """b(lam) = B_F + sqrt(lam) B_f from ``parts``, checked finite."""
+        if lam < 0:
+            raise ValueError("lambda must be >= 0, got %r" % (lam,))
         B_F, B_f = parts
         b = B_F.copy()
         if B_f is not None:
-            if lam < 0:
-                raise ValueError("lambda must be >= 0")
             b += np.sqrt(lam) * B_f
         if not np.all(np.isfinite(b)):
             raise ValueError("non-finite load entries")

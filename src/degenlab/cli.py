@@ -22,8 +22,9 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import AssemblyError, assemble_stiffness
+from .assembly import AssemblyError, interior_pattern
 from .coefficients import (_AUTONOMOUS_KINDS, KINDS, _eps_too_large,
                            generate_family, oscillation_scan)
 from .fields import random_w1p_field, smooth_random_closure
@@ -130,9 +131,11 @@ def _cmd_solve(cfg):
     artifacts = [("solution.csv", "\n".join(lines) + "\n")]
     if cfg["export_matrix"]:
         from scipy.io import mmwrite    # only this export loads scipy.io
-        K = assemble_stiffness(mesh, problem.coeffs, cfg["lambda"])
+        # the stiffness the march built, at t = 0 (see _COMMAND_RULES)
+        indices, indptr, shape = interior_pattern(mesh)
+        K = problem.marcher().stiffness([cfg["lambda"]])[0, 0]
         buf = io.BytesIO()
-        mmwrite(buf, K.matrix)
+        mmwrite(buf, sp.csr_matrix((K, indices, indptr), shape=shape))
         artifacts.append(("stiffness.mtx", buf.getvalue()))
     return [], artifacts, []
 

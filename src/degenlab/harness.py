@@ -32,7 +32,7 @@ from .fields import smooth_random_closure
 from .mesh import Cylinder, _cached, cells_in_cylinder
 from .norms import (NormSpec, analytic_norm, cell_center_gradients,
                     hardy_check, levels_norm, slice_norms, weighted_norm)
-from .solver import Marcher, TimeStepperConfig
+from .solver import Marcher, TimeStepperConfig, march
 
 # the run labels of a report row, each None unless its check knows it
 _LABELS = ("lambda", "p", "mesh_M", "dt", "seed", "rho0", "gamma_measured")
@@ -111,8 +111,8 @@ class EstimateReport:
 @dataclasses.dataclass(frozen=True, eq=False, repr=False)
 class ProblemSpec:
     """The frozen mesh, coefficients, sources, stepper (implicit Euler when
-    None) and run labels of a problem: F is None, a callable (dim=1) or a
-    tuple of per-direction callables (t, xp, xd), f None or a callable.
+    None) and run labels of a problem: F is None or a sequence of dim
+    entries, each None or a callable (t, xp, xd), f None or a callable.
     Assigning a field raises (``dataclasses.replace`` makes a new problem),
     so what derives from the fields is built on first use by
     ``mesh._cached``, kept read-only in the problem's ``_tables`` and
@@ -161,35 +161,33 @@ class ProblemSpec:
         return self.marcher().march([lam], parts=parts)[0]
 
     def source_parts(self, seed, x_lo, x_hi):
-        """``LoadAssembler.parts`` at the mesh's time levels of the sources
-        that locally_homogeneous_solution synthesizes from seed with the
-        cushion (x_lo, x_hi), for every lambda marched with them."""
+        """``LoadAssembler.parts`` of the sources that
+        locally_homogeneous_solution synthesizes from seed with the cushion
+        (x_lo, x_hi), for every lambda marched with them."""
         return _cached(self, ("sources", seed, x_lo, x_hi),
                        lambda: LoadAssembler(self.mesh).parts(
-                           *_local_sources(self.mesh, seed, x_lo, x_hi),
-                           self.mesh.time_levels))
+                           *_local_sources(self.mesh, seed, x_lo, x_hi)))
 
     def duality_seed(self, seed, kind, eps):
         """(marcher, forward parts, dual parts) of one duality_check seed,
         for every lambda checked with it: the Marcher at theta = 1 of the
         seed's field of kind at amplitude eps and the problem's nu, and the
-        ``LoadAssembler.parts`` at the mesh's time levels of the seed's
-        forward data (F, f) and dual data (B, b)."""
+        ``LoadAssembler.parts`` of the seed's forward data (F, f) and dual
+        data (B, b)."""
         def build():
             mesh = self.mesh
             coeffs = generate_family(seed, kind, self.coeffs.nu, eps,
                                      dim=mesh.dim,
                                      xp_length=mesh.xprime_length)
             loads = LoadAssembler(mesh)
-            fwd, dual = (loads.parts(*data, mesh.time_levels)
+            fwd, dual = (loads.parts(*data)
                          for data in _duality_sources(mesh, seed))
             return Marcher(mesh, coeffs), fwd, dual
         return _cached(self, ("duality", seed, kind, eps), build)
 
 
 def _f_magnitude(F):
-    comps = [c for c in (F if isinstance(F, (tuple, list)) else (F,))
-             if c is not None]
+    comps = [c for c in (() if F is None else F) if c is not None]
     if not comps:
         return None
 
@@ -308,8 +306,7 @@ def main_estimate_sweep(problem, p, lambdas, eps_grid=(0.0,)):
         lambda grid per (mesh, field) on load parts sampled once per mesh,
         and the lambda-free data norm once per (mesh, p)."""
         if m not in load_parts:
-            load_parts[m] = LoadAssembler(m).parts(problem.F, problem.f,
-                                                   m.time_levels)
+            load_parts[m] = LoadAssembler(m).parts(problem.F, problem.f)
         sols = Marcher(m, coeffs, problem.config).march(
             lambdas, parts=load_parts[m])
         skip = m.time_count // 10
@@ -658,7 +655,7 @@ def corollary2_reports(case, mesh, ps, config=None):
         raise ValueError("mesh window does not match the manufactured case")
     _, f = case.synthesize_sources()
     f_t = case.synthesize_f_t()
-    sol = Marcher(mesh, case.coeffs, config).march([case.lam], f=f)[0]
+    sol = march(mesh, case.coeffs, case.lam, f=f, config=config)
     skip = sol.time_count // 10
     diffs = sol.time_differences()[skip:]
     reports = []

@@ -250,8 +250,7 @@ class CellSet:
         self._measures = mesh.xd_widths[self.space_j]
         if mesh.dim == 2:
             self._measures = self._measures * mesh.xprime_spacing
-        for table in vars(self).values():
-            table.setflags(write=False)
+        _frozen(list(vars(self).values()))
 
     @property
     def n_cells(self):

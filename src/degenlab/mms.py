@@ -16,7 +16,7 @@ tests check every closed form against finite differences.
 import numpy as np
 
 from .norms import NormSpec, error_norm
-from .solver import Marcher, TimeStepperConfig
+from .solver import TimeStepperConfig, march
 from .coefficients import identity_coefficients
 
 
@@ -203,8 +203,8 @@ def convergence_study(case, meshes, p=2.0, theta=1.0):
         if abs(mesh.Ld - case.Ld) > 1e-12 or abs(mesh.total_time
                                                  - case.T) > 1e-12:
             raise ValueError("mesh window does not match the case")
-        sol = Marcher(mesh, case.coeffs, TimeStepperConfig(theta)).march(
-            [case.lam], F=F, f=f)[0]
+        sol = march(mesh, case.coeffs, case.lam, F=F, f=f,
+                    config=TimeStepperConfig(theta))
         e0 = error_norm(sol, exact, NormSpec(p, -p / 2.0, "0"))
         e1 = error_norm(sol, exact, NormSpec(p, 0.0, "1_full"))
         rows.append((mesh.M, sol.dt, e0, e1))

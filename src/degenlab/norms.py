@@ -29,7 +29,7 @@ import dataclasses
 import numpy as np
 
 from .fields import DiscreteField
-from .mesh import _cached, cells_in_cylinder, Cylinder
+from .mesh import _cached, _frozen, cells_in_cylinder, Cylinder
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(8)
 _ORDERS = ("0", "1_full", "1_xd", "2_full")
@@ -124,9 +124,7 @@ class _NormPlan:
         self.cellsize = h * self.delta
         self.h = h
         self.points = self.x.size * q.size      # per level
-        for table in vars(self).values():
-            if isinstance(table, np.ndarray):
-                table.setflags(write=False)
+        _frozen(list(vars(self).values()))
 
 
 def _norm_plan(mesh, flat, alpha):
@@ -293,23 +291,30 @@ def _check_boundary_integrability(values, spec):
                 % spec.weight_exponent)
 
 
-def _region_cells(mesh, spec, skip_initial=0):
+def _region_cells(mesh, region, skip_initial=0):
     """(ends, space_cells): the level closing each retained time cell of the
-    mesh (those of spec.region, else cells skip_initial..N-1) and the
-    region's space cells (None: all)."""
-    if spec.region is None:
+    mesh (those of the region, a Cylinder or None, else cells
+    skip_initial..N-1) and the region's space cells (None: all)."""
+    if region is None:
         return np.arange(skip_initial, mesh.time_count) + 1, None
-    cs = cells_in_cylinder(mesh, spec.region)
+    if skip_initial:
+        raise ValueError("skip_initial = %r with spec.region = %r: the "
+                         "region picks its own time cells"
+                         % (skip_initial, region))
+    cs = cells_in_cylinder(mesh, region)
     return cs.time_cells + 1, cs.space_cells
 
 
-def _retained(field, spec, skip_initial):
+def _retained(field, region, skip_initial):
     """(levels, times, dt, space_cells) for _rectangle_norm: a DiscreteField
-    is one level of unit weight at time 0."""
+    is one level of unit weight at time 0, with no time levels to skip."""
     if isinstance(field, DiscreteField):
-        _, space_cells = _region_cells(field.mesh, spec)
+        if skip_initial:
+            raise ValueError("skip_initial = %r with a DiscreteField, which "
+                             "has no time levels" % (skip_initial,))
+        _, space_cells = _region_cells(field.mesh, region)
         return field.values[None], np.zeros(1), 1.0, space_cells
-    ends, space_cells = _region_cells(field.mesh, spec, skip_initial)
+    ends, space_cells = _region_cells(field.mesh, region, skip_initial)
     return field.levels[ends], field.times[ends], field.dt, space_cells
 
 
@@ -331,7 +336,8 @@ def weighted_norm(field, spec, skip_initial=0):
     skip_initial), so a norm asked again is bitwise the first; its levels
     were checked finite, with a zero x_d = 0 trace, when it was made."""
     def integrate():
-        levels, times, dt, space_cells = _retained(field, spec, skip_initial)
+        levels, times, dt, space_cells = _retained(field, spec.region,
+                                                   skip_initial)
         return _rectangle_norm(field.mesh, levels, times, dt, spec,
                                space_cells)
     if isinstance(field, DiscreteField):
@@ -357,8 +363,8 @@ def error_norm(solution_or_field, exact, spec, skip_initial=0):
     """Weighted L_p distance between the discrete field (at t = 0) or the
     solution and analytic callables; solutions integrate in time by the
     rectangle rule."""
-    levels, times, dt, space_cells = _retained(solution_or_field, spec,
-                                               skip_initial)
+    levels, times, dt, space_cells = _retained(
+        solution_or_field, spec.region, skip_initial)
     return _rectangle_norm(solution_or_field.mesh, levels, times, dt, spec,
                            space_cells, exact)
 
@@ -369,7 +375,7 @@ def analytic_norm(mesh, func, spec, skip_initial=0):
     right-endpoint rectangle rule on the mesh's own grid."""
     if spec.derivative_order != "0":
         raise ValueError("analytic_norm supports derivative_order '0' only")
-    ends, space_cells = _region_cells(mesh, spec, skip_initial)
+    ends, space_cells = _region_cells(mesh, spec.region, skip_initial)
     return _rectangle_norm(mesh, None, mesh.time_levels[ends],
                            mesh.time_step, spec, space_cells, {"u": func})
 
@@ -418,10 +424,7 @@ def slice_norms(field, p, skip_initial=0):
     """s(x_d) at every node: L_p over x' (and rectangle rule over time for
     solutions).  Returns (xd_nodes, s)."""
     mesh = field.mesh
-    if isinstance(field, DiscreteField):
-        stacked, dt = field.values[None], 1.0
-    else:
-        stacked, dt = field.levels[skip_initial + 1:], field.dt
+    stacked, _, dt, _ = _retained(field, None, skip_initial)
     acc = np.zeros(mesh.M + 1)
     for powers in _xp_lp_powers(mesh, stacked, p):   # level order per node
         acc += dt * powers

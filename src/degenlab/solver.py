@@ -44,7 +44,7 @@ from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from .assembly import (LoadAssembler, assemble_weighted_mass,
                        interior_pattern, stiffness_entries, stiffness_levels)
 from .fields import DiscreteField
-from .mesh import _cached
+from .mesh import _cached, _frozen
 
 
 class SolverError(RuntimeError):
@@ -102,9 +102,7 @@ class _BandLayout:
         self.kl, self.ku = int(off.max(initial=0)), int(-off.min(initial=0))
         self.shape = (2 * self.kl + self.ku + 1, n)
         self.at = self.kl + self.ku + off + self.shape[0] * c     # A[i, j]
-        for table in vars(self).values():
-            if isinstance(table, np.ndarray):
-                table.setflags(write=False)
+        _frozen(list(vars(self).values()))
 
     def copies(self, k):
         """The (indices, indptr) of diag(A_1, ..., A_k), k blocks on the
@@ -572,7 +570,7 @@ class Marcher:
     split K(lam) = D + lam * C of stiffness_levels, at t = 0 when the field
     declares itself autonomous (see ``CoefficientField.autonomous``) and at
     every time level of the mesh otherwise, built on first use.  One marcher
-    marches any number of lambdas and sources, forward and adjoint."""
+    marches any number of lambdas and load parts, forward and adjoint."""
 
     def __init__(self, mesh, coeffs, config=None):
         if coeffs.dim != mesh.dim:
@@ -597,24 +595,15 @@ class Marcher:
             return stiffness_levels(self.mesh, self.coeffs, times)
         return stiffness_entries(_cached(self, "split", split), lams)
 
-    def march(self, lams, F=None, f=None, parts=None):
+    def march(self, lams, parts=None):
         """Forward marches at every lambda of the grid ``lams``, one
         solution per lambda, in order, as one batch of march_system.  The
         loads b(lam) = B_F + sqrt(lam) B_f of every lambda combine the
-        lambda-free parts (B_F, B_f) that ``LoadAssembler.parts`` samples
-        from F and f at the mesh's time levels once for the grid, or the
-        ``parts`` a caller keeps (then F and f must be None)."""
-        if parts is not None and (F is not None or f is not None):
-            raise ValueError("march takes the sources F and f or their "
-                             "load parts, not both")
+        lambda-free ``parts`` (B_F, B_f) of ``LoadAssembler.parts``; with
+        no parts, no load."""
         lams = np.asarray(lams, float)
         K = self.stiffness(lams)
-        if not len(K):
-            return []
         grid = lams.tolist()
-        if parts is None and (F is not None or f is not None):
-            parts = LoadAssembler(self.mesh).parts(F, f,
-                                                   self.mesh.time_levels)
         loads = None
         if parts is not None:
             loads = np.stack([LoadAssembler.combine(parts, lam)
@@ -632,10 +621,14 @@ class Marcher:
 
 
 def march(mesh, coeffs, lam, F=None, f=None, config=None):
-    """One lambda marched from rest through a new ``Marcher``, F and f as
-    ``LoadAssembler.parts`` takes them.  The program marches through the
-    marcher of its ``ProblemSpec``, or through a ``Marcher`` of its own."""
-    return Marcher(mesh, coeffs, config).march([lam], F=F, f=f)[0]
+    """One lambda marched from rest through a new ``Marcher`` on the
+    ``LoadAssembler.parts`` of F and f, with no load when both are None:
+    the one march that samples its sources, as corollary2_reports and
+    convergence_study do.  A ``ProblemSpec`` marches through its marcher."""
+    parts = None
+    if F is not None or f is not None:
+        parts = LoadAssembler(mesh).parts(F, f)
+    return Marcher(mesh, coeffs, config).march([lam], parts)[0]
 
 
 def adjoint_march_system(mass, stiffness, dual_loads, mesh):

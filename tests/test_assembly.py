@@ -394,6 +394,41 @@ def test_load_rejects_source_that_cannot_broadcast_time():
         LoadAssembler(m).assemble(None, flat, 1.0, np.array([0.0, 0.5]))
 
 
+def test_load_refuses_times_of_two_dimensions():
+    la = LoadAssembler(build_mesh(1, 4.0, 6, 2.0))
+    with pytest.raises(ValueError, match="a scalar or a 1-D array of times"):
+        la.assemble(None, lambda t, xp, xd: xd, 1.0, np.zeros((2, 2)))
+
+
+def test_load_refuses_F_not_of_one_entry_per_direction():
+    # F is None or a sequence of dim entries: a bare callable is refused,
+    # in d = 1 too, and so is a sequence of another length
+    g = lambda t, xp, xd: xd
+    for dim, bad in ((1, g), (1, (g, g)), (2, g), (2, (g,)), (2, (g, g, g))):
+        m = build_mesh(dim, 4.0, 6, 2.0, xprime_count=1 if dim == 1 else 4,
+                       xprime_length=2 * np.pi if dim == 2 else None)
+        message = "F must be None or a sequence of %d entries" % dim
+        la = LoadAssembler(m)
+        with pytest.raises(ValueError, match=message):
+            la.parts(bad, g)
+        with pytest.raises(ValueError, match=message):
+            la.assemble(bad, None, 1.0)
+
+
+def test_loads_refuse_a_negative_lambda_with_or_without_f():
+    m = build_mesh(1, 4.0, 6, 2.0)
+    la = LoadAssembler(m)
+    F = (lambda t, xp, xd: np.sin(xd),)
+    negative = r"lambda must be >= 0, got -1\.0"
+    for f in (None, lambda t, xp, xd: xd):
+        with pytest.raises(ValueError, match=negative):
+            la.assemble(F, f, lam=-1.0)
+        with pytest.raises(ValueError, match=negative):
+            LoadAssembler.combine(la.parts(F, f), -1.0)
+        assert np.array_equal(la.assemble(F, f, lam=0.0),
+                              LoadAssembler.combine(la.parts(F, f), 0.0)[0])
+
+
 def test_data_gram_frozen_values():
     # f = x on [0,1]: plain gram gives 1/3, weighted gram 1/2
     m = build_mesh(1, 1.0, 2, 1.0)

@@ -12,8 +12,8 @@ import pytest
 from scipy.io import mmread
 
 import degenlab
-from degenlab import (Marcher, ProblemSpec, check_structure_condition,
-                      generate_family)
+from degenlab import (Marcher, ProblemSpec, assemble_stiffness,
+                      check_structure_condition, generate_family)
 from degenlab.cli import ConfigError, load_config, main, parse_config, run
 from test_golden import CONFIGS as GOLDEN
 
@@ -690,9 +690,17 @@ def test_solve_artifacts_and_matrix_export(tmp_path):
     lines = (out / "solution.csv").read_text().strip().split("\n")
     assert lines[0] == "t,xprime,xd,u"
     assert len(lines) == 1 + 5 * 7 * 1          # levels x nodes
+    # entry by entry the stiffness of the config's field at t = 0
+    cfg = load_config(path)
+    problem = degenlab.cli._problem(cfg)
+    want = assemble_stiffness(problem.mesh, problem.coeffs,
+                              cfg["lambda"]).matrix
     K = mmread(str(out / "stiffness.mtx")).tocsr()
-    assert K.shape == (5, 5)
-    assert K.nnz > 0
+    assert K.shape == want.shape == (5, 5)
+    assert K.nnz == want.nnz > 0
+    assert K.indptr.tolist() == want.indptr.tolist()
+    assert K.indices.tolist() == want.indices.tolist()
+    assert K.data.tolist() == want.data.tolist()
 
 
 def test_mms_command_emits_table_and_plot(tmp_path):
@@ -854,33 +862,27 @@ def test_corollary2_marches_once_for_its_p_grid(tmp_path, monkeypatch):
     assert [r.params["p"] for r in reports] == raw["p_grid"]
 
 
-def test_no_command_marches_through_the_march_wrapper(tmp_path,
-                                                       monkeypatch):
-    # every golden config writes the same artifacts with every name of
-    # solver.march refusing to run
-    def artifacts(root):
-        root.mkdir()
-        monkeypatch.chdir(root)         # so run.json echoes the same out_dir
-        written = {}
-        for name, raw in GOLDEN.items():
-            run(parse_config(dict(raw, out_dir=name)))
-            for path in sorted((root / name).iterdir()):
-                if path.name != "MANIFEST.json":
-                    written[name, path.name] = path.read_bytes()
-        return written
-
-    want = artifacts(tmp_path / "free")
-
-    def refused(*args, **kwargs):
-        raise AssertionError("a program path called solver.march")
-
+def test_only_the_manufactured_case_commands_march_through_the_march_wrapper(
+        tmp_path, monkeypatch):
+    # corollary2 and mms march a manufactured case's sources through
+    # solver.march; every other golden config marches through the marcher
+    # of its problem, or of its own, and never calls the wrapper
+    callers, current = set(), []
     wrapper = degenlab.solver.march
+
+    def recording(*args, **kwargs):
+        callers.add(current[0])
+        return wrapper(*args, **kwargs)
+
     for module in list(sys.modules.values()):
         if module is not None and module.__name__.startswith("degenlab") \
                 and getattr(module, "march", None) is wrapper:
-            monkeypatch.setattr(module, "march", refused)
-    assert degenlab.solver.march is refused
-    assert artifacts(tmp_path / "refused") == want
+            monkeypatch.setattr(module, "march", recording)
+    assert degenlab.solver.march is recording
+    for name, raw in GOLDEN.items():
+        current[:] = [name]
+        run(parse_config(dict(raw, out_dir=str(tmp_path / name))))
+    assert callers == {"corollary2", "mms"}
 
 
 def test_only_the_commands_that_march_the_sources_build_them():

@@ -101,7 +101,7 @@ def test_energy_ratio_scales_linearly_with_data():
 
 
 def test_energy_ratio_within_explicit_constant():
-    F = smooth_random_closure(11, 1)
+    F = (smooth_random_closure(11, 1),)
     f = smooth_random_closure(12, 1)
     prob = _problem_d1(M=32, time_count=20, F=F, f=f, seed=1)
     rep = energy_ratio(prob, lam=10.0)
@@ -164,7 +164,7 @@ def test_a_problem_marches_through_one_marcher():
     half = TimeStepperConfig(theta=0.5)
     second = dataclasses.replace(prob, config=half).marcher()
     assert second is not first and second.config is half
-    got = second.march([2.0], f=f)[0]
+    got = second.march([2.0], LoadAssembler(prob.mesh).parts(None, f))[0]
     want = march(prob.mesh, prob.coeffs, 2.0, f=f, config=half)
     assert got.levels.tobytes() == want.levels.tobytes()
     # one with another field decides its own structure condition
@@ -191,7 +191,7 @@ def test_energy_ratio_samples_each_source_once(monkeypatch):
     for module in (degenlab.fields, degenlab.assembly, degenlab.harness):
         if getattr(module, "sample_nodes", None) is real:
             monkeypatch.setattr(module, "sample_nodes", counting)
-    prob = _problem_d1(M=10, time_count=6, F=smooth_random_closure(3, 1),
+    prob = _problem_d1(M=10, time_count=6, F=(smooth_random_closure(3, 1),),
                        f=smooth_random_closure(4, 1), seed=2)
     energy_ratio(prob, lam=2.0)
     assert len(samples) == 2
@@ -270,7 +270,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_sweep_work_does_not_grow_with_the_lambda_grid(monkeypatch):
-    F = smooth_random_closure(3, 1)
+    F = (smooth_random_closure(3, 1),)
     f = smooth_random_closure(4, 1)
     prob = _problem_d1(M=8, time_count=8, F=F, f=f, seed=1)
     counts = {}
@@ -348,8 +348,7 @@ def test_a_problem_samples_each_seed_sources_once(monkeypatch):
     parts = prob.source_parts(2, x_lo, x_hi)
     assert prob.source_parts(2, x_lo, x_hi) is parts
     fresh = LoadAssembler(mesh).parts(
-        *degenlab.harness._local_sources(mesh, 2, x_lo, x_hi),
-        mesh.time_levels)
+        *degenlab.harness._local_sources(mesh, 2, x_lo, x_hi))
     for kept, want in zip(parts, fresh):
         assert kept.tobytes() == want.tobytes()
         assert not kept.flags.writeable
@@ -533,6 +532,36 @@ def test_boundary_lipschitz_report():
     sol.homogeneous_cylinder = Cylinder(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         boundary_lipschitz(sol, 0.25)
+
+
+def test_local_checks_in_d2():
+    # the d = 2 quotient sup x_d^{-1/2} |D_x' u| of boundary_lipschitz over
+    # the cell centres of the inner cylinder, against the x' difference of
+    # each cell's corner values
+    mesh = build_mesh(2, 4.0, 16, 2.0, xprime_count=16, xprime_length=2.0,
+                      time_step=0.1, time_count=10)
+    prob = ProblemSpec(mesh, generate_family(0, "constant", 0.5, 0.2, dim=2,
+                                             xp_length=2.0))
+    sol = locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5),
+                                       lam=1.0)
+    rep = boundary_lipschitz(sol, 0.25)
+    _, _, cs = degenlab.harness._nested_cylinders(sol, 0.25, 0.5)
+    assert (cs.time_cells.size, cs.space_cells.size) == (2, 14)
+    P, h = mesh.xprime_count, mesh.xprime_spacing
+    want = 0.0
+    for n in cs.time_cells + 1:
+        u = sol.levels[n]
+        for j, m in zip(cs.space_j.tolist(), cs.space_m.tolist()):
+            dxp = 0.5 * ((u[j, (m + 1) % P] - u[j, m])
+                         + (u[j + 1, (m + 1) % P] - u[j + 1, m])) / h
+            want = max(want, abs(dxp) / np.sqrt(mesh.xd_centers[j]))
+    got = rep.params["sup_xhalf_dxprime"]
+    assert abs(got - want) <= 1e-14 * want
+    assert abs(got - 0.021379114466804) < 1e-14
+    assert np.isfinite(rep.ratio) and rep.lhs > 0
+    for report in (*caccioppoli_ratio(sol, 0.25, 0.5),
+                   w_estimate_ratio(sol, 0.25, 0.5)):
+        assert np.isfinite(report.ratio) and report.rhs > 0
 
 
 def test_local_checks_refuse_an_empty_inner_cylinder_alike():

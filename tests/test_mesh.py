@@ -12,8 +12,8 @@ import degenlab.coefficients
 import degenlab.mesh
 import degenlab.norms
 import degenlab.solver
-from degenlab import (Cylinder, Marcher, NormSpec, TensorMesh, build_mesh,
-                      cells_in_cylinder, generate_family, oscillation_scan,
+from degenlab import (Cylinder, LoadAssembler, Marcher, NormSpec, TensorMesh,
+                      build_mesh, cells_in_cylinder, generate_family, oscillation_scan,
                       smooth_random_closure, weighted_norm)
 from degenlab.cli import parse_config, run
 from test_golden import CONFIGS
@@ -321,7 +321,8 @@ def test_every_kept_table_is_read_only(tmp_path, monkeypatch):
                    time_step=0.25, time_count=4)
     marcher = Marcher(m, generate_family(1, "oscillatory", 0.5, 0.2, dim=2,
                                          xp_length=2 * np.pi))
-    sols = marcher.march([1.0, 10.0], f=smooth_random_closure(3, 2))
+    sols = marcher.march([1.0, 10.0], LoadAssembler(m).parts(
+        None, smooth_random_closure(3, 2)))
     marcher.adjoint(1.0, np.ones((5, m.n_interior)))
     for sol in sols:
         weighted_norm(sol, NormSpec(2.0))

@@ -225,7 +225,7 @@ def test_a_kept_norm_is_bitwise_a_fresh_integration(dim, monkeypatch):
             for p in (2.0, 3.0)
             for order, alpha in (("0", -1.0), ("1_xd", 0.5), ("1_full", 0.0),
                                  ("2_full", 1.0))
-            for region in (None, cyl) for skip in (0, 2)]
+            for region, skip in ((None, 0), (None, 2), (cyl, 0))]
     first = [weighted_norm(sol, spec, skip) for spec, skip in asks]
     calls = []
     real = degenlab.norms._level_powers
@@ -261,8 +261,9 @@ def test_error_against_zero_is_the_plain_norm(dim):
             fld = sol.field_at(3)
             assert error_norm(fld, zero_exact, spec) == \
                 weighted_norm(fld, spec)
-            assert error_norm(sol, zero_exact, spec, skip_initial=1) == \
-                weighted_norm(sol, spec, skip_initial=1)
+            skip = 1 if region is None else 0
+            assert error_norm(sol, zero_exact, spec, skip_initial=skip) == \
+                weighted_norm(sol, spec, skip_initial=skip)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -274,9 +275,50 @@ def test_analytic_norm_is_the_error_of_the_zero_solution(dim):
     cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
     for region in (None, cyl):
         spec = NormSpec(3.0, -1.5, "0", region)
-        for k in (0, 2):
+        for k in ((0, 2) if region is None else (0,)):
             assert analytic_norm(m, func, spec, skip_initial=k) == \
                 error_norm(zero_solution, {"u": func}, spec, skip_initial=k)
+
+
+_REGION_SKIP = "skip_initial = 2 with spec.region"
+_FIELD_SKIP = "skip_initial = 2 with a DiscreteField"
+
+
+def test_weighted_norm_refuses_a_skip_it_would_ignore():
+    # a region picks its own time cells, and a field has none to skip
+    sol = _random_solution(2, 0)
+    cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
+    with pytest.raises(ValueError, match=_REGION_SKIP):
+        weighted_norm(sol, NormSpec(2.0, 0.0, "0", region=cyl),
+                      skip_initial=2)
+    with pytest.raises(ValueError, match=_FIELD_SKIP):
+        weighted_norm(sol.field_at(1), NormSpec(2.0), skip_initial=2)
+
+
+def test_error_norm_refuses_a_skip_it_would_ignore():
+    sol = _random_solution(1, 0)
+    zero = lambda t, xp, x: np.zeros_like(x)
+    cyl = Cylinder(0.7, 0.0, 0.9)
+    with pytest.raises(ValueError, match=_REGION_SKIP):
+        error_norm(sol, {"u": zero}, NormSpec(2.0, region=cyl),
+                   skip_initial=2)
+    with pytest.raises(ValueError, match=_FIELD_SKIP):
+        error_norm(sol.field_at(1), {"u": zero}, NormSpec(2.0),
+                   skip_initial=2)
+
+
+def test_analytic_norm_refuses_a_skip_with_a_region():
+    m = _random_solution(1, 0).mesh
+    with pytest.raises(ValueError, match=_REGION_SKIP):
+        analytic_norm(m, lambda t, xp, xd: xd,
+                      NormSpec(2.0, region=Cylinder(0.7, 0.0, 0.9)),
+                      skip_initial=2)
+
+
+def test_slice_norms_refuse_a_skip_of_a_field():
+    sol = _random_solution(2, 0)
+    with pytest.raises(ValueError, match=_FIELD_SKIP):
+        slice_norms(sol.field_at(1), 2.0, skip_initial=2)
 
 
 def test_error_norm_rejects_second_order():
@@ -305,14 +347,15 @@ def test_level_chunking_leaves_every_norm_bitwise(monkeypatch, dim):
     cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
 
     def all_norms(spec, space_cells):
+        skip = 1 if spec.region is None else 0
         out = [weighted_norm(sol, spec),
-               weighted_norm(sol, spec, skip_initial=1),
+               weighted_norm(sol, spec, skip_initial=skip),
                weighted_norm(sol.field_at(2), spec),
                levels_norm(m, sol.levels[1:], NormSpec(
                    spec.p, spec.weight_exponent, spec.derivative_order),
                    space_cells)]
         if spec.derivative_order != "2_full":
-            out.append(error_norm(sol, exact, spec, skip_initial=1))
+            out.append(error_norm(sol, exact, spec, skip_initial=skip))
         if spec.derivative_order == "0":
             out.append(analytic_norm(m, u, spec))
         return out

@@ -147,7 +147,7 @@ def test_march_evaluates_each_load_once(monkeypatch):
     monkeypatch.setattr(degenlab.assembly, "sample_nodes",
                         counting_sample_nodes)
     f = lambda t, xp, xd: xd * np.exp(-xd)
-    F = lambda t, xp, xd: np.sin(t) * xd
+    F = (lambda t, xp, xd: np.sin(t) * xd,)
     sol = march(m, coeffs, 1.0, F=F, f=f)
     assert calls == [(7, 1, 1), (7, 1, 1)]      # one per source component
     assert sol.loads.shape == (7, m.n_interior)
@@ -170,29 +170,30 @@ def test_marcher_samples_each_source_once_per_lambda_grid(monkeypatch):
 
     monkeypatch.setattr(degenlab.assembly, "sample_nodes",
                         counting_sample_nodes)
-    sols = marcher.march([0.0, 1.0, 10.0, 1e3], F=F, f=f)
+    parts = LoadAssembler(m).parts(F, f)
     assert calls == [F[0], F[1], f]
+    sols = marcher.march([0.0, 1.0, 10.0, 1e3], parts)
+    assert calls == [F[0], F[1], f]          # the march samples nothing
     assert [sol.lam for sol in sols] == [0.0, 1.0, 10.0, 1e3]
-    marcher.march([1.0], F=F)                # other sources: sampled anew
-    assert calls[3:] == [F[0], F[1]]
     monkeypatch.undo()
     la = LoadAssembler(m)
     for sol in sols:
         rows = la.assemble(F, f, sol.lam, m.time_levels)
         assert sol.loads.tobytes() == rows.tobytes()
     with pytest.raises(ValueError, match="lambda must be >= 0"):
-        marcher.march([1.0, -1.0], F=F, f=f)
+        marcher.march([1.0, -1.0], parts)
 
 
 def test_a_march_on_kept_load_parts_is_a_march_on_its_sources(monkeypatch):
     # the parts a caller keeps give bitwise the march of the sources they
-    # were sampled from, with no sampling, and not together with sources
+    # were sampled from, with no sampling
     m = build_mesh(1, 3.0, 8, 2.0, time_step=0.1, time_count=5)
-    F = smooth_random_closure(3, 1)
+    F = (smooth_random_closure(3, 1),)
     f = smooth_random_closure(4, 1)
-    marcher = Marcher(m, generate_family(1, "xd_only", 0.5, 0.2, dim=1))
-    parts = LoadAssembler(m).parts(F, f, m.time_levels)
-    want = marcher.march([0.0, 2.0], F=F, f=f)
+    coeffs = generate_family(1, "xd_only", 0.5, 0.2, dim=1)
+    marcher = Marcher(m, coeffs)
+    parts = LoadAssembler(m).parts(F, f)
+    want = [march(m, coeffs, lam, F=F, f=f) for lam in (0.0, 2.0)]
     calls = []
     monkeypatch.setattr(degenlab.assembly, "sample_nodes",
                         lambda *args: calls.append(args))
@@ -201,8 +202,6 @@ def test_a_march_on_kept_load_parts_is_a_march_on_its_sources(monkeypatch):
     for a, b in zip(got, want):
         assert a.levels.tobytes() == b.levels.tobytes()
         assert a.loads.tobytes() == b.loads.tobytes()
-    with pytest.raises(ValueError, match="not both"):
-        marcher.march([1.0], f=f, parts=parts)
 
 
 def _count_factorizations(monkeypatch):
@@ -390,14 +389,14 @@ def test_a_forward_march_copies_no_transposed_lower_factor():
     marcher = Marcher(m, generate_family(3, "oscillatory", 0.5, 0.2, dim=2,
                                          xp_length=2 * np.pi))
     f = smooth_random_closure(2, 2, xp_length=2 * np.pi)
-    u, = marcher.march([2.0], f=f)
-    marcher.march([2.0, 20.0], f=f)
+    u, = marcher.march([2.0], LoadAssembler(m).parts(None, f))
+    marcher.march([2.0, 20.0], LoadAssembler(m).parts(None, f))
     single = degenlab.solver._band_lu(m)
     assert single._lower_t is None
     assert degenlab.solver._band_lu(m, 2)._lower_t is None
     marcher.adjoint(2.0, u.loads)
     assert single._lower_t is not None
-    marcher.march([3.0], f=f)
+    marcher.march([3.0], LoadAssembler(m).parts(None, f))
     assert single._lower_t is None
 
 
@@ -419,7 +418,7 @@ def test_a_32_by_32_d2_march_factors_without_a_row_interchange(
         interchanged.append(lu._interchanged)
 
     monkeypatch.setattr(degenlab.solver._BandLU, "factor", recording)
-    u, = marcher.march([3.0], f=f)
+    u, = marcher.march([3.0], LoadAssembler(m).parts(None, f))
     marcher.adjoint(3.0, u.loads)
     assert interchanged == [False] * 6
 
@@ -635,7 +634,8 @@ def test_marcher_grid_is_bitwise_the_one_lambda_marches(dim, loaded):
     f = smooth_random_closure(5, dim, xp_length=2 * np.pi) if loaded \
         else None
     grid = [0.0, 1.0, 10.0, 1e3]
-    sols = Marcher(m, coeffs).march(grid, F=F, f=f)
+    parts = LoadAssembler(m).parts(F, f) if loaded else None
+    sols = Marcher(m, coeffs).march(grid, parts)
     for lam, sol in zip(grid, sols):
         one = march(m, coeffs, lam, F=F, f=f)
         assert sol.lam == one.lam == lam
@@ -643,9 +643,11 @@ def test_marcher_grid_is_bitwise_the_one_lambda_marches(dim, loaded):
         assert (sol.max_abs() > 0) == loaded     # no loads: at rest
         if loaded:
             assert sol.loads.tobytes() == one.loads.tobytes()
-    assert Marcher(m, coeffs).march([], f=f) == []
+    with pytest.raises(ValueError, match=re.escape(
+            "must be non-empty and one-dimensional, got shape (0,)")):
+        Marcher(m, coeffs).march([], parts)
     with pytest.raises(ValueError, match="one-dimensional, got shape"):
-        Marcher(m, coeffs).march(1.0, f=f)
+        Marcher(m, coeffs).march(1.0, parts)
 
 
 @pytest.mark.parametrize("dim, kind, factorings", [
@@ -660,8 +662,8 @@ def test_a_lambda_grid_is_one_band(monkeypatch, dim, kind, factorings):
                                          xp_length=2 * np.pi))
     calls = _count_factorizations(monkeypatch)
     solves = _record_solves(monkeypatch)
-    sols = marcher.march(np.array([1.0, 10.0, 100.0]),
-                         f=smooth_random_closure(5, dim, xp_length=2 * np.pi))
+    sols = marcher.march(np.array([1.0, 10.0, 100.0]), LoadAssembler(m).parts(
+        None, smooth_random_closure(5, dim, xp_length=2 * np.pi)))
     # each solution is made with its grid value, a Python float
     assert [(type(sol.lam), sol.lam) for sol in sols] == \
         [(float, 1.0), (float, 10.0), (float, 100.0)]
@@ -707,7 +709,7 @@ def test_a_failing_grid_member_names_its_level_and_lambda(monkeypatch):
     with pytest.raises(SolverError, match=re.escape(
             "lambda 100.0: time level 3: LU factorization failed: the "
             "matrix is exactly singular")):
-        marcher.march(GRID, f=f)
+        marcher.march(GRID, LoadAssembler(marcher.mesh).parts(None, f))
     assert len(solves) == 2
     # a direct call names its systems by their place in the batch
     with pytest.raises(SolverError, match="^system 2: time level 3: LU"):
@@ -730,7 +732,7 @@ def test_a_failing_grid_member_names_its_level_and_lambda(monkeypatch):
     monkeypatch.setattr(degenlab.solver._BandLU, "solve", doubling_solve)
     with pytest.raises(SolverError, match=re.escape(
             "lambda 10.0: time level 3: linear solve backward error")):
-        marcher.march(GRID, f=f)
+        marcher.march(GRID, LoadAssembler(marcher.mesh).parts(None, f))
     assert sizes == [4 * n] * 4        # one solve per step for the grid
 
 
@@ -1128,13 +1130,14 @@ def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
     fresh = {lam: adjoint_march(m, coeffs, lam, c_rows) for lam in (1.0, 3.0)}
     marcher = Marcher(m, coeffs)
     calls = _count_factorizations(monkeypatch)
-    u, = marcher.march([1.0], f=f)
+    parts = LoadAssembler(m).parts(None, f)
+    u, = marcher.march([1.0], parts)
     assert len(calls) == 1
     # the adjoint at the same lambda solves with the forward factors, and
     # gives bitwise what factoring anew gives
     assert marcher.adjoint(1.0, c_rows).tobytes() == fresh[1.0].tobytes()
     assert len(calls) == 1
-    assert marcher.march([1.0], f=f)[0].levels.tobytes() == \
+    assert marcher.march([1.0], parts)[0].levels.tobytes() == \
         u.levels.tobytes()
     assert len(calls) == 1
     # another lambda is another system: factored anew, and then lambda = 1
@@ -1152,8 +1155,8 @@ def test_marcher_reuses_factors_only_for_the_system_it_factored(monkeypatch):
     late = Marcher(m, _late_switch(2, m.total_time))
     stack = late.stiffness([1.0])[0]
     assert stack[1].tobytes() == stack[2].tobytes()
-    late.march([1.0], f=f)
-    late.march([1.0], f=f)
+    late.march([1.0], parts)
+    late.march([1.0], parts)
     late.adjoint(1.0, c_rows)
     assert len(calls) == 4 + 3 * 4
     # the stacked marches overwrote the factors of lambda = 3, which is
@@ -1201,7 +1204,8 @@ def _march_digests():
         f = smooth_random_closure(5, dim, xp_length=2 * np.pi)
         marcher = Marcher(m, generate_family(2, kind, 0.5, 0.2, dim=dim,
                                              xp_length=2 * np.pi))
-        u = marcher.march([3.0], f=f)[0].interior_levels()
+        u = marcher.march([3.0], LoadAssembler(m).parts(
+            None, f))[0].interior_levels()
         v = marcher.adjoint(3.0, LoadAssembler(m).assemble(
             None, f, 3.0, m.time_levels))
         out += [hashlib.sha256(a.tobytes()).hexdigest() for a in (u, v)]
@@ -1282,7 +1286,7 @@ def test_steady_solve_flux_data_nodal_exact():
     # discrete solution interpolates u exactly (1d Galerkin projection)
     m = build_mesh(1, 1.0, 4, 1.0)
     u = _steady_state(m, identity_coefficients(1), 0.0,
-                      F=lambda t, xp, xd: 0.5 - xd)
+                      F=(lambda t, xp, xd: 0.5 - xd,))
     expect = m.xd_nodes * (1 - m.xd_nodes) / 2
     assert np.max(np.abs(u[:, 0] - expect)) < 1e-13
 
@@ -1361,7 +1365,7 @@ def test_adjoint_of_a_time_dependent_march_pairs_exactly(monkeypatch):
                       shape=shape)
     assert abs(K - K.T).max() > 1e-3
     f = smooth_random_closure(2, 2, xp_length=2 * np.pi)
-    u, = marcher.march([1.0], f=f)
+    u, = marcher.march([1.0], LoadAssembler(m).parts(None, f))
     c_rows = LoadAssembler(m).assemble(
         None, smooth_random_closure(3, 2, xp_length=2 * np.pi), 1.0,
         m.time_levels)
