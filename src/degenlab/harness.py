@@ -117,8 +117,8 @@ class ProblemSpec:
     so what derives from the fields is built on first use by
     ``mesh._cached``, kept read-only in the problem's ``_tables`` and
     cannot go stale: the marcher, the structure condition, the node
-    samples of F and f, the load parts of each local seed's sources, and
-    each duality seed's marcher and load parts."""
+    samples of F and f and their load parts, the load parts of each local
+    seed's sources, and each duality seed's marcher and load parts."""
 
     mesh: object
     coeffs: object
@@ -155,9 +155,11 @@ class ProblemSpec:
             self.mesh, self.F, self.f, self.mesh.time_levels))
 
     def solution(self, lam):
-        """F and f marched at lam through the marcher, loads from samples."""
-        parts = LoadAssembler(self.mesh).sampled_parts(
-            self.mesh.time_count + 1, *self.source_samples())
+        """F and f marched at lam through the marcher, on load parts applied
+        to the kept samples once, for every lambda."""
+        parts = _cached(self, "parts", lambda: LoadAssembler(
+            self.mesh).sampled_parts(self.mesh.time_count + 1,
+                                     *self.source_samples()))
         return self.marcher().march([lam], parts=parts)[0]
 
     def source_parts(self, seed, x_lo, x_hi):

@@ -1,30 +1,32 @@
 """Weighted norms of discrete fields, the Hardy quotient and the slice norms
 that ``harness`` turns into reports, and weighted second differences.
 
-One level-batched cell kernel, ``_level_powers``, evaluates the space
-integrals of a whole stack of time levels: 8-point Gauss-Legendre per cell
-in each direction with the x_d^alpha factor kept inside the integrand.  Its
+One level-batched routine, ``_level_powers``, evaluates the space integrals
+of a whole stack of time levels: 8-point Gauss-Legendre per cell in each
+direction with the x_d^alpha factor kept inside the integrand.  Its
 integrand is |e|^p, where e is the bilinear field (order 0) or its exact
 elementwise gradient (order 1) minus the same of analytic callables (zero
 unless given; called once per chunk of levels).  So error norms and norms
 of analytic callables are the same integral: the latter is the error of the
 zero field, integrated with no corners gathered.  Order 2 uses nodal second
-differences (the three-point formulas are exact on quadratics).
+differences (the three-point formulas are exact on quadratics).  A p = 2
+norm of a field alone is, by the same rule, a quadratic form per cell: of
+its corner values, or of its differences along the cell's edges.
 
-The geometry of the kernel is a ``_NormPlan``, built once per (mesh, space
-cell set, weight exponent) and kept in the mesh's cache: the corner gather,
-the barycentric Gauss nodes, x_d^alpha, the point weights and cell sizes.
-The kernel lays every intermediate out point-major, (s, q, level, cell), so
+The geometry of both is a ``_NormPlan``, built once per (mesh, space cell
+set, weight exponent) and kept in the mesh's cache: the corner gather, the
+Gauss nodes, x_d^alpha, the point weights, cell sizes and Gram arrays.  The
+kernel lays every intermediate out point-major, (s, q, level, cell), so
 each elementwise op runs over one contiguous (level, cell) block per Gauss
-point, and updates its temporaries in place.  It sums each level as one
-contiguous row in (cell, s, q) order, after one transpose back, so a level's
-value depends neither on the other levels nor on the chunking.  Time uses
-the right-endpoint rectangle rule, summed in level order.  A solution's
-levels are read-only, so ``weighted_norm`` keeps each space-time norm of
-a solution with it and integrates it once.
+point, and updates its temporaries in place.  Both sum each level as one
+contiguous row, so a level's value depends neither on the other levels nor
+on the chunking.  Time uses the right-endpoint rectangle rule, summed in
+level order.  A solution's levels are read-only, so ``weighted_norm``
+keeps each space-time norm of a solution with it and integrates it once.
 """
 
 import dataclasses
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -98,7 +100,9 @@ class _NormPlan:
     the barycentric nodes S, 1 - S, Q and 1 - Q, x_d^alpha and the point
     weights w2, the cell sizes and widths h, and the points x (cells, s, 1)
     and xp (cells, 1, q), or zeros like x in dim 1, that the exact callables
-    receive; every array is read-only."""
+    receive; for p = 2, the corners (rows, cols) of each cell and the Grams
+    gram_0 of their values and gram_1_xd and gram_1_xp of their differences
+    along x_d and x'.  Every array is read-only."""
 
     def __init__(self, mesh, flat, alpha):
         npc = mesh.xprime_count
@@ -124,6 +128,19 @@ class _NormPlan:
         self.cellsize = h * self.delta
         self.h = h
         self.points = self.x.size * q.size      # per level
+        s, q = np.meshgrid(s, q, indexing="ij")     # (s, q) point grids
+        corners = [(self.j, self.m), (self.j1, self.m)]
+        phi, dxd, dxp = [1 - s, s], [1 + 0 * s], np.empty((0,) + s.shape)
+        if mesh.dim == 2:
+            corners += [(self.j, self.m1), (self.j1, self.m1)]
+            phi = [(1 - s) * (1 - q), s * (1 - q), (1 - s) * q, s * q]
+            dxd, dxp = [1 - q, q], [1 - s, s]
+        self.rows, self.cols = (np.array(c) for c in zip(*corners))
+        self.gram_0, self.gram_1_xd, self.gram_1_xp = (  # x_d^alpha: in s
+            np.einsum("abs,sc->abc", np.einsum(
+                "asq,bsq,sq->abs", b, b, self.w2[:, :, 0, 0]),
+                self.xa[:, 0, 0]) * (self.cellsize / w ** 2)
+            for b, w in ((phi, 1.0), (dxd, h), (dxp, self.delta)))
         _frozen(list(vars(self).values()))
 
 
@@ -145,6 +162,26 @@ def _minus(a, e):
     return out
 
 
+def _form_powers(plan, order, values):
+    """(C,) p = 2 powers of the levels ``values`` (C, M+1, npc): per cell,
+    sum_{a <= b} (2 - [a = b]) G_ab X_a X_b of a plan Gram G and the corner
+    values X, or for order 1 their differences along the x_d (and x') edges,
+    where nothing large cancels, summed as one (level, cell) row per level."""
+    X = values[:, plan.rows, plan.cols]     # (C, k, cells)
+    forms = [(X, plan.gram_0)]      # corners u00, u10 and in dim 2 u01, u11
+    if order != "0":
+        forms = [(X[:, 1::2] - X[:, ::2], plan.gram_1_xd)]
+        if order == "1_full":       # no x' edges in dim 1: X[:, 2:] is empty
+            forms.append((X[:, 2:] - X[:, :-2], plan.gram_1_xp))
+    acc = np.zeros((X.shape[0], X.shape[2]))
+    for D, gram in forms:
+        for a, b in combinations_with_replacement(range(len(gram)), 2):
+            term = (2 - (a == b)) * gram[a, b] * D[:, a]
+            term *= D[:, b]
+            acc += term
+    return acc.sum(axis=1)
+
+
 def _level_powers(mesh, levels, spec, space_cells, exact, times):
     """(L,) p-th powers (not norms): for each nodal array of the stack
     ``levels`` (L, M+1, npc) at ``times`` (L,), the integral over the
@@ -152,10 +189,10 @@ def _level_powers(mesh, levels, spec, space_cells, exact, times):
     field (order 0) or its gradient (order 1) minus the same of ``exact``: a
     dict of callables (t, x', x_d) 'u' and 'du' (tuple ordered (x', x_d) in
     dim 2), zero when None; ``levels`` None is the zero field (order 0).
-    Each level is summed as one contiguous row in (cell, s, q) order, so
-    its value depends neither on the other levels nor on the chunking.  In
-    dim 1 the phantom x' cell has one constant basis function, so a cell
-    has two corners and no x' derivative."""
+    Each level is summed as one contiguous row, so its value depends
+    neither on the other levels nor on the chunking.  In dim 1 the phantom
+    x' cell has one constant basis function, so a cell has two corners and
+    no x' derivative.  p = 2 without ``exact`` goes to ``_form_powers``."""
     order = spec.derivative_order
     if order == "2_full":
         if exact is not None:
@@ -178,6 +215,9 @@ def _level_powers(mesh, levels, spec, space_cells, exact, times):
         t = times[a:a + chunk, None, None, None]
         if levels is not None:
             values = levels[a:a + chunk]
+            if p == 2 and exact is None:
+                powers[a:a + chunk] = _form_powers(plan, order, values)
+                continue
             u00 = values[:, plan.j, plan.m]     # (C, cells)
             u10 = values[:, plan.j1, plan.m]
             if dim2:

@@ -202,6 +202,25 @@ def test_energy_ratio_samples_each_source_once(monkeypatch):
     assert len(samples) == 4
 
 
+def test_energy_ratio_applies_the_load_maps_once(monkeypatch):
+    # the load parts do not depend on lambda: three lambdas on one problem
+    # apply the load maps to the kept samples once, and each report is
+    # bitwise that of a fresh problem
+    calls = []
+    real = LoadAssembler.sampled_parts
+    monkeypatch.setattr(LoadAssembler, "sampled_parts", lambda *args: (
+        calls.append(args) or real(*args)))
+    prob = _problem_d1(M=16, time_count=10, F=(smooth_random_closure(3, 1),),
+                       f=smooth_random_closure(4, 1), seed=2)
+    lams = (0.5, 2.0, 8.0)
+    kept = [energy_ratio(prob, lam=lam).to_json() for lam in lams]
+    assert len(calls) == 1
+    fresh = [energy_ratio(dataclasses.replace(prob), lam=lam).to_json()
+             for lam in lams]
+    assert len(calls) == 4
+    assert repr(kept) == repr(fresh)
+
+
 def test_a_problem_keeps_its_field_alive_only_while_it_lives():
     prob = _problem_d1(M=16, time_count=10, seed=3)
     sol = locally_homogeneous_solution(prob, Cylinder(1.0, 0.0, 0.5))

@@ -345,4 +345,6 @@ def test_every_kept_table_is_read_only(tmp_path, monkeypatch):
                       for name in ("at", "perm", "order", "rank")}
     assert walked >= {("_ScatterPlan", name)
                       for name in ("cell", "xp_at", "xd_at", "starts", "back")}
-    assert ("_NormPlan", "xa") in walked
+    assert walked >= {("_NormPlan", name)
+                      for name in ("xa", "rows", "cols", "gram_0",
+                                   "gram_1_xd", "gram_1_xp")}

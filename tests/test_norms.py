@@ -250,20 +250,29 @@ def test_a_kept_norm_is_bitwise_a_fresh_integration(dim, monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_error_against_zero_is_the_plain_norm(dim):
-    # one kernel: the error of u_h against zero callables is ||u_h|| exactly
+    # one kernel: at p = 3, where both sides are pointwise, the error of u_h
+    # against zero callables is ||u_h|| exactly; at p = 2 the plain norm is
+    # the quadratic form, and agrees to roundoff
     sol = _random_solution(dim, dim)
     zero = lambda t, xp, x: np.zeros_like(x)
     zero_exact = {"u": zero, "du": (zero,) * dim}
     cyl = Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)
     for order, alpha in (("0", -1.0), ("1_xd", 0.5), ("1_full", 0.0)):
         for region in (None, cyl):
-            spec = NormSpec(2.0, alpha, order, region)
-            fld = sol.field_at(3)
-            assert error_norm(fld, zero_exact, spec) == \
-                weighted_norm(fld, spec)
             skip = 1 if region is None else 0
-            assert error_norm(sol, zero_exact, spec, skip_initial=skip) == \
-                weighted_norm(sol, spec, skip_initial=skip)
+            for p in (2.0, 3.0):
+                spec = NormSpec(p, alpha, order, region)
+                fld = sol.field_at(3)
+                pairs = [(error_norm(fld, zero_exact, spec),
+                          weighted_norm(fld, spec)),
+                         (error_norm(sol, zero_exact, spec,
+                                     skip_initial=skip),
+                          weighted_norm(sol, spec, skip_initial=skip))]
+                for error, plain in pairs:
+                    if p == 3.0:
+                        assert error == plain
+                    else:
+                        assert abs(error - plain) <= 1e-14 * plain
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -464,7 +473,7 @@ def test_level_powers_are_bitwise_the_unplanned_kernel(dim):
     regions = (None, cells_in_cylinder(m, cyl).space_cells)
     cases = [("0", a) for a in (-1.5, 0.0, 1.0)]
     cases += [(o, a) for o in ("1_xd", "1_full", "2_full") for a in (0.0, 1.0)]
-    checked = 0
+    checked = form = 0
     for order, alpha in cases:
         exacts = (None,)
         if order != "2_full":
@@ -477,12 +486,49 @@ def test_level_powers_are_bitwise_the_unplanned_kernel(dim):
                                                       exact, times)
                     want = _reference_level_powers(m, levels, spec, cells,
                                                    exact, times)
-                    assert got.tobytes() == want.tobytes(), \
-                        (order, alpha, p, cells is None, exact is None)
+                    where = (order, alpha, p, cells is None, exact is None)
+                    if p == 2.0 and exact is None:
+                        # the quadratic form: the same rule, summed anew
+                        assert np.all(np.abs(got - want)
+                                      <= 1e-14 * np.abs(want)), where
+                        form += 1
+                    else:
+                        assert got.tobytes() == want.tobytes(), where
                     checked += 1
-    print("dim %d: %d norms (%d level powers) bitwise equal"
-          % (dim, checked, checked * len(levels)))
+    print("dim %d: %d norms (%d level powers), %d bitwise equal and %d "
+          "p = 2 forms within 1e-14" % (dim, checked, checked * len(levels),
+                                        checked - form, form))
     assert checked >= 100
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p2_gradient_form_does_not_cancel(dim):
+    # levels 1 + 1e-6 u: a gradient 1e-6 of a field near 1, whose corner
+    # products cancel to about 1e-12 of each term in an expanded form; and
+    # in dim 2 levels 1e3 cos(x') + u, whose x' differences are 1e3 times
+    # the x_d ones and would cancel in an x_d derivative formed from
+    # differences across the cell.  The forms on the differences along each
+    # edge agree with the pointwise kernel
+    sol = _random_solution(dim, 9)
+    m = sol.mesh
+    stacks = [1.0 + 1e-6 * sol.levels]
+    if dim == 2:
+        stacks.append(1e3 * np.cos(m.xprime_nodes) + sol.levels)
+    regions = (None, cells_in_cylinder(
+        m, Cylinder(0.7, 0.8, 0.9, center_xprime=1.0)).space_cells)
+    for k, levels in enumerate(stacks):
+        for order in ("1_xd", "1_full"):
+            for alpha in (0.0, 1.0):
+                for cells in regions:
+                    spec = NormSpec(2.0, alpha, order)
+                    got = degenlab.norms._level_powers(m, levels, spec, cells,
+                                                      None, sol.times)
+                    want = _reference_level_powers(m, levels, spec, cells,
+                                                   None, sol.times)
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-14 * np.abs(want)), \
+                        (k, order, alpha, cells is None,
+                         np.max(np.abs(got - want) / np.abs(want)))
 
 
 def test_norm_plan_is_built_once_and_read_only():
