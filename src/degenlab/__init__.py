@@ -14,7 +14,7 @@ from .coefficients import (CoefficientField, OscillationReport,
                            oscillation_scan, sample_on_mesh)
 from .fields import (DiscreteField, node_grid, random_w1p_field,
                      sample_nodes, smooth_random_closure)
-from .harness import (CHECK_IDS, CSV_HEADER, DegenerateLocalSolution,
+from .harness import (CHECK_IDS, CHECKS, CSV_HEADER, DegenerateLocalSolution,
                       EstimateReport, ProblemSpec, boundary_lipschitz,
                       caccioppoli_ratio, corollary2_check, duality_check,
                       energy_ratio, hardy_report,

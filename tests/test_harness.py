@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ import degenlab.fields
 import degenlab.harness
 import degenlab.norms
 import degenlab.solver
-from degenlab import (CHECK_IDS, CSV_HEADER, Cylinder,
+from degenlab import (CHECK_IDS, CHECKS, CSV_HEADER, Cylinder,
                       DegenerateLocalSolution, DiscreteField, EstimateReport,
                       LoadAssembler, NormSpec, ProblemSpec,
                       SpaceTimeSolution,
@@ -41,21 +42,24 @@ def _problem_d1(M=24, time_count=20, seed=0, kind="xd_only", nu=0.5,
 
 
 def test_report_invariants():
+    nu = {"nu": 1.0}                 # energy_L2's threshold 4/nu = 4
     with pytest.raises(ValueError):
         EstimateReport("not_a_check", 1.0, 1.0)
     with pytest.raises(ValueError):
-        EstimateReport("energy_L2", 1.0, 0.0)       # lhs above the floor
+        EstimateReport("energy_L2", 1.0, 0.0, nu)   # lhs above the floor
     with pytest.raises(ValueError):
-        EstimateReport("energy_L2", 1.0, -1.0)
+        EstimateReport("energy_L2", 1.0, -1.0, nu)
     with pytest.raises(ValueError):
-        EstimateReport("energy_L2", np.inf, 1.0)
-    rep = EstimateReport("energy_L2", 5e-13, 0.0)
+        EstimateReport("energy_L2", np.inf, 1.0, nu)
+    rep = EstimateReport("energy_L2", 5e-13, 0.0, nu)
     assert rep.ratio == 0.0 and rep.passed
-    rep2 = EstimateReport("energy_L2", 6.0, 2.0, threshold=4.0)
-    assert rep2.ratio == 3.0 and rep2.passed
-    rep3 = EstimateReport("energy_L2", 9.0, 2.0, threshold=4.0)
+    rep2 = EstimateReport("energy_L2", 6.0, 2.0, nu)
+    assert rep2.ratio == 3.0 and rep2.passed and rep2.threshold == 4.0
+    rep3 = EstimateReport("energy_L2", 9.0, 2.0, nu)
     assert not rep3.passed
-    rep4 = EstimateReport("trace", 0.4, 1.0, passed=True)
+    # a row with a rule and no bound: trace passes at slope >= threshold
+    rep4 = EstimateReport("trace", 0.4, 1.0, {"constant": 2.0,
+                                              "slope_threshold": 0.0})
     assert rep4.passed and rep4.threshold is None
 
 
@@ -65,7 +69,7 @@ def test_report_csv_row_format():
     rep = EstimateReport("energy_L2", 1.0, 2.0,
                          params={"lambda": 10.0, "p": 2.0, "mesh_M": 48,
                                  "dt": 0.05, "seed": 7, "rho0": 1.0,
-                                 "gamma_measured": None})
+                                 "gamma_measured": None, "nu": 1.0})
     row = rep.csv_row()
     cols = row.split(",")
     assert len(cols) == len(CSV_HEADER.split(","))
@@ -77,7 +81,136 @@ def test_report_csv_row_format():
     assert cols[11] == "1"
     js = rep.to_json()
     assert js["check_id"] == "energy_L2" and js["pass"] is True
-    assert set(CHECK_IDS) >= {"energy_L2", "duality", "trace"}
+    assert js["threshold"] == 4.0
+    assert CHECK_IDS == set(CHECKS) == {
+        "energy_L2", "main_Wp", "caccioppoli", "w_estimate", "lipschitz",
+        "duality", "corollary2", "trace", "hardy"}
+
+
+def _above(x):
+    return np.nextafter(x, np.inf)
+
+
+def _hardy_bound(p):
+    return p / (p - 1) + 0.05
+
+
+_WINDOW = {"in_window": True, "uniformity": 3.0, "refine_drift": 0.15}
+_TRACE = {"constant": 2.0, "slope_threshold": 0.45}
+
+# per check id, the (lhs, rhs, params, passes) cases that pin its CHECKS row
+# at the edges of its verdict; where rhs is 1 the ratio is the lhs
+VERDICTS = {
+    "energy_L2": [(4 / 0.3, 1.0, {"nu": 0.3}, True),
+                  (_above(4 / 0.3), 1.0, {"nu": 0.3}, False)],
+    "duality": [(1e-8, 1.0, {}, True), (_above(1e-8), 1.0, {}, False),
+                (0.0, 0.0, {}, True)],
+    "hardy": [(_hardy_bound(p), 1.0, {"p": p}, True) for p in (1.5, 3.0)]
+    + [(_above(_hardy_bound(p)), 1.0, {"p": p}, False) for p in (1.5, 3.0)],
+    "main_Wp": [(2.0, 1.0, _WINDOW, True),
+                (2.0, 1.0, dict(_WINDOW, uniformity=_above(3.0)), False),
+                (2.0, 1.0, dict(_WINDOW, refine_drift=_above(0.15)), False),
+                (2.0, 1.0, dict(_WINDOW, in_window=False, refine_drift=1.0,
+                                uniformity=10.0), True)],
+    "trace": [(0.45, 1.0, _TRACE, True),
+              (np.nextafter(0.45, -np.inf), 1.0, _TRACE, False),
+              (0.9, 1.0, dict(_TRACE, constant=np.inf), False)],
+    **{check_id: [(0.0, 0.0, {}, True), (1e-6, 1.0, {}, True),
+                  (1e300, 1e-3, {}, True),
+                  (1e300, 1e-300, {}, False)]      # the ratio overflows
+       for check_id in ("caccioppoli", "w_estimate", "lipschitz",
+                        "corollary2")},
+}
+
+
+def test_readme_checks_table_names_every_check():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| check id | passes when |") + 2
+    ids = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        ids.append(line.split("|")[1].strip().strip("`"))
+    assert sorted(ids) == sorted(CHECKS)
+
+
+def test_verdict_cases_cover_every_check():
+    assert set(VERDICTS) == set(CHECKS)
+
+
+@pytest.mark.parametrize("check_id", sorted(VERDICTS))
+def test_each_verdict_is_its_checks_row(check_id):
+    bound, rule = CHECKS[check_id]
+    for lhs, rhs, params, passes in VERDICTS[check_id]:
+        rep = EstimateReport(check_id, lhs, rhs, params)
+        assert rep.passed is passes, (check_id, lhs, rhs, params)
+        assert rep.threshold == (None if bound is None else bound(rep))
+
+
+def test_duality_ratio_is_the_worst_seeds_error():
+    # the report's ratio |P1 - P2| / max|P| of its worst seed is bitwise
+    # the largest relative error over the seeds, so its bound alone gives
+    # the verdict that every seed is within 1e-8
+    cfg = parse_config(GOLDEN["duality"])
+    assert cfg["duality_seeds"] == 2
+    (rep,) = degenlab.cli._cmd_duality(cfg)[0]
+    assert rep.params["n_seeds"] == 2
+    assert rep.ratio == rep.params["rel_errors_max"]
+    assert rep.passed and rep.threshold == 1e-8
+
+
+_MESH_1D = build_mesh(1, 4.0, 8, 2.0)
+_BASE = Cylinder(0.5, 0.0, 0.5)
+
+# (failing call, the message's prefix, the values it must name); a message
+# that named no value before keeps its old wording as the prefix
+FAILURES = [
+    (lambda: EstimateReport("energy_L2", 1.0, -1.0, {"nu": 1.0}),
+     "rhs must be >= 0", ["energy_L2", "lhs=1.0", "rhs=-1.0"]),
+    (lambda: EstimateReport("hardy", np.inf, 2.0, {"p": 2.0}),
+     "non-finite report sides", ["hardy", "lhs=inf", "rhs=2.0"]),
+    (lambda: EstimateReport("energy_L2", 1.0, 1.0),
+     "energy_L2 needs", ["params['nu']"]),
+    (lambda: EstimateReport("energy_L2", 1.0, 1.0, {"nu": None}),
+     "energy_L2 needs", ["params['nu']"]),
+    (lambda: EstimateReport("hardy", 1.0, 1.0),        # p is a None label
+     "hardy needs", ["params['p']"]),
+    (lambda: EstimateReport("main_Wp", 1.0, 1.0, {"in_window": True}),
+     "main_Wp needs", ["params['uniformity']"]),
+    (lambda: EstimateReport("trace", 1.0, 1.0, {"constant": 1.0}),
+     "trace needs", ["params['slope_threshold']"]),
+    (lambda: ProblemSpec(_MESH_1D, generate_family(0, "constant", 0.5, 0.0,
+                                                   dim=2)),
+     "coefficient/mesh dimension mismatch", ["2 != 1"]),
+    (lambda: ProblemSpec(_MESH_1D, generate_family(0, "constant", 0.5, 0.0,
+                                                   dim=1), rho0=-0.5),
+     "rho0 must be positive", ["-0.5"]),
+    (lambda: degenlab.harness._nested_cylinders(None, 0.5, 0.25),
+     "need 0 < r < R", ["r = 0.5", "R = 0.25"]),
+    (lambda: degenlab.harness._sub_cylinder(_BASE, 0.75),
+     "radius", ["0.75 exceeds the homogeneous radius 0.5"]),
+    (lambda: main_estimate_sweep(_problem_d1(M=8, time_count=4), 2.0,
+                                 [1.0, -2.0, 0.0]),
+     "the sweep needs positive lambda values", ["[-2.0, 0.0]"]),
+    (lambda: degenlab.harness.corollary2_reports(None, None, (1.5, 3.0)),
+     "the second-order estimate needs p >= 2", ["p = [1.5]"]),
+    (lambda: trace_report(None, 1.5),
+     "trace decay check needs p >= 2", ["p = 1.5"]),
+]
+
+
+@pytest.mark.parametrize("call, prefix, values", FAILURES,
+                         ids=[f[1] for f in FAILURES])
+def test_failures_name_their_values(call, prefix, values):
+    with pytest.raises(ValueError) as err:
+        call()
+    message = str(err.value)
+    assert message.startswith(prefix)
+    for value in values:
+        assert value in message, (message, value)
 
 
 def test_energy_trivial_data_gives_zero_over_zero():
@@ -594,7 +727,8 @@ def test_local_checks_refuse_an_empty_inner_cylinder_alike():
             check()
     for check in (lambda: caccioppoli_ratio(sol, 0.5, 0.25),
                   lambda: w_estimate_ratio(sol, 0.25, 0.25)):
-        with pytest.raises(ValueError, match=r"^need 0 < r < R$"):
+        with pytest.raises(ValueError, match=r"^need 0 < r < R, got "
+                                             r"r = 0\.(5|25), R = 0\.25$"):
             check()
 
 
@@ -623,6 +757,23 @@ def test_duality_check_d2_nonsymmetric(monkeypatch):
     assert rep.passed
     assert len(factorizations) == 2
     print("duality d2 rel", rep.params["rel_errors_max"])
+
+
+def test_duality_refuses_a_nan_pairing_of_any_seed(monkeypatch):
+    # the worst seed gives the report, so a NaN pairing must be the worst:
+    # here seed 0's adjoint is NaN and seed 1's pairing agrees to 1e-8
+    adjoint, calls = degenlab.solver.Marcher.adjoint, []
+
+    def nan_first(self, lam, rows):
+        calls.append(lam)
+        v = adjoint(self, lam, rows)
+        return v * np.nan if len(calls) == 1 else v
+    monkeypatch.setattr(degenlab.solver.Marcher, "adjoint", nan_first)
+    with pytest.raises(ValueError, match="^non-finite report sides: duality "
+                                         "lhs=nan"):
+        duality_check(_problem_d1(M=8, time_count=4), seeds=(0, 1), lam=1.0,
+                      kind="xd_only", eps=0.2)
+    assert len(calls) == 2
 
 
 def test_duality_check_reads_its_seeds_once_and_needs_one():
